@@ -6,11 +6,11 @@
 // bit-identical stats, timing and output buffers, and writes a machine-
 // readable BENCH_perf.json so CI can track host wall-clock regressions.
 //
-// Every benchmark is additionally run serially under both block engines
-// (the AST walker and the bytecode VM, see docs/performance.md); the
-// per-engine wall-clocks land as columns in the report and the two
-// engines' stats, modeled timing and output buffers must be
-// bit-identical or the harness fails.
+// Every benchmark also runs serially on the AST walker, the reference
+// implementation the bytecode VM is checked against (see
+// docs/performance.md); the per-engine wall-clocks land as columns in
+// the report and the two engines' stats, modeled timing and output
+// buffers must be bit-identical or the harness fails.
 //
 // Note the distinction from the fig*_ benches: those report *modeled GPU
 // time* (sim seconds), which is independent of the jobs count by
@@ -18,12 +18,7 @@
 // itself, which is what the parallel scheduler improves.
 //
 //   perf_harness [--scale=<f>] [--jobs=<n>] [--reps=<n>]
-//                [--engine=auto|ast|vm|check] [--benchmarks=A,B,...]
-//                [--out=<file>]
-//
-// --engine selects the engine for the serial-vs-parallel determinism
-// runs (auto defers to CUDANP_ENGINE, then the VM); the AST-vs-VM
-// comparison columns always measure both engines explicitly.
+//                [--benchmarks=A,B,...] [--out=<file>]
 //
 // Exit status: 0 on success, 1 on usage errors, 2 when the serial and
 // parallel runs disagree or the engines diverge (determinism
@@ -43,6 +38,7 @@
 #include "kernels/benchmark.hpp"
 #include "np/compiler.hpp"
 #include "np/runner.hpp"
+#include "support/string_utils.hpp"
 
 using namespace cudanp;
 using Clock = std::chrono::steady_clock;
@@ -57,18 +53,24 @@ struct HarnessOptions {
   double scale = 0.25;
   int jobs = 8;
   int reps = 3;
-  std::string engine = "auto";
   std::vector<std::string> benchmarks;  // empty = whole suite
   std::string out = "BENCH_perf.json";
 };
 
-bool engine_from_name(const std::string& name, sim::Engine* out) {
-  if (name == "auto") *out = sim::Engine::kAuto;
-  else if (name == "ast") *out = sim::Engine::kAst;
-  else if (name == "vm") *out = sim::Engine::kVm;
-  else if (name == "check") *out = sim::Engine::kCheck;
-  else return false;
-  return true;
+[[noreturn]] void usage_exit() {
+  std::fprintf(stderr,
+               "usage: perf_harness [--scale=<f>] [--jobs=<n>] "
+               "[--reps=<n>] [--benchmarks=A,B,...] [--out=<file>]\n");
+  std::exit(1);
+}
+
+/// A malformed or out-of-range numeric flag is a usage error with a
+/// message, never a silent prefix parse.
+[[noreturn]] void bad_value(const char* flag, const char* text,
+                            const char* expected) {
+  std::fprintf(stderr, "perf_harness: bad value for %s: '%s' (expected %s)\n",
+               flag, text, expected);
+  usage_exit();
 }
 
 HarnessOptions parse_args(int argc, char** argv) {
@@ -76,31 +78,28 @@ HarnessOptions parse_args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strncmp(a, "--scale=", 8) == 0) {
-      opt.scale = std::atof(a + 8);
+      auto v = parse_f64(a + 8);
+      if (!v || !(*v > 0.0)) bad_value("--scale", a + 8, "a positive number");
+      opt.scale = *v;
     } else if (std::strncmp(a, "--jobs=", 7) == 0) {
-      opt.jobs = std::atoi(a + 7);
+      auto v = parse_int(a + 7, 1);
+      if (!v) bad_value("--jobs", a + 7, "an integer >= 1");
+      opt.jobs = *v;
     } else if (std::strncmp(a, "--reps=", 7) == 0) {
-      opt.reps = std::max(1, std::atoi(a + 7));
+      auto v = parse_int(a + 7, 1);
+      if (!v) bad_value("--reps", a + 7, "an integer >= 1");
+      opt.reps = *v;
     } else if (std::strncmp(a, "--benchmarks=", 13) == 0) {
       std::stringstream ss(a + 13);
       std::string name;
       while (std::getline(ss, name, ','))
         if (!name.empty()) opt.benchmarks.push_back(name);
-    } else if (std::strncmp(a, "--engine=", 9) == 0) {
-      opt.engine = a + 9;
     } else if (std::strncmp(a, "--out=", 6) == 0) {
       opt.out = a + 6;
     } else {
-      std::fprintf(stderr,
-                   "usage: perf_harness [--scale=<f>] [--jobs=<n>] "
-                   "[--reps=<n>] [--engine=auto|ast|vm|check] "
-                   "[--benchmarks=A,B,...] [--out=<file>]\n");
-      std::exit(1);
+      usage_exit();
     }
   }
-  sim::Engine eng;
-  if (opt.scale <= 0 || opt.jobs <= 0 || !engine_from_name(opt.engine, &eng))
-    std::exit(1);
   return opt;
 }
 
@@ -150,12 +149,12 @@ struct TimedRun {
 /// Runs the baseline kernel `reps` times at the given job count and keeps
 /// the best wall-clock plus the final state for the identity cross-check.
 TimedRun timed_run(const kernels::Benchmark& bench, const ir::Kernel& kernel,
-                   const sim::DeviceSpec& spec, sim::Engine engine, int jobs,
+                   const sim::DeviceSpec& spec, bool ast_reference, int jobs,
                    int reps) {
   TimedRun out;
   sim::Interpreter::Options iopt;
   iopt.jobs = jobs;
-  iopt.engine = engine;
+  iopt.ast_reference = ast_reference;
   np::Runner runner(spec, iopt);
   out.wall_ms = std::numeric_limits<double>::infinity();
   for (int r = 0; r < reps; ++r) {
@@ -194,8 +193,6 @@ bool runs_identical(const TimedRun& a, const TimedRun& b) {
 
 int main(int argc, char** argv) {
   HarnessOptions opt = parse_args(argc, argv);
-  sim::Engine eng = sim::Engine::kAuto;
-  (void)engine_from_name(opt.engine, &eng);
 
   auto spec = sim::DeviceSpec::gtx680();
   std::vector<std::unique_ptr<kernels::Benchmark>> suite;
@@ -206,9 +203,9 @@ int main(int argc, char** argv) {
       suite.push_back(kernels::make_benchmark(name, opt.scale));
   }
 
-  std::printf("perf_harness: %zu benchmark(s), scale=%.2f, engine=%s, "
+  std::printf("perf_harness: %zu benchmark(s), scale=%.2f, "
               "jobs=1 vs %d, reps=%d (hardware_concurrency=%u)\n\n",
-              suite.size(), opt.scale, opt.engine.c_str(), opt.jobs, opt.reps,
+              suite.size(), opt.scale, opt.jobs, opt.reps,
               std::thread::hardware_concurrency());
   std::printf("%-6s %9s %12s %8s %8s %8s %6s %10s %12s %8s %s\n", "name",
               "parse ms", "transform ms", "blocks", "ast ms", "vm ms", "vmx",
@@ -244,22 +241,22 @@ int main(int argc, char** argv) {
     }
     row.blocks = probe.launch.grid.count();
 
-    // Engine comparison: both engines serially, bit-identity required.
-    TimedRun ast =
-        timed_run(*b, *kernel, spec, sim::Engine::kAst, 1, opt.reps);
-    TimedRun vm = timed_run(*b, *kernel, spec, sim::Engine::kVm, 1, opt.reps);
+    // Engine comparison: the AST reference and the VM serially,
+    // bit-identity required.
+    TimedRun ast = timed_run(*b, *kernel, spec, true, 1, opt.reps);
+    TimedRun vm = timed_run(*b, *kernel, spec, false, 1, opt.reps);
     row.ast_ms = ast.wall_ms;
     row.vm_ms = vm.wall_ms;
     row.engine_speedup = vm.wall_ms > 0 ? ast.wall_ms / vm.wall_ms : 0;
     row.engines_identical = runs_identical(ast, vm);
 
-    // Determinism across job counts with the selected engine.
-    TimedRun serial = timed_run(*b, *kernel, spec, eng, 1, opt.reps);
-    TimedRun parallel = timed_run(*b, *kernel, spec, eng, opt.jobs, opt.reps);
-    row.serial_ms = serial.wall_ms;
+    // Determinism across job counts on the VM; the serial VM run above
+    // is the jobs=1 side.
+    TimedRun parallel = timed_run(*b, *kernel, spec, false, opt.jobs, opt.reps);
+    row.serial_ms = vm.wall_ms;
     row.parallel_ms = parallel.wall_ms;
-    row.speedup = parallel.wall_ms > 0 ? serial.wall_ms / parallel.wall_ms : 0;
-    row.identical = runs_identical(serial, parallel) && row.engines_identical;
+    row.speedup = parallel.wall_ms > 0 ? vm.wall_ms / parallel.wall_ms : 0;
+    row.identical = runs_identical(vm, parallel) && row.engines_identical;
     all_identical = all_identical && row.identical;
 
     std::printf(
@@ -303,7 +300,6 @@ int main(int argc, char** argv) {
      << "  \"scale\": " << opt.scale << ",\n"
      << "  \"jobs\": " << opt.jobs << ",\n"
      << "  \"reps\": " << opt.reps << ",\n"
-     << "  \"engine\": \"" << opt.engine << "\",\n"
      << "  \"hardware_concurrency\": "
      << std::thread::hardware_concurrency() << ",\n"
      << "  \"geomean_speedup\": " << geomean << ",\n"

@@ -80,7 +80,6 @@ ExecutionResult Runner::execute(const ExecutionRequest& req) const {
 
   ExecutionResult out;
   sim::Interpreter::Options iopt = opt_;
-  if (req.engine) iopt.engine = *req.engine;
   if (req.limits) iopt.limits = *req.limits;
   if (req.jobs) iopt.jobs = *req.jobs;
   if (req.fault) iopt.fault = req.fault;

@@ -20,7 +20,7 @@ namespace cudanp::np {
 ///
 ///   runner.execute(ExecutionRequest::transformed(variant, w)
 ///                      .sanitized(sopt)
-///                      .with_engine(sim::Engine::kVm));
+///                      .with_jobs(8));
 struct ExecutionRequest {
   const ir::Kernel* kernel = nullptr;
   const transform::TransformResult* variant = nullptr;
@@ -30,7 +30,6 @@ struct ExecutionRequest {
   bool sanitize = false;
   sim::SanitizerEngine::Options sanitizer_options{};
   /// Unset fields inherit the runner's Options for this launch.
-  std::optional<sim::Engine> engine{};
   std::optional<sim::ExecutionLimits> limits{};
   std::optional<int> jobs{};
   /// Non-null overrides the runner's fault injector (chaos tests).
@@ -53,10 +52,6 @@ struct ExecutionRequest {
   ExecutionRequest& sanitized(sim::SanitizerEngine::Options sopt = {}) {
     sanitize = true;
     sanitizer_options = sopt;
-    return *this;
-  }
-  ExecutionRequest& with_engine(sim::Engine e) {
-    engine = e;
     return *this;
   }
   ExecutionRequest& with_limits(sim::ExecutionLimits l) {

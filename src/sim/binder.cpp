@@ -52,9 +52,15 @@ Builtin resolve_builtin(const std::string& f) {
 
 namespace {
 
-/// Builds the name -> slot table and annotates the AST. Declarations are
-/// name-keyed exactly like the old per-block unordered_map: re-declaring
-/// a name (loop bodies, param shadows) resolves to the same slot.
+/// Builds the slot table and annotates the AST. Declarations are
+/// name-keyed: re-declaring a name with the same type (loop bodies,
+/// sibling blocks) resolves to the same slot. A declaration that collides with its name's visible binding — it
+/// shadows a kernel parameter, or redeclares the name with a different
+/// type — gets a fresh slot instead, and the references in its lexical
+/// scope (the rest of the enclosing block, or of the for statement) bind
+/// to that slot. Every other reference binds by name, so a use before the
+/// first declaration still finds the slot (a runtime liveness bit
+/// preserves the use-before-declare error).
 class Binder {
  public:
   explicit Binder(const Kernel& kernel) {
@@ -67,12 +73,15 @@ class Binder {
       sd.param_index = i;
       by_name_.emplace(sd.name, static_cast<std::int32_t>(out_->slots.size()));
       out_->slots.push_back(std::move(sd));
+      decl_types_.push_back(nullptr);
     }
-    // First pass: collect every declared name so forward references bind
-    // to a slot (a runtime liveness bit preserves use-before-declare
-    // errors). Second pass: annotate expressions.
-    collect_decls(*kernel.body);
-    annotate_stmt(*kernel.body);
+    bind_stmt(*kernel.body);
+    // Name-keyed references resolve last, so forward references see
+    // declarations that come later in the walk.
+    for (const VarRef* v : by_name_refs_) {
+      auto it = by_name_.find(v->name);
+      v->sim_slot = it == by_name_.end() ? kSlotUndeclared : it->second;
+    }
   }
 
   [[nodiscard]] std::shared_ptr<const BoundKernel> take() {
@@ -80,64 +89,109 @@ class Binder {
   }
 
  private:
-  std::int32_t slot_for_decl(const std::string& name) {
-    auto [it, inserted] =
-        by_name_.emplace(name, static_cast<std::int32_t>(out_->slots.size()));
-    if (inserted) {
-      SlotDecl sd;
-      sd.name = name;
-      out_->slots.push_back(std::move(sd));
+  using Scope = std::unordered_map<std::string, std::int32_t>;
+
+  std::int32_t new_slot(const DeclStmt& d) {
+    SlotDecl sd;
+    sd.name = d.name;
+    out_->slots.push_back(std::move(sd));
+    decl_types_.push_back(&d.type);
+    return static_cast<std::int32_t>(out_->slots.size()) - 1;
+  }
+
+  [[nodiscard]] const std::int32_t* scoped(const std::string& name) const {
+    for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
+      auto f = it->find(name);
+      if (f != it->end()) return &f->second;
     }
-    return it->second;
+    return nullptr;
   }
 
-  void collect_decls(const Stmt& s) {
-    for_each_stmt(s, [&](const Stmt& st) {
-      if (st.kind() != StmtKind::kDecl) return;
-      const auto& d = static_cast<const DeclStmt&>(st);
-      d.sim_slot = slot_for_decl(d.name);
-      if (d.type.space == AddrSpace::kShared)
-        out_->shared_words_bound +=
-            static_cast<std::uint64_t>(d.type.element_count());
-    });
+  void bind_decl(const DeclStmt& d) {
+    if (d.type.space == AddrSpace::kShared)
+      out_->shared_words_bound +=
+          static_cast<std::uint64_t>(d.type.element_count());
+    std::int32_t slot;
+    if (const std::int32_t* s = scoped(d.name)) {
+      slot = *s;
+    } else {
+      auto [it, inserted] = by_name_.try_emplace(d.name, 0);
+      if (inserted) it->second = new_slot(d);
+      slot = it->second;
+    }
+    const Type* prev = decl_types_[static_cast<std::size_t>(slot)];
+    if (prev == nullptr || !(*prev == d.type)) {
+      slot = new_slot(d);
+      scopes_.back()[d.name] = slot;
+    }
+    d.sim_slot = slot;
   }
 
-  void annotate_stmt(const Stmt& s) {
-    for_each_stmt(s, [&](const Stmt& st) {
-      switch (st.kind()) {
-        case StmtKind::kDecl: {
-          const auto& d = static_cast<const DeclStmt&>(st);
-          if (d.init) annotate_expr(*d.init);
-          for (const auto& e : d.init_list) annotate_expr(*e);
-          break;
-        }
-        case StmtKind::kAssign: {
-          const auto& a = static_cast<const AssignStmt&>(st);
-          annotate_expr(*a.lhs);
-          annotate_expr(*a.rhs);
-          break;
-        }
-        case StmtKind::kIf:
-          annotate_expr(*static_cast<const IfStmt&>(st).cond);
-          break;
-        case StmtKind::kFor: {
-          const auto& f = static_cast<const ForStmt&>(st);
-          if (f.cond) annotate_expr(*f.cond);
-          break;
-        }
-        case StmtKind::kWhile:
-          annotate_expr(*static_cast<const WhileStmt&>(st).cond);
-          break;
-        case StmtKind::kExpr:
-          annotate_expr(*static_cast<const ExprStmt&>(st).expr);
-          break;
-        default:
-          break;
+  void bind_block(const Block& b) {
+    scopes_.emplace_back();
+    for (const auto& c : b.stmts) bind_stmt(*c);
+    scopes_.pop_back();
+  }
+
+  /// Walks statements in for_each_stmt order (for: init, inc, body), so
+  /// declarations claim slots in the same order as a plain pre-order walk.
+  void bind_stmt(const Stmt& s) {
+    switch (s.kind()) {
+      case StmtKind::kBlock:
+        bind_block(static_cast<const Block&>(s));
+        return;
+      case StmtKind::kDecl: {
+        // C scoping: the name is visible from its own initializer on.
+        const auto& d = static_cast<const DeclStmt&>(s);
+        bind_decl(d);
+        if (d.init) bind_expr(*d.init);
+        for (const auto& e : d.init_list) bind_expr(*e);
+        return;
       }
-    });
+      case StmtKind::kAssign: {
+        const auto& a = static_cast<const AssignStmt&>(s);
+        bind_expr(*a.lhs);
+        bind_expr(*a.rhs);
+        return;
+      }
+      case StmtKind::kIf: {
+        const auto& i = static_cast<const IfStmt&>(s);
+        bind_expr(*i.cond);
+        bind_block(*i.then_body);
+        if (i.else_body) bind_block(*i.else_body);
+        return;
+      }
+      case StmtKind::kFor: {
+        const auto& f = static_cast<const ForStmt&>(s);
+        scopes_.emplace_back();  // the init declarations' scope
+        if (f.init && f.init->kind() == StmtKind::kBlock) {
+          // `int i = 0, k = 0`: the declarators share the for scope.
+          for (const auto& d : static_cast<const Block&>(*f.init).stmts)
+            bind_stmt(*d);
+        } else if (f.init) {
+          bind_stmt(*f.init);
+        }
+        if (f.cond) bind_expr(*f.cond);
+        if (f.inc) bind_stmt(*f.inc);
+        bind_block(*f.body);
+        scopes_.pop_back();
+        return;
+      }
+      case StmtKind::kWhile: {
+        const auto& w = static_cast<const WhileStmt&>(s);
+        bind_expr(*w.cond);
+        bind_block(*w.body);
+        return;
+      }
+      case StmtKind::kExpr:
+        bind_expr(*static_cast<const ExprStmt&>(s).expr);
+        return;
+      default:
+        return;
+    }
   }
 
-  void annotate_expr(const Expr& e) {
+  void bind_expr(const Expr& e) {
     for_each_expr(e, [&](const Expr& x) {
       switch (x.kind()) {
         case ExprKind::kVarRef: {
@@ -147,10 +201,11 @@ class Binder {
           std::int32_t g = geometry_code(v.name);
           if (g >= 0) {
             v.sim_slot = kSlotGeomBase - g;
-            return;
+          } else if (const std::int32_t* s = scoped(v.name)) {
+            v.sim_slot = *s;
+          } else {
+            by_name_refs_.push_back(&v);
           }
-          auto it = by_name_.find(v.name);
-          v.sim_slot = it == by_name_.end() ? kSlotUndeclared : it->second;
           return;
         }
         case ExprKind::kCall: {
@@ -166,6 +221,11 @@ class Binder {
 
   std::shared_ptr<BoundKernel> out_;
   std::unordered_map<std::string, std::int32_t> by_name_;
+  /// Declared type per slot; null for parameters.
+  std::vector<const Type*> decl_types_;
+  /// Lexical overrides from colliding declarations, innermost last.
+  std::vector<Scope> scopes_;
+  std::vector<const VarRef*> by_name_refs_;
 };
 
 std::mutex g_bind_mutex;

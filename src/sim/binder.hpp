@@ -10,6 +10,11 @@
 // CallExpr::sim_builtin). The per-thread eval loop then never touches a
 // string or a hash map.
 //
+// A declaration that shadows a kernel parameter, or redeclares a name
+// with a different type, gets a slot of its own that the references in
+// its lexical scope bind to; every slot therefore has one static type,
+// which is what makes bytecode lowering total (sim/bytecode.hpp).
+//
 // Semantics are preserved exactly, including error behaviour: names that
 // never resolve are bound to a sentinel and still throw the original
 // "use of undeclared variable" SimError lazily, only if the reference is
@@ -84,6 +89,13 @@ constexpr std::int32_t kSlotGeomBase = -2;
 /// kernel was mutated after binding — an internal error if evaluated).
 constexpr std::int32_t kSlotUnbound = std::numeric_limits<std::int32_t>::min();
 
+/// The error for executing a declaration the binder never visited; raised
+/// by BlockCore::declare and lowered to a trap by the bytecode pass.
+[[nodiscard]] inline std::string unbound_decl_message(const std::string& name) {
+  return "internal: unbound declaration of '" + name +
+         "' (kernel AST modified after slot binding)";
+}
+
 [[nodiscard]] constexpr bool slot_is_geometry(std::int32_t slot) {
   return slot <= kSlotGeomBase && slot != kSlotUnbound;
 }
@@ -102,7 +114,7 @@ struct SlotDecl {
 /// hints. The AST annotations carry the per-node slot ids.
 struct BoundKernel {
   const ir::Kernel* kernel = nullptr;
-  std::vector<SlotDecl> slots;  // params first, then declared names
+  std::vector<SlotDecl> slots;  // params first, then declarations
   /// Static upper bound on shared-memory words the kernel can declare;
   /// used to reserve the sanitizer's shared shadow map up front.
   std::uint64_t shared_words_bound = 0;

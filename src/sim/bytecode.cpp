@@ -20,10 +20,6 @@ using namespace cudanp::ir;
 
 namespace {
 
-/// Thrown to abandon lowering; lower() turns it into a null program and
-/// the launch transparently runs the AST engine instead.
-struct Decline {};
-
 /// Static classification of one frame slot, folded from the parameter
 /// list and every declaration binding to it.
 struct SlotInfo {
@@ -38,7 +34,6 @@ class Lowerer {
 
   std::shared_ptr<const Program> run() {
     const Kernel& k = *bound_.kernel;
-    nparams_ = k.params.size();
     info_.resize(bound_.num_slots());
     for (std::size_t i = 0; i < bound_.slots.size(); ++i) {
       if (!bound_.slots[i].is_param) continue;
@@ -58,10 +53,10 @@ class Lowerer {
 
  private:
   // ---------------- static slot typing ----------------
-  /// Collects every declaration and folds its type into the slot table;
-  /// declines shapes whose static typing is ambiguous (param-shadowing
-  /// slots, conflicting per-slot types, shared scalars) or that the AST
-  /// only diagnoses dynamically.
+  /// Collects every declaration and records its slot's type. The binder
+  /// gives each declaration slot one static type, so this never conflicts;
+  /// an unbound declaration (AST mutated after binding) stays out of the
+  /// table and lowers to a trap.
   void scan(const Stmt& s) {
     switch (s.kind()) {
       case StmtKind::kBlock:
@@ -69,13 +64,8 @@ class Lowerer {
         return;
       case StmtKind::kDecl: {
         const auto& d = static_cast<const DeclStmt&>(s);
-        if (d.sim_slot < 0) throw Decline{};
-        if (static_cast<std::size_t>(d.sim_slot) < nparams_) throw Decline{};
-        if (d.type.space == AddrSpace::kShared && !d.type.is_array())
-          throw Decline{};
+        if (d.sim_slot < 0) return;
         SlotInfo& si = info_[static_cast<std::size_t>(d.sim_slot)];
-        if (si.kind == SlotInfo::Kind::kDecl && !(si.type == d.type))
-          throw Decline{};
         si.kind = SlotInfo::Kind::kDecl;
         si.type = d.type;
         prog_.decls.push_back(&d);
@@ -215,6 +205,10 @@ class Lowerer {
 
   void lower_decl(const DeclStmt& d) {
     emit(Op::kLeafBegin);
+    if (d.sim_slot < 0) {
+      emit_trap(unbound_decl_message(d.name));
+      return;  // unreachable past the trap
+    }
     const std::int64_t didx = decl_index_.at(&d);
     {
       Instr in;
@@ -753,7 +747,6 @@ class Lowerer {
   const BoundKernel& bound_;
   Program prog_;
   std::vector<SlotInfo> info_;
-  std::size_t nparams_ = 0;
   std::unordered_map<const DeclStmt*, std::int64_t> decl_index_;
   std::unordered_map<std::string, std::int32_t> name_ids_;
   std::int32_t next_reg_ = 0;
@@ -767,12 +760,7 @@ class Lowerer {
 }  // namespace
 
 std::shared_ptr<const Program> lower(const BoundKernel& bound) {
-  try {
-    Lowerer lw(bound);
-    return lw.run();
-  } catch (const Decline&) {
-    return nullptr;
-  }
+  return Lowerer(bound).run();
 }
 
 }  // namespace cudanp::sim::bytecode

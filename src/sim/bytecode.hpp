@@ -15,12 +15,11 @@
 // kTrap instructions carrying the precomposed message, positioned where
 // the AST would throw.
 //
-// lower() declines — returns null, and the launch transparently runs the
-// AST engine — for the rare shapes whose static slot typing is
-// ambiguous: a declaration shadowing a kernel parameter's slot, two
-// declarations disagreeing on one slot's type, or a shared-memory scalar
-// declaration (unsupported by both engines, but only diagnosed
-// dynamically by the AST walk).
+// Lowering is total: the binder gives every slot one static type
+// (sim/binder.hpp), unsupported declarations such as shared-memory
+// scalars fail in BlockCore::declare exactly as on the AST walk, and a
+// declaration the binder never saw lowers to a trap. The VM is the only
+// production engine; the AST walker is kept as the test reference.
 //
 // Implementation detail of sim/; include only from the interpreter, the
 // VM and their tests.
@@ -150,9 +149,8 @@ struct Program {
   int max_loop_depth = 0;
 };
 
-/// Lowers a bound kernel to bytecode, or returns null when a construct's
-/// static slot typing is ambiguous (the caller falls back to the AST
-/// engine for the whole launch).
+/// Lowers a bound kernel to bytecode. Never fails and never returns null:
+/// every construct the AST walker rejects lowers to the same error.
 [[nodiscard]] std::shared_ptr<const Program> lower(const BoundKernel& bound);
 
 }  // namespace cudanp::sim::bytecode

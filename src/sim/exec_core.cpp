@@ -790,9 +790,11 @@ Slot& BlockCore::slot_at(std::int32_t s, const std::string& name,
 }
 
 Slot& BlockCore::declare(const DeclStmt& d) {
-  if (d.sim_slot < 0)
-    throw SimError("internal: unbound declaration of '" + d.name +
-                   "' (kernel AST modified after slot binding)");
+  if (d.sim_slot < 0) throw SimError(unbound_decl_message(d.name));
+  if (d.type.space == AddrSpace::kShared && !d.type.is_array())
+    throw SimError("unsupported construct: shared-memory scalar '" + d.name +
+                   "' at " + d.loc().str() +
+                   "; declare a one-element __shared__ array instead");
   Slot& slot = frame_[static_cast<std::size_t>(d.sim_slot)];
   if (!slot.live) {
     slot.type = d.type;

@@ -287,7 +287,8 @@ class BlockCore {
   /// lookup produced.
   Slot& slot_at(std::int32_t s, const std::string& name, SourceLoc loc);
 
-  /// Declares (or re-declares, for loop bodies) a variable.
+  /// Declares (or re-declares, for loop bodies) a variable. Unsupported
+  /// declarations (shared-memory scalars) fail here, for both engines.
   Slot& declare(const ir::DeclStmt& d);
 
   [[nodiscard]] static Value coerce(Value v, ir::ScalarType to);

@@ -4,11 +4,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <utility>
 
 #include "sim/binder.hpp"
@@ -499,32 +497,6 @@ struct BlockOutcome {
 
 }  // namespace
 
-const char* to_string(Engine e) {
-  switch (e) {
-    case Engine::kAuto: return "auto";
-    case Engine::kAst: return "ast";
-    case Engine::kVm: return "vm";
-    case Engine::kCheck: return "check";
-  }
-  return "?";
-}
-
-std::optional<Engine> engine_from_string(std::string_view s) {
-  if (s == "auto") return Engine::kAuto;
-  if (s == "ast") return Engine::kAst;
-  if (s == "vm") return Engine::kVm;
-  if (s == "check") return Engine::kCheck;
-  return std::nullopt;
-}
-
-Engine resolve_engine(Engine requested) {
-  if (requested != Engine::kAuto) return requested;
-  if (const char* env = std::getenv("CUDANP_ENGINE")) {
-    if (auto e = engine_from_string(env); e && *e != Engine::kAuto) return *e;
-  }
-  return Engine::kVm;
-}
-
 std::int64_t ExecutionLimits::resolve() const {
   return Interpreter::resolve_max_steps(max_steps_per_block, deadline_steps);
 }
@@ -574,24 +546,13 @@ void validate_launch(const DeviceSpec& spec, const LaunchConfig& cfg,
 
 KernelStats Interpreter::run(const Kernel& kernel, const LaunchConfig& cfg,
                              int resident_blocks_per_smx) {
-  Engine engine = resolve_engine(opt_.engine);
-  if (engine == Engine::kCheck)
-    return run_checked(kernel, cfg, resident_blocks_per_smx);
-  return run_engine(kernel, cfg, resident_blocks_per_smx, engine);
-}
-
-KernelStats Interpreter::run_engine(const Kernel& kernel,
-                                    const LaunchConfig& cfg,
-                                    int resident_blocks_per_smx,
-                                    Engine engine) {
   validate_launch(spec_, cfg);
 
   const auto bound = bind_kernel(kernel);
   // Lowered once per launch (after any fault-injected AST corruption);
-  // null means the lowering declined a construct and every block of this
-  // launch runs on the AST walk instead — same semantics either way.
+  // only the test-facing reference mode runs the AST walk instead.
   std::shared_ptr<const bytecode::Program> program;
-  if (engine == Engine::kVm) program = bytecode::lower(*bound);
+  if (!opt_.ast_reference) program = bytecode::lower(*bound);
   const std::int64_t nblocks = cfg.grid.count();
   const int jobs = ExecPool::resolve_jobs(opt_.jobs);
   const std::int64_t max_steps = opt_.limits.resolve();
@@ -731,201 +692,6 @@ KernelStats Interpreter::run_engine(const Kernel& kernel,
   if (total.blocks > 0)
     total.crit_path_cycles /= static_cast<double>(total.blocks);
   return total;
-}
-
-namespace {
-
-/// Byte-exact copy of every live buffer's payload, for the cross-check
-/// engine's rewind between the AST and VM passes.
-struct MemorySnapshot {
-  struct Buf {
-    std::vector<float> f;
-    std::vector<std::int32_t> i;
-  };
-  std::vector<Buf> bufs;
-
-  static MemorySnapshot capture(DeviceMemory& mem) {
-    MemorySnapshot s;
-    s.bufs.resize(mem.buffer_count());
-    for (BufferId id = 0; id < mem.buffer_count(); ++id) {
-      const DeviceBuffer& b = mem.buffer(id);
-      if (b.discarded()) continue;
-      if (b.type() == ScalarType::kFloat)
-        s.bufs[id].f.assign(b.f32().begin(), b.f32().end());
-      else
-        s.bufs[id].i.assign(b.i32().begin(), b.i32().end());
-    }
-    return s;
-  }
-
-  void restore(DeviceMemory& mem) const {
-    for (BufferId id = 0; id < bufs.size(); ++id) {
-      DeviceBuffer& b = mem.buffer(id);
-      if (b.discarded()) continue;
-      if (b.type() == ScalarType::kFloat)
-        std::copy(bufs[id].f.begin(), bufs[id].f.end(), b.f32().begin());
-      else
-        std::copy(bufs[id].i.begin(), bufs[id].i.end(), b.i32().begin());
-    }
-  }
-
-  /// First buffer/element where `mem` differs bitwise, or "" if identical.
-  [[nodiscard]] std::string diff(DeviceMemory& mem) const {
-    for (BufferId id = 0; id < bufs.size(); ++id) {
-      const DeviceBuffer& b = mem.buffer(id);
-      if (b.discarded()) continue;
-      if (b.type() == ScalarType::kFloat) {
-        auto cur = b.f32();
-        for (std::size_t e = 0; e < bufs[id].f.size(); ++e) {
-          float a = bufs[id].f[e];
-          float c = cur[e];
-          // Bitwise compare so -0.0 vs 0.0 and NaN payloads count.
-          std::uint32_t ab, cb;
-          std::memcpy(&ab, &a, 4);
-          std::memcpy(&cb, &c, 4);
-          if (ab != cb)
-            return "buffer " + std::to_string(id) + "[" + std::to_string(e) +
-                   "]: ast=" + std::to_string(a) + " vm=" + std::to_string(c);
-        }
-      } else {
-        auto cur = b.i32();
-        for (std::size_t e = 0; e < bufs[id].i.size(); ++e)
-          if (bufs[id].i[e] != cur[e])
-            return "buffer " + std::to_string(id) + "[" + std::to_string(e) +
-                   "]: ast=" + std::to_string(bufs[id].i[e]) +
-                   " vm=" + std::to_string(cur[e]);
-      }
-    }
-    return {};
-  }
-};
-
-[[nodiscard]] std::string diff_stats(const KernelStats& a,
-                                     const KernelStats& b) {
-  auto d = [](const char* name, auto x, auto y) -> std::string {
-    if (x == y) return {};
-    std::ostringstream os;
-    os << name << ": ast=" << x << " vm=" << y;
-    return os.str();
-  };
-  std::string r;
-  if (!(r = d("blocks", a.blocks, b.blocks)).empty()) return r;
-  if (!(r = d("warps", a.warps, b.warps)).empty()) return r;
-  if (!(r = d("issue_slots", a.issue_slots, b.issue_slots)).empty()) return r;
-  if (!(r = d("global_transactions", a.global_transactions,
-              b.global_transactions))
-           .empty())
-    return r;
-  if (!(r = d("local_transactions", a.local_transactions,
-              b.local_transactions))
-           .empty())
-    return r;
-  if (!(r = d("local_l1_misses", a.local_l1_misses, b.local_l1_misses))
-           .empty())
-    return r;
-  if (!(r = d("dram_transactions", a.dram_transactions, b.dram_transactions))
-           .empty())
-    return r;
-  if (!(r = d("smem_accesses", a.smem_accesses, b.smem_accesses)).empty())
-    return r;
-  if (!(r = d("smem_replays", a.smem_replays, b.smem_replays)).empty())
-    return r;
-  if (!(r = d("shfl_ops", a.shfl_ops, b.shfl_ops)).empty()) return r;
-  if (!(r = d("sync_ops", a.sync_ops, b.sync_ops)).empty()) return r;
-  if (!(r = d("divergent_branches", a.divergent_branches,
-              b.divergent_branches))
-           .empty())
-    return r;
-  if (!(r = d("crit_path_cycles", a.crit_path_cycles, b.crit_path_cycles))
-           .empty())
-    return r;
-  return {};
-}
-
-[[nodiscard]] std::string diff_reports(const std::vector<HazardReport>& a,
-                                       const std::vector<HazardReport>& b,
-                                       std::size_t from) {
-  if (a.size() != b.size())
-    return "hazard count: ast=" + std::to_string(a.size() - from) +
-           " vm=" + std::to_string(b.size() - from);
-  for (std::size_t i = from; i < a.size(); ++i) {
-    const HazardReport& x = a[i];
-    const HazardReport& y = b[i];
-    if (x.kind != y.kind || x.kernel != y.kernel ||
-        x.block.x != y.block.x || x.block.y != y.block.y ||
-        x.block.z != y.block.z || x.thread != y.thread ||
-        !(x.loc == y.loc) || x.message != y.message)
-      return "hazard " + std::to_string(i - from) + ": ast={" + x.str() +
-             "} vm={" + y.str() + "}";
-  }
-  return {};
-}
-
-}  // namespace
-
-KernelStats Interpreter::run_checked(const Kernel& kernel,
-                                     const LaunchConfig& cfg,
-                                     int resident_blocks_per_smx) {
-  const MemorySnapshot pre = MemorySnapshot::capture(mem_);
-
-  // AST pass against a scratch copy of the sanitizer, so its hazard
-  // stream can be compared without double-reporting into the real engine.
-  SanitizerEngine* real = opt_.sanitizer;
-  SanitizerEngine scratch;
-  std::size_t base_reports = 0;
-  if (real) {
-    scratch = *real;
-    base_reports = real->reports().size();
-    opt_.sanitizer = &scratch;
-  }
-  KernelStats ast_stats;
-  bool ast_threw = false;
-  std::string ast_error;
-  try {
-    ast_stats = run_engine(kernel, cfg, resident_blocks_per_smx, Engine::kAst);
-  } catch (const SimError& e) {
-    ast_threw = true;
-    ast_error = e.what();
-  } catch (...) {
-    opt_.sanitizer = real;
-    throw;
-  }
-  opt_.sanitizer = real;
-  const MemorySnapshot ast_mem = MemorySnapshot::capture(mem_);
-  pre.restore(mem_);
-
-  KernelStats vm_stats;
-  bool vm_threw = false;
-  std::string vm_error;
-  std::exception_ptr vm_ex;
-  try {
-    vm_stats = run_engine(kernel, cfg, resident_blocks_per_smx, Engine::kVm);
-  } catch (const SimError& e) {
-    vm_threw = true;
-    vm_error = e.what();
-    vm_ex = std::current_exception();
-  }
-
-  if (ast_threw != vm_threw || ast_error != vm_error)
-    throw SimError("engine cross-check: engines disagree on raised error "
-                   "(ast: " +
-                   (ast_threw ? ast_error : std::string("<none>")) +
-                   "; vm: " + (vm_threw ? vm_error : std::string("<none>")) +
-                   ")");
-  if (std::string d = ast_mem.diff(mem_); !d.empty())
-    throw SimError("engine cross-check: memory diverged at " + d);
-  if (!ast_threw) {
-    if (std::string d = diff_stats(ast_stats, vm_stats); !d.empty())
-      throw SimError("engine cross-check: stats diverged on " + d);
-  }
-  if (real) {
-    if (std::string d =
-            diff_reports(scratch.reports(), real->reports(), base_reports);
-        !d.empty())
-      throw SimError("engine cross-check: hazard streams diverged on " + d);
-  }
-  if (vm_ex) std::rethrow_exception(vm_ex);
-  return vm_stats;
 }
 
 RunResult run_and_time(const DeviceSpec& spec, DeviceMemory& mem,

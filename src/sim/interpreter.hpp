@@ -11,18 +11,14 @@
 //
 // Engines
 // -------
-// Two engines implement this model over the same per-block core
-// (sim/exec_core.hpp), so their outputs, cost-model stats, watchdog step
-// counts and sanitizer hazard streams are bit-identical:
-//   - kAst: the original recursive AST walk (reference engine);
-//   - kVm:  bound kernels are lowered once per launch into a flat
-//           register bytecode (sim/bytecode.hpp) executed by a dispatch
-//           loop over SoA lane state (sim/vm.cpp) — the fast path.
-//   - kCheck: runs both and cross-diffs outputs, stats and hazards
-//           (testing tool; see docs/performance.md).
-// Select with Options::engine or the CUDANP_ENGINE environment variable
-// (ast | vm | check); the default is the VM, with a transparent per-launch
-// fallback to the AST walk for constructs the lowering declines.
+// Blocks execute on the bytecode VM: each launch lowers the bound kernel
+// once into a flat register bytecode (sim/bytecode.hpp) that a dispatch
+// loop runs over SoA lane state (sim/vm.cpp). The original recursive AST
+// walk stays as the reference implementation that tests and
+// bench/perf_harness compare the VM against (Options::ast_reference).
+// Both run over the same per-block core (sim/exec_core.hpp), so outputs,
+// cost-model stats, watchdog step counts and sanitizer hazard streams
+// are bit-identical.
 //
 // Cost model hooks
 // ----------------
@@ -46,9 +42,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "ir/kernel.hpp"
@@ -61,10 +55,6 @@ namespace cudanp::sim {
 
 class SanitizerEngine;
 class FaultInjector;
-
-namespace bytecode {
-struct Program;
-}
 
 /// Thrown when a block exceeds its interpreted-statement budget. Derives
 /// from SimError so every existing containment site (sanitized runs, the
@@ -81,20 +71,6 @@ class WatchdogError : public SimError {
   SourceLoc loc_;
   std::int64_t steps_;
 };
-
-/// Which executor runs the blocks of a launch.
-enum class Engine : std::uint8_t {
-  kAuto,   ///< Options::engine unset: CUDANP_ENGINE env var, else kVm.
-  kAst,    ///< Recursive AST walk (reference engine).
-  kVm,     ///< Bytecode VM (fast path; per-launch AST fallback).
-  kCheck,  ///< Run both, diff outputs/stats/hazards, throw on mismatch.
-};
-
-[[nodiscard]] const char* to_string(Engine e);
-[[nodiscard]] std::optional<Engine> engine_from_string(std::string_view s);
-/// Non-auto request wins; else the CUDANP_ENGINE environment variable
-/// (ast | vm | check) if set and valid; else the VM.
-[[nodiscard]] Engine resolve_engine(Engine requested);
 
 /// Cost-model knobs: how executed operations turn into cycles. Purely
 /// observational — never changes results or hazard streams.
@@ -142,8 +118,10 @@ class Interpreter {
     TimingOptions timing;
     /// Watchdog / loop / deadline bounds.
     ExecutionLimits limits;
-    /// Which engine executes blocks; kAuto defers to CUDANP_ENGINE.
-    Engine engine = Engine::kAuto;
+    /// Test-facing: run blocks on the AST walker, the reference the VM is
+    /// checked against (tests/engine_equivalence_test.cpp,
+    /// bench/perf_harness). Production runs leave this false.
+    bool ast_reference = false;
     /// When non-null, chaos-testing hooks fire during interpretation:
     /// injected SimErrors at the Nth statement and block stalls that the
     /// watchdog must catch. Production runs leave this null.
@@ -193,18 +171,6 @@ class Interpreter {
       std::int64_t requested, std::int64_t deadline_budget);
 
  private:
-  [[nodiscard]] KernelStats run_engine(const ir::Kernel& kernel,
-                                       const LaunchConfig& cfg,
-                                       int resident_blocks_per_smx,
-                                       Engine engine);
-  /// kCheck: runs the AST engine against scratch sanitizer/memory state,
-  /// rewinds device memory, runs the VM for real, and throws a SimError
-  /// describing the first divergence in outputs, stats, hazard streams
-  /// or raised errors.
-  [[nodiscard]] KernelStats run_checked(const ir::Kernel& kernel,
-                                        const LaunchConfig& cfg,
-                                        int resident_blocks_per_smx);
-
   const DeviceSpec& spec_;
   DeviceMemory& mem_;
   Options opt_;

@@ -1,7 +1,9 @@
 #include "support/string_utils.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 namespace cudanp {
 
@@ -105,6 +107,16 @@ std::optional<int> parse_int(std::string_view s, int min, int max) {
   auto v = parse_i64(s, min, max);
   if (!v) return std::nullopt;
   return static_cast<int>(*v);
+}
+
+std::optional<double> parse_f64(std::string_view s) {
+  const std::string text(trim(s));
+  if (text.empty()) return std::nullopt;
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() + text.size() || !std::isfinite(v))
+    return std::nullopt;
+  return v;
 }
 
 }  // namespace cudanp

@@ -49,4 +49,10 @@ namespace cudanp {
     std::string_view s, int min = std::numeric_limits<int>::min(),
     int max = std::numeric_limits<int>::max());
 
+/// Checked floating-point parsing, the parse_i64 contract for doubles:
+/// the whole string (after optional surrounding whitespace) must be a
+/// finite strtod number; partial parses ("0.5x"), empty strings, inf
+/// and nan return nullopt. Range checks are the caller's.
+[[nodiscard]] std::optional<double> parse_f64(std::string_view s);
+
 }  // namespace cudanp

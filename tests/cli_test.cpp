@@ -355,6 +355,34 @@ __global__ void spin(int* a, int n) {
       << r.output;
 }
 
+TEST(Cli, BatchWithShadowedIntParamCompletesInProcess) {
+  // A local `int w` shadowing the `int w` parameter once overflowed the
+  // parameter's one-element slot and aborted the whole unisolated batch
+  // with a heap-corruption signal. It must complete with a report.
+  auto kernel = write_temp_kernel(R"(
+__global__ void tmv(float* a, float* b, float* c, int w, int h) {
+  float sum = 0.0f;
+  int tx = threadIdx.x + blockIdx.x * blockDim.x;
+  #pragma np parallel for reduction(+:sum)
+  for (int i = 0; i < h; i++)
+    sum += a[i * w + tx] * b[i];
+  int w = tx + 1;
+  c[tx] = sum + w;
+}
+)");
+  auto manifest = write_temp_file(
+      "shadow.txt", "file=" + kernel + " elems=16 tb=8 name=first\n"
+                    "file=" + kernel + " elems=16 tb=8 name=second\n");
+  auto r = run_cli("--batch=" + manifest + " --isolate=none");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("first: succeeded"), std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("second: succeeded"), std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("\"submitted\":2"), std::string::npos)
+      << r.output;
+}
+
 TEST(Cli, BatchBadManifestExitsOneWithLineNumber) {
   auto kernel = write_temp_kernel(kTmv);
   auto manifest = write_temp_file(

@@ -12,6 +12,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "kernels/benchmark.hpp"
@@ -78,28 +79,40 @@ void expect_reports_equal(const std::vector<sim::HazardReport>& a,
   }
 }
 
-/// Runs the request under both engines (fresh workload each) and checks
-/// every observable for bit-identity.
+/// A runner on the AST reference walker, or on the production VM.
+np::Runner make_runner(bool ast_reference) {
+  sim::Interpreter::Options opt;
+  opt.ast_reference = ast_reference;
+  return np::Runner{sim::DeviceSpec::gtx680(), opt};
+}
+
+/// The VM side of an engine comparison: its workload and result.
+using VmRun = std::pair<std::shared_ptr<np::Workload>,
+                        std::shared_ptr<np::ExecutionResult>>;
+
+/// Runs the request under both engines (fresh workload each), checks
+/// every observable for bit-identity, and returns the VM run.
 template <typename MakeWorkload, typename MakeRequest>
-void expect_engines_agree(const MakeWorkload& make_workload,
-                          const MakeRequest& make_request, int jobs,
-                          bool sanitize) {
-  np::Runner runner{sim::DeviceSpec::gtx680()};
-  auto run_engine = [&](sim::Engine eng) {
+VmRun expect_engines_agree(const MakeWorkload& make_workload,
+                           const MakeRequest& make_request, int jobs,
+                           bool sanitize) {
+  auto run_engine = [&](bool ast_reference) {
     auto w = std::make_shared<np::Workload>(make_workload());
     np::ExecutionRequest req = make_request(*w);
-    req.with_engine(eng).with_jobs(jobs);
+    req.with_jobs(jobs);
     if (sanitize) req.sanitized();
-    auto out = std::make_shared<np::ExecutionResult>(runner.execute(req));
+    auto out = std::make_shared<np::ExecutionResult>(
+        make_runner(ast_reference).execute(req));
     return std::make_pair(w, out);
   };
-  auto [wa, ra] = run_engine(sim::Engine::kAst);
-  auto [wv, rv] = run_engine(sim::Engine::kVm);
+  auto [wa, ra] = run_engine(/*ast_reference=*/true);
+  auto [wv, rv] = run_engine(/*ast_reference=*/false);
   EXPECT_EQ(ra->ran, rv->ran);
   expect_stats_equal(ra->run.stats, rv->run.stats);
   EXPECT_EQ(ra->run.timing.seconds, rv->run.timing.seconds);
   expect_memories_equal(*wa->mem, *wv->mem);
   expect_reports_equal(ra->hazards(), rv->hazards());
+  return {wv, rv};
 }
 
 class EngineEquivalence
@@ -198,21 +211,19 @@ TEST(EngineEquivalenceWatchdog, UnsanitizedTripsAtTheSamePoint) {
   sim::ExecutionLimits limits;
   limits.max_steps_per_block = 10000;
 
-  auto trip_message = [&](sim::Engine eng) -> std::string {
-    sim::Interpreter::Options opt;
-    np::Runner runner{sim::DeviceSpec::gtx680(), opt};
+  auto trip_message = [&](bool ast_reference) -> std::string {
     auto w = spin_workload();
     try {
-      (void)runner.execute(np::ExecutionRequest::baseline(kernel, w)
-                               .with_engine(eng)
-                               .with_limits(limits));
+      (void)make_runner(ast_reference)
+          .execute(np::ExecutionRequest::baseline(kernel, w)
+                       .with_limits(limits));
     } catch (const sim::WatchdogError& e) {
       return std::string(e.what()) + " @" + e.loc().str();
     }
     return "<no trip>";
   };
-  std::string ast = trip_message(sim::Engine::kAst);
-  std::string vm = trip_message(sim::Engine::kVm);
+  std::string ast = trip_message(/*ast_reference=*/true);
+  std::string vm = trip_message(/*ast_reference=*/false);
   EXPECT_NE(ast, "<no trip>");
   EXPECT_EQ(ast, vm);
 }
@@ -223,17 +234,16 @@ TEST(EngineEquivalenceWatchdog, SanitizedTripReportsIdentical) {
   sim::ExecutionLimits limits;
   limits.max_steps_per_block = 10000;
 
-  auto reports = [&](sim::Engine eng) {
-    np::Runner runner{sim::DeviceSpec::gtx680()};
+  auto reports = [&](bool ast_reference) {
     auto w = spin_workload();
-    auto run = runner.execute(np::ExecutionRequest::baseline(kernel, w)
-                                  .sanitized()
-                                  .with_engine(eng)
-                                  .with_limits(limits));
+    auto run = make_runner(ast_reference)
+                   .execute(np::ExecutionRequest::baseline(kernel, w)
+                                .sanitized()
+                                .with_limits(limits));
     return run.engine.reports();
   };
-  auto ast = reports(sim::Engine::kAst);
-  auto vm = reports(sim::Engine::kVm);
+  auto ast = reports(/*ast_reference=*/true);
+  auto vm = reports(/*ast_reference=*/false);
   ASSERT_FALSE(ast.empty());
   expect_reports_equal(ast, vm);
 }
@@ -253,20 +263,19 @@ __global__ void racy(float* out, int n) {
 TEST(EngineEquivalenceHazards, RacyKernelStreamsIdentical) {
   auto program = np::NpCompiler::parse(kRacySource);
   const ir::Kernel& kernel = *program->kernels.front();
-  auto reports = [&](sim::Engine eng) {
-    np::Runner runner{sim::DeviceSpec::gtx680()};
+  auto reports = [&](bool ast_reference) {
     np::Workload w;
     w.launch.args.push_back(w.mem->alloc(ir::ScalarType::kFloat, 4096));
     w.launch.args.push_back(sim::LaunchConfig::scalar_int(64));
     w.launch.block = {32, 1, 1};
     w.launch.grid = {2, 1, 1};
-    auto run = runner.execute(np::ExecutionRequest::baseline(kernel, w)
-                                  .sanitized()
-                                  .with_engine(eng));
+    auto run = make_runner(ast_reference)
+                   .execute(np::ExecutionRequest::baseline(kernel, w)
+                                .sanitized());
     return run.engine.reports();
   };
-  auto ast = reports(sim::Engine::kAst);
-  auto vm = reports(sim::Engine::kVm);
+  auto ast = reports(/*ast_reference=*/true);
+  auto vm = reports(/*ast_reference=*/false);
   ASSERT_FALSE(ast.empty());  // the write race must be visible
   expect_reports_equal(ast, vm);
 }
@@ -342,6 +351,165 @@ TEST(EngineEquivalenceFuzz, DivergentControlFlowBitIdentical) {
         },
         /*jobs=*/1, /*sanitize=*/false);
   }
+}
+
+// ---------------- former lowering-decline shapes ----------------
+//
+// Lowering used to decline these shapes and run them on the AST walk,
+// where a parameter shadow overflowed the one-element uniform-parameter
+// slot and a shared scalar read past its one-element storage. Lowering is
+// total now: colliding declarations get slots of their own, and a shared
+// scalar fails at its declaration on both engines.
+
+np::Workload one_block_workload() {
+  np::Workload w;
+  w.launch.args.push_back(w.mem->alloc(ir::ScalarType::kFloat, 128));
+  w.launch.args.push_back(sim::LaunchConfig::scalar_int(64));
+  w.launch.block = {32, 1, 1};
+  w.launch.grid = {1, 1, 1};
+  return w;
+}
+
+std::unique_ptr<ir::Program> parse_or_fail(const char* src) {
+  auto program = np::NpCompiler::parse(src);
+  EXPECT_EQ(program->kernels.size(), 1u);
+  return program;
+}
+
+/// Runs `kernel` on both engines, sanitized and not; checks bit-identity
+/// and a clean sanitizer, and returns the VM's output buffer.
+std::vector<float> run_on_both_engines(const ir::Kernel& kernel) {
+  auto request = [&](np::Workload& w) {
+    return np::ExecutionRequest::baseline(kernel, w);
+  };
+  auto sanitized = expect_engines_agree(one_block_workload, request,
+                                        /*jobs=*/1, /*sanitize=*/true);
+  EXPECT_TRUE(sanitized.second->clean())
+      << sanitized.second->engine.summary();
+  auto [w, r] = expect_engines_agree(one_block_workload, request,
+                                     /*jobs=*/1, /*sanitize=*/false);
+  auto out = w->mem->buffer(std::get<sim::BufferId>(w->launch.args[0])).f32();
+  return {out.begin(), out.end()};
+}
+
+/// The SimError message an unsanitized run raises ("" if none).
+std::string sim_error(const ir::Kernel& kernel, bool ast_reference) {
+  auto w = one_block_workload();
+  try {
+    (void)make_runner(ast_reference)
+        .execute(np::ExecutionRequest::baseline(kernel, w));
+  } catch (const SimError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(FormerDeclineShapes, ParamShadowedAtKernelScope) {
+  auto program = parse_or_fail(R"(
+__global__ void shadow(float* out, int n) {
+  int tid = threadIdx.x;
+  out[tid] = n;
+  int n = tid + 1;
+  out[32 + tid] = n;
+}
+)");
+  auto out = run_on_both_engines(*program->kernels.front());
+  for (int tid = 0; tid < 32; ++tid) {
+    EXPECT_EQ(out[tid], 64.0f) << "the parameter, before the shadow";
+    EXPECT_EQ(out[32 + tid], tid + 1.0f) << "the local, after it";
+  }
+}
+
+TEST(FormerDeclineShapes, ParamShadowedInNestedBlocks) {
+  auto program = parse_or_fail(R"(
+__global__ void shadow(float* out, int n) {
+  int tid = threadIdx.x;
+  float acc = 0.0f;
+  if (tid < 16) {
+    int n = tid * 2;
+    out[tid] = n;
+  } else {
+    out[tid] = n;
+  }
+  for (int n = 0, k = 2; n < 3; n++) {
+    acc = acc + n * k;
+  }
+  out[32 + tid] = n;
+  out[64 + tid] = acc;
+}
+)");
+  auto out = run_on_both_engines(*program->kernels.front());
+  for (int tid = 0; tid < 32; ++tid) {
+    EXPECT_EQ(out[tid], tid < 16 ? 2.0f * tid : 64.0f) << tid;
+    EXPECT_EQ(out[32 + tid], 64.0f) << "parameter visible again";
+    EXPECT_EQ(out[64 + tid], 6.0f) << "loop counter shadowed n";
+  }
+}
+
+TEST(FormerDeclineShapes, SiblingBranchesDeclareIntAndFloat) {
+  auto program = parse_or_fail(R"(
+__global__ void sibling(float* out, int n) {
+  int tid = threadIdx.x;
+  if (tid % 2 == 0) {
+    int t = 0;
+    t = tid / 4.0f;
+    out[tid] = t;
+  } else {
+    float t = 0.0f;
+    t = tid / 4.0f;
+    out[tid] = t;
+  }
+}
+)");
+  auto out = run_on_both_engines(*program->kernels.front());
+  for (int tid = 0; tid < 32; ++tid) {
+    float want = tid % 2 == 0 ? static_cast<float>(tid / 4) : tid / 4.0f;
+    EXPECT_EQ(out[tid], want) << tid;
+  }
+}
+
+TEST(FormerDeclineShapes, SharedScalarIsAStructuredError) {
+  auto program = parse_or_fail(R"(
+__global__ void scalar(float* out, int n) {
+  __shared__ float s;
+  int tid = threadIdx.x;
+  if (tid == 0) s = 2.0f;
+  __syncthreads();
+  out[tid] = s;
+}
+)");
+  const ir::Kernel& kernel = *program->kernels.front();
+  const std::string ast = sim_error(kernel, /*ast_reference=*/true);
+  EXPECT_NE(ast.find("shared-memory scalar 's'"), std::string::npos) << ast;
+  EXPECT_EQ(ast, sim_error(kernel, /*ast_reference=*/false));
+
+  auto [w, r] = expect_engines_agree(
+      one_block_workload,
+      [&](np::Workload& wl) {
+        return np::ExecutionRequest::baseline(kernel, wl);
+      },
+      /*jobs=*/1, /*sanitize=*/true);
+  ASSERT_EQ(r->hazards().size(), 1u) << r->engine.summary();
+  EXPECT_EQ(r->hazards()[0].kind, sim::HazardKind::kSimFault);
+  EXPECT_EQ(r->hazards()[0].message, ast);
+}
+
+TEST(FormerDeclineShapes, UnboundDeclarationTrapsOnBothEngines) {
+  auto program = parse_or_fail(R"(
+__global__ void late(float* out, int n) {
+  out[threadIdx.x] = n;
+}
+)");
+  ir::Kernel& kernel = *program->kernels.front();
+  // Bind by running once, then append a declaration the cached binding
+  // never saw.
+  EXPECT_EQ(sim_error(kernel, /*ast_reference=*/false), "");
+  kernel.body->push(std::make_unique<ir::DeclStmt>(
+      ir::Type::scalar_of(ir::ScalarType::kInt), "extra"));
+  const std::string ast = sim_error(kernel, /*ast_reference=*/true);
+  EXPECT_NE(ast.find("unbound declaration of 'extra'"), std::string::npos)
+      << ast;
+  EXPECT_EQ(ast, sim_error(kernel, /*ast_reference=*/false));
 }
 
 // ---------------- request plumbing ----------------

@@ -96,6 +96,19 @@ TEST(ParseI64, RejectsPartialParses) {
   EXPECT_FALSE(parse_i64("0x10").has_value());
 }
 
+TEST(ParseF64, AcceptsWholeNumbersOnly) {
+  EXPECT_EQ(parse_f64("0.25"), 0.25);
+  EXPECT_EQ(parse_f64(" 1e-3 "), 1e-3);
+  EXPECT_EQ(parse_f64("-2"), -2.0);
+  EXPECT_FALSE(parse_f64("0.5x").has_value());
+  EXPECT_FALSE(parse_f64("x").has_value());
+  EXPECT_FALSE(parse_f64("").has_value());
+  EXPECT_FALSE(parse_f64("1 2").has_value());
+  EXPECT_FALSE(parse_f64("inf").has_value());
+  EXPECT_FALSE(parse_f64("nan").has_value());
+  EXPECT_FALSE(parse_f64("1e999").has_value());  // overflows to inf
+}
+
 TEST(ParseI64, RangeChecked) {
   EXPECT_EQ(parse_i64("5", 1, 10), 5);
   EXPECT_FALSE(parse_i64("0", 1, 10).has_value());
