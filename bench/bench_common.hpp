@@ -3,14 +3,13 @@
 // Every binary regenerates one table or figure from the paper's
 // evaluation section and prints (a) the measured rows and (b) the paper's
 // reported values where the paper gives them, so shape agreement can be
-// checked at a glance. Common flags:
+// checked at a glance. Common flags (--help lists them):
 //   --scale=<f>   shrink input sizes (default 1.0 = paper sizes)
 //   --quick       equivalent to --scale=0.25
+// Any other flag, or a malformed --scale, is a usage error (exit 1).
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 
@@ -18,6 +17,7 @@
 #include "kernels/reference_kernels.hpp"
 #include "kernels/suite.hpp"
 #include "np/autotuner.hpp"
+#include "support/flags.hpp"
 #include "support/stats.hpp"
 #include "support/string_utils.hpp"
 #include "support/table.hpp"
@@ -27,18 +27,16 @@ namespace cudanp::bench {
 struct BenchOptions {
   double scale = 1.0;
 
+  /// Unknown or malformed flags are usage errors (exit 1).
   static BenchOptions parse(int argc, char** argv) {
     BenchOptions opt;
-    for (int i = 1; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--scale=", 8) == 0)
-        opt.scale = std::atof(argv[i] + 8);
-      else if (std::strcmp(argv[i], "--quick") == 0)
-        opt.scale = 0.25;
-      else if (std::strcmp(argv[i], "--help") == 0) {
-        std::printf("usage: %s [--scale=<f>] [--quick]\n", argv[0]);
-        std::exit(0);
-      }
-    }
+    std::string tool = argv[0];
+    tool = tool.substr(tool.find_last_of('/') + 1);
+    FlagTable(tool, "usage: " + tool + " [--scale=<f>] [--quick]\n")
+        .positive("--scale", "shrink input sizes (1 = paper sizes)",
+                  &opt.scale)
+        .set("--quick", "equivalent to --scale=0.25", 0.25, &opt.scale)
+        .parse(argc, argv);
     return opt;
   }
 };

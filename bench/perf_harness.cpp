@@ -29,8 +29,8 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,7 +38,8 @@
 #include "kernels/benchmark.hpp"
 #include "np/compiler.hpp"
 #include "np/runner.hpp"
-#include "support/string_utils.hpp"
+#include "support/diagnostics.hpp"
+#include "support/flags.hpp"
 
 using namespace cudanp;
 using Clock = std::chrono::steady_clock;
@@ -56,52 +57,6 @@ struct HarnessOptions {
   std::vector<std::string> benchmarks;  // empty = whole suite
   std::string out = "BENCH_perf.json";
 };
-
-[[noreturn]] void usage_exit() {
-  std::fprintf(stderr,
-               "usage: perf_harness [--scale=<f>] [--jobs=<n>] "
-               "[--reps=<n>] [--benchmarks=A,B,...] [--out=<file>]\n");
-  std::exit(1);
-}
-
-/// A malformed or out-of-range numeric flag is a usage error with a
-/// message, never a silent prefix parse.
-[[noreturn]] void bad_value(const char* flag, const char* text,
-                            const char* expected) {
-  std::fprintf(stderr, "perf_harness: bad value for %s: '%s' (expected %s)\n",
-               flag, text, expected);
-  usage_exit();
-}
-
-HarnessOptions parse_args(int argc, char** argv) {
-  HarnessOptions opt;
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strncmp(a, "--scale=", 8) == 0) {
-      auto v = parse_f64(a + 8);
-      if (!v || !(*v > 0.0)) bad_value("--scale", a + 8, "a positive number");
-      opt.scale = *v;
-    } else if (std::strncmp(a, "--jobs=", 7) == 0) {
-      auto v = parse_int(a + 7, 1);
-      if (!v) bad_value("--jobs", a + 7, "an integer >= 1");
-      opt.jobs = *v;
-    } else if (std::strncmp(a, "--reps=", 7) == 0) {
-      auto v = parse_int(a + 7, 1);
-      if (!v) bad_value("--reps", a + 7, "an integer >= 1");
-      opt.reps = *v;
-    } else if (std::strncmp(a, "--benchmarks=", 13) == 0) {
-      std::stringstream ss(a + 13);
-      std::string name;
-      while (std::getline(ss, name, ','))
-        if (!name.empty()) opt.benchmarks.push_back(name);
-    } else if (std::strncmp(a, "--out=", 6) == 0) {
-      opt.out = a + 6;
-    } else {
-      usage_exit();
-    }
-  }
-  return opt;
-}
 
 bool stats_equal(const sim::KernelStats& a, const sim::KernelStats& b) {
   return a.blocks == b.blocks && a.warps == b.warps &&
@@ -192,15 +147,30 @@ bool runs_identical(const TimedRun& a, const TimedRun& b) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  HarnessOptions opt = parse_args(argc, argv);
+  HarnessOptions opt;
+  FlagTable flags("perf_harness",
+                  "usage: perf_harness [--scale=<f>] [--jobs=<n>] "
+                  "[--reps=<n>] [--benchmarks=A,B,...] [--out=<file>]\n");
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  flags.positive("--scale", "workload scale", &opt.scale)
+      .integer("--jobs", "parallel job count timed against jobs=1", 1,
+               kIntMax, &opt.jobs)
+      .integer("--reps", "repetitions per run (best is kept)", 1, kIntMax,
+               &opt.reps)
+      .list("--benchmarks", "A,B,...", "benchmarks (default: whole suite)",
+            &opt.benchmarks)
+      .text("--out", "<file>", "JSON report path", &opt.out,
+            /*allow_empty=*/true)
+      .parse(argc, argv);
 
   auto spec = sim::DeviceSpec::gtx680();
   std::vector<std::unique_ptr<kernels::Benchmark>> suite;
-  if (opt.benchmarks.empty()) {
-    suite = kernels::make_benchmark_suite(opt.scale);
-  } else {
+  try {
+    if (opt.benchmarks.empty()) opt.benchmarks = kernels::benchmark_names();
     for (const auto& name : opt.benchmarks)
       suite.push_back(kernels::make_benchmark(name, opt.scale));
+  } catch (const CompileError& e) {
+    flags.fail(e.what());  // unknown benchmark name
   }
 
   std::printf("perf_harness: %zu benchmark(s), scale=%.2f, "

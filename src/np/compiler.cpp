@@ -21,6 +21,14 @@ std::unique_ptr<ir::Program> NpCompiler::parse(const std::string& source) {
   return frontend::parse_program_or_throw(source);
 }
 
+const ir::Kernel* NpCompiler::pick_kernel(const ir::Program& program,
+                                          const std::string& name) {
+  if (!name.empty()) return program.find_kernel(name);
+  for (const auto& k : program.kernels)
+    if (k->parallel_loop_count() > 0) return k.get();
+  return program.kernels.empty() ? nullptr : program.kernels.front().get();
+}
+
 namespace {
 
 /// Reads tuning hints from the kernel's first annotated loop.

@@ -221,6 +221,11 @@ class NpCompiler {
   [[nodiscard]] static std::unique_ptr<ir::Program> parse(
       const std::string& source);
 
+  /// The kernel a request means: the one named `name`, else the first
+  /// with #pragma np loops, else the first kernel (null when none).
+  [[nodiscard]] static const ir::Kernel* pick_kernel(
+      const ir::Program& program, const std::string& name);
+
   /// Enumerates the candidate configurations the auto-tuner will try for
   /// `kernel` with baseline block size `master_count`, honoring pragma
   /// hints (num_threads, np_type, sm_version — paper Sec. 3.6):

@@ -57,14 +57,6 @@ namespace {
 
 std::string json_escape(const std::string& s) { return json::escape(s); }
 
-const ir::Kernel* pick_kernel(const ir::Program& program,
-                              const std::string& name) {
-  if (!name.empty()) return program.find_kernel(name);
-  for (const auto& k : program.kernels)
-    if (k->parallel_loop_count() > 0) return k.get();
-  return program.kernels.empty() ? nullptr : program.kernels.front().get();
-}
-
 /// Content identity of one attempt: the source plus every request field
 /// that can change its AttemptResult (max_steps included — a tighter
 /// watchdog budget can change the decision). Attempts with interpreter
@@ -364,7 +356,8 @@ void BatchService::run_job(const JobSpec& spec, std::size_t index,
     out->reject_detail = e.what();
     return;
   }
-  const ir::Kernel* kernel = pick_kernel(*program, spec.kernel);
+  const ir::Kernel* kernel =
+      np::NpCompiler::pick_kernel(*program, spec.kernel);
   if (!kernel) {
     out->rejected = true;
     out->reject_cause = "no-kernel";

@@ -21,16 +21,6 @@ namespace cudanp::serve {
 
 namespace {
 
-/// Same selection rule as BatchService: the requested name, else the
-/// first kernel with NP pragmas, else the first kernel.
-const ir::Kernel* pick_kernel(const ir::Program& program,
-                              const std::string& name) {
-  if (!name.empty()) return program.find_kernel(name);
-  for (const auto& k : program.kernels)
-    if (k->parallel_loop_count() > 0) return k.get();
-  return program.kernels.empty() ? nullptr : program.kernels.front().get();
-}
-
 /// Heartbeat thread: writes 'H' frames on a real-time interval while an
 /// attempt executes, so the supervisor can tell slow-but-alive from
 /// wedged. Joins promptly via a condition variable.
@@ -78,7 +68,8 @@ AttemptResult execute_attempt(const AttemptRequest& req,
   AttemptResult res;
   try {
     auto program = np::NpCompiler::parse(req.source);
-    const ir::Kernel* kernel = pick_kernel(*program, req.kernel);
+    const ir::Kernel* kernel =
+        np::NpCompiler::pick_kernel(*program, req.kernel);
     if (!kernel) {
       res.rejected = true;
       res.reject_cause = "no-kernel";

@@ -578,6 +578,14 @@ TEST(Cli, RejectsBadIsolateValue) {
   EXPECT_EQ(r.exit_code, 1);
   EXPECT_NE(r.output.find("bad value for --isolate"), std::string::npos)
       << r.output;
+  // Every enum flag reports a bad value the same structured way.
+  for (std::string flag : {"--np-type", "--placement", "--fallback"}) {
+    auto e = run_cli(kernel + " " + flag + "=foo");
+    EXPECT_EQ(e.exit_code, 1) << flag;
+    EXPECT_NE(e.output.find("cudanp-cc: bad value for " + flag + ": 'foo'"),
+              std::string::npos)
+        << e.output;
+  }
 }
 
 // ---------------------------------------------------------------------

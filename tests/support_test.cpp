@@ -4,8 +4,11 @@
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "support/diagnostics.hpp"
+#include "support/flags.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -258,6 +261,209 @@ TEST(Json, GetDoubleParsesDecimalsAndExponents) {
   EXPECT_EQ(v->get_i64("whole"), 3);
   EXPECT_DOUBLE_EQ(v->get_double("neg"), -0.25);
   EXPECT_DOUBLE_EQ(v->get_double("absent", 1e-3), 1e-3);
+}
+
+// ---------------------------------------------------------------------
+// FlagTable: the one flag parser every tool uses.
+
+FlagTable::Result parse_flags(const FlagTable& table,
+                              std::vector<const char*> args,
+                              std::size_t max_positional = 0) {
+  args.insert(args.begin(), "tool");
+  return table.try_parse(static_cast<int>(args.size()), args.data(),
+                         max_positional);
+}
+
+TEST(FlagTable, IntRangeLimits) {
+  int tb = 32;
+  FlagTable t("tool", "usage: tool\n");
+  t.integer("--tb", "block size", 1, 1024, &tb);
+  EXPECT_TRUE(parse_flags(t, {"--tb=1"}).error.empty());
+  EXPECT_EQ(tb, 1);
+  EXPECT_TRUE(parse_flags(t, {"--tb=1024"}).error.empty());
+  EXPECT_EQ(tb, 1024);
+  EXPECT_EQ(parse_flags(t, {"--tb=0"}).error,
+            "bad value for --tb: '0' (expected integer in [1, 1024])");
+  for (const char* bad : {"--tb=1025", "--tb=8x", "--tb=-1", "--tb=1e3"})
+    EXPECT_FALSE(parse_flags(t, {bad}).error.empty()) << bad;
+  EXPECT_EQ(tb, 1024);  // rejected values leave the field alone
+}
+
+TEST(FlagTable, I64RangeLimits) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  long long steps = 0;
+  FlagTable t("tool", "usage: tool\n");
+  t.integer("--steps", "budget", kMin, kMax, &steps)
+      .integer("--deadline", "ms", 1, kMax / 2, &steps);
+  EXPECT_TRUE(parse_flags(t, {"--steps=-9223372036854775808"}).error.empty());
+  EXPECT_EQ(steps, kMin);
+  EXPECT_TRUE(parse_flags(t, {"--steps=9223372036854775807"}).error.empty());
+  EXPECT_EQ(steps, kMax);
+  EXPECT_FALSE(parse_flags(t, {"--steps=9223372036854775808"}).error.empty());
+  EXPECT_TRUE(parse_flags(t, {"--deadline=4611686018427387903"}).error.empty());
+  EXPECT_FALSE(
+      parse_flags(t, {"--deadline=4611686018427387904"}).error.empty());
+}
+
+TEST(FlagTable, PositiveF64RangeLimits) {
+  double scale = 0.02;
+  double any = 1.0;
+  FlagTable t("tool", "usage: tool\n");
+  t.positive("--scale", "scale", &scale, 1.0).positive("--any", "any", &any);
+  EXPECT_TRUE(parse_flags(t, {"--scale=1"}).error.empty());
+  EXPECT_EQ(scale, 1.0);
+  EXPECT_TRUE(parse_flags(t, {"--scale=0.25"}).error.empty());
+  EXPECT_EQ(scale, 0.25);
+  EXPECT_EQ(parse_flags(t, {"--scale=1.5"}).error,
+            "bad value for --scale: '1.5' (expected a number in (0, 1])");
+  for (const char* bad : {"--scale=0", "--scale=-0.5", "--scale=abc",
+                          "--scale=nan", "--scale=0.5x"})
+    EXPECT_FALSE(parse_flags(t, {bad}).error.empty()) << bad;
+  EXPECT_TRUE(parse_flags(t, {"--any=1e6"}).error.empty());
+  EXPECT_EQ(any, 1e6);
+  EXPECT_EQ(parse_flags(t, {"--any=abc"}).error,
+            "bad value for --any: 'abc' (expected a positive number)");
+}
+
+TEST(FlagTable, EmptyValues) {
+  int n = 3;
+  double f = 1.0;
+  std::string path = "keep";
+  std::string name = "keep";
+  FlagTable t("tool", "usage: tool\n");
+  t.integer("--n", "n", 0, 9, &n)
+      .positive("--f", "f", &f)
+      .text("--path", "<file>", "path", &path)
+      .text("--name", "<name>", "name", &name, /*allow_empty=*/true);
+  EXPECT_EQ(parse_flags(t, {"--n="}).error,
+            "bad value for --n: '' (expected integer in [0, 9])");
+  EXPECT_FALSE(parse_flags(t, {"--f="}).error.empty());
+  EXPECT_EQ(parse_flags(t, {"--path="}).error,
+            "bad value for --path: '' (expected a non-empty value)");
+  EXPECT_EQ(path, "keep");
+  EXPECT_TRUE(parse_flags(t, {"--name="}).error.empty());
+  EXPECT_EQ(name, "");
+  // A valued flag without '=' is an error too, never a silent default.
+  EXPECT_EQ(parse_flags(t, {"--n"}).error, "--n needs a value: --n=<n>");
+}
+
+TEST(FlagTable, UnknownFlagsAndPositionals) {
+  bool pad = false;
+  FlagTable t("tool", "usage: tool\n");
+  t.set("--pad", "pad", true, &pad);
+  EXPECT_EQ(parse_flags(t, {"--bogus"}).error, "unknown option: --bogus");
+  EXPECT_EQ(parse_flags(t, {"--pa"}).error, "unknown option: --pa");
+  EXPECT_EQ(parse_flags(t, {"--scael=0.01"}).error,
+            "unknown option: --scael=0.01");
+  EXPECT_EQ(parse_flags(t, {"--pad=1"}).error, "--pad takes no value");
+  EXPECT_EQ(parse_flags(t, {"in.cu"}).error, "unexpected argument: in.cu");
+  auto r = parse_flags(t, {"in.cu", "--pad"}, 1);
+  EXPECT_TRUE(r.error.empty());
+  EXPECT_EQ(r.positional, std::vector<std::string>{"in.cu"});
+  EXPECT_EQ(parse_flags(t, {"a.cu", "b.cu"}, 1).error,
+            "unexpected argument: b.cu");
+  EXPECT_TRUE(parse_flags(t, {"--help"}).help);
+  EXPECT_TRUE(parse_flags(t, {"-h"}).help);
+}
+
+TEST(FlagTable, EnumChoices) {
+  enum class Mode { kNone, kProcess };
+  Mode mode = Mode::kNone;
+  bool fallback = false;
+  FlagTable t("tool", "usage: tool\n");
+  t.choice("--isolate", "isolation",
+           {{"none", Mode::kNone}, {"process", Mode::kProcess}}, &mode)
+      .choice("--fallback", "fallback", {{"baseline", true}}, &fallback);
+  EXPECT_TRUE(parse_flags(t, {"--isolate=process"}).error.empty());
+  EXPECT_EQ(mode, Mode::kProcess);
+  EXPECT_EQ(parse_flags(t, {"--isolate=vm"}).error,
+            "bad value for --isolate: 'vm' (expected none|process)");
+  EXPECT_EQ(parse_flags(t, {"--isolate=Process"}).error,
+            "bad value for --isolate: 'Process' (expected none|process)");
+  EXPECT_EQ(mode, Mode::kProcess);
+  EXPECT_TRUE(parse_flags(t, {"--fallback=baseline"}).error.empty());
+  EXPECT_TRUE(fallback);
+}
+
+TEST(FlagTable, SwitchSetsEveryBoundField) {
+  bool certify = false, fast_path = false, svc_certify = false;
+  enum class Race { kLockstep, kPortable };
+  Race a = Race::kLockstep, b = Race::kLockstep;
+  FlagTable t("tool", "usage: tool\n");
+  t.set("--certified-fast-path", "fast path", true, &certify, &fast_path,
+        &svc_certify)
+      .set("--portable-races", "races", Race::kPortable, &a, &b);
+  EXPECT_TRUE(parse_flags(t, {"--certified-fast-path"}).error.empty());
+  EXPECT_TRUE(certify && fast_path && svc_certify);
+  EXPECT_TRUE(parse_flags(t, {"--portable-races"}).error.empty());
+  EXPECT_EQ(a, Race::kPortable);
+  EXPECT_EQ(b, Race::kPortable);
+  // Value rows bind several fields the same way.
+  int x = 0;
+  long long y = 0;
+  std::size_t z = 0;
+  t.integer("--limit", "limit", 0, 100, &x, &y, &z);
+  EXPECT_TRUE(parse_flags(t, {"--limit=42"}).error.empty());
+  EXPECT_EQ(x, 42);
+  EXPECT_EQ(y, 42);
+  EXPECT_EQ(z, 42u);
+}
+
+TEST(FlagTable, SeparateArgument) {
+  std::string out;
+  FlagTable t("tool", "usage: tool\n");
+  t.separate("-o", "<file>", "output", &out);
+  EXPECT_TRUE(parse_flags(t, {"-o", "x.cu"}).error.empty());
+  EXPECT_EQ(out, "x.cu");
+  EXPECT_EQ(parse_flags(t, {"-o"}).error, "-o needs a value: -o <file>");
+  EXPECT_EQ(parse_flags(t, {"-o=y"}).error, "-o needs a value: -o <file>");
+  EXPECT_EQ(out, "x.cu");
+}
+
+TEST(FlagTable, LastOneWins) {
+  int tb = 32;
+  double scale = 1.0;
+  std::vector<std::string> names;
+  FlagTable t("tool", "usage: tool\n");
+  t.integer("--tb", "tb", 1, 1024, &tb)
+      .positive("--scale", "scale", &scale)
+      .set("--quick", "quick", 0.25, &scale)
+      .list("--benchmarks", "A,B", "names", &names);
+  EXPECT_TRUE(parse_flags(t, {"--tb=4", "--tb=8"}).error.empty());
+  EXPECT_EQ(tb, 8);
+  EXPECT_TRUE(parse_flags(t, {"--scale=0.5", "--quick"}).error.empty());
+  EXPECT_EQ(scale, 0.25);
+  EXPECT_TRUE(parse_flags(t, {"--quick", "--scale=0.5"}).error.empty());
+  EXPECT_EQ(scale, 0.5);
+  // A comma list accumulates across repeats and skips empty pieces.
+  EXPECT_TRUE(
+      parse_flags(t, {"--benchmarks=TMV,,CFD", "--benchmarks=MV"}).error
+          .empty());
+  EXPECT_EQ(names, (std::vector<std::string>{"TMV", "CFD", "MV"}));
+}
+
+TEST(FlagTable, HelpShowsDefaultsAndDefaultsToStoresOnce) {
+  int tb = 32;
+  int elems = 32;
+  bool pad = false;
+  FlagTable t("tool", "usage: tool [options]\n");
+  t.section("Transform")
+      .integer("--tb", "block size", 1, 1024, &tb)
+      .integer("--elems", "problem size", 1, 1 << 20, &elems)
+      .defaults_to("64")
+      .set("--pad", "pad loops", true, &pad);
+  EXPECT_EQ(elems, 64);
+  std::ostringstream os;
+  t.print_help(os);
+  const std::string help = os.str();
+  EXPECT_EQ(help.rfind("usage: tool [options]\n", 0), 0u) << help;
+  EXPECT_NE(help.find("Transform:"), std::string::npos) << help;
+  EXPECT_NE(help.find("--tb=<n>"), std::string::npos) << help;
+  EXPECT_NE(help.find("block size (default 32)"), std::string::npos) << help;
+  EXPECT_NE(help.find("problem size (default 64)"), std::string::npos)
+      << help;
+  EXPECT_NE(help.find("--pad"), std::string::npos) << help;
 }
 
 TEST(Json, DoubleRoundTripAtFullPrecision) {

@@ -7,18 +7,14 @@
 //
 //   cert-suite [--scale=<f>] [--bench=<name>] [-o <file>]
 //
-//   --scale=<f>   workload scale in (0, 1]; default 0.02. Proofs are
-//                 per-workload-shape, so a reduced scale proves the same
-//                 expression structure at a fraction of the cost.
-//   --bench=<n>   restrict to one benchmark (paper name, e.g. TMV)
-//   -o <file>     write the verdict JSON to a file (default stdout)
+// (--help describes each flag.) The default scale is small on purpose:
+// proofs are per workload shape, so a reduced scale proves the same
+// expression structure at a fraction of the cost.
 //
 // Exit status: 0 when every certified variant is proven or the verdict
 // fell back to inconclusive (the empirical checks keep the final say),
 // 1 on usage errors, 11 when any variant was REFUTED — a replayable
 // counterexample proves a transform bug, matching cudanp-cc --certify.
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -30,68 +26,30 @@
 #include "np/compiler.hpp"
 #include "sim/device.hpp"
 #include "support/diagnostics.hpp"
+#include "support/flags.hpp"
 #include "support/json.hpp"
-#include "support/string_utils.hpp"
 
 using namespace cudanp;
 
-namespace {
-
-struct Options {
-  double scale = 0.02;
-  std::string bench;
-  std::string output;
-};
-
-void usage() {
-  std::cerr << "usage: cert-suite [--scale=<f>] [--bench=<name>] "
-               "[-o <file>]\n";
-}
-
-bool parse_args(int argc, char** argv, Options* opt) {
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a.rfind("--scale=", 0) == 0) {
-      const char* text = a.c_str() + std::strlen("--scale=");
-      auto v = parse_f64(text);
-      if (!v || !(*v > 0.0) || *v > 1.0) {
-        std::cerr << "cert-suite: bad value for --scale: '" << text
-                  << "' (expected a number in (0, 1])\n";
-        return false;
-      }
-      opt->scale = *v;
-    } else if (a.rfind("--bench=", 0) == 0) {
-      opt->bench = a.substr(std::strlen("--bench="));
-      if (opt->bench.empty()) return false;
-    } else if (a == "-o") {
-      if (++i >= argc) return false;
-      opt->output = argv[i];
-    } else if (a == "--help" || a == "-h") {
-      usage();
-      std::exit(0);
-    } else {
-      std::cerr << "cert-suite: unknown option: " << a << "\n";
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  Options opt;
-  if (!parse_args(argc, argv, &opt)) {
-    usage();
-    return 1;
-  }
+  double scale = 0.02;
+  std::string bench_name;
+  std::string output;
+  FlagTable("cert-suite",
+            "usage: cert-suite [--scale=<f>] [--bench=<name>] [-o <file>]\n")
+      .positive("--scale", "workload scale", &scale, 1.0)
+      .text("--bench", "<name>", "restrict to one benchmark (e.g. TMV)",
+            &bench_name)
+      .separate("-o", "<file>", "write the verdict JSON (default stdout)",
+                &output)
+      .parse(argc, argv);
 
   std::ofstream out_file;
   std::ostream* os = &std::cout;
-  if (!opt.output.empty()) {
-    out_file.open(opt.output);
+  if (!output.empty()) {
+    out_file.open(output);
     if (!out_file) {
-      std::cerr << "cert-suite: cannot write " << opt.output << "\n";
+      std::cerr << "cert-suite: cannot write " << output << "\n";
       return 1;
     }
     os = &out_file;
@@ -102,10 +60,10 @@ int main(int argc, char** argv) {
     const np::Certifier certifier(spec);
 
     std::vector<std::unique_ptr<kernels::Benchmark>> suite;
-    if (opt.bench.empty()) {
-      suite = kernels::make_benchmark_suite(opt.scale);
+    if (bench_name.empty()) {
+      suite = kernels::make_benchmark_suite(scale);
     } else {
-      suite.push_back(kernels::make_benchmark(opt.bench, opt.scale));
+      suite.push_back(kernels::make_benchmark(bench_name, scale));
     }
 
     int proven = 0, reassoc = 0, refuted = 0, inconclusive = 0, skipped = 0;
@@ -150,7 +108,7 @@ int main(int argc, char** argv) {
       std::cerr << "cert-suite: " << bench.name() << " done\n";
     }
 
-    *os << "{\"scale\":" << opt.scale << ",\"proven\":" << proven
+    *os << "{\"scale\":" << scale << ",\"proven\":" << proven
         << ",\"proven_modulo_reassoc\":" << reassoc
         << ",\"refuted\":" << refuted
         << ",\"inconclusive\":" << inconclusive
