@@ -9,26 +9,8 @@
 #include "np/compiler.hpp"
 #include "np/runner.hpp"
 #include "sim/symexec.hpp"
-#include "support/json.hpp"
 
 namespace cudanp::np {
-
-const char* to_string(Verdict v) {
-  switch (v) {
-    case Verdict::kProven: return "proven";
-    case Verdict::kProvenModuloReassoc: return "proven-modulo-reassoc";
-    case Verdict::kRefuted: return "refuted";
-    case Verdict::kInconclusive: return "inconclusive";
-  }
-  return "unknown";
-}
-
-std::optional<Verdict> verdict_from_string(std::string_view s) {
-  for (Verdict v : {Verdict::kProven, Verdict::kProvenModuloReassoc,
-                    Verdict::kRefuted, Verdict::kInconclusive})
-    if (s == to_string(v)) return v;
-  return std::nullopt;
-}
 
 std::string Certificate::str() const {
   std::ostringstream os;
@@ -38,36 +20,6 @@ std::string Certificate::str() const {
     os << " (counterexample seed " << counterexample_seed << ")";
   if (!detail.empty()) os << " — " << detail;
   return os.str();
-}
-
-std::string Certificate::json() const {
-  std::ostringstream os;
-  os << "{\"kernel\":\"" << json::escape(kernel) << "\",\"config\":\""
-     << json::escape(config) << "\",\"verdict\":\"" << to_string(verdict)
-     << "\",\"seed\":" << counterexample_seed << ",\"geometry\":\""
-     << json::escape(geometry) << "\",\"detail\":\"" << json::escape(detail)
-     << "\"}";
-  return os.str();
-}
-
-std::optional<Certificate> Certificate::from_json_value(const json::Value& v) {
-  if (!v.is_object()) return std::nullopt;
-  Certificate c;
-  c.kernel = v.get_str("kernel");
-  c.config = v.get_str("config");
-  auto verdict = verdict_from_string(v.get_str("verdict"));
-  if (!verdict) return std::nullopt;
-  c.verdict = *verdict;
-  c.counterexample_seed = static_cast<std::uint64_t>(v.get_i64("seed"));
-  c.geometry = v.get_str("geometry");
-  c.detail = v.get_str("detail");
-  return c;
-}
-
-std::optional<Certificate> Certificate::from_json(std::string_view text) {
-  auto v = json::parse(text);
-  if (!v) return std::nullopt;
-  return from_json_value(*v);
 }
 
 std::string CertifyOptions::fingerprint() const {

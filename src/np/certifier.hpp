@@ -44,12 +44,9 @@
 #include "np/workload.hpp"
 #include "sim/device.hpp"
 #include "sim/interpreter.hpp"
+#include "support/record.hpp"
 #include "transform/np_config.hpp"
 #include "transform/transformer.hpp"
-
-namespace cudanp::json {
-class Value;
-}
 
 namespace cudanp::np {
 
@@ -68,12 +65,19 @@ enum class Verdict : std::uint8_t {
   kInconclusive,
 };
 
-[[nodiscard]] const char* to_string(Verdict v);
-/// Reverses to_string; nullopt on an unknown slug.
-[[nodiscard]] std::optional<Verdict> verdict_from_string(std::string_view s);
+inline constexpr record::Slug<Verdict> kVerdictSlugs[] = {
+    {Verdict::kProven, "proven"},
+    {Verdict::kProvenModuloReassoc, "proven-modulo-reassoc"},
+    {Verdict::kRefuted, "refuted"},
+    {Verdict::kInconclusive, "inconclusive"},
+};
+
+[[nodiscard]] inline const char* to_string(Verdict v) {
+  return record::slug(kVerdictSlugs, v);
+}
 
 /// One certification outcome: first-class, serializable, cacheable.
-struct Certificate {
+struct Certificate : record::Codec<Certificate> {
   std::string kernel;
   std::string config;  // NpConfig::describe()
   Verdict verdict = Verdict::kInconclusive;
@@ -92,13 +96,17 @@ struct Certificate {
            verdict == Verdict::kProvenModuloReassoc;
   }
   [[nodiscard]] std::string str() const;
-  [[nodiscard]] std::string json() const;
-  /// Parses a json() document back; nullopt on malformed input. The
-  /// round trip is exact: from_json(x.json())->json() == x.json().
-  [[nodiscard]] static std::optional<Certificate> from_json(
-      std::string_view text);
-  [[nodiscard]] static std::optional<Certificate> from_json_value(
-      const json::Value& v);
+
+  static constexpr auto fields() {
+    using R = Certificate;
+    using record::field;
+    return std::tuple{field("kernel", &R::kernel),
+                      field("config", &R::config),
+                      field("verdict", &R::verdict, kVerdictSlugs),
+                      field("seed", &R::counterexample_seed),
+                      field("geometry", &R::geometry),
+                      field("detail", &R::detail)};
+  }
 };
 
 struct CertifyOptions {

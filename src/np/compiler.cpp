@@ -11,7 +11,6 @@
 #include "frontend/parser.hpp"
 #include "np/heuristic.hpp"
 #include "np/runner.hpp"
-#include "support/json.hpp"
 
 namespace cudanp::np {
 
@@ -225,32 +224,6 @@ std::string ValidationReport::summary() const {
   return os.str();
 }
 
-const char* to_string(FailureCause c) {
-  switch (c) {
-    case FailureCause::kTransformError: return "transform-error";
-    case FailureCause::kLaunchError: return "launch-error";
-    case FailureCause::kWatchdogTrip: return "watchdog-trip";
-    case FailureCause::kHazards: return "hazards";
-    case FailureCause::kOutputMismatch: return "output-mismatch";
-    case FailureCause::kRunError: return "run-error";
-    case FailureCause::kCrash: return "crash";
-    case FailureCause::kResourceLimit: return "resource-limit";
-    case FailureCause::kProvenWrong: return "proven-wrong";
-  }
-  return "unknown";
-}
-
-std::optional<FailureCause> failure_cause_from_string(std::string_view s) {
-  for (FailureCause c :
-       {FailureCause::kTransformError, FailureCause::kLaunchError,
-        FailureCause::kWatchdogTrip, FailureCause::kHazards,
-        FailureCause::kOutputMismatch, FailureCause::kRunError,
-        FailureCause::kCrash, FailureCause::kResourceLimit,
-        FailureCause::kProvenWrong})
-    if (s == to_string(c)) return c;
-  return std::nullopt;
-}
-
 bool transient(FailureCause c) {
   // A worker crash is transient like a run error: the crash may be
   // load- or timing-dependent, so the retry loop gets a chance before
@@ -262,27 +235,12 @@ bool transient(FailureCause c) {
          c == FailureCause::kCrash;
 }
 
-namespace {
-
-std::string json_escape(const std::string& s) { return json::escape(s); }
-
-}  // namespace
-
 std::string VariantFailure::str() const {
   std::ostringstream os;
   os << "quarantined '" << config << "' of kernel '" << kernel
      << "': " << to_string(cause);
   if (hazard_count > 0) os << " (" << hazard_count << " hazard(s))";
   if (!detail.empty()) os << " — " << detail;
-  return os.str();
-}
-
-std::string VariantFailure::json() const {
-  std::ostringstream os;
-  os << "{\"kernel\":\"" << json_escape(kernel) << "\",\"config\":\""
-     << json_escape(config) << "\",\"cause\":\"" << to_string(cause)
-     << "\",\"hazards\":" << hazard_count << ",\"detail\":\""
-     << json_escape(detail) << "\"}";
   return os.str();
 }
 
@@ -296,68 +254,6 @@ std::string FallbackDecision::summary() const {
     os << "kernel '" << kernel << "': chose '" << chosen_config << "' ("
        << quarantined.size() << " candidate(s) quarantined on the way)";
   return os.str();
-}
-
-std::string FallbackDecision::json() const {
-  std::ostringstream os;
-  os << "{\"kernel\":\"" << json_escape(kernel) << "\",\"used_baseline\":"
-     << (used_baseline ? "true" : "false") << ",\"chosen_config\":\""
-     << json_escape(chosen_config) << "\",\"first_choice\":\""
-     << json_escape(first_choice) << "\",\"quarantined\":[";
-  for (std::size_t i = 0; i < quarantined.size(); ++i) {
-    if (i) os << ",";
-    os << quarantined[i].json();
-  }
-  os << "]}";
-  return os.str();
-}
-
-std::optional<VariantFailure> VariantFailure::from_json_value(
-    const json::Value& v) {
-  if (!v.is_object()) return std::nullopt;
-  VariantFailure f;
-  f.kernel = v.get_str("kernel");
-  f.config = v.get_str("config");
-  auto cause = failure_cause_from_string(v.get_str("cause"));
-  if (!cause) return std::nullopt;
-  f.cause = *cause;
-  f.hazard_count = static_cast<std::size_t>(v.get_i64("hazards"));
-  f.detail = v.get_str("detail");
-  return f;
-}
-
-std::optional<VariantFailure> VariantFailure::from_json(
-    std::string_view text) {
-  auto v = json::parse(text);
-  if (!v) return std::nullopt;
-  return from_json_value(*v);
-}
-
-std::optional<FallbackDecision> FallbackDecision::from_json_value(
-    const json::Value& v) {
-  if (!v.is_object()) return std::nullopt;
-  FallbackDecision d;
-  d.kernel = v.get_str("kernel");
-  d.used_baseline = v.get_bool("used_baseline", true);
-  d.chosen_config = v.get_str("chosen_config");
-  d.first_choice = v.get_str("first_choice");
-  const json::Value* q = v.find("quarantined");
-  if (q) {
-    if (!q->is_array()) return std::nullopt;
-    for (const auto& item : q->arr()) {
-      auto f = VariantFailure::from_json_value(item);
-      if (!f) return std::nullopt;
-      d.quarantined.push_back(std::move(*f));
-    }
-  }
-  return d;
-}
-
-std::optional<FallbackDecision> FallbackDecision::from_json(
-    std::string_view text) {
-  auto v = json::parse(text);
-  if (!v) return std::nullopt;
-  return from_json_value(*v);
 }
 
 FallbackResult NpCompiler::compile_with_fallback(

@@ -25,10 +25,6 @@
 #include "transform/np_config.hpp"
 #include "transform/transformer.hpp"
 
-namespace cudanp::json {
-class Value;
-}
-
 namespace cudanp::np {
 
 /// Outcome of validating one transformed variant (NpCompiler::validate).
@@ -53,7 +49,7 @@ struct ValidationEntry {
 
   [[nodiscard]] bool clean() const {
     return !transform_ok || (ran && hazards.empty() && outputs_match &&
-                             verdict != "refuted");
+                             verdict != to_string(Verdict::kRefuted));
   }
 };
 
@@ -138,11 +134,21 @@ enum class FailureCause : std::uint8_t {
   kProvenWrong,
 };
 
-[[nodiscard]] const char* to_string(FailureCause c);
+inline constexpr record::Slug<FailureCause> kFailureCauseSlugs[] = {
+    {FailureCause::kTransformError, "transform-error"},
+    {FailureCause::kLaunchError, "launch-error"},
+    {FailureCause::kWatchdogTrip, "watchdog-trip"},
+    {FailureCause::kHazards, "hazards"},
+    {FailureCause::kOutputMismatch, "output-mismatch"},
+    {FailureCause::kRunError, "run-error"},
+    {FailureCause::kCrash, "crash"},
+    {FailureCause::kResourceLimit, "resource-limit"},
+    {FailureCause::kProvenWrong, "proven-wrong"},
+};
 
-/// Reverses to_string; nullopt on an unknown slug.
-[[nodiscard]] std::optional<FailureCause> failure_cause_from_string(
-    std::string_view s);
+[[nodiscard]] inline const char* to_string(FailureCause c) {
+  return record::slug(kFailureCauseSlugs, c);
+}
 
 /// True when a failure of this cause is plausibly transient — worth a
 /// retry with backoff rather than permanent quarantine. Watchdog trips
@@ -156,7 +162,7 @@ enum class FailureCause : std::uint8_t {
 /// One quarantined variant: the structured record graceful degradation is
 /// built on. Serializable both human-readable (str) and machine-readable
 /// (json, one object per line in cudanp-cc's fallback report).
-struct VariantFailure {
+struct VariantFailure : record::Codec<VariantFailure> {
   std::string kernel;
   std::string config;  // NpConfig::describe(), or "baseline"
   FailureCause cause = FailureCause::kRunError;
@@ -165,19 +171,23 @@ struct VariantFailure {
   std::size_t hazard_count = 0;
 
   [[nodiscard]] std::string str() const;
-  [[nodiscard]] std::string json() const;
-  /// Parses a json() document back; nullopt on malformed input. The
-  /// round trip is exact: from_json(x.json())->json() == x.json().
-  [[nodiscard]] static std::optional<VariantFailure> from_json(
-      std::string_view text);
-  /// Same, from an already-parsed value (nested inside a larger doc).
-  [[nodiscard]] static std::optional<VariantFailure> from_json_value(
-      const json::Value& v);
+
+  static constexpr auto fields() {
+    using R = VariantFailure;
+    using record::field;
+    return std::tuple{field("kernel", &R::kernel),
+                      field("config", &R::config),
+                      field("cause", &R::cause, kFailureCauseSlugs),
+                      field("hazards", &R::hazard_count),
+                      field("detail", &R::detail)};
+  }
 };
 
 /// Outcome of compile_with_fallback: which candidate was chosen and every
-/// quarantined variant that was skipped on the way there.
-struct FallbackDecision {
+/// quarantined variant that was skipped on the way there. Its json()
+/// is how decisions cross the worker-process boundary in the serve
+/// layer's --isolate=process mode.
+struct FallbackDecision : record::Codec<FallbackDecision> {
   std::string kernel;
   /// True when every candidate was quarantined and the baseline kernel is
   /// the answer (the baseline is always runnable by definition of the
@@ -198,15 +208,16 @@ struct FallbackDecision {
     return !used_baseline && quarantined.empty();
   }
   [[nodiscard]] std::string summary() const;
-  [[nodiscard]] std::string json() const;
-  /// Parses a json() document back; nullopt on malformed input. This is
-  /// how decisions cross the worker-process boundary in the serve
-  /// layer's --isolate=process mode.
-  [[nodiscard]] static std::optional<FallbackDecision> from_json(
-      std::string_view text);
-  /// Same, from an already-parsed value (nested inside a larger doc).
-  [[nodiscard]] static std::optional<FallbackDecision> from_json_value(
-      const json::Value& v);
+
+  static constexpr auto fields() {
+    using R = FallbackDecision;
+    using record::field;
+    return std::tuple{field("kernel", &R::kernel),
+                      field("used_baseline", &R::used_baseline),
+                      field("chosen_config", &R::chosen_config),
+                      field("first_choice", &R::first_choice),
+                      field("quarantined", &R::quarantined)};
+  }
 };
 
 struct FallbackResult {

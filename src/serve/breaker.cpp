@@ -2,22 +2,6 @@
 
 namespace cudanp::serve {
 
-const char* to_string(BreakerState s) {
-  switch (s) {
-    case BreakerState::kClosed: return "closed";
-    case BreakerState::kOpen: return "open";
-    case BreakerState::kHalfOpen: return "half-open";
-  }
-  return "unknown";
-}
-
-std::optional<BreakerState> breaker_state_from_string(std::string_view s) {
-  for (BreakerState st : {BreakerState::kClosed, BreakerState::kOpen,
-                          BreakerState::kHalfOpen})
-    if (s == to_string(st)) return st;
-  return std::nullopt;
-}
-
 bool CircuitBreaker::allow(std::int64_t now_ms) {
   switch (state_) {
     case BreakerState::kClosed:

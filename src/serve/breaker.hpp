@@ -15,9 +15,8 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string>
-#include <string_view>
+
+#include "support/record.hpp"
 
 namespace cudanp::serve {
 
@@ -30,10 +29,15 @@ struct BreakerPolicy {
 
 enum class BreakerState : std::uint8_t { kClosed, kOpen, kHalfOpen };
 
-[[nodiscard]] const char* to_string(BreakerState s);
-/// Reverses to_string; nullopt on an unknown slug.
-[[nodiscard]] std::optional<BreakerState> breaker_state_from_string(
-    std::string_view s);
+inline constexpr record::Slug<BreakerState> kBreakerStateSlugs[] = {
+    {BreakerState::kClosed, "closed"},
+    {BreakerState::kOpen, "open"},
+    {BreakerState::kHalfOpen, "half-open"},
+};
+
+[[nodiscard]] inline const char* to_string(BreakerState s) {
+  return record::slug(kBreakerStateSlugs, s);
+}
 
 class CircuitBreaker {
  public:

@@ -160,7 +160,7 @@ std::optional<JournalContents> load_journal(const std::string& path,
     } else {
       const json::Value* o = v->find("outcome");
       if (!o) break;
-      auto outcome = JobOutcome::from_json_value(*o);
+      auto outcome = record::read<JobOutcome>(*o);
       if (!outcome) break;
       JournalRecord rec;
       rec.k = static_cast<std::size_t>(v->get_i64("k"));

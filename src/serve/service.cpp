@@ -16,46 +16,10 @@
 #include "sim/exec_pool.hpp"
 #include "sim/interpreter.hpp"
 #include "support/diagnostics.hpp"
-#include "support/json.hpp"
 
 namespace cudanp::serve {
 
-const char* to_string(JobState s) {
-  switch (s) {
-    case JobState::kSucceeded: return "succeeded";
-    case JobState::kSucceededAfterRetry: return "succeeded-after-retry";
-    case JobState::kDegraded: return "degraded";
-    case JobState::kRejected: return "rejected";
-  }
-  return "unknown";
-}
-
-std::optional<JobState> job_state_from_string(std::string_view s) {
-  for (JobState st :
-       {JobState::kSucceeded, JobState::kSucceededAfterRetry,
-        JobState::kDegraded, JobState::kRejected})
-    if (s == to_string(st)) return st;
-  return std::nullopt;
-}
-
-const char* to_string(IsolationMode m) {
-  switch (m) {
-    case IsolationMode::kNone: return "none";
-    case IsolationMode::kProcess: return "process";
-  }
-  return "unknown";
-}
-
-std::optional<IsolationMode> isolation_mode_from_string(
-    std::string_view s) {
-  for (IsolationMode m : {IsolationMode::kNone, IsolationMode::kProcess})
-    if (s == to_string(m)) return m;
-  return std::nullopt;
-}
-
 namespace {
-
-std::string json_escape(const std::string& s) { return json::escape(s); }
 
 /// Content identity of one attempt: the source plus every request field
 /// that can change its AttemptResult (max_steps included — a tighter
@@ -86,137 +50,6 @@ std::string JobResult::str() const {
   return os.str();
 }
 
-std::string JobResult::json() const {
-  std::ostringstream os;
-  os << "{\"index\":" << index << ",\"name\":\"" << json_escape(name)
-     << "\",\"state\":\"" << to_string(state) << "\",\"cause\":\""
-     << json_escape(cause) << "\",\"detail\":\"" << json_escape(detail)
-     << "\",\"chosen_config\":\"" << json_escape(chosen_config)
-     << "\",\"breaker_key\":\"" << json_escape(breaker_key)
-     << "\",\"attempts\":" << attempts
-     << ",\"crashed_attempts\":" << crashed_attempts
-     << ",\"deadline_ms\":" << deadline_ms
-     << ",\"virtual_ms\":" << virtual_ms << ",\"deadline_exceeded\":"
-     << (deadline_exceeded ? "true" : "false") << ",\"breaker_routed\":"
-     << (breaker_routed ? "true" : "false") << ",\"quarantined\":[";
-  for (std::size_t i = 0; i < quarantined.size(); ++i) {
-    if (i) os << ",";
-    os << quarantined[i].json();
-  }
-  os << "]}";
-  return os.str();
-}
-
-std::optional<JobResult> JobResult::from_json_value(const json::Value& v) {
-  if (!v.is_object()) return std::nullopt;
-  JobResult r;
-  r.index = static_cast<std::size_t>(v.get_i64("index"));
-  r.name = v.get_str("name");
-  auto state = job_state_from_string(v.get_str("state"));
-  if (!state) return std::nullopt;
-  r.state = *state;
-  r.cause = v.get_str("cause");
-  r.detail = v.get_str("detail");
-  r.chosen_config = v.get_str("chosen_config");
-  r.breaker_key = v.get_str("breaker_key");
-  r.attempts = static_cast<int>(v.get_i64("attempts"));
-  r.crashed_attempts = static_cast<int>(v.get_i64("crashed_attempts"));
-  r.deadline_ms = v.get_i64("deadline_ms");
-  r.virtual_ms = v.get_i64("virtual_ms");
-  r.deadline_exceeded = v.get_bool("deadline_exceeded");
-  r.breaker_routed = v.get_bool("breaker_routed");
-  if (const json::Value* q = v.find("quarantined")) {
-    if (!q->is_array()) return std::nullopt;
-    for (const auto& item : q->arr()) {
-      auto f = np::VariantFailure::from_json_value(item);
-      if (!f) return std::nullopt;
-      r.quarantined.push_back(std::move(*f));
-    }
-  }
-  return r;
-}
-
-std::optional<JobResult> JobResult::from_json(std::string_view text) {
-  auto v = json::parse(text);
-  if (!v) return std::nullopt;
-  return from_json_value(*v);
-}
-
-std::string BreakerSnapshot::json() const {
-  std::ostringstream os;
-  os << "{\"key\":\"" << json_escape(key) << "\",\"state\":\""
-     << to_string(state) << "\",\"opens\":" << opens
-     << ",\"probes\":" << probes
-     << ",\"short_circuits\":" << short_circuits << "}";
-  return os.str();
-}
-
-std::optional<BreakerSnapshot> BreakerSnapshot::from_json_value(
-    const json::Value& v) {
-  if (!v.is_object()) return std::nullopt;
-  BreakerSnapshot b;
-  b.key = v.get_str("key");
-  auto state = breaker_state_from_string(v.get_str("state"));
-  if (!state) return std::nullopt;
-  b.state = *state;
-  b.opens = static_cast<int>(v.get_i64("opens"));
-  b.probes = static_cast<int>(v.get_i64("probes"));
-  b.short_circuits = static_cast<int>(v.get_i64("short_circuits"));
-  return b;
-}
-
-std::optional<BreakerSnapshot> BreakerSnapshot::from_json(
-    std::string_view text) {
-  auto v = json::parse(text);
-  if (!v) return std::nullopt;
-  return from_json_value(*v);
-}
-
-std::string JobOutcome::json() const {
-  std::ostringstream os;
-  os << "{\"ran\":" << (ran ? "true" : "false") << ",\"success\":"
-     << (success ? "true" : "false") << ",\"rejected\":"
-     << (rejected ? "true" : "false") << ",\"reject_cause\":\""
-     << json_escape(reject_cause) << "\",\"reject_detail\":\""
-     << json_escape(reject_detail) << "\",\"attempts\":" << attempts
-     << ",\"crashed_attempts\":" << crashed_attempts
-     << ",\"virtual_ms\":" << virtual_ms << ",\"deadline_exceeded\":"
-     << (deadline_exceeded ? "true" : "false")
-     << ",\"deadline_ms\":" << deadline_ms << ",\"breaker_key\":\""
-     << json_escape(breaker_key) << "\",\"decision\":" << decision.json()
-     << "}";
-  return os.str();
-}
-
-std::optional<JobOutcome> JobOutcome::from_json_value(
-    const json::Value& v) {
-  if (!v.is_object()) return std::nullopt;
-  JobOutcome o;
-  o.ran = v.get_bool("ran");
-  o.success = v.get_bool("success");
-  o.rejected = v.get_bool("rejected");
-  o.reject_cause = v.get_str("reject_cause");
-  o.reject_detail = v.get_str("reject_detail");
-  o.attempts = static_cast<int>(v.get_i64("attempts"));
-  o.crashed_attempts = static_cast<int>(v.get_i64("crashed_attempts"));
-  o.virtual_ms = v.get_i64("virtual_ms");
-  o.deadline_exceeded = v.get_bool("deadline_exceeded");
-  o.deadline_ms = v.get_i64("deadline_ms");
-  o.breaker_key = v.get_str("breaker_key");
-  if (const json::Value* d = v.find("decision")) {
-    auto dec = np::FallbackDecision::from_json_value(*d);
-    if (!dec) return std::nullopt;
-    o.decision = std::move(*dec);
-  }
-  return o;
-}
-
-std::optional<JobOutcome> JobOutcome::from_json(std::string_view text) {
-  auto v = json::parse(text);
-  if (!v) return std::nullopt;
-  return from_json_value(*v);
-}
-
 std::string ServiceReport::str() const {
   std::ostringstream os;
   os << "batch: " << submitted << " submitted, " << accepted << " accepted, "
@@ -242,79 +75,6 @@ std::string ServiceReport::str() const {
   for (const auto& j : jobs) os << "  " << j.str() << "\n";
   os << (all_succeeded() ? "SERVED" : "SERVED-DEGRADED") << "\n";
   return os.str();
-}
-
-std::string ServiceReport::json() const {
-  std::ostringstream os;
-  os << "{\"submitted\":" << submitted << ",\"accepted\":" << accepted
-     << ",\"shed\":" << shed
-     << ",\"rejected_admission\":" << rejected_admission
-     << ",\"drained\":" << drained << ",\"succeeded\":" << succeeded
-     << ",\"succeeded_after_retry\":" << succeeded_after_retry
-     << ",\"degraded\":" << degraded
-     << ",\"rejected_execution\":" << rejected_execution
-     << ",\"retries\":" << retries << ",\"crashes\":" << crashes
-     << ",\"resource_limited\":" << resource_limited
-     << ",\"deadline_exceeded\":" << deadline_exceeded
-     << ",\"breaker_opens\":" << breaker_opens
-     << ",\"breaker_probes\":" << breaker_probes
-     << ",\"breaker_short_circuits\":" << breaker_short_circuits
-     << ",\"virtual_ms\":" << virtual_ms << ",\"breakers\":[";
-  for (std::size_t i = 0; i < breakers.size(); ++i) {
-    if (i) os << ",";
-    os << breakers[i].json();
-  }
-  os << "],\"jobs\":[";
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (i) os << ",";
-    os << jobs[i].json();
-  }
-  os << "]}";
-  return os.str();
-}
-
-std::optional<ServiceReport> ServiceReport::from_json(
-    std::string_view text) {
-  auto v = json::parse(text);
-  if (!v || !v->is_object()) return std::nullopt;
-  ServiceReport r;
-  auto sz = [&](const char* key) {
-    return static_cast<std::size_t>(v->get_i64(key));
-  };
-  r.submitted = sz("submitted");
-  r.accepted = sz("accepted");
-  r.shed = sz("shed");
-  r.rejected_admission = sz("rejected_admission");
-  r.drained = sz("drained");
-  r.succeeded = sz("succeeded");
-  r.succeeded_after_retry = sz("succeeded_after_retry");
-  r.degraded = sz("degraded");
-  r.rejected_execution = sz("rejected_execution");
-  r.retries = sz("retries");
-  r.crashes = sz("crashes");
-  r.resource_limited = sz("resource_limited");
-  r.deadline_exceeded = sz("deadline_exceeded");
-  r.breaker_opens = sz("breaker_opens");
-  r.breaker_probes = sz("breaker_probes");
-  r.breaker_short_circuits = sz("breaker_short_circuits");
-  r.virtual_ms = v->get_i64("virtual_ms");
-  if (const json::Value* bs = v->find("breakers")) {
-    if (!bs->is_array()) return std::nullopt;
-    for (const auto& item : bs->arr()) {
-      auto b = BreakerSnapshot::from_json_value(item);
-      if (!b) return std::nullopt;
-      r.breakers.push_back(std::move(*b));
-    }
-  }
-  if (const json::Value* js = v->find("jobs")) {
-    if (!js->is_array()) return std::nullopt;
-    for (const auto& item : js->arr()) {
-      auto j = JobResult::from_json_value(item);
-      if (!j) return std::nullopt;
-      r.jobs.push_back(std::move(*j));
-    }
-  }
-  return r;
 }
 
 std::string certificate_cache_key(
@@ -785,7 +545,7 @@ ServiceReport BatchService::run(const std::vector<JobSpec>& jobs) {
         } else if (!o.decision.quarantined.empty()) {
           r.cause = np::to_string(o.decision.quarantined.front().cause);
         } else {
-          r.cause = "degraded";
+          r.cause = to_string(r.state);
         }
         ++report.degraded;
         br.on_failure(breaker_base + clock.now_ms());

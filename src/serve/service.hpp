@@ -50,6 +50,7 @@
 #include "sim/device.hpp"
 #include "sim/fault.hpp"
 #include "sim/sanitizer.hpp"
+#include "support/record.hpp"
 
 namespace cudanp::serve {
 
@@ -104,10 +105,16 @@ enum class JobState : std::uint8_t {
                          // compile error, or internal error
 };
 
-[[nodiscard]] const char* to_string(JobState s);
-/// Reverses to_string; nullopt on an unknown slug.
-[[nodiscard]] std::optional<JobState> job_state_from_string(
-    std::string_view s);
+inline constexpr record::Slug<JobState> kJobStateSlugs[] = {
+    {JobState::kSucceeded, "succeeded"},
+    {JobState::kSucceededAfterRetry, "succeeded-after-retry"},
+    {JobState::kDegraded, "degraded"},
+    {JobState::kRejected, "rejected"},
+};
+
+[[nodiscard]] inline const char* to_string(JobState s) {
+  return record::slug(kJobStateSlugs, s);
+}
 
 /// Where each job's compile-and-run step executes.
 enum class IsolationMode : std::uint8_t {
@@ -115,11 +122,17 @@ enum class IsolationMode : std::uint8_t {
   kProcess,  // sandboxed worker subprocess per attempt (crash-isolated)
 };
 
-[[nodiscard]] const char* to_string(IsolationMode m);
-[[nodiscard]] std::optional<IsolationMode> isolation_mode_from_string(
-    std::string_view s);
+/// Also the --isolate flag's choices.
+inline constexpr record::Slug<IsolationMode> kIsolationModeSlugs[] = {
+    {IsolationMode::kNone, "none"},
+    {IsolationMode::kProcess, "process"},
+};
 
-struct JobResult {
+[[nodiscard]] inline const char* to_string(IsolationMode m) {
+  return record::slug(kIsolationModeSlugs, m);
+}
+
+struct JobResult : record::Codec<JobResult> {
   std::size_t index = 0;
   std::string name;
   JobState state = JobState::kRejected;
@@ -152,27 +165,44 @@ struct JobResult {
            state == JobState::kSucceededAfterRetry;
   }
   [[nodiscard]] std::string str() const;
-  [[nodiscard]] std::string json() const;
-  /// Parses a json() document back; nullopt on malformed input.
-  [[nodiscard]] static std::optional<JobResult> from_json(
-      std::string_view text);
-  [[nodiscard]] static std::optional<JobResult> from_json_value(
-      const json::Value& v);
+
+  static constexpr auto fields() {
+    using R = JobResult;
+    using record::field;
+    return std::tuple{field("index", &R::index),
+                      field("name", &R::name),
+                      field("state", &R::state, kJobStateSlugs),
+                      field("cause", &R::cause),
+                      field("detail", &R::detail),
+                      field("chosen_config", &R::chosen_config),
+                      field("breaker_key", &R::breaker_key),
+                      field("attempts", &R::attempts),
+                      field("crashed_attempts", &R::crashed_attempts),
+                      field("deadline_ms", &R::deadline_ms),
+                      field("virtual_ms", &R::virtual_ms),
+                      field("deadline_exceeded", &R::deadline_exceeded),
+                      field("breaker_routed", &R::breaker_routed),
+                      field("quarantined", &R::quarantined)};
+  }
 };
 
 /// Final state of one circuit breaker, for the report.
-struct BreakerSnapshot {
+struct BreakerSnapshot : record::Codec<BreakerSnapshot> {
   std::string key;  // "<kernel>|<first-choice config>"
   BreakerState state = BreakerState::kClosed;
   int opens = 0;
   int probes = 0;
   int short_circuits = 0;
 
-  [[nodiscard]] std::string json() const;
-  [[nodiscard]] static std::optional<BreakerSnapshot> from_json(
-      std::string_view text);
-  [[nodiscard]] static std::optional<BreakerSnapshot> from_json_value(
-      const json::Value& v);
+  static constexpr auto fields() {
+    using R = BreakerSnapshot;
+    using record::field;
+    return std::tuple{field("key", &R::key),
+                      field("state", &R::state, kBreakerStateSlugs),
+                      field("opens", &R::opens),
+                      field("probes", &R::probes),
+                      field("short_circuits", &R::short_circuits)};
+  }
 };
 
 /// Speculative per-job outcome: what execution produced, before the
@@ -180,7 +210,7 @@ struct BreakerSnapshot {
 /// because the write-ahead journal persists exactly these — the commit
 /// pass is a pure function of outcomes in admission order, which is why
 /// a resumed batch reproduces an uninterrupted report byte for byte.
-struct JobOutcome {
+struct JobOutcome : record::Codec<JobOutcome> {
   bool ran = false;       // executed (false = drained slot)
   bool success = false;   // pristine decision on the final attempt
   bool rejected = false;  // terminal kRejected during execution
@@ -194,15 +224,28 @@ struct JobOutcome {
   std::string breaker_key;
   np::FallbackDecision decision;
 
-  [[nodiscard]] std::string json() const;
-  [[nodiscard]] static std::optional<JobOutcome> from_json(
-      std::string_view text);
-  [[nodiscard]] static std::optional<JobOutcome> from_json_value(
-      const json::Value& v);
+  static constexpr auto fields() {
+    using R = JobOutcome;
+    using record::field;
+    return std::tuple{field("ran", &R::ran),
+                      field("success", &R::success),
+                      field("rejected", &R::rejected),
+                      field("reject_cause", &R::reject_cause),
+                      field("reject_detail", &R::reject_detail),
+                      field("attempts", &R::attempts),
+                      field("crashed_attempts", &R::crashed_attempts),
+                      field("virtual_ms", &R::virtual_ms),
+                      field("deadline_exceeded", &R::deadline_exceeded),
+                      field("deadline_ms", &R::deadline_ms),
+                      field("breaker_key", &R::breaker_key),
+                      field("decision", &R::decision)};
+  }
 };
 
 /// Per-run accounting: every counter a long-lived operator cares about.
-struct ServiceReport {
+/// Its json() round trip is exact — the resume CI job diffs json() of a
+/// resumed run against an uninterrupted one byte for byte.
+struct ServiceReport : record::Codec<ServiceReport> {
   std::size_t submitted = 0;
   std::size_t accepted = 0;
   /// Load-shed at admission (queue full).
@@ -245,12 +288,31 @@ struct ServiceReport {
            drained == 0 && rejected_execution == 0;
   }
   [[nodiscard]] std::string str() const;
-  [[nodiscard]] std::string json() const;
-  /// Parses a json() document back; nullopt on malformed input. The
-  /// round trip is exact — the resume CI job diffs json() of a resumed
-  /// run against an uninterrupted one byte for byte.
-  [[nodiscard]] static std::optional<ServiceReport> from_json(
-      std::string_view text);
+
+  static constexpr auto fields() {
+    using R = ServiceReport;
+    using record::field;
+    return std::tuple{
+        field("submitted", &R::submitted),
+        field("accepted", &R::accepted),
+        field("shed", &R::shed),
+        field("rejected_admission", &R::rejected_admission),
+        field("drained", &R::drained),
+        field("succeeded", &R::succeeded),
+        field("succeeded_after_retry", &R::succeeded_after_retry),
+        field("degraded", &R::degraded),
+        field("rejected_execution", &R::rejected_execution),
+        field("retries", &R::retries),
+        field("crashes", &R::crashes),
+        field("resource_limited", &R::resource_limited),
+        field("deadline_exceeded", &R::deadline_exceeded),
+        field("breaker_opens", &R::breaker_opens),
+        field("breaker_probes", &R::breaker_probes),
+        field("breaker_short_circuits", &R::breaker_short_circuits),
+        field("virtual_ms", &R::virtual_ms),
+        field("breakers", &R::breakers),
+        field("jobs", &R::jobs)};
+  }
 };
 
 struct ServiceOptions {

@@ -6,9 +6,6 @@
 #include <unistd.h>
 
 #include <cstring>
-#include <sstream>
-
-#include "support/json.hpp"
 
 namespace cudanp::serve {
 
@@ -148,144 +145,6 @@ ReadStatus read_frame(int fd, Frame* out, int timeout_ms) {
   out->payload.resize(len);
   if (len == 0) return ReadStatus::kOk;
   return read_exact(fd, out->payload.data(), len, deadline);
-}
-
-std::string AttemptRequest::json() const {
-  std::ostringstream os;
-  os.precision(17);
-  os << "{\"source\":\"" << json::escape(source) << "\",\"kernel\":\""
-     << json::escape(kernel) << "\",\"elems\":" << elems
-     << ",\"tb\":" << tb << ",\"device\":\"" << json::escape(device)
-     << "\",\"sm_version\":" << sm_version
-     << ",\"max_steps\":" << max_steps << ",\"corrupt_ast\":"
-     << (corrupt_ast ? "true" : "false") << ",\"hook_faults\":"
-     << (hook_faults ? "true" : "false") << ",\"fault\":" << fault.json()
-     << ",\"error_limit\":" << error_limit << ",\"portable_races\":"
-     << (portable_races ? "true" : "false") << ",\"dedupe\":"
-     << (dedupe ? "true" : "false") << ",\"f32_rel_tol\":" << f32_rel_tol
-     << ",\"heartbeat_ms\":" << heartbeat_ms << ",\"certify\":"
-     << (certify ? "true" : "false") << ",\"certified_fast_path\":"
-     << (certified_fast_path ? "true" : "false") << ",\"certificates\":[";
-  for (std::size_t i = 0; i < certificates.size(); ++i) {
-    if (i) os << ",";
-    os << "\"" << json::escape(certificates[i]) << "\"";
-  }
-  os << "]}";
-  return os.str();
-}
-
-std::optional<AttemptRequest> AttemptRequest::from_json(
-    std::string_view text) {
-  auto v = json::parse(text);
-  if (!v || !v->is_object()) return std::nullopt;
-  AttemptRequest r;
-  r.source = v->get_str("source");
-  r.kernel = v->get_str("kernel");
-  r.elems = static_cast<int>(v->get_i64("elems", 32));
-  r.tb = static_cast<int>(v->get_i64("tb", 32));
-  r.device = v->get_str("device", "gtx680");
-  r.sm_version = static_cast<int>(v->get_i64("sm_version", 30));
-  r.max_steps = v->get_i64("max_steps");
-  r.corrupt_ast = v->get_bool("corrupt_ast");
-  r.hook_faults = v->get_bool("hook_faults");
-  if (const json::Value* f = v->find("fault")) {
-    auto plan = sim::FaultPlan::from_json_value(*f);
-    if (!plan) return std::nullopt;
-    r.fault = *plan;
-  }
-  r.error_limit = v->get_i64("error_limit", 100);
-  r.portable_races = v->get_bool("portable_races");
-  r.dedupe = v->get_bool("dedupe", true);
-  r.f32_rel_tol = v->get_double("f32_rel_tol", 1e-3);
-  r.heartbeat_ms = static_cast<int>(v->get_i64("heartbeat_ms", 200));
-  r.certify = v->get_bool("certify");
-  r.certified_fast_path = v->get_bool("certified_fast_path");
-  if (const json::Value* c = v->find("certificates")) {
-    if (!c->is_array()) return std::nullopt;
-    for (const auto& item : c->arr()) {
-      if (!item.is_string()) return std::nullopt;
-      r.certificates.push_back(item.as_str());
-    }
-  }
-  return r;
-}
-
-std::string AttemptResult::json() const {
-  std::ostringstream os;
-  os << "{\"rejected\":" << (rejected ? "true" : "false")
-     << ",\"reject_cause\":\"" << json::escape(reject_cause)
-     << "\",\"reject_detail\":\"" << json::escape(reject_detail)
-     << "\",\"kernel_name\":\"" << json::escape(kernel_name)
-     << "\",\"decision\":" << decision.json() << "}";
-  return os.str();
-}
-
-std::optional<AttemptResult> AttemptResult::from_json(
-    std::string_view text) {
-  auto v = json::parse(text);
-  if (!v || !v->is_object()) return std::nullopt;
-  AttemptResult r;
-  r.rejected = v->get_bool("rejected");
-  r.reject_cause = v->get_str("reject_cause");
-  r.reject_detail = v->get_str("reject_detail");
-  r.kernel_name = v->get_str("kernel_name");
-  if (const json::Value* d = v->find("decision")) {
-    auto dec = np::FallbackDecision::from_json_value(*d);
-    if (!dec) return std::nullopt;
-    r.decision = std::move(*dec);
-  }
-  return r;
-}
-
-std::string SubmitRequest::json() const {
-  std::ostringstream os;
-  os << "{\"tenant\":\"" << json::escape(tenant) << "\",\"manifest\":\""
-     << json::escape(manifest) << "\",\"base_dir\":\""
-     << json::escape(base_dir) << "\"}";
-  return os.str();
-}
-
-std::optional<SubmitRequest> SubmitRequest::from_json(
-    std::string_view text) {
-  auto v = json::parse(text);
-  if (!v || !v->is_object()) return std::nullopt;
-  SubmitRequest r;
-  r.tenant = v->get_str("tenant");
-  r.manifest = v->get_str("manifest");
-  r.base_dir = v->get_str("base_dir");
-  return r;
-}
-
-std::string SubmitReply::json() const {
-  std::ostringstream os;
-  os << "{\"report_text\":\"" << json::escape(report_text)
-     << "\",\"report_json\":\"" << json::escape(report_json) << "\"}";
-  return os.str();
-}
-
-std::optional<SubmitReply> SubmitReply::from_json(std::string_view text) {
-  auto v = json::parse(text);
-  if (!v || !v->is_object()) return std::nullopt;
-  SubmitReply r;
-  r.report_text = v->get_str("report_text");
-  r.report_json = v->get_str("report_json");
-  return r;
-}
-
-std::string RejectReply::json() const {
-  std::ostringstream os;
-  os << "{\"cause\":\"" << json::escape(cause) << "\",\"detail\":\""
-     << json::escape(detail) << "\"}";
-  return os.str();
-}
-
-std::optional<RejectReply> RejectReply::from_json(std::string_view text) {
-  auto v = json::parse(text);
-  if (!v || !v->is_object()) return std::nullopt;
-  RejectReply r;
-  r.cause = v->get_str("cause");
-  r.detail = v->get_str("detail");
-  return r;
 }
 
 }  // namespace cudanp::serve

@@ -31,6 +31,7 @@
 
 #include "np/compiler.hpp"
 #include "sim/fault.hpp"
+#include "support/record.hpp"
 
 namespace cudanp::serve {
 
@@ -98,7 +99,7 @@ bool write_frame_deadline(int fd, char type, std::string_view payload,
 /// One attempt's worth of work, shipped to a worker (or executed
 /// in-process via execute_attempt — both isolation modes run exactly
 /// this struct, which is why their reports are bit-identical).
-struct AttemptRequest {
+struct AttemptRequest : record::Codec<AttemptRequest> {
   std::string source;
   /// Requested kernel name; empty = first kernel with NP pragmas.
   std::string kernel;
@@ -141,15 +142,34 @@ struct AttemptRequest {
   /// reused instead of re-derived per attempt.
   std::vector<std::string> certificates;
 
-  [[nodiscard]] std::string json() const;
-  [[nodiscard]] static std::optional<AttemptRequest> from_json(
-      std::string_view text);
+  static constexpr auto fields() {
+    using R = AttemptRequest;
+    using record::field;
+    return std::tuple{field("source", &R::source),
+                      field("kernel", &R::kernel),
+                      field("elems", &R::elems),
+                      field("tb", &R::tb),
+                      field("device", &R::device),
+                      field("sm_version", &R::sm_version),
+                      field("max_steps", &R::max_steps),
+                      field("corrupt_ast", &R::corrupt_ast),
+                      field("hook_faults", &R::hook_faults),
+                      field("fault", &R::fault),
+                      field("error_limit", &R::error_limit),
+                      field("portable_races", &R::portable_races),
+                      field("dedupe", &R::dedupe),
+                      field("f32_rel_tol", &R::f32_rel_tol),
+                      field("heartbeat_ms", &R::heartbeat_ms),
+                      field("certify", &R::certify),
+                      field("certified_fast_path", &R::certified_fast_path),
+                      field("certificates", &R::certificates)};
+  }
 };
 
 /// What one attempt produced. Either a structured rejection (parse
 /// failed, kernel missing, internal error) or a FallbackDecision — the
 /// same split BatchService::run_job has always committed.
-struct AttemptResult {
+struct AttemptResult : record::Codec<AttemptResult> {
   bool rejected = false;
   std::string reject_cause;   // "compile-error" / "no-kernel" /
                               // "internal-error"
@@ -158,45 +178,60 @@ struct AttemptResult {
   std::string kernel_name;
   np::FallbackDecision decision;
 
-  [[nodiscard]] std::string json() const;
-  [[nodiscard]] static std::optional<AttemptResult> from_json(
-      std::string_view text);
+  static constexpr auto fields() {
+    using R = AttemptResult;
+    using record::field;
+    return std::tuple{field("rejected", &R::rejected),
+                      field("reject_cause", &R::reject_cause),
+                      field("reject_detail", &R::reject_detail),
+                      field("kernel_name", &R::kernel_name),
+                      field("decision", &R::decision)};
+  }
 };
 
 /// One client request to the daemon: a whole manifest, attributed to a
 /// tenant for admission accounting. base_dir resolves relative file=
 /// entries (the client sends its manifest's parent directory).
-struct SubmitRequest {
+struct SubmitRequest : record::Codec<SubmitRequest> {
   std::string tenant;
   std::string manifest;
   std::string base_dir;
 
-  [[nodiscard]] std::string json() const;
-  [[nodiscard]] static std::optional<SubmitRequest> from_json(
-      std::string_view text);
+  static constexpr auto fields() {
+    using R = SubmitRequest;
+    using record::field;
+    return std::tuple{field("tenant", &R::tenant),
+                      field("manifest", &R::manifest),
+                      field("base_dir", &R::base_dir)};
+  }
 };
 
 /// The daemon's answer to an admitted request: both renderings of the
 /// ServiceReport, verbatim — the client re-emits them so its output is
 /// byte-identical to a --batch run of the same manifest.
-struct SubmitReply {
+struct SubmitReply : record::Codec<SubmitReply> {
   std::string report_text;
   std::string report_json;
 
-  [[nodiscard]] std::string json() const;
-  [[nodiscard]] static std::optional<SubmitReply> from_json(
-      std::string_view text);
+  static constexpr auto fields() {
+    using R = SubmitReply;
+    using record::field;
+    return std::tuple{field("report_text", &R::report_text),
+                      field("report_json", &R::report_json)};
+  }
 };
 
 /// Structured refusal ('X' frame): the request never entered the
 /// pipeline. cause is machine-readable; detail is for humans.
-struct RejectReply {
+struct RejectReply : record::Codec<RejectReply> {
   std::string cause;
   std::string detail;
 
-  [[nodiscard]] std::string json() const;
-  [[nodiscard]] static std::optional<RejectReply> from_json(
-      std::string_view text);
+  static constexpr auto fields() {
+    using R = RejectReply;
+    using record::field;
+    return std::tuple{field("cause", &R::cause), field("detail", &R::detail)};
+  }
 };
 
 }  // namespace cudanp::serve

@@ -2,11 +2,9 @@
 
 #include <csignal>
 #include <cstring>
-#include <sstream>
 
 #include "ir/expr.hpp"
 #include "ir/stmt.hpp"
-#include "support/json.hpp"
 #include "support/rng.hpp"
 
 namespace cudanp::sim {
@@ -172,49 +170,6 @@ void FaultInjector::maybe_fault(std::int64_t flat_block, std::int64_t step,
                  std::to_string(step) + " of block " +
                  std::to_string(flat_block) + " at " + loc.str() +
                  " (fault plan seed " + std::to_string(plan_.seed) + ")");
-}
-
-std::string FaultPlan::json() const {
-  std::ostringstream os;
-  os << "{\"seed\":" << seed << ",\"bit_flips\":" << bit_flips
-     << ",\"sim_error_at_step\":" << sim_error_at_step
-     << ",\"fault_block\":" << fault_block << ",\"drop_barrier\":"
-     << (drop_barrier ? "true" : "false") << ",\"skew_index\":"
-     << (skew_index ? "true" : "false")
-     << ",\"stall_block\":" << stall_block
-     << ",\"crash_at_step\":" << crash_at_step << ",\"oom_mb\":" << oom_mb
-     << ",\"wedge_worker\":" << (wedge_worker ? "true" : "false")
-     << ",\"corrupt_cache\":" << (corrupt_cache ? "true" : "false")
-     << ",\"tear_cache\":" << (tear_cache ? "true" : "false")
-     << ",\"corrupt_cert\":" << (corrupt_cert ? "true" : "false")
-     << ",\"tear_cert\":" << (tear_cert ? "true" : "false") << "}";
-  return os.str();
-}
-
-std::optional<FaultPlan> FaultPlan::from_json_value(const json::Value& v) {
-  if (!v.is_object()) return std::nullopt;
-  FaultPlan p;
-  p.seed = static_cast<std::uint64_t>(v.get_i64("seed", 0x5eedLL));
-  p.bit_flips = static_cast<int>(v.get_i64("bit_flips"));
-  p.sim_error_at_step = v.get_i64("sim_error_at_step");
-  p.fault_block = v.get_i64("fault_block", -1);
-  p.drop_barrier = v.get_bool("drop_barrier");
-  p.skew_index = v.get_bool("skew_index");
-  p.stall_block = v.get_i64("stall_block", -1);
-  p.crash_at_step = v.get_i64("crash_at_step");
-  p.oom_mb = v.get_i64("oom_mb");
-  p.wedge_worker = v.get_bool("wedge_worker");
-  p.corrupt_cache = v.get_bool("corrupt_cache");
-  p.tear_cache = v.get_bool("tear_cache");
-  p.corrupt_cert = v.get_bool("corrupt_cert");
-  p.tear_cert = v.get_bool("tear_cert");
-  return p;
-}
-
-std::optional<FaultPlan> FaultPlan::from_json(std::string_view text) {
-  auto v = json::parse(text);
-  if (!v) return std::nullopt;
-  return from_json_value(*v);
 }
 
 }  // namespace cudanp::sim

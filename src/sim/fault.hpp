@@ -23,18 +23,16 @@
 
 #include "ir/kernel.hpp"
 #include "sim/memory.hpp"
+#include "support/record.hpp"
 #include "support/source_location.hpp"
-
-namespace cudanp::json {
-class Value;
-}
 
 namespace cudanp::sim {
 
 /// One seeded campaign. Every field is independent; a default plan
 /// injects nothing. All randomness derives from `seed`, so a plan
-/// replays byte-identically.
-struct FaultPlan {
+/// replays byte-identically. Its json() is how fault plans ride the
+/// worker-process wire protocol and enter journal fingerprints.
+struct FaultPlan : record::Codec<FaultPlan> {
   std::uint64_t seed = 0x5eedULL;
   /// Flip this many randomly chosen bits across the allocated device
   /// buffers when corrupt_memory runs (between launches).
@@ -90,14 +88,24 @@ struct FaultPlan {
   /// quarantined exactly like corruption.
   bool tear_cert = false;
 
-  /// Serializes every field; from_json reverses it exactly. This is how
-  /// fault plans ride the worker-process wire protocol.
-  [[nodiscard]] std::string json() const;
-  [[nodiscard]] static std::optional<FaultPlan> from_json(
-      std::string_view text);
-  /// Same, from an already-parsed value (nested inside a larger doc).
-  [[nodiscard]] static std::optional<FaultPlan> from_json_value(
-      const cudanp::json::Value& v);
+  static constexpr auto fields() {
+    using R = FaultPlan;
+    using record::field;
+    return std::tuple{field("seed", &R::seed),
+                      field("bit_flips", &R::bit_flips),
+                      field("sim_error_at_step", &R::sim_error_at_step),
+                      field("fault_block", &R::fault_block),
+                      field("drop_barrier", &R::drop_barrier),
+                      field("skew_index", &R::skew_index),
+                      field("stall_block", &R::stall_block),
+                      field("crash_at_step", &R::crash_at_step),
+                      field("oom_mb", &R::oom_mb),
+                      field("wedge_worker", &R::wedge_worker),
+                      field("corrupt_cache", &R::corrupt_cache),
+                      field("tear_cache", &R::tear_cache),
+                      field("corrupt_cert", &R::corrupt_cert),
+                      field("tear_cert", &R::tear_cert)};
+  }
 };
 
 class FaultInjector {

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace cudanp::json {
 
@@ -134,10 +135,19 @@ Value Value::make_number(std::int64_t i) {
 }
 
 Value Value::make_double(double d) {
+  // Casting a double outside the int64_t range is undefined behaviour,
+  // and "1e300" or "99999999999999999999" can arrive from any client:
+  // the integer view saturates instead (NaN reads as 0).
+  constexpr double kTwo63 = 9223372036854775808.0;
   Value v;
   v.kind_ = Kind::kNumber;
   v.num_ = d;
-  v.i64_ = static_cast<std::int64_t>(d);
+  if (d >= kTwo63)
+    v.i64_ = std::numeric_limits<std::int64_t>::max();
+  else if (d < -kTwo63)
+    v.i64_ = std::numeric_limits<std::int64_t>::min();
+  else if (d == d)
+    v.i64_ = static_cast<std::int64_t>(d);
   return v;
 }
 

@@ -1,14 +1,14 @@
-// Minimal JSON: the escape helper every report emitter shares, and a
-// small recursive-descent parser for the reports we ourselves emit.
+// Minimal JSON: the escape helper every emitter shares, and a small
+// recursive-descent parser.
 //
-// The serve layer's process-isolation split (serve/supervisor.*) and the
-// durable batch journal (serve/journal.*) both need to *read back* the
-// structured records the repo has always written — FallbackDecision,
-// VariantFailure, JobResult, ServiceReport — so every one of those types
-// now has a from_json next to its json(), built on this parser. The
+// The wire, journal, cache and report records do not call these by
+// hand: each declares its fields once (support/record.hpp), and the
+// record codec writes them with escape() and reads them back through
+// parse() and Value. The write-only documents (--status, --healthz,
+// cache stats, the cert-suite report) use escape() directly. The
 // parser accepts standard JSON (objects, arrays, strings with the usual
-// escapes, integers, doubles, bools, null); it is not a streaming parser
-// and is sized for reports, not gigabyte documents.
+// escapes, integers, doubles, bools, null); it is not a streaming
+// parser and is sized for reports, not gigabyte documents.
 #pragma once
 
 #include <cstdint>
@@ -33,8 +33,10 @@ class Value;
 using Object = std::vector<std::pair<std::string, Value>>;
 using Array = std::vector<Value>;
 
-/// One parsed JSON value. Numbers keep both an integer and a double
-/// view; every numeric field the repo emits is an integer.
+/// One parsed JSON value. Numbers keep both an integer view (integer
+/// fields; fractions truncate and out-of-range values saturate to the
+/// int64_t range) and a double view (double fields such as
+/// AttemptRequest::f32_rel_tol).
 class Value {
  public:
   enum class Kind : std::uint8_t {

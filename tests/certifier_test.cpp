@@ -16,6 +16,7 @@
 #include "np/runner.hpp"
 #include "sim/fault.hpp"
 #include "sim/symexec.hpp"
+#include "support/record.hpp"
 
 namespace cudanp {
 namespace {
@@ -143,13 +144,14 @@ TEST(Certificate, JsonRoundTripIsExact) {
 }
 
 TEST(Certificate, VerdictStringsRoundTrip) {
-  for (Verdict v : {Verdict::kProven, Verdict::kProvenModuloReassoc,
-                    Verdict::kRefuted, Verdict::kInconclusive}) {
-    auto back = np::verdict_from_string(np::to_string(v));
+  for (const auto& row : np::kVerdictSlugs) {
+    EXPECT_STREQ(np::to_string(row.value), row.text);
+    auto back = record::from_slug(np::kVerdictSlugs, row.text);
     ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(*back, v);
+    EXPECT_EQ(*back, row.value);
   }
-  EXPECT_FALSE(np::verdict_from_string("almost-proven").has_value());
+  EXPECT_FALSE(
+      record::from_slug(np::kVerdictSlugs, "almost-proven").has_value());
 }
 
 // ---------------------------------------------------------------------

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "serve/journal.hpp"
@@ -21,6 +22,7 @@
 #include "serve/wire.hpp"
 #include "serve/worker.hpp"
 #include "sim/device.hpp"
+#include "support/record.hpp"
 #include "temp_util.hpp"
 
 #ifndef CUDANP_CC_PATH
@@ -596,19 +598,352 @@ TEST(RoundTrip, WireTypesSurviveJson) {
 }
 
 TEST(RoundTrip, EnumSlugsReverse) {
-  using serve::IsolationMode;
-  using serve::JobState;
-  for (JobState s :
-       {JobState::kSucceeded, JobState::kSucceededAfterRetry,
-        JobState::kDegraded, JobState::kRejected})
-    EXPECT_EQ(serve::job_state_from_string(serve::to_string(s)), s);
-  for (IsolationMode m : {IsolationMode::kNone, IsolationMode::kProcess})
-    EXPECT_EQ(serve::isolation_mode_from_string(serve::to_string(m)), m);
-  for (np::FailureCause c :
-       {np::FailureCause::kCrash, np::FailureCause::kResourceLimit})
-    EXPECT_EQ(np::failure_cause_from_string(np::to_string(c)), c);
-  EXPECT_FALSE(serve::job_state_from_string("nope").has_value());
-  EXPECT_FALSE(serve::isolation_mode_from_string("vm").has_value());
+  // Each slug table is the one spelling of its enum: to_string and the
+  // record reader both come from it.
+  auto check = [](const auto& table, const char* unknown) {
+    for (const auto& row : table) {
+      EXPECT_STREQ(to_string(row.value), row.text);
+      EXPECT_EQ(record::from_slug(table, row.text), row.value);
+    }
+    EXPECT_FALSE(record::from_slug(table, unknown).has_value());
+  };
+  check(serve::kJobStateSlugs, "nope");
+  check(serve::kIsolationModeSlugs, "vm");
+  check(serve::kBreakerStateSlugs, "ajar");
+  check(np::kFailureCauseSlugs, "segfault");
+}
+
+// ---------------------------------------------------------------------
+// Record formats: the bytes every wire, journal, cache and report type
+// writes are pinned here, so a codec change cannot drift them silently.
+
+/// Needs every escape the writer knows: quote, backslash, \n \t \r and
+/// a raw control byte.
+const char* const kAwkward = "q\"b\\n\nt\tr\rc\x01";
+
+sim::FaultPlan full_fault_plan() {
+  sim::FaultPlan p;
+  p.seed = 0x123456789abcdefULL;
+  p.bit_flips = 3;
+  p.sim_error_at_step = 1LL << 40;
+  p.fault_block = 7;
+  p.drop_barrier = true;
+  p.skew_index = true;
+  p.stall_block = 2;
+  p.crash_at_step = 11;
+  p.oom_mb = 4096;
+  p.wedge_worker = true;
+  p.corrupt_cache = true;
+  p.tear_cache = true;
+  p.corrupt_cert = true;
+  p.tear_cert = true;
+  return p;
+}
+
+np::Certificate full_certificate() {
+  np::Certificate c;
+  c.kernel = "tmv";
+  c.config = std::string("inter-warp slave=4 ") + kAwkward;
+  c.verdict = np::Verdict::kRefuted;
+  c.detail = "output 'c[0]' differs";
+  c.counterexample_seed = 5;
+  c.geometry = "grid 2x1x1 block 8x1x1";
+  return c;
+}
+
+np::VariantFailure full_variant_failure(np::FailureCause cause) {
+  np::VariantFailure f;
+  f.kernel = "tmv";
+  f.config = "intra-warp slave=8";
+  f.cause = cause;
+  f.detail = kAwkward;
+  f.hazard_count = 12;
+  return f;
+}
+
+np::FallbackDecision full_decision() {
+  np::FallbackDecision d;
+  d.kernel = "tmv";
+  d.used_baseline = false;
+  d.chosen_config = "inter-warp slave=2";
+  d.first_choice = "intra-warp slave=8";
+  d.quarantined = {full_variant_failure(np::FailureCause::kHazards),
+                   full_variant_failure(np::FailureCause::kProvenWrong)};
+  return d;
+}
+
+serve::JobResult full_job_result() {
+  serve::JobResult r;
+  r.index = 4;
+  r.name = "job \"four\"";
+  r.state = serve::JobState::kSucceededAfterRetry;
+  r.cause = "watchdog-trip";
+  r.detail = kAwkward;
+  r.chosen_config = "inter-warp slave=2";
+  r.breaker_key = "tmv|intra-warp slave=8";
+  r.attempts = 3;
+  r.crashed_attempts = 1;
+  r.deadline_ms = 2000;
+  r.virtual_ms = 1234;
+  r.deadline_exceeded = true;
+  r.breaker_routed = true;
+  r.quarantined = {full_variant_failure(np::FailureCause::kWatchdogTrip)};
+  return r;
+}
+
+serve::BreakerSnapshot full_breaker() {
+  serve::BreakerSnapshot b;
+  b.key = "tmv|intra-warp slave=8";
+  b.state = serve::BreakerState::kHalfOpen;
+  b.opens = 2;
+  b.probes = 3;
+  b.short_circuits = 4;
+  return b;
+}
+
+serve::JobOutcome full_outcome() {
+  serve::JobOutcome o;
+  o.ran = true;
+  o.success = true;
+  o.rejected = true;
+  o.reject_cause = "compile-error";
+  o.reject_detail = kAwkward;
+  o.attempts = 2;
+  o.crashed_attempts = 1;
+  o.virtual_ms = 77;
+  o.deadline_exceeded = true;
+  o.deadline_ms = 150;
+  o.breaker_key = "tmv|baseline";
+  o.decision = full_decision();
+  return o;
+}
+
+serve::ServiceReport full_report() {
+  serve::ServiceReport r;
+  r.submitted = 1;
+  r.accepted = 2;
+  r.shed = 3;
+  r.rejected_admission = 4;
+  r.drained = 5;
+  r.succeeded = 6;
+  r.succeeded_after_retry = 7;
+  r.degraded = 8;
+  r.rejected_execution = 9;
+  r.retries = 10;
+  r.crashes = 11;
+  r.resource_limited = 12;
+  r.deadline_exceeded = 13;
+  r.breaker_opens = 14;
+  r.breaker_probes = 15;
+  r.breaker_short_circuits = 16;
+  r.virtual_ms = 1LL << 33;
+  r.breakers = {full_breaker(), full_breaker()};
+  r.jobs = {full_job_result()};
+  return r;
+}
+
+serve::AttemptRequest full_request() {
+  serve::AttemptRequest r;
+  r.source =
+      std::string("__global__ void k(int* o) { o[0] = 1; }") + kAwkward;
+  r.kernel = "tmv";
+  r.elems = 64;
+  r.tb = 16;
+  r.device = "k20c";
+  r.sm_version = 35;
+  r.max_steps = 1LL << 36;
+  r.corrupt_ast = true;
+  r.hook_faults = true;
+  r.fault = full_fault_plan();
+  r.error_limit = 5;
+  r.portable_races = true;
+  r.dedupe = false;
+  r.f32_rel_tol = 2.5e-4;
+  r.heartbeat_ms = 125;
+  r.certify = true;
+  r.certified_fast_path = true;
+  r.certificates = {full_certificate().json(), kAwkward};
+  return r;
+}
+
+serve::AttemptResult full_result() {
+  serve::AttemptResult r;
+  r.rejected = true;
+  r.reject_cause = "no-kernel";
+  r.reject_detail = kAwkward;
+  r.kernel_name = "tmv";
+  r.decision = full_decision();
+  return r;
+}
+
+serve::SubmitRequest full_submit() {
+  serve::SubmitRequest r;
+  r.tenant = "team-a";
+  r.manifest = std::string("file=tmv.cu elems=64\n") + kAwkward;
+  r.base_dir = "/srv/manifests";
+  return r;
+}
+
+serve::SubmitReply full_reply() {
+  serve::SubmitReply r;
+  r.report_text = std::string("batch: 1 submitted\n") + kAwkward;
+  r.report_json = full_breaker().json();
+  return r;
+}
+
+serve::RejectReply full_reject() {
+  serve::RejectReply r;
+  r.cause = "tenant-quota";
+  r.detail = kAwkward;
+  return r;
+}
+
+TEST(Record, GoldenBytes) {
+  // Recorded from the hand-written emitters the record codec replaced.
+  // A literal that stops matching means existing journals (exit 9) and
+  // cache entries no longer load: change a format on purpose or never.
+  auto check = [](const auto& x, const char* golden) {
+    using T = std::decay_t<decltype(x)>;
+    EXPECT_EQ(x.json(), golden);
+    auto back = T::from_json(x.json());
+    ASSERT_TRUE(back.has_value()) << golden;
+    EXPECT_EQ(back->json(), x.json());
+  };
+  check(full_fault_plan(),
+        R"gold({"seed":81985529216486895,"bit_flips":3,"sim_error_at_st)gold"
+        R"gold(ep":1099511627776,"fault_block":7,"drop_barrier":true,"s)gold"
+        R"gold(kew_index":true,"stall_block":2,"crash_at_step":11,"oom_)gold"
+        R"gold(mb":4096,"wedge_worker":true,"corrupt_cache":true,"tear_)gold"
+        R"gold(cache":true,"corrupt_cert":true,"tear_cert":true})gold");
+  check(full_certificate(),
+        R"gold({"kernel":"tmv","config":"inter-warp slave=4 q\"b\\n\nt\)gold"
+        R"gold(tr\rc\u0001","verdict":"refuted","seed":5,"geometry":"gr)gold"
+        R"gold(id 2x1x1 block 8x1x1","detail":"output 'c[0]' differs"})gold");
+  check(full_variant_failure(np::FailureCause::kHazards),
+        R"gold({"kernel":"tmv","config":"intra-warp slave=8","cause":"h)gold"
+        R"gold(azards","hazards":12,"detail":"q\"b\\n\nt\tr\rc\u0001"})gold");
+  check(full_decision(),
+        R"gold({"kernel":"tmv","used_baseline":false,"chosen_config":"i)gold"
+        R"gold(nter-warp slave=2","first_choice":"intra-warp slave=8",")gold"
+        R"gold(quarantined":[{"kernel":"tmv","config":"intra-warp slave)gold"
+        R"gold(=8","cause":"hazards","hazards":12,"detail":"q\"b\\n\nt\)gold"
+        R"gold(tr\rc\u0001"},{"kernel":"tmv","config":"intra-warp slave)gold"
+        R"gold(=8","cause":"proven-wrong","hazards":12,"detail":"q\"b\\)gold"
+        R"gold(n\nt\tr\rc\u0001"}]})gold");
+  check(full_job_result(),
+        R"gold({"index":4,"name":"job \"four\"","state":"succeeded-afte)gold"
+        R"gold(r-retry","cause":"watchdog-trip","detail":"q\"b\\n\nt\tr)gold"
+        R"gold(\rc\u0001","chosen_config":"inter-warp slave=2","breaker)gold"
+        R"gold(_key":"tmv|intra-warp slave=8","attempts":3,"crashed_att)gold"
+        R"gold(empts":1,"deadline_ms":2000,"virtual_ms":1234,"deadline_)gold"
+        R"gold(exceeded":true,"breaker_routed":true,"quarantined":[{"ke)gold"
+        R"gold(rnel":"tmv","config":"intra-warp slave=8","cause":"watch)gold"
+        R"gold(dog-trip","hazards":12,"detail":"q\"b\\n\nt\tr\rc\u0001")gold"
+        R"gold(}]})gold");
+  check(full_breaker(),
+        R"gold({"key":"tmv|intra-warp slave=8","state":"half-open","ope)gold"
+        R"gold(ns":2,"probes":3,"short_circuits":4})gold");
+  check(full_outcome(),
+        R"gold({"ran":true,"success":true,"rejected":true,"reject_cause)gold"
+        R"gold(":"compile-error","reject_detail":"q\"b\\n\nt\tr\rc\u000)gold"
+        R"gold(1","attempts":2,"crashed_attempts":1,"virtual_ms":77,"de)gold"
+        R"gold(adline_exceeded":true,"deadline_ms":150,"breaker_key":"t)gold"
+        R"gold(mv|baseline","decision":{"kernel":"tmv","used_baseline":)gold"
+        R"gold(false,"chosen_config":"inter-warp slave=2","first_choice)gold"
+        R"gold(":"intra-warp slave=8","quarantined":[{"kernel":"tmv","c)gold"
+        R"gold(onfig":"intra-warp slave=8","cause":"hazards","hazards":)gold"
+        R"gold(12,"detail":"q\"b\\n\nt\tr\rc\u0001"},{"kernel":"tmv","c)gold"
+        R"gold(onfig":"intra-warp slave=8","cause":"proven-wrong","haza)gold"
+        R"gold(rds":12,"detail":"q\"b\\n\nt\tr\rc\u0001"}]}})gold");
+  check(full_report(),
+        R"gold({"submitted":1,"accepted":2,"shed":3,"rejected_admission)gold"
+        R"gold(":4,"drained":5,"succeeded":6,"succeeded_after_retry":7,)gold"
+        R"gold("degraded":8,"rejected_execution":9,"retries":10,"crashe)gold"
+        R"gold(s":11,"resource_limited":12,"deadline_exceeded":13,"brea)gold"
+        R"gold(ker_opens":14,"breaker_probes":15,"breaker_short_circuit)gold"
+        R"gold(s":16,"virtual_ms":8589934592,"breakers":[{"key":"tmv|in)gold"
+        R"gold(tra-warp slave=8","state":"half-open","opens":2,"probes")gold"
+        R"gold(:3,"short_circuits":4},{"key":"tmv|intra-warp slave=8",")gold"
+        R"gold(state":"half-open","opens":2,"probes":3,"short_circuits")gold"
+        R"gold(:4}],"jobs":[{"index":4,"name":"job \"four\"","state":"s)gold"
+        R"gold(ucceeded-after-retry","cause":"watchdog-trip","detail":")gold"
+        R"gold(q\"b\\n\nt\tr\rc\u0001","chosen_config":"inter-warp slav)gold"
+        R"gold(e=2","breaker_key":"tmv|intra-warp slave=8","attempts":3)gold"
+        R"gold(,"crashed_attempts":1,"deadline_ms":2000,"virtual_ms":12)gold"
+        R"gold(34,"deadline_exceeded":true,"breaker_routed":true,"quara)gold"
+        R"gold(ntined":[{"kernel":"tmv","config":"intra-warp slave=8",")gold"
+        R"gold(cause":"watchdog-trip","hazards":12,"detail":"q\"b\\n\nt)gold"
+        R"gold(\tr\rc\u0001"}]}]})gold");
+  check(full_request(),
+        R"gold({"source":"__global__ void k(int* o) { o[0] = 1; }q\"b\\)gold"
+        R"gold(n\nt\tr\rc\u0001","kernel":"tmv","elems":64,"tb":16,"dev)gold"
+        R"gold(ice":"k20c","sm_version":35,"max_steps":68719476736,"cor)gold"
+        R"gold(rupt_ast":true,"hook_faults":true,"fault":{"seed":819855)gold"
+        R"gold(29216486895,"bit_flips":3,"sim_error_at_step":1099511627)gold"
+        R"gold(776,"fault_block":7,"drop_barrier":true,"skew_index":tru)gold"
+        R"gold(e,"stall_block":2,"crash_at_step":11,"oom_mb":4096,"wedg)gold"
+        R"gold(e_worker":true,"corrupt_cache":true,"tear_cache":true,"c)gold"
+        R"gold(orrupt_cert":true,"tear_cert":true},"error_limit":5,"por)gold"
+        R"gold(table_races":true,"dedupe":false,"f32_rel_tol":0.0002500)gold"
+        R"gold(0000000000001,"heartbeat_ms":125,"certify":true,"certifi)gold"
+        R"gold(ed_fast_path":true,"certificates":["{\"kernel\":\"tmv\",)gold"
+        R"gold(\"config\":\"inter-warp slave=4 q\\\"b\\\\n\\nt\\tr\\rc\)gold"
+        R"gold(\u0001\",\"verdict\":\"refuted\",\"seed\":5,\"geometry\")gold"
+        R"gold(:\"grid 2x1x1 block 8x1x1\",\"detail\":\"output 'c[0]' d)gold"
+        R"gold(iffers\"}","q\"b\\n\nt\tr\rc\u0001"]})gold");
+  check(full_result(),
+        R"gold({"rejected":true,"reject_cause":"no-kernel","reject_deta)gold"
+        R"gold(il":"q\"b\\n\nt\tr\rc\u0001","kernel_name":"tmv","decisi)gold"
+        R"gold(on":{"kernel":"tmv","used_baseline":false,"chosen_config)gold"
+        R"gold(":"inter-warp slave=2","first_choice":"intra-warp slave=)gold"
+        R"gold(8","quarantined":[{"kernel":"tmv","config":"intra-warp s)gold"
+        R"gold(lave=8","cause":"hazards","hazards":12,"detail":"q\"b\\n)gold"
+        R"gold(\nt\tr\rc\u0001"},{"kernel":"tmv","config":"intra-warp s)gold"
+        R"gold(lave=8","cause":"proven-wrong","hazards":12,"detail":"q\)gold"
+        R"gold("b\\n\nt\tr\rc\u0001"}]}})gold");
+  check(full_submit(),
+        R"gold({"tenant":"team-a","manifest":"file=tmv.cu elems=64\nq\")gold"
+        R"gold(b\\n\nt\tr\rc\u0001","base_dir":"/srv/manifests"})gold");
+  check(full_reply(),
+        R"gold({"report_text":"batch: 1 submitted\nq\"b\\n\nt\tr\rc\u00)gold"
+        R"gold(01","report_json":"{\"key\":\"tmv|intra-warp slave=8\",\)gold"
+        R"gold("state\":\"half-open\",\"opens\":2,\"probes\":3,\"short_)gold"
+        R"gold(circuits\":4}"})gold");
+  check(full_reject(),
+        R"gold({"cause":"tenant-quota","detail":"q\"b\\n\nt\tr\rc\u0001)gold"
+        R"gold("})gold");
+}
+
+TEST(Record, RejectsMalformedShapes) {
+  // An unknown or missing enum slug, a nested record or array of the
+  // wrong kind, or a bad array element rejects the whole record.
+  EXPECT_FALSE(np::VariantFailure::from_json(R"({"cause":"bogus"})"));
+  EXPECT_FALSE(np::VariantFailure::from_json(R"({"kernel":"k"})"));
+  EXPECT_FALSE(np::Certificate::from_json(R"({"verdict":"maybe"})"));
+  EXPECT_FALSE(serve::JobResult::from_json(R"({"state":"nope"})"));
+  EXPECT_FALSE(serve::JobResult::from_json(R"({"state":3})"));
+  EXPECT_FALSE(serve::BreakerSnapshot::from_json(R"({"state":"ajar"})"));
+  EXPECT_FALSE(np::FallbackDecision::from_json(R"({"quarantined":{}})"));
+  EXPECT_FALSE(serve::JobResult::from_json(
+      R"({"state":"degraded","quarantined":{}})"));
+  EXPECT_FALSE(serve::AttemptRequest::from_json(R"({"certificates":[1]})"));
+  EXPECT_FALSE(serve::AttemptRequest::from_json(R"({"certificates":"c"})"));
+  EXPECT_FALSE(serve::AttemptRequest::from_json(R"({"fault":3})"));
+  EXPECT_FALSE(serve::AttemptResult::from_json(R"({"decision":[]})"));
+  EXPECT_FALSE(serve::JobOutcome::from_json(
+      R"({"decision":{"quarantined":[{"cause":"x"}]}})"));
+  EXPECT_FALSE(serve::ServiceReport::from_json(R"({"breakers":{}})"));
+  EXPECT_FALSE(serve::ServiceReport::from_json(R"({"jobs":[{"state":""}]})"));
+  EXPECT_FALSE(serve::SubmitRequest::from_json("[]"));
+  EXPECT_FALSE(serve::SubmitReply::from_json("{"));
+  EXPECT_FALSE(serve::RejectReply::from_json(R"("cause")"));
+
+  // A missing or wrong-kind scalar keeps the struct's default.
+  auto req = serve::AttemptRequest::from_json(
+      R"({"elems":"many","dedupe":1,"device":false,"f32_rel_tol":"x",)"
+      R"("fault":{"fault_block":"x","tear_cert":0}})");
+  ASSERT_TRUE(req.has_value());
+  EXPECT_EQ(req->json(), serve::AttemptRequest{}.json());
 }
 
 // ---------------------------------------------------------------------

@@ -5,8 +5,10 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "serve/wire.hpp"
 #include "support/diagnostics.hpp"
 #include "support/flags.hpp"
 #include "support/json.hpp"
@@ -477,6 +479,31 @@ TEST(Json, DoubleRoundTripAtFullPrecision) {
     ASSERT_TRUE(v.has_value()) << os.str();
     EXPECT_EQ(v->get_double("x"), d) << os.str();
   }
+}
+
+TEST(Json, OutOfRangeNumbersSaturate) {
+  // Casting an out-of-range double to int64_t is undefined behaviour, so
+  // the integer view saturates; the double view keeps the parsed value.
+  // Daemon clients reach this with any numeric key in a submit payload.
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  const std::pair<const char*, std::int64_t> cases[] = {
+      {"1e300", kMax},
+      {"-1e300", kMin},
+      {"99999999999999999999", kMax},
+      {"-99999999999999999999", kMin},
+      {"9223372036854775807", kMax},
+      {"-9223372036854775808", kMin},
+  };
+  for (const auto& [text, want] : cases) {
+    auto v = json::parse(text);
+    ASSERT_TRUE(v.has_value()) << text;
+    EXPECT_EQ(v->as_i64(), want) << text;
+  }
+  EXPECT_EQ(json::parse("1e300")->as_double(), 1e300);
+  auto req = serve::SubmitRequest::from_json(R"({"tenant":"t","x":1e300})");
+  ASSERT_TRUE(req.has_value());
+  EXPECT_EQ(req->tenant, "t");
 }
 
 TEST(Json, RejectsMalformedAndTornInput) {

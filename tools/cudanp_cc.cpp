@@ -73,6 +73,7 @@
 #include "sim/exec_pool.hpp"
 #include "support/diagnostics.hpp"
 #include "support/flags.hpp"
+#include "support/record.hpp"
 #include "transform/preprocess.hpp"
 
 using namespace cudanp;
@@ -212,9 +213,7 @@ FlagTable cli_flags(CliOptions& o) {
       .choice("--isolate",
               "crash isolation: process runs every attempt in a sandboxed "
               "worker subprocess",
-              {{"none", serve::IsolationMode::kNone},
-               {"process", serve::IsolationMode::kProcess}},
-              &s.isolate)
+              record::choices(serve::kIsolationModeSlugs), &s.isolate)
       .integer("--worker-mem-mb",
                "RLIMIT_AS cap per worker in MiB; 0 = uncapped", 1, 1LL << 20,
                &s.worker_mem_mb)
@@ -561,7 +560,7 @@ int run_file(const CliOptions& opt) {
     auto report = np::NpCompiler::validate(k, configs, factory, spec, vopt);
     *os << report.summary() << "\n";
     for (const auto& e : report.entries)
-      if (e.verdict == "refuted") return 11;
+      if (e.verdict == np::to_string(np::Verdict::kRefuted)) return 11;
     return report.all_clean() ? 0 : 3;
   }
 
