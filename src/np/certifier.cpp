@@ -23,7 +23,10 @@ std::string Certificate::str() const {
 }
 
 std::string CertifyOptions::fingerprint() const {
+  // Full double precision: tolerances that differ past the 6th digit
+  // must not share a certificate cache key.
   std::ostringstream os;
+  os.precision(17);
   os << "steps=" << max_steps << " gather=" << max_gather_cells
      << " nodes=" << max_nodes << " attempts=" << counterexample_attempts
      << " replay=" << (replay_check ? 1 : 0) << " rel=" << f32_rel_tol
@@ -106,17 +109,36 @@ bool replay_buffers_match(const sim::DeviceMemory& ref,
   return true;
 }
 
+sim::SymExecOptions sym_options(const CertifyOptions& opt) {
+  sim::SymExecOptions sopt;
+  sopt.max_steps = opt.max_steps;
+  sopt.max_gather_cells = opt.max_gather_cells;
+  sopt.max_nodes = opt.max_nodes;
+  return sopt;
+}
+
 }  // namespace
 
 Certificate Certifier::certify(const ir::Kernel& kernel,
                                const transform::NpConfig& config,
                                const WorkloadFactory& make_workload) const {
+  return JobCertifier(*this, kernel, make_workload).certify(config);
+}
+
+Certificate Certifier::certify_variant(
+    const ir::Kernel& kernel, const transform::TransformResult& variant,
+    const WorkloadFactory& make_workload) const {
+  return JobCertifier(*this, kernel, make_workload).certify(variant);
+}
+
+Certificate JobCertifier::certify(const transform::NpConfig& config) {
   try {
-    transform::TransformResult variant = NpCompiler::transform(kernel, config);
-    return certify_variant(kernel, variant, make_workload);
+    transform::TransformResult variant =
+        NpCompiler::transform(kernel_, config);
+    return certify(variant);
   } catch (const CompileError& e) {
     Certificate c;
-    c.kernel = kernel.name;
+    c.kernel = kernel_.name;
     c.config = config.describe();
     c.verdict = Verdict::kInconclusive;
     c.detail = std::string("transform error: ") + e.what();
@@ -124,76 +146,21 @@ Certificate Certifier::certify(const ir::Kernel& kernel,
   }
 }
 
-Certificate Certifier::certify_variant(
-    const ir::Kernel& kernel, const transform::TransformResult& variant,
-    const WorkloadFactory& make_workload) const {
-  Certificate cert;
-  cert.kernel = kernel.name;
-  cert.config = variant.config.describe();
-
+const JobCertifier::Baseline& JobCertifier::baseline() {
+  if (baseline_) return *baseline_;
   // The probe workload fixes the proof environment's shape: launch
   // geometry, buffer sizes and all int data are taken concrete from it;
   // float buffers and float scalars are abstracted into symbolic leaves.
-  const Workload probe = make_workload();
-  const sim::Dim3 grid = probe.launch.grid;
-  const sim::Dim3 block = probe.launch.block;
+  const Workload probe = make_workload_();
+  Baseline b;
+  b.grid = probe.launch.grid;
+  b.block = probe.launch.block;
   {
     std::ostringstream os;
-    os << "grid " << grid.x << "x" << grid.y << "x" << grid.z << " block "
-       << block.x << "x" << block.y << "x" << block.z;
-    cert.geometry = os.str();
+    os << "grid " << b.grid.x << "x" << b.grid.y << "x" << b.grid.z
+       << " block " << b.block.x << "x" << b.block.y << "x" << b.block.z;
+    b.geometry = os.str();
   }
-
-  auto inconclusive = [&](std::string why) {
-    cert.verdict = Verdict::kInconclusive;
-    cert.detail = std::move(why);
-    return cert;
-  };
-
-  // The concrete counterexample environment for `seed`; returns true —
-  // and commits the refutation — only when the interpreter reproduces a
-  // misbehaviour the baseline does not show. With replay_check off the
-  // symbolic evidence is trusted as-is (fuzzing cross-validates this).
-  auto confirm_refute = [&](std::uint64_t seed, const std::string& sym_why) {
-    if (!opt_.replay_check) {
-      cert.verdict = Verdict::kRefuted;
-      cert.counterexample_seed = seed;
-      cert.detail = sym_why;
-      return true;
-    }
-    Runner runner(spec_, opt_.interp);
-    // Default (lockstep) sanitize: the simulator's lockstep model is the
-    // repo's correctness contract, so a refutation must reproduce under
-    // exactly the checks the empirical validation legs apply.
-    Workload bw = make_workload();
-    seed_certify_floats(bw, seed);
-    ExecutionResult br =
-        runner.execute(ExecutionRequest::baseline(kernel, bw).sanitized());
-    if (!br.clean()) return false;  // can't pin the blame on the variant
-    Workload vw = make_workload();
-    seed_certify_floats(vw, seed);
-    ExecutionResult vr =
-        runner.execute(ExecutionRequest::transformed(variant, vw).sanitized());
-    std::string evidence;
-    if (!vr.clean()) {
-      evidence = vr.hazards().empty() ? std::string("variant failed to run")
-                                      : vr.hazards().front().str();
-    } else if (!replay_buffers_match(*bw.mem, *vw.mem, bw.launch.args,
-                                     opt_.f32_abs_tol, opt_.f32_rel_tol,
-                                     &evidence)) {
-      // evidence filled by the comparator
-    } else {
-      return false;  // did not reproduce
-    }
-    cert.verdict = Verdict::kRefuted;
-    cert.counterexample_seed = seed;
-    cert.detail = sym_why + "; replay: " + evidence;
-    return true;
-  };
-
-  // Symbolic environments mirror the probe workload; the variant adds
-  // its re-homed scratch buffers.
-  std::vector<sim::SymArg> bargs;
   for (std::size_t i = 0; i < probe.launch.args.size(); ++i) {
     sim::SymArg a;
     if (const auto* id = std::get_if<sim::BufferId>(&probe.launch.args[i])) {
@@ -218,30 +185,86 @@ Certificate Certifier::certify_variant(
         a.scalar = v;
       }
     }
-    bargs.push_back(std::move(a));
+    b.args.push_back(std::move(a));
   }
+  b.run = sim::sym_execute(kernel_, b.grid, b.block, b.args, b.arena,
+                           sym_options(certifier_.options()));
+  return baseline_.emplace(std::move(b));
+}
+
+Certificate JobCertifier::certify(const transform::TransformResult& variant) {
+  const CertifyOptions& opt = certifier_.options();
+  Certificate cert;
+  cert.kernel = kernel_.name;
+  cert.config = variant.config.describe();
+  const Baseline& bl = baseline();
+  cert.geometry = bl.geometry;
+
+  auto inconclusive = [&](std::string why) {
+    cert.verdict = Verdict::kInconclusive;
+    cert.detail = std::move(why);
+    return cert;
+  };
+
+  // The concrete counterexample environment for `seed`; returns true —
+  // and commits the refutation — only when the interpreter reproduces a
+  // misbehaviour the baseline does not show. With replay_check off the
+  // symbolic evidence is trusted as-is (fuzzing cross-validates this).
+  auto confirm_refute = [&](std::uint64_t seed, const std::string& sym_why) {
+    if (!opt.replay_check) {
+      cert.verdict = Verdict::kRefuted;
+      cert.counterexample_seed = seed;
+      cert.detail = sym_why;
+      return true;
+    }
+    Runner runner(certifier_.spec(), opt.interp);
+    // Default (lockstep) sanitize: the simulator's lockstep model is the
+    // repo's correctness contract, so a refutation must reproduce under
+    // exactly the checks the empirical validation legs apply.
+    Workload bw = make_workload_();
+    seed_certify_floats(bw, seed);
+    ExecutionResult br =
+        runner.execute(ExecutionRequest::baseline(kernel_, bw).sanitized());
+    if (!br.clean()) return false;  // can't pin the blame on the variant
+    Workload vw = make_workload_();
+    seed_certify_floats(vw, seed);
+    ExecutionResult vr =
+        runner.execute(ExecutionRequest::transformed(variant, vw).sanitized());
+    std::string evidence;
+    if (!vr.clean()) {
+      evidence = vr.hazards().empty() ? std::string("variant failed to run")
+                                      : vr.hazards().front().str();
+    } else if (!replay_buffers_match(*bw.mem, *vw.mem, bw.launch.args,
+                                     opt.f32_abs_tol, opt.f32_rel_tol,
+                                     &evidence)) {
+      // evidence filled by the comparator
+    } else {
+      return false;  // did not reproduce
+    }
+    cert.verdict = Verdict::kRefuted;
+    cert.counterexample_seed = seed;
+    cert.detail = sym_why + "; replay: " + evidence;
+    return true;
+  };
+
+  if (!bl.run.ok) return inconclusive("baseline: " + bl.run.reason);
+  const sim::SymExecResult& base = bl.run;
+  const std::vector<sim::SymArg>& bargs = bl.args;
+
+  // The variant runs on the baseline's environment plus its re-homed
+  // scratch buffers, in a copy of the post-baseline arena.
   std::vector<sim::SymArg> vargs = bargs;
   for (const auto& extra : variant.extra_buffers) {
     sim::SymArg a;
     a.kind = sim::SymArg::Kind::kBufferScratch;
     a.type = extra.type;
-    a.elems = extra.elems_per_block * grid.count();
+    a.elems = extra.elems_per_block * bl.grid.count();
     vargs.push_back(a);
   }
-
-  sim::SymExecOptions sopt;
-  sopt.max_steps = opt_.max_steps;
-  sopt.max_gather_cells = opt_.max_gather_cells;
-  sopt.max_nodes = opt_.max_nodes;
-  sim::SymArena arena;
-
-  sim::SymExecResult base =
-      sim::sym_execute(kernel, grid, block, bargs, arena, sopt);
-  if (!base.ok) return inconclusive("baseline: " + base.reason);
-
-  sim::SymExecResult var = sim::sym_execute(*variant.kernel, grid,
-                                            variant.block_dims, vargs, arena,
-                                            sopt);
+  sim::SymArena arena = bl.arena;
+  sim::SymExecResult var =
+      sim::sym_execute(*variant.kernel, bl.grid, variant.block_dims, vargs,
+                       arena, sym_options(opt));
   if (!var.ok) {
     // A deterministic fault unique to the variant (OOB store, div by
     // zero, warp-level barrier divergence) refutes it — if the
@@ -275,12 +298,12 @@ Certificate Certifier::certify_variant(
       const auto& vv = var.buffers[i];
       if (bb.size() != vv.size())
         return inconclusive("output buffer shapes differ");
-      bool is_float = kernel.params[i].type.scalar == ir::ScalarType::kFloat;
+      bool is_float = kernel_.params[i].type.scalar == ir::ScalarType::kFloat;
       for (std::size_t e = 0; e < bb.size(); ++e) {
         if (bb[e] == vv[e]) continue;
-        if (static_cast<std::int64_t>(arena.size()) > opt_.max_nodes)
+        if (static_cast<std::int64_t>(arena.size()) > opt.max_nodes)
           return inconclusive("normalization expression budget of " +
-                              std::to_string(opt_.max_nodes) +
+                              std::to_string(opt.max_nodes) +
                               " nodes exhausted");
         all_raw_equal = false;
         std::uint32_t nb = arena.normalize(bb[e]);
@@ -313,7 +336,7 @@ Certificate Certifier::certify_variant(
 
   // Normalized expressions differ: hunt for a concrete environment where
   // the values differ beyond tolerance, then make it reproduce.
-  for (int attempt = 1; attempt <= opt_.counterexample_attempts; ++attempt) {
+  for (int attempt = 1; attempt <= opt.counterexample_attempts; ++attempt) {
     auto seed = static_cast<std::uint64_t>(attempt);
     sim::SymEvaluator ev(arena, seed);
     for (const auto& d : diffs) {
@@ -322,12 +345,12 @@ Certificate Certifier::certify_variant(
       bool mismatch =
           d.is_float
               ? !floats_close(static_cast<float>(a.as_f()),
-                              static_cast<float>(b.as_f()), opt_.f32_abs_tol,
-                              opt_.f32_rel_tol)
+                              static_cast<float>(b.as_f()), opt.f32_abs_tol,
+                              opt.f32_rel_tol)
               : a.as_i() != b.as_i();
       if (!mismatch) continue;
       std::ostringstream why;
-      why << "output " << cell_name(kernel, d) << " differs: baseline "
+      why << "output " << cell_name(kernel_, d) << " differs: baseline "
           << arena.str(d.base_id, 4) << " = "
           << (d.is_float ? a.as_f() : static_cast<double>(a.as_i()))
           << ", variant " << arena.str(d.var_id, 4) << " = "
@@ -337,7 +360,7 @@ Certificate Certifier::certify_variant(
   }
   return inconclusive(
       "normalized outputs differ at " + std::to_string(diffs.size()) +
-      " cell(s) (e.g. " + cell_name(kernel, diffs.front()) +
+      " cell(s) (e.g. " + cell_name(kernel_, diffs.front()) +
       ") but no counterexample reproduced through the interpreter");
 }
 

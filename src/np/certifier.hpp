@@ -31,7 +31,8 @@
 // Certificates are plain serializable records so the serve layer can
 // store them content-addressed in serve::ArtifactCache and certify each
 // (kernel, variant) once per daemon lifetime (see docs/robustness.md,
-// "Certification").
+// "Certification"). A JobCertifier proves the baseline of one (kernel,
+// workload) job once and certifies every variant against that proof.
 #pragma once
 
 #include <cstdint>
@@ -39,11 +40,13 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "ir/kernel.hpp"
 #include "np/workload.hpp"
 #include "sim/device.hpp"
 #include "sim/interpreter.hpp"
+#include "sim/symexec.hpp"
 #include "support/record.hpp"
 #include "transform/np_config.hpp"
 #include "transform/transformer.hpp"
@@ -154,7 +157,8 @@ class Certifier {
   /// the shape of `make_workload()` (buffer sizes, launch geometry and
   /// int data come from a probe workload; float data stays symbolic).
   /// Transform errors yield kInconclusive (the config is inapplicable,
-  /// which the empirical path reports as such).
+  /// which the empirical path reports as such). One-shot form of
+  /// JobCertifier::certify.
   [[nodiscard]] Certificate certify(const ir::Kernel& kernel,
                                     const transform::NpConfig& config,
                                     const WorkloadFactory& make_workload) const;
@@ -164,11 +168,49 @@ class Certifier {
       const ir::Kernel& kernel, const transform::TransformResult& variant,
       const WorkloadFactory& make_workload) const;
 
+  [[nodiscard]] const sim::DeviceSpec& spec() const { return spec_; }
   [[nodiscard]] const CertifyOptions& options() const { return opt_; }
 
  private:
   sim::DeviceSpec spec_;
   CertifyOptions opt_;
+};
+
+/// Certifies the variants of one job, one kernel over one workload
+/// shape, against a single baseline proof. The probe workload, the
+/// symbolic arguments and the baseline's symbolic run are built at the
+/// first certify() and shared; each variant then runs on a copy of the
+/// post-baseline expression arena. Its node ids and node budget are
+/// therefore those of a fresh run, and every certificate is
+/// byte-identical to Certifier::certify / certify_variant.
+class JobCertifier {
+ public:
+  /// `certifier` and `kernel` must outlive this object.
+  JobCertifier(const Certifier& certifier, const ir::Kernel& kernel,
+               WorkloadFactory make_workload)
+      : certifier_(certifier),
+        kernel_(kernel),
+        make_workload_(std::move(make_workload)) {}
+
+  [[nodiscard]] Certificate certify(const transform::NpConfig& config);
+  [[nodiscard]] Certificate certify(const transform::TransformResult& variant);
+
+ private:
+  /// The shared proof environment and the baseline's symbolic run.
+  struct Baseline {
+    sim::Dim3 grid;
+    sim::Dim3 block;
+    std::string geometry;
+    std::vector<sim::SymArg> args;
+    sim::SymExecResult run;
+    sim::SymArena arena;  // as the baseline run left it
+  };
+  const Baseline& baseline();
+
+  const Certifier& certifier_;
+  const ir::Kernel& kernel_;
+  WorkloadFactory make_workload_;
+  std::optional<Baseline> baseline_;
 };
 
 /// Overwrites the float content of `w` with the certifier's concrete

@@ -145,25 +145,27 @@ bool buffers_match(const sim::DeviceMemory& ref, const sim::DeviceMemory& got,
   return true;
 }
 
-/// Certifies `variant`, going through the provider cache when bound.
-/// Tolerances and interpreter knobs are inherited from the validation
-/// options so the certifier and the empirical legs agree on what
-/// "equal" means.
-Certificate certify_with_cache(const ir::Kernel& kernel,
-                               const transform::TransformResult& variant,
-                               const sim::DeviceSpec& spec,
-                               const ValidationOptions& opt,
-                               const WorkloadFactory& make_workload) {
-  const std::string config = variant.config.describe();
-  if (opt.certificates.load) {
-    if (auto cached = opt.certificates.load(config)) return *cached;
-  }
+/// The certifier of a validation run. Tolerances and interpreter knobs
+/// are inherited from the validation options so the certifier and the
+/// empirical legs agree on what "equal" means.
+Certifier validation_certifier(const sim::DeviceSpec& spec,
+                               const ValidationOptions& opt) {
   CertifyOptions copt = opt.certify_opts;
   copt.f32_rel_tol = opt.f32_rel_tol;
   copt.f32_abs_tol = opt.f32_abs_tol;
   copt.interp = opt.interp;
-  Certificate cert =
-      Certifier(spec, copt).certify_variant(kernel, variant, make_workload);
+  return Certifier(spec, copt);
+}
+
+/// Certifies `variant`, going through the provider cache when bound.
+Certificate certify_with_cache(JobCertifier& job,
+                               const transform::TransformResult& variant,
+                               const ValidationOptions& opt) {
+  const std::string config = variant.config.describe();
+  if (opt.certificates.load) {
+    if (auto cached = opt.certificates.load(config)) return *cached;
+  }
+  Certificate cert = job.certify(variant);
   if (opt.certificates.save) opt.certificates.save(cert);
   return cert;
 }
@@ -326,6 +328,8 @@ FallbackResult NpCompiler::compile_with_fallback(
     out.decision.first_choice = candidates.front().describe();
   }
 
+  const Certifier certifier = validation_certifier(spec, opt);
+  JobCertifier job(certifier, kernel, make_workload);
   for (const auto& cfg : candidates) {
     VariantFailure f;
     f.kernel = kernel.name;
@@ -345,7 +349,7 @@ FallbackResult NpCompiler::compile_with_fallback(
     // when the certified fast path is on.
     bool fast_path = false;
     if (opt.certify) {
-      Certificate cert = certify_with_cache(kernel, variant, spec, opt, make_workload);
+      Certificate cert = certify_with_cache(job, variant, opt);
       if (cert.verdict == Verdict::kRefuted) {
         f.cause = FailureCause::kProvenWrong;
         f.detail = cert.detail + " (counterexample seed " +
@@ -418,6 +422,8 @@ ValidationReport NpCompiler::validate(
   report.baseline_ran = base_run.ran;
   report.baseline_hazards = base_run.engine.reports();
 
+  const Certifier certifier = validation_certifier(spec, opt);
+  JobCertifier job(certifier, kernel, make_workload);
   for (const auto& cfg : configs) {
     ValidationEntry entry;
     entry.config = cfg.describe();
@@ -431,7 +437,7 @@ ValidationReport NpCompiler::validate(
       continue;
     }
     if (opt.certify) {
-      Certificate cert = certify_with_cache(kernel, variant, spec, opt, make_workload);
+      Certificate cert = certify_with_cache(job, variant, opt);
       entry.verdict = to_string(cert.verdict);
       entry.verdict_detail = cert.detail;
     }

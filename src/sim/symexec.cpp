@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstring>
 #include <sstream>
+#include <stdexcept>
 
 #include "ir/stmt.hpp"
 #include "support/rng.hpp"
@@ -121,29 +122,38 @@ Value coerce_value(Value v, ScalarType to) {
   return v;
 }
 
-std::uint64_t hash_node(const SymNode& n) {
+/// Structural hash of a node and its operands. The final avalanche
+/// matters: the intern index probes on the low bits, and f32 constants
+/// differ only in the high bits of their double pattern.
+std::uint64_t hash_node(const SymNode& n, std::span<const std::uint32_t> kids) {
   std::uint64_t h = 1469598103934665603ull;
   auto mix = [&](std::uint64_t v) {
     h ^= v;
     h *= 1099511628211ull;
   };
-  mix(static_cast<std::uint64_t>(n.kind));
-  mix(static_cast<std::uint64_t>(n.type));
-  mix(n.op);
-  mix(static_cast<std::uint32_t>(n.param));
+  mix(static_cast<std::uint64_t>(n.kind) |
+      static_cast<std::uint64_t>(n.type) << 8 |
+      static_cast<std::uint64_t>(n.op) << 16 |
+      static_cast<std::uint64_t>(static_cast<std::uint32_t>(n.param)) << 32);
   mix(static_cast<std::uint64_t>(n.ival));
   std::uint64_t fb = 0;
   std::memcpy(&fb, &n.fval, sizeof fb);
   mix(fb);
-  for (auto k : n.kids) mix(k);
+  for (auto k : kids) mix(k);
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
   return h;
 }
 
-/// Bit-equality on fval so NaN / -0.0 intern consistently.
-bool node_eq(const SymNode& a, const SymNode& b) {
+/// Bit-equality on fval so NaN / -0.0 intern consistently. Operands are
+/// compared by the caller.
+bool header_eq(const SymNode& a, const SymNode& b) {
   return a.kind == b.kind && a.type == b.type && a.op == b.op &&
          a.param == b.param && a.ival == b.ival &&
-         std::memcmp(&a.fval, &b.fval, sizeof a.fval) == 0 && a.kids == b.kids;
+         std::memcmp(&a.fval, &b.fval, sizeof a.fval) == 0;
 }
 
 std::uint64_t mix_pe(int param, std::int64_t elem) {
@@ -163,15 +173,39 @@ float sym_float_input(std::uint64_t seed, int param, std::int64_t elem) {
 // SymArena
 // ---------------------------------------------------------------------------
 
-std::uint32_t SymArena::intern(SymNode&& n) {
-  std::uint64_t h = hash_node(n);
-  auto& bucket = index_[h];
-  for (auto id : bucket)
-    if (node_eq(nodes_[id], n)) return id;
-  nodes_.push_back(std::move(n));
-  auto id = static_cast<std::uint32_t>(nodes_.size() - 1);
-  bucket.push_back(id);
+std::uint32_t SymArena::intern(const SymNode& n,
+                               std::span<const std::uint32_t> kids) {
+  if (index_.empty()) index_.assign(1024, kInvalid);
+  const std::uint64_t h = hash_node(n, kids);
+  const std::size_t mask = index_.size() - 1;
+  std::size_t slot = h & mask;
+  for (; index_[slot] != kInvalid; slot = (slot + 1) & mask) {
+    const std::uint32_t id = index_[slot];
+    if (hashes_[id] == h && header_eq(nodes_[id], n) &&
+        std::ranges::equal(kids, this->kids(id)))
+      return id;
+  }
+  if (nodes_.size() >= kInvalid || kids_.size() + kids.size() > kInvalid)
+    throw std::length_error("symbolic expression arena exhausted");
+  const auto id = static_cast<std::uint32_t>(nodes_.size());
+  SymNode& stored = nodes_.emplace_back(n);
+  stored.kid_begin = static_cast<std::uint32_t>(kids_.size());
+  stored.kid_count = static_cast<std::uint32_t>(kids.size());
+  kids_.insert(kids_.end(), kids.begin(), kids.end());
+  hashes_.push_back(h);
+  index_[slot] = id;
+  if (nodes_.size() * 2 > index_.size()) grow_index();
   return id;
+}
+
+void SymArena::grow_index() {
+  index_.assign(index_.size() * 2, kInvalid);
+  const std::size_t mask = index_.size() - 1;
+  for (std::uint32_t id = 0; id < nodes_.size(); ++id) {
+    std::size_t slot = hashes_[id] & mask;
+    while (index_[slot] != kInvalid) slot = (slot + 1) & mask;
+    index_[slot] = id;
+  }
 }
 
 std::uint32_t SymArena::cint(std::int64_t v) {
@@ -179,7 +213,7 @@ std::uint32_t SymArena::cint(std::int64_t v) {
   n.kind = SymKind::kConstInt;
   n.type = ScalarType::kInt;
   n.ival = v;
-  return intern(std::move(n));
+  return intern(n, {});
 }
 
 std::uint32_t SymArena::cfloat(double v) {
@@ -187,7 +221,7 @@ std::uint32_t SymArena::cfloat(double v) {
   n.kind = SymKind::kConstFloat;
   n.type = ScalarType::kFloat;
   n.fval = Value::of_float(v).to_f32().f;
-  return intern(std::move(n));
+  return intern(n, {});
 }
 
 std::uint32_t SymArena::input(std::int32_t param, std::int64_t elem,
@@ -197,7 +231,7 @@ std::uint32_t SymArena::input(std::int32_t param, std::int64_t elem,
   n.type = type;
   n.param = param;
   n.ival = elem;
-  return intern(std::move(n));
+  return intern(n, {});
 }
 
 bool SymArena::constant(std::uint32_t id, Value* out) const {
@@ -236,8 +270,8 @@ std::uint32_t SymArena::bin(BinOp op, std::uint32_t a, std::uint32_t b) {
       break;
     default: n.type = ScalarType::kInt; break;
   }
-  n.kids = {a, b};
-  return intern(std::move(n));
+  const std::uint32_t kids[] = {a, b};
+  return intern(n, kids);
 }
 
 std::uint32_t SymArena::un(UnOp op, std::uint32_t a) {
@@ -250,8 +284,7 @@ std::uint32_t SymArena::un(UnOp op, std::uint32_t a) {
   n.kind = SymKind::kUnary;
   n.op = static_cast<std::uint8_t>(op);
   n.type = op == UnOp::kNeg ? nodes_[a].type : ScalarType::kInt;
-  n.kids = {a};
-  return intern(std::move(n));
+  return intern(n, {&a, 1});
 }
 
 std::uint32_t SymArena::call(SymFn fn, std::vector<std::uint32_t> kids) {
@@ -272,8 +305,7 @@ std::uint32_t SymArena::call(SymFn fn, std::vector<std::uint32_t> kids) {
   n.type = (fn == SymFn::kAbs || fn == SymFn::kMin || fn == SymFn::kMax)
                ? (any_float ? ScalarType::kFloat : ScalarType::kInt)
                : ScalarType::kFloat;
-  n.kids = std::move(kids);
-  return intern(std::move(n));
+  return intern(n, kids);
 }
 
 std::uint32_t SymArena::cast(ScalarType to, std::uint32_t a) {
@@ -292,8 +324,7 @@ std::uint32_t SymArena::cast(ScalarType to, std::uint32_t a) {
   n.kind = SymKind::kCast;
   n.op = static_cast<std::uint8_t>(target);
   n.type = target;
-  n.kids = {a};
-  return intern(std::move(n));
+  return intern(n, {&a, 1});
 }
 
 std::uint32_t SymArena::select(std::uint32_t c, std::uint32_t a,
@@ -307,8 +338,8 @@ std::uint32_t SymArena::select(std::uint32_t c, std::uint32_t a,
             nodes_[b].type == ScalarType::kFloat)
                ? ScalarType::kFloat
                : ScalarType::kInt;
-  n.kids = {c, a, b};
-  return intern(std::move(n));
+  const std::uint32_t kids[] = {c, a, b};
+  return intern(n, kids);
 }
 
 std::uint32_t SymArena::gather(std::uint32_t idx,
@@ -332,20 +363,11 @@ std::uint32_t SymArena::gather(std::uint32_t idx,
   SymNode n;
   n.kind = SymKind::kGather;
   n.type = type;
-  n.kids.reserve(cells.size() + 1);
-  n.kids.push_back(idx);
-  n.kids.insert(n.kids.end(), cells.begin(), cells.end());
-  return intern(std::move(n));
-}
-
-std::uint32_t SymArena::nary(SymNaryOp op, ScalarType type,
-                             std::vector<std::uint32_t> kids) {
-  SymNode n;
-  n.kind = SymKind::kNary;
-  n.op = static_cast<std::uint8_t>(op);
-  n.type = type;
-  n.kids = std::move(kids);
-  return intern(std::move(n));
+  std::vector<std::uint32_t> kids;
+  kids.reserve(cells.size() + 1);
+  kids.push_back(idx);
+  kids.insert(kids.end(), cells.begin(), cells.end());
+  return intern(n, kids);
 }
 
 namespace {
@@ -360,171 +382,272 @@ Value combine_nary(SymNaryOp op, Value a, Value b) {
   return a;
 }
 
-}  // namespace
+/// The neutral element of + (0) and * (1); min/max have none.
+bool is_neutral(SymNaryOp op, Value v) {
+  if (op == SymNaryOp::kAdd) return v.is_float() ? v.f == 0.0 : v.i == 0;
+  if (op == SymNaryOp::kMul) return v.is_float() ? v.f == 1.0 : v.i == 1;
+  return false;
+}
 
-std::uint32_t SymArena::make_nary(SymNaryOp op, ScalarType type,
-                                  std::vector<std::uint32_t> operands) {
-  // Flatten same-op sub-chains (AC), fold constants in encounter order,
-  // drop the neutral element (0 for +, 1 for *), dedupe idempotent
-  // min/max operands, sort by interned id.
-  std::vector<std::uint32_t> flat;
-  for (auto o : operands) {
-    const SymNode& on = nodes_[o];
-    if (on.kind == SymKind::kNary && static_cast<SymNaryOp>(on.op) == op)
-      flat.insert(flat.end(), on.kids.begin(), on.kids.end());
-    else
-      flat.push_back(o);
-  }
-  bool have_c = false;
-  Value acc{};
-  std::vector<std::uint32_t> rest;
-  bool any_float = type == ScalarType::kFloat;
-  for (auto o : flat) {
-    Value v;
-    if (constant(o, &v)) {
-      acc = have_c ? combine_nary(op, acc, v) : v;
-      have_c = true;
-    } else {
-      rest.push_back(o);
-      any_float = any_float || nodes_[o].type == ScalarType::kFloat;
+/// The AC chain a raw node continues under normalization, if any: + and
+/// - extend a + chain, * a * chain, min/fminf and max/fmaxf their
+/// min/max chains.
+bool chain_op(const SymNode& n, SymNaryOp* op) {
+  if (n.kind == SymKind::kBin) {
+    switch (static_cast<BinOp>(n.op)) {
+      case BinOp::kAdd:
+      case BinOp::kSub: *op = SymNaryOp::kAdd; return true;
+      case BinOp::kMul: *op = SymNaryOp::kMul; return true;
+      default: return false;
     }
   }
-  if (have_c) {
-    any_float = any_float || acc.is_float();
-    bool neutral = false;
-    if (op == SymNaryOp::kAdd)
-      neutral = acc.is_float() ? acc.f == 0.0 : acc.i == 0;
-    else if (op == SymNaryOp::kMul)
-      neutral = acc.is_float() ? acc.f == 1.0 : acc.i == 1;
-    if (!neutral || rest.empty())
-      rest.push_back(acc.is_float() ? cfloat(acc.f) : cint(acc.i));
+  if (n.kind == SymKind::kCall) {
+    switch (static_cast<SymFn>(n.op)) {
+      case SymFn::kMin:
+      case SymFn::kFminf: *op = SymNaryOp::kMin; return true;
+      case SymFn::kMax:
+      case SymFn::kFmaxf: *op = SymNaryOp::kMax; return true;
+      default: return false;
+    }
   }
-  // Reduction chains normalize prefix-by-prefix, so the flattened kids
-  // usually arrive already sorted; skipping the sort keeps a length-k
-  // chain O(k) per prefix instead of O(k log k).
-  if (!std::is_sorted(rest.begin(), rest.end()))
-    std::sort(rest.begin(), rest.end());
+  return false;
+}
+
+void fold(SymNaryOp op, Value v, bool* have, Value* acc) {
+  *acc = *have ? combine_nary(op, *acc, v) : v;
+  *have = true;
+}
+
+}  // namespace
+
+void SymArena::absorb(SymNaryOp op, std::uint32_t operand, Folded& c) {
+  // A canonical same-op chain contributes its operands (AC flattening);
+  // its kids are never same-op chains themselves.
+  const SymNode& on = nodes_[operand];
+  std::span<const std::uint32_t> parts{&operand, 1};
+  if (on.kind == SymKind::kNary && static_cast<SymNaryOp>(on.op) == op)
+    parts = kids(operand);
+  for (auto o : parts) {
+    Value v;
+    if (constant(o, &v))
+      fold(op, v, &c.have, &c.value);
+    else
+      chain_rest_.push_back(o);
+  }
+}
+
+std::uint32_t SymArena::finish_chain(SymNaryOp op, ScalarType type,
+                                     std::size_t begin, Folded c) {
+  // The chain's non-constant operands are chain_rest_[begin, end). Keep
+  // the folded constant unless it is the neutral element, dedupe
+  // idempotent min/max operands, sort by interned id.
+  bool any_float = type == ScalarType::kFloat;
+  for (std::size_t i = begin; i < chain_rest_.size(); ++i)
+    any_float = any_float || nodes_[chain_rest_[i]].type == ScalarType::kFloat;
+  if (c.have) {
+    any_float = any_float || c.value.is_float();
+    if (!is_neutral(op, c.value) || chain_rest_.size() == begin) {
+      const std::uint32_t k =
+          c.value.is_float() ? cfloat(c.value.f) : cint(c.value.i);
+      chain_rest_.push_back(k);
+    }
+  }
+  auto first = chain_rest_.begin() + static_cast<std::ptrdiff_t>(begin);
+  std::sort(first, chain_rest_.end());
   if (op == SymNaryOp::kMin || op == SymNaryOp::kMax)
-    rest.erase(std::unique(rest.begin(), rest.end()), rest.end());
-  if (rest.size() == 1) return rest[0];
-  return nary(op, any_float ? ScalarType::kFloat : ScalarType::kInt,
-              std::move(rest));
+    chain_rest_.erase(std::unique(first, chain_rest_.end()),
+                      chain_rest_.end());
+  std::uint32_t r = chain_rest_[begin];
+  if (chain_rest_.size() - begin > 1) {
+    SymNode n;
+    n.kind = SymKind::kNary;
+    n.op = static_cast<std::uint8_t>(op);
+    n.type = any_float ? ScalarType::kFloat : ScalarType::kInt;
+    r = intern(n, std::span(chain_rest_).subspan(begin));
+  }
+  chain_rest_.resize(begin);
+  return r;
+}
+
+std::uint32_t SymArena::make_nary(
+    SymNaryOp op, ScalarType type,
+    std::initializer_list<std::uint32_t> operands) {
+  const std::size_t begin = chain_rest_.size();
+  Folded c;
+  for (auto o : operands) absorb(op, o, c);
+  return finish_chain(op, type, begin, c);
+}
+
+std::uint32_t SymArena::normalize_chain(std::uint32_t root, SymNaryOp op) {
+  // One walk over the maximal `op` chain under `root`, collecting its
+  // operands into one list. The result equals normalizing every chain
+  // node bottom-up into its own kNary (which costs one node per prefix,
+  // O(k^2) operands for a length-k chain): each node's constants fold
+  // before its parent's, and a neutral constant is dropped wherever
+  // that node's own normalization would drop it, so folding order and
+  // node types are unchanged. Nodes normalized earlier end the walk and
+  // contribute their canonical form.
+  const std::size_t rest_begin = chain_rest_.size();
+  const std::size_t seen_begin = chain_seen_.size();
+  Folded c;
+  collect_chain(root, op, seen_begin, c);
+  for (std::size_t i = chain_seen_.size(); i-- > seen_begin;)
+    chain_slot_[chain_seen_[i].id] = chain_seen_[i].prev_slot;
+  chain_seen_.resize(seen_begin);
+  return finish_chain(op, nodes_[root].type, rest_begin, c);
+}
+
+void SymArena::collect_chain(std::uint32_t id, SymNaryOp op,
+                             std::size_t seen_begin, Folded& c) {
+  const SymNode n = nodes_[id];  // copy: normalize() below may grow nodes_
+  const bool idempotent = op == SymNaryOp::kMin || op == SymNaryOp::kMax;
+  for (std::uint32_t i = 0; i < n.kid_count; ++i) {
+    const std::uint32_t k = kids_[n.kid_begin + i];
+    // a - b continues the + chain with the operand (-1 * b).
+    const bool negated = n.kind == SymKind::kBin &&
+                         static_cast<BinOp>(n.op) == BinOp::kSub && i == 1;
+    SymNaryOp kop{};
+    if (!negated && chain_op(nodes_[k], &kop) && kop == op &&
+        (k >= norm_memo_.size() || norm_memo_[k] == kInvalid)) {
+      // A min/max node reached again adds only operands that are
+      // already collected (finish_chain dedupes them), so it contributes
+      // just its folded constant. That still folds here: the first path
+      // may have lost it under a NaN. A + or * node counts once per path.
+      const std::size_t kid_rest = chain_rest_.size();
+      Folded kc;
+      const std::uint32_t slot =
+          k < chain_slot_.size() ? chain_slot_[k] : kInvalid;
+      if (idempotent && slot != kInvalid && slot >= seen_begin &&
+          slot < chain_seen_.size() && chain_seen_[slot].id == k) {
+        kc = chain_seen_[slot].c;
+      } else {
+        collect_chain(k, op, seen_begin, kc);
+        if (idempotent) {
+          if (chain_slot_.size() <= k)
+            chain_slot_.resize(nodes_.size(), kInvalid);
+          chain_seen_.push_back(SeenChain{k, chain_slot_[k], kc});
+          chain_slot_[k] = static_cast<std::uint32_t>(chain_seen_.size() - 1);
+        }
+      }
+      // The kid's own normalization keeps its constant only when it is
+      // not neutral or the kid has no other operand.
+      if (kc.have && (!is_neutral(op, kc.value) ||
+                      chain_rest_.size() == kid_rest))
+        fold(op, kc.value, &c.have, &c.value);
+      continue;
+    }
+    std::uint32_t x = normalize(k);
+    if (negated)
+      x = make_nary(SymNaryOp::kMul, nodes_[x].type, {cint(-1), x});
+    absorb(op, x, c);
+  }
 }
 
 std::uint32_t SymArena::normalize(std::uint32_t id) {
   if (id == kInvalid) return id;
-  auto it = norm_memo_.find(id);
-  if (it != norm_memo_.end()) return it->second;
+  if (id < norm_memo_.size() && norm_memo_[id] != kInvalid)
+    return norm_memo_[id];
   const SymNode n = nodes_[id];  // copy: builders below may grow nodes_
+  auto kid = [&](std::size_t i) { return kids_[n.kid_begin + i]; };
   std::uint32_t r = id;
-  switch (n.kind) {
-    case SymKind::kConstInt:
-    case SymKind::kConstFloat:
-    case SymKind::kInput:
-    case SymKind::kNary:  // only the normalizer creates these, canonically
-      r = id;
-      break;
-    case SymKind::kBin: {
-      std::uint32_t a = normalize(n.kids[0]);
-      std::uint32_t b = normalize(n.kids[1]);
-      auto op = static_cast<BinOp>(n.op);
-      switch (op) {
-        case BinOp::kAdd:
-          r = make_nary(SymNaryOp::kAdd, n.type, {a, b});
-          break;
-        case BinOp::kSub:
-          r = make_nary(
-              SymNaryOp::kAdd, n.type,
-              {a, make_nary(SymNaryOp::kMul, nodes_[b].type, {cint(-1), b})});
-          break;
-        case BinOp::kMul:
-          r = make_nary(SymNaryOp::kMul, n.type, {a, b});
-          break;
-        case BinOp::kGt: r = bin(BinOp::kLt, b, a); break;
-        case BinOp::kGe: r = bin(BinOp::kLe, b, a); break;
-        case BinOp::kEq:
-        case BinOp::kNe:
-        case BinOp::kLAnd:
-        case BinOp::kLOr:
-        case BinOp::kBitAnd:
-        case BinOp::kBitOr:
-        case BinOp::kBitXor:
-          if (a > b) std::swap(a, b);
-          r = bin(op, a, b);
-          break;
-        default: r = bin(op, a, b); break;
-      }
-      break;
-    }
-    case SymKind::kUnary: {
-      std::uint32_t a = normalize(n.kids[0]);
-      if (static_cast<UnOp>(n.op) == UnOp::kNeg)
-        r = make_nary(SymNaryOp::kMul, nodes_[a].type, {cint(-1), a});
-      else
-        r = un(UnOp::kLNot, a);
-      break;
-    }
-    case SymKind::kCall: {
-      std::vector<std::uint32_t> kids;
-      kids.reserve(n.kids.size());
-      for (auto k : n.kids) kids.push_back(normalize(k));
-      auto fn = static_cast<SymFn>(n.op);
-      if (fn == SymFn::kMin || fn == SymFn::kFminf)
-        r = make_nary(SymNaryOp::kMin, n.type, std::move(kids));
-      else if (fn == SymFn::kMax || fn == SymFn::kFmaxf)
-        r = make_nary(SymNaryOp::kMax, n.type, std::move(kids));
-      else
-        r = call(fn, std::move(kids));
-      break;
-    }
-    case SymKind::kCast:
-      r = cast(static_cast<ScalarType>(n.op), normalize(n.kids[0]));
-      break;
-    case SymKind::kSelect: {
-      std::uint32_t c = normalize(n.kids[0]);
-      std::uint32_t t = normalize(n.kids[1]);
-      std::uint32_t e = normalize(n.kids[2]);
-      Value cv;
-      if (constant(c, &cv)) {
-        r = cv.truthy() ? t : e;
+  SymNaryOp chain{};
+  if (chain_op(n, &chain)) {
+    r = normalize_chain(id, chain);
+  } else {
+    switch (n.kind) {
+      case SymKind::kConstInt:
+      case SymKind::kConstFloat:
+      case SymKind::kInput:
+      case SymKind::kNary:  // only the normalizer creates these, canonically
+        r = id;
+        break;
+      case SymKind::kBin: {
+        std::uint32_t a = normalize(kid(0));
+        std::uint32_t b = normalize(kid(1));
+        auto op = static_cast<BinOp>(n.op);
+        switch (op) {
+          case BinOp::kGt: r = bin(BinOp::kLt, b, a); break;
+          case BinOp::kGe: r = bin(BinOp::kLe, b, a); break;
+          case BinOp::kEq:
+          case BinOp::kNe:
+          case BinOp::kLAnd:
+          case BinOp::kLOr:
+          case BinOp::kBitAnd:
+          case BinOp::kBitOr:
+          case BinOp::kBitXor:
+            if (a > b) std::swap(a, b);
+            r = bin(op, a, b);
+            break;
+          default: r = bin(op, a, b); break;
+        }
         break;
       }
-      if (t == e) {
-        r = t;
+      case SymKind::kUnary: {
+        std::uint32_t a = normalize(kid(0));
+        if (static_cast<UnOp>(n.op) == UnOp::kNeg)
+          r = make_nary(SymNaryOp::kMul, nodes_[a].type, {cint(-1), a});
+        else
+          r = un(UnOp::kLNot, a);
         break;
       }
-      const SymNode& cn = nodes_[c];
-      bool made = false;
-      if (cn.kind == SymKind::kBin) {
-        auto cop = static_cast<BinOp>(cn.op);
-        if (cop == BinOp::kLt || cop == BinOp::kLe) {
-          std::uint32_t x = cn.kids[0], y = cn.kids[1];
-          ScalarType ty = (nodes_[t].type == ScalarType::kFloat ||
-                           nodes_[e].type == ScalarType::kFloat)
-                              ? ScalarType::kFloat
-                              : ScalarType::kInt;
-          if (t == x && e == y) {
-            r = make_nary(SymNaryOp::kMin, ty, {x, y});
-            made = true;
-          } else if (t == y && e == x) {
-            r = make_nary(SymNaryOp::kMax, ty, {x, y});
-            made = true;
+      case SymKind::kCall: {
+        std::vector<std::uint32_t> kids;
+        kids.reserve(n.kid_count);
+        for (std::uint32_t i = 0; i < n.kid_count; ++i)
+          kids.push_back(normalize(kid(i)));
+        r = call(static_cast<SymFn>(n.op), std::move(kids));
+        break;
+      }
+      case SymKind::kCast:
+        r = cast(static_cast<ScalarType>(n.op), normalize(kid(0)));
+        break;
+      case SymKind::kSelect: {
+        std::uint32_t c = normalize(kid(0));
+        std::uint32_t t = normalize(kid(1));
+        std::uint32_t e = normalize(kid(2));
+        Value cv;
+        if (constant(c, &cv)) {
+          r = cv.truthy() ? t : e;
+          break;
+        }
+        if (t == e) {
+          r = t;
+          break;
+        }
+        const SymNode& cn = nodes_[c];
+        bool made = false;
+        if (cn.kind == SymKind::kBin) {
+          auto cop = static_cast<BinOp>(cn.op);
+          if (cop == BinOp::kLt || cop == BinOp::kLe) {
+            std::uint32_t x = kids(c)[0], y = kids(c)[1];
+            ScalarType ty = (nodes_[t].type == ScalarType::kFloat ||
+                             nodes_[e].type == ScalarType::kFloat)
+                                ? ScalarType::kFloat
+                                : ScalarType::kInt;
+            if (t == x && e == y) {
+              r = make_nary(SymNaryOp::kMin, ty, {x, y});
+              made = true;
+            } else if (t == y && e == x) {
+              r = make_nary(SymNaryOp::kMax, ty, {x, y});
+              made = true;
+            }
           }
         }
+        if (!made) r = select(c, t, e);
+        break;
       }
-      if (!made) r = select(c, t, e);
-      break;
-    }
-    case SymKind::kGather: {
-      std::uint32_t idx = normalize(n.kids[0]);
-      std::vector<std::uint32_t> cells;
-      cells.reserve(n.kids.size() - 1);
-      for (std::size_t i = 1; i < n.kids.size(); ++i)
-        cells.push_back(normalize(n.kids[i]));
-      r = gather(idx, cells, n.type);
-      break;
+      case SymKind::kGather: {
+        std::uint32_t idx = normalize(kid(0));
+        std::vector<std::uint32_t> cells;
+        cells.reserve(n.kid_count - 1);
+        for (std::uint32_t i = 1; i < n.kid_count; ++i)
+          cells.push_back(normalize(kid(i)));
+        r = gather(idx, cells, n.type);
+        break;
+      }
     }
   }
+  if (norm_memo_.size() <= id) norm_memo_.resize(nodes_.size(), kInvalid);
   norm_memo_[id] = r;
   return r;
 }
@@ -532,9 +655,10 @@ std::uint32_t SymArena::normalize(std::uint32_t id) {
 std::string SymArena::str(std::uint32_t id, int max_depth) const {
   if (id == kInvalid) return "<uninit>";
   const SymNode& n = nodes_[id];
+  const auto ks = kids(id);
   if (max_depth <= 0) return "...";
   std::ostringstream os;
-  auto kid = [&](std::size_t i) { return str(n.kids[i], max_depth - 1); };
+  auto kid = [&](std::size_t i) { return str(ks[i], max_depth - 1); };
   switch (n.kind) {
     case SymKind::kConstInt: os << n.ival; break;
     case SymKind::kConstFloat: os << n.fval << "f"; break;
@@ -557,7 +681,7 @@ std::string SymArena::str(std::uint32_t id, int max_depth) const {
                                      "abs",   "min",   "max",   "fminf",
                                      "fmaxf", "powf"};
       os << kNames[n.op] << "(";
-      for (std::size_t i = 0; i < n.kids.size(); ++i)
+      for (std::size_t i = 0; i < ks.size(); ++i)
         os << (i ? ", " : "") << kid(i);
       os << ")";
       break;
@@ -570,12 +694,12 @@ std::string SymArena::str(std::uint32_t id, int max_depth) const {
       os << "(" << kid(0) << " ? " << kid(1) << " : " << kid(2) << ")";
       break;
     case SymKind::kGather:
-      os << "gather[" << (n.kids.size() - 1) << "](" << kid(0) << ")";
+      os << "gather[" << (ks.size() - 1) << "](" << kid(0) << ")";
       break;
     case SymKind::kNary: {
       static const char* kOps[] = {" + ", " * ", " min ", " max "};
       os << "(";
-      for (std::size_t i = 0; i < n.kids.size(); ++i)
+      for (std::size_t i = 0; i < ks.size(); ++i)
         os << (i ? kOps[n.op] : "") << kid(i);
       os << ")";
       break;
@@ -1575,6 +1699,7 @@ bool SymEvaluator::eval(std::uint32_t id, Value* out) {
     return true;
   }
   const SymNode& n = arena_.node(id);
+  const auto ks = arena_.kids(id);
   Value r;
   try {
     switch (n.kind) {
@@ -1586,52 +1711,52 @@ bool SymEvaluator::eval(std::uint32_t id, Value* out) {
         break;
       case SymKind::kBin: {
         Value a, b;
-        if (!eval(n.kids[0], &a) || !eval(n.kids[1], &b)) return false;
+        if (!eval(ks[0], &a) || !eval(ks[1], &b)) return false;
         r = eval_bin_value(static_cast<ir::BinOp>(n.op), a, b);
         break;
       }
       case SymKind::kUnary: {
         Value a;
-        if (!eval(n.kids[0], &a)) return false;
+        if (!eval(ks[0], &a)) return false;
         r = eval_un_value(static_cast<ir::UnOp>(n.op), a);
         break;
       }
       case SymKind::kCall: {
-        std::vector<Value> xs(n.kids.size());
-        for (std::size_t i = 0; i < n.kids.size(); ++i)
-          if (!eval(n.kids[i], &xs[i])) return false;
+        std::vector<Value> xs(ks.size());
+        for (std::size_t i = 0; i < ks.size(); ++i)
+          if (!eval(ks[i], &xs[i])) return false;
         r = eval_call_value(static_cast<SymFn>(n.op), xs);
         break;
       }
       case SymKind::kCast: {
         Value a;
-        if (!eval(n.kids[0], &a)) return false;
+        if (!eval(ks[0], &a)) return false;
         r = coerce_value(a, static_cast<ir::ScalarType>(n.op));
         break;
       }
       case SymKind::kSelect: {
         Value c, a, b;
-        if (!eval(n.kids[0], &c) || !eval(n.kids[1], &a) ||
-            !eval(n.kids[2], &b))
+        if (!eval(ks[0], &c) || !eval(ks[1], &a) ||
+            !eval(ks[2], &b))
           return false;
         r = c.truthy() ? a : b;
         break;
       }
       case SymKind::kGather: {
         Value iv;
-        if (!eval(n.kids[0], &iv)) return false;
+        if (!eval(ks[0], &iv)) return false;
         std::int64_t i = iv.as_i();
-        auto ncells = static_cast<std::int64_t>(n.kids.size()) - 1;
+        auto ncells = static_cast<std::int64_t>(ks.size()) - 1;
         if (i < 0 || i >= ncells) return false;
-        if (!eval(n.kids[static_cast<std::size_t>(1 + i)], &r)) return false;
+        if (!eval(ks[static_cast<std::size_t>(1 + i)], &r)) return false;
         break;
       }
       case SymKind::kNary: {
-        if (!eval(n.kids[0], &r)) return false;
+        if (!eval(ks[0], &r)) return false;
         auto op = static_cast<SymNaryOp>(n.op);
-        for (std::size_t i = 1; i < n.kids.size(); ++i) {
+        for (std::size_t i = 1; i < ks.size(); ++i) {
           Value x;
-          if (!eval(n.kids[i], &x)) return false;
+          if (!eval(ks[i], &x)) return false;
           r = combine_nary(op, r, x);
         }
         break;

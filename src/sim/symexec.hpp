@@ -30,6 +30,8 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -73,7 +75,9 @@ struct SymNode {
   std::int32_t param = -1;   // kInput: argument index
   std::int64_t ival = 0;     // kConstInt value / kInput element index
   double fval = 0.0;         // kConstFloat value
-  std::vector<std::uint32_t> kids;
+  /// Operands, stored in the arena's shared pool: SymArena::kids(id).
+  std::uint32_t kid_begin = 0;
+  std::uint32_t kid_count = 0;
 };
 
 /// Raised by constant folding when the folded operation would make the
@@ -87,6 +91,11 @@ struct SymFault {
 /// expressions built in the *same* arena is id equality. Builders fold
 /// eagerly when every operand is constant, replicating the interpreter's
 /// exact semantics (f32 rounding on float ops and math calls).
+///
+/// Storage is flat: nodes, their hashes and one operand pool are plain
+/// vectors, and the intern index is an open-addressing table of node
+/// ids, so copying an arena (the certifier starts every variant from a
+/// copy of the post-baseline arena) is a handful of memcpys.
 class SymArena {
  public:
   static constexpr std::uint32_t kInvalid = 0xffffffffu;
@@ -106,12 +115,14 @@ class SymArena {
   [[nodiscard]] std::uint32_t gather(std::uint32_t idx,
                                      const std::vector<std::uint32_t>& cells,
                                      ir::ScalarType type);
-  /// Interns an already-normalized n-ary chain (operands must be sorted).
-  [[nodiscard]] std::uint32_t nary(SymNaryOp op, ir::ScalarType type,
-                                   std::vector<std::uint32_t> kids);
 
   [[nodiscard]] const SymNode& node(std::uint32_t id) const {
     return nodes_[id];
+  }
+  /// Operands of node `id`; valid until the next node is built.
+  [[nodiscard]] std::span<const std::uint32_t> kids(std::uint32_t id) const {
+    const SymNode& n = nodes_[id];
+    return {kids_.data() + n.kid_begin, n.kid_count};
   }
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
 
@@ -121,20 +132,58 @@ class SymArena {
   /// Canonical form: constants folded, sub/neg rewritten into add/mul
   /// chains, +,*,min,max flattened into sorted kNary nodes, comparisons
   /// oriented, select-over-comparison rewritten to min/max. Memoized.
+  /// A maximal same-operator chain is flattened in one walk, so a
+  /// length-k reduction costs O(k log k), not one node per prefix; a
+  /// min/max chain node reached along several paths is walked once.
   [[nodiscard]] std::uint32_t normalize(std::uint32_t id);
 
   /// Renders an expression for diagnostics (depth-capped).
   [[nodiscard]] std::string str(std::uint32_t id, int max_depth = 6) const;
 
  private:
-  [[nodiscard]] std::uint32_t intern(SymNode&& n);
+  /// The constant operands of an AC chain, folded in encounter order.
+  struct Folded {
+    bool have = false;
+    Value value{};
+  };
+  /// A min/max chain node already collected by the current walk, with
+  /// its folded constant.
+  struct SeenChain {
+    std::uint32_t id;
+    std::uint32_t prev_slot;  // chain_slot_[id] before this entry
+    Folded c;
+  };
+
+  [[nodiscard]] std::uint32_t intern(const SymNode& n,
+                                     std::span<const std::uint32_t> kids);
+  void grow_index();
   [[nodiscard]] std::uint32_t fold_bin(ir::BinOp op, Value a, Value b);
-  [[nodiscard]] std::uint32_t make_nary(SymNaryOp op, ir::ScalarType type,
-                                        std::vector<std::uint32_t> operands);
+  void absorb(SymNaryOp op, std::uint32_t operand, Folded& c);
+  [[nodiscard]] std::uint32_t finish_chain(SymNaryOp op, ir::ScalarType type,
+                                           std::size_t begin, Folded c);
+  [[nodiscard]] std::uint32_t make_nary(
+      SymNaryOp op, ir::ScalarType type,
+      std::initializer_list<std::uint32_t> operands);
+  [[nodiscard]] std::uint32_t normalize_chain(std::uint32_t root,
+                                              SymNaryOp op);
+  void collect_chain(std::uint32_t id, SymNaryOp op, std::size_t seen_begin,
+                     Folded& c);
 
   std::vector<SymNode> nodes_;
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> index_;
-  std::unordered_map<std::uint32_t, std::uint32_t> norm_memo_;
+  std::vector<std::uint64_t> hashes_;  // per node
+  std::vector<std::uint32_t> kids_;    // operand pool
+  /// Open-addressing intern index of node ids (linear probing,
+  /// power-of-two size, at most half full); kInvalid marks a free slot.
+  std::vector<std::uint32_t> index_;
+  /// normalize() results per node id; kInvalid = not normalized yet.
+  std::vector<std::uint32_t> norm_memo_;
+  /// Scratch of normalize_chain and make_nary. Nested calls push above
+  /// the entries of their caller and pop back to them.
+  std::vector<std::uint32_t> chain_rest_;
+  std::vector<SeenChain> chain_seen_;
+  /// Per node id: its entry in chain_seen_, if the walk owning that
+  /// entry is still running.
+  std::vector<std::uint32_t> chain_slot_;
 };
 
 /// How one kernel argument is modelled symbolically.

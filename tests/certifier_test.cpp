@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "frontend/parser.hpp"
 #include "kernels/benchmark.hpp"
@@ -120,6 +123,176 @@ TEST(SymArena, NormalizeRewritesSelectOverLessIntoMin) {
   auto selmax = a.select(a.bin(ir::BinOp::kLt, x, y), y, x);
   auto fmax = a.call(sim::SymFn::kFmaxf, {x, y});
   EXPECT_EQ(a.normalize(selmax), a.normalize(fmax));
+}
+
+// One-pass AC chains: cost, shape invariance and folding order.
+
+constexpr auto kFloat = ir::ScalarType::kFloat;
+constexpr auto kInt = ir::ScalarType::kInt;
+
+/// Storage of an arena: one slot per node plus one per operand.
+std::size_t footprint(const sim::SymArena& a) {
+  std::size_t n = 0;
+  for (std::uint32_t id = 0; id < a.size(); ++id) n += 1 + a.kids(id).size();
+  return n;
+}
+
+enum class Shape { kLeftDeep, kRightDeep, kBalanced };
+
+/// Combines xs[lo, hi) with `op` in the given tree shape.
+template <typename Op>
+std::uint32_t build_chain(const std::vector<std::uint32_t>& xs, std::size_t lo,
+                          std::size_t hi, Shape shape, Op op) {
+  if (hi - lo == 1) return xs[lo];
+  std::size_t mid = shape == Shape::kLeftDeep    ? hi - 1
+                    : shape == Shape::kRightDeep ? lo + 1
+                                                 : lo + (hi - lo) / 2;
+  return op(build_chain(xs, lo, mid, shape, op),
+            build_chain(xs, mid, hi, shape, op));
+}
+
+TEST(SymArena, LongChainsNormalizeInLinearSpace) {
+  // Normalizing every prefix of a length-N reduction as its own n-ary
+  // node costs about N^2/2 operands; one walk per chain stays linear.
+  constexpr std::size_t kN = 4096;
+  for (bool fmin : {false, true}) {
+    SCOPED_TRACE(fmin ? "fminf chain" : "+ chain");
+    sim::SymArena a;
+    std::vector<std::uint32_t> xs;
+    for (std::size_t i = 0; i < kN; ++i)
+      xs.push_back(a.input(0, static_cast<std::int64_t>(i), kFloat));
+    auto chain = build_chain(
+        xs, 0, kN, Shape::kLeftDeep, [&](std::uint32_t p, std::uint32_t q) {
+          return fmin ? a.call(sim::SymFn::kFminf, {p, q})
+                      : a.bin(ir::BinOp::kAdd, p, q);
+        });
+    const std::size_t before = footprint(a);
+    const std::uint32_t norm = a.normalize(chain);
+    EXPECT_LT(footprint(a) - before, 3 * kN);
+    EXPECT_EQ(a.node(norm).kind, sim::SymKind::kNary);
+    EXPECT_EQ(a.kids(norm).size(), kN);
+  }
+}
+
+TEST(SymArena, ChainShapesNormalizeToOneId) {
+  sim::SymArena a;
+  std::vector<std::uint32_t> xs;
+  for (int i = 0; i < 37; ++i) {
+    // Small exact constants (and repeats, for min/max dedupe) among the
+    // leaves: every shape folds them to the same value.
+    if (i % 9 == 4)
+      xs.push_back(a.cfloat(i % 2 ? 2.0 : 0.5));
+    else if (i % 11 == 7)
+      xs.push_back(xs.front());
+    else
+      xs.push_back(a.input(0, i, kFloat));
+  }
+  using Combine = std::function<std::uint32_t(std::uint32_t, std::uint32_t)>;
+  const std::vector<std::pair<const char*, Combine>> ops = {
+      {"+", [&](auto p, auto q) { return a.bin(ir::BinOp::kAdd, p, q); }},
+      {"*", [&](auto p, auto q) { return a.bin(ir::BinOp::kMul, p, q); }},
+      {"fminf",
+       [&](auto p, auto q) { return a.call(sim::SymFn::kFminf, {p, q}); }},
+      {"fmaxf",
+       [&](auto p, auto q) { return a.call(sim::SymFn::kFmaxf, {p, q}); }},
+      {"min", [&](auto p, auto q) { return a.call(sim::SymFn::kMin, {p, q}); }},
+  };
+  for (const auto& [name, op] : ops) {
+    SCOPED_TRACE(name);
+    std::uint32_t left = build_chain(xs, 0, xs.size(), Shape::kLeftDeep, op);
+    std::uint32_t right = build_chain(xs, 0, xs.size(), Shape::kRightDeep, op);
+    std::uint32_t bal = build_chain(xs, 0, xs.size(), Shape::kBalanced, op);
+    EXPECT_NE(left, right);
+    EXPECT_NE(left, bal);
+    EXPECT_EQ(a.normalize(left), a.normalize(right));
+    EXPECT_EQ(a.normalize(left), a.normalize(bal));
+  }
+}
+
+TEST(SymArena, SharedMinMaxChainsWalkEachNodeOnce) {
+  // m = fmaxf(m, m) 64 times: every level reaches the one below along
+  // two paths, so walking per path would visit 2^64 leaves. max and
+  // fmaxf spell one chain; the tower collapses to m.
+  constexpr int kLevels = 64;
+  sim::SymArena a;
+  const auto m = a.input(0, 0, kFloat);
+  const auto x = a.input(0, 1, kFloat);
+  auto tower = [&](std::uint32_t base, sim::SymFn even, sim::SymFn odd) {
+    std::uint32_t t = base;
+    for (int i = 0; i < kLevels; ++i) t = a.call(i % 2 ? odd : even, {t, t});
+    return t;
+  };
+  const auto max_tower = tower(m, sim::SymFn::kFmaxf, sim::SymFn::kMax);
+  const std::size_t before = footprint(a);
+  EXPECT_EQ(a.normalize(max_tower), m);
+  EXPECT_LT(footprint(a) - before, 8u);
+
+  // Inside a + chain the tower is one operand.
+  EXPECT_EQ(a.normalize(a.bin(ir::BinOp::kAdd, x, max_tower)),
+            a.normalize(a.bin(ir::BinOp::kAdd, x, m)));
+
+  // A constant under the shared levels survives the collapse.
+  const auto min_tower =
+      tower(a.call(sim::SymFn::kFminf, {m, a.cfloat(2.0)}), sim::SymFn::kMin,
+            sim::SymFn::kFminf);
+  EXPECT_EQ(a.normalize(min_tower),
+            a.normalize(a.call(sim::SymFn::kFminf, {m, a.cfloat(2.0)})));
+
+  // A level reached again still folds its constant there. min keeps a
+  // NaN it starts from and ignores one that comes later, so s's 1.0f
+  // is lost under the NaN but folds in on the path through (s min x).
+  auto fmin = [&](auto p, auto q) {
+    return a.call(sim::SymFn::kFminf, {p, q});
+  };
+  const auto s = fmin(m, a.cfloat(1.0));
+  const auto qnan = a.cfloat(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(a.normalize(fmin(fmin(a.cfloat(5.0), fmin(qnan, s)), fmin(s, x))),
+            a.normalize(fmin(fmin(m, x), a.cfloat(1.0))));
+}
+
+TEST(SymArena, ChainConstantsFoldNodeByNode) {
+  sim::SymArena a;
+  auto x = a.input(0, 0, kFloat);
+  auto y = a.input(0, 1, kFloat);
+  auto i = a.input(1, 0, kInt);
+  auto add = [&](auto p, auto q) { return a.bin(ir::BinOp::kAdd, p, q); };
+  auto fmin = [&](auto p, auto q) {
+    return a.call(sim::SymFn::kFminf, {p, q});
+  };
+  auto norm = [&](std::uint32_t id) { return a.normalize(id); };
+
+  // Constants fold in expression order: 0.5f + 16777216 rounds down to
+  // 2^24 before + 1 (a tie, kept even), while 16777216 + 1 is exact int
+  // arithmetic that + 0.5f then rounds up.
+  EXPECT_EQ(norm(add(add(add(x, a.cfloat(0.5)), a.cint(16777216)), a.cint(1))),
+            norm(add(x, a.cfloat(16777216.0))));
+  EXPECT_EQ(norm(add(add(add(x, a.cint(16777216)), a.cint(1)), a.cfloat(0.5))),
+            norm(add(x, a.cfloat(16777218.0))));
+
+  // Int constants stay int in an int chain; a float one turns the fold
+  // (and the chain) float.
+  EXPECT_EQ(norm(add(add(i, a.cint(2)), a.cint(3))), norm(add(i, a.cint(5))));
+  EXPECT_EQ(norm(add(add(i, a.cint(2)), a.cfloat(0.5))),
+            norm(add(i, a.cfloat(2.5))));
+
+  // A neutral constant is dropped at the node that folds it: x + 0.0f
+  // loses its 0.0f, so the later int 1 is not promoted to 1.0f.
+  EXPECT_EQ(norm(add(add(x, a.cfloat(0.0)), a.cint(1))),
+            norm(add(x, a.cint(1))));
+  EXPECT_NE(norm(add(add(x, a.cfloat(0.0)), a.cint(1))),
+            norm(add(x, a.cfloat(1.0))));
+
+  // -0.0f is neutral for +, also when it comes from x - (-0.0f).
+  EXPECT_EQ(norm(add(add(x, a.cfloat(-0.0)), y)), norm(add(x, y)));
+  EXPECT_EQ(norm(a.bin(ir::BinOp::kSub, x, a.cfloat(-0.0))), x);
+
+  // min keeps the first of two equal zeros, so the signed zeros fold in
+  // encounter order.
+  EXPECT_EQ(norm(fmin(fmin(x, a.cfloat(0.0)), a.cfloat(-0.0))),
+            norm(fmin(x, a.cfloat(0.0))));
+  EXPECT_EQ(norm(fmin(fmin(x, a.cfloat(-0.0)), a.cfloat(0.0))),
+            norm(fmin(x, a.cfloat(-0.0))));
+  EXPECT_NE(norm(fmin(x, a.cfloat(0.0))), norm(fmin(x, a.cfloat(-0.0))));
 }
 
 // ---------------------------------------------------------------------
@@ -275,30 +448,44 @@ TEST(Certifier, DroppedBarrierIsFlaggedOnTheCertificate) {
 
 class BenchmarkCertification : public ::testing::TestWithParam<std::string> {};
 
+/// Certifies every applicable config of `kernel` through one
+/// JobCertifier, whose baseline proof all variants share, and checks
+/// each certificate byte for byte against a fresh one-shot proof.
+/// Returns the shared-path certificates.
+std::vector<Certificate> certify_shared_checked(
+    const ir::Kernel& kernel, const np::WorkloadFactory& factory,
+    const Certifier& certifier) {
+  auto probe = factory();
+  auto configs = NpCompiler::enumerate_configs(
+      kernel, static_cast<int>(probe.launch.block.count()), certifier.spec());
+  EXPECT_FALSE(configs.empty());
+  np::JobCertifier job(certifier, kernel, factory);
+  std::vector<Certificate> certs;
+  for (const auto& cfg : configs) {
+    SCOPED_TRACE(cfg.describe());
+    transform::TransformResult variant;
+    try {
+      variant = NpCompiler::transform(kernel, cfg);
+    } catch (const CompileError&) {
+      continue;  // configuration legitimately inapplicable
+    }
+    certs.push_back(job.certify(variant));
+    EXPECT_EQ(certs.back().json(),
+              certifier.certify_variant(kernel, variant, factory).json());
+  }
+  return certs;
+}
+
 TEST_P(BenchmarkCertification, EveryNpVariantIsProven) {
   // Proofs are per-workload-shape, so certify at a reduced scale: the
   // expression DAGs grow with the iteration count, and the full test
   // scale proves the same structure at several times the cost.
   constexpr double kCertifyScale = 0.02;
   auto bench = kernels::make_benchmark(GetParam(), kCertifyScale);
-  auto spec = sim::DeviceSpec::gtx680();
   auto factory = [&] { return bench->make_workload(); };
-  auto probe = bench->make_workload();
-  auto configs = NpCompiler::enumerate_configs(
-      bench->kernel(), static_cast<int>(probe.launch.block.count()), spec);
-  ASSERT_FALSE(configs.empty());
-  Certifier certifier(spec);
   int certified = 0;
-  for (const auto& cfg : configs) {
-    SCOPED_TRACE(cfg.describe());
-    transform::TransformResult variant;
-    try {
-      variant = NpCompiler::transform(bench->kernel(), cfg);
-    } catch (const CompileError&) {
-      continue;  // configuration legitimately inapplicable
-    }
-    Certificate cert =
-        certifier.certify_variant(bench->kernel(), variant, factory);
+  for (const Certificate& cert : certify_shared_checked(
+           bench->kernel(), factory, Certifier(sim::DeviceSpec::gtx680()))) {
     EXPECT_TRUE(cert.proven()) << cert.str();
     certified += cert.proven() ? 1 : 0;
   }
@@ -307,6 +494,59 @@ TEST_P(BenchmarkCertification, EveryNpVariantIsProven) {
 
 INSTANTIATE_TEST_SUITE_P(AllBenchmarks, BenchmarkCertification,
                          ::testing::ValuesIn(kernels::benchmark_names()));
+
+// ---------------------------------------------------------------------
+// One baseline proof per job: sharing it must not change a byte (the
+// benchmark sweep above checks the same on every paper kernel).
+
+TEST(Certifier, SharedBaselineMatchesFreshProof) {
+  std::unique_ptr<ir::Program> prog;
+  ir::Kernel& kernel = parse_kernel(prog, kDotSrc);
+  auto spec = sim::DeviceSpec::gtx680();
+  for (int elems : {8, 16, 32}) {
+    SCOPED_TRACE(elems);
+    auto factory = [&] {
+      return np::make_synthetic_workload(kernel, elems, elems);
+    };
+    for (const Certificate& cert :
+         certify_shared_checked(kernel, factory, Certifier(spec)))
+      EXPECT_TRUE(cert.proven()) << cert.str();
+  }
+  // Node budgets that trip in the baseline run, the variant run or the
+  // normalization trip identically both ways: every variant starts from
+  // the post-baseline arena a fresh proof builds, node for node.
+  auto factory = [&] { return np::make_synthetic_workload(kernel, 16, 16); };
+  std::set<std::string> trips;
+  for (std::int64_t nodes : {1000, 2000}) {
+    CertifyOptions opt;
+    opt.max_nodes = nodes;
+    for (const Certificate& cert :
+         certify_shared_checked(kernel, factory, Certifier(spec, opt))) {
+      EXPECT_EQ(cert.verdict, Verdict::kInconclusive) << cert.str();
+      trips.insert(cert.detail.substr(0, cert.detail.find(" of ")));
+    }
+  }
+  EXPECT_EQ(trips, (std::set<std::string>{
+                       "baseline: expression budget",
+                       "normalization expression budget",
+                       "variant: expression budget",
+                   }));
+}
+
+TEST(CertifyOptions, FingerprintDistinguishesTolerances) {
+  // Pinned: cache keys of existing certificates must keep hitting.
+  EXPECT_EQ(CertifyOptions{}.fingerprint(),
+            "steps=4000000 gather=4096 nodes=8000000 attempts=6 replay=1 "
+            "rel=0.001 abs=0.0001");
+  CertifyOptions a, b;
+  a.f32_rel_tol = 1e-3;
+  b.f32_rel_tol = 1.0000001e-3;
+  EXPECT_NE(a.fingerprint(), b.fingerprint());
+  a.f32_abs_tol = 1e-4;
+  b.f32_rel_tol = 1e-3;
+  b.f32_abs_tol = 1.0000001e-4;
+  EXPECT_NE(a.fingerprint(), b.fingerprint());
+}
 
 // ---------------------------------------------------------------------
 // Compiler integration: kProvenWrong quarantine and the certified fast

@@ -81,6 +81,7 @@ int main(int argc, char** argv) {
            << "\",\"kernel\":\"" << json::escape(bench.kernel().name)
            << "\",\"certificates\":[";
       bool first = true;
+      np::JobCertifier job(certifier, bench.kernel(), factory);
       for (const auto& cfg : configs) {
         transform::TransformResult variant;
         try {
@@ -89,8 +90,7 @@ int main(int argc, char** argv) {
           ++skipped;  // configuration legitimately inapplicable
           continue;
         }
-        np::Certificate cert =
-            certifier.certify_variant(bench.kernel(), variant, factory);
+        np::Certificate cert = job.certify(variant);
         switch (cert.verdict) {
           case np::Verdict::kProven: ++proven; break;
           case np::Verdict::kProvenModuloReassoc: ++reassoc; break;
