@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "ir/kernel.hpp"
+#include "sim/arith.hpp"
 
 namespace cudanp::sim::bytecode {
 
@@ -26,21 +27,39 @@ struct SlotInfo {
   enum class Kind : std::uint8_t { kNone, kBufferParam, kUniformParam, kDecl };
   Kind kind = Kind::kNone;
   Type type;  // meaningful for kDecl
+  /// Lane type of the slot's values (a buffer parameter's: its elements).
+  LaneType lane = LaneType::kInt;
 };
+
+[[nodiscard]] LaneType lane_of(ScalarType t) {
+  return t == ScalarType::kFloat ? LaneType::kFloat : LaneType::kInt;
+}
+
+[[nodiscard]] LaneType common(const Operand& a, const Operand& b) {
+  return a.is_float() || b.is_float() ? LaneType::kFloat : LaneType::kInt;
+}
 
 class Lowerer {
  public:
-  explicit Lowerer(const BoundKernel& bound) : bound_(bound) {}
+  Lowerer(const BoundKernel& bound, std::span<const ScalarType> buffer_types)
+      : bound_(bound), buffer_types_(buffer_types) {}
 
   std::shared_ptr<const Program> run() {
     const Kernel& k = *bound_.kernel;
     info_.resize(bound_.num_slots());
+    for (std::size_t pi = 0; pi < k.params.size(); ++pi)
+      prog_.buffer_types.push_back(
+          k.params[pi].type.is_pointer && pi < buffer_types_.size()
+              ? buffer_types_[pi]
+              : k.params[pi].type.scalar);
     for (std::size_t i = 0; i < bound_.slots.size(); ++i) {
       if (!bound_.slots[i].is_param) continue;
-      const Param& p = k.params[bound_.slots[i].param_index];
+      const std::size_t pi = bound_.slots[i].param_index;
+      const Param& p = k.params[pi];
       info_[i].kind = p.type.is_pointer ? SlotInfo::Kind::kBufferParam
                                         : SlotInfo::Kind::kUniformParam;
       info_[i].type = p.type;
+      info_[i].lane = lane_of(prog_.buffer_types[pi]);
     }
     scan(*k.body);
     lower_block(*k.body);
@@ -68,6 +87,7 @@ class Lowerer {
         SlotInfo& si = info_[static_cast<std::size_t>(d.sim_slot)];
         si.kind = SlotInfo::Kind::kDecl;
         si.type = d.type;
+        si.lane = lane_of(d.type.scalar);
         prog_.decls.push_back(&d);
         decl_index_.emplace(&d, static_cast<std::int64_t>(prog_.decls.size()) -
                                     1);
@@ -278,7 +298,7 @@ class Lowerer {
       in.a = old;
       in.b = rhs;
       in.loc = a.loc();
-      rhs = Operand::reg(in.dst);
+      rhs = Operand::reg(in.dst, binop_type(op, old, rhs));
       emit(std::move(in));
     }
     if (a.lhs->kind() == ExprKind::kVarRef) {
@@ -448,7 +468,7 @@ class Lowerer {
         in.a = lhs;
         in.b = rhs;
         in.loc = b.loc();
-        Operand r = Operand::reg(in.dst);
+        Operand r = Operand::reg(in.dst, binop_type(b.op, lhs, rhs));
         emit(std::move(in));
         return r;
       }
@@ -460,7 +480,8 @@ class Lowerer {
         in.aux = static_cast<std::uint8_t>(u.op);
         in.dst = alloc_reg();
         in.a = a;
-        Operand r = Operand::reg(in.dst);
+        Operand r = Operand::reg(
+            in.dst, u.op == UnOp::kNeg ? a.type : LaneType::kInt);
         emit(std::move(in));
         return r;
       }
@@ -477,7 +498,7 @@ class Lowerer {
         in.a = c;
         in.b = a;
         in.c = b;
-        Operand r = Operand::reg(in.dst);
+        Operand r = Operand::reg(in.dst, common(a, b));
         emit(std::move(in));
         return r;
       }
@@ -489,7 +510,8 @@ class Lowerer {
         in.aux = static_cast<std::uint8_t>(cs.to);
         in.dst = alloc_reg();
         in.a = a;
-        Operand r = Operand::reg(in.dst);
+        Operand r = Operand::reg(
+            in.dst, cs.to == ScalarType::kVoid ? a.type : lane_of(cs.to));
         emit(std::move(in));
         return r;
       }
@@ -505,7 +527,7 @@ class Lowerer {
     // Uniform kernel arguments carry no liveness or shadow state, so the
     // AST's var_read_check has no observable effect on them: pure view.
     if (si && si->kind == SlotInfo::Kind::kUniformParam)
-      return Operand::uniform(v.sim_slot);
+      return Operand::uniform(v.sim_slot, si->lane);
     {
       Instr in;
       in.op = Op::kVarGuard;
@@ -515,7 +537,7 @@ class Lowerer {
       emit(std::move(in));
     }
     if (si && si->kind == SlotInfo::Kind::kDecl && si->type.is_scalar())
-      return Operand::slot_data(v.sim_slot);
+      return Operand::slot_data(v.sim_slot, si->lane);
     // Arrays, buffer params and undeclared names make kVarGuard throw;
     // the operand is unreachable.
     return Operand::immediate(Value::of_int(0));
@@ -555,7 +577,7 @@ class Lowerer {
         return Operand::immediate(Value::of_int(0));
       }
       in.dst = alloc_reg();
-      Operand r = Operand::reg(in.dst);
+      Operand r = Operand::reg(in.dst, si->lane);
       emit(std::move(in));
       return r;
     }
@@ -605,7 +627,7 @@ class Lowerer {
     in.op = op;
     in.slot = base.sim_slot;
     in.name = intern(name);
-    in.a = Operand::reg(flat);
+    in.a = Operand::reg(flat, LaneType::kInt);
     in.loc = ai.loc();
     if (store) {
       in.b = *store;
@@ -613,7 +635,7 @@ class Lowerer {
       return Operand::immediate(Value::of_int(0));
     }
     in.dst = alloc_reg();
-    Operand r = Operand::reg(in.dst);
+    Operand r = Operand::reg(in.dst, si->lane);
     emit(std::move(in));
     return r;
   }
@@ -644,7 +666,7 @@ class Lowerer {
       in.aux = static_cast<std::uint8_t>(fn);
       in.dst = alloc_reg();
       in.a = a;
-      Operand r = Operand::reg(in.dst);
+      Operand r = Operand::reg(in.dst, LaneType::kFloat);
       emit(std::move(in));
       return r;
     };
@@ -675,7 +697,7 @@ class Lowerer {
         in.op = Op::kAbs;
         in.dst = alloc_reg();
         in.a = a;
-        Operand r = Operand::reg(in.dst);
+        Operand r = Operand::reg(in.dst, a.type);
         emit(std::move(in));
         return r;
       }
@@ -696,7 +718,9 @@ class Lowerer {
         in.dst = alloc_reg();
         in.a = x;
         in.b = y;
-        Operand r = Operand::reg(in.dst);
+        const bool minmax = b == Builtin::kMin || b == Builtin::kMax;
+        Operand r =
+            Operand::reg(in.dst, minmax ? common(x, y) : LaneType::kFloat);
         emit(std::move(in));
         return r;
       }
@@ -739,12 +763,20 @@ class Lowerer {
       in.slot = vr.sim_slot;
       in.imm = intern(vr.name);
     }
-    Operand r = Operand::reg(in.dst);
+    Operand r = Operand::reg(in.dst, var.type);
     emit(std::move(in));
     return r;
   }
 
+  [[nodiscard]] static LaneType binop_type(BinOp op, const Operand& a,
+                                          const Operand& b) {
+    return arith::binop_yields_float(op, a.is_float(), b.is_float())
+               ? LaneType::kFloat
+               : LaneType::kInt;
+  }
+
   const BoundKernel& bound_;
+  std::span<const ScalarType> buffer_types_;
   Program prog_;
   std::vector<SlotInfo> info_;
   std::unordered_map<const DeclStmt*, std::int64_t> decl_index_;
@@ -759,8 +791,9 @@ class Lowerer {
 
 }  // namespace
 
-std::shared_ptr<const Program> lower(const BoundKernel& bound) {
-  return Lowerer(bound).run();
+std::shared_ptr<const Program> lower(const BoundKernel& bound,
+                                     std::span<const ScalarType> buffer_types) {
+  return Lowerer(bound, buffer_types).run();
 }
 
 }  // namespace cudanp::sim::bytecode

@@ -10,7 +10,12 @@
 // Operands distinguish registers, folded immediates, geometry lane
 // caches, uniform kernel arguments and live slot storage; the last three
 // are read in place at use, so straight-line arithmetic never copies a
-// lane vector. Structural errors the AST raises while walking (unknown
+// lane vector. Every operand and register has a static lane type (int64
+// or f32-in-double): slots take their declared type, immediates, geometry
+// and uniform arguments their known types, buffer loads the element type
+// of the buffer bound at this launch, and operators the result type
+// sim/arith.hpp defines. The VM keeps registers as plain typed lane
+// arrays on that basis. Structural errors the AST raises while walking (unknown
 // callee, wrong arity, non-array indexing, break/continue) lower to
 // kTrap instructions carrying the precomposed message, positioned where
 // the AST would throw.
@@ -27,6 +32,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -96,6 +102,9 @@ enum class MathFn : std::uint8_t {
   kSqrt, kFabs, kExp, kLog, kSin, kCos, kFloor, kRsqrt,
 };
 
+/// Static lane type of an operand or register.
+using LaneType = Value::Tag;
+
 /// A value source: materialized register, folded immediate, geometry lane
 /// cache, uniform kernel argument, or live scalar slot storage (the last
 /// three are zero-copy views resolved at use).
@@ -104,23 +113,26 @@ struct Operand {
     kNone, kReg, kImm, kGeom, kUniform, kSlotData,
   };
   Kind kind = Kind::kNone;
+  LaneType type = LaneType::kInt;
   std::int32_t id = 0;  ///< register index / geometry code / slot id
   Value imm{};
 
-  [[nodiscard]] static Operand reg(std::int32_t r) {
-    return {Kind::kReg, r, {}};
+  [[nodiscard]] bool is_float() const { return type == LaneType::kFloat; }
+
+  [[nodiscard]] static Operand reg(std::int32_t r, LaneType t) {
+    return {Kind::kReg, t, r, {}};
   }
   [[nodiscard]] static Operand immediate(Value v) {
-    return {Kind::kImm, 0, v};
+    return {Kind::kImm, v.tag, 0, v};
   }
   [[nodiscard]] static Operand geom(int code) {
-    return {Kind::kGeom, code, {}};
+    return {Kind::kGeom, LaneType::kInt, code, {}};
   }
-  [[nodiscard]] static Operand uniform(std::int32_t slot) {
-    return {Kind::kUniform, slot, {}};
+  [[nodiscard]] static Operand uniform(std::int32_t slot, LaneType t) {
+    return {Kind::kUniform, t, slot, {}};
   }
-  [[nodiscard]] static Operand slot_data(std::int32_t slot) {
-    return {Kind::kSlotData, slot, {}};
+  [[nodiscard]] static Operand slot_data(std::int32_t slot, LaneType t) {
+    return {Kind::kSlotData, t, slot, {}};
   }
 };
 
@@ -144,6 +156,9 @@ struct Program {
   std::vector<std::string> names;
   /// Declaration statements, for kDeclare/kDeclInit/kDeclFill/kDeclShadow.
   std::vector<const ir::DeclStmt*> decls;
+  /// Per kernel parameter: the element type the program's buffer loads
+  /// were typed with (pointer parameters; the declared type elsewhere).
+  std::vector<ir::ScalarType> buffer_types;
   int num_regs = 0;
   int max_mask_depth = 0;
   int max_loop_depth = 0;
@@ -151,6 +166,11 @@ struct Program {
 
 /// Lowers a bound kernel to bytecode. Never fails and never returns null:
 /// every construct the AST walker rejects lowers to the same error.
-[[nodiscard]] std::shared_ptr<const Program> lower(const BoundKernel& bound);
+/// `buffer_types[p]` is the element type of the buffer bound to pointer
+/// parameter p at this launch; a missing entry falls back to the
+/// parameter's declared pointee type.
+[[nodiscard]] std::shared_ptr<const Program> lower(
+    const BoundKernel& bound,
+    std::span<const ir::ScalarType> buffer_types = {});
 
 }  // namespace cudanp::sim::bytecode

@@ -1,9 +1,8 @@
 #include "sim/exec_core.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <string>
 #include <sstream>
+#include <string>
 
 #include "sim/fault.hpp"
 
@@ -32,7 +31,16 @@ BlockCore::BlockCore(const DeviceSpec& spec, DeviceMemory& mem,
   warp_issue_.assign(static_cast<std::size_t>(nwarps_), 0.0);
   warp_latency_.assign(static_cast<std::size_t>(nwarps_), 0.0);
   warp_pending_.assign(static_cast<std::size_t>(nwarps_), 0.0);
-  returned_.assign(static_cast<std::size_t>(nlanes_), 0);
+  if (spec.warp_size < 1 || spec.warp_size > 32)
+    throw SimError("unsupported warp size " + std::to_string(spec.warp_size) +
+                   " (the simulator models warps of 1..32 lanes)");
+  full_.assign(static_cast<std::size_t>(nwarps_), 0);
+  for (int w = 0; w < nwarps_; ++w) {
+    const int n = std::min(spec.warp_size, nlanes_ - w * spec.warp_size);
+    full_[static_cast<std::size_t>(w)] =
+        n == 32 ? ~0u : (1u << static_cast<unsigned>(n)) - 1u;
+  }
+  returned_.assign(static_cast<std::size_t>(nwarps_), 0);
   san_ = san;
   if (san_) {
     warp_gen_.assign(static_cast<std::size_t>(nwarps_), 0);
@@ -44,19 +52,15 @@ BlockCore::BlockCore(const DeviceSpec& spec, DeviceMemory& mem,
 }
 
 void BlockCore::init_geometry() {
-  for (int g = 0; g < kGeomCount; ++g)
-    geom_[g].assign(static_cast<std::size_t>(nlanes_), Value::of_int(0));
+  const auto n = static_cast<std::size_t>(nlanes_);
+  for (int g = 0; g < kGeomCount; ++g) geom_[g].resize(n);
   for (int l = 0; l < nlanes_; ++l) {
     auto li = static_cast<std::size_t>(l);
-    geom_[kGeomThreadIdxX][li] = Value::of_int(l % cfg_.block.x);
-    geom_[kGeomThreadIdxY][li] =
-        Value::of_int((l / cfg_.block.x) % cfg_.block.y);
-    geom_[kGeomThreadIdxZ][li] =
-        Value::of_int(l / (cfg_.block.x * cfg_.block.y));
+    geom_[kGeomThreadIdxX][li] = l % cfg_.block.x;
+    geom_[kGeomThreadIdxY][li] = (l / cfg_.block.x) % cfg_.block.y;
+    geom_[kGeomThreadIdxZ][li] = l / (cfg_.block.x * cfg_.block.y);
   }
-  auto fill = [&](int g, int v) {
-    geom_[g].assign(static_cast<std::size_t>(nlanes_), Value::of_int(v));
-  };
+  auto fill = [&](int g, int v) { geom_[g].assign(n, v); };
   fill(kGeomBlockIdxX, block_idx_.x);
   fill(kGeomBlockIdxY, block_idx_.y);
   fill(kGeomBlockIdxZ, block_idx_.z);
@@ -89,11 +93,11 @@ void BlockCore::bind_params() {
       if (!v)
         throw SimError("arg " + std::to_string(i) + " ('" + p.name +
                        "') must be a scalar");
-      Value coerced = p.type.scalar == ScalarType::kFloat
-                          ? Value::of_float(v->as_f()).to_f32()
-                          : Value::of_int(v->as_i());
       slot.is_uniform_param = true;
-      slot.data.assign(1, coerced);  // uniform scalar, one copy
+      slot.alloc(1);  // uniform scalar, one copy
+      slot.with_cells([&](auto* data) {
+        data[0] = arith::to<std::remove_pointer_t<decltype(data)>>(*v);
+      });
     }
     slot.live = true;
   }
@@ -153,55 +157,17 @@ void BlockCore::stall() {
 
 // ---------------- memory access paths ----------------
 
-void BlockCore::charge_global(const DeviceBuffer& buf, LaneView idx,
+void BlockCore::charge_shared(const Slot& slot, const std::int64_t* flat_idx,
                               const Mask& mask) {
-  std::int64_t esize = Type::scalar_size_bytes(buf.type());
-  for_each_active_warp(mask, [&](int w, int lo, int hi) {
-    std::uint64_t addrs[32];
-    std::uint8_t act[32];
-    int n = hi - lo;
-    for (int l = lo; l < hi; ++l) {
-      act[l - lo] = mask[static_cast<std::size_t>(l)];
-      addrs[l - lo] =
-          buf.base_addr() +
-          static_cast<std::uint64_t>(idx.at(static_cast<std::size_t>(l))
-                                         .as_i()) *
-              static_cast<std::uint64_t>(esize);
-    }
-    if (buf.is_constant()) {
-      // Constant cache: distinct words serialize, identical broadcast.
-      int replays = smem_replays({addrs, static_cast<std::size_t>(n)},
-                                 {act, static_cast<std::size_t>(n)}, 1);
-      smem_accesses_ += replays;  // books constant traffic with smem
-      warp_issue_[static_cast<std::size_t>(w)] +=
-          opt_.timing.weights.mem_issue * replays;
-      charge_latency(w, spec_.smem_latency_cycles);
-      return;
-    }
-    int trans = coalesced_transactions({addrs, static_cast<std::size_t>(n)},
-                                       {act, static_cast<std::size_t>(n)}, 32);
-    global_transactions_ += trans;
-    dram_transactions_ += trans;
-    warp_issue_[static_cast<std::size_t>(w)] += opt_.timing.weights.mem_issue;
-    charge_latency(w, spec_.dram_latency_cycles);
-  });
-}
-
-void BlockCore::charge_shared(const Slot& slot, const Value* flat_idx,
-                              const Mask& mask) {
-  for_each_active_warp(mask, [&](int w, int lo, int hi) {
+  for_each_active_warp(mask, [&](int w, int lo, std::uint32_t bits) {
     std::uint64_t words[32];
-    std::uint8_t act[32];
-    int n = hi - lo;
-    for (int l = lo; l < hi; ++l) {
-      act[l - lo] = mask[static_cast<std::size_t>(l)];
-      words[l - lo] =
-          slot.base_word +
-          static_cast<std::uint64_t>(flat_idx[static_cast<std::size_t>(l)]
-                                         .as_i());
+    for (std::uint32_t b = bits; b; b &= b - 1) {
+      const int k = std::countr_zero(b);
+      words[k] = slot.base_word +
+                 static_cast<std::uint64_t>(
+                     flat_idx[static_cast<std::size_t>(lo + k)]);
     }
-    int replays = smem_replays({words, static_cast<std::size_t>(n)},
-                               {act, static_cast<std::size_t>(n)},
+    int replays = smem_replays({words, 32}, bits,
                                static_cast<int>(spec_.shared_mem_banks));
     smem_accesses_ += replays;
     smem_replays_ += replays - 1;
@@ -210,31 +176,22 @@ void BlockCore::charge_shared(const Slot& slot, const Value* flat_idx,
   });
 }
 
-void BlockCore::charge_local(const Slot& slot, const Value* elem_idx,
+void BlockCore::charge_local(const Slot& slot, const std::int64_t* elem_idx,
                              const Mask& mask) {
   // Local memory is interleaved per thread: addr(lane, e) =
   // local_base + (e * nlanes + lane) * 4, matching the CUDA ABI layout
   // that makes uniform-index accesses coalesced.
-  for_each_active_warp(mask, [&](int w, int lo, int hi) {
-    std::uint64_t addrs[32];
-    std::uint8_t act[32];
-    int n = hi - lo;
-    for (int l = lo; l < hi; ++l) {
-      act[l - lo] = mask[static_cast<std::size_t>(l)];
-      std::uint64_t e = static_cast<std::uint64_t>(
-          elem_idx[static_cast<std::size_t>(l)].as_i());
-      addrs[l - lo] = kLocalSpaceBase +
-                      (slot.base_word +
-                       e * static_cast<std::uint64_t>(nlanes_) +
-                       static_cast<std::uint64_t>(l)) *
-                          4;
-    }
-    // Unique 128B lines of this access probe the L1.
+  for_each_active_warp(mask, [&](int w, int lo, std::uint32_t bits) {
+    // Unique 128B lines of this access probe the L1, in lane order.
     std::uint64_t lines[32];
     int nlines = 0;
-    for (int k = 0; k < n; ++k) {
-      if (!act[k]) continue;
-      std::uint64_t line = addrs[k] / 128;
+    for (std::uint32_t b = bits; b; b &= b - 1) {
+      const auto l = static_cast<std::uint64_t>(lo + std::countr_zero(b));
+      const auto e = static_cast<std::uint64_t>(elem_idx[l]);
+      const std::uint64_t addr =
+          kLocalSpaceBase +
+          (slot.base_word + e * static_cast<std::uint64_t>(nlanes_) + l) * 4;
+      const std::uint64_t line = addr / 128;
       bool seen = false;
       for (int j = 0; j < nlines; ++j)
         if (lines[j] == line) {
@@ -258,114 +215,27 @@ void BlockCore::charge_local(const Slot& slot, const Value* elem_idx,
   });
 }
 
-void BlockCore::buffer_access(Slot& slot, const std::string& name,
-                              LaneView idx, const Mask& mask,
-                              const LaneView* store, Value* out,
-                              SourceLoc loc) {
-  DeviceBuffer& buf = mem_.buffer(slot.buffer);
-  charge_global(buf, idx, mask);
-  std::vector<std::uint8_t>* bsh =
-      san_ ? san_->engine->buffer_shadow(slot.buffer) : nullptr;
-  for (int l = 0; l < nlanes_; ++l) {
-    if (!mask[static_cast<std::size_t>(l)]) continue;
-    std::size_t i =
-        static_cast<std::size_t>(idx.at(static_cast<std::size_t>(l)).as_i());
-    if (store) {
-      buf.store(i, coerce(store->at(static_cast<std::size_t>(l)),
-                          buf.type()));
-      if (bsh && i < bsh->size()) (*bsh)[i] = 1;
-    } else {
-      if (bsh && shfl_arg_depth_ == 0 && i < bsh->size() && !(*bsh)[i])
-        san_report(HazardKind::kUninitRead, loc, l,
-                   "read of uninitialized global buffer '" + name + "[" +
-                       std::to_string(i) + "]'");
-      out[static_cast<std::size_t>(l)] = buf.load(i);
-    }
-  }
-}
-
-void BlockCore::shared_access(Slot& slot, const std::string& name,
-                              const Value* flat, const Mask& mask,
-                              const LaneView* store, Value* out,
-                              SourceLoc loc) {
-  charge_shared(slot, flat, mask);
-  if (san_) ++access_seq_;
-  for (int l = 0; l < nlanes_; ++l) {
-    if (!mask[static_cast<std::size_t>(l)]) continue;
-    std::size_t i =
-        static_cast<std::size_t>(flat[static_cast<std::size_t>(l)].as_i());
-    if (store) {
-      Value val =
-          coerce(store->at(static_cast<std::size_t>(l)), slot.type.scalar);
-      if (san_) note_shared_write(slot, name, i, l, val, loc);
-      slot.data[i] = val;
-    } else {
-      if (san_) note_shared_read(slot, name, i, l, loc);
-      out[static_cast<std::size_t>(l)] = slot.data[i];
-    }
-  }
-}
-
-void BlockCore::local_access(Slot& slot, const std::string& name,
-                             const Value* flat, const Mask& mask,
-                             const LaneView* store, Value* out,
-                             SourceLoc loc) {
+void BlockCore::charge_array(const Slot& slot, const std::int64_t* flat,
+                             const Mask& mask) {
   if (slot.type.space == AddrSpace::kLocal) {
     charge_local(slot, flat, mask);
   } else if (slot.type.space == AddrSpace::kConstant) {
     // Constant cache broadcasts one word per cycle: lanes reading
     // distinct words serialize (paper Sec. 3.4's intra-warp hazard).
-    for_each_active_warp(mask, [&](int w, int lo, int hi) {
+    for_each_active_warp(mask, [&](int w, int lo, std::uint32_t bits) {
       std::uint64_t words[32];
-      std::uint8_t act[32];
-      int n = hi - lo;
-      for (int l = lo; l < hi; ++l) {
-        act[l - lo] = mask[static_cast<std::size_t>(l)];
-        words[l - lo] = static_cast<std::uint64_t>(
-            flat[static_cast<std::size_t>(l)].as_i());
+      for (std::uint32_t b = bits; b; b &= b - 1) {
+        const int k = std::countr_zero(b);
+        words[k] =
+            static_cast<std::uint64_t>(flat[static_cast<std::size_t>(lo + k)]);
       }
-      int replays = smem_replays({words, static_cast<std::size_t>(n)},
-                                 {act, static_cast<std::size_t>(n)}, 1);
+      int replays = smem_replays({words, 32}, bits, 1);
       warp_issue_[static_cast<std::size_t>(w)] +=
           opt_.timing.weights.mem_issue * replays;
       charge_latency(w, spec_.smem_latency_cycles);
     });
   } else {
     charge_issue(mask, opt_.timing.weights.alu);  // register-file access
-  }
-  std::int64_t elems = slot.type.element_count();
-  for (int l = 0; l < nlanes_; ++l) {
-    if (!mask[static_cast<std::size_t>(l)]) continue;
-    std::size_t i = static_cast<std::size_t>(
-        static_cast<std::int64_t>(l) * elems +
-        flat[static_cast<std::size_t>(l)].as_i());
-    if (store) {
-      slot.data[i] =
-          coerce(store->at(static_cast<std::size_t>(l)), slot.type.scalar);
-      if (!slot.shadow.empty()) slot.shadow[i] = 1;
-    } else {
-      if (san_ && shfl_arg_depth_ == 0 && !slot.shadow.empty() &&
-          !slot.shadow[i])
-        san_report(HazardKind::kUninitRead, loc, l,
-                   "read of uninitialized array element '" + name + "[" +
-                       std::to_string(flat[static_cast<std::size_t>(l)]
-                                          .as_i()) +
-                       "]'");
-      out[static_cast<std::size_t>(l)] = slot.data[i];
-    }
-  }
-}
-
-void BlockCore::flatten_dim(Value* flat, LaneView idx, std::int64_t dim,
-                            bool first, const Mask& mask, SourceLoc loc) {
-  for (int l = 0; l < nlanes_; ++l) {
-    if (!mask[static_cast<std::size_t>(l)]) continue;
-    std::int64_t i = idx.at(static_cast<std::size_t>(l)).as_i();
-    if (i < 0 || i >= dim)
-      throw SimError("index " + std::to_string(i) + " out of bounds [0," +
-                     std::to_string(dim) + ") for array at " + loc.str());
-    auto& f = flat[static_cast<std::size_t>(l)];
-    f = Value::of_int(first ? i : f.as_i() * dim + i);
   }
 }
 
@@ -381,62 +251,48 @@ Slot& BlockCore::var_read_check(std::int32_t slot_id, const std::string& name,
     throw SimError("array '" + name + "' used without an index");
   if (slot.is_uniform_param) return slot;
   if (san_ && shfl_arg_depth_ == 0 && !slot.shadow.empty()) {
-    for (int l = 0; l < nlanes_; ++l) {
-      if (!mask[static_cast<std::size_t>(l)]) continue;
-      if (!slot.shadow[static_cast<std::size_t>(l)]) {
-        san_report(HazardKind::kUninitRead, loc, l,
-                   "read of uninitialized variable '" + name + "'");
-        break;  // one report per access; dedupe absorbs repeats
+    // One report per access, at the first uninitialized active lane;
+    // dedupe absorbs repeats.
+    const std::size_t ws = static_cast<std::size_t>(spec_.warp_size);
+    for (std::size_t w = 0; w < mask.size(); ++w) {
+      for (std::uint32_t b = mask[w]; b; b &= b - 1) {
+        const std::size_t l =
+            w * ws + static_cast<std::size_t>(std::countr_zero(b));
+        if (!slot.shadow[l]) {
+          san_report(HazardKind::kUninitRead, loc, static_cast<int>(l),
+                     "read of uninitialized variable '" + name + "'");
+          return slot;
+        }
       }
     }
   }
   return slot;
 }
 
-void BlockCore::store_var(std::int32_t slot_id, const std::string& name,
-                          const Mask& mask, LaneView val, SourceLoc loc) {
-  Slot& slot = slot_at(slot_id, name, loc);
+Slot& BlockCore::store_target(std::int32_t s, const std::string& name,
+                              SourceLoc loc) {
+  Slot& slot = slot_at(s, name, loc);
   if (slot.is_buffer_param || slot.type.is_array())
     throw SimError("cannot assign to '" + name + "' without an index");
   if (slot.is_uniform_param)
     throw SimError("cannot assign to kernel parameter '" + name +
                    "' (treated as uniform)");
-  charge_issue(mask, opt_.timing.weights.alu);
-  const ScalarType to = slot.type.scalar;
-  Value* data = slot.data.data();
-  std::uint8_t* shadow = slot.shadow.empty() ? nullptr : slot.shadow.data();
-  for (int l = 0; l < nlanes_; ++l)
-    if (mask[static_cast<std::size_t>(l)]) {
-      data[static_cast<std::size_t>(l)] =
-          coerce(val.at(static_cast<std::size_t>(l)), to);
-      if (shadow) shadow[static_cast<std::size_t>(l)] = 1;
-    }
-}
-
-void BlockCore::decl_scalar_init(Slot& slot, ScalarType to, const Mask& mask,
-                                 LaneView val) {
-  charge_issue(mask, opt_.timing.weights.alu);
-  Value* data = slot.data.data();
-  std::uint8_t* shadow = slot.shadow.empty() ? nullptr : slot.shadow.data();
-  for (int l = 0; l < nlanes_; ++l)
-    if (mask[static_cast<std::size_t>(l)]) {
-      data[static_cast<std::size_t>(l)] =
-          coerce(val.at(static_cast<std::size_t>(l)), to);
-      if (shadow) shadow[static_cast<std::size_t>(l)] = 1;
-    }
+  return slot;
 }
 
 void BlockCore::decl_fill(Slot& slot, const Type& type, std::size_t e,
                           Value raw) {
-  Value val = coerce(raw, type.scalar);
-  if (type.space == AddrSpace::kShared) {
-    slot.data[e] = val;
-  } else {
-    std::int64_t elems = type.element_count();
-    for (int l = 0; l < nlanes_; ++l)
-      slot.data[static_cast<std::size_t>(l) * static_cast<std::size_t>(elems) +
-                e] = val;
-  }
+  slot.with_cells([&](auto* data) {
+    using T = std::remove_pointer_t<decltype(data)>;
+    const T val = arith::to<T>(raw);
+    if (type.space == AddrSpace::kShared) {
+      data[e] = val;
+    } else {
+      const auto elems = static_cast<std::size_t>(type.element_count());
+      for (std::size_t l = 0; l < static_cast<std::size_t>(nlanes_); ++l)
+        data[l * elems + e] = val;
+    }
+  });
 }
 
 void BlockCore::decl_shadow_all(Slot& slot, const Type& type) {
@@ -449,219 +305,70 @@ void BlockCore::decl_shadow_all(Slot& slot, const Type& type) {
   }
 }
 
-// ---------------- operators ----------------
-
-void BlockCore::do_binop(BinOp op, LaneView a, LaneView b, const Mask& mask,
-                         Value* out, SourceLoc loc) {
-  double w = opt_.timing.weights.alu;
-  if (op == BinOp::kDiv || op == BinOp::kMod) {
-    // Int div/mod and float div are multi-cycle.
-    w = opt_.timing.weights.idiv_imod;
-    if (op == BinOp::kDiv && (a.at(first_active(mask)).is_float() ||
-                              b.at(first_active(mask)).is_float()))
-      w = opt_.timing.weights.fdiv_sqrt_transcendental;
-  }
-  charge_issue(mask, w);
-  dispatch_binop(op, a, b, mask, out, loc);
-}
-
-void BlockCore::do_compound(BinOp op, LaneView oldv, LaneView rhs,
-                            const Mask& mask, Value* out, SourceLoc loc) {
-  charge_issue(mask, opt_.timing.weights.alu);
-  dispatch_binop(op, oldv, rhs, mask, out, loc);
-}
-
-void BlockCore::do_unop(UnOp op, LaneView a, const Mask& mask, Value* out) {
-  charge_issue(mask, opt_.timing.weights.alu);
-  for (int l = 0; l < nlanes_; ++l) {
-    if (!mask[static_cast<std::size_t>(l)]) continue;
-    Value x = a.at(static_cast<std::size_t>(l));
-    if (op == UnOp::kNeg)
-      x = x.is_float() ? Value::of_float(-x.f) : Value::of_int(-x.i);
-    else
-      x = Value::of_int(x.truthy() ? 0 : 1);
-    out[static_cast<std::size_t>(l)] = x;
-  }
-}
-
-void BlockCore::do_cast(ScalarType to, LaneView a, const Mask& mask,
-                        Value* out) {
-  charge_issue(mask, opt_.timing.weights.alu);
-  for (int l = 0; l < nlanes_; ++l) {
-    if (!mask[static_cast<std::size_t>(l)]) continue;
-    out[static_cast<std::size_t>(l)] =
-        coerce(a.at(static_cast<std::size_t>(l)), to);
-  }
-}
-
-void BlockCore::do_select(LaneView c, LaneView a, LaneView b,
-                          const Mask& mask, Value* out) {
-  charge_issue(mask, opt_.timing.weights.alu);
-  for (int l = 0; l < nlanes_; ++l) {
-    if (!mask[static_cast<std::size_t>(l)]) continue;
-    out[static_cast<std::size_t>(l)] =
-        c.at(static_cast<std::size_t>(l)).truthy()
-            ? a.at(static_cast<std::size_t>(l))
-            : b.at(static_cast<std::size_t>(l));
-  }
-}
-
-void BlockCore::do_unary_math(double (*fn)(double), bool sfu, LaneView a,
-                              const Mask& mask, Value* out) {
-  charge_issue(mask, sfu ? opt_.timing.weights.fdiv_sqrt_transcendental
-                         : opt_.timing.weights.alu);
-  for (int l = 0; l < nlanes_; ++l) {
-    if (!mask[static_cast<std::size_t>(l)]) continue;
-    out[static_cast<std::size_t>(l)] =
-        Value::of_float(fn(a.at(static_cast<std::size_t>(l)).as_f()))
-            .to_f32();
-  }
-}
-
-void BlockCore::do_abs(LaneView a, const Mask& mask, Value* out) {
-  charge_issue(mask, opt_.timing.weights.alu);
-  for (int l = 0; l < nlanes_; ++l) {
-    if (!mask[static_cast<std::size_t>(l)]) continue;
-    Value x = a.at(static_cast<std::size_t>(l));
-    out[static_cast<std::size_t>(l)] = x.is_float()
-                                           ? Value::of_float(std::fabs(x.f))
-                                           : Value::of_int(std::abs(x.i));
-  }
-}
-
-void BlockCore::do_binmath(Builtin b, LaneView x, LaneView y,
-                           const Mask& mask, Value* out) {
-  charge_issue(mask, b == Builtin::kPowf
-                         ? 2 * opt_.timing.weights.fdiv_sqrt_transcendental
-                         : opt_.timing.weights.alu);
-  const bool is_min = b == Builtin::kMin || b == Builtin::kFminf;
-  const bool force_float = b == Builtin::kFminf || b == Builtin::kFmaxf;
-  for (int l = 0; l < nlanes_; ++l) {
-    if (!mask[static_cast<std::size_t>(l)]) continue;
-    Value xv = x.at(static_cast<std::size_t>(l));
-    Value yv = y.at(static_cast<std::size_t>(l));
-    if (b == Builtin::kPowf) {
-      out[static_cast<std::size_t>(l)] =
-          Value::of_float(std::pow(xv.as_f(), yv.as_f())).to_f32();
-    } else if (is_min) {
-      if (xv.is_float() || yv.is_float() || force_float)
-        out[static_cast<std::size_t>(l)] =
-            Value::of_float(std::min(xv.as_f(), yv.as_f())).to_f32();
-      else
-        out[static_cast<std::size_t>(l)] = Value::of_int(std::min(xv.i, yv.i));
-    } else {
-      if (xv.is_float() || yv.is_float() || force_float)
-        out[static_cast<std::size_t>(l)] =
-            Value::of_float(std::max(xv.as_f(), yv.as_f())).to_f32();
-      else
-        out[static_cast<std::size_t>(l)] = Value::of_int(std::max(xv.i, yv.i));
-    }
-  }
-}
-
 // ---------------- builtins with shared semantics ----------------
 
 void BlockCore::do_sync(const Mask& mask, SourceLoc loc) {
   ++sync_ops_;
   charge_issue(mask, opt_.timing.weights.sync);
-  for_each_active_warp(mask, [&](int w, int, int) {
+  for_each_active_warp(mask, [&](int w, int, std::uint32_t) {
     charge_latency(w, spec_.sync_latency_cycles);
   });
   if (san_) note_barrier(loc, mask);
 }
 
-void BlockCore::make_broad_mask(const Mask& mask, Mask& broad) {
-  broad.assign(static_cast<std::size_t>(nlanes_), 0);
-  for_each_active_warp(mask, [&](int, int lo, int hi) {
-    for (int l = lo; l < hi; ++l) broad[static_cast<std::size_t>(l)] = 1;
-  });
-}
-
-void BlockCore::do_shfl(Builtin b, const std::string& callee, LaneView var,
-                        LaneView sel, LaneView width, const Mask& mask,
-                        Value* out, SourceLoc loc, std::int32_t var_slot,
-                        const std::string* var_name) {
-  ++shfl_ops_;
-  charge_issue(mask, opt_.timing.weights.shfl);
-  for_each_active_warp(mask, [&](int w, int, int) {
-    charge_latency(w, spec_.shfl_latency_cycles);
-  });
-  std::vector<int> src_of;
-  if (san_) src_of.assign(static_cast<std::size_t>(nlanes_), -1);
+void BlockCore::check_shfl_sources(const std::vector<int>& src_of,
+                                   const std::string& callee, SourceLoc loc,
+                                   std::int32_t var_slot,
+                                   const std::string& var_name) {
+  // The bound slot id replaces the old vars_.find string lookup.
+  const Slot* vs =
+      var_slot >= 0 && frame_[static_cast<std::size_t>(var_slot)].live
+          ? &frame_[static_cast<std::size_t>(var_slot)]
+          : nullptr;
+  if (!vs || !vs->type.is_scalar() || vs->is_uniform_param ||
+      vs->shadow.empty())
+    return;
   for (int l = 0; l < nlanes_; ++l) {
-    if (!mask[static_cast<std::size_t>(l)]) continue;
-    int lane = l % spec_.warp_size;
-    int warp_base = l - lane;
-    std::int64_t wdt = width.at(static_cast<std::size_t>(l)).as_i();
-    if (wdt <= 0 || wdt > spec_.warp_size || (wdt & (wdt - 1)) != 0)
-      throw SimError("__shfl width must be a power of two in [1,32]");
-    int group_base = lane / static_cast<int>(wdt) * static_cast<int>(wdt);
-    std::int64_t s = sel.at(static_cast<std::size_t>(l)).as_i();
-    int src_lane;
-    if (b == Builtin::kShfl) {
-      src_lane = group_base + static_cast<int>(s % wdt);
-    } else if (b == Builtin::kShflUp) {
-      int cand = lane - static_cast<int>(s);
-      src_lane = cand < group_base ? lane : cand;
-    } else if (b == Builtin::kShflDown) {
-      int cand = lane + static_cast<int>(s);
-      src_lane = cand >= group_base + static_cast<int>(wdt) ? lane : cand;
-    } else {  // __shfl_xor
-      int cand = group_base + ((lane - group_base) ^ static_cast<int>(s));
-      src_lane = cand < group_base + static_cast<int>(wdt) ? cand : lane;
-    }
-    int src_tid = warp_base + src_lane;
-    // A negative selector (e.g. __shfl(v, -1, 32)) or a delta that
-    // escapes the warp produces an out-of-range source lane: undefined
-    // on hardware. Recover with the caller's own value, as the hardware
-    // effectively does for out-of-range segments.
-    if (src_lane < 0 || src_lane >= spec_.warp_size) {
-      if (san_)
-        san_report(HazardKind::kShflHazard, loc, l,
-                   callee + " source lane " + std::to_string(src_lane) +
-                       " is outside [0," + std::to_string(spec_.warp_size) +
-                       ")");
-      src_tid = l;
-    } else if (src_tid >= nlanes_) {
-      if (san_)
-        san_report(HazardKind::kShflHazard, loc, l,
-                   callee + " source lane " + std::to_string(src_lane) +
-                       " lies beyond the thread block");
-      src_tid = l;
-    } else if (san_ && !mask[static_cast<std::size_t>(src_tid)]) {
-      san_report(HazardKind::kShflHazard, loc, l,
-                 callee + " reads from inactive source lane " +
-                     std::to_string(src_lane) +
-                     " (undefined on real hardware)");
-    }
-    if (san_) src_of[static_cast<std::size_t>(l)] = src_tid;
-    out[static_cast<std::size_t>(l)] =
-        var.at(static_cast<std::size_t>(src_tid));
-  }
-  if (san_ && var_name) {
-    // Post-hoc init check on the lanes actually read as sources. The
-    // bound slot id replaces the old vars_.find string lookup.
-    const Slot* vs =
-        var_slot >= 0 && frame_[static_cast<std::size_t>(var_slot)].live
-            ? &frame_[static_cast<std::size_t>(var_slot)]
-            : nullptr;
-    if (vs && vs->type.is_scalar() && !vs->is_uniform_param &&
-        !vs->shadow.empty()) {
-      for (int l = 0; l < nlanes_; ++l) {
-        int s = src_of[static_cast<std::size_t>(l)];
-        if (s >= 0 && !vs->shadow[static_cast<std::size_t>(s)]) {
-          san_report(HazardKind::kUninitRead, loc, l,
-                     callee + " reads uninitialized variable '" + *var_name +
-                         "' from lane " +
-                         std::to_string(s % spec_.warp_size));
-          break;
-        }
-      }
+    int s = src_of[static_cast<std::size_t>(l)];
+    if (s >= 0 && !vs->shadow[static_cast<std::size_t>(s)]) {
+      san_report(HazardKind::kUninitRead, loc, l,
+                 callee + " reads uninitialized variable '" + var_name +
+                     "' from lane " + std::to_string(s % spec_.warp_size));
+      break;
     }
   }
 }
 
 // ---------------- sanitizer hooks ----------------
+
+void BlockCore::report_uninit_element(const char* what,
+                                      const std::string& name,
+                                      std::int64_t index, int lane,
+                                      SourceLoc loc) {
+  san_report(HazardKind::kUninitRead, loc, lane,
+             std::string("read of uninitialized ") + what + " '" + name +
+                 "[" + std::to_string(index) + "]'");
+}
+
+void BlockCore::report_shfl_source(ShflSource why, const std::string& callee,
+                                   int src_lane, int lane, SourceLoc loc) {
+  std::string msg = callee;
+  switch (why) {
+    case ShflSource::kOutsideWarp:
+      msg += " source lane " + std::to_string(src_lane) + " is outside [0," +
+             std::to_string(spec_.warp_size) + ")";
+      break;
+    case ShflSource::kBeyondBlock:
+      msg += " source lane " + std::to_string(src_lane) +
+             " lies beyond the thread block";
+      break;
+    case ShflSource::kInactive:
+      msg += " reads from inactive source lane " + std::to_string(src_lane) +
+             " (undefined on real hardware)";
+      break;
+  }
+  san_report(HazardKind::kShflHazard, loc, lane, std::move(msg));
+}
 
 bool BlockCore::portable_races() const {
   return san_->engine->options().race_mode ==
@@ -750,20 +457,14 @@ void BlockCore::note_barrier(SourceLoc loc, const Mask& mask) {
   int absent_warp = -1;
   int absent_lane = -1;
   for (int w = 0; w < nwarps_; ++w) {
-    int lo = w * spec_.warp_size;
-    int hi = std::min(lo + spec_.warp_size, nlanes_);
-    bool active = false;
-    int live = -1;
-    for (int l = lo; l < hi; ++l) {
-      if (mask[static_cast<std::size_t>(l)]) active = true;
-      if (!returned_[static_cast<std::size_t>(l)] && live < 0) live = l;
-    }
-    if (active) {
-      ++warp_gen_[static_cast<std::size_t>(w)];
+    const auto wi = static_cast<std::size_t>(w);
+    const std::uint32_t live = full_[wi] & ~returned_[wi];
+    if (mask[wi]) {
+      ++warp_gen_[wi];
       ++arrived;
-    } else if (live >= 0 && absent_warp < 0) {
+    } else if (live && absent_warp < 0) {
       absent_warp = w;
-      absent_lane = live;
+      absent_lane = w * spec_.warp_size + std::countr_zero(live);
     }
   }
   if (arrived > 0 && absent_warp >= 0)
@@ -795,98 +496,42 @@ Slot& BlockCore::declare(const DeclStmt& d) {
     throw SimError("unsupported construct: shared-memory scalar '" + d.name +
                    "' at " + d.loc().str() +
                    "; declare a one-element __shared__ array instead");
+  if (d.type.scalar == ScalarType::kVoid)
+    throw SimError("unsupported construct: void variable '" + d.name +
+                   "' at " + d.loc().str());
   Slot& slot = frame_[static_cast<std::size_t>(d.sim_slot)];
   if (!slot.live) {
     slot.type = d.type;
+    const auto elems = static_cast<std::size_t>(d.type.element_count());
     if (d.type.space == AddrSpace::kShared) {
-      slot.data.assign(static_cast<std::size_t>(d.type.element_count()),
-                       Value{});
+      slot.alloc(elems);
       slot.base_word = smem_word_cursor_;
-      smem_word_cursor_ += static_cast<std::uint64_t>(d.type.element_count());
+      smem_word_cursor_ += elems;
     } else if (d.type.is_array()) {  // local / register / constant array
-      slot.data.assign(
-          static_cast<std::size_t>(d.type.element_count() * nlanes_), Value{});
+      slot.alloc(elems * static_cast<std::size_t>(nlanes_));
       slot.base_word = local_word_cursor_;
-      local_word_cursor_ += static_cast<std::uint64_t>(d.type.element_count());
+      local_word_cursor_ += elems;
     } else {  // register scalar
-      slot.data.assign(static_cast<std::size_t>(nlanes_), Value{});
+      slot.alloc(static_cast<std::size_t>(nlanes_));
     }
     if (san_ && d.type.space != AddrSpace::kShared)
-      slot.shadow.assign(slot.data.size(), 0);
+      slot.shadow.assign(slot.is_float() ? slot.f.size() : slot.i.size(), 0);
     slot.live = true;
   }
   return slot;
 }
 
-void BlockCore::binop_fail(const char* prefix, SourceLoc loc) {
-  throw SimError(std::string(prefix) + loc.str());
+void BlockCore::binop_fail(const char* what, SourceLoc loc) {
+  throw SimError(std::string(what) + " at " + loc.str());
 }
 
-template <BinOp kOp>
-void BlockCore::binop_lanes(LaneView a, LaneView b, const Mask& mask,
-                            Value* out, SourceLoc loc) {
-  // Split on operand shape so the lane loop reads vectors directly
-  // instead of re-testing LaneView's vec-or-splat branch every lane.
-  const std::uint8_t* m = mask.data();
-  const std::size_t n = static_cast<std::size_t>(nlanes_);
-  if (a.vec && b.vec) {
-    const Value* av = a.vec;
-    const Value* bv = b.vec;
-    for (std::size_t l = 0; l < n; ++l)
-      if (m[l]) out[l] = apply_binop<kOp>(av[l], bv[l], loc);
-  } else if (a.vec) {
-    const Value* av = a.vec;
-    const Value bs = b.splat;
-    for (std::size_t l = 0; l < n; ++l)
-      if (m[l]) out[l] = apply_binop<kOp>(av[l], bs, loc);
-  } else if (b.vec) {
-    const Value as = a.splat;
-    const Value* bv = b.vec;
-    for (std::size_t l = 0; l < n; ++l)
-      if (m[l]) out[l] = apply_binop<kOp>(as, bv[l], loc);
-  } else {
-    // Uniform operands give a uniform result — evaluate once, but only
-    // if some lane is active, so an error (e.g. division by zero) still
-    // fires exactly when the per-lane loop would have fired it.
-    bool done = false;
-    Value r{};
-    for (std::size_t l = 0; l < n; ++l) {
-      if (!m[l]) continue;
-      if (!done) {
-        r = apply_binop<kOp>(a.splat, b.splat, loc);
-        done = true;
-      }
-      out[l] = r;
-    }
-  }
+void BlockCore::index_fail(std::int64_t i, std::int64_t dim, SourceLoc loc) {
+  throw SimError("index " + std::to_string(i) + " out of bounds [0," +
+                 std::to_string(dim) + ") for array at " + loc.str());
 }
 
-void BlockCore::dispatch_binop(BinOp op, LaneView a, LaneView b,
-                               const Mask& mask, Value* out, SourceLoc loc) {
-  switch (op) {
-    case BinOp::kAdd: return binop_lanes<BinOp::kAdd>(a, b, mask, out, loc);
-    case BinOp::kSub: return binop_lanes<BinOp::kSub>(a, b, mask, out, loc);
-    case BinOp::kMul: return binop_lanes<BinOp::kMul>(a, b, mask, out, loc);
-    case BinOp::kDiv: return binop_lanes<BinOp::kDiv>(a, b, mask, out, loc);
-    case BinOp::kMod: return binop_lanes<BinOp::kMod>(a, b, mask, out, loc);
-    case BinOp::kLt: return binop_lanes<BinOp::kLt>(a, b, mask, out, loc);
-    case BinOp::kLe: return binop_lanes<BinOp::kLe>(a, b, mask, out, loc);
-    case BinOp::kGt: return binop_lanes<BinOp::kGt>(a, b, mask, out, loc);
-    case BinOp::kGe: return binop_lanes<BinOp::kGe>(a, b, mask, out, loc);
-    case BinOp::kEq: return binop_lanes<BinOp::kEq>(a, b, mask, out, loc);
-    case BinOp::kNe: return binop_lanes<BinOp::kNe>(a, b, mask, out, loc);
-    case BinOp::kLAnd: return binop_lanes<BinOp::kLAnd>(a, b, mask, out, loc);
-    case BinOp::kLOr: return binop_lanes<BinOp::kLOr>(a, b, mask, out, loc);
-    case BinOp::kBitAnd:
-      return binop_lanes<BinOp::kBitAnd>(a, b, mask, out, loc);
-    case BinOp::kBitOr:
-      return binop_lanes<BinOp::kBitOr>(a, b, mask, out, loc);
-    case BinOp::kBitXor:
-      return binop_lanes<BinOp::kBitXor>(a, b, mask, out, loc);
-    case BinOp::kShl: return binop_lanes<BinOp::kShl>(a, b, mask, out, loc);
-    case BinOp::kShr: return binop_lanes<BinOp::kShr>(a, b, mask, out, loc);
-  }
-  throw SimError("unreachable binop");
+void BlockCore::shfl_width_fail() {
+  throw SimError("__shfl width must be a power of two in [1,32]");
 }
 
 }  // namespace cudanp::sim::exec

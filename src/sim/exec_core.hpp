@@ -10,18 +10,29 @@
 // (docs/performance.md) is enforced by construction, not by parallel
 // maintenance.
 //
+// Lane helpers are templates over the lane element type. The VM passes
+// plain int64_t / double lane arrays whose types the lowering fixed
+// statically (sim/bytecode.hpp); the AST walker passes tagged Value
+// lanes. Both instantiate the same bodies, and the scalar semantics come
+// from sim/arith.hpp. Variable storage is typed by the declared scalar
+// type for both engines. Masks are one active-lane word per warp; a fully
+// active warp runs its lane loop with no per-lane test.
+//
 // This header is an implementation detail of sim/; nothing outside the
 // interpreter, the lowering pass and the VM should include it.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "ir/kernel.hpp"
+#include "sim/arith.hpp"
 #include "sim/binder.hpp"
 #include "sim/interpreter.hpp"
 #include "sim/launch.hpp"
@@ -31,12 +42,15 @@
 
 namespace cudanp::sim::exec {
 
-using Mask = std::vector<std::uint8_t>;
+/// Active lanes, one word per warp: bit k of word w is lane
+/// w * warp_size + k.
+using Mask = std::vector<std::uint32_t>;
+/// The AST reference walker's tagged lane vectors.
 using Lanes = std::vector<Value>;
 
 [[nodiscard]] inline bool any(const Mask& m) {
-  for (auto b : m)
-    if (b) return true;
+  for (auto w : m)
+    if (w) return true;
   return false;
 }
 
@@ -44,9 +58,12 @@ using Lanes = std::vector<Value>;
 /// (sim/binder.hpp) in a flat frame vector.
 struct Slot {
   ir::Type type;
-  /// Register scalars & register/local arrays: per-lane storage
-  /// (lane-major: lane * elems + idx). Shared arrays/scalars: one copy.
-  Lanes data;
+  /// Storage typed by `type.scalar`: float slots use `f`, every other
+  /// scalar type `i`. Register scalars & register/local arrays hold
+  /// per-lane storage (lane-major: lane * elems + idx); shared arrays and
+  /// uniform kernel arguments hold one copy.
+  std::vector<std::int64_t> i;
+  std::vector<double> f;
   /// Word offset inside the block's shared or local space (for bank /
   /// coalescing math).
   std::uint64_t base_word = 0;
@@ -58,10 +75,36 @@ struct Slot {
   /// the old map-absence "use of undeclared variable" semantics now that
   /// every slot exists up front.
   bool live = false;
-  /// Sanitizer init bitmap, indexed like `data` (empty when the sanitizer
-  /// is off, and for shared / buffer / uniform slots, which are shadowed
-  /// elsewhere).
+  /// Sanitizer init bitmap, indexed like the storage (empty when the
+  /// sanitizer is off, and for shared / buffer / uniform slots, which are
+  /// shadowed elsewhere).
   std::vector<std::uint8_t> shadow;
+
+  [[nodiscard]] bool is_float() const {
+    return type.scalar == ir::ScalarType::kFloat;
+  }
+  /// Zero-filled storage of `n` cells of the declared scalar type.
+  void alloc(std::size_t n) {
+    if (is_float())
+      f.assign(n, 0.0);
+    else
+      i.assign(n, 0);
+  }
+  template <class T>
+  [[nodiscard]] T* cells() {
+    if constexpr (arith::kIsFloat<T>)
+      return f.data();
+    else
+      return i.data();
+  }
+  /// Calls fn with the typed cell array.
+  template <class Fn>
+  void with_cells(Fn&& fn) {
+    if (is_float())
+      fn(f.data());
+    else
+      fn(i.data());
+  }
 };
 
 /// Per-block hazard stream. Blocks never touch the shared SanitizerEngine
@@ -78,15 +121,48 @@ struct BlockSanitizer {
   std::vector<HazardReport> reports;
 };
 
-/// Per-lane value source: a full lane vector or one broadcast value.
-/// The AST engine passes materialized Lanes; the VM passes registers,
-/// geometry vectors, live slot storage, or folded immediates without
-/// copying.
+/// Per-lane value source: a lane array or one broadcast value. The AST
+/// engine passes materialized Lanes; the VM passes registers, geometry
+/// vectors, live slot storage, or folded immediates without copying.
+template <class T>
 struct LaneView {
-  const Value* vec = nullptr;
-  Value splat{};
-  [[nodiscard]] Value at(std::size_t l) const { return vec ? vec[l] : splat; }
+  const T* vec = nullptr;
+  T splat{};
+  [[nodiscard]] T at(std::size_t l) const { return vec ? vec[l] : splat; }
 };
+
+/// Destination of a VM operator: the register's int and float lane
+/// arrays, of which the operator writes the one its result type selects.
+/// Readers read the pool of the type lowering gave the register, so the
+/// two must agree: binop_lanes checks arith's result types against
+/// arith::binop_yields_float, and vm::run_block checks that the buffers
+/// bound are the ones the program was lowered for. The AST passes Value*
+/// instead.
+struct TypedOut {
+  std::int64_t* i = nullptr;
+  double* f = nullptr;
+};
+
+template <class R>
+[[nodiscard]] inline Value* out_as(Value* o) {
+  return o;
+}
+template <class R>
+[[nodiscard]] inline R* out_as(TypedOut o) {
+  if constexpr (arith::kIsFloat<R>)
+    return o.f;
+  else
+    return o.i;
+}
+
+/// A result converted to the destination's lane representation.
+template <class O, class R>
+[[nodiscard]] inline O lane_as(R r) {
+  if constexpr (std::is_same_v<O, Value>)
+    return arith::box(r);
+  else
+    return r;
+}
 
 class BlockCore {
  public:
@@ -98,33 +174,118 @@ class BlockCore {
 
  protected:
   // ---------------- setup ----------------
-  /// Precomputes the 12 builtin geometry vectors once per block, so an
-  /// executed threadIdx/blockDim/... reference is a plain vector copy.
+  /// Precomputes the 12 builtin geometry vectors once per block.
   void init_geometry();
   void bind_params();
 
-  // ---------------- cost charging ----------------
-  /// Iterates warps that have >= 1 active lane.
+  // ---------------- lanes and masks ----------------
+  /// Calls fn(lane) for every active lane, in ascending lane order. A
+  /// fully active warp runs a plain counted loop with no per-lane test.
   template <typename Fn>
-  void for_each_active_warp(const Mask& mask, Fn&& fn) {
-    for (int w = 0; w < nwarps_; ++w) {
-      int lo = w * spec_.warp_size;
-      int hi = std::min(lo + spec_.warp_size, nlanes_);
-      bool active = false;
-      for (int l = lo; l < hi; ++l) {
-        if (mask[static_cast<std::size_t>(l)]) {
-          active = true;
-          break;
-        }
+  void for_each_lane(const Mask& mask, Fn&& fn) const {
+    const std::size_t ws = static_cast<std::size_t>(spec_.warp_size);
+    for (std::size_t w = 0; w < mask.size(); ++w) {
+      std::uint32_t bits = mask[w];
+      if (!bits) continue;
+      const std::size_t lo = w * ws;
+      if (bits == full_[w]) {
+        const std::size_t hi =
+            lo + static_cast<std::size_t>(std::popcount(bits));
+        for (std::size_t l = lo; l < hi; ++l) fn(l);
+      } else {
+        do {
+          fn(lo + static_cast<std::size_t>(std::countr_zero(bits)));
+          bits &= bits - 1;
+        } while (bits);
       }
-      if (active) fn(w, lo, hi);
     }
   }
 
+  /// Iterates warps that have >= 1 active lane: fn(warp, lo, bits).
+  template <typename Fn>
+  void for_each_active_warp(const Mask& mask, Fn&& fn) const {
+    for (int w = 0; w < nwarps_; ++w) {
+      const std::uint32_t bits = mask[static_cast<std::size_t>(w)];
+      if (bits) fn(w, w * spec_.warp_size, bits);
+    }
+  }
+
+  [[nodiscard]] bool lane_on(const Mask& mask, std::size_t l) const {
+    const std::size_t ws = static_cast<std::size_t>(spec_.warp_size);
+    return (mask[l / ws] >> (l % ws)) & 1u;
+  }
+
+  [[nodiscard]] std::size_t first_active(const Mask& mask) const {
+    for (std::size_t w = 0; w < mask.size(); ++w)
+      if (mask[w])
+        return w * static_cast<std::size_t>(spec_.warp_size) +
+               static_cast<std::size_t>(std::countr_zero(mask[w]));
+    return 0;
+  }
+
+  /// out = the lanes active in `mask` whose `c` is true (`out` may alias
+  /// `mask`).
+  template <class C>
+  void truth_mask(const Mask& mask, LaneView<C> c, Mask& out) const {
+    const std::size_t ws = static_cast<std::size_t>(spec_.warp_size);
+    for (std::size_t w = 0; w < mask.size(); ++w) {
+      const std::uint32_t bits = mask[w];
+      std::uint32_t t = 0;
+      if (bits && !c.vec) {
+        t = arith::truthy(c.splat) ? bits : 0;
+      } else if (bits == full_[w]) {
+        const C* cv = c.vec + w * ws;
+        const int n = std::popcount(bits);
+        for (int k = 0; k < n; ++k)
+          t |= static_cast<std::uint32_t>(arith::truthy(cv[k])) << k;
+      } else {
+        for (std::uint32_t b = bits; b; b &= b - 1) {
+          const int k = std::countr_zero(b);
+          if (arith::truthy(c.vec[w * ws + static_cast<std::size_t>(k)]))
+            t |= 1u << k;
+        }
+      }
+      out[w] = t;
+    }
+  }
+
+  /// Splits `mask` on `c` into the then/else masks and counts warps where
+  /// both paths have lanes (divergence).
+  template <class C>
+  void split_mask(const Mask& mask, LaneView<C> c, Mask& then_mask,
+                  Mask& else_mask) {
+    truth_mask(mask, c, then_mask);
+    for (std::size_t w = 0; w < mask.size(); ++w) {
+      else_mask[w] = mask[w] & ~then_mask[w];
+      if (then_mask[w] && else_mask[w]) ++divergent_branches_;
+    }
+  }
+
+  /// Clears returned lanes from `mask`; true if any lane is still active.
+  bool clear_returned(Mask& mask) const {
+    std::uint32_t alive = 0;
+    for (std::size_t w = 0; w < mask.size(); ++w) {
+      mask[w] &= ~returned_[w];
+      alive |= mask[w];
+    }
+    return alive != 0;
+  }
+
+  void mark_returned(const Mask& mask) {
+    for (std::size_t w = 0; w < mask.size(); ++w) returned_[w] |= mask[w];
+  }
+
+  /// All lanes of every warp active under `mask` (the mask a shfl's
+  /// source argument is evaluated under).
+  void make_broad_mask(const Mask& mask, Mask& broad) const {
+    for (std::size_t w = 0; w < mask.size(); ++w)
+      broad[w] = mask[w] ? full_[w] : 0;
+  }
+
+  // ---------------- cost charging ----------------
   void charge_issue(const Mask& mask, double weight) {
-    for_each_active_warp(mask, [&](int w, int, int) {
-      warp_issue_[static_cast<std::size_t>(w)] += weight;
-    });
+    for (std::size_t w = 0; w < mask.size(); ++w)
+      if (mask[w]) warp_issue_[w] += weight;
   }
 
   void charge_latency(int warp, double cycles) {
@@ -159,51 +320,77 @@ class BlockCore {
   [[noreturn]] void stall();
 
   // ---------------- memory access paths ----------------
-  void charge_global(const DeviceBuffer& buf, LaneView idx, const Mask& mask);
-  void charge_shared(const Slot& slot, const Value* flat_idx,
+  template <class I>
+  void charge_global(const DeviceBuffer& buf, LaneView<I> idx,
                      const Mask& mask);
-  void charge_local(const Slot& slot, const Value* elem_idx,
+  void charge_shared(const Slot& slot, const std::int64_t* flat_idx,
+                     const Mask& mask);
+  void charge_local(const Slot& slot, const std::int64_t* elem_idx,
+                    const Mask& mask);
+  /// The address-space charge of a local / register / constant array
+  /// access.
+  void charge_array(const Slot& slot, const std::int64_t* flat,
                     const Mask& mask);
 
-  /// Global-buffer element access, charges included. Load when `store` is
-  /// null (fills `out`), store otherwise.
-  void buffer_access(Slot& slot, const std::string& name, LaneView idx,
-                     const Mask& mask, const LaneView* store, Value* out,
-                     SourceLoc loc);
+  /// Global-buffer element loads / stores, charges included.
+  template <class I, class Out>
+  void buffer_load(Slot& slot, const std::string& name, LaneView<I> idx,
+                   const Mask& mask, Out out, SourceLoc loc);
+  template <class I, class S>
+  void buffer_store(Slot& slot, LaneView<I> idx, const Mask& mask,
+                    LaneView<S> val);
   /// Shared-array access on pre-flattened indices; bumps the sanitizer's
   /// access sequence and emits race / uninit reports.
-  void shared_access(Slot& slot, const std::string& name, const Value* flat,
-                     const Mask& mask, const LaneView* store, Value* out,
-                     SourceLoc loc);
+  template <class Out>
+  void shared_load(Slot& slot, const std::string& name,
+                   const std::int64_t* flat, const Mask& mask, Out out,
+                   SourceLoc loc);
+  template <class S>
+  void shared_store(Slot& slot, const std::string& name,
+                    const std::int64_t* flat, const Mask& mask,
+                    LaneView<S> val, SourceLoc loc);
   /// Local / register / constant array access on pre-flattened indices
   /// (the charge dispatch on the address space included).
-  void local_access(Slot& slot, const std::string& name, const Value* flat,
-                    const Mask& mask, const LaneView* store, Value* out,
-                    SourceLoc loc);
+  template <class Out>
+  void local_load(Slot& slot, const std::string& name,
+                  const std::int64_t* flat, const Mask& mask, Out out,
+                  SourceLoc loc);
+  template <class S>
+  void local_store(Slot& slot, const std::int64_t* flat, const Mask& mask,
+                   LaneView<S> val);
 
   /// One dimension of a (possibly multi-dim) index flatten: bounds-checks
   /// active lanes against `dim` and accumulates flat = flat * dim + i
   /// (`first` resets instead). The per-dim ALU charge for d > 0 is the
   /// caller's, matching the AST order (charge, then check).
-  void flatten_dim(Value* flat, LaneView idx, std::int64_t dim, bool first,
-                   const Mask& mask, SourceLoc loc);
+  template <class I>
+  void flatten_dim(std::int64_t* flat, LaneView<I> idx, std::int64_t dim,
+                   bool first, const Mask& mask, SourceLoc loc);
 
   // ---------------- scalar variable paths ----------------
   /// Everything eval of a scalar VarRef does except materializing values:
   /// liveness / pointer-as-value / array-without-index errors and the
   /// sanitizer's uninit-read check. Returns the live slot so the caller
-  /// can read `data` in place (AST copies; VM aliases).
+  /// can read its storage in place (AST copies; VM aliases).
   Slot& var_read_check(std::int32_t slot_id, const std::string& name,
                        const Mask& mask, SourceLoc loc);
   /// Scalar variable assignment target: slot_at + assignability errors +
-  /// ALU charge + masked coerced store with shadow marking.
+  /// ALU charge + masked converted store with shadow marking.
+  template <class S>
   void store_var(std::int32_t slot_id, const std::string& name,
-                 const Mask& mask, LaneView val, SourceLoc loc);
-  /// DeclStmt scalar initializer: ALU charge + masked coerced store with
+                 const Mask& mask, LaneView<S> val, SourceLoc loc) {
+    Slot& slot = store_target(slot_id, name, loc);
+    charge_issue(mask, opt_.timing.weights.alu);
+    store_lanes(slot, mask, val);
+  }
+  /// DeclStmt scalar initializer: ALU charge + masked converted store with
   /// shadow marking into an already-declared slot.
-  void decl_scalar_init(Slot& slot, ir::ScalarType to, const Mask& mask,
-                        LaneView val);
-  /// One brace-initializer element (coerced lane-0 value broadcast into
+  template <class S>
+  void decl_scalar_init(Slot& slot, const Mask& mask, LaneView<S> val) {
+    charge_issue(mask, opt_.timing.weights.alu);
+    store_lanes(slot, mask, val);
+  }
+  /// One brace-initializer element (converted lane-0 value broadcast into
   /// shared storage or all lanes' element e).
   void decl_fill(Slot& slot, const ir::Type& type, std::size_t e, Value raw);
   /// Brace initializers zero-fill the tail in C, so the whole array is
@@ -211,37 +398,97 @@ class BlockCore {
   void decl_shadow_all(Slot& slot, const ir::Type& type);
 
   // ---------------- operators (charges included) ----------------
-  void do_binop(ir::BinOp op, LaneView a, LaneView b, const Mask& mask,
-                Value* out, SourceLoc loc);
+  template <class A, class B, class Out>
+  void do_binop(ir::BinOp op, LaneView<A> a, LaneView<B> b, const Mask& mask,
+                Out out, SourceLoc loc) {
+    double w = opt_.timing.weights.alu;
+    if (op == ir::BinOp::kDiv || op == ir::BinOp::kMod) {
+      // Int div/mod and float div are multi-cycle.
+      w = opt_.timing.weights.idiv_imod;
+      if (op == ir::BinOp::kDiv &&
+          (is_float_operand(a, mask) || is_float_operand(b, mask)))
+        w = opt_.timing.weights.fdiv_sqrt_transcendental;
+    }
+    charge_issue(mask, w);
+    dispatch_binop(op, a, b, mask, out, loc);
+  }
   /// Compound-assignment combine: fixed ALU charge (never the div/mod
   /// weights) + apply, matching the AST's exec_assign.
-  void do_compound(ir::BinOp op, LaneView oldv, LaneView rhs,
-                   const Mask& mask, Value* out, SourceLoc loc);
-  void do_unop(ir::UnOp op, LaneView a, const Mask& mask, Value* out);
-  void do_cast(ir::ScalarType to, LaneView a, const Mask& mask, Value* out);
-  void do_select(LaneView c, LaneView a, LaneView b, const Mask& mask,
-                 Value* out);
-  void do_unary_math(double (*fn)(double), bool sfu, LaneView a,
-                     const Mask& mask, Value* out);
-  void do_abs(LaneView a, const Mask& mask, Value* out);
+  template <class A, class B, class Out>
+  void do_compound(ir::BinOp op, LaneView<A> oldv, LaneView<B> rhs,
+                   const Mask& mask, Out out, SourceLoc loc) {
+    charge_issue(mask, opt_.timing.weights.alu);
+    dispatch_binop(op, oldv, rhs, mask, out, loc);
+  }
+  template <class A, class Out>
+  void do_unop(ir::UnOp op, LaneView<A> a, const Mask& mask, Out out) {
+    charge_issue(mask, opt_.timing.weights.alu);
+    if (op == ir::UnOp::kNeg)
+      map_lanes(mask, out, [](auto x) { return arith::neg(x); }, a);
+    else
+      map_lanes(mask, out, [](auto x) { return arith::lnot(x); }, a);
+  }
+  template <class A, class Out>
+  void do_cast(ir::ScalarType to, LaneView<A> a, const Mask& mask, Out out) {
+    charge_issue(mask, opt_.timing.weights.alu);
+    switch (to) {
+      case ir::ScalarType::kFloat:
+        return map_lanes(mask, out,
+                         [](auto x) { return arith::to<double>(x); }, a);
+      case ir::ScalarType::kInt:
+      case ir::ScalarType::kBool:
+        return map_lanes(mask, out,
+                         [](auto x) { return arith::to<arith::Int>(x); }, a);
+      case ir::ScalarType::kVoid:
+        return map_lanes(mask, out, [](auto x) { return x; }, a);
+    }
+  }
+  /// c ? a : b, both arms converted to their common type.
+  template <class C, class A, class B, class Out>
+  void do_select(LaneView<C> c, LaneView<A> a, LaneView<B> b,
+                 const Mask& mask, Out out) {
+    charge_issue(mask, opt_.timing.weights.alu);
+    auto pick = [](bool t) {
+      return [t](auto x, auto y) { return arith::select(t, x, y); };
+    };
+    using R = decltype(arith::visit(pick(true), A{}, B{}));
+    auto* o = out_as<R>(out);
+    using O = std::remove_pointer_t<decltype(o)>;
+    for_each_lane(mask, [&](std::size_t l) {
+      o[l] = lane_as<O>(
+          arith::visit(pick(arith::truthy(c.at(l))), a.at(l), b.at(l)));
+    });
+  }
+  template <class A, class Out>
+  void do_unary_math(double (*fn)(double), bool sfu, LaneView<A> a,
+                     const Mask& mask, Out out) {
+    charge_issue(mask, sfu ? opt_.timing.weights.fdiv_sqrt_transcendental
+                           : opt_.timing.weights.alu);
+    map_lanes(mask, out,
+              [fn](auto x) { return arith::f32(fn(arith::as_f(x))); }, a);
+  }
+  template <class A, class Out>
+  void do_abs(LaneView<A> a, const Mask& mask, Out out) {
+    charge_issue(mask, opt_.timing.weights.alu);
+    map_lanes(mask, out, [](auto x) { return arith::abs(x); }, a);
+  }
   /// min / max / fminf / fmaxf / powf.
-  void do_binmath(Builtin b, LaneView x, LaneView y, const Mask& mask,
-                  Value* out);
+  template <class A, class B, class Out>
+  void do_binmath(Builtin b, LaneView<A> x, LaneView<B> y, const Mask& mask,
+                  Out out);
 
   // ---------------- builtins with shared semantics ----------------
   /// __syncthreads(): counters, charges, barrier bookkeeping.
   void do_sync(const Mask& mask, SourceLoc loc);
-  /// Fills `broad` with all lanes of every warp active under `mask` (the
-  /// mask a shfl's source argument is evaluated under).
-  void make_broad_mask(const Mask& mask, Mask& broad);
   /// __shfl family body (after the caller's sm-version / arity checks and
   /// argument evaluation): selection, clamping, hazard reports and the
   /// post-hoc source-lane init check. `var_slot`/`var_name` describe the
   /// first argument when it is a plain variable reference (pass
   /// kSlotUnbound / nullptr otherwise). `var` must cover every lane of
   /// every active warp (it was evaluated under the broadened mask).
-  void do_shfl(Builtin b, const std::string& callee, LaneView var,
-               LaneView sel, LaneView width, const Mask& mask, Value* out,
+  template <class V, class S, class W, class Out>
+  void do_shfl(Builtin b, const std::string& callee, LaneView<V> var,
+               LaneView<S> sel, LaneView<W> width, const Mask& mask, Out out,
                SourceLoc loc, std::int32_t var_slot,
                const std::string* var_name);
 
@@ -279,6 +526,21 @@ class BlockCore {
   /// fine, but a warp whose live lanes all branch around the barrier never
   /// arrives and the block deadlocks on real hardware.
   void note_barrier(SourceLoc loc, const Mask& mask);
+  /// Uninit-read report for one element of a buffer or array (`what`).
+  void report_uninit_element(const char* what, const std::string& name,
+                             std::int64_t index, int lane, SourceLoc loc);
+  /// do_shfl's hazard report for a source lane it cannot honour.
+  enum class ShflSource : std::uint8_t {
+    kOutsideWarp,
+    kBeyondBlock,
+    kInactive,
+  };
+  void report_shfl_source(ShflSource why, const std::string& callee,
+                          int src_lane, int lane, SourceLoc loc);
+  /// do_shfl's post-hoc init check on the lanes actually read as sources.
+  void check_shfl_sources(const std::vector<int>& src_of,
+                          const std::string& callee, SourceLoc loc,
+                          std::int32_t var_slot, const std::string& var_name);
 
   // ---------------- variable helpers ----------------
   /// Resolves a bound slot id to live storage. Geometry codes land here
@@ -286,41 +548,20 @@ class BlockCore {
   /// assignment target) and get the same "undeclared" error the old map
   /// lookup produced.
   Slot& slot_at(std::int32_t s, const std::string& name, SourceLoc loc);
+  /// slot_at plus the scalar-assignability errors.
+  Slot& store_target(std::int32_t s, const std::string& name, SourceLoc loc);
 
-  /// Declares (or re-declares, for loop bodies) a variable. Unsupported
-  /// declarations (shared-memory scalars) fail here, for both engines.
+  /// Declares (or re-declares, for loop bodies) a variable, zero-filled
+  /// with its declared scalar type. Unsupported declarations (shared-memory
+  /// scalars, void variables) fail here, for both engines.
   Slot& declare(const ir::DeclStmt& d);
 
-  [[nodiscard]] static Value coerce(Value v, ir::ScalarType to);
-
-  [[nodiscard]] std::size_t first_active(const Mask& mask) const {
-    for (int l = 0; l < nlanes_; ++l)
-      if (mask[static_cast<std::size_t>(l)]) return static_cast<std::size_t>(l);
-    return 0;
-  }
-
-  /// One operator, op fixed at compile time so every instantiation is a
-  /// handful of instructions that inlines into binop_lanes' lane loop.
-  /// (A runtime-op switch here defeats inlining: GCC sees one big 19-way
-  /// function and emits an out-of-line call per lane.)
-  template <ir::BinOp kOp>
-  static Value apply_binop(Value a, Value b, SourceLoc loc);
-
-  /// Cold path for the division/modulo diagnostics; out of line so the
-  /// string construction doesn't bloat apply_binop's inline body.
-  [[noreturn]] static void binop_fail(const char* prefix, SourceLoc loc);
-
-  /// Lane loop for one operator with the op as a compile-time constant,
-  /// so the inlined apply_binop collapses to a single case — operator
-  /// execution is the hottest path in both engines and must not pay a
-  /// 19-way switch per lane.
-  template <ir::BinOp kOp>
-  void binop_lanes(LaneView a, LaneView b, const Mask& mask, Value* out,
-                   SourceLoc loc);
-
-  /// Runtime-op entry: one switch per statement, then binop_lanes.
-  void dispatch_binop(ir::BinOp op, LaneView a, LaneView b, const Mask& mask,
-                      Value* out, SourceLoc loc);
+  /// Cold paths for lane-loop diagnostics; out of line so the string
+  /// construction doesn't keep the lane bodies from inlining.
+  [[noreturn]] static void binop_fail(const char* what, SourceLoc loc);
+  [[noreturn]] static void index_fail(std::int64_t i, std::int64_t dim,
+                                      SourceLoc loc);
+  [[noreturn]] static void shfl_width_fail();
 
   static constexpr std::uint64_t kLocalSpaceBase = 1ULL << 40;
 
@@ -342,7 +583,10 @@ class BlockCore {
   /// Flat variable frame, indexed by the binder's slot ids.
   std::vector<Slot> frame_;
   /// Precomputed geometry lane vectors (threadIdx.x, ..., gridDim.z).
-  Lanes geom_[kGeomCount];
+  std::vector<std::int64_t> geom_[kGeomCount];
+  /// Every lane of each warp (the tail warp of a block whose size is not
+  /// a warp multiple is partial).
+  Mask full_;
   Mask returned_;
   BlockSanitizer* san_ = nullptr;
   std::unordered_map<std::uint64_t, SharedShadow> smem_shadow_;
@@ -364,72 +608,379 @@ class BlockCore {
   std::int64_t shfl_ops_ = 0;
   std::int64_t sync_ops_ = 0;
   std::int64_t divergent_branches_ = 0;
-};
 
-// Inline so binop_lanes' per-lane loop folds the whole switch away once
-// kOp is a constant; out-of-line these two are ~40% of a kernel's run.
-
-inline Value BlockCore::coerce(Value v, ir::ScalarType to) {
-  switch (to) {
-    case ir::ScalarType::kFloat: return v.to_f32();
-    case ir::ScalarType::kInt:
-    case ir::ScalarType::kBool: return Value::of_int(v.as_i());
-    case ir::ScalarType::kVoid: return v;
+ private:
+  /// The operand's type for the division charge: static for typed lanes;
+  /// for tagged lanes the first active lane's tag, which every lane shares
+  /// (values are converted to their static type wherever they are stored,
+  /// selected or combined).
+  template <class T>
+  [[nodiscard]] bool is_float_operand(LaneView<T> v, const Mask& mask) const {
+    if constexpr (arith::kTyped<T>)
+      return arith::kIsFloat<T>;
+    else
+      return v.at(first_active(mask)).is_float();
   }
-  return v;
-}
 
-template <ir::BinOp kOp>
-inline Value BlockCore::apply_binop(Value a, Value b, SourceLoc loc) {
-  using ir::BinOp;
-  if constexpr (kOp == BinOp::kLAnd)
-    return Value::of_int(a.truthy() && b.truthy());
-  else if constexpr (kOp == BinOp::kLOr)
-    return Value::of_int(a.truthy() || b.truthy());
-  else if constexpr (kOp == BinOp::kBitAnd)
-    return Value::of_int(a.as_i() & b.as_i());
-  else if constexpr (kOp == BinOp::kBitOr)
-    return Value::of_int(a.as_i() | b.as_i());
-  else if constexpr (kOp == BinOp::kBitXor)
-    return Value::of_int(a.as_i() ^ b.as_i());
-  else if constexpr (kOp == BinOp::kShl)
-    return Value::of_int(a.as_i() << b.as_i());
-  else if constexpr (kOp == BinOp::kShr)
-    return Value::of_int(a.as_i() >> b.as_i());
-  else {
-    const bool fl = a.is_float() || b.is_float();
-    if constexpr (kOp == BinOp::kAdd)
-      return fl ? Value::of_float(a.as_f() + b.as_f()).to_f32()
-                : Value::of_int(a.i + b.i);
-    else if constexpr (kOp == BinOp::kSub)
-      return fl ? Value::of_float(a.as_f() - b.as_f()).to_f32()
-                : Value::of_int(a.i - b.i);
-    else if constexpr (kOp == BinOp::kMul)
-      return fl ? Value::of_float(a.as_f() * b.as_f()).to_f32()
-                : Value::of_int(a.i * b.i);
-    else if constexpr (kOp == BinOp::kDiv) {
-      if (fl) return Value::of_float(a.as_f() / b.as_f()).to_f32();
-      if (b.i == 0) binop_fail("integer division by zero at ", loc);
-      return Value::of_int(a.i / b.i);
-    } else if constexpr (kOp == BinOp::kMod) {
-      if (fl) binop_fail("operator % requires integers at ", loc);
-      if (b.i == 0) binop_fail("modulo by zero at ", loc);
-      return Value::of_int(a.i % b.i);
-    } else if constexpr (kOp == BinOp::kLt) {
-      return Value::of_int(fl ? a.as_f() < b.as_f() : a.i < b.i);
-    } else if constexpr (kOp == BinOp::kLe) {
-      return Value::of_int(fl ? a.as_f() <= b.as_f() : a.i <= b.i);
-    } else if constexpr (kOp == BinOp::kGt) {
-      return Value::of_int(fl ? a.as_f() > b.as_f() : a.i > b.i);
-    } else if constexpr (kOp == BinOp::kGe) {
-      return Value::of_int(fl ? a.as_f() >= b.as_f() : a.i >= b.i);
-    } else if constexpr (kOp == BinOp::kEq) {
-      return Value::of_int(fl ? a.as_f() == b.as_f() : a.i == b.i);
-    } else {
-      static_assert(kOp == BinOp::kNe, "unhandled binop");
-      return Value::of_int(fl ? a.as_f() != b.as_f() : a.i != b.i);
+  /// Calls fn with a per-lane accessor for the view: an array read for a
+  /// vector, a constant for a splat, so lane loops carry no shape test.
+  template <class T, class Fn>
+  static void with_access(LaneView<T> v, Fn&& fn) {
+    if (v.vec)
+      fn([p = v.vec](std::size_t l) { return p[l]; });
+    else
+      fn([s = v.splat](std::size_t) { return s; });
+  }
+
+  /// out[l] = fn(a[l]) over the active lanes.
+  template <class Out, class Fn, class A>
+  void map_lanes(const Mask& mask, Out out, Fn&& fn, LaneView<A> a) {
+    using R = decltype(arith::visit(fn, A{}));
+    auto* o = out_as<R>(out);
+    using O = std::remove_pointer_t<decltype(o)>;
+    with_access(a, [&](auto ga) {
+      for_each_lane(mask, [&](std::size_t l) {
+        o[l] = lane_as<O>(arith::visit(fn, ga(l)));
+      });
+    });
+  }
+
+  /// out[l] = fn(a[l], b[l]) over the active lanes. Two broadcast operands
+  /// give a broadcast result, computed once at the first active lane (so
+  /// an error still fires exactly when the lane loop would fire it).
+  template <class Out, class Fn, class A, class B>
+  void map_lanes(const Mask& mask, Out out, Fn&& fn, LaneView<A> a,
+                 LaneView<B> b) {
+    using R = decltype(arith::visit(fn, A{}, B{}));
+    auto* o = out_as<R>(out);
+    using O = std::remove_pointer_t<decltype(o)>;
+    if (!a.vec && !b.vec) {
+      if (!any(mask)) return;
+      const O r = lane_as<O>(arith::visit(fn, a.splat, b.splat));
+      for_each_lane(mask, [&](std::size_t l) { o[l] = r; });
+      return;
+    }
+    with_access(a, [&](auto ga) {
+      with_access(b, [&](auto gb) {
+        for_each_lane(mask, [&](std::size_t l) {
+          o[l] = lane_as<O>(arith::visit(fn, ga(l), gb(l)));
+        });
+      });
+    });
+  }
+
+  /// Masked store into a scalar slot, converted to its declared type, plus
+  /// shadow marking.
+  template <class S>
+  void store_lanes(Slot& slot, const Mask& mask, LaneView<S> val) {
+    slot.with_cells([&](auto* data) {
+      using T = std::remove_pointer_t<decltype(data)>;
+      if (val.vec) {
+        const S* v = val.vec;
+        for_each_lane(mask,
+                      [&](std::size_t l) { data[l] = arith::to<T>(v[l]); });
+      } else {
+        const T s = arith::to<T>(val.splat);
+        for_each_lane(mask, [&](std::size_t l) { data[l] = s; });
+      }
+    });
+    if (!slot.shadow.empty()) {
+      std::uint8_t* shadow = slot.shadow.data();
+      for_each_lane(mask, [&](std::size_t l) { shadow[l] = 1; });
     }
   }
+
+  /// Lane loop for one operator with the op as a compile-time constant,
+  /// so the inlined arith::binop collapses to a single case.
+  template <ir::BinOp kOp, class A, class B, class Out>
+  void binop_lanes(LaneView<A> a, LaneView<B> b, const Mask& mask, Out out,
+                   SourceLoc loc) {
+    auto fail = [&loc](const char* what) { binop_fail(what, loc); };
+    auto fn = [&](auto x, auto y) { return arith::binop<kOp>(x, y, fail); };
+    if constexpr (arith::kTyped<A>) {
+      using R = decltype(fn(A{}, B{}));
+      static_assert(arith::kIsFloat<R> ==
+                    arith::binop_yields_float(kOp, arith::kIsFloat<A>,
+                                              arith::kIsFloat<B>));
+    }
+    map_lanes(mask, out, fn, a, b);
+  }
+
+  /// Runtime-op entry: one switch per statement, then binop_lanes.
+  template <class A, class B, class Out>
+  void dispatch_binop(ir::BinOp op, LaneView<A> a, LaneView<B> b,
+                      const Mask& mask, Out out, SourceLoc loc);
+
+  /// Buffer whose sanitizer init bitmap covers `slot`'s buffer, if any.
+  [[nodiscard]] std::vector<std::uint8_t>* buffer_shadow(const Slot& slot) {
+    return san_ ? san_->engine->buffer_shadow(slot.buffer) : nullptr;
+  }
+};
+
+// ---------------- template definitions ----------------
+
+template <class I>
+void BlockCore::charge_global(const DeviceBuffer& buf, LaneView<I> idx,
+                              const Mask& mask) {
+  const auto esize =
+      static_cast<std::uint64_t>(ir::Type::scalar_size_bytes(buf.type()));
+  for_each_active_warp(mask, [&](int w, int lo, std::uint32_t bits) {
+    std::uint64_t addrs[32];
+    for (std::uint32_t b = bits; b; b &= b - 1) {
+      const int k = std::countr_zero(b);
+      addrs[k] = buf.base_addr() +
+                 static_cast<std::uint64_t>(arith::as_i(
+                     idx.at(static_cast<std::size_t>(lo + k)))) *
+                     esize;
+    }
+    const std::span<const std::uint64_t> span(addrs, 32);
+    if (buf.is_constant()) {
+      // Constant cache: distinct words serialize, identical broadcast.
+      int replays = smem_replays(span, bits, 1);
+      smem_accesses_ += replays;  // books constant traffic with smem
+      warp_issue_[static_cast<std::size_t>(w)] +=
+          opt_.timing.weights.mem_issue * replays;
+      charge_latency(w, spec_.smem_latency_cycles);
+      return;
+    }
+    int trans = coalesced_transactions(span, bits, 32);
+    global_transactions_ += trans;
+    dram_transactions_ += trans;
+    warp_issue_[static_cast<std::size_t>(w)] += opt_.timing.weights.mem_issue;
+    charge_latency(w, spec_.dram_latency_cycles);
+  });
+}
+
+template <class I, class Out>
+void BlockCore::buffer_load(Slot& slot, const std::string& name,
+                            LaneView<I> idx, const Mask& mask, Out out,
+                            SourceLoc loc) {
+  DeviceBuffer& buf = mem_.buffer(slot.buffer);
+  charge_global(buf, idx, mask);
+  std::vector<std::uint8_t>* bsh = buffer_shadow(slot);
+  buf.with_data([&](auto* data) {
+    using E = std::remove_cv_t<std::remove_pointer_t<decltype(data)>>;
+    using R = std::conditional_t<std::is_same_v<E, float>, double,
+                                 std::int64_t>;
+    auto* o = out_as<R>(out);
+    using O = std::remove_pointer_t<decltype(o)>;
+    for_each_lane(mask, [&](std::size_t l) {
+      const auto i = static_cast<std::size_t>(arith::as_i(idx.at(l)));
+      if (bsh && shfl_arg_depth_ == 0 && i < bsh->size() && !(*bsh)[i])
+        report_uninit_element("global buffer", name,
+                              static_cast<std::int64_t>(i),
+                              static_cast<int>(l), loc);
+      buf.check(i);
+      o[l] = lane_as<O>(static_cast<R>(data[i]));
+    });
+  });
+}
+
+template <class I, class S>
+void BlockCore::buffer_store(Slot& slot, LaneView<I> idx, const Mask& mask,
+                             LaneView<S> val) {
+  DeviceBuffer& buf = mem_.buffer(slot.buffer);
+  charge_global(buf, idx, mask);
+  std::vector<std::uint8_t>* bsh = buffer_shadow(slot);
+  buf.with_data([&](auto* data) {
+    using E = std::remove_pointer_t<decltype(data)>;
+    for_each_lane(mask, [&](std::size_t l) {
+      const auto i = static_cast<std::size_t>(arith::as_i(idx.at(l)));
+      buf.check(i);
+      if constexpr (std::is_same_v<E, float>)
+        data[i] = static_cast<float>(arith::as_f(val.at(l)));
+      else
+        data[i] = static_cast<std::int32_t>(arith::as_i(val.at(l)));
+      if (bsh && i < bsh->size()) (*bsh)[i] = 1;
+    });
+  });
+}
+
+template <class Out>
+void BlockCore::shared_load(Slot& slot, const std::string& name,
+                            const std::int64_t* flat, const Mask& mask,
+                            Out out, SourceLoc loc) {
+  charge_shared(slot, flat, mask);
+  if (san_) ++access_seq_;
+  slot.with_cells([&](auto* data) {
+    using T = std::remove_pointer_t<decltype(data)>;
+    auto* o = out_as<T>(out);
+    using O = std::remove_pointer_t<decltype(o)>;
+    for_each_lane(mask, [&](std::size_t l) {
+      const auto i = static_cast<std::size_t>(flat[l]);
+      if (san_) note_shared_read(slot, name, i, static_cast<int>(l), loc);
+      o[l] = lane_as<O>(data[i]);
+    });
+  });
+}
+
+template <class S>
+void BlockCore::shared_store(Slot& slot, const std::string& name,
+                             const std::int64_t* flat, const Mask& mask,
+                             LaneView<S> val, SourceLoc loc) {
+  charge_shared(slot, flat, mask);
+  if (san_) ++access_seq_;
+  slot.with_cells([&](auto* data) {
+    using T = std::remove_pointer_t<decltype(data)>;
+    for_each_lane(mask, [&](std::size_t l) {
+      const auto i = static_cast<std::size_t>(flat[l]);
+      const T v = arith::to<T>(val.at(l));
+      if (san_)
+        note_shared_write(slot, name, i, static_cast<int>(l), arith::box(v),
+                          loc);
+      data[i] = v;
+    });
+  });
+}
+
+template <class Out>
+void BlockCore::local_load(Slot& slot, const std::string& name,
+                           const std::int64_t* flat, const Mask& mask,
+                           Out out, SourceLoc loc) {
+  charge_array(slot, flat, mask);
+  const auto elems = static_cast<std::size_t>(slot.type.element_count());
+  slot.with_cells([&](auto* data) {
+    using T = std::remove_pointer_t<decltype(data)>;
+    auto* o = out_as<T>(out);
+    using O = std::remove_pointer_t<decltype(o)>;
+    for_each_lane(mask, [&](std::size_t l) {
+      const std::size_t i = l * elems + static_cast<std::size_t>(flat[l]);
+      if (san_ && shfl_arg_depth_ == 0 && !slot.shadow.empty() &&
+          !slot.shadow[i])
+        report_uninit_element("array element", name, flat[l],
+                              static_cast<int>(l), loc);
+      o[l] = lane_as<O>(data[i]);
+    });
+  });
+}
+
+template <class S>
+void BlockCore::local_store(Slot& slot, const std::int64_t* flat,
+                            const Mask& mask, LaneView<S> val) {
+  charge_array(slot, flat, mask);
+  const auto elems = static_cast<std::size_t>(slot.type.element_count());
+  slot.with_cells([&](auto* data) {
+    using T = std::remove_pointer_t<decltype(data)>;
+    for_each_lane(mask, [&](std::size_t l) {
+      const std::size_t i = l * elems + static_cast<std::size_t>(flat[l]);
+      data[i] = arith::to<T>(val.at(l));
+      if (!slot.shadow.empty()) slot.shadow[i] = 1;
+    });
+  });
+}
+
+template <class I>
+void BlockCore::flatten_dim(std::int64_t* flat, LaneView<I> idx,
+                            std::int64_t dim, bool first, const Mask& mask,
+                            SourceLoc loc) {
+  for_each_lane(mask, [&](std::size_t l) {
+    const std::int64_t i = arith::as_i(idx.at(l));
+    if (i < 0 || i >= dim) index_fail(i, dim, loc);
+    flat[l] = first ? i : flat[l] * dim + i;
+  });
+}
+
+template <class A, class B, class Out>
+void BlockCore::do_binmath(Builtin b, LaneView<A> x, LaneView<B> y,
+                           const Mask& mask, Out out) {
+  charge_issue(mask, b == Builtin::kPowf
+                         ? 2 * opt_.timing.weights.fdiv_sqrt_transcendental
+                         : opt_.timing.weights.alu);
+  using arith::as_f;
+  using arith::f32;
+  switch (b) {
+    case Builtin::kPowf:
+      return map_lanes(
+          mask, out,
+          [](auto p, auto q) { return f32(std::pow(as_f(p), as_f(q))); }, x,
+          y);
+    case Builtin::kMin:
+      return map_lanes(
+          mask, out,
+          [](auto p, auto q) { return arith::minmax<false>(p, q); }, x, y);
+    case Builtin::kMax:
+      return map_lanes(
+          mask, out, [](auto p, auto q) { return arith::minmax<true>(p, q); },
+          x, y);
+    case Builtin::kFminf:
+      return map_lanes(
+          mask, out,
+          [](auto p, auto q) { return f32(std::min(as_f(p), as_f(q))); }, x,
+          y);
+    default:  // kFmaxf
+      return map_lanes(
+          mask, out,
+          [](auto p, auto q) { return f32(std::max(as_f(p), as_f(q))); }, x,
+          y);
+  }
+}
+
+template <class V, class S, class W, class Out>
+void BlockCore::do_shfl(Builtin b, const std::string& callee, LaneView<V> var,
+                        LaneView<S> sel, LaneView<W> width, const Mask& mask,
+                        Out out, SourceLoc loc, std::int32_t var_slot,
+                        const std::string* var_name) {
+  ++shfl_ops_;
+  charge_issue(mask, opt_.timing.weights.shfl);
+  for_each_active_warp(mask, [&](int w, int, std::uint32_t) {
+    charge_latency(w, spec_.shfl_latency_cycles);
+  });
+  auto* o = out_as<V>(out);
+  using O = std::remove_pointer_t<decltype(o)>;
+  std::vector<int> src_of;
+  if (san_) src_of.assign(static_cast<std::size_t>(nlanes_), -1);
+  for_each_lane(mask, [&](std::size_t lu) {
+    const int l = static_cast<int>(lu);
+    int lane = l % spec_.warp_size;
+    int warp_base = l - lane;
+    std::int64_t wdt = arith::as_i(width.at(lu));
+    if (wdt <= 0 || wdt > spec_.warp_size || (wdt & (wdt - 1)) != 0)
+      shfl_width_fail();
+    int group_base = lane / static_cast<int>(wdt) * static_cast<int>(wdt);
+    std::int64_t s = arith::as_i(sel.at(lu));
+    int src_lane;
+    if (b == Builtin::kShfl) {
+      src_lane = group_base + static_cast<int>(s % wdt);
+    } else if (b == Builtin::kShflUp) {
+      int cand = lane - static_cast<int>(s);
+      src_lane = cand < group_base ? lane : cand;
+    } else if (b == Builtin::kShflDown) {
+      int cand = lane + static_cast<int>(s);
+      src_lane = cand >= group_base + static_cast<int>(wdt) ? lane : cand;
+    } else {  // __shfl_xor
+      int cand = group_base + ((lane - group_base) ^ static_cast<int>(s));
+      src_lane = cand < group_base + static_cast<int>(wdt) ? cand : lane;
+    }
+    int src_tid = warp_base + src_lane;
+    // A negative selector (e.g. __shfl(v, -1, 32)) or a delta that
+    // escapes the warp produces an out-of-range source lane: undefined
+    // on hardware. Recover with the caller's own value, as the hardware
+    // effectively does for out-of-range segments.
+    if (src_lane < 0 || src_lane >= spec_.warp_size) {
+      if (san_) report_shfl_source(ShflSource::kOutsideWarp, callee, src_lane,
+                                   l, loc);
+      src_tid = l;
+    } else if (src_tid >= nlanes_) {
+      if (san_) report_shfl_source(ShflSource::kBeyondBlock, callee, src_lane,
+                                   l, loc);
+      src_tid = l;
+    } else if (san_ && !lane_on(mask, static_cast<std::size_t>(src_tid))) {
+      report_shfl_source(ShflSource::kInactive, callee, src_lane, l, loc);
+    }
+    if (san_) src_of[lu] = src_tid;
+    o[lu] = lane_as<O>(var.at(static_cast<std::size_t>(src_tid)));
+  });
+  if (san_ && var_name)
+    check_shfl_sources(src_of, callee, loc, var_slot, *var_name);
+}
+
+template <class A, class B, class Out>
+void BlockCore::dispatch_binop(ir::BinOp op, LaneView<A> a, LaneView<B> b,
+                               const Mask& mask, Out out, SourceLoc loc) {
+  arith::with_op(
+      op,
+      [&]<ir::BinOp kOp>() { binop_lanes<kOp>(a, b, mask, out, loc); },
+      [](const char* what) { throw SimError(what); });
 }
 
 }  // namespace cudanp::sim::exec

@@ -41,8 +41,7 @@ class BlockExec : public exec::BlockCore {
 
   KernelStats run() {
     if (opt_.fault && opt_.fault->should_stall(flat_block_)) stall();
-    Mask mask(static_cast<std::size_t>(nlanes_), 1);
-    exec_block(*kernel_.body, mask);
+    exec_block(*kernel_.body, full_);
     return collect_stats();
   }
 
@@ -58,8 +57,20 @@ class BlockExec : public exec::BlockCore {
     ~LoopScope() { stack.pop_back(); }
   };
 
-  [[nodiscard]] static LaneView view(const Lanes& v) {
-    return LaneView{v.data(), Value{}};
+  [[nodiscard]] static LaneView<Value> view(const Lanes& v) {
+    return {v.data(), Value{}};
+  }
+
+  [[nodiscard]] Mask empty_mask() const {
+    return Mask(static_cast<std::size_t>(nwarps_), 0);
+  }
+
+  /// Tagged copy of typed lane storage.
+  template <class T>
+  [[nodiscard]] Lanes boxed(const T* data) const {
+    Lanes out(static_cast<std::size_t>(nlanes_));
+    for (std::size_t l = 0; l < out.size(); ++l) out[l] = arith::box(data[l]);
+    return out;
   }
 
   // ---------------- expression evaluation ----------------
@@ -113,16 +124,20 @@ class BlockExec : public exec::BlockCore {
 
   Lanes eval_varref(const VarRef& v, const Mask& mask) {
     if (slot_is_geometry(v.sim_slot))
-      return geom_[slot_geometry_code(v.sim_slot)];
+      return boxed(geom_[slot_geometry_code(v.sim_slot)].data());
     Slot& slot = var_read_check(v.sim_slot, v.name, mask, v.loc());
-    if (slot.is_uniform_param)
-      return Lanes(static_cast<std::size_t>(nlanes_), slot.data[0]);
-    return slot.data;  // register scalar: copy per-lane values
+    Lanes out;
+    slot.with_cells([&](auto* data) {
+      out = slot.is_uniform_param
+                ? Lanes(static_cast<std::size_t>(nlanes_), arith::box(data[0]))
+                : boxed(data);  // register scalar: copy per-lane values
+    });
+    return out;
   }
 
   /// Flattens a (possibly multi-dim) index list; bounds-checks each dim.
-  Lanes flatten_index(const ArrayIndex& ai, const Slot& slot,
-                      const Mask& mask) {
+  std::vector<std::int64_t> flatten_index(const ArrayIndex& ai,
+                                         const Slot& slot, const Mask& mask) {
     const auto& dims = slot.type.array_dims;
     if (ai.indices.size() != dims.size())
       throw SimError("array '" +
@@ -130,7 +145,7 @@ class BlockExec : public exec::BlockCore {
                      std::to_string(dims.size()) + " dims, indexed with " +
                      std::to_string(ai.indices.size()) + " at " +
                      ai.loc().str());
-    Lanes flat(static_cast<std::size_t>(nlanes_), Value::of_int(0));
+    std::vector<std::int64_t> flat(static_cast<std::size_t>(nlanes_), 0);
     for (std::size_t d = 0; d < dims.size(); ++d) {
       Lanes idx = eval(*ai.indices[d], mask);
       if (d > 0) charge_issue(mask, opt_.timing.weights.alu);  // index math
@@ -154,34 +169,33 @@ class BlockExec : public exec::BlockCore {
         throw SimError("pointer '" + name + "' requires exactly one index");
       Lanes idx = eval(*ai.indices[0], mask);
       Lanes out(static_cast<std::size_t>(nlanes_));
-      LaneView sv;
-      if (store) sv = view(*store);
-      buffer_access(slot, name, view(idx), mask, store ? &sv : nullptr,
-                    out.data(), ai.loc());
+      if (store)
+        buffer_store(slot, view(idx), mask, view(*store));
+      else
+        buffer_load(slot, name, view(idx), mask, out.data(), ai.loc());
       return out;
     }
 
     if (!slot.type.is_array())
       throw SimError("'" + name + "' is not an array at " + ai.loc().str());
 
-    Lanes flat = flatten_index(ai, slot, mask);
-    LaneView sv;
-    if (store) sv = view(*store);
+    const auto flat = flatten_index(ai, slot, mask);
+    Lanes out(static_cast<std::size_t>(nlanes_));
     switch (slot.type.space) {
-      case AddrSpace::kShared: {
-        Lanes out(static_cast<std::size_t>(nlanes_));
-        shared_access(slot, name, flat.data(), mask, store ? &sv : nullptr,
-                      out.data(), ai.loc());
+      case AddrSpace::kShared:
+        if (store)
+          shared_store(slot, name, flat.data(), mask, view(*store), ai.loc());
+        else
+          shared_load(slot, name, flat.data(), mask, out.data(), ai.loc());
         return out;
-      }
       case AddrSpace::kLocal:
       case AddrSpace::kRegister:
-      case AddrSpace::kConstant: {
-        Lanes out(static_cast<std::size_t>(nlanes_));
-        local_access(slot, name, flat.data(), mask, store ? &sv : nullptr,
-                     out.data(), ai.loc());
+      case AddrSpace::kConstant:
+        if (store)
+          local_store(slot, flat.data(), mask, view(*store));
+        else
+          local_load(slot, name, flat.data(), mask, out.data(), ai.loc());
         return out;
-      }
       case AddrSpace::kGlobal:
         break;
     }
@@ -268,7 +282,7 @@ class BlockExec : public exec::BlockCore {
                      c.loc().str());
     // Source values must exist for all lanes in active warps, so evaluate
     // the variable under a warp-broadened mask.
-    Mask broad;
+    Mask broad = empty_mask();
     make_broad_mask(mask, broad);
     // Suppress uninit-read reports while evaluating under the broadened
     // mask: only the lanes actually *selected* as shfl sources matter, and
@@ -295,13 +309,7 @@ class BlockExec : public exec::BlockCore {
   void exec_block(const Block& b, Mask mask) {
     for (const auto& s : b.stmts) {
       // Returned lanes stay dead for the rest of the kernel.
-      bool any_active = false;
-      for (int l = 0; l < nlanes_; ++l) {
-        if (returned_[static_cast<std::size_t>(l)])
-          mask[static_cast<std::size_t>(l)] = 0;
-        any_active |= mask[static_cast<std::size_t>(l)] != 0;
-      }
-      if (!any_active) return;
+      if (!clear_returned(mask)) return;
       exec(*s, mask);
     }
   }
@@ -322,7 +330,7 @@ class BlockExec : public exec::BlockCore {
           if (static_cast<std::int64_t>(d.init_list.size()) >
               d.type.element_count())
             throw SimError("too many initializers for '" + d.name + "'");
-          Mask one(static_cast<std::size_t>(nlanes_), 0);
+          Mask one = empty_mask();
           one[0] = 1;
           for (std::size_t e = 0; e < d.init_list.size(); ++e) {
             Lanes v = eval(*d.init_list[e], one);
@@ -337,7 +345,7 @@ class BlockExec : public exec::BlockCore {
             throw SimError("array initializers are not supported at " +
                            d.loc().str());
           Lanes v = eval(*d.init, mask);
-          decl_scalar_init(slot, d.type.scalar, mask, view(v));
+          decl_scalar_init(slot, mask, view(v));
         }
         end_leaf_stmt();
         return;
@@ -354,24 +362,9 @@ class BlockExec : public exec::BlockCore {
         Lanes c = eval(*i.cond, mask);
         charge_issue(mask, opt_.timing.weights.alu);  // branch
         end_leaf_stmt();
-        Mask then_mask(static_cast<std::size_t>(nlanes_), 0);
-        Mask else_mask(static_cast<std::size_t>(nlanes_), 0);
-        for (int l = 0; l < nlanes_; ++l) {
-          if (!mask[static_cast<std::size_t>(l)]) continue;
-          if (c[static_cast<std::size_t>(l)].truthy())
-            then_mask[static_cast<std::size_t>(l)] = 1;
-          else
-            else_mask[static_cast<std::size_t>(l)] = 1;
-        }
-        // Count warps where both paths have lanes (divergence).
-        for_each_active_warp(mask, [&](int, int lo, int hi) {
-          bool t = false, e = false;
-          for (int l = lo; l < hi; ++l) {
-            t |= then_mask[static_cast<std::size_t>(l)] != 0;
-            e |= else_mask[static_cast<std::size_t>(l)] != 0;
-          }
-          if (t && e) ++divergent_branches_;
-        });
+        Mask then_mask = empty_mask();
+        Mask else_mask = empty_mask();
+        split_mask(mask, view(c), then_mask, else_mask);
         if (any(then_mask)) exec_block(*i.then_body, then_mask);
         if (i.else_body && any(else_mask)) exec_block(*i.else_body, else_mask);
         return;
@@ -392,10 +385,7 @@ class BlockExec : public exec::BlockCore {
             Lanes c = eval(*f.cond, active);
             charge_issue(active, opt_.timing.weights.alu);
             end_leaf_stmt();
-            for (int l = 0; l < nlanes_; ++l)
-              if (active[static_cast<std::size_t>(l)] &&
-                  !c[static_cast<std::size_t>(l)].truthy())
-                active[static_cast<std::size_t>(l)] = 0;
+            truth_mask(active, view(c), active);
           }
           if (!any(active)) break;
           if (++iters > opt_.limits.max_loop_iterations)
@@ -403,10 +393,7 @@ class BlockExec : public exec::BlockCore {
                            f.loc().str());
           exec_block(*f.body, active);
           // Lanes that returned inside the body stop iterating.
-          for (int l = 0; l < nlanes_; ++l)
-            if (returned_[static_cast<std::size_t>(l)])
-              active[static_cast<std::size_t>(l)] = 0;
-          if (!any(active)) break;
+          if (!clear_returned(active)) break;
           if (f.inc) exec(*f.inc, active);
         }
         return;
@@ -423,18 +410,13 @@ class BlockExec : public exec::BlockCore {
           Lanes c = eval(*wl.cond, active);
           charge_issue(active, opt_.timing.weights.alu);
           end_leaf_stmt();
-          for (int l = 0; l < nlanes_; ++l)
-            if (active[static_cast<std::size_t>(l)] &&
-                !c[static_cast<std::size_t>(l)].truthy())
-              active[static_cast<std::size_t>(l)] = 0;
+          truth_mask(active, view(c), active);
           if (!any(active)) break;
           if (++iters > opt_.limits.max_loop_iterations)
             throw SimError("while loop exceeded max iterations at " +
                            wl.loc().str());
           exec_block(*wl.body, active);
-          for (int l = 0; l < nlanes_; ++l)
-            if (returned_[static_cast<std::size_t>(l)])
-              active[static_cast<std::size_t>(l)] = 0;
+          (void)clear_returned(active);
         }
         return;
       }
@@ -445,9 +427,7 @@ class BlockExec : public exec::BlockCore {
         return;
       }
       case StmtKind::kReturn:
-        for (int l = 0; l < nlanes_; ++l)
-          if (mask[static_cast<std::size_t>(l)])
-            returned_[static_cast<std::size_t>(l)] = 1;
+        mark_returned(mask);
         return;
       case StmtKind::kBreak:
       case StmtKind::kContinue:
@@ -552,7 +532,8 @@ KernelStats Interpreter::run(const Kernel& kernel, const LaunchConfig& cfg,
   // Lowered once per launch (after any fault-injected AST corruption);
   // only the test-facing reference mode runs the AST walk instead.
   std::shared_ptr<const bytecode::Program> program;
-  if (!opt_.ast_reference) program = bytecode::lower(*bound);
+  if (!opt_.ast_reference)
+    program = bytecode::lower(*bound, vm::buffer_types(kernel, cfg, mem_));
   const std::int64_t nblocks = cfg.grid.count();
   const int jobs = ExecPool::resolve_jobs(opt_.jobs);
   const std::int64_t max_steps = opt_.limits.resolve();

@@ -5,6 +5,11 @@
 
 namespace cudanp::sim {
 
+void DeviceBuffer::out_of_bounds(std::size_t idx) const {
+  throw SimError("global memory access out of bounds: index " +
+                 std::to_string(idx) + " size " + std::to_string(size()));
+}
+
 BufferId DeviceMemory::alloc(ir::ScalarType type, std::size_t elems) {
   for (auto it = free_.begin(); it != free_.end(); ++it) {
     DeviceBuffer& b = buffers_[*it];
@@ -64,8 +69,7 @@ const DeviceBuffer& DeviceMemory::buffer(BufferId id) const {
 }
 
 int coalesced_transactions(std::span<const std::uint64_t> addrs,
-                           std::span<const std::uint8_t> active,
-                           int segment_bytes) {
+                           std::uint32_t active, int segment_bytes) {
   // Count unique segment ids. Strided kernels touch a distinct segment
   // per lane, so dedupe through a 64-slot open-addressed set (load
   // factor <= 1/2 with <= 32 lanes) instead of a quadratic rescans.
@@ -77,9 +81,10 @@ int coalesced_transactions(std::span<const std::uint64_t> addrs,
   const int shift = pow2 ? std::countr_zero(sb) : 0;
   std::uint64_t last = 0;
   bool have_last = false;
-  for (std::size_t l = 0; l < addrs.size(); ++l) {
-    if (!active[l]) continue;
-    std::uint64_t seg = pow2 ? addrs[l] >> shift : addrs[l] / sb;
+  for (std::uint32_t b = active; b; b &= b - 1) {
+    const std::uint64_t a =
+        addrs[static_cast<std::size_t>(std::countr_zero(b))];
+    std::uint64_t seg = pow2 ? a >> shift : a / sb;
     if (have_last && seg == last) continue;  // sequential runs are common
     last = seg;
     have_last = true;
@@ -102,25 +107,49 @@ int coalesced_transactions(std::span<const std::uint64_t> addrs,
 }
 
 int smem_replays(std::span<const std::uint64_t> word_addrs,
-                 std::span<const std::uint8_t> active, int banks) {
+                 std::uint32_t active, int banks) {
   // For each bank, count distinct words requested; the access replays
   // max-over-banks times. Identical words broadcast for free.
-  //
-  // One pass over active lanes: dedupe the requested words (a warp holds
-  // at most 32, so the distinct set fits on the stack), then tally each
-  // distinct word's bank. The max tally equals the per-bank scan's
-  // max-over-banks distinct count, and with <= 32 lanes neither
-  // formulation's 32-entry cap can bind.
-  std::uint64_t words[32];
-  int bank_of[32];
-  int n = 0;
   const std::uint64_t ub = static_cast<std::uint64_t>(banks);
   const std::uint64_t bmask = (ub & (ub - 1)) == 0 ? ub - 1 : 0;
+  auto bank_of = [&](std::uint64_t w) {
+    return static_cast<int>(bmask ? (w & bmask) : w % ub);
+  };
+
+  // Conflict-free fast path: one pass builds the set of requested banks,
+  // remembering the word that claimed each. Unless some bank is asked for
+  // two different words, one pass serves the whole warp.
+  if (banks <= 64) {
+    std::uint64_t claimed = 0;
+    std::uint64_t owner[64];
+    bool conflict = false;
+    for (std::uint32_t b = active; b; b &= b - 1) {
+      const std::uint64_t w =
+          word_addrs[static_cast<std::size_t>(std::countr_zero(b))];
+      const int k = bank_of(w);
+      const std::uint64_t bit = std::uint64_t{1} << k;
+      if (!(claimed & bit)) {
+        claimed |= bit;
+        owner[k] = w;
+      } else if (owner[k] != w) {
+        conflict = true;
+        break;
+      }
+    }
+    if (!conflict) return 1;
+  }
+
+  // Conflicting access: dedupe the requested words (a warp holds at most
+  // 32, so the distinct set fits on the stack), then tally each distinct
+  // word's bank. The max tally is the max-over-banks distinct count.
+  std::uint64_t words[32];
+  int bank[32];
+  int n = 0;
   std::uint64_t last = 0;
   bool have_last = false;
-  for (std::size_t l = 0; l < word_addrs.size(); ++l) {
-    if (!active[l]) continue;
-    const std::uint64_t w = word_addrs[l];
+  for (std::uint32_t b = active; b; b &= b - 1) {
+    const std::uint64_t w =
+        word_addrs[static_cast<std::size_t>(std::countr_zero(b))];
     if (have_last && w == last) continue;  // broadcast runs are common
     last = w;
     have_last = true;
@@ -132,19 +161,19 @@ int smem_replays(std::span<const std::uint64_t> word_addrs,
       }
     }
     if (!seen && n < 32) {
-      bank_of[n] = static_cast<int>(bmask ? (w & bmask) : w % ub);
+      bank[n] = bank_of(w);
       words[n++] = w;
     }
   }
   int replays = 0;
   if (banks <= 64) {
     int cnt[64] = {0};
-    for (int k = 0; k < n; ++k) replays = std::max(replays, ++cnt[bank_of[k]]);
+    for (int k = 0; k < n; ++k) replays = std::max(replays, ++cnt[bank[k]]);
   } else {
     for (int i = 0; i < n; ++i) {
       int c = 0;
       for (int j = 0; j <= i; ++j)
-        if (bank_of[j] == bank_of[i]) ++c;
+        if (bank[j] == bank[i]) ++c;
       replays = std::max(replays, c);
     }
   }

@@ -63,6 +63,20 @@ class DeviceBuffer {
   void set_constant(bool c) { constant_ = c; }
   [[nodiscard]] bool is_constant() const { return constant_; }
 
+  /// Calls fn with the element array (float* or std::int32_t*).
+  template <class Fn>
+  void with_data(Fn&& fn) {
+    if (type_ == ir::ScalarType::kFloat)
+      fn(f32_.data());
+    else
+      fn(i32_.data());
+  }
+
+  /// Throws the out-of-bounds SimError unless idx < size().
+  void check(std::size_t idx) const {
+    if (idx >= size()) out_of_bounds(idx);
+  }
+
   [[nodiscard]] std::span<float> f32() { return f32_; }
   [[nodiscard]] std::span<const float> f32() const { return f32_; }
   [[nodiscard]] std::span<std::int32_t> i32() { return i32_; }
@@ -97,11 +111,7 @@ class DeviceBuffer {
   [[nodiscard]] bool discarded() const { return discarded_; }
 
  private:
-  void check(std::size_t idx) const {
-    if (idx >= size())
-      throw SimError("global memory access out of bounds: index " +
-                     std::to_string(idx) + " size " + std::to_string(size()));
-  }
+  [[noreturn]] void out_of_bounds(std::size_t idx) const;
 
   ir::ScalarType type_;
   std::uint64_t base_addr_;
@@ -160,20 +170,21 @@ class DeviceMemory {
   std::uint64_t free_limit_bytes_ = kDefaultFreeLimitBytes;
 };
 
-/// Counts the 128-byte segments touched by one warp-wide access. `addrs`
-/// and `active` are warp_size long; inactive lanes contribute nothing.
-/// A fully coalesced 4-byte access by 32 lanes touches 1 segment; a fully
-/// scattered one touches 32.
+/// Counts the segments touched by one warp-wide access. `addrs` holds one
+/// address per lane of the warp (at most 32); bit k of `active` marks
+/// lane k active, and inactive lanes' entries are never read. A fully
+/// coalesced 4-byte access by 32 lanes touches one 128-byte segment; a
+/// fully scattered one touches 32.
 [[nodiscard]] int coalesced_transactions(std::span<const std::uint64_t> addrs,
-                                         std::span<const std::uint8_t> active,
+                                         std::uint32_t active,
                                          int segment_bytes = 128);
 
 /// Shared-memory conflict model: returns the number of serialized passes
 /// (>= 1) for one warp-wide access to 4-byte words, with broadcast
-/// detection (lanes reading the same word do not conflict).
+/// detection (lanes reading the same word do not conflict). Lanes are
+/// given as for coalesced_transactions.
 [[nodiscard]] int smem_replays(std::span<const std::uint64_t> word_addrs,
-                               std::span<const std::uint8_t> active,
-                               int banks = 32);
+                               std::uint32_t active, int banks = 32);
 
 /// Tiny set-associative cache used to model per-SMX L1 behaviour for
 /// local-memory traffic. Capacity is divided by the number of resident

@@ -1,8 +1,8 @@
 // Symbolic executor implementation — model documented in sim/symexec.hpp.
 //
 // Layout of this file:
-//   1. shared concrete-arithmetic helpers (exactly apply_binop / the math
-//      builtin semantics, reused by constant folding and SymEvaluator)
+//   1. concrete-arithmetic helpers (the interpreter's sim/arith.hpp
+//      semantics, reused by constant folding and SymEvaluator)
 //   2. SymArena: hash-consing, eager folding builders, normalization
 //   3. the lockstep-vector executor (anonymous namespace `Exec`)
 //   4. SymEvaluator
@@ -15,6 +15,7 @@
 #include <stdexcept>
 
 #include "ir/stmt.hpp"
+#include "sim/arith.hpp"
 #include "support/rng.hpp"
 
 namespace cudanp::sim {
@@ -25,53 +26,15 @@ using ir::BinOp;
 using ir::ScalarType;
 using ir::UnOp;
 
-/// Mirrors exec::BlockCore::apply_binop exactly (float results round
-/// through f32, int64 exact); throws SymFault where the interpreter would
-/// throw SimError.
+/// The interpreter's operator semantics (sim/arith.hpp); throws SymFault
+/// where the interpreter would throw SimError.
 Value eval_bin_value(BinOp op, Value a, Value b) {
-  const bool fl = a.is_float() || b.is_float();
-  switch (op) {
-    case BinOp::kLAnd: return Value::of_int(a.truthy() && b.truthy());
-    case BinOp::kLOr: return Value::of_int(a.truthy() || b.truthy());
-    case BinOp::kBitAnd: return Value::of_int(a.as_i() & b.as_i());
-    case BinOp::kBitOr: return Value::of_int(a.as_i() | b.as_i());
-    case BinOp::kBitXor: return Value::of_int(a.as_i() ^ b.as_i());
-    case BinOp::kShl: return Value::of_int(a.as_i() << b.as_i());
-    case BinOp::kShr: return Value::of_int(a.as_i() >> b.as_i());
-    case BinOp::kAdd:
-      return fl ? Value::of_float(a.as_f() + b.as_f()).to_f32()
-                : Value::of_int(a.i + b.i);
-    case BinOp::kSub:
-      return fl ? Value::of_float(a.as_f() - b.as_f()).to_f32()
-                : Value::of_int(a.i - b.i);
-    case BinOp::kMul:
-      return fl ? Value::of_float(a.as_f() * b.as_f()).to_f32()
-                : Value::of_int(a.i * b.i);
-    case BinOp::kDiv:
-      if (fl) return Value::of_float(a.as_f() / b.as_f()).to_f32();
-      if (b.i == 0) throw SymFault{"integer division by zero"};
-      return Value::of_int(a.i / b.i);
-    case BinOp::kMod:
-      if (fl) throw SymFault{"operator % requires integers"};
-      if (b.i == 0) throw SymFault{"modulo by zero"};
-      return Value::of_int(a.i % b.i);
-    case BinOp::kLt: return Value::of_int(fl ? a.as_f() < b.as_f() : a.i < b.i);
-    case BinOp::kLe:
-      return Value::of_int(fl ? a.as_f() <= b.as_f() : a.i <= b.i);
-    case BinOp::kGt: return Value::of_int(fl ? a.as_f() > b.as_f() : a.i > b.i);
-    case BinOp::kGe:
-      return Value::of_int(fl ? a.as_f() >= b.as_f() : a.i >= b.i);
-    case BinOp::kEq:
-      return Value::of_int(fl ? a.as_f() == b.as_f() : a.i == b.i);
-    case BinOp::kNe:
-      return Value::of_int(fl ? a.as_f() != b.as_f() : a.i != b.i);
-  }
-  throw SymFault{"unreachable binop"};
+  return arith::binop(op, a, b, [](const char* what) { throw SymFault{what}; });
 }
 
 Value eval_un_value(UnOp op, Value x) {
   if (op == UnOp::kNeg)
-    return x.is_float() ? Value::of_float(-x.f) : Value::of_int(-x.i);
+    return arith::visit([](auto v) { return arith::neg(v); }, x);
   return Value::of_int(x.truthy() ? 0 : 1);
 }
 
@@ -90,18 +53,15 @@ Value eval_call_value(SymFn fn, const std::vector<Value>& xs) {
     case SymFn::kFloor: return um([](double x) { return std::floor(x); });
     case SymFn::kRsqrt: return um([](double x) { return 1.0 / std::sqrt(x); });
     case SymFn::kAbs:
-      return xs[0].is_float() ? Value::of_float(std::fabs(xs[0].as_f()))
-                              : Value::of_int(std::abs(xs[0].i));
+      return arith::visit([](auto v) { return arith::abs(v); }, xs[0]);
     case SymFn::kMin:
-      return (xs[0].is_float() || xs[1].is_float())
-                 ? Value::of_float(std::min(xs[0].as_f(), xs[1].as_f()))
-                       .to_f32()
-                 : Value::of_int(std::min(xs[0].i, xs[1].i));
+      return arith::visit(
+          [](auto x, auto y) { return arith::minmax<false>(x, y); }, xs[0],
+          xs[1]);
     case SymFn::kMax:
-      return (xs[0].is_float() || xs[1].is_float())
-                 ? Value::of_float(std::max(xs[0].as_f(), xs[1].as_f()))
-                       .to_f32()
-                 : Value::of_int(std::max(xs[0].i, xs[1].i));
+      return arith::visit(
+          [](auto x, auto y) { return arith::minmax<true>(x, y); }, xs[0],
+          xs[1]);
     case SymFn::kFminf:
       return Value::of_float(std::min(xs[0].as_f(), xs[1].as_f())).to_f32();
     case SymFn::kFmaxf:
@@ -985,9 +945,18 @@ class Exec {
         for (int i = 0; i < nlanes_; ++i) {
           auto li = static_cast<std::size_t>(i);
           if (!m[li]) continue;
-          a[li] = (c[li] == kInv || a[li] == kInv || b[li] == kInv)
-                      ? kInv
-                      : ar_.select(c[li], a[li], b[li]);
+          if (c[li] == kInv || a[li] == kInv || b[li] == kInv) {
+            a[li] = kInv;
+            continue;
+          }
+          // Both arms convert to their common type, as in the interpreter:
+          // float if either arm is float (bool and int arms are both int).
+          if ((ar_.node(a[li]).type == ScalarType::kFloat) !=
+              (ar_.node(b[li]).type == ScalarType::kFloat)) {
+            a[li] = ar_.cast(ir::ScalarType::kFloat, a[li]);
+            b[li] = ar_.cast(ir::ScalarType::kFloat, b[li]);
+          }
+          a[li] = ar_.select(c[li], a[li], b[li]);
         }
         return a;
       }

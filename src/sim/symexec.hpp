@@ -6,10 +6,10 @@
 // scalar parameters are concrete (so loop bounds, indices and masks
 // fold), while float buffer elements and float scalar parameters are
 // opaque input leaves. Every arithmetic step builds a hash-consed
-// expression node whose constant folding replicates
-// exec::BlockCore::apply_binop bit-for-bit (float ops round through f32,
-// int64 exact), so a fully-concrete symbolic run computes exactly what
-// the interpreter would.
+// expression node whose constant folding uses the interpreter's scalar
+// semantics (sim/arith.hpp: float ops round through f32, int64 wraps),
+// so a fully-concrete symbolic run computes exactly what the interpreter
+// would.
 //
 // The result is, per output buffer element, an expression DAG over the
 // input leaves. np::Certifier normalizes those DAGs (constant folding,

@@ -1,4 +1,6 @@
-// Tagged runtime value for the kernel interpreter.
+// Tagged runtime value: kernel arguments, the AST reference walker's
+// lanes and the certifier's constants. The VM keeps the same two payloads
+// in statically typed lane arrays (sim/arith.hpp).
 //
 // Integers are kept exact (int64), floats are stored as double but every
 // assignment to a float-typed variable or float buffer rounds through

@@ -19,6 +19,7 @@ using exec::any;
 using exec::LaneView;
 using exec::Mask;
 using exec::Slot;
+using exec::TypedOut;
 
 /// kMath1 dispatch table, indexed by MathFn. The function bodies are the
 /// AST walker's eval_call lambdas verbatim, so results are bit-identical.
@@ -47,16 +48,17 @@ class VmExec : public exec::BlockCore {
       : BlockCore(spec, mem, opt, bound, cfg, block_idx, resident_blocks, san,
                   flat_block, max_steps),
         prog_(program),
-        regs_(static_cast<std::size_t>(program.num_regs) *
-              static_cast<std::size_t>(nlanes_)),
+        iregs_(static_cast<std::size_t>(program.num_regs) *
+               static_cast<std::size_t>(nlanes_)),
+        fregs_(iregs_.size()),
         masks_(static_cast<std::size_t>(program.max_mask_depth) + 1,
-               Mask(static_cast<std::size_t>(nlanes_), 0)),
-        scratch_(static_cast<std::size_t>(nlanes_), 0),
+               Mask(static_cast<std::size_t>(nwarps_), 0)),
+        scratch_(static_cast<std::size_t>(nwarps_), 0),
         iters_(static_cast<std::size_t>(program.max_loop_depth), 0) {}
 
   KernelStats run() {
     if (opt_.fault && opt_.fault->should_stall(flat_block_)) stall();
-    std::fill(masks_[0].begin(), masks_[0].end(), std::uint8_t{1});
+    masks_[0] = full_;
     dispatch();
     return collect_stats();
   }
@@ -65,49 +67,85 @@ class VmExec : public exec::BlockCore {
   /// The execution mask of the innermost active region.
   [[nodiscard]] Mask& cur() { return masks_[static_cast<std::size_t>(mdepth_)]; }
 
-  [[nodiscard]] Value* reg(std::int32_t r) {
-    return regs_.data() +
-           static_cast<std::size_t>(r) * static_cast<std::size_t>(nlanes_);
+  [[nodiscard]] std::size_t reg_base(std::int32_t r) const {
+    return static_cast<std::size_t>(r) * static_cast<std::size_t>(nlanes_);
+  }
+  /// Register r's lane array of type T (int and float registers live in
+  /// separate pools; lowering fixed which one r uses).
+  template <class T>
+  [[nodiscard]] T* reg(std::int32_t r) {
+    if constexpr (arith::kIsFloat<T>)
+      return fregs_.data() + reg_base(r);
+    else
+      return iregs_.data() + reg_base(r);
+  }
+  [[nodiscard]] TypedOut out(std::int32_t r) {
+    return {reg<std::int64_t>(r), reg<double>(r)};
   }
 
-  /// Resolves an operand to a zero-copy lane view.
-  [[nodiscard]] LaneView src(const Operand& o) {
+  /// Resolves an operand to a zero-copy lane view of its static type.
+  template <class T>
+  [[nodiscard]] LaneView<T> view(const Operand& o) {
     switch (o.kind) {
       case Operand::Kind::kReg:
-        return LaneView{reg(o.id), Value{}};
+        return {reg<T>(o.id), T{}};
       case Operand::Kind::kImm:
-        return LaneView{nullptr, o.imm};
+        if constexpr (arith::kIsFloat<T>)
+          return {nullptr, o.imm.f};
+        else
+          return {nullptr, o.imm.i};
       case Operand::Kind::kGeom:
-        return LaneView{geom_[o.id].data(), Value{}};
+        if constexpr (!arith::kIsFloat<T>) return {geom_[o.id].data(), 0};
+        break;
       case Operand::Kind::kUniform:
-        return LaneView{nullptr,
-                        frame_[static_cast<std::size_t>(o.id)].data[0]};
+        return {nullptr, frame_[static_cast<std::size_t>(o.id)].cells<T>()[0]};
       case Operand::Kind::kSlotData:
-        return LaneView{frame_[static_cast<std::size_t>(o.id)].data.data(),
-                        Value{}};
+        return {frame_[static_cast<std::size_t>(o.id)].cells<T>(), T{}};
       case Operand::Kind::kNone:
         break;
     }
-    return LaneView{};
+    return {};
+  }
+
+  /// Calls fn with the operand's view, instantiated for its lane type.
+  template <class Fn>
+  void with_view(const Operand& o, Fn&& fn) {
+    if (o.is_float())
+      fn(view<double>(o));
+    else
+      fn(view<std::int64_t>(o));
+  }
+  template <class Fn>
+  void with_views(const Operand& a, const Operand& b, Fn&& fn) {
+    with_view(a, [&](auto va) { with_view(b, [&](auto vb) { fn(va, vb); }); });
+  }
+  template <class Fn>
+  void with_views(const Operand& a, const Operand& b, const Operand& c,
+                  Fn&& fn) {
+    with_view(a, [&](auto va) {
+      with_views(b, c, [&](auto vb, auto vc) { fn(va, vb, vc); });
+    });
   }
 
   [[nodiscard]] const std::string& name_at(std::int32_t n) const {
     return prog_.names[static_cast<std::size_t>(n)];
   }
 
+  [[nodiscard]] Slot& slot_of(const Instr& ins) {
+    return frame_[static_cast<std::size_t>(ins.slot)];
+  }
+  [[nodiscard]] const ir::DeclStmt& decl_of(const Instr& ins) const {
+    return *prog_.decls[static_cast<std::size_t>(ins.imm)];
+  }
+  [[nodiscard]] Slot& decl_slot(const Instr& ins) {
+    return frame_[static_cast<std::size_t>(decl_of(ins).sim_slot)];
+  }
+
   /// Clears returned lanes from the current mask; true if it emptied.
   /// Fast path: masks only empty through returns (jumps handle every
   /// other emptying), so an untouched returned_ means nothing to do.
   [[nodiscard]] bool guard_returned() {
-    if (!returned_any_) return false;
-    Mask& m = cur();
-    bool alive = false;
-    for (int l = 0; l < nlanes_; ++l) {
-      if (returned_[static_cast<std::size_t>(l)])
-        m[static_cast<std::size_t>(l)] = 0;
-      alive |= m[static_cast<std::size_t>(l)] != 0;
-    }
-    return !alive;
+    return returned_any_ && !clear_returned(cur());
   }
 
   void dispatch() {
@@ -145,35 +183,30 @@ class VmExec : public exec::BlockCore {
           (void)slot_at(ins.slot, name_at(ins.name), ins.loc);
           break;
         case Op::kStoreVar:
-          store_var(ins.slot, name_at(ins.name), cur(), src(ins.a), ins.loc);
+          with_view(ins.a, [&](auto v) {
+            store_var(ins.slot, name_at(ins.name), cur(), v, ins.loc);
+          });
           break;
         case Op::kDeclare:
-          (void)declare(*prog_.decls[static_cast<std::size_t>(ins.imm)]);
+          (void)declare(decl_of(ins));
           break;
-        case Op::kDeclInit: {
-          const ir::DeclStmt& d =
-              *prog_.decls[static_cast<std::size_t>(ins.imm)];
-          decl_scalar_init(frame_[static_cast<std::size_t>(d.sim_slot)],
-                           d.type.scalar, cur(), src(ins.a));
+        case Op::kDeclInit:
+          with_view(ins.a, [&](auto v) {
+            decl_scalar_init(decl_slot(ins), cur(), v);
+          });
           break;
-        }
-        case Op::kDeclFill: {
-          const ir::DeclStmt& d =
-              *prog_.decls[static_cast<std::size_t>(ins.imm)];
-          decl_fill(frame_[static_cast<std::size_t>(d.sim_slot)], d.type,
-                    static_cast<std::size_t>(ins.dst), src(ins.a).at(0));
+        case Op::kDeclFill:
+          with_view(ins.a, [&](auto v) {
+            decl_fill(decl_slot(ins), decl_of(ins).type,
+                      static_cast<std::size_t>(ins.dst), arith::box(v.at(0)));
+          });
           break;
-        }
-        case Op::kDeclShadow: {
-          const ir::DeclStmt& d =
-              *prog_.decls[static_cast<std::size_t>(ins.imm)];
-          decl_shadow_all(frame_[static_cast<std::size_t>(d.sim_slot)],
-                          d.type);
+        case Op::kDeclShadow:
+          decl_shadow_all(decl_slot(ins), decl_of(ins).type);
           break;
-        }
         case Op::kMaskLane0: {
           Mask& m = masks_[static_cast<std::size_t>(mdepth_) + 1];
-          std::fill(m.begin(), m.end(), std::uint8_t{0});
+          std::fill(m.begin(), m.end(), 0u);
           m[0] = 1;
           ++mdepth_;
           break;
@@ -182,35 +215,48 @@ class VmExec : public exec::BlockCore {
           --mdepth_;
           break;
         case Op::kBin:
-          do_binop(static_cast<ir::BinOp>(ins.aux), src(ins.a), src(ins.b),
-                   cur(), reg(ins.dst), ins.loc);
+          with_views(ins.a, ins.b, [&](auto a, auto b) {
+            do_binop(static_cast<ir::BinOp>(ins.aux), a, b, cur(),
+                     out(ins.dst), ins.loc);
+          });
           break;
         case Op::kCompound:
-          do_compound(static_cast<ir::BinOp>(ins.aux), src(ins.a), src(ins.b),
-                      cur(), reg(ins.dst), ins.loc);
+          with_views(ins.a, ins.b, [&](auto a, auto b) {
+            do_compound(static_cast<ir::BinOp>(ins.aux), a, b, cur(),
+                        out(ins.dst), ins.loc);
+          });
           break;
         case Op::kUn:
-          do_unop(static_cast<ir::UnOp>(ins.aux), src(ins.a), cur(),
-                  reg(ins.dst));
+          with_view(ins.a, [&](auto a) {
+            do_unop(static_cast<ir::UnOp>(ins.aux), a, cur(), out(ins.dst));
+          });
           break;
         case Op::kCast:
-          do_cast(static_cast<ir::ScalarType>(ins.aux), src(ins.a), cur(),
-                  reg(ins.dst));
+          with_view(ins.a, [&](auto a) {
+            do_cast(static_cast<ir::ScalarType>(ins.aux), a, cur(),
+                    out(ins.dst));
+          });
           break;
         case Op::kSelect:
-          do_select(src(ins.a), src(ins.b), src(ins.c), cur(), reg(ins.dst));
+          with_views(ins.a, ins.b, ins.c, [&](auto c, auto a, auto b) {
+            do_select(c, a, b, cur(), out(ins.dst));
+          });
           break;
         case Op::kMath1: {
           const MathEntry& m = kMathTable[ins.aux];
-          do_unary_math(m.fn, m.sfu, src(ins.a), cur(), reg(ins.dst));
+          with_view(ins.a, [&](auto a) {
+            do_unary_math(m.fn, m.sfu, a, cur(), out(ins.dst));
+          });
           break;
         }
         case Op::kAbs:
-          do_abs(src(ins.a), cur(), reg(ins.dst));
+          with_view(ins.a, [&](auto a) { do_abs(a, cur(), out(ins.dst)); });
           break;
         case Op::kMath2:
-          do_binmath(static_cast<Builtin>(ins.aux), src(ins.a), src(ins.b),
-                     cur(), reg(ins.dst));
+          with_views(ins.a, ins.b, [&](auto a, auto b) {
+            do_binmath(static_cast<Builtin>(ins.aux), a, b, cur(),
+                       out(ins.dst));
+          });
           break;
         case Op::kSync:
           do_sync(cur(), ins.loc);
@@ -232,76 +278,58 @@ class VmExec : public exec::BlockCore {
           --mdepth_;
           break;
         case Op::kShfl:
-          do_shfl(static_cast<Builtin>(ins.aux), name_at(ins.name),
-                  src(ins.a), src(ins.b), src(ins.c), cur(), reg(ins.dst),
-                  ins.loc, ins.slot,
-                  ins.imm >= 0 ? &name_at(static_cast<std::int32_t>(ins.imm))
-                               : nullptr);
+          with_views(ins.a, ins.b, ins.c, [&](auto var, auto sel, auto wid) {
+            do_shfl(static_cast<Builtin>(ins.aux), name_at(ins.name), var, sel,
+                    wid, cur(), out(ins.dst), ins.loc, ins.slot,
+                    ins.imm >= 0 ? &name_at(static_cast<std::int32_t>(ins.imm))
+                                 : nullptr);
+          });
           break;
         case Op::kFlatten:
-          flatten_dim(reg(ins.dst), src(ins.a), ins.imm, ins.aux != 0, cur(),
-                      ins.loc);
+          with_view(ins.a, [&](auto idx) {
+            flatten_dim(reg<std::int64_t>(ins.dst), idx, ins.imm,
+                        ins.aux != 0, cur(), ins.loc);
+          });
           break;
         case Op::kBufLoad:
-          buffer_access(frame_[static_cast<std::size_t>(ins.slot)],
-                        name_at(ins.name), src(ins.a), cur(), nullptr,
-                        reg(ins.dst), ins.loc);
+          with_view(ins.a, [&](auto idx) {
+            buffer_load(slot_of(ins), name_at(ins.name), idx, cur(),
+                        out(ins.dst), ins.loc);
+          });
           break;
-        case Op::kBufStore: {
-          LaneView sv = src(ins.b);
-          buffer_access(frame_[static_cast<std::size_t>(ins.slot)],
-                        name_at(ins.name), src(ins.a), cur(), &sv, nullptr,
-                        ins.loc);
+        case Op::kBufStore:
+          with_views(ins.a, ins.b, [&](auto idx, auto v) {
+            buffer_store(slot_of(ins), idx, cur(), v);
+          });
           break;
-        }
         case Op::kSharedLoad:
-          shared_access(frame_[static_cast<std::size_t>(ins.slot)],
-                        name_at(ins.name), src(ins.a).vec, cur(), nullptr,
-                        reg(ins.dst), ins.loc);
+          shared_load(slot_of(ins), name_at(ins.name), flat(ins.a), cur(),
+                      out(ins.dst), ins.loc);
           break;
-        case Op::kSharedStore: {
-          LaneView sv = src(ins.b);
-          shared_access(frame_[static_cast<std::size_t>(ins.slot)],
-                        name_at(ins.name), src(ins.a).vec, cur(), &sv,
-                        nullptr, ins.loc);
+        case Op::kSharedStore:
+          with_view(ins.b, [&](auto v) {
+            shared_store(slot_of(ins), name_at(ins.name), flat(ins.a), cur(),
+                         v, ins.loc);
+          });
           break;
-        }
         case Op::kLocalLoad:
-          local_access(frame_[static_cast<std::size_t>(ins.slot)],
-                       name_at(ins.name), src(ins.a).vec, cur(), nullptr,
-                       reg(ins.dst), ins.loc);
+          local_load(slot_of(ins), name_at(ins.name), flat(ins.a), cur(),
+                     out(ins.dst), ins.loc);
           break;
-        case Op::kLocalStore: {
-          LaneView sv = src(ins.b);
-          local_access(frame_[static_cast<std::size_t>(ins.slot)],
-                       name_at(ins.name), src(ins.a).vec, cur(), &sv, nullptr,
-                       ins.loc);
+        case Op::kLocalStore:
+          with_view(ins.b, [&](auto v) {
+            local_store(slot_of(ins), flat(ins.a), cur(), v);
+          });
           break;
-        }
         case Op::kIfSplit: {
           const bool has_else = ins.aux != 0;
-          Mask& m = cur();
+          const Mask& m = cur();
           Mask& tm =
               masks_[static_cast<std::size_t>(mdepth_) + (has_else ? 2 : 1)];
           Mask& em =
               has_else ? masks_[static_cast<std::size_t>(mdepth_) + 1]
                        : scratch_;
-          LaneView c = src(ins.a);
-          for (int l = 0; l < nlanes_; ++l) {
-            std::size_t i = static_cast<std::size_t>(l);
-            bool active = m[i] != 0;
-            bool t = active && c.at(i).truthy();
-            tm[i] = t ? 1 : 0;
-            em[i] = (active && !t) ? 1 : 0;
-          }
-          for_each_active_warp(m, [&](int, int lo, int hi) {
-            bool t = false, e = false;
-            for (int l = lo; l < hi; ++l) {
-              t |= tm[static_cast<std::size_t>(l)] != 0;
-              e |= em[static_cast<std::size_t>(l)] != 0;
-            }
-            if (t && e) ++divergent_branches_;
-          });
+          with_view(ins.a, [&](auto c) { split_mask(m, c, tm, em); });
           mdepth_ += has_else ? 2 : 1;
           if (!any(tm)) {
             pc = static_cast<std::size_t>(ins.target);
@@ -333,15 +361,9 @@ class VmExec : public exec::BlockCore {
           count_step(ins.loc);
           ++loop_stack_.back().second;
           break;
-        case Op::kMaskAnd: {
-          Mask& m = cur();
-          LaneView c = src(ins.a);
-          for (int l = 0; l < nlanes_; ++l) {
-            std::size_t i = static_cast<std::size_t>(l);
-            if (m[i] && !c.at(i).truthy()) m[i] = 0;
-          }
+        case Op::kMaskAnd:
+          with_view(ins.a, [&](auto c) { truth_mask(cur(), c, cur()); });
           break;
-        }
         case Op::kLoopCheck:
           if (!any(cur())) {
             pc = static_cast<std::size_t>(ins.target);
@@ -361,12 +383,7 @@ class VmExec : public exec::BlockCore {
           break;
         case Op::kClearReturned:
           // The while latch loops back to the condition unconditionally.
-          if (returned_any_) {
-            Mask& m = cur();
-            for (int l = 0; l < nlanes_; ++l)
-              if (returned_[static_cast<std::size_t>(l)])
-                m[static_cast<std::size_t>(l)] = 0;
-          }
+          if (returned_any_) (void)clear_returned(cur());
           break;
         case Op::kLoopExit:
           --mdepth_;
@@ -376,22 +393,25 @@ class VmExec : public exec::BlockCore {
         case Op::kJump:
           pc = static_cast<std::size_t>(ins.target);
           continue;
-        case Op::kReturn: {
-          Mask& m = cur();
-          for (int l = 0; l < nlanes_; ++l)
-            if (m[static_cast<std::size_t>(l)])
-              returned_[static_cast<std::size_t>(l)] = 1;
+        case Op::kReturn:
+          mark_returned(cur());
           returned_any_ = true;
           break;
-        }
       }
       ++pc;
     }
   }
 
+  /// The flattened-index register of an array access.
+  [[nodiscard]] const std::int64_t* flat(const Operand& o) {
+    return reg<std::int64_t>(o.id);
+  }
+
   const bytecode::Program& prog_;
-  /// Virtual registers, lane-major: reg r covers regs_[r*nlanes .. +nlanes).
-  std::vector<Value> regs_;
+  /// Virtual registers, lane-major: reg r covers [r*nlanes, (r+1)*nlanes)
+  /// of the pool its static type selects.
+  std::vector<std::int64_t> iregs_;
+  std::vector<double> fregs_;
   /// Preallocated mask stack; masks_[mdepth_] is the active mask.
   std::vector<Mask> masks_;
   /// Else-side mask of an else-less if (divergence counting only).
@@ -403,7 +423,31 @@ class VmExec : public exec::BlockCore {
   bool returned_any_ = false;
 };
 
+/// Element type of the buffer bound to parameter i, or its declared type
+/// where the parameter is no pointer or the argument no valid buffer (the
+/// launch then fails before any access, exactly as the AST walk would).
+ir::ScalarType buffer_type(const ir::Kernel& kernel, const LaunchConfig& cfg,
+                           const DeviceMemory& mem, std::size_t i) {
+  const ir::Param& p = kernel.params[i];
+  const auto* id =
+      p.type.is_pointer && i < cfg.args.size()
+          ? std::get_if<BufferId>(&cfg.args[i])
+          : nullptr;
+  return id && *id < mem.buffer_count() ? mem.buffer(*id).type()
+                                        : p.type.scalar;
+}
+
 }  // namespace
+
+std::vector<ir::ScalarType> buffer_types(const ir::Kernel& kernel,
+                                         const LaunchConfig& cfg,
+                                         const DeviceMemory& mem) {
+  std::vector<ir::ScalarType> out;
+  out.reserve(kernel.params.size());
+  for (std::size_t i = 0; i < kernel.params.size(); ++i)
+    out.push_back(buffer_type(kernel, cfg, mem, i));
+  return out;
+}
 
 KernelStats run_block(const bytecode::Program& program, const DeviceSpec& spec,
                       DeviceMemory& mem, const Interpreter::Options& opt,
@@ -411,6 +455,20 @@ KernelStats run_block(const bytecode::Program& program, const DeviceSpec& spec,
                       Dim3 block_idx, int resident_blocks,
                       exec::BlockSanitizer* san, std::int64_t flat_block,
                       std::int64_t max_steps) {
+  // Buffer loads write the register pool of the element type the program
+  // was lowered for; a different bound buffer would be read as zeros.
+  const ir::Kernel& kernel = *bound.kernel;
+  for (std::size_t i = 0; i < kernel.params.size(); ++i) {
+    const ir::ScalarType want = i < program.buffer_types.size()
+                                    ? program.buffer_types[i]
+                                    : kernel.params[i].type.scalar;
+    const ir::ScalarType got = buffer_type(kernel, cfg, mem, i);
+    if (got != want)
+      throw SimError("bytecode lowered for " +
+                     std::string(ir::to_string(want)) +
+                     " elements at parameter '" + kernel.params[i].name +
+                     "', but the bound buffer holds " + ir::to_string(got));
+  }
   VmExec block(program, spec, mem, opt, bound, cfg, block_idx,
                resident_blocks, san, flat_block, max_steps);
   return block.run();

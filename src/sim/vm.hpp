@@ -1,17 +1,19 @@
 // Bytecode VM: the fast kernel engine.
 //
 // Executes the flat instruction stream produced by sim/bytecode.cpp with
-// a dispatch loop over SoA lane state — virtual registers are contiguous
-// per-lane vectors, masks live on a preallocated stack sized by the
-// lowering — so a launch pays no per-node heap allocation and no
-// recursion. All semantics (charges, watchdog, sanitizer, errors) come
-// from exec::BlockCore, shared with the AST walker.
+// a dispatch loop over SoA lane state — virtual registers are plain
+// int64 / double lane arrays typed by the lowering, masks are per-warp
+// active words on a preallocated stack sized by the lowering — so a
+// launch pays no per-node heap allocation and no recursion. All
+// semantics (charges, watchdog, sanitizer, errors) come from
+// exec::BlockCore, shared with the AST walker.
 //
 // Implementation detail of sim/; include only from the interpreter and
 // tests.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "sim/binder.hpp"
 #include "sim/bytecode.hpp"
@@ -22,9 +24,18 @@
 
 namespace cudanp::sim::vm {
 
+/// Per kernel parameter, the element type of the buffer bound to it by
+/// `cfg` (the declared type for non-pointer parameters and arguments that
+/// are no valid buffer): what bytecode::lower types buffer loads with.
+[[nodiscard]] std::vector<ir::ScalarType> buffer_types(
+    const ir::Kernel& kernel, const LaunchConfig& cfg,
+    const DeviceMemory& mem);
+
 /// Runs one block of a launch over the lowered program. Equivalent to
 /// constructing the AST walker on the same BlockCore arguments and
-/// running it — same stats, same hazard stream, same errors.
+/// running it — same stats, same hazard stream, same errors. Throws
+/// SimError when a pointer argument's buffer has an element type other
+/// than the one `program` was lowered for.
 [[nodiscard]] KernelStats run_block(const bytecode::Program& program,
                                     const DeviceSpec& spec, DeviceMemory& mem,
                                     const Interpreter::Options& opt,

@@ -84,6 +84,23 @@ TEST(SymArena, IntDivByZeroFaults) {
                sim::SymFault);
 }
 
+TEST(SymArena, IntOverflowFaultsOrWraps) {
+  // INT64_MIN / -1, INT64_MIN % -1 and out-of-range shift counts fault
+  // like the interpreter does; + - * and negation wrap.
+  sim::SymArena a;
+  const auto min = a.cint(std::numeric_limits<std::int64_t>::min());
+  EXPECT_THROW((void)a.bin(ir::BinOp::kDiv, min, a.cint(-1)), sim::SymFault);
+  EXPECT_THROW((void)a.bin(ir::BinOp::kMod, min, a.cint(-1)), sim::SymFault);
+  EXPECT_THROW((void)a.bin(ir::BinOp::kShl, a.cint(1), a.cint(64)),
+               sim::SymFault);
+  EXPECT_THROW((void)a.bin(ir::BinOp::kShr, a.cint(1), a.cint(-1)),
+               sim::SymFault);
+  EXPECT_EQ(a.bin(ir::BinOp::kAdd, min, min), a.cint(0));
+  EXPECT_EQ(a.bin(ir::BinOp::kSub, min, a.cint(1)),
+            a.cint(std::numeric_limits<std::int64_t>::max()));
+  EXPECT_EQ(a.un(ir::UnOp::kNeg, min), min);
+}
+
 TEST(SymArena, NormalizeIsReassociationInvariant) {
   sim::SymArena a;
   auto x = a.input(0, 0, ir::ScalarType::kFloat);
@@ -367,6 +384,78 @@ TEST(Certifier, ProvesNpReductionVariants) {
     proven += cert.proven() ? 1 : 0;
   }
   EXPECT_GT(proven, 0);
+}
+
+TEST(Certifier, IntOverflowInTheBaselineIsInconclusiveNotACrash) {
+  // Constant folding of INT64_MIN / -1 used to trap the host (SIGFPE);
+  // the fault now makes the certificate inconclusive, naming the cause.
+  std::unique_ptr<ir::Program> prog;
+  ir::Kernel& kernel = parse_kernel(prog, R"(
+__global__ void k(float* a, float* c, int w, int h) {
+  int big = -9223372036854775807 - 1;
+  int q = big / (0 - 1);
+  float sum = 0.0f;
+  int tx = threadIdx.x;
+  #pragma np parallel for reduction(+:sum)
+  for (int i = 0; i < h; i++)
+    sum += a[i * w + tx];
+  c[tx] = sum + q;
+}
+)");
+  auto factory = [&] { return np::make_synthetic_workload(kernel, 8, 8); };
+  auto spec = sim::DeviceSpec::gtx680();
+  Certifier certifier(spec);
+  int certified = 0;
+  for (const auto& cfg : NpCompiler::enumerate_configs(kernel, 8, spec)) {
+    SCOPED_TRACE(cfg.describe());
+    transform::TransformResult variant;
+    try {
+      variant = NpCompiler::transform(kernel, cfg);
+    } catch (const CompileError&) {
+      continue;
+    }
+    Certificate cert = certifier.certify_variant(kernel, variant, factory);
+    EXPECT_EQ(cert.verdict, Verdict::kInconclusive) << cert.str();
+    EXPECT_NE(cert.str().find("integer division overflow"), std::string::npos)
+        << cert.str();
+    ++certified;
+  }
+  EXPECT_GT(certified, 0);
+}
+
+TEST(SymExec, TernaryOfABoolElementAndAnIntIsInt) {
+  // A bool array element read at a symbolic index is an int lane, like
+  // the int arm, so `?:` stays int and `/ 2` truncates as the interpreter
+  // computes (flags[0] is 1, so a float common type would give 0.5).
+  std::unique_ptr<ir::Program> prog;
+  ir::Kernel& kernel = parse_kernel(prog, R"(
+__global__ void k(float* a, float* c) {
+  int tx = threadIdx.x;
+  bool flags[4];
+  for (int i = 0; i < 4; i++) flags[i] = i < 2;
+  int j = (int)a[tx];
+  c[tx] = (tx > 0 ? flags[j & 3] : 3) / 2;
+}
+)");
+  std::vector<sim::SymArg> args(2);
+  for (auto& arg : args) {
+    arg.kind = sim::SymArg::Kind::kBufferSymbolic;
+    arg.type = ir::ScalarType::kFloat;
+    arg.elems = 2;
+  }
+  sim::SymArena arena;
+  const auto r =
+      sim::sym_execute(kernel, {1, 1, 1}, {2, 1, 1}, args, arena);
+  ASSERT_TRUE(r.ok) << r.reason;
+  sim::Value v;
+  ASSERT_TRUE(arena.constant(r.buffers[1][0], &v));  // 3 / 2
+  EXPECT_EQ(v.as_f(), 1.0);
+  ASSERT_FALSE(arena.constant(r.buffers[1][1], &v));  // a gather
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    sim::SymEvaluator eval(arena, seed);
+    ASSERT_TRUE(eval.eval(r.buffers[1][1], &v));
+    EXPECT_EQ(v.as_f(), 0.0) << "seed " << seed;  // flags[0] / 2
+  }
 }
 
 TEST(Certifier, SkewedStoreIndexIsRefutedWithReplay) {

@@ -610,6 +610,45 @@ TEST(Cli, HeartbeatMustFitInsideWorkerTimeout) {
   EXPECT_EQ(ok.exit_code, 0) << ok.output;
 }
 
+// INT64_MIN / -1 used to trap the host with SIGFPE (exit 136) in every
+// mode that runs or certifies the kernel.
+const char* kIntOverflow = R"(
+__global__ void ovf(float* a, float* c, int w, int h) {
+  int big = -9223372036854775807 - 1;
+  int q = big / (0 - 1);
+  float sum = 0.0f;
+  int tx = threadIdx.x + blockIdx.x * blockDim.x;
+  #pragma np parallel for reduction(+:sum)
+  for (int i = 0; i < h; i++)
+    sum += a[i * w + tx];
+  c[tx] = sum + q;
+}
+)";
+
+TEST(Cli, IntOverflowIsAStructuredErrorInEveryMode) {
+  auto path = write_temp_kernel(kIntOverflow);
+  auto san = run_cli(path + " --sanitize");
+  EXPECT_EQ(san.exit_code, 3) << san.output;
+  EXPECT_NE(san.output.find("integer division overflow (INT64_MIN / -1)"),
+            std::string::npos)
+      << san.output;
+  auto cert = run_cli(path + " --certify");
+  EXPECT_EQ(cert.exit_code, 3) << cert.output;
+  EXPECT_NE(cert.output.find("certified: inconclusive"), std::string::npos)
+      << cert.output;
+  // In-process batch: the bad job degrades, its neighbour still succeeds.
+  auto healthy = write_temp_file("ovf_ok.cu", kTmv);
+  auto manifest = write_temp_file(
+      "ovf.txt", "file=" + path + " elems=16 tb=8 name=bad\n"
+                 "file=" + healthy + " elems=16 tb=8 name=good\n");
+  auto batch = run_cli("--batch=" + manifest);
+  EXPECT_EQ(batch.exit_code, 7) << batch.output;
+  EXPECT_NE(batch.output.find("bad: degraded"), std::string::npos)
+      << batch.output;
+  EXPECT_NE(batch.output.find("good: succeeded"), std::string::npos)
+      << batch.output;
+}
+
 /// Launches `cudanp-cc --serve` as a real subprocess and waits for the
 /// socket to appear; kills the daemon on destruction if the test did
 /// not shut it down.
@@ -720,6 +759,25 @@ TEST(Cli, DaemonRejectsBadManifestWithExitTen) {
   EXPECT_NE(r.output.find("rejected: bad-manifest"), std::string::npos)
       << r.output;
   // The daemon survives the bad request and still serves.
+  auto health = run_cli("--connect=" + daemon.socket + " --healthz");
+  EXPECT_NE(health.output.find("\"status\":\"ok\""), std::string::npos)
+      << health.output;
+  auto sd = run_cli("--connect=" + daemon.socket + " --shutdown");
+  EXPECT_EQ(sd.exit_code, 0) << sd.output;
+  EXPECT_EQ(daemon.wait(), 0);
+}
+
+TEST(Cli, DaemonStaysHealthyAfterAnIntOverflowJob) {
+  // The certifying daemon pre-certifies in-process even when attempts run
+  // in sandboxed workers; that certification used to kill it.
+  auto path = write_temp_kernel(kIntOverflow);
+  auto manifest = write_temp_file(
+      "ovf_daemon.txt", "file=" + path + " elems=16 tb=8 name=bad\n");
+  ScopedTempDir tmp("cudanp_cli_ovf");
+  ScopedDaemon daemon(tmp.file("d.sock"), "--isolate=process --certify");
+  auto r = run_cli("--connect=" + daemon.socket + " --batch=" + manifest);
+  EXPECT_EQ(r.exit_code, 7) << r.output;
+  EXPECT_NE(r.output.find("bad: degraded"), std::string::npos) << r.output;
   auto health = run_cli("--connect=" + daemon.socket + " --healthz");
   EXPECT_NE(health.output.find("\"status\":\"ok\""), std::string::npos)
       << health.output;

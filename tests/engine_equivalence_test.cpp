@@ -353,6 +353,233 @@ TEST(EngineEquivalenceFuzz, DivergentControlFlowBitIdentical) {
   }
 }
 
+/// Generates a seeded kernel of mixed int / float / bool arithmetic:
+/// random expression trees with ternaries (including int/float arms),
+/// casts, comparisons, logical and bitwise operators, min/max builtins,
+/// shfl, and compound assignments, under lane-keyed ifs, loops and early
+/// returns so warps run both fully active and partially masked. Divisors
+/// and shift counts are kept in range, and stored values are clamped
+/// (floats to [-1e6, 1e6], ints to +-1e6), so no float reaches inf or
+/// NaN and every float-to-int conversion is defined.
+class TypedKernelGen {
+ public:
+  explicit TypedKernelGen(std::uint64_t seed) : rng_(seed) {}
+
+  std::string source() {
+    std::ostringstream os;
+    os << "__global__ void ty(float* out, int n) {\n"
+       << "  int tid = threadIdx.x + blockIdx.x * blockDim.x;\n"
+       << "  int lane = threadIdx.x;\n"
+       << "  int i0 = lane - " << pick(0, 40) << ";\n"
+       << "  int i1 = n + lane % " << pick(2, 9) << ";\n"
+       << "  float f0 = lane * 0.5f;\n"
+       << "  float f1 = " << pick(1, 9) << ".25f - lane;\n"
+       << "  bool b0 = lane % 3 == 0;\n";
+    if (pick(0, 2) == 0)
+      os << "  if (lane >= " << pick(20, 140) << ") return;\n";
+    stmts(os, pick(4, 8), 1);
+    os << "  out[tid * 4] = f0;\n"
+       << "  out[tid * 4 + 1] = f1;\n"
+       << "  out[tid * 4 + 2] = i0;\n"
+       << "  out[tid * 4 + 3] = i1 + b0;\n"
+       << "}\n";
+    return os.str();
+  }
+
+ private:
+  int pick(int lo, int hi) {
+    return lo + static_cast<int>(
+                    rng_.next_below(static_cast<std::uint64_t>(hi - lo + 1)));
+  }
+  std::string lit_f() { return std::to_string(pick(1, 40)) + ".5f"; }
+  std::string lit_i() { return std::to_string(pick(0, 20)); }
+
+  std::string fexpr(int depth) {
+    const int leaf = depth <= 0 ? pick(0, 3) : pick(0, 12);
+    switch (leaf) {
+      case 0: return pick(0, 1) ? "f0" : "f1";
+      case 1: return lit_f();
+      case 2: return pick(0, 1) ? "i0" : "lane";  // int in float context
+      case 3: return "b0";
+      case 4: return "(" + fexpr(depth - 1) + " + " + iexpr(depth - 1) + ")";
+      case 5: return "(" + fexpr(depth - 1) + " - " + fexpr(depth - 1) + ")";
+      case 6: return "(" + fexpr(depth - 1) + " * " + lit_f() + ")";
+      case 7:
+        return "(" + fexpr(depth - 1) + " / (f1 * f1 + 1.0f))";
+      case 8:  // mixed arms, in either order
+        return pick(0, 1) ? "(" + cond(depth - 1) + " ? " + fexpr(depth - 1) +
+                                " : " + iexpr(depth - 1) + ")"
+                          : "(" + cond(depth - 1) + " ? " + iexpr(depth - 1) +
+                                " : " + fexpr(depth - 1) + ")";
+      case 9: {  // float and mixed min/max, arms in either order
+        static const char* kFns[] = {"fminf(", "fmaxf(", "min(", "max("};
+        const std::string f = fexpr(depth - 1);
+        const std::string i = iexpr(depth - 1);
+        return kFns[pick(0, 3)] + (pick(0, 1) ? f + ", " + i : i + ", " + f) +
+               ")";
+      }
+      case 10: return "abs(" + fexpr(depth - 1) + ")";
+      case 11: return "(float)(" + iexpr(depth - 1) + ")";
+      default: return "__shfl_xor(f0, " + std::to_string(pick(1, 4)) + ", 32)";
+    }
+  }
+
+  std::string iexpr(int depth) {
+    const int leaf = depth <= 0 ? pick(0, 3) : pick(0, 13);
+    switch (leaf) {
+      case 0: return pick(0, 1) ? "i0" : "i1";
+      case 1: return lit_i();
+      case 2: return "lane";
+      case 3: return "(int)f0";  // stored floats are clamped
+      case 4: return "(" + iexpr(depth - 1) + " + " + iexpr(depth - 1) + ")";
+      case 5: return "(" + iexpr(depth - 1) + " * " + iexpr(depth - 1) + ")";
+      case 6: return "(" + iexpr(depth - 1) + " / (lane % 3 + 1))";
+      case 7:
+        return "(" + iexpr(depth - 1) + " % " + std::to_string(pick(2, 7)) +
+               ")";
+      case 8: {
+        static const char* kOps[] = {" & ", " | ", " ^ "};
+        return "(" + iexpr(depth - 1) + kOps[pick(0, 2)] + iexpr(depth - 1) +
+               ")";
+      }
+      case 9:
+        return "(" + iexpr(depth - 1) + (pick(0, 1) ? " << " : " >> ") +
+               "(lane % 4))";
+      case 10: return cond(depth - 1);
+      case 11:
+        return "(" + cond(depth - 1) + " ? " + iexpr(depth - 1) + " : " +
+               iexpr(depth - 1) + ")";
+      case 12:
+        return std::string(pick(0, 1) ? "min(" : "max(") + iexpr(depth - 1) +
+               ", " + iexpr(depth - 1) + ")";
+      default: return "-" + iexpr(depth - 1);
+    }
+  }
+
+  std::string cond(int depth) {
+    static const char* kCmp[] = {" < ", " <= ", " > ", " >= ", " == ", " != "};
+    switch (pick(0, 4)) {
+      case 0: return "(" + fexpr(depth) + kCmp[pick(0, 5)] + iexpr(depth) + ")";
+      case 1: return "(" + iexpr(depth) + kCmp[pick(0, 5)] + iexpr(depth) + ")";
+      case 2:
+        return "(" + cond(depth - 1) + (pick(0, 1) ? " && " : " || ") +
+               cond(depth - 1) + ")";
+      case 3: return "!b0";
+      default:
+        return "(lane % " + std::to_string(pick(2, 7)) + " > " +
+               std::to_string(pick(0, 1)) + ")";
+    }
+  }
+
+  void clamp(std::ostringstream& os, const std::string& ind,
+             const char* var) {
+    os << ind << var << " = fminf(fmaxf(" << var
+       << ", -1000000.0f), 1000000.0f);\n";
+  }
+
+  /// Keeps stored ints within +-1e6, so int op= float stays in range.
+  void clamp_int(std::ostringstream& os, const std::string& ind,
+                 const char* var) {
+    os << ind << var << " = " << var << " % 1000003;\n";
+  }
+
+  void stmts(std::ostringstream& os, int count, int nest) {
+    const std::string ind(static_cast<std::size_t>(2 * nest), ' ');
+    for (int s = 0; s < count; ++s) {
+      const char* fv = pick(0, 1) ? "f0" : "f1";
+      const char* iv = pick(0, 1) ? "i0" : "i1";
+      switch (nest < 3 ? pick(0, 8) : pick(0, 5)) {
+        case 0:
+          os << ind << fv << " = " << fexpr(3) << ";\n";
+          clamp(os, ind, fv);
+          break;
+        case 1:
+          os << ind << iv << " = " << iexpr(3) << ";\n";
+          clamp_int(os, ind, iv);
+          break;
+        case 2:
+          os << ind << fv << (pick(0, 1) ? " += " : " -= ") << fexpr(2)
+             << ";\n";
+          clamp(os, ind, fv);
+          break;
+        case 3:
+          os << ind << fv << (pick(0, 1) ? " *= " : " /= ") << lit_f()
+             << ";\n";
+          break;
+        case 4:
+          // int op= int, or int op= float (a float result, stored back).
+          if (pick(0, 1))
+            os << ind << iv << (pick(0, 1) ? " += " : " *= ") << iexpr(2)
+               << ";\n";
+          else
+            os << ind << iv << (pick(0, 1) ? " -= " : " *= ")
+               << (pick(0, 1) ? fv : lit_f()) << ";\n";
+          clamp_int(os, ind, iv);
+          break;
+        case 5: os << ind << "b0 = " << cond(2) << ";\n"; break;
+        case 6:
+          os << ind << "if (" << cond(2) << ") {\n";
+          stmts(os, pick(1, 3), nest + 1);
+          os << ind << "} else {\n";
+          stmts(os, pick(1, 2), nest + 1);
+          os << ind << "}\n";
+          break;
+        case 7:
+          os << ind << "for (int k" << nest << " = 0; k" << nest << " < lane % "
+             << pick(2, 5) << "; k" << nest << "++) {\n";
+          stmts(os, pick(1, 2), nest + 1);
+          os << ind << "}\n";
+          break;
+        default:
+          os << ind << "if (lane % " << pick(2, 6) << " == 0) {\n";
+          stmts(os, 1, nest + 1);
+          os << ind << "}\n";
+          break;
+      }
+    }
+  }
+
+  SplitMix64 rng_;
+};
+
+TEST(EngineEquivalenceFuzz, MixedTypesTailWarpsAndMasksBitIdentical) {
+  // Block sizes 48 and 150 leave a partial tail warp.
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    for (int threads : {32, 48, 150}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " threads " +
+                   std::to_string(threads));
+      std::string src = TypedKernelGen(seed * 7919 + 17).source();
+      std::unique_ptr<ir::Program> program;
+      try {
+        program = np::NpCompiler::parse(src);
+      } catch (const CompileError& e) {
+        FAIL() << "generator produced unparseable source: " << e.what()
+               << "\n" << src;
+      }
+      const ir::Kernel& kernel = *program->kernels.front();
+      auto [w, r] = expect_engines_agree(
+          [&] {
+            np::Workload wl;
+            wl.launch.args.push_back(
+                wl.mem->alloc(ir::ScalarType::kFloat, 4096));
+            wl.launch.args.push_back(sim::LaunchConfig::scalar_int(5));
+            wl.launch.block = {threads, 1, 1};
+            wl.launch.grid = {2, 1, 1};
+            return wl;
+          },
+          [&](np::Workload& wl) {
+            return np::ExecutionRequest::baseline(kernel, wl);
+          },
+          /*jobs=*/1, /*sanitize=*/seed % 3 == 0);
+      EXPECT_TRUE(r->ran) << src;
+      if (::testing::Test::HasFailure()) {
+        ADD_FAILURE() << src;
+        return;
+      }
+    }
+  }
+}
+
 // ---------------- former lowering-decline shapes ----------------
 //
 // Lowering used to decline these shapes and run them on the AST walk,

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "frontend/parser.hpp"
 #include "sim/interpreter.hpp"
+#include "sim/sanitizer.hpp"
+#include "sim/vm.hpp"
 
 namespace cudanp::sim {
 namespace {
@@ -443,6 +446,217 @@ TEST(Interpreter, WarpChargedWhenAnyLaneActive) {
   // The imbalanced warp still pays roughly the full 10-iteration cost.
   EXPECT_GT(imbalanced.stats.issue_slots, 0.6 * balanced.stats.issue_slots);
 }
+
+// ---------------- static typing, on both engines ----------------
+//
+// Every value has one static type. These cases used to decide a value's
+// type at run time (per lane, from tags); each is checked on the VM and
+// the AST reference walker.
+
+/// One kernel launch on the VM (ast_reference = false) or the AST walker.
+struct EngineRun {
+  DeviceSpec spec = DeviceSpec::gtx680();
+  DeviceMemory mem;
+  std::unique_ptr<ir::Program> program;
+  KernelStats stats;
+  std::string error;  // the SimError message, "" if none
+
+  EngineRun(const std::string& src, bool ast_reference, int threads = 32,
+            SanitizerEngine* san = nullptr) {
+    out = mem.alloc(ir::ScalarType::kFloat, 64);
+    iout = mem.alloc(ir::ScalarType::kInt, 64);
+    program = frontend::parse_program_or_throw(src);
+    Interpreter::Options opt;
+    opt.ast_reference = ast_reference;
+    opt.sanitizer = san;
+    Interpreter interp(spec, mem, opt);
+    try {
+      stats = interp.run(*program->find_kernel("k"),
+                         {.grid = {1, 1, 1},
+                          .block = {threads, 1, 1},
+                          .args = {out, iout}});
+    } catch (const SimError& e) {
+      error = e.what();
+    }
+  }
+  [[nodiscard]] float f(std::size_t k) const {
+    return mem.buffer(out).f32()[k];
+  }
+  [[nodiscard]] int i(std::size_t k) const {
+    return mem.buffer(iout).i32()[k];
+  }
+
+  BufferId out = 0;
+  BufferId iout = 0;
+};
+
+TEST(VmProgram, RejectsABufferOfAnotherTypeThanItWasLoweredFor) {
+  // Without buffer types, lower() types the loads of `a` by its declared
+  // float; an int buffer bound there would be read from the wrong
+  // register pool, so the VM refuses the launch instead.
+  auto program = frontend::parse_program_or_throw(
+      "__global__ void k(float* a, float* o) {"
+      "  o[threadIdx.x] = a[threadIdx.x] + 1;"
+      "}");
+  const ir::Kernel& kernel = *program->find_kernel("k");
+  const auto bound = bind_kernel(kernel);
+  const DeviceSpec spec = DeviceSpec::gtx680();
+  DeviceMemory mem;
+  const auto a = mem.alloc(ir::ScalarType::kInt, 32);
+  const auto o = mem.alloc(ir::ScalarType::kFloat, 32);
+  for (int i = 0; i < 32; ++i) mem.buffer(a).i32()[i] = i;
+  const LaunchConfig cfg{
+      .grid = {1, 1, 1}, .block = {32, 1, 1}, .args = {a, o}};
+  const Interpreter::Options opt;
+  auto run = [&](const bytecode::Program& p) {
+    return vm::run_block(p, spec, mem, opt, *bound, cfg, {0, 0, 0}, 1,
+                         nullptr, 0, 1 << 20);
+  };
+  try {
+    (void)run(*bytecode::lower(*bound));
+    ADD_FAILURE() << "expected a SimError";
+  } catch (const SimError& e) {
+    EXPECT_STREQ(e.what(),
+                 "bytecode lowered for float elements at parameter 'a', but "
+                 "the bound buffer holds int");
+  }
+  (void)run(*bytecode::lower(*bound, vm::buffer_types(kernel, cfg, mem)));
+  EXPECT_EQ(mem.buffer(o).f32()[5], 6.0f);
+}
+
+class InterpreterTyping : public ::testing::TestWithParam<bool> {};
+
+TEST_P(InterpreterTyping, UnwrittenFloatVariableIsFloatZero) {
+  // A never-written float reads as 0.0f, so x / 0 is a float division
+  // (NaN), not the "integer division by zero" of an int-tagged 0.
+  EngineRun r(
+      "__global__ void k(float* o, int* io) {"
+      "  float x;"
+      "  __shared__ float s[4];"
+      "  float a[2];"
+      "  o[threadIdx.x] = x / 0;"
+      "  o[32 + threadIdx.x] = s[1] / 0 + a[1] / 0;"
+      "}",
+      GetParam());
+  ASSERT_EQ(r.error, "");
+  EXPECT_TRUE(std::isnan(r.f(0)));
+  EXPECT_TRUE(std::isnan(r.f(32)));
+}
+
+TEST_P(InterpreterTyping, UnwrittenFloatIsStillAnUninitRead) {
+  SanitizerEngine san;
+  EngineRun r(
+      "__global__ void k(float* o, int* io) {"
+      "  float x;"
+      "  o[threadIdx.x] = x / 0;"
+      "}",
+      GetParam(), 32, &san);
+  ASSERT_EQ(r.error, "");
+  ASSERT_FALSE(san.reports().empty());
+  EXPECT_EQ(san.reports()[0].kind, HazardKind::kUninitRead);
+}
+
+TEST_P(InterpreterTyping, TernaryArmsConvertToTheCommonType) {
+  // c ? 7 : 2.5f is float on every lane: 7 / 2 divides as floats.
+  EngineRun r(
+      "__global__ void k(float* o, int* io) {"
+      "  int t = threadIdx.x;"
+      "  o[t] = (t % 2 == 0 ? 7 : 2.5f) / 2;"
+      "  io[t] = (t % 2 == 0 ? 7 : 3) / 2;"
+      "}",
+      GetParam());
+  ASSERT_EQ(r.error, "");
+  EXPECT_EQ(r.f(0), 3.5f);
+  EXPECT_EQ(r.f(1), 1.25f);
+  EXPECT_EQ(r.i(0), 3);  // both arms int: integer division
+}
+
+TEST_P(InterpreterTyping, DivisionChargeFollowsStaticTypes) {
+  // The unwritten float divides at the float weight, exactly like a
+  // literal float operand.
+  EngineRun unwritten(
+      "__global__ void k(float* o, int* io) {"
+      "  float x;"
+      "  float y = x / 3;"
+      "  o[threadIdx.x] = y;"
+      "}",
+      GetParam());
+  EngineRun literal(
+      "__global__ void k(float* o, int* io) {"
+      "  float x;"
+      "  float y = 0.0f / 3;"
+      "  o[threadIdx.x] = y;"
+      "}",
+      GetParam());
+  ASSERT_EQ(unwritten.error, "");
+  EXPECT_EQ(unwritten.stats.issue_slots, literal.stats.issue_slots);
+}
+
+TEST_P(InterpreterTyping, VoidVariableIsAStructuredError) {
+  EngineRun r("__global__ void k(float* o, int* io) { void v = 1; }",
+              GetParam());
+  EXPECT_NE(r.error.find("void variable 'v'"), std::string::npos) << r.error;
+}
+
+// ---------------- int64 overflow never reaches host UB ----------------
+
+class InterpreterOverflow : public ::testing::TestWithParam<bool> {};
+
+std::string overflow_error(const std::string& expr, bool ast_reference) {
+  EngineRun r(
+      "__global__ void k(float* o, int* io) {"
+      "  int big = -9223372036854775807 - 1;"
+      "  int s = threadIdx.x - 1;"
+      "  io[threadIdx.x] = " + expr + ";"
+      "}",
+      ast_reference, 1);
+  return r.error;
+}
+
+TEST_P(InterpreterOverflow, MinOverMinusOneIsASimError) {
+  const std::string e = overflow_error("big / (0 - 1)", GetParam());
+  EXPECT_NE(e.find("integer division overflow"), std::string::npos) << e;
+  EXPECT_NE(e.find(" at "), std::string::npos) << e;
+  const std::string m = overflow_error("big % (0 - 1)", GetParam());
+  EXPECT_NE(m.find("modulo overflow"), std::string::npos) << m;
+}
+
+TEST_P(InterpreterOverflow, ShiftCountsOutsideTheWordAreErrors) {
+  for (const char* expr : {"1 << 64", "1 >> 64", "1 << s", "big >> (0 - 5)"}) {
+    const std::string e = overflow_error(expr, GetParam());
+    EXPECT_NE(e.find("shift count out of range [0, 63]"), std::string::npos)
+        << expr << ": " << e;
+  }
+  EXPECT_EQ(overflow_error("1 << 63", GetParam()), "");
+}
+
+TEST_P(InterpreterOverflow, AddSubMulAndNegationWrap) {
+  EngineRun r(
+      "__global__ void k(float* o, int* io) {"
+      "  int big = -9223372036854775807 - 1;"
+      "  io[0] = (big + big) == 0;"
+      "  io[1] = (big - 1) == 9223372036854775807;"
+      "  io[2] = (big * 2) == 0;"
+      "  io[3] = -big == big;"
+      "  io[4] = abs(big) == big;"
+      "  io[5] = -(0 - 5);"
+      "}",
+      GetParam(), 1);
+  ASSERT_EQ(r.error, "");
+  for (std::size_t k = 0; k < 5; ++k) EXPECT_EQ(r.i(k), 1) << k;
+  EXPECT_EQ(r.i(5), 5);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, InterpreterTyping, ::testing::Bool(),
+    [](const ::testing::TestParamInfo<bool>& info) {
+      return info.param ? std::string("Ast") : std::string("Vm");
+    });
+INSTANTIATE_TEST_SUITE_P(
+    Engines, InterpreterOverflow, ::testing::Bool(),
+    [](const ::testing::TestParamInfo<bool>& info) {
+      return info.param ? std::string("Ast") : std::string("Vm");
+    });
 
 }  // namespace
 }  // namespace cudanp::sim

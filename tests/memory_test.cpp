@@ -3,17 +3,15 @@
 #include <algorithm>
 #include <array>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "sim/memory.hpp"
 
 namespace cudanp::sim {
 namespace {
 
-std::array<std::uint8_t, 32> all_active() {
-  std::array<std::uint8_t, 32> a;
-  a.fill(1);
-  return a;
-}
+constexpr std::uint32_t kAllActive = ~0u;
 
 TEST(DeviceMemory, AllocatesAlignedNonOverlapping) {
   DeviceMemory mem;
@@ -54,7 +52,7 @@ TEST(Coalescing, FullyCoalescedWarp) {
   // 32 lanes x consecutive 4B words = 128 B = four 32 B transactions.
   std::array<std::uint64_t, 32> addrs;
   for (int l = 0; l < 32; ++l) addrs[static_cast<std::size_t>(l)] = 1024 + 4 * static_cast<std::uint64_t>(l);
-  auto act = all_active();
+  const std::uint32_t act = kAllActive;
   EXPECT_EQ(coalesced_transactions(addrs, act, 32), 4);
   EXPECT_EQ(coalesced_transactions(addrs, act, 128), 1);
 }
@@ -62,7 +60,7 @@ TEST(Coalescing, FullyCoalescedWarp) {
 TEST(Coalescing, BroadcastIsOneTransaction) {
   std::array<std::uint64_t, 32> addrs;
   addrs.fill(4096);
-  auto act = all_active();
+  const std::uint32_t act = kAllActive;
   EXPECT_EQ(coalesced_transactions(addrs, act, 32), 1);
 }
 
@@ -70,7 +68,7 @@ TEST(Coalescing, FullyScattered) {
   std::array<std::uint64_t, 32> addrs;
   for (int l = 0; l < 32; ++l)
     addrs[static_cast<std::size_t>(l)] = static_cast<std::uint64_t>(l) * 8192;
-  auto act = all_active();
+  const std::uint32_t act = kAllActive;
   EXPECT_EQ(coalesced_transactions(addrs, act, 32), 32);
 }
 
@@ -78,16 +76,15 @@ TEST(Coalescing, InactiveLanesIgnored) {
   std::array<std::uint64_t, 32> addrs;
   for (int l = 0; l < 32; ++l)
     addrs[static_cast<std::size_t>(l)] = static_cast<std::uint64_t>(l) * 8192;
-  std::array<std::uint8_t, 32> act{};
-  act[3] = 1;
+  const std::uint32_t act = 1u << 3;
   EXPECT_EQ(coalesced_transactions(addrs, act, 32), 1);
-  std::array<std::uint8_t, 32> none{};
+  const std::uint32_t none = 0;
   EXPECT_EQ(coalesced_transactions(addrs, none, 32), 0);
 }
 
 TEST(Coalescing, StridedAccessScalesWithStride) {
   // Stride-2 floats: touches twice the segments of stride-1.
-  auto act = all_active();
+  const std::uint32_t act = kAllActive;
   std::array<std::uint64_t, 32> s1, s2;
   for (int l = 0; l < 32; ++l) {
     s1[static_cast<std::size_t>(l)] = 4 * static_cast<std::uint64_t>(l);
@@ -100,14 +97,14 @@ TEST(Coalescing, StridedAccessScalesWithStride) {
 TEST(BankConflicts, ConflictFreeUnitStride) {
   std::array<std::uint64_t, 32> words;
   std::iota(words.begin(), words.end(), 0);
-  auto act = all_active();
+  const std::uint32_t act = kAllActive;
   EXPECT_EQ(smem_replays(words, act, 32), 1);
 }
 
 TEST(BankConflicts, BroadcastSameWordIsFree) {
   std::array<std::uint64_t, 32> words;
   words.fill(17);
-  auto act = all_active();
+  const std::uint32_t act = kAllActive;
   EXPECT_EQ(smem_replays(words, act, 32), 1);
 }
 
@@ -116,7 +113,7 @@ TEST(BankConflicts, TwoWayConflictStride2) {
   std::array<std::uint64_t, 32> words;
   for (int l = 0; l < 32; ++l)
     words[static_cast<std::size_t>(l)] = static_cast<std::uint64_t>(l) * 2;
-  auto act = all_active();
+  const std::uint32_t act = kAllActive;
   EXPECT_EQ(smem_replays(words, act, 32), 2);
 }
 
@@ -126,7 +123,7 @@ TEST(BankConflicts, SixteenWayConflictStride16) {
   std::array<std::uint64_t, 32> words;
   for (int l = 0; l < 32; ++l)
     words[static_cast<std::size_t>(l)] = static_cast<std::uint64_t>(l) * 16;
-  auto act = all_active();
+  const std::uint32_t act = kAllActive;
   EXPECT_EQ(smem_replays(words, act, 32), 16);
 }
 
@@ -134,14 +131,76 @@ TEST(BankConflicts, WorstCaseStride32) {
   std::array<std::uint64_t, 32> words;
   for (int l = 0; l < 32; ++l)
     words[static_cast<std::size_t>(l)] = static_cast<std::uint64_t>(l) * 32;
-  auto act = all_active();
+  const std::uint32_t act = kAllActive;
   EXPECT_EQ(smem_replays(words, act, 32), 32);
 }
 
 TEST(BankConflicts, MinimumOneEvenWhenIdle) {
   std::array<std::uint64_t, 32> words{};
-  std::array<std::uint8_t, 32> none{};
+  const std::uint32_t none = 0;
   EXPECT_EQ(smem_replays(words, none, 32), 1);
+}
+
+/// The bank model by definition: per bank, the number of distinct words
+/// the active lanes request; the access replays max-over-banks times.
+int brute_force_replays(const std::array<std::uint64_t, 32>& words,
+                        std::uint32_t active, int banks) {
+  int worst = 1;
+  for (int b = 0; b < banks; ++b) {
+    std::vector<std::uint64_t> distinct;
+    for (int l = 0; l < 32; ++l) {
+      if (!((active >> l) & 1u)) continue;
+      const std::uint64_t w = words[static_cast<std::size_t>(l)];
+      if (static_cast<int>(w % static_cast<std::uint64_t>(banks)) != b)
+        continue;
+      if (std::find(distinct.begin(), distinct.end(), w) == distinct.end())
+        distinct.push_back(w);
+    }
+    worst = std::max(worst, static_cast<int>(distinct.size()));
+  }
+  return worst;
+}
+
+TEST(BankConflicts, MatchesBruteForceOnRandomAccesses) {
+  // Mixes conflict-free and conflicting accesses: small word ranges make
+  // repeated, non-adjacent words (broadcasts) common; banks = 1 is the
+  // constant cache, where any two distinct words serialize.
+  std::uint64_t state = 0x9E3779B97F4A7C15ull;
+  auto next = [&] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  int fast = 0;
+  for (int banks : {1, 2, 16, 32, 48, 64, 96}) {
+    for (int trial = 0; trial < 400; ++trial) {
+      SCOPED_TRACE("banks " + std::to_string(banks) + " trial " +
+                   std::to_string(trial));
+      std::array<std::uint64_t, 32> words{};
+      const std::uint64_t range = 1 + next() % 96;
+      const std::uint64_t base = next() % 4096;
+      const int shape = trial % 4;
+      for (int l = 0; l < 32; ++l) {
+        auto& w = words[static_cast<std::size_t>(l)];
+        if (shape == 0)
+          w = base + static_cast<std::uint64_t>(l);  // unit stride
+        else if (shape == 1)
+          w = base + next() % range;  // random, many repeats
+        else if (shape == 2)
+          w = base + static_cast<std::uint64_t>(l % 3) * 64;  // repeats
+        else
+          w = base + (static_cast<std::uint64_t>(l) * (1 + next() % 5)) %
+                         range;
+      }
+      std::uint32_t active = static_cast<std::uint32_t>(next());
+      if (trial % 5 == 0) active = kAllActive;
+      const int want = brute_force_replays(words, active, banks);
+      EXPECT_EQ(smem_replays(words, active, banks), want);
+      fast += want == 1;
+    }
+  }
+  EXPECT_GT(fast, 100);  // the conflict-free path is exercised
 }
 
 TEST(L1Cache, HitAfterMiss) {
