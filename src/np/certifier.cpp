@@ -109,6 +109,11 @@ bool replay_buffers_match(const sim::DeviceMemory& ref,
   return true;
 }
 
+std::string normalization_budget(const CertifyOptions& opt) {
+  return "normalization expression budget of " +
+         std::to_string(opt.max_nodes) + " nodes exhausted";
+}
+
 sim::SymExecOptions sym_options(const CertifyOptions& opt) {
   sim::SymExecOptions sopt;
   sopt.max_steps = opt.max_steps;
@@ -146,7 +151,7 @@ Certificate JobCertifier::certify(const transform::NpConfig& config) {
   }
 }
 
-const JobCertifier::Baseline& JobCertifier::baseline() {
+JobCertifier::Baseline& JobCertifier::baseline() {
   if (baseline_) return *baseline_;
   // The probe workload fixes the proof environment's shape: launch
   // geometry, buffer sizes and all int data are taken concrete from it;
@@ -187,8 +192,37 @@ const JobCertifier::Baseline& JobCertifier::baseline() {
     }
     b.args.push_back(std::move(a));
   }
+  const CertifyOptions& opt = certifier_.options();
   b.run = sim::sym_execute(kernel_, b.grid, b.block, b.args, b.arena,
-                           sym_options(certifier_.options()));
+                           sym_options(opt));
+  if (!b.run.ok) return baseline_.emplace(std::move(b));
+  // Every variant compares against the baseline's normal forms, so they
+  // are built once, into the arena every variant starts from. A
+  // normalization that runs out of budget or faults is undone: variants
+  // then start from the arena the run left, and one that needs a normal
+  // form reports why there is none.
+  auto normalize_outputs = [&]() -> std::string {
+    try {
+      for (const auto& cells : b.run.buffers) {
+        auto& norm = b.norm.emplace_back();
+        for (const std::uint32_t id : cells) {
+          norm.push_back(b.arena.normalize(id, opt.max_nodes));
+          if (norm.back() == sim::SymArena::kInvalid)
+            return normalization_budget(opt);
+        }
+      }
+    } catch (const sim::SymFault& f) {
+      return "normalization faulted: " + f.message;
+    }
+    return {};
+  };
+  b.arena.mark();
+  b.norm_failure = normalize_outputs();
+  if (!b.norm_failure.empty()) {
+    b.arena.rollback();
+    b.norm.clear();
+  }
+  b.arena.mark();
   return baseline_.emplace(std::move(b));
 }
 
@@ -197,7 +231,7 @@ Certificate JobCertifier::certify(const transform::TransformResult& variant) {
   Certificate cert;
   cert.kernel = kernel_.name;
   cert.config = variant.config.describe();
-  const Baseline& bl = baseline();
+  Baseline& bl = baseline();
   cert.geometry = bl.geometry;
 
   auto inconclusive = [&](std::string why) {
@@ -252,7 +286,9 @@ Certificate JobCertifier::certify(const transform::TransformResult& variant) {
   const std::vector<sim::SymArg>& bargs = bl.args;
 
   // The variant runs on the baseline's environment plus its re-homed
-  // scratch buffers, in a copy of the post-baseline arena.
+  // scratch buffers, in the post-baseline arena (which holds the
+  // baseline's normal forms); the arena is rolled back to that state
+  // when this certificate is done.
   std::vector<sim::SymArg> vargs = bargs;
   for (const auto& extra : variant.extra_buffers) {
     sim::SymArg a;
@@ -261,7 +297,11 @@ Certificate JobCertifier::certify(const transform::TransformResult& variant) {
     a.elems = extra.elems_per_block * bl.grid.count();
     vargs.push_back(a);
   }
-  sim::SymArena arena = bl.arena;
+  sim::SymArena& arena = bl.arena;
+  struct Rollback {
+    sim::SymArena& arena;
+    ~Rollback() { arena.rollback(); }
+  } rollback{arena};
   sim::SymExecResult var =
       sim::sym_execute(*variant.kernel, bl.grid, variant.block_dims, vargs,
                        arena, sym_options(opt));
@@ -301,13 +341,12 @@ Certificate JobCertifier::certify(const transform::TransformResult& variant) {
       bool is_float = kernel_.params[i].type.scalar == ir::ScalarType::kFloat;
       for (std::size_t e = 0; e < bb.size(); ++e) {
         if (bb[e] == vv[e]) continue;
-        if (static_cast<std::int64_t>(arena.size()) > opt.max_nodes)
-          return inconclusive("normalization expression budget of " +
-                              std::to_string(opt.max_nodes) +
-                              " nodes exhausted");
+        if (!bl.norm_failure.empty()) return inconclusive(bl.norm_failure);
         all_raw_equal = false;
-        std::uint32_t nb = arena.normalize(bb[e]);
-        std::uint32_t nv = arena.normalize(vv[e]);
+        const std::uint32_t nb = bl.norm[i][e];
+        const std::uint32_t nv = arena.normalize(vv[e], opt.max_nodes);
+        if (nv == sim::SymArena::kInvalid)
+          return inconclusive(normalization_budget(opt));
         if (nb == nv) {
           if (is_float) float_reassoc = true;
           continue;

@@ -117,8 +117,9 @@ struct CertifyOptions {
   std::int64_t max_steps = 4'000'000;
   /// Gather expansion cap for loads at symbolic indices.
   std::int64_t max_gather_cells = 4096;
-  /// Expression-arena node budget across both runs and normalization;
-  /// exceeded -> kInconclusive (bounds certification time and memory).
+  /// Expression-arena node budget across both runs and normalization
+  /// (a normalization's chain scratch counts too); exceeded ->
+  /// kInconclusive (bounds certification time and memory).
   std::int64_t max_nodes = 8'000'000;
   /// Concrete float seeds tried when normalized outputs differ.
   int counterexample_attempts = 6;
@@ -178,11 +179,14 @@ class Certifier {
 
 /// Certifies the variants of one job, one kernel over one workload
 /// shape, against a single baseline proof. The probe workload, the
-/// symbolic arguments and the baseline's symbolic run are built at the
-/// first certify() and shared; each variant then runs on a copy of the
-/// post-baseline expression arena. Its node ids and node budget are
-/// therefore those of a fresh run, and every certificate is
-/// byte-identical to Certifier::certify / certify_variant.
+/// symbolic arguments, the baseline's symbolic run and the normal form
+/// of every baseline output cell are built at the first certify() and
+/// shared; each variant then runs in that expression arena, which
+/// already holds the baseline's normal forms, and the arena is rolled
+/// back to it afterwards. Certifier::certify and certify_variant go
+/// through the same baseline, so a variant's node ids and node budget
+/// are those of a fresh proof, and every certificate is byte-identical
+/// to theirs.
 class JobCertifier {
  public:
   /// `certifier` and `kernel` must outlive this object.
@@ -203,9 +207,15 @@ class JobCertifier {
     std::string geometry;
     std::vector<sim::SymArg> args;
     sim::SymExecResult run;
-    sim::SymArena arena;  // as the baseline run left it
+    /// The normal form of every cell of run.buffers, built in `arena`;
+    /// empty when normalization stopped, for the reason in norm_failure.
+    std::vector<std::vector<std::uint32_t>> norm;
+    std::string norm_failure;
+    /// As the baseline run and normalization left it: marked, and
+    /// rolled back to that mark after every variant.
+    sim::SymArena arena;
   };
-  const Baseline& baseline();
+  Baseline& baseline();
 
   const Certifier& certifier_;
   const ir::Kernel& kernel_;

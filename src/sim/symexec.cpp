@@ -154,12 +154,16 @@ std::uint32_t SymArena::intern(const SymNode& n,
   kids_.insert(kids_.end(), kids.begin(), kids.end());
   hashes_.push_back(h);
   index_[slot] = id;
-  if (nodes_.size() * 2 > index_.size()) grow_index();
+  if (marked_) filled_.push_back(slot);
+  if (nodes_.size() * 2 > index_.size()) {
+    rehash(index_.size() * 2);
+    regrown_ = marked_;
+  }
   return id;
 }
 
-void SymArena::grow_index() {
-  index_.assign(index_.size() * 2, kInvalid);
+void SymArena::rehash(std::size_t slots) {
+  index_.assign(slots, kInvalid);
   const std::size_t mask = index_.size() - 1;
   for (std::uint32_t id = 0; id < nodes_.size(); ++id) {
     std::size_t slot = hashes_[id] & mask;
@@ -186,12 +190,23 @@ std::uint32_t SymArena::cfloat(double v) {
 
 std::uint32_t SymArena::input(std::int32_t param, std::int64_t elem,
                               ScalarType type) {
+  std::uint32_t* slot = nullptr;
+  if (param >= 0 && elem >= -1) {
+    const auto p = static_cast<std::size_t>(param);
+    const auto e = static_cast<std::size_t>(elem + 1);
+    if (inputs_.size() <= p) inputs_.resize(p + 1);
+    if (inputs_[p].size() <= e) inputs_[p].resize(e + 1, kInvalid);
+    slot = &inputs_[p][e];
+    if (*slot != kInvalid && nodes_[*slot].type == type) return *slot;
+  }
   SymNode n;
   n.kind = SymKind::kInput;
   n.type = type;
   n.param = param;
   n.ival = elem;
-  return intern(n, {});
+  const std::uint32_t id = intern(n, {});
+  if (slot) *slot = id;
+  return id;
 }
 
 bool SymArena::constant(std::uint32_t id, Value* out) const {
@@ -438,178 +453,298 @@ std::uint32_t SymArena::make_nary(
   return finish_chain(op, type, begin, c);
 }
 
-std::uint32_t SymArena::normalize_chain(std::uint32_t root, SymNaryOp op) {
-  // One walk over the maximal `op` chain under `root`, collecting its
-  // operands into one list. The result equals normalizing every chain
-  // node bottom-up into its own kNary (which costs one node per prefix,
-  // O(k^2) operands for a length-k chain): each node's constants fold
-  // before its parent's, and a neutral constant is dropped wherever
-  // that node's own normalization would drop it, so folding order and
-  // node types are unchanged. Nodes normalized earlier end the walk and
-  // contribute their canonical form.
-  const std::size_t rest_begin = chain_rest_.size();
-  const std::size_t seen_begin = chain_seen_.size();
-  Folded c;
-  collect_chain(root, op, seen_begin, c);
-  for (std::size_t i = chain_seen_.size(); i-- > seen_begin;)
-    chain_slot_[chain_seen_[i].id] = chain_seen_[i].prev_slot;
-  chain_seen_.resize(seen_begin);
-  return finish_chain(op, nodes_[root].type, rest_begin, c);
+std::uint32_t SymArena::memo(std::uint32_t id) const {
+  return id < norm_memo_.size() ? norm_memo_[id] : kInvalid;
 }
 
-void SymArena::collect_chain(std::uint32_t id, SymNaryOp op,
-                             std::size_t seen_begin, Folded& c) {
-  const SymNode n = nodes_[id];  // copy: normalize() below may grow nodes_
-  const bool idempotent = op == SymNaryOp::kMin || op == SymNaryOp::kMax;
-  for (std::uint32_t i = 0; i < n.kid_count; ++i) {
+void SymArena::push_normalize(std::uint32_t id) {
+  NormFrame f;
+  f.id = id;
+  if (chain_op(nodes_[id], &f.op)) {
+    // The root of a maximal chain: one collect walk under it gathers
+    // the chain's operands above chain_rest_[mark].
+    f.chain_root = true;
+    f.mark = chain_rest_.size();
+    f.seen_begin = chain_seen_.size();
+  } else {
+    f.mark = norm_args_.size();
+  }
+  norm_stack_.push_back(f);
+}
+
+void SymArena::push_collect(std::uint32_t id, SymNaryOp op,
+                            std::size_t seen_begin) {
+  NormFrame f;
+  f.id = id;
+  f.collect = true;
+  f.op = op;
+  f.seen_begin = seen_begin;
+  norm_stack_.push_back(f);
+}
+
+void SymArena::clear_norm_scratch() {
+  for (std::size_t i = chain_seen_.size(); i-- > 0;)
+    chain_slot_[chain_seen_[i].id] = chain_seen_[i].prev_slot;
+  chain_seen_.clear();
+  chain_rest_.clear();
+  norm_stack_.clear();
+  norm_args_.clear();
+}
+
+std::uint32_t SymArena::normalize(std::uint32_t id, std::int64_t max_nodes) {
+  if (id == kInvalid) return id;
+  if (const std::uint32_t m = memo(id); m != kInvalid) return m;
+  try {
+    const std::uint32_t r = normalize_walk(id, max_nodes);
+    if (r == kInvalid) clear_norm_scratch();
+    return r;
+  } catch (...) {
+    clear_norm_scratch();
+    throw;
+  }
+}
+
+std::uint32_t SymArena::normalize_walk(std::uint32_t root,
+                                       std::int64_t max_nodes) {
+  // The recursion of a bottom-up normalize, on an explicit stack: a
+  // 100000-link reduction chain is 100000 frames deep.
+  std::uint32_t ret = kInvalid;  // result of the last finished normalize frame
+  Folded ret_c;                  // result of the last finished collect frame
+  push_normalize(root);
+  while (!norm_stack_.empty()) {
+    // Chain scratch counts like nodes: a + chain that reuses a sub-chain
+    // has one operand per path, which doubles with every reuse.
+    if (static_cast<std::int64_t>(nodes_.size() + chain_rest_.size()) >
+        max_nodes)
+      return kInvalid;
+    NormFrame& f = norm_stack_.back();
+    const SymNode n = nodes_[f.id];  // copy: builders below may grow nodes_
+    if (f.collect) {
+      if (collect_step(f, n, ret, ret_c)) continue;
+      ret_c = f.c;
+      norm_stack_.pop_back();
+      continue;
+    }
+    if (f.chain_root) {
+      if (!f.awaiting) {
+        f.awaiting = true;
+        push_collect(f.id, f.op, f.seen_begin);
+        continue;
+      }
+      for (std::size_t i = chain_seen_.size(); i-- > f.seen_begin;)
+        chain_slot_[chain_seen_[i].id] = chain_seen_[i].prev_slot;
+      chain_seen_.resize(f.seen_begin);
+      ret = finish_chain(f.op, n.type, f.mark, ret_c);
+    } else {
+      if (f.awaiting) {
+        norm_args_.push_back(ret);
+        f.awaiting = false;
+      }
+      // A kNary is already canonical: its operands are not revisited.
+      if (n.kind != SymKind::kNary && f.next < n.kid_count) {
+        const std::uint32_t k = kids_[n.kid_begin + f.next++];
+        if (const std::uint32_t m = memo(k); m != kInvalid) {
+          norm_args_.push_back(m);
+        } else {
+          f.awaiting = true;
+          push_normalize(k);
+        }
+        continue;
+      }
+      ret = rebuild(f.id, n, f.mark);
+      norm_args_.resize(f.mark);
+    }
+    if (norm_memo_.size() <= f.id) norm_memo_.resize(nodes_.size(), kInvalid);
+    norm_memo_[f.id] = ret;
+    if (f.id < mark_nodes_) memoized_.push_back(f.id);
+    norm_stack_.pop_back();
+  }
+  return ret;
+}
+
+bool SymArena::collect_step(NormFrame& f, const SymNode& n, std::uint32_t ret,
+                            const Folded& ret_c) {
+  // One walk over the maximal `op` chain under a chain root, collecting
+  // its operands into one list. The result equals normalizing every
+  // chain node bottom-up into its own kNary (which costs one node per
+  // prefix, O(k^2) operands for a length-k chain): each node's
+  // constants fold before its parent's, and a neutral constant is
+  // dropped wherever that node's own normalization would drop it, so
+  // folding order and node types are unchanged. Nodes normalized
+  // earlier end the walk and contribute their canonical form.
+  const bool idempotent = f.op == SymNaryOp::kMin || f.op == SymNaryOp::kMax;
+  // a - b continues the + chain with the operand (-1 * b).
+  auto negated = [&](std::uint32_t i) {
+    return n.kind == SymKind::kBin &&
+           static_cast<BinOp>(n.op) == BinOp::kSub && i == 1;
+  };
+  auto absorb_kid = [&](std::uint32_t i, std::uint32_t x) {
+    if (negated(i))
+      x = make_nary(SymNaryOp::kMul, nodes_[x].type, {cint(-1), x});
+    absorb(f.op, x, f.c);
+  };
+  // A chain kid's own normalization keeps its constant only when it is
+  // not neutral or the kid has no other operand.
+  auto fold_kid = [&](const Folded& kc, std::size_t kid_rest) {
+    if (kc.have &&
+        (!is_neutral(f.op, kc.value) || chain_rest_.size() == kid_rest))
+      fold(f.op, kc.value, &f.c.have, &f.c.value);
+  };
+  if (f.awaiting) {
+    f.awaiting = false;
+    const std::uint32_t i = f.next - 1;
+    if (!f.sub) {
+      absorb_kid(i, ret);
+    } else {
+      if (idempotent) {
+        const std::uint32_t k = kids_[n.kid_begin + i];
+        if (chain_slot_.size() <= k) chain_slot_.resize(nodes_.size(), kInvalid);
+        chain_seen_.push_back(SeenChain{k, chain_slot_[k], ret_c});
+        chain_slot_[k] = static_cast<std::uint32_t>(chain_seen_.size() - 1);
+      }
+      fold_kid(ret_c, f.mark);
+    }
+  }
+  while (f.next < n.kid_count) {
+    const std::uint32_t i = f.next++;
     const std::uint32_t k = kids_[n.kid_begin + i];
-    // a - b continues the + chain with the operand (-1 * b).
-    const bool negated = n.kind == SymKind::kBin &&
-                         static_cast<BinOp>(n.op) == BinOp::kSub && i == 1;
     SymNaryOp kop{};
-    if (!negated && chain_op(nodes_[k], &kop) && kop == op &&
-        (k >= norm_memo_.size() || norm_memo_[k] == kInvalid)) {
+    if (!negated(i) && chain_op(nodes_[k], &kop) && kop == f.op &&
+        memo(k) == kInvalid) {
       // A min/max node reached again adds only operands that are
       // already collected (finish_chain dedupes them), so it contributes
       // just its folded constant. That still folds here: the first path
       // may have lost it under a NaN. A + or * node counts once per path.
-      const std::size_t kid_rest = chain_rest_.size();
-      Folded kc;
       const std::uint32_t slot =
           k < chain_slot_.size() ? chain_slot_[k] : kInvalid;
-      if (idempotent && slot != kInvalid && slot >= seen_begin &&
+      if (idempotent && slot != kInvalid && slot >= f.seen_begin &&
           slot < chain_seen_.size() && chain_seen_[slot].id == k) {
-        kc = chain_seen_[slot].c;
-      } else {
-        collect_chain(k, op, seen_begin, kc);
-        if (idempotent) {
-          if (chain_slot_.size() <= k)
-            chain_slot_.resize(nodes_.size(), kInvalid);
-          chain_seen_.push_back(SeenChain{k, chain_slot_[k], kc});
-          chain_slot_[k] = static_cast<std::uint32_t>(chain_seen_.size() - 1);
-        }
+        fold_kid(chain_seen_[slot].c, chain_rest_.size());
+        continue;
       }
-      // The kid's own normalization keeps its constant only when it is
-      // not neutral or the kid has no other operand.
-      if (kc.have && (!is_neutral(op, kc.value) ||
-                      chain_rest_.size() == kid_rest))
-        fold(op, kc.value, &c.have, &c.value);
+      f.awaiting = f.sub = true;
+      f.mark = chain_rest_.size();
+      push_collect(k, f.op, f.seen_begin);
+      return true;
+    }
+    if (const std::uint32_t x = memo(k); x != kInvalid) {
+      absorb_kid(i, x);
       continue;
     }
-    std::uint32_t x = normalize(k);
-    if (negated)
-      x = make_nary(SymNaryOp::kMul, nodes_[x].type, {cint(-1), x});
-    absorb(op, x, c);
+    f.awaiting = true;
+    f.sub = false;
+    push_normalize(k);
+    return true;
   }
+  return false;
 }
 
-std::uint32_t SymArena::normalize(std::uint32_t id) {
-  if (id == kInvalid) return id;
-  if (id < norm_memo_.size() && norm_memo_[id] != kInvalid)
-    return norm_memo_[id];
-  const SymNode n = nodes_[id];  // copy: builders below may grow nodes_
-  auto kid = [&](std::size_t i) { return kids_[n.kid_begin + i]; };
-  std::uint32_t r = id;
-  SymNaryOp chain{};
-  if (chain_op(n, &chain)) {
-    r = normalize_chain(id, chain);
-  } else {
-    switch (n.kind) {
-      case SymKind::kConstInt:
-      case SymKind::kConstFloat:
-      case SymKind::kInput:
-      case SymKind::kNary:  // only the normalizer creates these, canonically
-        r = id;
-        break;
-      case SymKind::kBin: {
-        std::uint32_t a = normalize(kid(0));
-        std::uint32_t b = normalize(kid(1));
-        auto op = static_cast<BinOp>(n.op);
-        switch (op) {
-          case BinOp::kGt: r = bin(BinOp::kLt, b, a); break;
-          case BinOp::kGe: r = bin(BinOp::kLe, b, a); break;
-          case BinOp::kEq:
-          case BinOp::kNe:
-          case BinOp::kLAnd:
-          case BinOp::kLOr:
-          case BinOp::kBitAnd:
-          case BinOp::kBitOr:
-          case BinOp::kBitXor:
-            if (a > b) std::swap(a, b);
-            r = bin(op, a, b);
-            break;
-          default: r = bin(op, a, b); break;
-        }
-        break;
-      }
-      case SymKind::kUnary: {
-        std::uint32_t a = normalize(kid(0));
-        if (static_cast<UnOp>(n.op) == UnOp::kNeg)
-          r = make_nary(SymNaryOp::kMul, nodes_[a].type, {cint(-1), a});
-        else
-          r = un(UnOp::kLNot, a);
-        break;
-      }
-      case SymKind::kCall: {
-        std::vector<std::uint32_t> kids;
-        kids.reserve(n.kid_count);
-        for (std::uint32_t i = 0; i < n.kid_count; ++i)
-          kids.push_back(normalize(kid(i)));
-        r = call(static_cast<SymFn>(n.op), std::move(kids));
-        break;
-      }
-      case SymKind::kCast:
-        r = cast(static_cast<ScalarType>(n.op), normalize(kid(0)));
-        break;
-      case SymKind::kSelect: {
-        std::uint32_t c = normalize(kid(0));
-        std::uint32_t t = normalize(kid(1));
-        std::uint32_t e = normalize(kid(2));
-        Value cv;
-        if (constant(c, &cv)) {
-          r = cv.truthy() ? t : e;
-          break;
-        }
-        if (t == e) {
-          r = t;
-          break;
-        }
-        const SymNode& cn = nodes_[c];
-        bool made = false;
-        if (cn.kind == SymKind::kBin) {
-          auto cop = static_cast<BinOp>(cn.op);
-          if (cop == BinOp::kLt || cop == BinOp::kLe) {
-            std::uint32_t x = kids(c)[0], y = kids(c)[1];
-            ScalarType ty = (nodes_[t].type == ScalarType::kFloat ||
-                             nodes_[e].type == ScalarType::kFloat)
-                                ? ScalarType::kFloat
-                                : ScalarType::kInt;
-            if (t == x && e == y) {
-              r = make_nary(SymNaryOp::kMin, ty, {x, y});
-              made = true;
-            } else if (t == y && e == x) {
-              r = make_nary(SymNaryOp::kMax, ty, {x, y});
-              made = true;
-            }
-          }
-        }
-        if (!made) r = select(c, t, e);
-        break;
-      }
-      case SymKind::kGather: {
-        std::uint32_t idx = normalize(kid(0));
-        std::vector<std::uint32_t> cells;
-        cells.reserve(n.kid_count - 1);
-        for (std::uint32_t i = 1; i < n.kid_count; ++i)
-          cells.push_back(normalize(kid(i)));
-        r = gather(idx, cells, n.type);
-        break;
+std::uint32_t SymArena::rebuild(std::uint32_t id, const SymNode& n,
+                                std::size_t args) {
+  // The node over its operands' normal forms, norm_args_[args, +kids).
+  auto kid = [&](std::size_t i) { return norm_args_[args + i]; };
+  switch (n.kind) {
+    case SymKind::kConstInt:
+    case SymKind::kConstFloat:
+    case SymKind::kInput:
+    case SymKind::kNary:  // only the normalizer creates these, canonically
+      return id;
+    case SymKind::kBin: {
+      std::uint32_t a = kid(0);
+      std::uint32_t b = kid(1);
+      auto op = static_cast<BinOp>(n.op);
+      switch (op) {
+        case BinOp::kGt: return bin(BinOp::kLt, b, a);
+        case BinOp::kGe: return bin(BinOp::kLe, b, a);
+        case BinOp::kEq:
+        case BinOp::kNe:
+        case BinOp::kLAnd:
+        case BinOp::kLOr:
+        case BinOp::kBitAnd:
+        case BinOp::kBitOr:
+        case BinOp::kBitXor:
+          if (a > b) std::swap(a, b);
+          return bin(op, a, b);
+        default: return bin(op, a, b);
       }
     }
+    case SymKind::kUnary: {
+      const std::uint32_t a = kid(0);
+      if (static_cast<UnOp>(n.op) == UnOp::kNeg)
+        return make_nary(SymNaryOp::kMul, nodes_[a].type, {cint(-1), a});
+      return un(UnOp::kLNot, a);
+    }
+    case SymKind::kCall:
+      return call(static_cast<SymFn>(n.op),
+                  std::vector<std::uint32_t>(
+                      norm_args_.begin() + static_cast<std::ptrdiff_t>(args),
+                      norm_args_.end()));
+    case SymKind::kCast: return cast(static_cast<ScalarType>(n.op), kid(0));
+    case SymKind::kSelect: {
+      const std::uint32_t c = kid(0);
+      const std::uint32_t t = kid(1);
+      const std::uint32_t e = kid(2);
+      Value cv;
+      if (constant(c, &cv)) return cv.truthy() ? t : e;
+      if (t == e) return t;
+      const SymNode& cn = nodes_[c];
+      if (cn.kind == SymKind::kBin) {
+        auto cop = static_cast<BinOp>(cn.op);
+        if (cop == BinOp::kLt || cop == BinOp::kLe) {
+          std::uint32_t x = kids(c)[0], y = kids(c)[1];
+          ScalarType ty = (nodes_[t].type == ScalarType::kFloat ||
+                           nodes_[e].type == ScalarType::kFloat)
+                              ? ScalarType::kFloat
+                              : ScalarType::kInt;
+          if (t == x && e == y) return make_nary(SymNaryOp::kMin, ty, {x, y});
+          if (t == y && e == x) return make_nary(SymNaryOp::kMax, ty, {x, y});
+        }
+      }
+      return select(c, t, e);
+    }
+    case SymKind::kGather:
+      return gather(kid(0),
+                    std::vector<std::uint32_t>(
+                        norm_args_.begin() +
+                            static_cast<std::ptrdiff_t>(args + 1),
+                        norm_args_.end()),
+                    n.type);
   }
-  if (norm_memo_.size() <= id) norm_memo_.resize(nodes_.size(), kInvalid);
-  norm_memo_[id] = r;
-  return r;
+  return id;
+}
+
+void SymArena::mark() {
+  marked_ = true;
+  mark_nodes_ = nodes_.size();
+  filled_.clear();
+  memoized_.clear();
+  regrown_ = false;
+}
+
+void SymArena::rollback() {
+  const std::size_t size = mark_nodes_;
+  for (const std::uint32_t id : memoized_) norm_memo_[id] = kInvalid;
+  if (norm_memo_.size() > size) norm_memo_.resize(size);
+  if (chain_slot_.size() > size) chain_slot_.resize(size);
+  if (size < nodes_.size()) {
+    kids_.resize(nodes_[size].kid_begin);
+    nodes_.resize(size);
+    hashes_.resize(size);
+    for (auto& ids : inputs_)
+      for (auto& id : ids)
+        if (id != kInvalid && id >= size) id = kInvalid;
+  }
+  // Linear probing never moves an entry, so emptying the slots filled
+  // since the mark restores the index exactly. An index that grew
+  // meanwhile is rebuilt at its new size, which the next rollback keeps.
+  if (regrown_) {
+    rehash(index_.size());
+  } else {
+    for (const std::size_t slot : filled_) index_[slot] = kInvalid;
+  }
+  filled_.clear();
+  memoized_.clear();
+  regrown_ = false;
 }
 
 std::string SymArena::str(std::uint32_t id, int max_depth) const {
@@ -885,8 +1020,13 @@ class Exec {
 
   int warp_of(int lane) const { return lane / opt_.warp_size; }
 
-  void race(const std::string& msg) {
-    if (races_.size() < 64) races_.push_back(SymRace{msg});
+  /// Records "cross-warp <kind> race on 'name[i]'"; only the first 64
+  /// are kept, so later ones do not build their message.
+  void race(const char* kind, const std::string& name, std::size_t i) {
+    if (races_.size() < 64)
+      races_.push_back(SymRace{std::string("cross-warp ") + kind +
+                               " race on '" + name + "[" +
+                               std::to_string(i) + "]'"});
   }
 
   Var& lookup(const std::string& name, const char* what) {
@@ -1136,12 +1276,10 @@ class Exec {
       throw Abort{"conflicting same-statement stores to '" + name + "[" +
                   std::to_string(i) + "]'"};
     if (meta.wepoch == epoch_ && meta.wwarp != warp && cells[i] != vid)
-      race("cross-warp write/write race on '" + name + "[" +
-           std::to_string(i) + "]'");
+      race("write/write", name, i);
     if (meta.repoch == epoch_ &&
         (meta.rwarp == -2 || (meta.rwarp >= 0 && meta.rwarp != warp)))
-      race("cross-warp read/write race on '" + name + "[" + std::to_string(i) +
-           "]'");
+      race("read/write", name, i);
     meta.wepoch = epoch_;
     meta.wwarp = warp;
     meta.wseq = seq_;
@@ -1155,8 +1293,7 @@ class Exec {
       throw Abort{"cross-block read of '" + name + "[" + std::to_string(i) +
                   "]'"};
     if (meta.wepoch == epoch_ && meta.wwarp != warp)
-      race("cross-warp write/read race on '" + name + "[" + std::to_string(i) +
-           "]'");
+      race("write/read", name, i);
     if (meta.repoch == epoch_) {
       if (meta.rwarp != warp && meta.rwarp != -2) meta.rwarp = -2;
     } else {
@@ -1660,82 +1797,89 @@ SymExecResult sym_execute(const ir::Kernel& kernel, Dim3 grid, Dim3 block,
 // SymEvaluator
 // ---------------------------------------------------------------------------
 
-bool SymEvaluator::eval(std::uint32_t id, Value* out) {
-  if (id == SymArena::kInvalid) return false;
-  auto it = memo_.find(id);
-  if (it != memo_.end()) {
-    *out = it->second;
-    return true;
-  }
-  const SymNode& n = arena_.node(id);
-  const auto ks = arena_.kids(id);
-  Value r;
-  try {
-    switch (n.kind) {
-      case SymKind::kConstInt: r = Value::of_int(n.ival); break;
-      case SymKind::kConstFloat: r = Value::of_float(n.fval); break;
-      case SymKind::kInput:
-        if (n.type != ir::ScalarType::kFloat) return false;  // never built
-        r = Value::of_float(sym_float_input(seed_, n.param, n.ival));
-        break;
-      case SymKind::kBin: {
-        Value a, b;
-        if (!eval(ks[0], &a) || !eval(ks[1], &b)) return false;
-        r = eval_bin_value(static_cast<ir::BinOp>(n.op), a, b);
-        break;
-      }
-      case SymKind::kUnary: {
-        Value a;
-        if (!eval(ks[0], &a)) return false;
-        r = eval_un_value(static_cast<ir::UnOp>(n.op), a);
-        break;
-      }
-      case SymKind::kCall: {
-        std::vector<Value> xs(ks.size());
-        for (std::size_t i = 0; i < ks.size(); ++i)
-          if (!eval(ks[i], &xs[i])) return false;
-        r = eval_call_value(static_cast<SymFn>(n.op), xs);
-        break;
-      }
-      case SymKind::kCast: {
-        Value a;
-        if (!eval(ks[0], &a)) return false;
-        r = coerce_value(a, static_cast<ir::ScalarType>(n.op));
-        break;
-      }
-      case SymKind::kSelect: {
-        Value c, a, b;
-        if (!eval(ks[0], &c) || !eval(ks[1], &a) ||
-            !eval(ks[2], &b))
-          return false;
-        r = c.truthy() ? a : b;
-        break;
-      }
-      case SymKind::kGather: {
-        Value iv;
-        if (!eval(ks[0], &iv)) return false;
-        std::int64_t i = iv.as_i();
-        auto ncells = static_cast<std::int64_t>(ks.size()) - 1;
-        if (i < 0 || i >= ncells) return false;
-        if (!eval(ks[static_cast<std::size_t>(1 + i)], &r)) return false;
-        break;
-      }
-      case SymKind::kNary: {
-        if (!eval(ks[0], &r)) return false;
-        auto op = static_cast<SymNaryOp>(n.op);
-        for (std::size_t i = 1; i < ks.size(); ++i) {
-          Value x;
-          if (!eval(ks[i], &x)) return false;
-          r = combine_nary(op, r, x);
-        }
-        break;
-      }
+bool SymEvaluator::eval(std::uint32_t root, Value* out) {
+  if (root == SymArena::kInvalid) return false;
+  // Post-order on an explicit stack: DAG depth costs no host stack. A
+  // node is computed once every operand it reads is memoized; a gather
+  // reads its index, then only the cell that index selects.
+  struct Frame {
+    std::uint32_t id;
+    std::uint32_t next;  // operands [0, next) are memoized
+  };
+  std::vector<Frame> stack{{root, 0}};
+  auto value = [&](std::uint32_t id) { return memo_.find(id)->second; };
+  while (!stack.empty()) {
+    Frame& f = stack.back();
+    if (memo_.contains(f.id)) {
+      stack.pop_back();
+      continue;
     }
-  } catch (const SymFault&) {
-    return false;
+    const SymNode& n = arena_.node(f.id);
+    const auto ks = arena_.kids(f.id);
+    std::uint32_t need = SymArena::kInvalid;
+    std::size_t cell = 0;
+    if (n.kind == SymKind::kGather) {
+      if (!memo_.contains(ks[0])) {
+        need = ks[0];
+      } else {
+        const std::int64_t i = value(ks[0]).as_i();
+        if (i < 0 || i >= static_cast<std::int64_t>(ks.size()) - 1)
+          return false;
+        cell = static_cast<std::size_t>(1 + i);
+        if (!memo_.contains(ks[cell])) need = ks[cell];
+      }
+    } else {
+      while (f.next < ks.size() && memo_.contains(ks[f.next])) ++f.next;
+      if (f.next < ks.size()) need = ks[f.next];
+    }
+    if (need != SymArena::kInvalid) {
+      stack.push_back(Frame{need, 0});
+      continue;
+    }
+    Value r;
+    try {
+      switch (n.kind) {
+        case SymKind::kConstInt: r = Value::of_int(n.ival); break;
+        case SymKind::kConstFloat: r = Value::of_float(n.fval); break;
+        case SymKind::kInput:
+          if (n.type != ir::ScalarType::kFloat) return false;  // never built
+          r = Value::of_float(sym_float_input(seed_, n.param, n.ival));
+          break;
+        case SymKind::kBin:
+          r = eval_bin_value(static_cast<ir::BinOp>(n.op), value(ks[0]),
+                             value(ks[1]));
+          break;
+        case SymKind::kUnary:
+          r = eval_un_value(static_cast<ir::UnOp>(n.op), value(ks[0]));
+          break;
+        case SymKind::kCall: {
+          std::vector<Value> xs;
+          xs.reserve(ks.size());
+          for (auto k : ks) xs.push_back(value(k));
+          r = eval_call_value(static_cast<SymFn>(n.op), xs);
+          break;
+        }
+        case SymKind::kCast:
+          r = coerce_value(value(ks[0]), static_cast<ir::ScalarType>(n.op));
+          break;
+        case SymKind::kSelect:
+          r = value(ks[0]).truthy() ? value(ks[1]) : value(ks[2]);
+          break;
+        case SymKind::kGather: r = value(ks[cell]); break;
+        case SymKind::kNary: {
+          r = value(ks[0]);
+          for (std::size_t i = 1; i < ks.size(); ++i)
+            r = combine_nary(static_cast<SymNaryOp>(n.op), r, value(ks[i]));
+          break;
+        }
+      }
+    } catch (const SymFault&) {
+      return false;
+    }
+    memo_.emplace(f.id, r);
+    stack.pop_back();
   }
-  memo_.emplace(id, r);
-  *out = r;
+  *out = value(root);
   return true;
 }
 

@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -94,8 +95,8 @@ struct SymFault {
 ///
 /// Storage is flat: nodes, their hashes and one operand pool are plain
 /// vectors, and the intern index is an open-addressing table of node
-/// ids, so copying an arena (the certifier starts every variant from a
-/// copy of the post-baseline arena) is a handful of memcpys.
+/// ids. Copying an arena is a handful of memcpys, and undoing what was
+/// added since a mark() costs only what was added.
 class SymArena {
  public:
   static constexpr std::uint32_t kInvalid = 0xffffffffu;
@@ -135,7 +136,23 @@ class SymArena {
   /// A maximal same-operator chain is flattened in one walk, so a
   /// length-k reduction costs O(k log k), not one node per prefix; a
   /// min/max chain node reached along several paths is walked once.
-  [[nodiscard]] std::uint32_t normalize(std::uint32_t id);
+  /// The walk keeps its own stack, so DAG depth costs no host stack.
+  /// Returns kInvalid when the arena plus the walk's chain scratch would
+  /// exceed `max_nodes` (a + chain reusing a sub-chain J times has 2^J
+  /// operands); throws SymFault when folding faults. Either way the
+  /// arena stays usable and earlier normal forms stay memoized.
+  [[nodiscard]] std::uint32_t normalize(
+      std::uint32_t id,
+      std::int64_t max_nodes = std::numeric_limits<std::int64_t>::max());
+
+  /// Records the arena's state for rollback(). From here on the arena
+  /// logs the index slots it fills and the normal forms it memoizes for
+  /// older nodes, so a rollback costs what was added since the mark.
+  void mark();
+  /// Returns the arena to the state mark() recorded, node for node (as
+  /// often as needed: the mark stays). The certifier runs every variant
+  /// of a job in the baseline's arena and rolls it back afterwards.
+  void rollback();
 
   /// Renders an expression for diagnostics (depth-capped).
   [[nodiscard]] std::string str(std::uint32_t id, int max_depth = 6) const;
@@ -153,10 +170,28 @@ class SymArena {
     std::uint32_t prev_slot;  // chain_slot_[id] before this entry
     Folded c;
   };
+  /// One pending step of normalize(). A normalize frame rebuilds `id`
+  /// over its operands' normal forms, or finishes the chain `id` roots;
+  /// a collect frame walks the chain node `id` of a root's chain.
+  struct NormFrame {
+    std::uint32_t id = 0;
+    std::uint32_t next = 0;  // next operand to visit
+    bool collect = false;
+    bool chain_root = false;
+    bool awaiting = false;  // a frame pushed above returns into this one
+    bool sub = false;       // collect: that frame is a sub-walk
+    SymNaryOp op{};         // the chain's operator
+    /// Normalize: its operands' results begin at norm_args_[mark]; chain
+    /// root: its operands begin at chain_rest_[mark]; collect: the size
+    /// of chain_rest_ before the pending sub-walk.
+    std::size_t mark = 0;
+    std::size_t seen_begin = 0;  // the root's first chain_seen_ entry
+    Folded c;                    // collect: the walk's folded constants
+  };
 
   [[nodiscard]] std::uint32_t intern(const SymNode& n,
                                      std::span<const std::uint32_t> kids);
-  void grow_index();
+  void rehash(std::size_t slots);
   [[nodiscard]] std::uint32_t fold_bin(ir::BinOp op, Value a, Value b);
   void absorb(SymNaryOp op, std::uint32_t operand, Folded& c);
   [[nodiscard]] std::uint32_t finish_chain(SymNaryOp op, ir::ScalarType type,
@@ -164,10 +199,16 @@ class SymArena {
   [[nodiscard]] std::uint32_t make_nary(
       SymNaryOp op, ir::ScalarType type,
       std::initializer_list<std::uint32_t> operands);
-  [[nodiscard]] std::uint32_t normalize_chain(std::uint32_t root,
-                                              SymNaryOp op);
-  void collect_chain(std::uint32_t id, SymNaryOp op, std::size_t seen_begin,
-                     Folded& c);
+  [[nodiscard]] std::uint32_t memo(std::uint32_t id) const;
+  void push_normalize(std::uint32_t id);
+  void push_collect(std::uint32_t id, SymNaryOp op, std::size_t seen_begin);
+  void clear_norm_scratch();
+  [[nodiscard]] std::uint32_t normalize_walk(std::uint32_t root,
+                                             std::int64_t max_nodes);
+  [[nodiscard]] bool collect_step(NormFrame& f, const SymNode& n,
+                                  std::uint32_t ret, const Folded& ret_c);
+  [[nodiscard]] std::uint32_t rebuild(std::uint32_t id, const SymNode& n,
+                                      std::size_t args);
 
   std::vector<SymNode> nodes_;
   std::vector<std::uint64_t> hashes_;  // per node
@@ -175,15 +216,26 @@ class SymArena {
   /// Open-addressing intern index of node ids (linear probing,
   /// power-of-two size, at most half full); kInvalid marks a free slot.
   std::vector<std::uint32_t> index_;
+  /// Input leaf ids by [param][elem + 1]: every run of a job sets up the
+  /// same leaves, and a hashed lookup of each misses the cache.
+  std::vector<std::vector<std::uint32_t>> inputs_;
   /// normalize() results per node id; kInvalid = not normalized yet.
   std::vector<std::uint32_t> norm_memo_;
-  /// Scratch of normalize_chain and make_nary. Nested calls push above
-  /// the entries of their caller and pop back to them.
+  /// Scratch of normalize() and make_nary. Nested frames push above the
+  /// entries of their caller and pop back to them.
+  std::vector<NormFrame> norm_stack_;
+  std::vector<std::uint32_t> norm_args_;
   std::vector<std::uint32_t> chain_rest_;
   std::vector<SeenChain> chain_seen_;
   /// Per node id: its entry in chain_seen_, if the walk owning that
   /// entry is still running.
   std::vector<std::uint32_t> chain_slot_;
+  /// mark(): the state it recorded, and what changed since.
+  bool marked_ = false;
+  bool regrown_ = false;          // the index was rebuilt larger
+  std::size_t mark_nodes_ = 0;
+  std::vector<std::size_t> filled_;      // index slots filled
+  std::vector<std::uint32_t> memoized_;  // ids < mark_nodes_ normalized
 };
 
 /// How one kernel argument is modelled symbolically.
@@ -261,7 +313,8 @@ struct SymExecResult {
 /// Evaluates an expression under a concrete assignment of input leaves
 /// (float leaves from sym_float_input(seed, ...)). Mirrors interpreter
 /// arithmetic exactly. Returns false when evaluation faults (div by
-/// zero, gather index out of range).
+/// zero, gather index out of range). Walks on its own stack, so DAG
+/// depth costs no host stack.
 class SymEvaluator {
  public:
   SymEvaluator(const SymArena& arena, std::uint64_t seed)

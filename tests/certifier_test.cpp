@@ -312,6 +312,92 @@ TEST(SymArena, ChainConstantsFoldNodeByNode) {
   EXPECT_NE(norm(fmin(x, a.cfloat(0.0))), norm(fmin(x, a.cfloat(-0.0))));
 }
 
+TEST(SymArena, DeepDagsNormalizeAndEvaluateWithoutHostRecursion) {
+  // s = s * 0.5f + x[i]: every + link nests a * chain that nests the
+  // previous + chain, so a recursive walk would be 2N frames deep.
+  constexpr int kN = 200000;
+  sim::SymArena a;
+  auto s = a.input(0, 0, kFloat);
+  float expect = sim::sym_float_input(1, 0, 0);
+  for (int i = 1; i <= kN; ++i) {
+    s = a.bin(ir::BinOp::kAdd, a.bin(ir::BinOp::kMul, s, a.cfloat(0.5)),
+              a.input(0, i, kFloat));
+    expect = expect * 0.5f + sim::sym_float_input(1, 0, i);
+  }
+  const auto norm = a.normalize(s);
+  EXPECT_EQ(a.node(norm).kind, sim::SymKind::kNary);
+  EXPECT_EQ(a.kids(norm).size(), 2u);  // (s' * 0.5f) + x[N]
+  sim::SymEvaluator ev(a, 1);
+  sim::Value v;
+  ASSERT_TRUE(ev.eval(s, &v));
+  EXPECT_EQ(static_cast<float>(v.as_f()), expect);
+  ASSERT_TRUE(ev.eval(norm, &v));
+}
+
+TEST(SymArena, NormalizationChargesChainScratchToTheBudget) {
+  // s = s + s J times reaches the dot product 2^J times: one operand
+  // per path. The budget ends the walk, and the arena stays usable.
+  sim::SymArena a;
+  auto dot = a.bin(ir::BinOp::kMul, a.input(0, 0, kFloat),
+                   a.input(1, 0, kFloat));
+  for (int i = 1; i < 8; ++i)
+    dot = a.bin(ir::BinOp::kAdd, dot,
+                a.bin(ir::BinOp::kMul, a.input(0, i, kFloat),
+                      a.input(1, i, kFloat)));
+  auto doubled = [&](int j) {
+    auto s = dot;
+    for (int k = 0; k < j; ++k) s = a.bin(ir::BinOp::kAdd, s, s);
+    return s;
+  };
+  const auto s10 = doubled(10);
+  const auto s50 = doubled(50);
+  constexpr std::int64_t kBudget = 100000;
+  EXPECT_EQ(a.normalize(s50, kBudget), sim::SymArena::kInvalid);
+  EXPECT_LE(static_cast<std::int64_t>(a.size()), kBudget);
+  // 2^10 paths of 8 products fit the same budget.
+  const auto n10 = a.normalize(s10, kBudget);
+  ASSERT_NE(n10, sim::SymArena::kInvalid);
+  EXPECT_EQ(a.kids(n10).size(), 8u * 1024u);
+  EXPECT_EQ(a.normalize(s10), n10);  // memoized
+}
+
+TEST(SymArena, RollbackReturnsToTheMarkNodeForNode) {
+  sim::SymArena a;
+  std::vector<std::uint32_t> xs;
+  for (int i = 0; i < 64; ++i) xs.push_back(a.input(0, i, kFloat));
+  const auto base =
+      build_chain(xs, 0, xs.size(), Shape::kLeftDeep,
+                  [&](auto p, auto q) { return a.bin(ir::BinOp::kAdd, p, q); });
+  const auto base_norm = a.normalize(base);
+  const auto older = a.bin(ir::BinOp::kMul, xs[2], xs[3]);  // not normalized
+  a.mark();
+  const sim::SymArena fresh = a;
+  // What a variant adds: new nodes (enough to grow the index), normal
+  // forms of new and of older nodes.
+  auto grow = [&](sim::SymArena& arena) {
+    auto t = xs.front();
+    for (int i = 0; i < 5000; ++i)
+      t = arena.bin(ir::BinOp::kMul, t, arena.input(2, i, kFloat));
+    return std::pair{t,
+                     arena.normalize(arena.bin(ir::BinOp::kAdd, t, older))};
+  };
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE(round);
+    (void)a.normalize(build_chain(
+        xs, 0, xs.size(), Shape::kBalanced,
+        [&](auto p, auto q) { return a.bin(ir::BinOp::kAdd, p, q); }));
+    (void)grow(a);
+    a.rollback();
+    EXPECT_EQ(a.size(), fresh.size());
+    EXPECT_EQ(a.normalize(base), base_norm);
+    // The same additions get the same ids as in a copy of the mark.
+    sim::SymArena copy = fresh;
+    EXPECT_EQ(grow(a), grow(copy));
+    EXPECT_EQ(a.size(), copy.size());
+    a.rollback();
+  }
+}
+
 // ---------------------------------------------------------------------
 // Certificate serialization.
 
@@ -530,6 +616,69 @@ TEST(Certifier, DroppedBarrierIsFlaggedOnTheCertificate) {
   EXPECT_GT(corrupted, 0);
 }
 
+/// Certifies every applicable config of `kernel` through one
+/// JobCertifier over an elems x elems synthetic workload.
+std::vector<Certificate> certify_all(const ir::Kernel& kernel, int elems) {
+  auto spec = sim::DeviceSpec::gtx680();
+  const Certifier certifier(spec);
+  auto factory = [&] {
+    return np::make_synthetic_workload(kernel, elems, elems);
+  };
+  np::JobCertifier job(certifier, kernel, factory);
+  std::vector<Certificate> certs;
+  for (const auto& cfg : NpCompiler::enumerate_configs(kernel, elems, spec)) {
+    try {
+      certs.push_back(job.certify(NpCompiler::transform(kernel, cfg)));
+    } catch (const CompileError&) {
+      // configuration legitimately inapplicable
+    }
+  }
+  EXPECT_FALSE(certs.empty());
+  return certs;
+}
+
+TEST(Certifier, DeepReductionChainCertifies) {
+  // A 100000-link reduction chain per output cell: a normalization that
+  // recursed once per link overflowed the host stack (SIGSEGV, which
+  // killed the serve daemon too: it pre-certifies in-process).
+  std::unique_ptr<ir::Program> prog;
+  ir::Kernel& kernel = parse_kernel(prog, R"(
+__global__ void k(float* a, float* c) {
+  float sum = 0.0f;
+  int tx = threadIdx.x;
+  #pragma np parallel for reduction(+:sum)
+  for (int i = 0; i < 100000; i++)
+    sum += a[(i + tx) % 64];
+  c[tx] = sum;
+}
+)");
+  for (const Certificate& cert : certify_all(kernel, 8))
+    EXPECT_EQ(cert.verdict, Verdict::kProvenModuloReassoc) << cert.str();
+}
+
+TEST(Certifier, DoublingChainIsInconclusiveWithinTheNodeBudget) {
+  // After the reduction, s = s + s 50 times: normalized, the chain has
+  // 8 * 2^50 operands. The node budget ends the walk.
+  std::unique_ptr<ir::Program> prog;
+  ir::Kernel& kernel = parse_kernel(prog, R"(
+__global__ void k(float* a, float* b, float* c, int w, int h) {
+  float s = 0.0f;
+  int tx = threadIdx.x;
+  #pragma np parallel for reduction(+:s)
+  for (int i = 0; i < h; i++)
+    s += a[i * w + tx] * b[i];
+  for (int j = 0; j < 50; j++)
+    s = s + s;
+  c[tx] = s;
+}
+)");
+  for (const Certificate& cert : certify_all(kernel, 8)) {
+    EXPECT_EQ(cert.verdict, Verdict::kInconclusive) << cert.str();
+    EXPECT_EQ(cert.detail,
+              "normalization expression budget of 8000000 nodes exhausted");
+  }
+}
+
 // ---------------------------------------------------------------------
 // The headline guarantee: every paper benchmark certifies as equivalent
 // (exactly, or modulo float reassociation) under every applicable NP
@@ -603,10 +752,12 @@ TEST(Certifier, SharedBaselineMatchesFreshProof) {
   }
   // Node budgets that trip in the baseline run, the variant run or the
   // normalization trip identically both ways: every variant starts from
-  // the post-baseline arena a fresh proof builds, node for node.
+  // the arena a fresh proof builds (the baseline run and its normal
+  // forms), node for node. 1000 trips in the baseline run, 2000 in the
+  // variant runs, and 1800 in one variant's normalization.
   auto factory = [&] { return np::make_synthetic_workload(kernel, 16, 16); };
   std::set<std::string> trips;
-  for (std::int64_t nodes : {1000, 2000}) {
+  for (std::int64_t nodes : {1000, 1800, 2000}) {
     CertifyOptions opt;
     opt.max_nodes = nodes;
     for (const Certificate& cert :

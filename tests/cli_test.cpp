@@ -786,6 +786,43 @@ TEST(Cli, DaemonStaysHealthyAfterAnIntOverflowJob) {
   EXPECT_EQ(daemon.wait(), 0);
 }
 
+// A 100000-link reduction chain per output cell: normalizing it used to
+// recurse once per link and overflow the host stack (exit 139).
+const char* kDeepChain = R"(
+__global__ void deep(float* a, float* c) {
+  float sum = 0.0f;
+  int tx = threadIdx.x;
+  #pragma np parallel for reduction(+:sum)
+  for (int i = 0; i < 100000; i++)
+    sum += a[(i + tx) % 64];
+  c[tx] = sum;
+}
+)";
+
+TEST(Cli, DaemonStaysHealthyAfterADeepReductionChainJob) {
+  auto path = write_temp_kernel(kDeepChain);
+  auto cert = run_cli(path + " --certify --elems=8 --tb=8");
+  EXPECT_EQ(cert.exit_code, 0) << cert.output;
+  EXPECT_NE(cert.output.find("certified: proven-modulo-reassoc"),
+            std::string::npos)
+      << cert.output;
+  // The certifying daemon pre-certifies in-process, so the crash took
+  // the daemon down with the job.
+  auto manifest = write_temp_file(
+      "deep_daemon.txt", "file=" + path + " elems=8 tb=8 name=deep\n");
+  ScopedTempDir tmp("cudanp_cli_deep");
+  ScopedDaemon daemon(tmp.file("d.sock"), "--isolate=process --certify");
+  auto r = run_cli("--connect=" + daemon.socket + " --batch=" + manifest);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("deep: succeeded"), std::string::npos) << r.output;
+  auto health = run_cli("--connect=" + daemon.socket + " --healthz");
+  EXPECT_NE(health.output.find("\"status\":\"ok\""), std::string::npos)
+      << health.output;
+  auto sd = run_cli("--connect=" + daemon.socket + " --shutdown");
+  EXPECT_EQ(sd.exit_code, 0) << sd.output;
+  EXPECT_EQ(daemon.wait(), 0);
+}
+
 TEST(Cli, DaemonRestartReplaysJournalBitForBit) {
   auto kernel = write_temp_kernel(kTmv);
   auto manifest = write_temp_file(
