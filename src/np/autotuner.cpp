@@ -8,10 +8,13 @@ TuneResult Autotuner::tune(const ir::Kernel& kernel,
                            const WorkloadFactory& make_workload,
                            const TuneOptions& options) const {
   TuneResult result;
+  // Every run gets its own copy of this one, so inputs and references are
+  // generated once and no run sees another's outputs.
+  const Workload pristine = make_workload();
 
   // Baseline.
   {
-    Workload w = make_workload();
+    Workload w = pristine.copy();
     auto run = runner_.execute(ExecutionRequest::baseline(kernel, w)).run;
     result.baseline_seconds = run.timing.seconds;
     result.baseline_occupancy = run.occupancy;
@@ -25,12 +28,10 @@ TuneResult Autotuner::tune(const ir::Kernel& kernel,
   }
 
   std::vector<transform::NpConfig> configs = options.configs;
-  if (configs.empty()) {
-    Workload probe = make_workload();
+  if (configs.empty())
     configs = NpCompiler::enumerate_configs(
-        kernel, static_cast<int>(probe.launch.block.count()),
+        kernel, static_cast<int>(pristine.launch.block.count()),
         runner_.spec());
-  }
 
   auto quarantine = [&](const transform::NpConfig& cfg, FailureCause cause,
                         std::string detail) {
@@ -47,7 +48,7 @@ TuneResult Autotuner::tune(const ir::Kernel& kernel,
     entry.config = cfg;
     try {
       auto variant = NpCompiler::transform(kernel, cfg);
-      Workload w = make_workload();
+      Workload w = pristine.copy();
       auto run =
           runner_.execute(ExecutionRequest::transformed(variant, w)).run;
       if (options.validate && w.validate) {

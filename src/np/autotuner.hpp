@@ -61,8 +61,10 @@ class Autotuner {
   explicit Autotuner(Runner runner) : runner_(std::move(runner)) {}
 
   /// Tunes `kernel` (its baseline block size is taken from the factory's
-  /// launch config). Each variant gets a fresh workload so outputs do not
-  /// leak between runs.
+  /// launch config). The factory is called once; the baseline and every
+  /// variant run on their own copy of that workload (Workload::copy), so
+  /// each run still gets fresh, unshared memory and outputs do not leak
+  /// between runs.
   [[nodiscard]] TuneResult tune(const ir::Kernel& kernel,
                                 const WorkloadFactory& make_workload,
                                 const TuneOptions& options = {}) const;

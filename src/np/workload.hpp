@@ -18,6 +18,16 @@ struct Workload {
   /// Returns true when device outputs match the CPU reference; fills
   /// `msg` with a description on mismatch. Null when not validating.
   std::function<bool(const sim::DeviceMemory&, std::string*)> validate;
+
+  /// An independent copy: its own device memory (same buffers, ids and
+  /// addresses), the same launch and the same validator.
+  [[nodiscard]] Workload copy() const {
+    Workload w;
+    *w.mem = *mem;
+    w.launch = launch;
+    w.validate = validate;
+    return w;
+  }
 };
 
 using WorkloadFactory = std::function<Workload()>;

@@ -31,6 +31,7 @@ BlockCore::BlockCore(const DeviceSpec& spec, DeviceMemory& mem,
   warp_issue_.assign(static_cast<std::size_t>(nwarps_), 0.0);
   warp_latency_.assign(static_cast<std::size_t>(nwarps_), 0.0);
   warp_pending_.assign(static_cast<std::size_t>(nwarps_), 0.0);
+  runs_.assign(static_cast<std::size_t>(nwarps_), {});
   if (spec.warp_size < 1 || spec.warp_size > 32)
     throw SimError("unsupported warp size " + std::to_string(spec.warp_size) +
                    " (the simulator models warps of 1..32 lanes)");
@@ -160,15 +161,16 @@ void BlockCore::stall() {
 void BlockCore::charge_shared(const Slot& slot, const std::int64_t* flat_idx,
                               const Mask& mask) {
   for_each_active_warp(mask, [&](int w, int lo, std::uint32_t bits) {
+    const LaneView<std::int64_t> idx{flat_idx};
+    const std::optional<AffineWarp>& run =
+        runs_[static_cast<std::size_t>(w)] = warp_run(idx, lo, bits);
+    const auto banks = static_cast<int>(spec_.shared_mem_banks);
+    int replays = run ? affine_replays(run->scaled(slot.base_word, 1), banks)
+                      : 0;
     std::uint64_t words[32];
-    for (std::uint32_t b = bits; b; b &= b - 1) {
-      const int k = std::countr_zero(b);
-      words[k] = slot.base_word +
-                 static_cast<std::uint64_t>(
-                     flat_idx[static_cast<std::size_t>(lo + k)]);
-    }
-    int replays = smem_replays({words, 32}, bits,
-                               static_cast<int>(spec_.shared_mem_banks));
+    if (replays == 0)
+      replays = smem_replays(
+          lane_addrs(idx, lo, bits, slot.base_word, 1, words), bits, banks);
     smem_accesses_ += replays;
     smem_replays_ += replays - 1;
     warp_issue_[static_cast<std::size_t>(w)] += opt_.timing.weights.mem_issue;
@@ -181,24 +183,34 @@ void BlockCore::charge_local(const Slot& slot, const std::int64_t* elem_idx,
   // Local memory is interleaved per thread: addr(lane, e) =
   // local_base + (e * nlanes + lane) * 4, matching the CUDA ABI layout
   // that makes uniform-index accesses coalesced.
+  const auto nlanes = static_cast<std::uint64_t>(nlanes_);
   for_each_active_warp(mask, [&](int w, int lo, std::uint32_t bits) {
-    // Unique 128B lines of this access probe the L1, in lane order.
+    // Unique 128B lines of this access probe the L1, in lane order. A
+    // full warp reading one element e reads 32 consecutive words from
+    // e * nlanes + lo on.
     std::uint64_t lines[32];
+    std::uint64_t first_line = 0;
+    const auto run = warp_run(LaneView<std::int64_t>{elem_idx}, lo, bits);
     int nlines = 0;
-    for (std::uint32_t b = bits; b; b &= b - 1) {
-      const auto l = static_cast<std::uint64_t>(lo + std::countr_zero(b));
-      const auto e = static_cast<std::uint64_t>(elem_idx[l]);
-      const std::uint64_t addr =
-          kLocalSpaceBase +
-          (slot.base_word + e * static_cast<std::uint64_t>(nlanes_) + l) * 4;
-      const std::uint64_t line = addr / 128;
-      bool seen = false;
+    if (run && run->stride == 0)
+      nlines = affine_lines(
+          {kLocalSpaceBase + (slot.base_word + run->first * nlanes +
+                              static_cast<std::uint64_t>(lo)) *
+                                 4,
+           4},
+          128, &first_line);
+    if (nlines > 0) {
       for (int j = 0; j < nlines; ++j)
-        if (lines[j] == line) {
-          seen = true;
-          break;
-        }
-      if (!seen) lines[nlines++] = line;
+        lines[j] = first_line + static_cast<std::uint64_t>(j);
+    } else {
+      std::uint64_t addrs[32];
+      for (std::uint32_t b = bits; b; b &= b - 1) {
+        const auto l = static_cast<std::uint64_t>(lo + std::countr_zero(b));
+        const auto e = static_cast<std::uint64_t>(elem_idx[l]);
+        addrs[l - static_cast<std::uint64_t>(lo)] =
+            kLocalSpaceBase + (slot.base_word + e * nlanes + l) * 4;
+      }
+      nlines = warp_lines({addrs, 32}, bits, 128, lines);
     }
     bool all_hit = true;
     for (int j = 0; j < nlines; ++j) {
@@ -223,13 +235,12 @@ void BlockCore::charge_array(const Slot& slot, const std::int64_t* flat,
     // Constant cache broadcasts one word per cycle: lanes reading
     // distinct words serialize (paper Sec. 3.4's intra-warp hazard).
     for_each_active_warp(mask, [&](int w, int lo, std::uint32_t bits) {
+      const LaneView<std::int64_t> idx{flat};
+      const auto run = warp_run(idx, lo, bits);
+      int replays = run ? affine_replays(*run, 1) : 0;
       std::uint64_t words[32];
-      for (std::uint32_t b = bits; b; b &= b - 1) {
-        const int k = std::countr_zero(b);
-        words[k] =
-            static_cast<std::uint64_t>(flat[static_cast<std::size_t>(lo + k)]);
-      }
-      int replays = smem_replays({words, 32}, bits, 1);
+      if (replays == 0)
+        replays = smem_replays(lane_addrs(idx, lo, bits, 0, 1, words), bits, 1);
       warp_issue_[static_cast<std::size_t>(w)] +=
           opt_.timing.weights.mem_issue * replays;
       charge_latency(w, spec_.smem_latency_cycles);

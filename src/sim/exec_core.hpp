@@ -25,6 +25,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
@@ -320,6 +321,50 @@ class BlockCore {
   [[noreturn]] void stall();
 
   // ---------------- memory access paths ----------------
+  /// One warp's lane indices as a progression over all 32 lanes; nullopt
+  /// for a partial warp or other indices.
+  template <class I>
+  [[nodiscard]] static std::optional<AffineWarp> warp_run(LaneView<I> idx,
+                                                          int lo,
+                                                          std::uint32_t bits);
+  /// Lane k's address base + idx[lo + k] * scale for the lanes active in
+  /// `bits`, for the per-lane cost models.
+  template <class I>
+  static std::span<const std::uint64_t> lane_addrs(
+      LaneView<I> idx, int lo, std::uint32_t bits, std::uint64_t base,
+      std::uint64_t scale, std::uint64_t (&addrs)[32]) {
+    for (std::uint32_t b = bits; b; b &= b - 1) {
+      const int k = std::countr_zero(b);
+      addrs[k] = base + static_cast<std::uint64_t>(arith::as_i(
+                            idx.at(static_cast<std::size_t>(lo + k)))) *
+                            scale;
+    }
+    return {addrs, 32};
+  }
+  /// An access's element loop, warp by warp, after its charge recorded
+  /// each active warp's run in runs_. When `whole_ok`, a warp whose run
+  /// stays in [0, size) at both ends goes to whole(lo, first, step) in one
+  /// call; every other warp runs lane(l) over its active lanes in
+  /// ascending order, so bounds errors and sanitizer bookkeeping happen
+  /// lane by lane there.
+  template <class Whole, class Lane>
+  void for_each_run(const Mask& mask, std::size_t size, bool whole_ok,
+                    Whole&& whole, Lane&& lane) const;
+  /// A whole warp's load: dst[k] = cvt(src[k * step]) for its 32 lanes.
+  template <class D, class E, class Cvt>
+  static void gather(D* dst, const E* src, std::int64_t step, Cvt cvt) {
+    for (std::int64_t k = 0; k < 32; ++k) dst[k] = cvt(src[k * step]);
+  }
+  /// A whole warp's store: dst[k * step] = cvt(lane lo + k's value), in
+  /// lane order, so with step 0 the last lane's value sticks, as in the
+  /// lane loop.
+  template <class E, class V, class Cvt>
+  static void scatter(E* dst, std::int64_t step, LaneView<V> val,
+                      std::size_t lo, Cvt cvt) {
+    for (std::int64_t k = 0; k < 32; ++k)
+      dst[k * step] = cvt(val.at(lo + static_cast<std::size_t>(k)));
+  }
+
   template <class I>
   void charge_global(const DeviceBuffer& buf, LaneView<I> idx,
                      const Mask& mask);
@@ -596,6 +641,8 @@ class BlockCore {
   std::vector<double> warp_issue_;
   std::vector<double> warp_latency_;
   std::vector<double> warp_pending_;
+  /// Per-warp runs of the access last charged (charge_global / _shared).
+  std::vector<std::optional<AffineWarp>> runs_;
   std::uint64_t smem_word_cursor_ = 0;
   std::uint64_t local_word_cursor_ = 0;
 
@@ -720,30 +767,83 @@ class BlockCore {
 // ---------------- template definitions ----------------
 
 template <class I>
+std::optional<AffineWarp> BlockCore::warp_run(LaneView<I> idx, int lo,
+                                              std::uint32_t bits) {
+  if (bits != ~0u) return std::nullopt;
+  if (!idx.vec)
+    return AffineWarp{static_cast<std::uint64_t>(arith::as_i(idx.splat)), 0};
+  if constexpr (std::is_same_v<I, std::int64_t>) {
+    return affine_lanes(idx.vec + lo, bits);
+  } else {
+    std::int64_t v[32];
+    for (int k = 0; k < 32; ++k) v[k] = arith::as_i(idx.vec[lo + k]);
+    return affine_lanes(v, bits);
+  }
+}
+
+template <class Whole, class Lane>
+void BlockCore::for_each_run(const Mask& mask, std::size_t size,
+                             bool whole_ok, Whole&& whole,
+                             Lane&& lane) const {
+  for_each_active_warp(mask, [&](int w, int lo, std::uint32_t bits) {
+    const std::optional<AffineWarp>& r = runs_[static_cast<std::size_t>(w)];
+    if (whole_ok && r) {
+      // |stride| < size keeps first + 31 * stride exact, and with both
+      // ends in range every lane between them is too.
+      const auto n = static_cast<std::int64_t>(size);
+      const std::uint64_t last =
+          r->first + 31 * static_cast<std::uint64_t>(r->stride);
+      if (r->first < size && last < size && r->stride < n &&
+          r->stride > -n) {
+        whole(static_cast<std::size_t>(lo),
+              static_cast<std::int64_t>(r->first), r->stride);
+        return;
+      }
+    }
+    // for_each_lane's loop for this one warp. It is repeated, not shared:
+    // routing for_each_lane through a per-warp helper stopped its lane
+    // lambdas from inlining and made kFlatten 2.6x slower.
+    const auto first = static_cast<std::size_t>(lo);
+    if (bits == full_[static_cast<std::size_t>(w)]) {
+      const std::size_t end =
+          first + static_cast<std::size_t>(std::popcount(bits));
+      for (std::size_t l = first; l < end; ++l) lane(l);
+    } else {
+      do {
+        lane(first + static_cast<std::size_t>(std::countr_zero(bits)));
+        bits &= bits - 1;
+      } while (bits);
+    }
+  });
+}
+
+template <class I>
 void BlockCore::charge_global(const DeviceBuffer& buf, LaneView<I> idx,
                               const Mask& mask) {
   const auto esize =
       static_cast<std::uint64_t>(ir::Type::scalar_size_bytes(buf.type()));
   for_each_active_warp(mask, [&](int w, int lo, std::uint32_t bits) {
+    const std::optional<AffineWarp>& run =
+        runs_[static_cast<std::size_t>(w)] = warp_run(idx, lo, bits);
+    const AffineWarp a =
+        run ? run->scaled(buf.base_addr(), esize) : AffineWarp{};
     std::uint64_t addrs[32];
-    for (std::uint32_t b = bits; b; b &= b - 1) {
-      const int k = std::countr_zero(b);
-      addrs[k] = buf.base_addr() +
-                 static_cast<std::uint64_t>(arith::as_i(
-                     idx.at(static_cast<std::size_t>(lo + k)))) *
-                     esize;
-    }
-    const std::span<const std::uint64_t> span(addrs, 32);
     if (buf.is_constant()) {
       // Constant cache: distinct words serialize, identical broadcast.
-      int replays = smem_replays(span, bits, 1);
+      int replays = run ? affine_replays(a, 1) : 0;
+      if (replays == 0)
+        replays = smem_replays(
+            lane_addrs(idx, lo, bits, buf.base_addr(), esize, addrs), bits, 1);
       smem_accesses_ += replays;  // books constant traffic with smem
       warp_issue_[static_cast<std::size_t>(w)] +=
           opt_.timing.weights.mem_issue * replays;
       charge_latency(w, spec_.smem_latency_cycles);
       return;
     }
-    int trans = coalesced_transactions(span, bits, 32);
+    int trans = run ? affine_transactions(a, 32) : 0;
+    if (trans == 0)
+      trans = coalesced_transactions(
+          lane_addrs(idx, lo, bits, buf.base_addr(), esize, addrs), bits, 32);
     global_transactions_ += trans;
     dram_transactions_ += trans;
     warp_issue_[static_cast<std::size_t>(w)] += opt_.timing.weights.mem_issue;
@@ -764,14 +864,18 @@ void BlockCore::buffer_load(Slot& slot, const std::string& name,
                                  std::int64_t>;
     auto* o = out_as<R>(out);
     using O = std::remove_pointer_t<decltype(o)>;
-    for_each_lane(mask, [&](std::size_t l) {
+    auto cvt = [](E v) { return lane_as<O>(static_cast<R>(v)); };
+    auto whole = [&](std::size_t lo, std::int64_t first, std::int64_t step) {
+      gather(o + lo, data + first, step, cvt);
+    };
+    for_each_run(mask, buf.size(), bsh == nullptr, whole, [&](std::size_t l) {
       const auto i = static_cast<std::size_t>(arith::as_i(idx.at(l)));
       if (bsh && shfl_arg_depth_ == 0 && i < bsh->size() && !(*bsh)[i])
         report_uninit_element("global buffer", name,
                               static_cast<std::int64_t>(i),
                               static_cast<int>(l), loc);
       buf.check(i);
-      o[l] = lane_as<O>(static_cast<R>(data[i]));
+      o[l] = cvt(data[i]);
     });
   });
 }
@@ -784,13 +888,19 @@ void BlockCore::buffer_store(Slot& slot, LaneView<I> idx, const Mask& mask,
   std::vector<std::uint8_t>* bsh = buffer_shadow(slot);
   buf.with_data([&](auto* data) {
     using E = std::remove_pointer_t<decltype(data)>;
-    for_each_lane(mask, [&](std::size_t l) {
+    auto conv = [](auto v) {
+      if constexpr (std::is_same_v<E, float>)
+        return static_cast<float>(arith::as_f(v));
+      else
+        return static_cast<std::int32_t>(arith::as_i(v));
+    };
+    auto whole = [&](std::size_t lo, std::int64_t first, std::int64_t step) {
+      scatter(data + first, step, val, lo, conv);
+    };
+    for_each_run(mask, buf.size(), bsh == nullptr, whole, [&](std::size_t l) {
       const auto i = static_cast<std::size_t>(arith::as_i(idx.at(l)));
       buf.check(i);
-      if constexpr (std::is_same_v<E, float>)
-        data[i] = static_cast<float>(arith::as_f(val.at(l)));
-      else
-        data[i] = static_cast<std::int32_t>(arith::as_i(val.at(l)));
+      data[i] = conv(val.at(l));
       if (bsh && i < bsh->size()) (*bsh)[i] = 1;
     });
   });
@@ -802,11 +912,15 @@ void BlockCore::shared_load(Slot& slot, const std::string& name,
                             Out out, SourceLoc loc) {
   charge_shared(slot, flat, mask);
   if (san_) ++access_seq_;
+  const std::size_t cells = slot.is_float() ? slot.f.size() : slot.i.size();
   slot.with_cells([&](auto* data) {
     using T = std::remove_pointer_t<decltype(data)>;
     auto* o = out_as<T>(out);
     using O = std::remove_pointer_t<decltype(o)>;
-    for_each_lane(mask, [&](std::size_t l) {
+    auto whole = [&](std::size_t lo, std::int64_t first, std::int64_t step) {
+      gather(o + lo, data + first, step, [](T v) { return lane_as<O>(v); });
+    };
+    for_each_run(mask, cells, san_ == nullptr, whole, [&](std::size_t l) {
       const auto i = static_cast<std::size_t>(flat[l]);
       if (san_) note_shared_read(slot, name, i, static_cast<int>(l), loc);
       o[l] = lane_as<O>(data[i]);
@@ -820,9 +934,14 @@ void BlockCore::shared_store(Slot& slot, const std::string& name,
                              LaneView<S> val, SourceLoc loc) {
   charge_shared(slot, flat, mask);
   if (san_) ++access_seq_;
+  const std::size_t cells = slot.is_float() ? slot.f.size() : slot.i.size();
   slot.with_cells([&](auto* data) {
     using T = std::remove_pointer_t<decltype(data)>;
-    for_each_lane(mask, [&](std::size_t l) {
+    auto whole = [&](std::size_t lo, std::int64_t first, std::int64_t step) {
+      scatter(data + first, step, val, lo,
+              [](auto v) { return arith::to<T>(v); });
+    };
+    for_each_run(mask, cells, san_ == nullptr, whole, [&](std::size_t l) {
       const auto i = static_cast<std::size_t>(flat[l]);
       const T v = arith::to<T>(val.at(l));
       if (san_)
@@ -929,46 +1048,65 @@ void BlockCore::do_shfl(Builtin b, const std::string& callee, LaneView<V> var,
   using O = std::remove_pointer_t<decltype(o)>;
   std::vector<int> src_of;
   if (san_) src_of.assign(static_cast<std::size_t>(nlanes_), -1);
-  for_each_lane(mask, [&](std::size_t lu) {
-    const int l = static_cast<int>(lu);
-    int lane = l % spec_.warp_size;
-    int warp_base = l - lane;
-    std::int64_t wdt = arith::as_i(width.at(lu));
-    if (wdt <= 0 || wdt > spec_.warp_size || (wdt & (wdt - 1)) != 0)
-      shfl_width_fail();
-    int group_base = lane / static_cast<int>(wdt) * static_cast<int>(wdt);
-    std::int64_t s = arith::as_i(sel.at(lu));
-    int src_lane;
+  // Widths are powers of two in [1, warp_size], so the group math is
+  // shifts and masks. A broadcast width is checked once, which throws
+  // exactly where the first active lane's check would.
+  auto valid_width = [&](std::int64_t wdt) {
+    return wdt > 0 && wdt <= spec_.warp_size && (wdt & (wdt - 1)) == 0;
+  };
+  const std::int64_t splat_width = arith::as_i(width.splat);
+  if (!width.vec && any(mask) && !valid_width(splat_width)) shfl_width_fail();
+  // The source lane within the warp (possibly out of range) for `lane`.
+  auto source_lane = [b](int lane, std::int64_t s, std::int64_t wdt) {
+    const int wi = static_cast<int>(wdt);
+    const int group_base = lane & -wi;
     if (b == Builtin::kShfl) {
-      src_lane = group_base + static_cast<int>(s % wdt);
-    } else if (b == Builtin::kShflUp) {
-      int cand = lane - static_cast<int>(s);
-      src_lane = cand < group_base ? lane : cand;
-    } else if (b == Builtin::kShflDown) {
-      int cand = lane + static_cast<int>(s);
-      src_lane = cand >= group_base + static_cast<int>(wdt) ? lane : cand;
-    } else {  // __shfl_xor
-      int cand = group_base + ((lane - group_base) ^ static_cast<int>(s));
-      src_lane = cand < group_base + static_cast<int>(wdt) ? cand : lane;
+      // s % wdt, truncated toward zero like C's % for negative s.
+      std::int64_t r = s & (wdt - 1);
+      if (s < 0 && r != 0) r -= wdt;
+      return group_base + static_cast<int>(r);
     }
-    int src_tid = warp_base + src_lane;
-    // A negative selector (e.g. __shfl(v, -1, 32)) or a delta that
-    // escapes the warp produces an out-of-range source lane: undefined
-    // on hardware. Recover with the caller's own value, as the hardware
-    // effectively does for out-of-range segments.
-    if (src_lane < 0 || src_lane >= spec_.warp_size) {
-      if (san_) report_shfl_source(ShflSource::kOutsideWarp, callee, src_lane,
-                                   l, loc);
-      src_tid = l;
-    } else if (src_tid >= nlanes_) {
-      if (san_) report_shfl_source(ShflSource::kBeyondBlock, callee, src_lane,
-                                   l, loc);
-      src_tid = l;
-    } else if (san_ && !lane_on(mask, static_cast<std::size_t>(src_tid))) {
-      report_shfl_source(ShflSource::kInactive, callee, src_lane, l, loc);
+    if (b == Builtin::kShflUp) {
+      const int cand = lane - static_cast<int>(s);
+      return cand < group_base ? lane : cand;
     }
-    if (san_) src_of[lu] = src_tid;
-    o[lu] = lane_as<O>(var.at(static_cast<std::size_t>(src_tid)));
+    if (b == Builtin::kShflDown) {
+      const int cand = lane + static_cast<int>(s);
+      return cand >= group_base + wi ? lane : cand;
+    }
+    const int cand = group_base + ((lane - group_base) ^ static_cast<int>(s));
+    return cand < group_base + wi ? cand : lane;  // __shfl_xor
+  };
+  for_each_active_warp(mask, [&](int, int warp_base, std::uint32_t bits) {
+    for (std::uint32_t rest = bits; rest; rest &= rest - 1) {
+      const int lane = std::countr_zero(rest);
+      const int l = warp_base + lane;
+      const auto lu = static_cast<std::size_t>(l);
+      std::int64_t wdt = splat_width;
+      if (width.vec) {
+        wdt = arith::as_i(width.vec[lu]);
+        if (!valid_width(wdt)) shfl_width_fail();
+      }
+      const int src_lane = source_lane(lane, arith::as_i(sel.at(lu)), wdt);
+      int src_tid = warp_base + src_lane;
+      // A negative selector (e.g. __shfl(v, -1, 32)) or a delta that
+      // escapes the warp produces an out-of-range source lane: undefined
+      // on hardware. Recover with the caller's own value, as the hardware
+      // effectively does for out-of-range segments.
+      if (src_lane < 0 || src_lane >= spec_.warp_size) {
+        if (san_) report_shfl_source(ShflSource::kOutsideWarp, callee,
+                                     src_lane, l, loc);
+        src_tid = l;
+      } else if (src_tid >= nlanes_) {
+        if (san_) report_shfl_source(ShflSource::kBeyondBlock, callee,
+                                     src_lane, l, loc);
+        src_tid = l;
+      } else if (san_ && !lane_on(mask, static_cast<std::size_t>(src_tid))) {
+        report_shfl_source(ShflSource::kInactive, callee, src_lane, l, loc);
+      }
+      if (san_) src_of[lu] = src_tid;
+      o[lu] = lane_as<O>(var.at(static_cast<std::size_t>(src_tid)));
+    }
   });
   if (san_ && var_name)
     check_shfl_sources(src_of, callee, loc, var_slot, *var_name);

@@ -180,6 +180,97 @@ int smem_replays(std::span<const std::uint64_t> word_addrs,
   return std::max(replays, 1);
 }
 
+int warp_lines(std::span<const std::uint64_t> addrs, std::uint32_t active,
+               int line_bytes, std::uint64_t* lines) {
+  const auto lb = static_cast<std::uint64_t>(line_bytes);
+  int n = 0;
+  for (std::uint32_t b = active; b; b &= b - 1) {
+    const std::uint64_t line =
+        addrs[static_cast<std::size_t>(std::countr_zero(b))] / lb;
+    bool seen = false;
+    for (int j = 0; j < n; ++j)
+      if (lines[j] == line) {
+        seen = true;
+        break;
+      }
+    if (!seen) lines[n++] = line;
+  }
+  return n;
+}
+
+std::optional<AffineWarp> affine_lanes(const std::int64_t* v,
+                                       std::uint32_t active) {
+  if (active != ~0u) return std::nullopt;
+  const std::uint64_t d =
+      static_cast<std::uint64_t>(v[1]) - static_cast<std::uint64_t>(v[0]);
+  std::uint64_t off = 0;
+  for (int k = 2; k < 32; ++k)
+    off |= (static_cast<std::uint64_t>(v[k]) -
+            static_cast<std::uint64_t>(v[k - 1])) ^
+           d;
+  if (off != 0) return std::nullopt;
+  return AffineWarp{static_cast<std::uint64_t>(v[0]),
+                    static_cast<std::int64_t>(d)};
+}
+
+namespace {
+
+constexpr std::uint64_t kAffineLimit = std::uint64_t{1} << 62;
+constexpr std::int64_t kAffineMaxStride = std::int64_t{1} << 57;
+
+/// The lowest and highest address of an affine warp, when every lane's
+/// address lies in [0, kAffineLimit). |31 * stride| < 2^62 keeps the
+/// last address exact, and the lanes between the two ends stay in range.
+bool affine_span(AffineWarp a, std::uint64_t* lo, std::uint64_t* hi) {
+  if (a.first >= kAffineLimit || a.stride > kAffineMaxStride ||
+      a.stride < -kAffineMaxStride)
+    return false;
+  const std::int64_t last = static_cast<std::int64_t>(a.first) + 31 * a.stride;
+  if (last < 0 || static_cast<std::uint64_t>(last) >= kAffineLimit)
+    return false;
+  *lo = std::min(a.first, static_cast<std::uint64_t>(last));
+  *hi = std::max(a.first, static_cast<std::uint64_t>(last));
+  return true;
+}
+
+bool pow2(int n) { return n > 0 && (n & (n - 1)) == 0; }
+
+}  // namespace
+
+int affine_transactions(AffineWarp a, int segment_bytes) {
+  std::uint64_t lo = 0, hi = 0;
+  if (!pow2(segment_bytes) || !affine_span(a, &lo, &hi)) return 0;
+  if (a.stride == 0) return 1;
+  if (a.stride >= segment_bytes || a.stride <= -segment_bytes) return 32;
+  const int shift = std::countr_zero(static_cast<unsigned>(segment_bytes));
+  return static_cast<int>((hi >> shift) - (lo >> shift)) + 1;
+}
+
+int affine_replays(AffineWarp a, int banks) {
+  std::uint64_t lo = 0, hi = 0;
+  if (!pow2(banks) || !affine_span(a, &lo, &hi)) return 0;
+  if (a.stride == 0) return 1;
+  // The 32 words are distinct; lanes k and k' share a bank when
+  // (k - k') * stride is a multiple of banks, so each touched bank gets
+  // 32 * gcd / banks of them. Both are powers of two, so gcd(|stride|,
+  // banks) is the lower of banks and stride's lowest set bit.
+  const auto s = static_cast<std::uint64_t>(a.stride);
+  const std::uint64_t gcd =
+      std::min(s & (~s + 1), static_cast<std::uint64_t>(banks));
+  return static_cast<int>(
+      std::max<std::uint64_t>(1, 32 * gcd / static_cast<std::uint64_t>(banks)));
+}
+
+int affine_lines(AffineWarp a, int line_bytes, std::uint64_t* first_line) {
+  std::uint64_t lo = 0, hi = 0;
+  if (!pow2(line_bytes) || a.stride < 0 || a.stride > line_bytes ||
+      !affine_span(a, &lo, &hi))
+    return 0;
+  const int shift = std::countr_zero(static_cast<unsigned>(line_bytes));
+  *first_line = lo >> shift;
+  return static_cast<int>((hi >> shift) - *first_line) + 1;
+}
+
 L1Cache::L1Cache(std::int64_t capacity_bytes, int line_bytes, int ways)
     : capacity_(std::max<std::int64_t>(capacity_bytes, 0)),
       line_bytes_(line_bytes),

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -185,6 +186,62 @@ class DeviceMemory {
 /// given as for coalesced_transactions.
 [[nodiscard]] int smem_replays(std::span<const std::uint64_t> word_addrs,
                                std::uint32_t active, int banks = 32);
+
+/// Writes the distinct `line_bytes` lines that one warp-wide access
+/// touches to `lines` (room for 32), in the order lanes first touch them;
+/// returns how many. Lanes are given as for coalesced_transactions.
+int warp_lines(std::span<const std::uint64_t> addrs, std::uint32_t active,
+               int line_bytes, std::uint64_t* lines);
+
+// ---------------------------------------------------------------------
+// Closed forms for affine warps. When all 32 lanes of a warp access
+// first + k * stride (lane k), the per-lane models above reduce to O(1)
+// arithmetic. Each closed form equals its per-lane model on the same 32
+// addresses, and returns 0 to decline: when an address would leave
+// [0, 2^62) (negative, wrapping or huge addresses) or a size is not a
+// power of two. Callers then run the per-lane model.
+
+/// One full warp's lane values first + k * stride (lane k, modulo 2^64):
+/// its indices, or its addresses in the units of the model that takes
+/// them (bytes, or words for bank replays).
+struct AffineWarp {
+  std::uint64_t first = 0;
+  std::int64_t stride = 0;
+
+  /// The values base + v * scale (modulo 2^64), e.g. an index
+  /// progression's addresses.
+  [[nodiscard]] AffineWarp scaled(std::uint64_t base,
+                                  std::uint64_t scale) const {
+    return {base + first * scale,
+            static_cast<std::int64_t>(static_cast<std::uint64_t>(stride) *
+                                      scale)};
+  }
+};
+
+/// The 32 lane values `v` as a progression, when all 32 lanes are active
+/// and v[k] - v[k-1] (modulo 2^64) is the same for every k.
+[[nodiscard]] std::optional<AffineWarp> affine_lanes(const std::int64_t* v,
+                                                     std::uint32_t active);
+
+/// coalesced_transactions of an affine warp: 1 for a broadcast, 32 when
+/// |stride| reaches a segment, otherwise the segments between the lowest
+/// and the highest address.
+[[nodiscard]] int affine_transactions(AffineWarp a, int segment_bytes);
+
+/// smem_replays of an affine warp: 1 for a broadcast, otherwise 32 lanes
+/// over banks / gcd(|stride|, banks) banks, i.e. max(1, 32 * gcd / banks)
+/// (gcd(|stride|, 32) for 32 banks).
+[[nodiscard]] int affine_replays(AffineWarp a, int banks);
+
+/// warp_lines of an affine warp whose lines form one ascending run
+/// (0 <= stride <= line_bytes): stores the lowest line in `*first_line`
+/// and returns the number of lines. A descending or gapped run declines.
+/// charge_local calls it only for a uniform element index, whose lanes
+/// read consecutive words (stride 4): over a full warp (nlanes >= 32),
+/// any other index progression descends or moves more than a line per
+/// lane.
+[[nodiscard]] int affine_lines(AffineWarp a, int line_bytes,
+                               std::uint64_t* first_line);
 
 /// Tiny set-associative cache used to model per-SMX L1 behaviour for
 /// local-memory traffic. Capacity is divided by the number of resident

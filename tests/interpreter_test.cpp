@@ -310,6 +310,71 @@ TEST(Interpreter, ShflCrossesWarpsNever) {
   EXPECT_EQ(h.i32(out)[32], 32);  // second warp reads its own lane 0
 }
 
+/// The shfl family's lane semantics, lane by lane: the source lane within
+/// the warp, with an out-of-range source or one past the block's last
+/// thread recovering the caller's own value.
+int shfl_source(const std::string& fn, int l, int nlanes, int s, int wdt) {
+  const int lane = l % 32, warp_base = l - lane;
+  const int group_base = lane / wdt * wdt;
+  int src;
+  if (fn == "__shfl") {
+    src = group_base + s % wdt;
+  } else if (fn == "__shfl_up") {
+    src = lane - s < group_base ? lane : lane - s;
+  } else if (fn == "__shfl_down") {
+    src = lane + s >= group_base + wdt ? lane : lane + s;
+  } else {
+    const int cand = group_base + ((lane - group_base) ^ s);
+    src = cand < group_base + wdt ? cand : lane;
+  }
+  if (src < 0 || src >= 32 || warp_base + src >= nlanes) return l;
+  return warp_base + src;
+}
+
+TEST(Interpreter, ShflMatchesLaneSemanticsForEveryOperandShape) {
+  // Broadcast, block-uniform, warp-uniform and per-lane selectors, full
+  // and tail warps, with and without a divergent guard: the shift-and-mask
+  // lane math must agree with the lane-by-lane definition.
+  const std::pair<const char*, int (*)(int, int)> sels[] = {
+      {"s", [](int s, int) { return s; }},
+      {"s + threadIdx.x * 0", [](int s, int) { return s; }},
+      {"s + threadIdx.x % 3", [](int s, int l) { return s + l % 3; }},
+      {"s + threadIdx.x / 32", [](int s, int l) { return s + l / 32; }},
+  };
+  for (std::string fn : {"__shfl", "__shfl_up", "__shfl_down", "__shfl_xor"})
+    for (const auto& [sel, sel_of] : sels)
+      for (bool divergent : {false, true})
+        for (int block : {32, 48, 64})
+          for (int wdt : {1, 2, 8, 32})
+            for (int s : {-33, -1, 0, 1, 3, 31, 33}) {
+              SCOPED_TRACE(fn + "(v, " + sel + ", " + std::to_string(wdt) +
+                           ") s=" + std::to_string(s) + " block " +
+                           std::to_string(block) +
+                           (divergent ? " divergent" : ""));
+              Harness h;
+              auto out = h.alloc_i(64);
+              h.run("__global__ void k(int* o, int s, int w) {\n"
+                    "  int v = threadIdx.x * 7 + 3;\n"
+                    "  if (" +
+                        std::string(divergent ? "threadIdx.x % 3 != 0"
+                                              : "threadIdx.x < 1024") +
+                        ")\n"
+                        "    o[threadIdx.x] = " +
+                        fn + "(v, " + sel + ", w);\n}\n",
+                    {.grid = {1, 1, 1},
+                     .block = {block, 1, 1},
+                     .args = {out, LaunchConfig::scalar_int(s),
+                              LaunchConfig::scalar_int(wdt)}});
+              for (int l = 0; l < block; ++l) {
+                if (divergent && l % 3 == 0) continue;
+                const int src = shfl_source(fn, l, block, sel_of(s, l), wdt);
+                EXPECT_EQ(h.i32(out)[static_cast<std::size_t>(l)],
+                          src * 7 + 3)
+                    << "lane " << l;
+              }
+            }
+}
+
 TEST(Interpreter, ShflRequiresSm30) {
   Harness h;
   h.spec.sm_version = 20;

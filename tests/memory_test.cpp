@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -201,6 +202,164 @@ TEST(BankConflicts, MatchesBruteForceOnRandomAccesses) {
     }
   }
   EXPECT_GT(fast, 100);  // the conflict-free path is exercised
+}
+
+// ---------------- closed forms for affine warps ----------------
+
+/// Lane addresses first + k * stride, wrapping like the simulator's
+/// unsigned address arithmetic.
+std::array<std::uint64_t, 32> affine_addrs(AffineWarp a) {
+  std::array<std::uint64_t, 32> addrs{};
+  for (std::size_t k = 0; k < 32; ++k)
+    addrs[k] = a.first + k * static_cast<std::uint64_t>(a.stride);
+  return addrs;
+}
+
+/// True when every lane's exact address lies in [0, 2^62), the range the
+/// closed forms accept.
+bool in_affine_range(AffineWarp a) {
+  const std::int64_t limit = std::int64_t{1} << 62;
+  if (a.first >= static_cast<std::uint64_t>(limit)) return false;
+  const std::int64_t last = static_cast<std::int64_t>(a.first) + 31 * a.stride;
+  return last >= 0 && last < limit;
+}
+
+std::uint64_t affine_rng_state = 0x2545F4914F6CDD1Dull;
+std::uint64_t affine_rng() {
+  affine_rng_state ^= affine_rng_state << 13;
+  affine_rng_state ^= affine_rng_state >> 7;
+  affine_rng_state ^= affine_rng_state << 17;
+  return affine_rng_state;
+}
+
+/// The strides the property tests sweep: the structured ones of the
+/// paper's access patterns plus a few random ones.
+std::vector<std::int64_t> affine_strides() {
+  std::vector<std::int64_t> d = {0};
+  for (std::int64_t s : {1, 2, 3, 7, 8, 16, 31, 32, 33, 64}) {
+    d.push_back(s);
+    d.push_back(-s);
+  }
+  for (int i = 0; i < 6; ++i)
+    d.push_back(static_cast<std::int64_t>(affine_rng() % 2001) - 1000);
+  return d;
+}
+
+/// Warp starts near 0 (where negative strides wrap) and near 2^40 (the
+/// simulator's local-memory space).
+std::vector<std::uint64_t> affine_starts() {
+  std::vector<std::uint64_t> starts;
+  for (int i = 0; i < 4; ++i) {
+    starts.push_back(affine_rng() % 300);
+    starts.push_back((std::uint64_t{1} << 40) + affine_rng() % 4096 - 2048);
+  }
+  return starts;
+}
+
+TEST(AffineWarps, DetectsProgressionsAndDeclinesPartialMasks) {
+  for (std::int64_t d : affine_strides()) {
+    for (std::uint64_t first : affine_starts()) {
+      std::int64_t v[32];
+      for (int k = 0; k < 32; ++k)
+        v[k] = static_cast<std::int64_t>(first) + k * d;
+      const std::optional<AffineWarp> run = affine_lanes(v, kAllActive);
+      ASSERT_TRUE(run) << d;
+      EXPECT_EQ(run->first, first);
+      EXPECT_EQ(run->stride, d);
+      EXPECT_FALSE(affine_lanes(v, kAllActive >> 1));
+      EXPECT_FALSE(affine_lanes(v, kAllActive & ~(1u << 7)));
+      const int lane = 1 + static_cast<int>(affine_rng() % 31);
+      v[lane] += 1 + static_cast<std::int64_t>(affine_rng() % 5);
+      EXPECT_FALSE(affine_lanes(v, kAllActive)) << d << " " << lane;
+    }
+  }
+  // A progression that wraps modulo 2^64 is still a progression; the
+  // cost closed forms decline its addresses.
+  std::int64_t v[32];
+  for (std::uint64_t k = 0; k < 32; ++k)
+    v[k] = static_cast<std::int64_t>(k << 62);
+  const std::optional<AffineWarp> run = affine_lanes(v, kAllActive);
+  ASSERT_TRUE(run);
+  EXPECT_EQ(affine_transactions(*run, 32), 0);
+  EXPECT_EQ(affine_replays(*run, 32), 0);
+}
+
+TEST(AffineWarps, TransactionsMatchTheCoalescer) {
+  int accepted = 0;
+  for (int seg : {32, 128})
+    for (std::int64_t esize : {1, 4, 8})
+      for (std::int64_t d : affine_strides())
+        for (std::uint64_t first : affine_starts()) {
+          const AffineWarp a{first, d * esize};
+          const auto addrs = affine_addrs(a);
+          const int got = affine_transactions(a, seg);
+          SCOPED_TRACE("seg " + std::to_string(seg) + " stride " +
+                       std::to_string(a.stride) + " first " +
+                       std::to_string(first));
+          if (!in_affine_range(a)) {
+            EXPECT_EQ(got, 0);  // wrapping addresses decline
+            continue;
+          }
+          EXPECT_EQ(got, coalesced_transactions(addrs, kAllActive, seg));
+          ++accepted;
+        }
+  EXPECT_GT(accepted, 500);
+  EXPECT_EQ(affine_transactions({0, 4}, 48), 0);  // not a power of two
+  EXPECT_EQ(affine_transactions({~0ull - 64, 4}, 32), 0);  // huge
+}
+
+TEST(AffineWarps, ReplaysMatchTheBankModel) {
+  int accepted = 0;
+  for (int banks : {32, 16, 1})
+    for (std::int64_t d : affine_strides())
+      for (std::uint64_t first : affine_starts()) {
+        const AffineWarp a{first, d};
+        const int got = affine_replays(a, banks);
+        SCOPED_TRACE("banks " + std::to_string(banks) + " stride " +
+                     std::to_string(d) + " first " + std::to_string(first));
+        if (!in_affine_range(a)) {
+          EXPECT_EQ(got, 0);
+          continue;
+        }
+        EXPECT_EQ(got, smem_replays(affine_addrs(a), kAllActive, banks));
+        ++accepted;
+      }
+  EXPECT_GT(accepted, 200);
+  EXPECT_EQ(affine_replays({0, 1}, 48), 0);  // not a power of two
+}
+
+TEST(AffineWarps, LinesMatchTheLocalLineLoop) {
+  int accepted = 0;
+  for (std::int64_t word_stride : {0, 1, 2, 3, 8, 31, 32, 33, 48, -1})
+    for (std::uint64_t first : affine_starts()) {
+      const AffineWarp a{first * 4, word_stride * 4};
+      std::uint64_t want[32];
+      const int n = warp_lines(affine_addrs(a), kAllActive, 128, want);
+      std::uint64_t first_line = 0;
+      const int got = affine_lines(a, 128, &first_line);
+      SCOPED_TRACE("stride " + std::to_string(a.stride) + " first " +
+                   std::to_string(a.first));
+      if (a.stride < 0 || a.stride > 128 || !in_affine_range(a)) {
+        EXPECT_EQ(got, 0);  // descending, gapped or wrapping runs decline
+        continue;
+      }
+      ASSERT_EQ(got, n);
+      for (int j = 0; j < n; ++j)
+        EXPECT_EQ(want[j], first_line + static_cast<std::uint64_t>(j));
+      ++accepted;
+    }
+  EXPECT_GT(accepted, 40);
+}
+
+TEST(AffineWarps, WarpLinesKeepFirstTouchOrder) {
+  std::array<std::uint64_t, 32> addrs{};
+  for (std::size_t k = 0; k < 32; ++k) addrs[k] = (31 - k % 4) * 128 + k;
+  std::uint64_t lines[32];
+  ASSERT_EQ(warp_lines(addrs, kAllActive, 128, lines), 4);
+  EXPECT_EQ(lines[0], 31u);
+  EXPECT_EQ(lines[3], 28u);
+  EXPECT_EQ(warp_lines(addrs, 0x2u, 128, lines), 1);
+  EXPECT_EQ(lines[0], 30u);
 }
 
 TEST(L1Cache, HitAfterMiss) {
