@@ -69,46 +69,6 @@ std::string cell_name(const ir::Kernel& k, const DiffCell& d) {
   return os.str();
 }
 
-/// Compares the baseline-visible buffers of two replayed workloads with
-/// the certifier's mixed tolerance; fills `msg` on mismatch. Both
-/// workloads come from the same (deterministic) factory, so equal
-/// allocation order means equal BufferIds.
-bool replay_buffers_match(const sim::DeviceMemory& ref,
-                          const sim::DeviceMemory& got,
-                          const std::vector<sim::KernelArg>& args,
-                          double abs_tol, double rel_tol, std::string* msg) {
-  for (const auto& arg : args) {
-    const auto* id = std::get_if<sim::BufferId>(&arg);
-    if (!id) continue;
-    const sim::DeviceBuffer& rb = ref.buffer(*id);
-    const sim::DeviceBuffer& gb = got.buffer(*id);
-    if (rb.type() == ir::ScalarType::kFloat) {
-      auto r = rb.f32();
-      auto g = gb.f32();
-      for (std::size_t i = 0; i < r.size(); ++i) {
-        if (floats_close(r[i], g[i], abs_tol, rel_tol)) continue;
-        std::ostringstream os;
-        os << "buffer " << *id << " element " << i << ": baseline " << r[i]
-           << ", variant " << g[i];
-        *msg = os.str();
-        return false;
-      }
-    } else {
-      auto r = rb.i32();
-      auto g = gb.i32();
-      for (std::size_t i = 0; i < r.size(); ++i) {
-        if (r[i] == g[i]) continue;
-        std::ostringstream os;
-        os << "buffer " << *id << " element " << i << ": baseline " << r[i]
-           << ", variant " << g[i];
-        *msg = os.str();
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 std::string normalization_budget(const CertifyOptions& opt) {
   return "normalization expression budget of " +
          std::to_string(opt.max_nodes) + " nodes exhausted";
@@ -268,9 +228,8 @@ Certificate JobCertifier::certify(const transform::TransformResult& variant) {
     if (!vr.clean()) {
       evidence = vr.hazards().empty() ? std::string("variant failed to run")
                                       : vr.hazards().front().str();
-    } else if (!replay_buffers_match(*bw.mem, *vw.mem, bw.launch.args,
-                                     opt.f32_abs_tol, opt.f32_rel_tol,
-                                     &evidence)) {
+    } else if (!buffers_match(*bw.mem, *vw.mem, bw.launch.args,
+                              opt.f32_abs_tol, opt.f32_rel_tol, &evidence)) {
       // evidence filled by the comparator
     } else {
       return false;  // did not reproduce

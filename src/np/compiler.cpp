@@ -91,12 +91,6 @@ bool floats_close(float ref, float got, double abs_tol, double rel_tol) {
          abs_tol + rel_tol * scale;
 }
 
-namespace {
-
-/// Compares every buffer argument of the baseline launch against the same
-/// buffer in the variant's memory. Workloads come from the same factory, so
-/// equal allocation order yields equal BufferIds; the variant's extra
-/// scratch buffers are appended afterwards and never compared.
 bool buffers_match(const sim::DeviceMemory& ref, const sim::DeviceMemory& got,
                    const std::vector<sim::KernelArg>& args, double abs_tol,
                    double rel_tol, std::string* msg) {
@@ -144,6 +138,8 @@ bool buffers_match(const sim::DeviceMemory& ref, const sim::DeviceMemory& got,
   }
   return true;
 }
+
+namespace {
 
 /// The certifier of a validation run. Tolerances and interpreter knobs
 /// are inherited from the validation options so the certifier and the

@@ -102,6 +102,18 @@ struct ValidationOptions {
 [[nodiscard]] bool floats_close(float ref, float got, double abs_tol,
                                 double rel_tol);
 
+/// Compares every buffer argument of a baseline launch against the same
+/// buffer in the variant's memory (floats with floats_close, ints
+/// exactly); fills `msg`, when given, with the first mismatch. Both
+/// workloads come from the same factory, so equal allocation order yields
+/// equal BufferIds; a variant's extra scratch buffers are appended
+/// afterwards and never compared.
+[[nodiscard]] bool buffers_match(const sim::DeviceMemory& ref,
+                                 const sim::DeviceMemory& got,
+                                 const std::vector<sim::KernelArg>& args,
+                                 double abs_tol, double rel_tol,
+                                 std::string* msg);
+
 /// Why a variant was quarantined (see VariantFailure / docs/robustness.md).
 enum class FailureCause : std::uint8_t {
   /// The NP transform itself threw CompileError.

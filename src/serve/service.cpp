@@ -168,13 +168,12 @@ void BatchService::run_job(const JobSpec& spec, std::size_t index,
     auto factory = [&k, elems, tb] {
       return np::make_synthetic_workload(k, elems, tb);
     };
-    np::Workload probe = factory();
     // One baseline proof serves every variant; it is built at the first
     // cache miss, so a fully cached job never runs the symbolic executor.
+    // The synthetic workload launches tb threads per block.
     np::JobCertifier job(certifier, k, factory);
     ArtifactCache* cache = opt_.artifact_cache;
-    for (const auto& cfg : np::NpCompiler::enumerate_configs(
-             k, static_cast<int>(probe.launch.block.count()), spec_)) {
+    for (const auto& cfg : np::NpCompiler::enumerate_configs(k, tb, spec_)) {
       std::string key;
       if (cache) {
         key = certificate_cache_key(req.source, k.name, req.device,

@@ -1,7 +1,8 @@
 // Scalar semantics of the kernel language, defined once for every
 // evaluator: the interpreter's lane loops (sim/exec_core.hpp, over typed
 // lanes in the VM and tagged lanes in the AST reference walker) and the
-// symbolic executor's constant folding (sim/symexec.cpp).
+// symbolic executor's constant folding (sim/symexec.cpp). That covers the
+// operators and the math builtins (kMathTable, binary_math).
 //
 // A lane holds either an int64 (int and bool variables) or a double that
 // always carries an f32 value (float variables); sim::Value is the tagged
@@ -17,10 +18,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <type_traits>
 
 #include "ir/expr.hpp"
+#include "sim/binder.hpp"
 #include "sim/value.hpp"
 
 namespace cudanp::sim::arith {
@@ -270,6 +273,69 @@ template <bool kMax, class A, class B>
     return f32(kMax ? std::max(as_f(a), as_f(b)) : std::min(as_f(a), as_f(b)));
   else
     return kMax ? std::max(a, b) : std::min(a, b);
+}
+
+/// The unary math builtins sqrtf .. rsqrtf: the double function a lane
+/// applies before its f32 rounding, and whether it issues on the SFU
+/// (timing weight fdiv_sqrt_transcendental instead of alu).
+struct MathFn1 {
+  double (*fn)(double);
+  bool sfu;
+};
+inline constexpr MathFn1 kMathTable[] = {
+    {[](double x) { return std::sqrt(x); }, true},        // kSqrt
+    {[](double x) { return std::fabs(x); }, false},       // kFabs
+    {[](double x) { return std::exp(x); }, true},         // kExp
+    {[](double x) { return std::log(x); }, true},         // kLog
+    {[](double x) { return std::sin(x); }, true},         // kSin
+    {[](double x) { return std::cos(x); }, true},         // kCos
+    {[](double x) { return std::floor(x); }, false},      // kFloor
+    {[](double x) { return 1.0 / std::sqrt(x); }, true},  // kRsqrt
+};
+static_assert(std::size(kMathTable) ==
+              1 + static_cast<int>(Builtin::kRsqrt) -
+                  static_cast<int>(Builtin::kSqrt));
+
+[[nodiscard]] constexpr bool is_unary_math(Builtin b) {
+  return b >= Builtin::kSqrt && b <= Builtin::kRsqrt;
+}
+/// The kMathTable entry of a unary math builtin.
+[[nodiscard]] inline const MathFn1& unary_math(Builtin b) {
+  return kMathTable[static_cast<std::size_t>(b) -
+                    static_cast<std::size_t>(Builtin::kSqrt)];
+}
+
+/// The two-argument math builtins on typed operands. min / max keep int
+/// when both sides are int; fminf / fmaxf / powf always yield float.
+template <Builtin kFn, class A, class B>
+  requires(kTyped<A> && kTyped<B>)
+[[nodiscard]] inline auto binary_math(A a, B b) {
+  if constexpr (kFn == Builtin::kMin)
+    return minmax<false>(a, b);
+  else if constexpr (kFn == Builtin::kMax)
+    return minmax<true>(a, b);
+  else if constexpr (kFn == Builtin::kFminf)
+    return f32(std::min(as_f(a), as_f(b)));
+  else if constexpr (kFn == Builtin::kFmaxf)
+    return f32(std::max(as_f(a), as_f(b)));
+  else {
+    static_assert(kFn == Builtin::kPowf, "not a two-argument builtin");
+    return f32(std::pow(as_f(a), as_f(b)));
+  }
+}
+
+/// Calls `fn.template operator()<kFn>()` with the runtime two-argument
+/// builtin `b` as the compile-time constant kFn (any other builtin
+/// dispatches as kPowf, so callers check first).
+template <class Fn>
+inline decltype(auto) with_binary_math(Builtin b, Fn&& fn) {
+  switch (b) {
+    case Builtin::kMin: return fn.template operator()<Builtin::kMin>();
+    case Builtin::kMax: return fn.template operator()<Builtin::kMax>();
+    case Builtin::kFminf: return fn.template operator()<Builtin::kFminf>();
+    case Builtin::kFmaxf: return fn.template operator()<Builtin::kFmaxf>();
+    default: return fn.template operator()<Builtin::kPowf>();
+  }
 }
 
 /// The ternary's value: the chosen arm converted to the arms' common type.

@@ -1,4 +1,6 @@
-// Slot binder: the interpreter's once-per-kernel name-resolution prepass.
+// Slot binder: the once-per-kernel name-resolution prepass, and the one
+// place names resolve: bytecode lowering, the AST walker and the symbolic
+// executor (sim/symexec.hpp) all run on its annotations.
 //
 // The block-lockstep interpreter used to resolve every VarRef through an
 // unordered_map<string, Slot> and every geometry name / builtin callee by
@@ -90,9 +92,17 @@ constexpr std::int32_t kSlotGeomBase = -2;
 constexpr std::int32_t kSlotUnbound = std::numeric_limits<std::int32_t>::min();
 
 /// The error for executing a declaration the binder never visited; raised
-/// by BlockCore::declare and lowered to a trap by the bytecode pass.
+/// by BlockCore::declare and the symbolic executor, and lowered to a trap
+/// by the bytecode pass.
 [[nodiscard]] inline std::string unbound_decl_message(const std::string& name) {
   return "internal: unbound declaration of '" + name +
+         "' (kernel AST modified after slot binding)";
+}
+
+/// The error for reading or writing through a reference the binder never
+/// visited; raised by BlockCore::slot_at and the symbolic executor.
+[[nodiscard]] inline std::string unbound_ref_message(const std::string& name) {
+  return "internal: unbound reference to '" + name +
          "' (kernel AST modified after slot binding)";
 }
 

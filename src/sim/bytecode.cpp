@@ -655,21 +655,6 @@ class Lowerer {
     Builtin b = c.sim_builtin == kBuiltinUnset
                     ? resolve_builtin(f)
                     : static_cast<Builtin>(c.sim_builtin);
-    auto unary_math = [&](MathFn fn) -> Operand {
-      if (c.args.size() != 1) {
-        emit_trap(f + " expects 1 argument at " + c.loc().str());
-        return Operand::immediate(Value::of_int(0));
-      }
-      Operand a = lower_expr(*c.args[0]);
-      Instr in;
-      in.op = Op::kMath1;
-      in.aux = static_cast<std::uint8_t>(fn);
-      in.dst = alloc_reg();
-      in.a = a;
-      Operand r = Operand::reg(in.dst, LaneType::kFloat);
-      emit(std::move(in));
-      return r;
-    };
     switch (b) {
       case Builtin::kSyncthreads:
         emit_loc(Op::kSync, c.loc());
@@ -679,14 +664,28 @@ class Lowerer {
       case Builtin::kShflDown:
       case Builtin::kShflXor:
         return lower_shfl(c, b);
-      case Builtin::kSqrt: return unary_math(MathFn::kSqrt);
-      case Builtin::kFabs: return unary_math(MathFn::kFabs);
-      case Builtin::kExp: return unary_math(MathFn::kExp);
-      case Builtin::kLog: return unary_math(MathFn::kLog);
-      case Builtin::kSin: return unary_math(MathFn::kSin);
-      case Builtin::kCos: return unary_math(MathFn::kCos);
-      case Builtin::kFloor: return unary_math(MathFn::kFloor);
-      case Builtin::kRsqrt: return unary_math(MathFn::kRsqrt);
+      case Builtin::kSqrt:
+      case Builtin::kFabs:
+      case Builtin::kExp:
+      case Builtin::kLog:
+      case Builtin::kSin:
+      case Builtin::kCos:
+      case Builtin::kFloor:
+      case Builtin::kRsqrt: {
+        if (c.args.size() != 1) {
+          emit_trap(f + " expects 1 argument at " + c.loc().str());
+          return Operand::immediate(Value::of_int(0));
+        }
+        Operand a = lower_expr(*c.args[0]);
+        Instr in;
+        in.op = Op::kMath1;
+        in.aux = static_cast<std::uint8_t>(b);
+        in.dst = alloc_reg();
+        in.a = a;
+        Operand r = Operand::reg(in.dst, LaneType::kFloat);
+        emit(std::move(in));
+        return r;
+      }
       case Builtin::kAbs: {
         if (c.args.size() != 1) {
           emit_trap("abs expects 1 argument at " + c.loc().str());

@@ -65,7 +65,7 @@ enum class Op : std::uint8_t {
   kUn,            ///< dst = (UnOp aux) a.
   kCast,          ///< dst = (ScalarType aux) a.
   kSelect,        ///< dst = a ? b : c.
-  kMath1,         ///< dst = fn[aux](a)  (unary math builtin).
+  kMath1,         ///< dst = (Builtin aux)(a)  (sqrtf .. rsqrtf).
   kAbs,           ///< dst = abs(a).
   kMath2,         ///< dst = (Builtin aux)(a, b)  (min/max/fminf/fmaxf/powf).
   kSync,          ///< __syncthreads().
@@ -96,11 +96,6 @@ enum class Op : std::uint8_t {
 
 /// Weight selector for kCharge.
 enum class ChargeKind : std::uint8_t { kAlu };
-
-/// Function selector for kMath1 (index into the VM's math table).
-enum class MathFn : std::uint8_t {
-  kSqrt, kFabs, kExp, kLog, kSin, kCos, kFloor, kRsqrt,
-};
 
 /// Static lane type of an operand or register.
 using LaneType = Value::Tag;
@@ -138,7 +133,7 @@ struct Operand {
 
 struct Instr {
   Op op = Op::kHalt;
-  std::uint8_t aux = 0;      ///< BinOp/UnOp/ScalarType/Builtin/MathFn/flags
+  std::uint8_t aux = 0;      ///< BinOp/UnOp/ScalarType/Builtin/flags
   std::int32_t dst = -1;     ///< destination register (or element index)
   std::int32_t slot = -1;    ///< frame slot id
   std::int32_t target = -1;  ///< jump target (instruction index)

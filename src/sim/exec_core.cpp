@@ -495,8 +495,7 @@ Slot& BlockCore::slot_at(std::int32_t s, const std::string& name,
     Slot& slot = frame_[static_cast<std::size_t>(s)];
     if (slot.live) return slot;
   } else if (s == kSlotUnbound) {
-    throw SimError("internal: unbound reference to '" + name +
-                   "' (kernel AST modified after slot binding)");
+    throw SimError(unbound_ref_message(name));
   }
   throw SimError("use of undeclared variable '" + name + "' at " + loc.str());
 }

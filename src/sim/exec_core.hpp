@@ -1005,33 +1005,11 @@ void BlockCore::do_binmath(Builtin b, LaneView<A> x, LaneView<B> y,
   charge_issue(mask, b == Builtin::kPowf
                          ? 2 * opt_.timing.weights.fdiv_sqrt_transcendental
                          : opt_.timing.weights.alu);
-  using arith::as_f;
-  using arith::f32;
-  switch (b) {
-    case Builtin::kPowf:
-      return map_lanes(
-          mask, out,
-          [](auto p, auto q) { return f32(std::pow(as_f(p), as_f(q))); }, x,
-          y);
-    case Builtin::kMin:
-      return map_lanes(
-          mask, out,
-          [](auto p, auto q) { return arith::minmax<false>(p, q); }, x, y);
-    case Builtin::kMax:
-      return map_lanes(
-          mask, out, [](auto p, auto q) { return arith::minmax<true>(p, q); },
-          x, y);
-    case Builtin::kFminf:
-      return map_lanes(
-          mask, out,
-          [](auto p, auto q) { return f32(std::min(as_f(p), as_f(q))); }, x,
-          y);
-    default:  // kFmaxf
-      return map_lanes(
-          mask, out,
-          [](auto p, auto q) { return f32(std::max(as_f(p), as_f(q))); }, x,
-          y);
-  }
+  arith::with_binary_math(b, [&]<Builtin kFn>() {
+    map_lanes(
+        mask, out,
+        [](auto p, auto q) { return arith::binary_math<kFn>(p, q); }, x, y);
+  });
 }
 
 template <class V, class S, class W, class Out>

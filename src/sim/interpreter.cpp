@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdlib>
 #include <exception>
 #include <limits>
@@ -210,15 +209,6 @@ class BlockExec : public exec::BlockCore {
                     ? resolve_builtin(f)
                     : static_cast<Builtin>(c.sim_builtin);
 
-    // Unary math builtins.
-    auto unary_math = [&](double (*fn)(double), bool sfu) -> Lanes {
-      if (c.args.size() != 1)
-        throw SimError(f + " expects 1 argument at " + c.loc().str());
-      Lanes v = eval(*c.args[0], mask);
-      do_unary_math(fn, sfu, view(v), mask, v.data());
-      return v;
-    };
-
     switch (b) {
       case Builtin::kSyncthreads: {
         do_sync(mask, c.loc());
@@ -230,21 +220,20 @@ class BlockExec : public exec::BlockCore {
       case Builtin::kShflXor:
         return eval_shfl(c, b, mask);
       case Builtin::kSqrt:
-        return unary_math([](double x) { return std::sqrt(x); }, true);
       case Builtin::kFabs:
-        return unary_math([](double x) { return std::fabs(x); }, false);
       case Builtin::kExp:
-        return unary_math([](double x) { return std::exp(x); }, true);
       case Builtin::kLog:
-        return unary_math([](double x) { return std::log(x); }, true);
       case Builtin::kSin:
-        return unary_math([](double x) { return std::sin(x); }, true);
       case Builtin::kCos:
-        return unary_math([](double x) { return std::cos(x); }, true);
       case Builtin::kFloor:
-        return unary_math([](double x) { return std::floor(x); }, false);
-      case Builtin::kRsqrt:
-        return unary_math([](double x) { return 1.0 / std::sqrt(x); }, true);
+      case Builtin::kRsqrt: {
+        if (c.args.size() != 1)
+          throw SimError(f + " expects 1 argument at " + c.loc().str());
+        const arith::MathFn1& m = arith::unary_math(b);
+        Lanes v = eval(*c.args[0], mask);
+        do_unary_math(m.fn, m.sfu, view(v), mask, v.data());
+        return v;
+      }
       case Builtin::kAbs: {
         if (c.args.size() != 1)
           throw SimError("abs expects 1 argument at " + c.loc().str());
@@ -478,7 +467,9 @@ struct BlockOutcome {
 }  // namespace
 
 std::int64_t ExecutionLimits::resolve() const {
-  return Interpreter::resolve_max_steps(max_steps_per_block, deadline_steps);
+  std::int64_t steps = Interpreter::resolve_max_steps(max_steps_per_block);
+  if (deadline_steps > 0) steps = std::min(steps, deadline_steps);
+  return steps;
 }
 
 std::int64_t Interpreter::resolve_max_steps(std::int64_t requested) {
@@ -491,13 +482,6 @@ std::int64_t Interpreter::resolve_max_steps(std::int64_t requested) {
       return *v;
   }
   return kDefaultMaxStepsPerBlock;
-}
-
-std::int64_t Interpreter::resolve_max_steps(std::int64_t requested,
-                                            std::int64_t deadline_budget) {
-  std::int64_t steps = resolve_max_steps(requested);
-  if (deadline_budget > 0) steps = std::min(steps, deadline_budget);
-  return steps;
 }
 
 void validate_launch(const DeviceSpec& spec, const LaunchConfig& cfg,

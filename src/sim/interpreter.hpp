@@ -84,8 +84,7 @@ struct TimingOptions {
 
 /// Execution-bound knobs: when a runaway block is cut off. Composable so
 /// the serve layer can carry one value object from deadline math to the
-/// interpreter instead of re-deriving resolve_max_steps overload
-/// semantics at each call site.
+/// interpreter instead of re-deriving the step budget at each call site.
 struct ExecutionLimits {
   /// Safety valve for runaway loops.
   std::int64_t max_loop_iterations = 1 << 26;
@@ -162,13 +161,6 @@ class Interpreter {
   /// CUDANP_MAX_STEPS environment variable, else the default; negative
   /// disables the watchdog (returns INT64_MAX).
   [[nodiscard]] static std::int64_t resolve_max_steps(std::int64_t requested);
-
-  /// Deadline-aware resolution: like resolve_max_steps(requested), then
-  /// clamped to `deadline_budget` steps when that is positive.
-  /// ExecutionLimits::resolve() packages the same semantics as a value
-  /// object; prefer it in new code.
-  [[nodiscard]] static std::int64_t resolve_max_steps(
-      std::int64_t requested, std::int64_t deadline_budget);
 
  private:
   const DeviceSpec& spec_;

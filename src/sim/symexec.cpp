@@ -9,7 +9,7 @@
 #include "sim/symexec.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <array>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
@@ -38,38 +38,18 @@ Value eval_un_value(UnOp op, Value x) {
   return Value::of_int(x.truthy() ? 0 : 1);
 }
 
-/// Mirrors the interpreter's do_unary_math / do_abs / do_binmath bindings.
+/// The interpreter's math builtins (sim/arith.hpp) on tagged values.
 Value eval_call_value(SymFn fn, const std::vector<Value>& xs) {
-  auto um = [&](double (*f)(double)) {
-    return Value::of_float(f(xs[0].as_f())).to_f32();
-  };
-  switch (fn) {
-    case SymFn::kSqrt: return um([](double x) { return std::sqrt(x); });
-    case SymFn::kFabs: return um([](double x) { return std::fabs(x); });
-    case SymFn::kExp: return um([](double x) { return std::exp(x); });
-    case SymFn::kLog: return um([](double x) { return std::log(x); });
-    case SymFn::kSin: return um([](double x) { return std::sin(x); });
-    case SymFn::kCos: return um([](double x) { return std::cos(x); });
-    case SymFn::kFloor: return um([](double x) { return std::floor(x); });
-    case SymFn::kRsqrt: return um([](double x) { return 1.0 / std::sqrt(x); });
-    case SymFn::kAbs:
-      return arith::visit([](auto v) { return arith::abs(v); }, xs[0]);
-    case SymFn::kMin:
-      return arith::visit(
-          [](auto x, auto y) { return arith::minmax<false>(x, y); }, xs[0],
-          xs[1]);
-    case SymFn::kMax:
-      return arith::visit(
-          [](auto x, auto y) { return arith::minmax<true>(x, y); }, xs[0],
-          xs[1]);
-    case SymFn::kFminf:
-      return Value::of_float(std::min(xs[0].as_f(), xs[1].as_f())).to_f32();
-    case SymFn::kFmaxf:
-      return Value::of_float(std::max(xs[0].as_f(), xs[1].as_f())).to_f32();
-    case SymFn::kPowf:
-      return Value::of_float(std::pow(xs[0].as_f(), xs[1].as_f())).to_f32();
-  }
-  throw SymFault{"unreachable builtin"};
+  const Builtin b = builtin_of(fn);
+  if (arith::is_unary_math(b))
+    return Value::of_float(arith::f32(arith::unary_math(b).fn(xs[0].as_f())));
+  if (b == Builtin::kAbs)
+    return arith::visit([](auto v) { return arith::abs(v); }, xs[0]);
+  return arith::with_binary_math(b, [&]<Builtin kFn>() {
+    return arith::visit(
+        [](auto x, auto y) { return arith::binary_math<kFn>(x, y); }, xs[0],
+        xs[1]);
+  });
 }
 
 Value coerce_value(Value v, ScalarType to) {
@@ -857,8 +837,8 @@ class Exec {
   Exec(const ir::Kernel& k, Dim3 grid, Dim3 block,
        const std::vector<SymArg>& args, SymArena& arena,
        const SymExecOptions& opt)
-      : kernel_(k), grid_(grid), block_(block), args_(args), ar_(arena),
-        opt_(opt) {}
+      : kernel_(k), bound_(bind_kernel(k)), grid_(grid), block_(block),
+        args_(args), ar_(arena), opt_(opt) {}
 
   SymExecResult run() {
     SymExecResult res;
@@ -945,7 +925,7 @@ class Exec {
   void begin_block(int bx, int by, int bz) {
     blk_ = static_cast<std::int64_t>(bz) * grid_.x * grid_.y +
            static_cast<std::int64_t>(by) * grid_.x + bx;
-    vars_.clear();
+    frame_.assign(bound_->num_slots(), Var{});
     preds_.clear();
     returned_.assign(static_cast<std::size_t>(nlanes_), 0);
     epoch_ = 0;
@@ -956,37 +936,34 @@ class Exec {
         m.wwarp = m.rwarp = -1;
         m.wseq = -1;
       }
-    // Geometry lane vectors (same lane order as exec::BlockCore).
+    // Geometry lane vectors (same lane order as exec::BlockCore). The
+    // constants are interned in this order -- per lane tx, ty, tz, then
+    // blockIdx, blockDim, gridDim, then the parameters -- which fixes
+    // every node id a certificate depends on.
     auto splat_i = [&](std::int64_t v) {
       return IdVec(static_cast<std::size_t>(nlanes_), ar_.cint(v));
     };
-    geom_.clear();
-    IdVec tx(static_cast<std::size_t>(nlanes_)),
-        ty(static_cast<std::size_t>(nlanes_)),
-        tz(static_cast<std::size_t>(nlanes_));
+    for (auto& g : geom_) g.assign(static_cast<std::size_t>(nlanes_), kInv);
     for (int l = 0; l < nlanes_; ++l) {
       auto li = static_cast<std::size_t>(l);
-      tx[li] = ar_.cint(l % block_.x);
-      ty[li] = ar_.cint((l / block_.x) % block_.y);
-      tz[li] = ar_.cint(l / (block_.x * block_.y));
+      geom_[kGeomThreadIdxX][li] = ar_.cint(l % block_.x);
+      geom_[kGeomThreadIdxY][li] = ar_.cint((l / block_.x) % block_.y);
+      geom_[kGeomThreadIdxZ][li] = ar_.cint(l / (block_.x * block_.y));
     }
-    geom_["threadIdx.x"] = std::move(tx);
-    geom_["threadIdx.y"] = std::move(ty);
-    geom_["threadIdx.z"] = std::move(tz);
-    geom_["blockIdx.x"] = splat_i(bx);
-    geom_["blockIdx.y"] = splat_i(by);
-    geom_["blockIdx.z"] = splat_i(bz);
-    geom_["blockDim.x"] = splat_i(block_.x);
-    geom_["blockDim.y"] = splat_i(block_.y);
-    geom_["blockDim.z"] = splat_i(block_.z);
-    geom_["gridDim.x"] = splat_i(grid_.x);
-    geom_["gridDim.y"] = splat_i(grid_.y);
-    geom_["gridDim.z"] = splat_i(grid_.z);
-    // Parameters.
+    geom_[kGeomBlockIdxX] = splat_i(bx);
+    geom_[kGeomBlockIdxY] = splat_i(by);
+    geom_[kGeomBlockIdxZ] = splat_i(bz);
+    geom_[kGeomBlockDimX] = splat_i(block_.x);
+    geom_[kGeomBlockDimY] = splat_i(block_.y);
+    geom_[kGeomBlockDimZ] = splat_i(block_.z);
+    geom_[kGeomGridDimX] = splat_i(grid_.x);
+    geom_[kGeomGridDimY] = splat_i(grid_.y);
+    geom_[kGeomGridDimZ] = splat_i(grid_.z);
+    // Parameters occupy the binder's first slots, in order.
     for (std::size_t i = 0; i < kernel_.params.size(); ++i) {
       const ir::Param& p = kernel_.params[i];
       const SymArg& a = args_[i];
-      Var v;
+      Var& v = frame_[i];
       v.type = p.type;
       v.live = true;
       if (p.type.is_pointer) {
@@ -1004,7 +981,6 @@ class Exec {
         }
         v.scalar.assign(static_cast<std::size_t>(nlanes_), id);
       }
-      vars_[p.name] = std::move(v);
     }
   }
 
@@ -1029,12 +1005,17 @@ class Exec {
                                std::to_string(i) + "]'"});
   }
 
-  Var& lookup(const std::string& name, const char* what) {
-    auto it = vars_.find(name);
-    if (it == vars_.end() || !it->second.live)
-      throw Abort{std::string("use of undeclared variable '") + name +
-                  "' in " + what};
-    return it->second;
+  /// The live variable binder slot `slot` names, as the interpreter's
+  /// BlockCore::slot_at resolves it.
+  Var& var_at(std::int32_t slot, const std::string& name, const char* what) {
+    if (slot >= 0) {
+      Var& v = frame_[static_cast<std::size_t>(slot)];
+      if (v.live) return v;
+    } else if (slot == kSlotUnbound) {
+      throw Abort{unbound_ref_message(name)};
+    }
+    throw Abort{std::string("use of undeclared variable '") + name +
+                "' in " + what};
   }
 
   IdVec splat(std::uint32_t id) const {
@@ -1114,9 +1095,9 @@ class Exec {
   }
 
   IdVec eval_varref(const ir::VarRef& v, const Mask& m) {
-    auto git = geom_.find(v.name);
-    if (git != geom_.end()) return git->second;
-    Var& var = lookup(v.name, "expression");
+    if (slot_is_geometry(v.sim_slot))
+      return geom_[static_cast<std::size_t>(slot_geometry_code(v.sim_slot))];
+    Var& var = var_at(v.sim_slot, v.name, "expression");
     if (var.is_buffer || var.type.is_array())
       throw Abort{"array '" + v.name + "' used as a value"};
     IdVec out = var.scalar;
@@ -1130,55 +1111,44 @@ class Exec {
 
   IdVec eval_call(const ir::CallExpr& c, const Mask& m) {
     const std::string& f = c.callee;
-    if (f == "__syncthreads") {
-      barrier(m);
-      return splat(ar_.cint(0));
+    const Builtin b = c.sim_builtin == kBuiltinUnset
+                          ? resolve_builtin(f)
+                          : static_cast<Builtin>(c.sim_builtin);
+    switch (b) {
+      case Builtin::kNotBuiltin:
+        throw Abort{"call to unknown function '" + f + "'"};
+      case Builtin::kSyncthreads:
+        barrier(m);
+        return splat(ar_.cint(0));
+      case Builtin::kShfl:
+      case Builtin::kShflUp:
+      case Builtin::kShflDown:
+      case Builtin::kShflXor:
+        return eval_shfl(c, b, m);
+      default:
+        break;
     }
-    if (f == "__shfl" || f == "__shfl_up" || f == "__shfl_down" ||
-        f == "__shfl_xor")
-      return eval_shfl(c, m);
-    struct FnMap {
-      const char* name;
-      SymFn fn;
-      int arity;
-    };
-    static const FnMap kFns[] = {
-        {"sqrtf", SymFn::kSqrt, 1},   {"sqrt", SymFn::kSqrt, 1},
-        {"fabsf", SymFn::kFabs, 1},   {"fabs", SymFn::kFabs, 1},
-        {"expf", SymFn::kExp, 1},     {"exp", SymFn::kExp, 1},
-        {"__expf", SymFn::kExp, 1},   {"logf", SymFn::kLog, 1},
-        {"log", SymFn::kLog, 1},      {"__logf", SymFn::kLog, 1},
-        {"sinf", SymFn::kSin, 1},     {"__sinf", SymFn::kSin, 1},
-        {"cosf", SymFn::kCos, 1},     {"__cosf", SymFn::kCos, 1},
-        {"floorf", SymFn::kFloor, 1}, {"rsqrtf", SymFn::kRsqrt, 1},
-        {"abs", SymFn::kAbs, 1},      {"min", SymFn::kMin, 2},
-        {"max", SymFn::kMax, 2},      {"fminf", SymFn::kFminf, 2},
-        {"fmaxf", SymFn::kFmaxf, 2},  {"powf", SymFn::kPowf, 2},
-    };
-    for (const auto& fm : kFns) {
-      if (f != fm.name) continue;
-      if (static_cast<int>(c.args.size()) != fm.arity)
-        throw Abort{f + " expects " + std::to_string(fm.arity) + " argument(s)",
-                    true};
-      std::vector<IdVec> xs;
-      xs.reserve(c.args.size());
-      for (const auto& a : c.args) xs.push_back(eval(*a, m));
-      IdVec out(static_cast<std::size_t>(nlanes_), kInv);
-      for (int l = 0; l < nlanes_; ++l) {
-        auto li = static_cast<std::size_t>(l);
-        if (!m[li]) continue;
-        std::vector<std::uint32_t> kids;
-        kids.reserve(xs.size());
-        bool bad = false;
-        for (const auto& x : xs) {
-          bad = bad || x[li] == kInv;
-          kids.push_back(x[li]);
-        }
-        out[li] = bad ? kInv : ar_.call(fm.fn, std::move(kids));
+    const std::size_t arity = b >= Builtin::kMin ? 2 : 1;
+    if (c.args.size() != arity)
+      throw Abort{f + " expects " + std::to_string(arity) + " argument(s)",
+                  true};
+    std::vector<IdVec> xs;
+    xs.reserve(c.args.size());
+    for (const auto& a : c.args) xs.push_back(eval(*a, m));
+    IdVec out(static_cast<std::size_t>(nlanes_), kInv);
+    for (int l = 0; l < nlanes_; ++l) {
+      auto li = static_cast<std::size_t>(l);
+      if (!m[li]) continue;
+      std::vector<std::uint32_t> kids;
+      kids.reserve(xs.size());
+      bool bad = false;
+      for (const auto& x : xs) {
+        bad = bad || x[li] == kInv;
+        kids.push_back(x[li]);
       }
-      return out;
+      out[li] = bad ? kInv : ar_.call(sym_fn_of(b), std::move(kids));
     }
-    throw Abort{"call to unknown function '" + f + "'"};
+    return out;
   }
 
   Mask broaden(const Mask& m) const {
@@ -1194,7 +1164,7 @@ class Exec {
     return broad;
   }
 
-  IdVec eval_shfl(const ir::CallExpr& c, const Mask& m) {
+  IdVec eval_shfl(const ir::CallExpr& c, Builtin b, const Mask& m) {
     if (div_depth_ > 0)
       throw Abort{"__shfl under a symbolically divergent branch"};
     if (c.args.size() != 3)
@@ -1221,12 +1191,12 @@ class Exec {
       int group_base = lane / static_cast<int>(wdt) * static_cast<int>(wdt);
       std::int64_t s = sv.as_i();
       int src_lane;
-      if (c.callee == "__shfl") {
+      if (b == Builtin::kShfl) {
         src_lane = group_base + static_cast<int>(s % wdt);
-      } else if (c.callee == "__shfl_up") {
+      } else if (b == Builtin::kShflUp) {
         int cand = lane - static_cast<int>(s);
         src_lane = cand < group_base ? lane : cand;
-      } else if (c.callee == "__shfl_down") {
+      } else if (b == Builtin::kShflDown) {
         int cand = lane + static_cast<int>(s);
         src_lane = cand >= group_base + static_cast<int>(wdt) ? lane : cand;
       } else {  // __shfl_xor
@@ -1330,8 +1300,9 @@ class Exec {
   IdVec access(const ir::ArrayIndex& ai, const Mask& m, const IdVec* store) {
     if (ai.base->kind() != ir::ExprKind::kVarRef)
       throw Abort{"array base must be a variable", true};
-    const std::string& name = static_cast<const ir::VarRef&>(*ai.base).name;
-    Var& v = lookup(name, "array access");
+    const auto& base = static_cast<const ir::VarRef&>(*ai.base);
+    const std::string& name = base.name;
+    Var& v = var_at(base.sim_slot, name, "array access");
     ++seq_;
     IdVec out(static_cast<std::size_t>(nlanes_), kInv);
 
@@ -1542,6 +1513,7 @@ class Exec {
   }
 
   void exec_decl(const ir::DeclStmt& d, const Mask& m) {
+    if (d.sim_slot < 0) throw Abort{unbound_decl_message(d.name)};
     Var v;
     v.type = d.type;
     v.live = true;
@@ -1592,13 +1564,13 @@ class Exec {
         }
       }
     }
-    vars_[d.name] = std::move(v);
+    frame_[static_cast<std::size_t>(d.sim_slot)] = std::move(v);
   }
 
-  void store_var(const std::string& name, const Mask& m, const IdVec& val) {
-    Var& v = lookup(name, "assignment");
+  void store_var(const ir::VarRef& r, const Mask& m, const IdVec& val) {
+    Var& v = var_at(r.sim_slot, r.name, "assignment");
     if (v.is_buffer || v.type.is_array() || v.uniform)
-      throw Abort{"cannot assign to '" + name + "'", true};
+      throw Abort{"cannot assign to '" + r.name + "'", true};
     for (int l = 0; l < nlanes_; ++l) {
       auto li = static_cast<std::size_t>(l);
       if (m[li]) v.scalar[li] = coerce_id(val[li], v.type.scalar);
@@ -1622,7 +1594,7 @@ class Exec {
       }
     }
     if (a.lhs->kind() == ir::ExprKind::kVarRef) {
-      store_var(static_cast<const ir::VarRef&>(*a.lhs).name, m, rhs);
+      store_var(static_cast<const ir::VarRef&>(*a.lhs), m, rhs);
       return;
     }
     if (a.lhs->kind() == ir::ExprKind::kArrayIndex) {
@@ -1659,7 +1631,7 @@ class Exec {
     // pre-state, then merge per-lane register values with select nodes.
     // Side effects that could leak across lanes (shared/global stores,
     // barriers, shfl, return) abort inside either side.
-    auto pre = vars_;
+    std::vector<Var> pre = frame_;
     Mask tsm = tm, fsm = fm;
     IdVec tpred(static_cast<std::size_t>(nlanes_), kInv);
     IdVec fpred(static_cast<std::size_t>(nlanes_), kInv);
@@ -1674,16 +1646,17 @@ class Exec {
     preds_.push_back(std::move(tpred));
     exec_block(*s.then_body, tsm);
     preds_.back() = std::move(fpred);
-    auto then_vars = std::move(vars_);
-    vars_ = std::move(pre);
+    std::vector<Var> then_frame = std::move(frame_);
+    frame_ = std::move(pre);
     if (s.else_body) exec_block(*s.else_body, fsm);
     preds_.pop_back();
     --div_depth_;
-    merge_vars(then_vars, c, tm, sm);
+    merge_frames(then_frame, c, tm, sm);
   }
 
-  void merge_vars(std::unordered_map<std::string, Var>& then_vars,
-                  const IdVec& cond, const Mask& tm, const Mask& sm) {
+  /// Merges the then-branch's frame into the else-branch's, slot by slot.
+  void merge_frames(std::vector<Var>& then_frame, const IdVec& cond,
+                    const Mask& tm, const Mask& sm) {
     auto merge_id = [&](std::size_t lane, std::uint32_t tv,
                         std::uint32_t ev) -> std::uint32_t {
       if (tm[lane]) return tv;
@@ -1692,13 +1665,14 @@ class Exec {
       if (tv == kInv || ev == kInv) return kInv;
       return ar_.select(cond[lane], tv, ev);
     };
-    for (auto& [name, tv] : then_vars) {
-      auto it = vars_.find(name);
-      if (it == vars_.end()) {
-        vars_.emplace(name, std::move(tv));  // declared only in then-branch
+    for (std::size_t slot = 0; slot < frame_.size(); ++slot) {
+      Var& tv = then_frame[slot];
+      Var& ev = frame_[slot];
+      if (!tv.live) continue;
+      if (!ev.live) {
+        ev = std::move(tv);  // declared only in the then-branch
         continue;
       }
-      Var& ev = it->second;
       if (ev.block_scoped || ev.is_buffer) continue;  // stores were banned
       if (tv.scalar.size() == ev.scalar.size())
         for (std::size_t i = 0; i < ev.scalar.size(); ++i)
@@ -1763,6 +1737,7 @@ class Exec {
 
   // ---------------- state ----------------
   const ir::Kernel& kernel_;
+  std::shared_ptr<const BoundKernel> bound_;
   Dim3 grid_, block_;
   const std::vector<SymArg>& args_;
   SymArena& ar_;
@@ -1772,8 +1747,9 @@ class Exec {
   std::vector<SymRace> races_;
   std::int64_t steps_ = 0;
 
-  std::unordered_map<std::string, Var> vars_;
-  std::unordered_map<std::string, IdVec> geom_;
+  /// Variables by binder slot; geometry lane vectors by Geom code.
+  std::vector<Var> frame_;
+  std::array<IdVec, kGeomCount> geom_;
   Mask returned_;
   std::int64_t epoch_ = 0;
   std::int64_t seq_ = 0;

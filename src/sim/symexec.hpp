@@ -7,9 +7,19 @@
 // fold), while float buffer elements and float scalar parameters are
 // opaque input leaves. Every arithmetic step builds a hash-consed
 // expression node whose constant folding uses the interpreter's scalar
-// semantics (sim/arith.hpp: float ops round through f32, int64 wraps),
-// so a fully-concrete symbolic run computes exactly what the interpreter
-// would.
+// semantics (sim/arith.hpp: float ops round through f32, int64 wraps,
+// the math builtins come from its one table), so a fully-concrete
+// symbolic run computes exactly what the interpreter would.
+//
+// Names resolve the way the VM and the AST walker resolve them: through
+// the slot binder (sim/binder.hpp). sym_execute binds the kernel (or
+// reuses its cached binding) and reads the annotations: each variable
+// reference and declaration indexes a slot-ordered frame, geometry names
+// index a per-block array of lane vectors, and each call site carries
+// its Builtin. A declaration that shadows a parameter or retypes a name
+// is therefore its own variable, visible only in its lexical scope. A
+// node added after binding (kSlotUnbound) aborts the run instead of
+// guessing.
 //
 // The result is, per output buffer element, an expression DAG over the
 // input leaves. np::Certifier normalizes those DAGs (constant folding,
@@ -38,6 +48,7 @@
 #include <vector>
 
 #include "ir/kernel.hpp"
+#include "sim/binder.hpp"
 #include "sim/launch.hpp"
 
 namespace cudanp::sim {
@@ -57,13 +68,38 @@ enum class SymKind : std::uint8_t {
   kNary,   // normalized AC chain (SymNaryOp), operands sorted by id
 };
 
-/// Builtin math functions a symbolic call node can carry (mirrors the
-/// interpreter's Builtin set minus barriers/shfl, which the executor
-/// resolves during execution and never represents as nodes).
+/// Builtin math functions a symbolic call node can carry: sim::Builtin
+/// from kSqrt on (barriers and shfl are resolved during execution and
+/// never become nodes). The value is part of every node hash, so the
+/// order is fixed.
 enum class SymFn : std::uint8_t {
   kSqrt, kFabs, kExp, kLog, kSin, kCos, kFloor, kRsqrt, kAbs,
   kMin, kMax, kFminf, kFmaxf, kPowf,
 };
+
+[[nodiscard]] constexpr Builtin builtin_of(SymFn fn) {
+  return static_cast<Builtin>(static_cast<int>(fn) +
+                              static_cast<int>(Builtin::kSqrt));
+}
+[[nodiscard]] constexpr SymFn sym_fn_of(Builtin b) {
+  return static_cast<SymFn>(static_cast<int>(b) -
+                            static_cast<int>(Builtin::kSqrt));
+}
+static_assert(builtin_of(SymFn::kSqrt) == Builtin::kSqrt &&
+              builtin_of(SymFn::kFabs) == Builtin::kFabs &&
+              builtin_of(SymFn::kExp) == Builtin::kExp &&
+              builtin_of(SymFn::kLog) == Builtin::kLog &&
+              builtin_of(SymFn::kSin) == Builtin::kSin &&
+              builtin_of(SymFn::kCos) == Builtin::kCos &&
+              builtin_of(SymFn::kFloor) == Builtin::kFloor &&
+              builtin_of(SymFn::kRsqrt) == Builtin::kRsqrt &&
+              builtin_of(SymFn::kAbs) == Builtin::kAbs &&
+              builtin_of(SymFn::kMin) == Builtin::kMin &&
+              builtin_of(SymFn::kMax) == Builtin::kMax &&
+              builtin_of(SymFn::kFminf) == Builtin::kFminf &&
+              builtin_of(SymFn::kFmaxf) == Builtin::kFmaxf &&
+              builtin_of(SymFn::kPowf) == Builtin::kPowf,
+              "SymFn must mirror Builtin from kSqrt on");
 
 /// AC operators the normalizer flattens into kNary chains.
 enum class SymNaryOp : std::uint8_t { kAdd, kMul, kMin, kMax };

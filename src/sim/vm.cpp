@@ -1,7 +1,6 @@
 #include "sim/vm.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 
 #include "sim/fault.hpp"
@@ -12,7 +11,6 @@ namespace cudanp::sim::vm {
 namespace {
 
 using bytecode::Instr;
-using bytecode::MathFn;
 using bytecode::Op;
 using bytecode::Operand;
 using exec::any;
@@ -20,23 +18,6 @@ using exec::LaneView;
 using exec::Mask;
 using exec::Slot;
 using exec::TypedOut;
-
-/// kMath1 dispatch table, indexed by MathFn. The function bodies are the
-/// AST walker's eval_call lambdas verbatim, so results are bit-identical.
-struct MathEntry {
-  double (*fn)(double);
-  bool sfu;
-};
-const MathEntry kMathTable[] = {
-    {[](double x) { return std::sqrt(x); }, true},
-    {[](double x) { return std::fabs(x); }, false},
-    {[](double x) { return std::exp(x); }, true},
-    {[](double x) { return std::log(x); }, true},
-    {[](double x) { return std::sin(x); }, true},
-    {[](double x) { return std::cos(x); }, true},
-    {[](double x) { return std::floor(x); }, false},
-    {[](double x) { return 1.0 / std::sqrt(x); }, true},
-};
 
 class VmExec : public exec::BlockCore {
  public:
@@ -243,7 +224,8 @@ class VmExec : public exec::BlockCore {
           });
           break;
         case Op::kMath1: {
-          const MathEntry& m = kMathTable[ins.aux];
+          const arith::MathFn1& m =
+              arith::unary_math(static_cast<Builtin>(ins.aux));
           with_view(ins.a, [&](auto a) {
             do_unary_math(m.fn, m.sfu, a, cur(), out(ins.dst));
           });

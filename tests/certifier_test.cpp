@@ -17,6 +17,7 @@
 #include "np/certifier.hpp"
 #include "np/compiler.hpp"
 #include "np/runner.hpp"
+#include "sim/binder.hpp"
 #include "sim/fault.hpp"
 #include "sim/symexec.hpp"
 #include "support/record.hpp"
@@ -676,6 +677,140 @@ __global__ void k(float* a, float* b, float* c, int w, int h) {
     EXPECT_EQ(cert.verdict, Verdict::kInconclusive) << cert.str();
     EXPECT_EQ(cert.detail,
               "normalization expression budget of 8000000 nodes exhausted");
+  }
+}
+
+// ---------------------------------------------------------------------
+// The symbolic executor resolves names through the slot binder, like the
+// VM and the AST walker: a declaration that shadows a parameter is a
+// variable of its own, visible only in its scope.
+
+/// `float n` shadows the int parameter inside the NP loop; the final
+/// read is the parameter's.
+constexpr const char* kShadowInLoopSrc = R"(
+__global__ void k(float* a, float* out, int n) {
+  float s = 0.0f;
+  int tx = threadIdx.x;
+  #pragma np parallel for reduction(+:s)
+  for (int i = 0; i < 16; i++) {
+    float n = a[tx * 16 + i];
+    s += n;
+  }
+  out[tx] = s + n;
+}
+)";
+
+/// `float n` shadows the parameter in a branch taken by some lanes only.
+constexpr const char* kShadowInBranchSrc = R"(
+__global__ void k(float* a, float* out, int n) {
+  float s = 0.0f;
+  int tx = threadIdx.x;
+  #pragma np parallel for reduction(+:s)
+  for (int i = 0; i < 16; i++)
+    s += a[tx * 16 + i];
+  if (tx < 8) {
+    float n = 0.5f;
+    s = s * n;
+  }
+  out[tx] = s + n;
+}
+)";
+
+TEST(Certifier, ShadowingDeclarationsFollowTheEngines) {
+  // A name-keyed symbolic frame read the inner `n` after its scope
+  // ended: every config of the first kernel was inconclusive ("normalized
+  // outputs differ"), and of the second ("read of uninitialized
+  // variable 'n'").
+  for (const char* src : {kShadowInLoopSrc, kShadowInBranchSrc}) {
+    std::unique_ptr<ir::Program> prog;
+    ir::Kernel& kernel = parse_kernel(prog, src);
+    const auto certs = certify_all(kernel, 32);
+    EXPECT_EQ(certs.size(), 10u);
+    for (const Certificate& cert : certs)
+      EXPECT_EQ(cert.verdict, Verdict::kProvenModuloReassoc) << cert.str();
+  }
+}
+
+TEST(SymExec, BaselineAtASeedMatchesTheVm) {
+  // The symbolic baseline, evaluated at one counterexample seed, is what
+  // the VM computes from the inputs that seed materializes: scoping,
+  // geometry and every math builtin resolve the same way in both.
+  constexpr const char* kBuiltinsSrc = R"(
+__global__ void k(float* a, float* out, int n) {
+  int tx = threadIdx.x + blockIdx.x * blockDim.x;
+  float s = 0.0f;
+  for (int i = 0; i < 4; i++) {
+    float n = a[tx * 4 + i];
+    s += sqrtf(fabsf(n)) + fminf(n, 0.25f) * powf(fabsf(n), 1.5f);
+  }
+  int t = min(tx, n) + abs(tx - 8) + gridDim.x;
+  if (tx < 8) {
+    float t = expf(s * 0.1f);
+    s = s * t + floorf(s) + rsqrtf(1.0f + fabsf(s)) + sinf(s) + cosf(s);
+    s = fmaxf(s, logf(1.0f + fabsf(s)));
+  }
+  out[tx] = s + t + max(n, tx);
+}
+)";
+  constexpr std::uint64_t kSeed = 3;
+  for (const char* src : {kShadowInLoopSrc, kShadowInBranchSrc, kBuiltinsSrc}) {
+    SCOPED_TRACE(src);
+    std::unique_ptr<ir::Program> prog;
+    ir::Kernel& kernel = parse_kernel(prog, src);
+    np::Workload w = np::make_synthetic_workload(kernel, 16, 8);
+    // The certifier's abstraction of the workload: float buffers become
+    // input leaves, the int scalar stays concrete.
+    std::vector<sim::SymArg> args(3);
+    for (int i = 0; i < 2; ++i) {
+      args[i].kind = sim::SymArg::Kind::kBufferSymbolic;
+      args[i].type = ir::ScalarType::kFloat;
+      args[i].elems = 16 * 16;
+    }
+    args[2].scalar = std::get<sim::Value>(w.launch.args[2]);
+    sim::SymArena arena;
+    const auto sym = sim::sym_execute(kernel, w.launch.grid, w.launch.block,
+                                      args, arena);
+    ASSERT_TRUE(sym.ok) << sym.reason;
+
+    np::seed_certify_floats(w, kSeed);
+    const auto run = np::Runner(sim::DeviceSpec::gtx680())
+                         .execute(np::ExecutionRequest::baseline(kernel, w));
+    ASSERT_TRUE(run.clean());
+    const auto out = w.mem->buffer(std::get<sim::BufferId>(w.launch.args[1]))
+                         .f32();
+    // Cells the kernel never writes keep their input leaves, which the
+    // seed fills exactly as it filled the VM's buffer.
+    ASSERT_EQ(sym.buffers[1].size(), out.size());
+    sim::SymEvaluator eval(arena, kSeed);
+    for (std::size_t e = 0; e < out.size(); ++e) {
+      sim::Value v;
+      ASSERT_TRUE(eval.eval(sym.buffers[1][e], &v)) << "cell " << e;
+      EXPECT_EQ(static_cast<float>(v.as_f()), out[e]) << "cell " << e;
+    }
+  }
+}
+
+TEST(Certifier, AstMutatedAfterBindingIsInconclusive) {
+  // A statement added after the kernel was bound carries no slot
+  // annotations (kSlotUnbound). The symbolic executor must not guess a
+  // binding for it by name: the baseline aborts and every certificate is
+  // inconclusive, naming the cause.
+  std::unique_ptr<ir::Program> prog;
+  ir::Kernel& kernel = parse_kernel(prog, kDotSrc);
+  (void)sim::bind_kernel(kernel);
+  std::unique_ptr<ir::Program> donor;
+  ir::Kernel& extra = parse_kernel(donor, R"(
+__global__ void k(float* a, float* b, float* c, int w, int h) {
+  float sum = 0.0f;
+  int tx = threadIdx.x;
+  c[tx] = sum;
+}
+)");
+  kernel.body->stmts.push_back(std::move(extra.body->stmts.back()));
+  for (const Certificate& cert : certify_all(kernel, 8)) {
+    EXPECT_EQ(cert.verdict, Verdict::kInconclusive) << cert.str();
+    EXPECT_EQ(cert.detail,
+              "baseline: " + sim::unbound_ref_message("sum")) << cert.str();
   }
 }
 
