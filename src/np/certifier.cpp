@@ -24,13 +24,14 @@ std::string Certificate::str() const {
 
 std::string CertifyOptions::fingerprint() const {
   // Full double precision: tolerances that differ past the 6th digit
-  // must not share a certificate cache key.
+  // must not share a certificate cache key. The seed count and the
+  // (always on) replay check are constants; they stay in the string so
+  // stored certificates keep their keys.
   std::ostringstream os;
   os.precision(17);
   os << "steps=" << max_steps << " gather=" << max_gather_cells
-     << " nodes=" << max_nodes << " attempts=" << counterexample_attempts
-     << " replay=" << (replay_check ? 1 : 0) << " rel=" << f32_rel_tol
-     << " abs=" << f32_abs_tol;
+     << " nodes=" << max_nodes << " attempts=" << kCounterexampleAttempts
+     << " replay=1 rel=" << f32_rel_tol << " abs=" << f32_abs_tol;
   return os.str();
 }
 
@@ -202,15 +203,8 @@ Certificate JobCertifier::certify(const transform::TransformResult& variant) {
 
   // The concrete counterexample environment for `seed`; returns true —
   // and commits the refutation — only when the interpreter reproduces a
-  // misbehaviour the baseline does not show. With replay_check off the
-  // symbolic evidence is trusted as-is (fuzzing cross-validates this).
+  // misbehaviour the baseline does not show.
   auto confirm_refute = [&](std::uint64_t seed, const std::string& sym_why) {
-    if (!opt.replay_check) {
-      cert.verdict = Verdict::kRefuted;
-      cert.counterexample_seed = seed;
-      cert.detail = sym_why;
-      return true;
-    }
     Runner runner(certifier_.spec(), opt.interp);
     // Default (lockstep) sanitize: the simulator's lockstep model is the
     // repo's correctness contract, so a refutation must reproduce under
@@ -334,7 +328,7 @@ Certificate JobCertifier::certify(const transform::TransformResult& variant) {
 
   // Normalized expressions differ: hunt for a concrete environment where
   // the values differ beyond tolerance, then make it reproduce.
-  for (int attempt = 1; attempt <= opt.counterexample_attempts; ++attempt) {
+  for (int attempt = 1; attempt <= kCounterexampleAttempts; ++attempt) {
     auto seed = static_cast<std::uint64_t>(attempt);
     sim::SymEvaluator ev(arena, seed);
     for (const auto& d : diffs) {

@@ -20,8 +20,7 @@
 //   reproducible counterexample     -> kInconclusive (empirical checks
 //                                      keep the final say)
 //
-// A refutation is never issued on symbolic evidence alone when
-// CertifyOptions::replay_check is set (the default): the concrete
+// A refutation is never issued on symbolic evidence alone: the concrete
 // counterexample environment is replayed through Runner::execute and
 // must actually misbehave (hazards, fault, or output mismatch beyond
 // the mixed abs/rel tolerance). That makes kRefuted safe to treat as
@@ -112,6 +111,9 @@ struct Certificate : record::Codec<Certificate> {
   }
 };
 
+/// Concrete float seeds tried when normalized outputs differ.
+inline constexpr int kCounterexampleAttempts = 6;
+
 struct CertifyOptions {
   /// Symbolic statement budget across the grid (both runs).
   std::int64_t max_steps = 4'000'000;
@@ -121,12 +123,6 @@ struct CertifyOptions {
   /// (a normalization's chain scratch counts too); exceeded ->
   /// kInconclusive (bounds certification time and memory).
   std::int64_t max_nodes = 8'000'000;
-  /// Concrete float seeds tried when normalized outputs differ.
-  int counterexample_attempts = 6;
-  /// Require every refutation to reproduce through the interpreter
-  /// before it is issued (keep this on: kRefuted feeds permanent
-  /// quarantine).
-  bool replay_check = true;
   /// Interpreter knobs for replays (jobs, watchdog budget).
   sim::Interpreter::Options interp;
   /// Mixed tolerance for float comparisons in counterexample search and

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <iomanip>
 #include <sstream>
 #include <utility>
@@ -11,6 +10,7 @@
 #include "frontend/parser.hpp"
 #include "np/heuristic.hpp"
 #include "np/runner.hpp"
+#include "support/hash.hpp"
 
 namespace cudanp::np {
 
@@ -456,22 +456,7 @@ ValidationReport NpCompiler::validate(
 
 std::string NpCompiler::artifact_key(std::string_view source,
                                      std::string_view options_fingerprint) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::string_view s) {
-    for (char c : s) {
-      h ^= static_cast<std::uint8_t>(c);
-      h *= 0x100000001b3ULL;
-    }
-    // Field separator: "ab" + "c" must hash differently from "a" + "bc".
-    h ^= 0x1f;
-    h *= 0x100000001b3ULL;
-  };
-  mix(source);
-  mix(options_fingerprint);
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(h));
-  return buf;
+  return Fnv1a().field(source).field(options_fingerprint).hex();
 }
 
 }  // namespace cudanp::np

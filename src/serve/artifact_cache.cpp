@@ -11,27 +11,14 @@
 #include <fstream>
 #include <sstream>
 
+#include "support/hash.hpp"
 #include "support/json.hpp"
 
 namespace cudanp::serve {
 
 namespace {
 
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
+std::uint64_t fnv1a(std::string_view s) { return Fnv1a().bytes(s).value(); }
 
 bool key_is_safe(const std::string& key) {
   for (char c : key)

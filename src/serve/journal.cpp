@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "serve/supervisor.hpp"
+#include "support/hash.hpp"
 #include "support/json.hpp"
 
 namespace cudanp::serve {
@@ -47,72 +48,56 @@ bool write_all(int fd, const char* data, std::size_t n) {
   return true;
 }
 
-void fnv1a(std::uint64_t* h, std::string_view s) {
-  for (char c : s) {
-    *h ^= static_cast<std::uint8_t>(c);
-    *h *= 0x100000001b3ULL;
-  }
-  // Field separator: "ab" + "c" must hash differently from "a" + "bc".
-  *h ^= 0x1f;
-  *h *= 0x100000001b3ULL;
-}
-
-void fnv1a_i64(std::uint64_t* h, std::int64_t v) {
-  fnv1a(h, std::to_string(v));
-}
-
 }  // namespace
 
 std::string batch_fingerprint(const std::vector<JobSpec>& jobs,
                               const ServiceOptions& opt) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  fnv1a_i64(&h, kJournalVersion);
-  fnv1a_i64(&h, static_cast<std::int64_t>(jobs.size()));
+  Fnv1a h;
+  auto i64 = [&h](std::int64_t v) { h.field(std::to_string(v)); };
+  i64(kJournalVersion);
+  i64(static_cast<std::int64_t>(jobs.size()));
   for (const JobSpec& j : jobs) {
-    fnv1a(&h, j.name);
-    fnv1a(&h, j.source);
-    fnv1a(&h, j.kernel);
-    fnv1a_i64(&h, j.elems);
-    fnv1a_i64(&h, j.tb);
-    fnv1a_i64(&h, j.deadline_ms);
-    fnv1a_i64(&h, j.max_attempts);
-    fnv1a_i64(&h, j.watchdog_steps);
-    fnv1a_i64(&h, j.inject ? 1 : 0);
-    fnv1a(&h, j.fault.json());
-    fnv1a_i64(&h, j.transient_attempts);
+    h.field(j.name);
+    h.field(j.source);
+    h.field(j.kernel);
+    i64(j.elems);
+    i64(j.tb);
+    i64(j.deadline_ms);
+    i64(j.max_attempts);
+    i64(j.watchdog_steps);
+    i64(j.inject ? 1 : 0);
+    h.field(j.fault.json());
+    i64(j.transient_attempts);
   }
   // Every option that can change an outcome or the commit derivation.
   // --jobs and commit_chunk are deliberately absent: reports are
   // bit-identical across both.
-  fnv1a_i64(&h, opt.queue_capacity);
-  fnv1a_i64(&h, opt.default_deadline_ms);
-  fnv1a_i64(&h, opt.min_feasible_ms);
-  fnv1a_i64(&h, opt.steps_per_ms);
-  fnv1a_i64(&h, opt.attempt_cost_ms);
-  fnv1a_i64(&h, opt.drain_before_job);
-  fnv1a_i64(&h, opt.retry.max_attempts);
-  fnv1a_i64(&h, opt.retry.base_backoff_ms);
-  fnv1a_i64(&h, opt.retry.max_backoff_ms);
-  fnv1a_i64(&h, opt.retry.jitter_ms);
-  fnv1a_i64(&h, static_cast<std::int64_t>(opt.retry.seed));
-  fnv1a_i64(&h, opt.breaker.failure_threshold);
-  fnv1a_i64(&h, opt.breaker.cooldown_ms);
-  fnv1a_i64(&h, static_cast<std::int64_t>(opt.sanitizer.error_limit));
-  fnv1a_i64(&h, static_cast<std::int64_t>(opt.sanitizer.race_mode));
-  fnv1a_i64(&h, opt.sanitizer.dedupe ? 1 : 0);
+  i64(opt.queue_capacity);
+  i64(opt.default_deadline_ms);
+  i64(opt.min_feasible_ms);
+  i64(opt.steps_per_ms);
+  i64(opt.attempt_cost_ms);
+  i64(opt.drain_before_job);
+  i64(opt.retry.max_attempts);
+  i64(opt.retry.base_backoff_ms);
+  i64(opt.retry.max_backoff_ms);
+  i64(opt.retry.jitter_ms);
+  i64(static_cast<std::int64_t>(opt.retry.seed));
+  i64(opt.breaker.failure_threshold);
+  i64(opt.breaker.cooldown_ms);
+  i64(static_cast<std::int64_t>(opt.sanitizer.error_limit));
+  i64(static_cast<std::int64_t>(opt.sanitizer.race_mode));
+  i64(opt.sanitizer.dedupe ? 1 : 0);
   std::ostringstream tol;
   tol.precision(17);
   tol << opt.f32_rel_tol;
-  fnv1a(&h, tol.str());
-  fnv1a(&h, to_string(opt.isolate));
-  fnv1a_i64(&h, opt.worker_mem_mb);
-  fnv1a_i64(&h, opt.certify ? 1 : 0);
-  fnv1a_i64(&h, opt.certified_fast_path ? 1 : 0);
+  h.field(tol.str());
+  h.field(to_string(opt.isolate));
+  i64(opt.worker_mem_mb);
+  i64(opt.certify ? 1 : 0);
+  i64(opt.certified_fast_path ? 1 : 0);
 
-  char buf[17];
-  snprintf(buf, sizeof(buf), "%016llx",
-           static_cast<unsigned long long>(h));
-  return buf;
+  return h.hex();
 }
 
 std::optional<JournalContents> load_journal(const std::string& path,

@@ -52,36 +52,25 @@ Builtin resolve_builtin(const std::string& f) {
 
 namespace {
 
-/// Builds the slot table and annotates the AST. Declarations are
-/// name-keyed: re-declaring a name with the same type (loop bodies,
-/// sibling blocks) resolves to the same slot. A declaration that collides with its name's visible binding — it
-/// shadows a kernel parameter, or redeclares the name with a different
-/// type — gets a fresh slot instead, and the references in its lexical
-/// scope (the rest of the enclosing block, or of the for statement) bind
-/// to that slot. Every other reference binds by name, so a use before the
-/// first declaration still finds the slot (a runtime liveness bit
-/// preserves the use-before-declare error).
+/// Builds the slot table and annotates the AST under C block scoping:
+/// every declaration gets a slot of its own, visible from its own
+/// initializer to the end of the enclosing block (or for statement), and
+/// every reference binds at bind time to the innermost visible
+/// declaration, then to the parameters, else to kSlotUndeclared.
 class Binder {
  public:
   explicit Binder(const Kernel& kernel) {
     out_ = std::make_shared<BoundKernel>();
     out_->kernel = &kernel;
+    scopes_.emplace_back();  // the parameters' scope
     for (std::size_t i = 0; i < kernel.params.size(); ++i) {
       SlotDecl sd;
       sd.name = kernel.params[i].name;
       sd.is_param = true;
       sd.param_index = i;
-      by_name_.emplace(sd.name, static_cast<std::int32_t>(out_->slots.size()));
-      out_->slots.push_back(std::move(sd));
-      decl_types_.push_back(nullptr);
+      add_slot(std::move(sd));
     }
     bind_stmt(*kernel.body);
-    // Name-keyed references resolve last, so forward references see
-    // declarations that come later in the walk.
-    for (const VarRef* v : by_name_refs_) {
-      auto it = by_name_.find(v->name);
-      v->sim_slot = it == by_name_.end() ? kSlotUndeclared : it->second;
-    }
   }
 
   [[nodiscard]] std::shared_ptr<const BoundKernel> take() {
@@ -91,40 +80,20 @@ class Binder {
  private:
   using Scope = std::unordered_map<std::string, std::int32_t>;
 
-  std::int32_t new_slot(const DeclStmt& d) {
-    SlotDecl sd;
-    sd.name = d.name;
+  /// Appends a slot and makes its name visible in the innermost scope.
+  std::int32_t add_slot(SlotDecl sd) {
+    const auto slot = static_cast<std::int32_t>(out_->slots.size());
+    scopes_.back()[sd.name] = slot;
     out_->slots.push_back(std::move(sd));
-    decl_types_.push_back(&d.type);
-    return static_cast<std::int32_t>(out_->slots.size()) - 1;
+    return slot;
   }
 
-  [[nodiscard]] const std::int32_t* scoped(const std::string& name) const {
+  [[nodiscard]] std::int32_t resolve(const std::string& name) const {
     for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
       auto f = it->find(name);
-      if (f != it->end()) return &f->second;
+      if (f != it->end()) return f->second;
     }
-    return nullptr;
-  }
-
-  void bind_decl(const DeclStmt& d) {
-    if (d.type.space == AddrSpace::kShared)
-      out_->shared_words_bound +=
-          static_cast<std::uint64_t>(d.type.element_count());
-    std::int32_t slot;
-    if (const std::int32_t* s = scoped(d.name)) {
-      slot = *s;
-    } else {
-      auto [it, inserted] = by_name_.try_emplace(d.name, 0);
-      if (inserted) it->second = new_slot(d);
-      slot = it->second;
-    }
-    const Type* prev = decl_types_[static_cast<std::size_t>(slot)];
-    if (prev == nullptr || !(*prev == d.type)) {
-      slot = new_slot(d);
-      scopes_.back()[d.name] = slot;
-    }
-    d.sim_slot = slot;
+    return kSlotUndeclared;
   }
 
   void bind_block(const Block& b) {
@@ -133,8 +102,7 @@ class Binder {
     scopes_.pop_back();
   }
 
-  /// Walks statements in for_each_stmt order (for: init, inc, body), so
-  /// declarations claim slots in the same order as a plain pre-order walk.
+  /// Walks statements in source order (for: init, cond, inc, body).
   void bind_stmt(const Stmt& s) {
     switch (s.kind()) {
       case StmtKind::kBlock:
@@ -143,7 +111,13 @@ class Binder {
       case StmtKind::kDecl: {
         // C scoping: the name is visible from its own initializer on.
         const auto& d = static_cast<const DeclStmt&>(s);
-        bind_decl(d);
+        if (d.type.space == AddrSpace::kShared)
+          out_->shared_words_bound +=
+              static_cast<std::uint64_t>(d.type.element_count());
+        SlotDecl sd;
+        sd.name = d.name;
+        sd.decl = &d;
+        d.sim_slot = add_slot(std::move(sd));
         if (d.init) bind_expr(*d.init);
         for (const auto& e : d.init_list) bind_expr(*e);
         return;
@@ -196,16 +170,9 @@ class Binder {
       switch (x.kind()) {
         case ExprKind::kVarRef: {
           const auto& v = static_cast<const VarRef&>(x);
-          // Geometry names take precedence over declared variables, like
-          // the old is_builtin_geometry check before the map lookup.
+          // Geometry names take precedence over declared variables.
           std::int32_t g = geometry_code(v.name);
-          if (g >= 0) {
-            v.sim_slot = kSlotGeomBase - g;
-          } else if (const std::int32_t* s = scoped(v.name)) {
-            v.sim_slot = *s;
-          } else {
-            by_name_refs_.push_back(&v);
-          }
+          v.sim_slot = g >= 0 ? kSlotGeomBase - g : resolve(v.name);
           return;
         }
         case ExprKind::kCall: {
@@ -220,12 +187,8 @@ class Binder {
   }
 
   std::shared_ptr<BoundKernel> out_;
-  std::unordered_map<std::string, std::int32_t> by_name_;
-  /// Declared type per slot; null for parameters.
-  std::vector<const Type*> decl_types_;
-  /// Lexical overrides from colliding declarations, innermost last.
+  /// Visible names, innermost scope last.
   std::vector<Scope> scopes_;
-  std::vector<const VarRef*> by_name_refs_;
 };
 
 std::mutex g_bind_mutex;

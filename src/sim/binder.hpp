@@ -5,22 +5,26 @@
 // The block-lockstep interpreter used to resolve every VarRef through an
 // unordered_map<string, Slot> and every geometry name / builtin callee by
 // string comparison, on every executed statement of every lane of every
-// block. This binder walks the kernel AST once, assigns each distinct
-// variable name an integer slot in a flat frame, classifies geometry
+// block. This binder walks the kernel AST once, assigns each parameter
+// and declaration an integer slot in a flat frame, classifies geometry
 // names and builtin callees, and stamps the results onto the AST's
 // mutable annotation fields (VarRef::sim_slot, DeclStmt::sim_slot,
 // CallExpr::sim_builtin). The per-thread eval loop then never touches a
 // string or a hash map.
 //
-// A declaration that shadows a kernel parameter, or redeclares a name
-// with a different type, gets a slot of its own that the references in
-// its lexical scope bind to; every slot therefore has one static type,
-// which is what makes bytecode lowering total (sim/bytecode.hpp).
+// Names resolve by C block scoping, once, at bind time: every
+// declaration gets a slot of its own, and every reference binds to the
+// innermost declaration visible at that point of the source (a block's
+// or for statement's declarations are visible from their own
+// initializer to the scope's end), then to the kernel parameters, else
+// to kSlotUndeclared. Each slot therefore has one declaration and one
+// static type (which is what makes bytecode lowering total,
+// sim/bytecode.hpp), and every executed reference to a declared slot is
+// dominated by its declaration, so no engine needs a liveness check.
 //
-// Semantics are preserved exactly, including error behaviour: names that
-// never resolve are bound to a sentinel and still throw the original
-// "use of undeclared variable" SimError lazily, only if the reference is
-// actually executed; unknown callees likewise throw only when called.
+// Errors stay lazy: a reference bound to a sentinel raises "use of
+// undeclared variable" only if it executes, and an unknown callee
+// throws only when called.
 //
 // The binding is cached on the ir::Kernel itself (Kernel::sim_binding),
 // so repeated launches of one kernel object — autotuner sweeps,
@@ -35,6 +39,7 @@
 #include <vector>
 
 #include "ir/kernel.hpp"
+#include "support/source_location.hpp"
 
 namespace cudanp::sim {
 
@@ -82,8 +87,8 @@ enum Geom : int {
 
 // VarRef::sim_slot encoding: values >= 0 index the block frame; negative
 // values are the codes below.
-/// Name never declared anywhere in the kernel: throws "use of undeclared
-/// variable" if the reference executes.
+/// No declaration of the name is in scope at the reference: throws "use
+/// of undeclared variable" if the reference executes.
 constexpr std::int32_t kSlotUndeclared = -1;
 /// Geometry builtins: slot == kSlotGeomBase - geom_code.
 constexpr std::int32_t kSlotGeomBase = -2;
@@ -106,6 +111,16 @@ constexpr std::int32_t kSlotUnbound = std::numeric_limits<std::int32_t>::min();
          "' (kernel AST modified after slot binding)";
 }
 
+/// The error for executing a reference at `loc` whose slot is a sentinel
+/// (undeclared, geometry where a variable is required, or unbound);
+/// raised by BlockCore::slot_at and lowered to a trap by the bytecode pass.
+[[nodiscard]] inline std::string unresolved_ref_message(std::int32_t slot,
+                                                        const std::string& name,
+                                                        SourceLoc loc) {
+  if (slot == kSlotUnbound) return unbound_ref_message(name);
+  return "use of undeclared variable '" + name + "' at " + loc.str();
+}
+
 [[nodiscard]] constexpr bool slot_is_geometry(std::int32_t slot) {
   return slot <= kSlotGeomBase && slot != kSlotUnbound;
 }
@@ -118,6 +133,7 @@ struct SlotDecl {
   std::string name;  // for error messages and hazard reports only
   bool is_param = false;
   std::size_t param_index = 0;  // into Kernel::params when is_param
+  const ir::DeclStmt* decl = nullptr;  // the declaration, unless is_param
 };
 
 /// The result of binding one kernel: the frame layout plus static size

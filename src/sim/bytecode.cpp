@@ -21,11 +21,11 @@ using namespace cudanp::ir;
 
 namespace {
 
-/// Static classification of one frame slot, folded from the parameter
-/// list and every declaration binding to it.
+/// Static classification of one frame slot: its parameter or its
+/// declaration (BoundKernel::slots).
 struct SlotInfo {
-  enum class Kind : std::uint8_t { kNone, kBufferParam, kUniformParam, kDecl };
-  Kind kind = Kind::kNone;
+  enum class Kind : std::uint8_t { kBufferParam, kUniformParam, kDecl };
+  Kind kind = Kind::kDecl;
   Type type;  // meaningful for kDecl
   /// Lane type of the slot's values (a buffer parameter's: its elements).
   LaneType lane = LaneType::kInt;
@@ -53,15 +53,19 @@ class Lowerer {
               ? buffer_types_[pi]
               : k.params[pi].type.scalar);
     for (std::size_t i = 0; i < bound_.slots.size(); ++i) {
-      if (!bound_.slots[i].is_param) continue;
-      const std::size_t pi = bound_.slots[i].param_index;
-      const Param& p = k.params[pi];
-      info_[i].kind = p.type.is_pointer ? SlotInfo::Kind::kBufferParam
-                                        : SlotInfo::Kind::kUniformParam;
-      info_[i].type = p.type;
-      info_[i].lane = lane_of(prog_.buffer_types[pi]);
+      const SlotDecl& sd = bound_.slots[i];
+      SlotInfo& si = info_[i];
+      if (!sd.is_param) {
+        si.type = sd.decl->type;
+        si.lane = lane_of(si.type.scalar);
+        continue;
+      }
+      const Param& p = k.params[sd.param_index];
+      si.kind = p.type.is_pointer ? SlotInfo::Kind::kBufferParam
+                                  : SlotInfo::Kind::kUniformParam;
+      si.type = p.type;
+      si.lane = lane_of(prog_.buffer_types[sd.param_index]);
     }
-    scan(*k.body);
     lower_block(*k.body);
     emit(Op::kHalt);
     prog_.num_regs = max_regs_;
@@ -71,49 +75,6 @@ class Lowerer {
   }
 
  private:
-  // ---------------- static slot typing ----------------
-  /// Collects every declaration and records its slot's type. The binder
-  /// gives each declaration slot one static type, so this never conflicts;
-  /// an unbound declaration (AST mutated after binding) stays out of the
-  /// table and lowers to a trap.
-  void scan(const Stmt& s) {
-    switch (s.kind()) {
-      case StmtKind::kBlock:
-        for (const auto& c : static_cast<const Block&>(s).stmts) scan(*c);
-        return;
-      case StmtKind::kDecl: {
-        const auto& d = static_cast<const DeclStmt&>(s);
-        if (d.sim_slot < 0) return;
-        SlotInfo& si = info_[static_cast<std::size_t>(d.sim_slot)];
-        si.kind = SlotInfo::Kind::kDecl;
-        si.type = d.type;
-        si.lane = lane_of(d.type.scalar);
-        prog_.decls.push_back(&d);
-        decl_index_.emplace(&d, static_cast<std::int64_t>(prog_.decls.size()) -
-                                    1);
-        return;
-      }
-      case StmtKind::kIf: {
-        const auto& i = static_cast<const IfStmt&>(s);
-        scan(*i.then_body);
-        if (i.else_body) scan(*i.else_body);
-        return;
-      }
-      case StmtKind::kFor: {
-        const auto& f = static_cast<const ForStmt&>(s);
-        if (f.init) scan(*f.init);
-        scan(*f.body);
-        if (f.inc) scan(*f.inc);
-        return;
-      }
-      case StmtKind::kWhile:
-        scan(*static_cast<const WhileStmt&>(s).body);
-        return;
-      default:
-        return;
-    }
-  }
-
   [[nodiscard]] const SlotInfo* info(std::int32_t slot) const {
     if (slot < 0 || static_cast<std::size_t>(slot) >= info_.size())
       return nullptr;
@@ -229,11 +190,10 @@ class Lowerer {
       emit_trap(unbound_decl_message(d.name));
       return;  // unreachable past the trap
     }
-    const std::int64_t didx = decl_index_.at(&d);
     {
       Instr in;
       in.op = Op::kDeclare;
-      in.imm = didx;
+      in.slot = d.sim_slot;
       emit(std::move(in));
     }
     if (!d.init_list.empty()) {
@@ -249,7 +209,7 @@ class Lowerer {
         Operand v = lower_expr(*d.init_list[e]);
         Instr in;
         in.op = Op::kDeclFill;
-        in.imm = didx;
+        in.slot = d.sim_slot;
         in.dst = static_cast<std::int32_t>(e);
         in.a = v;
         emit(std::move(in));
@@ -259,7 +219,7 @@ class Lowerer {
       {
         Instr in;
         in.op = Op::kDeclShadow;
-        in.imm = didx;
+        in.slot = d.sim_slot;
         emit(std::move(in));
       }
       emit(Op::kLeafEnd);
@@ -274,7 +234,7 @@ class Lowerer {
       Operand v = lower_expr(*d.init);
       Instr in;
       in.op = Op::kDeclInit;
-      in.imm = didx;
+      in.slot = d.sim_slot;
       in.a = v;
       emit(std::move(in));
     }
@@ -303,6 +263,10 @@ class Lowerer {
     }
     if (a.lhs->kind() == ExprKind::kVarRef) {
       const auto& v = static_cast<const VarRef&>(*a.lhs);
+      if (!info(v.sim_slot)) {
+        emit_unresolved(v);
+        return;
+      }
       Instr in;
       in.op = Op::kStoreVar;
       in.slot = v.sim_slot;
@@ -524,9 +488,13 @@ class Lowerer {
     if (slot_is_geometry(v.sim_slot))
       return Operand::geom(slot_geometry_code(v.sim_slot));
     const SlotInfo* si = info(v.sim_slot);
-    // Uniform kernel arguments carry no liveness or shadow state, so the
-    // AST's var_read_check has no observable effect on them: pure view.
-    if (si && si->kind == SlotInfo::Kind::kUniformParam)
+    if (!si) {
+      emit_unresolved(v);
+      return Operand::immediate(Value::of_int(0));
+    }
+    // Uniform kernel arguments carry no shadow state, so the AST's
+    // var_read_check has no observable effect on them: pure view.
+    if (si->kind == SlotInfo::Kind::kUniformParam)
       return Operand::uniform(v.sim_slot, si->lane);
     {
       Instr in;
@@ -536,10 +504,10 @@ class Lowerer {
       in.loc = v.loc();
       emit(std::move(in));
     }
-    if (si && si->kind == SlotInfo::Kind::kDecl && si->type.is_scalar())
+    if (si->kind == SlotInfo::Kind::kDecl && si->type.is_scalar())
       return Operand::slot_data(v.sim_slot, si->lane);
-    // Arrays, buffer params and undeclared names make kVarGuard throw;
-    // the operand is unreachable.
+    // Arrays and buffer params make kVarGuard throw; the operand is
+    // unreachable.
     return Operand::immediate(Value::of_int(0));
   }
 
@@ -553,10 +521,8 @@ class Lowerer {
     const auto& base = static_cast<const VarRef&>(*ai.base);
     const std::string& name = base.name;
     const SlotInfo* si = info(base.sim_slot);
-    if (!si || si->kind == SlotInfo::Kind::kNone) {
-      // Never declared (or geometry/unbound): slot_at raises the same
-      // "use of undeclared variable" / internal error the AST would.
-      emit_check_live(base.sim_slot, name, ai.loc());
+    if (!si) {
+      emit_trap(unresolved_ref_message(base.sim_slot, name, ai.loc()));
       return Operand::immediate(Value::of_int(0));
     }
     if (si->kind == SlotInfo::Kind::kBufferParam) {
@@ -581,9 +547,6 @@ class Lowerer {
       emit(std::move(in));
       return r;
     }
-    // Declared slots may not be live yet on this path; reproduce the
-    // AST's slot_at-first ordering before any static trap or index eval.
-    emit_check_live(base.sim_slot, name, ai.loc());
     if (si->kind == SlotInfo::Kind::kUniformParam || !si->type.is_array()) {
       emit_trap("'" + name + "' is not an array at " + ai.loc().str());
       return Operand::immediate(Value::of_int(0));
@@ -640,14 +603,10 @@ class Lowerer {
     return r;
   }
 
-  void emit_check_live(std::int32_t slot, const std::string& name,
-                       SourceLoc loc) {
-    Instr in;
-    in.op = Op::kCheckLive;
-    in.slot = slot;
-    in.name = intern(name);
-    in.loc = loc;
-    emit(std::move(in));
+  /// A reference bound to a sentinel (undeclared, geometry as a
+  /// variable, unbound): slot_at's error, where the AST would raise it.
+  void emit_unresolved(const VarRef& v) {
+    emit_trap(unresolved_ref_message(v.sim_slot, v.name, v.loc()));
   }
 
   Operand lower_call(const CallExpr& c) {
@@ -778,7 +737,6 @@ class Lowerer {
   std::span<const ScalarType> buffer_types_;
   Program prog_;
   std::vector<SlotInfo> info_;
-  std::unordered_map<const DeclStmt*, std::int64_t> decl_index_;
   std::unordered_map<std::string, std::int32_t> name_ids_;
   std::int32_t next_reg_ = 0;
   std::int32_t max_regs_ = 0;

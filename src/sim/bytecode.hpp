@@ -16,9 +16,9 @@
 // of the buffer bound at this launch, and operators the result type
 // sim/arith.hpp defines. The VM keeps registers as plain typed lane
 // arrays on that basis. Structural errors the AST raises while walking (unknown
-// callee, wrong arity, non-array indexing, break/continue) lower to
-// kTrap instructions carrying the precomposed message, positioned where
-// the AST would throw.
+// callee, wrong arity, non-array indexing, break/continue, a reference
+// the binder bound to no declaration) lower to kTrap instructions
+// carrying the precomposed message, positioned where the AST would throw.
 //
 // Lowering is total: the binder gives every slot one static type
 // (sim/binder.hpp), unsupported declarations such as shared-memory
@@ -51,13 +51,12 @@ enum class Op : std::uint8_t {
   kLeafEnd,       ///< end_leaf_stmt (latency window fold).
   kCharge,        ///< charge_issue(mask, weight[aux]).
   kTrap,          ///< throw SimError(names[name]).
-  kVarGuard,      ///< var_read_check(slot): liveness/uninit, no copy.
-  kCheckLive,     ///< slot_at(slot): liveness errors only.
+  kVarGuard,      ///< var_read_check(slot): kind/uninit checks, no copy.
   kStoreVar,      ///< store_var(slot, a).
-  kDeclare,       ///< declare(decls[imm]).
-  kDeclInit,      ///< decl_scalar_init(decls[imm], a).
-  kDeclFill,      ///< decl_fill(decls[imm], element dst, lane 0 of a).
-  kDeclShadow,    ///< decl_shadow_all(decls[imm]).
+  kDeclare,       ///< declare(the declaration of slot).
+  kDeclInit,      ///< decl_scalar_init(slot, a).
+  kDeclFill,      ///< decl_fill(slot, element dst, lane 0 of a).
+  kDeclShadow,    ///< decl_shadow_all(slot).
   kMaskLane0,     ///< Push the lane-0-only mask (brace initializers).
   kMaskPop,       ///< Pop one mask.
   kBin,           ///< dst = a (BinOp aux) b.
@@ -138,7 +137,7 @@ struct Instr {
   std::int32_t slot = -1;    ///< frame slot id
   std::int32_t target = -1;  ///< jump target (instruction index)
   std::int32_t name = -1;    ///< index into Program::names
-  std::int64_t imm = 0;      ///< decl index / dim extent / var-name index
+  std::int64_t imm = 0;      ///< dim extent / var-name index
   Operand a, b, c;
   SourceLoc loc{};
 };
@@ -149,8 +148,6 @@ struct Program {
   std::vector<Instr> code;
   /// Variable / callee names and precomposed trap messages.
   std::vector<std::string> names;
-  /// Declaration statements, for kDeclare/kDeclInit/kDeclFill/kDeclShadow.
-  std::vector<const ir::DeclStmt*> decls;
   /// Per kernel parameter: the element type the program's buffer loads
   /// were typed with (pointer parameters; the declared type elsewhere).
   std::vector<ir::ScalarType> buffer_types;

@@ -100,7 +100,6 @@ void BlockCore::bind_params() {
         data[0] = arith::to<std::remove_pointer_t<decltype(data)>>(*v);
       });
     }
-    slot.live = true;
   }
 }
 
@@ -331,11 +330,8 @@ void BlockCore::check_shfl_sources(const std::vector<int>& src_of,
                                    const std::string& callee, SourceLoc loc,
                                    std::int32_t var_slot,
                                    const std::string& var_name) {
-  // The bound slot id replaces the old vars_.find string lookup.
   const Slot* vs =
-      var_slot >= 0 && frame_[static_cast<std::size_t>(var_slot)].live
-          ? &frame_[static_cast<std::size_t>(var_slot)]
-          : nullptr;
+      var_slot >= 0 ? &frame_[static_cast<std::size_t>(var_slot)] : nullptr;
   if (!vs || !vs->type.is_scalar() || vs->is_uniform_param ||
       vs->shadow.empty())
     return;
@@ -491,13 +487,8 @@ void BlockCore::note_barrier(SourceLoc loc, const Mask& mask) {
 
 Slot& BlockCore::slot_at(std::int32_t s, const std::string& name,
                          SourceLoc loc) {
-  if (s >= 0) {
-    Slot& slot = frame_[static_cast<std::size_t>(s)];
-    if (slot.live) return slot;
-  } else if (s == kSlotUnbound) {
-    throw SimError(unbound_ref_message(name));
-  }
-  throw SimError("use of undeclared variable '" + name + "' at " + loc.str());
+  if (s >= 0) return frame_[static_cast<std::size_t>(s)];
+  throw SimError(unresolved_ref_message(s, name, loc));
 }
 
 Slot& BlockCore::declare(const DeclStmt& d) {
@@ -510,7 +501,7 @@ Slot& BlockCore::declare(const DeclStmt& d) {
     throw SimError("unsupported construct: void variable '" + d.name +
                    "' at " + d.loc().str());
   Slot& slot = frame_[static_cast<std::size_t>(d.sim_slot)];
-  if (!slot.live) {
+  if (!slot.declared) {
     slot.type = d.type;
     const auto elems = static_cast<std::size_t>(d.type.element_count());
     if (d.type.space == AddrSpace::kShared) {
@@ -526,7 +517,7 @@ Slot& BlockCore::declare(const DeclStmt& d) {
     }
     if (san_ && d.type.space != AddrSpace::kShared)
       slot.shadow.assign(slot.is_float() ? slot.f.size() : slot.i.size(), 0);
-    slot.live = true;
+    slot.declared = true;
   }
   return slot;
 }

@@ -72,10 +72,9 @@ struct Slot {
   /// Scalar kernel argument: one shared copy, read-only.
   bool is_uniform_param = false;
   BufferId buffer = 0;
-  /// False until the declaration (or param binding) executes; preserves
-  /// the old map-absence "use of undeclared variable" semantics now that
-  /// every slot exists up front.
-  bool live = false;
+  /// False until the slot's declaration first executes in this block; a
+  /// declaration executed again (a loop body) keeps the storage.
+  bool declared = false;
   /// Sanitizer init bitmap, indexed like the storage (empty when the
   /// sanitizer is off, and for shared / buffer / uniform slots, which are
   /// shadowed elsewhere).
@@ -414,8 +413,8 @@ class BlockCore {
 
   // ---------------- scalar variable paths ----------------
   /// Everything eval of a scalar VarRef does except materializing values:
-  /// liveness / pointer-as-value / array-without-index errors and the
-  /// sanitizer's uninit-read check. Returns the live slot so the caller
+  /// undeclared / pointer-as-value / array-without-index errors and the
+  /// sanitizer's uninit-read check. Returns the slot so the caller
   /// can read its storage in place (AST copies; VM aliases).
   Slot& var_read_check(std::int32_t slot_id, const std::string& name,
                        const Mask& mask, SourceLoc loc);
@@ -588,10 +587,10 @@ class BlockCore {
                           std::int32_t var_slot, const std::string& var_name);
 
   // ---------------- variable helpers ----------------
-  /// Resolves a bound slot id to live storage. Geometry codes land here
-  /// only from contexts where a geometry name is invalid (array base,
-  /// assignment target) and get the same "undeclared" error the old map
-  /// lookup produced.
+  /// Resolves a bound slot id to its storage; the binder guarantees the
+  /// declaration has executed. Sentinels throw unresolved_ref_message:
+  /// geometry codes land here only from contexts where a geometry name is
+  /// invalid (array base, assignment target) and read as undeclared.
   Slot& slot_at(std::int32_t s, const std::string& name, SourceLoc loc);
   /// slot_at plus the scalar-assignability errors.
   Slot& store_target(std::int32_t s, const std::string& name, SourceLoc loc);

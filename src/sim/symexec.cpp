@@ -816,7 +816,6 @@ struct CellMeta {
 
 struct Var {
   ir::Type type;
-  bool live = false;
   bool is_buffer = false;     // pointer param
   int arg = -1;
   bool uniform = false;       // scalar param (read-only)
@@ -965,7 +964,6 @@ class Exec {
       const SymArg& a = args_[i];
       Var& v = frame_[i];
       v.type = p.type;
-      v.live = true;
       if (p.type.is_pointer) {
         v.is_buffer = true;
         v.arg = static_cast<int>(i);
@@ -1005,15 +1003,11 @@ class Exec {
                                std::to_string(i) + "]'"});
   }
 
-  /// The live variable binder slot `slot` names, as the interpreter's
+  /// The variable binder slot `slot` names, as the interpreter's
   /// BlockCore::slot_at resolves it.
   Var& var_at(std::int32_t slot, const std::string& name, const char* what) {
-    if (slot >= 0) {
-      Var& v = frame_[static_cast<std::size_t>(slot)];
-      if (v.live) return v;
-    } else if (slot == kSlotUnbound) {
-      throw Abort{unbound_ref_message(name)};
-    }
+    if (slot >= 0) return frame_[static_cast<std::size_t>(slot)];
+    if (slot == kSlotUnbound) throw Abort{unbound_ref_message(name)};
     throw Abort{std::string("use of undeclared variable '") + name +
                 "' in " + what};
   }
@@ -1387,11 +1381,11 @@ class Exec {
       }
       if (dead) continue;
       bool shared = v.block_scoped;
-      std::size_t base = shared ? 0
+      std::size_t cell0 = shared ? 0
                                 : static_cast<std::size_t>(l) *
                                       static_cast<std::size_t>(elems);
       if (!symbolic) {
-        auto ci = base + static_cast<std::size_t>(flat);
+        auto ci = cell0 + static_cast<std::size_t>(flat);
         if (store) {
           std::uint32_t vid = coerce_id((*store)[li], scalar);
           if (shared) {
@@ -1421,7 +1415,7 @@ class Exec {
                         " cells exceeds the gather limit"};
           std::vector<std::uint32_t> snap(static_cast<std::size_t>(elems));
           for (std::int64_t e = 0; e < elems; ++e) {
-            std::uint32_t id = v.cells[base + static_cast<std::size_t>(e)];
+            std::uint32_t id = v.cells[cell0 + static_cast<std::size_t>(e)];
             if (id == kInv)
               throw Abort{"load from '" + name +
                           "' at a symbolic index over uninitialized cells"};
@@ -1514,9 +1508,10 @@ class Exec {
 
   void exec_decl(const ir::DeclStmt& d, const Mask& m) {
     if (d.sim_slot < 0) throw Abort{unbound_decl_message(d.name)};
-    Var v;
+    // Installed before the initializer runs, as BlockCore::declare does:
+    // the initializer of `int x = x + 1;` reads the new, unset x.
+    Var& v = frame_[static_cast<std::size_t>(d.sim_slot)] = Var{};
     v.type = d.type;
-    v.live = true;
     if (d.type.is_array()) {
       std::int64_t elems = d.type.element_count();
       v.block_scoped = d.type.space == ir::AddrSpace::kShared;
@@ -1564,7 +1559,6 @@ class Exec {
         }
       }
     }
-    frame_[static_cast<std::size_t>(d.sim_slot)] = std::move(v);
   }
 
   void store_var(const ir::VarRef& r, const Mask& m, const IdVec& val) {
@@ -1665,14 +1659,12 @@ class Exec {
       if (tv == kInv || ev == kInv) return kInv;
       return ar_.select(cond[lane], tv, ev);
     };
+    // A slot declared inside either branch is out of scope after the if
+    // and is never read before its declaration runs again, so how it
+    // merges does not matter.
     for (std::size_t slot = 0; slot < frame_.size(); ++slot) {
       Var& tv = then_frame[slot];
       Var& ev = frame_[slot];
-      if (!tv.live) continue;
-      if (!ev.live) {
-        ev = std::move(tv);  // declared only in the then-branch
-        continue;
-      }
       if (ev.block_scoped || ev.is_buffer) continue;  // stores were banned
       if (tv.scalar.size() == ev.scalar.size())
         for (std::size_t i = 0; i < ev.scalar.size(); ++i)

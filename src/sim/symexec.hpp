@@ -16,10 +16,9 @@
 // reuses its cached binding) and reads the annotations: each variable
 // reference and declaration indexes a slot-ordered frame, geometry names
 // index a per-block array of lane vectors, and each call site carries
-// its Builtin. A declaration that shadows a parameter or retypes a name
-// is therefore its own variable, visible only in its lexical scope. A
-// node added after binding (kSlotUnbound) aborts the run instead of
-// guessing.
+// its Builtin. Every declaration is therefore its own variable, visible
+// only in its C block scope. A node added after binding (kSlotUnbound)
+// aborts the run instead of guessing.
 //
 // The result is, per output buffer element, an expression DAG over the
 // input leaves. np::Certifier normalizes those DAGs (constant folding,

@@ -116,10 +116,7 @@ class VmExec : public exec::BlockCore {
     return frame_[static_cast<std::size_t>(ins.slot)];
   }
   [[nodiscard]] const ir::DeclStmt& decl_of(const Instr& ins) const {
-    return *prog_.decls[static_cast<std::size_t>(ins.imm)];
-  }
-  [[nodiscard]] Slot& decl_slot(const Instr& ins) {
-    return frame_[static_cast<std::size_t>(decl_of(ins).sim_slot)];
+    return *bound_.slots[static_cast<std::size_t>(ins.slot)].decl;
   }
 
   /// Clears returned lanes from the current mask; true if it emptied.
@@ -160,9 +157,6 @@ class VmExec : public exec::BlockCore {
         case Op::kVarGuard:
           (void)var_read_check(ins.slot, name_at(ins.name), cur(), ins.loc);
           break;
-        case Op::kCheckLive:
-          (void)slot_at(ins.slot, name_at(ins.name), ins.loc);
-          break;
         case Op::kStoreVar:
           with_view(ins.a, [&](auto v) {
             store_var(ins.slot, name_at(ins.name), cur(), v, ins.loc);
@@ -173,17 +167,17 @@ class VmExec : public exec::BlockCore {
           break;
         case Op::kDeclInit:
           with_view(ins.a, [&](auto v) {
-            decl_scalar_init(decl_slot(ins), cur(), v);
+            decl_scalar_init(slot_of(ins), cur(), v);
           });
           break;
         case Op::kDeclFill:
           with_view(ins.a, [&](auto v) {
-            decl_fill(decl_slot(ins), decl_of(ins).type,
+            decl_fill(slot_of(ins), decl_of(ins).type,
                       static_cast<std::size_t>(ins.dst), arith::box(v.at(0)));
           });
           break;
         case Op::kDeclShadow:
-          decl_shadow_all(decl_slot(ins), decl_of(ins).type);
+          decl_shadow_all(slot_of(ins), decl_of(ins).type);
           break;
         case Op::kMaskLane0: {
           Mask& m = masks_[static_cast<std::size_t>(mdepth_) + 1];

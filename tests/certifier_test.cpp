@@ -716,18 +716,113 @@ __global__ void k(float* a, float* out, int n) {
 }
 )";
 
+/// Sources for the scoping cases below: `float t` shadows a local of the
+/// same type (in a loop body, then in a branch), `y` is read outside its
+/// scope (after its block, then before its declaration), and `int x = x
+/// + 1;` reads the new, unset x.
+constexpr const char* kSameTypeShadowInLoopSrc = R"(
+__global__ void k(float* a, float* out, int n) {
+  float s = 0.0f;
+  float t = 1.0f;
+  int tx = threadIdx.x;
+  #pragma np parallel for reduction(+:s)
+  for (int i = 0; i < 16; i++) {
+    float t = a[tx * 16 + i];
+    s += t;
+  }
+  out[tx] = s + t;
+}
+)";
+
+constexpr const char* kSameTypeShadowInBranchSrc = R"(
+__global__ void k(float* a, float* out, int n) {
+  float s = 0.0f;
+  float t = 1.0f;
+  int tx = threadIdx.x;
+  #pragma np parallel for reduction(+:s)
+  for (int i = 0; i < 16; i++)
+    s += a[tx * 16 + i];
+  if (tx < 8) {
+    float t = 0.5f;
+    s = s * t;
+  }
+  out[tx] = s + t;
+}
+)";
+
+constexpr const char* kDeadScopeReadSrc = R"(
+__global__ void k(float* a, float* out, int n) {
+  float s = 0.0f;
+  int tx = threadIdx.x;
+  #pragma np parallel for reduction(+:s)
+  for (int i = 0; i < 16; i++)
+    s += a[tx * 16 + i];
+  if (tx < 8) {
+    float y = 0.5f;
+    s = s * y;
+  }
+  out[tx] = s + y;
+}
+)";
+
+constexpr const char* kForwardReferenceSrc = R"(
+__global__ void k(float* a, float* out, int n) {
+  float s = 0.0f;
+  int tx = threadIdx.x;
+  #pragma np parallel for reduction(+:s)
+  for (int i = 0; i < 16; i++) {
+    s += a[tx * 16 + i] + y;
+    float y = 1.0f;
+  }
+  out[tx] = s;
+}
+)";
+
+constexpr const char* kSelfInitializerSrc = R"(
+__global__ void k(float* a, float* out, int n) {
+  float s = 0.0f;
+  int tx = threadIdx.x;
+  #pragma np parallel for reduction(+:s)
+  for (int i = 0; i < 16; i++)
+    s += a[tx * 16 + i];
+  int x = x + 1;
+  out[tx] = s + x;
+}
+)";
+
 TEST(Certifier, ShadowingDeclarationsFollowTheEngines) {
-  // A name-keyed symbolic frame read the inner `n` after its scope
-  // ended: every config of the first kernel was inconclusive ("normalized
-  // outputs differ"), and of the second ("read of uninitialized
-  // variable 'n'").
-  for (const char* src : {kShadowInLoopSrc, kShadowInBranchSrc}) {
+  // The symbolic frame follows C block scoping like the VM: an inner
+  // declaration hides the outer variable only inside its scope, so every
+  // shadowing kernel proves. A name out of scope, or read by its own
+  // initializer, leaves the baseline unprovable: inconclusive, naming
+  // the cause.
+  struct Case {
+    const char* src;
+    Verdict verdict;
+    const char* detail;
+  };
+  const Case cases[] = {
+      {kShadowInLoopSrc, Verdict::kProvenModuloReassoc, ""},
+      {kShadowInBranchSrc, Verdict::kProvenModuloReassoc, ""},
+      {kSameTypeShadowInLoopSrc, Verdict::kProvenModuloReassoc, ""},
+      {kSameTypeShadowInBranchSrc, Verdict::kProvenModuloReassoc, ""},
+      {kDeadScopeReadSrc, Verdict::kInconclusive,
+       "use of undeclared variable 'y'"},
+      {kForwardReferenceSrc, Verdict::kInconclusive,
+       "use of undeclared variable 'y'"},
+      {kSelfInitializerSrc, Verdict::kInconclusive,
+       "read of uninitialized variable 'x'"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.src);
     std::unique_ptr<ir::Program> prog;
-    ir::Kernel& kernel = parse_kernel(prog, src);
+    ir::Kernel& kernel = parse_kernel(prog, c.src);
     const auto certs = certify_all(kernel, 32);
     EXPECT_EQ(certs.size(), 10u);
-    for (const Certificate& cert : certs)
-      EXPECT_EQ(cert.verdict, Verdict::kProvenModuloReassoc) << cert.str();
+    for (const Certificate& cert : certs) {
+      EXPECT_EQ(cert.verdict, c.verdict) << cert.str();
+      EXPECT_NE(cert.detail.find(c.detail), std::string::npos) << cert.str();
+    }
   }
 }
 

@@ -585,8 +585,8 @@ TEST(EngineEquivalenceFuzz, MixedTypesTailWarpsAndMasksBitIdentical) {
 // Lowering used to decline these shapes and run them on the AST walk,
 // where a parameter shadow overflowed the one-element uniform-parameter
 // slot and a shared scalar read past its one-element storage. Lowering is
-// total now: colliding declarations get slots of their own, and a shared
-// scalar fails at its declaration on both engines.
+// total now: every declaration gets a slot of its own under C block
+// scoping, and a shared scalar fails at its declaration on both engines.
 
 np::Workload one_block_workload() {
   np::Workload w;
@@ -693,6 +693,92 @@ __global__ void sibling(float* out, int n) {
     float want = tid % 2 == 0 ? static_cast<float>(tid / 4) : tid / 4.0f;
     EXPECT_EQ(out[tid], want) << tid;
   }
+}
+
+TEST(FormerDeclineShapes, NestedSameTypeDeclarationHidesTheOuterOne) {
+  // C block scoping: the inner `float s` is a variable of its own, in a
+  // branch and in a loop body alike, and the outer `s` keeps its value.
+  auto program = parse_or_fail(R"(
+__global__ void hide(float* out, int n) {
+  int tid = threadIdx.x;
+  float s = 1.0f;
+  if (tid < 8) {
+    float s = 2.0f;
+    out[tid] = s;
+  }
+  for (int i = 0; i < 3; i++) {
+    float s = i + 5.0f;
+    out[64 + tid] = s;
+  }
+  out[32 + tid] = s;
+}
+)");
+  auto out = run_on_both_engines(*program->kernels.front());
+  EXPECT_EQ(out[0], 2.0f) << "the inner s";
+  EXPECT_EQ(out[32], 1.0f) << "the outer s, after the branch";
+  for (int tid = 0; tid < 32; ++tid) {
+    EXPECT_EQ(out[32 + tid], 1.0f) << tid;
+    EXPECT_EQ(out[64 + tid], 7.0f) << tid;
+  }
+}
+
+TEST(FormerDeclineShapes, NamesOutOfScopeAreUndeclared) {
+  // A read after the declaring block closed, and a read before a later
+  // declaration in the same block, name no variable in scope.
+  for (const char* src : {R"(
+__global__ void dead(float* out, int n) {
+  int tid = threadIdx.x;
+  if (tid < 8) {
+    float y = 0.5f;
+    out[tid] = y;
+  }
+  out[32 + tid] = y;
+}
+)",
+                          R"(
+__global__ void fwd(float* out, int n) {
+  int tid = threadIdx.x;
+  for (int i = 0; i < 2; i++) {
+    out[tid] = y;
+    float y = 1.0f;
+  }
+}
+)"}) {
+    auto program = parse_or_fail(src);
+    const ir::Kernel& kernel = *program->kernels.front();
+    const std::string ast = sim_error(kernel, /*ast_reference=*/true);
+    EXPECT_NE(ast.find("use of undeclared variable 'y'"), std::string::npos)
+        << ast;
+    EXPECT_EQ(ast, sim_error(kernel, /*ast_reference=*/false));
+  }
+}
+
+TEST(FormerDeclineShapes, SelfInitializerReadsTheNewVariable) {
+  // In `int x = x + 1;` the initializer's x is the new, unset variable:
+  // an uninitialized read (reading zero), never an undeclared name.
+  auto program = parse_or_fail(R"(
+__global__ void self(float* out, int n) {
+  int tid = threadIdx.x;
+  int x = x + 1;
+  out[tid] = x;
+}
+)");
+  const ir::Kernel& kernel = *program->kernels.front();
+  EXPECT_EQ(sim_error(kernel, /*ast_reference=*/false), "");
+  auto [w, r] = expect_engines_agree(
+      one_block_workload,
+      [&](np::Workload& wl) {
+        return np::ExecutionRequest::baseline(kernel, wl);
+      },
+      /*jobs=*/1, /*sanitize=*/true);
+  ASSERT_EQ(r->hazards().size(), 1u) << r->engine.summary();
+  EXPECT_EQ(r->hazards()[0].kind, sim::HazardKind::kUninitRead);
+  EXPECT_NE(r->hazards()[0].message.find("uninitialized variable 'x'"),
+            std::string::npos)
+      << r->hazards()[0].message;
+  EXPECT_EQ(w->mem->buffer(std::get<sim::BufferId>(w->launch.args[0]))
+                .f32()[0],
+            1.0f);
 }
 
 TEST(FormerDeclineShapes, SharedScalarIsAStructuredError) {
