@@ -1,7 +1,7 @@
 // Scalar semantics of the kernel language, defined once for every
-// evaluator: the interpreter's lane loops (sim/exec_core.hpp, over typed
-// lanes in the VM and tagged lanes in the AST reference walker) and the
-// symbolic executor's constant folding (sim/symexec.cpp). That covers the
+// evaluator: the VM's typed lane loops (sim/exec_core.hpp) and the
+// symbolic executor's constant folding over tagged values
+// (sim/symexec.cpp). That covers the
 // operators and the math builtins (kMathTable, binary_math).
 //
 // A lane holds either an int64 (int and bool variables) or a double that

@@ -1,6 +1,6 @@
 // Slot binder: the once-per-kernel name-resolution prepass, and the one
-// place names resolve: bytecode lowering, the AST walker and the symbolic
-// executor (sim/symexec.hpp) all run on its annotations.
+// place names resolve: bytecode lowering and the symbolic executor
+// (sim/symexec.hpp) both run on its annotations.
 //
 // The block-lockstep interpreter used to resolve every VarRef through an
 // unordered_map<string, Slot> and every geometry name / builtin callee by

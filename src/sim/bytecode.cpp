@@ -1,9 +1,9 @@
 // Lowering from the slot-bound kernel AST to the flat bytecode the VM
-// executes (sim/vm.cpp). The pass mirrors the AST walker's evaluation
-// order instruction-for-instruction: every charge, watchdog step, mask
-// operation and error site is emitted at the exact point the recursive
-// walk would reach it, so the two engines are bit-identical by
-// construction. See sim/bytecode.hpp for the instruction set.
+// executes (sim/vm.cpp). The pass emits every charge, watchdog step, mask
+// operation and error site in the kernel's evaluation order: operands
+// left to right, a statement's step before its body, a loop's back-edge
+// step before its condition. See sim/bytecode.hpp for the instruction
+// set.
 
 #include "sim/bytecode.hpp"
 
@@ -97,7 +97,7 @@ class Lowerer {
     in.loc = loc;
     return emit(std::move(in));
   }
-  /// Precomposed SimError, positioned where the AST walk would throw.
+  /// Precomposed SimError, raised when execution reaches it.
   void emit_trap(std::string msg) {
     Instr in;
     in.op = Op::kTrap;
@@ -129,8 +129,7 @@ class Lowerer {
 
   // ---------------- statements ----------------
   /// Every statement is preceded by a kGuard that clears returned lanes
-  /// and skips the rest of the block when the mask empties — the
-  /// exec_block loop of the AST walker.
+  /// and skips the rest of the block when the mask empties.
   void lower_block(const Block& b) {
     std::vector<std::size_t> guards;
     guards.reserve(b.stmts.size());
@@ -245,7 +244,7 @@ class Lowerer {
     Operand rhs = lower_expr(*a.rhs);
     if (a.op != AssignOp::kAssign) {
       // Compound assignment reads the target first (full re-evaluation,
-      // charges included, exactly like the AST's double eval).
+      // charges included).
       Operand old = lower_expr(*a.lhs);
       BinOp op = a.op == AssignOp::kAdd   ? BinOp::kAdd
                  : a.op == AssignOp::kSub ? BinOp::kSub
@@ -385,7 +384,7 @@ class Lowerer {
       check = emit(std::move(in));
     }
     lower_block(*wl.body);
-    // The AST's while latch clears returned lanes and loops back to the
+    // The while latch clears returned lanes and loops back to the
     // condition unconditionally (one extra back-edge on a possibly-empty
     // mask); kLoopCheck exits there.
     emit(Op::kClearReturned);
@@ -492,7 +491,7 @@ class Lowerer {
       emit_unresolved(v);
       return Operand::immediate(Value::of_int(0));
     }
-    // Uniform kernel arguments carry no shadow state, so the AST's
+    // Uniform kernel arguments carry no shadow state, so
     // var_read_check has no observable effect on them: pure view.
     if (si->kind == SlotInfo::Kind::kUniformParam)
       return Operand::uniform(v.sim_slot, si->lane);
@@ -604,7 +603,7 @@ class Lowerer {
   }
 
   /// A reference bound to a sentinel (undeclared, geometry as a
-  /// variable, unbound): slot_at's error, where the AST would raise it.
+  /// variable, unbound): slot_at's error, raised where it executes.
   void emit_unresolved(const VarRef& v) {
     emit_trap(unresolved_ref_message(v.sim_slot, v.name, v.loc()));
   }

@@ -3,9 +3,9 @@
 // The lowering pass walks the bound AST once per launch and emits a flat
 // instruction stream with virtual registers and resolved jump targets;
 // sim/vm.cpp executes it with a dispatch loop over SoA lane state. Every
-// instruction maps 1:1 onto the exec::BlockCore helper the AST walker
-// calls at the same point, in the same order, so charges, watchdog steps,
-// hazard reports and error messages are bit-identical by construction.
+// instruction maps 1:1 onto an exec::BlockCore helper, called in the
+// kernel's source evaluation order, so charges, watchdog steps, hazard
+// reports and error messages come from one piece of code.
 //
 // Operands distinguish registers, folded immediates, geometry lane
 // caches, uniform kernel arguments and live slot storage; the last three
@@ -15,16 +15,15 @@
 // and uniform arguments their known types, buffer loads the element type
 // of the buffer bound at this launch, and operators the result type
 // sim/arith.hpp defines. The VM keeps registers as plain typed lane
-// arrays on that basis. Structural errors the AST raises while walking (unknown
-// callee, wrong arity, non-array indexing, break/continue, a reference
-// the binder bound to no declaration) lower to kTrap instructions
-// carrying the precomposed message, positioned where the AST would throw.
+// arrays on that basis. Structural errors (unknown callee, wrong arity,
+// non-array indexing, break/continue, a reference the binder bound to no
+// declaration) lower to kTrap instructions carrying the precomposed
+// message, positioned where evaluation reaches the faulty construct.
 //
 // Lowering is total: the binder gives every slot one static type
 // (sim/binder.hpp), unsupported declarations such as shared-memory
-// scalars fail in BlockCore::declare exactly as on the AST walk, and a
-// declaration the binder never saw lowers to a trap. The VM is the only
-// production engine; the AST walker is kept as the test reference.
+// scalars fail in BlockCore::declare, and a declaration the binder never
+// saw lowers to a trap. The VM is the only engine.
 //
 // Implementation detail of sim/; include only from the interpreter, the
 // VM and their tests.
@@ -157,7 +156,8 @@ struct Program {
 };
 
 /// Lowers a bound kernel to bytecode. Never fails and never returns null:
-/// every construct the AST walker rejects lowers to the same error.
+/// every construct the simulator rejects lowers to a trap raising its
+/// error.
 /// `buffer_types[p]` is the element type of the buffer bound to pointer
 /// parameter p at this launch; a missing entry falls back to the
 /// parameter's declared pointee type.

@@ -515,10 +515,13 @@ Slot& BlockCore::declare(const DeclStmt& d) {
     } else {  // register scalar
       slot.alloc(static_cast<std::size_t>(nlanes_));
     }
-    if (san_ && d.type.space != AddrSpace::kShared)
-      slot.shadow.assign(slot.is_float() ? slot.f.size() : slot.i.size(), 0);
     slot.declared = true;
   }
+  // Each execution of the declaration starts the variable unset: a loop
+  // body's `float u;` must not read as initialized from the previous
+  // iteration. The storage is kept, so modeled results do not move.
+  if (san_ && d.type.space != AddrSpace::kShared)
+    slot.shadow.assign(slot.is_float() ? slot.f.size() : slot.i.size(), 0);
   return slot;
 }
 

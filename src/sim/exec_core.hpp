@@ -1,22 +1,16 @@
-// Shared per-block execution core for the two kernel engines.
+// Per-block execution core of the bytecode VM (sim/vm.cpp).
 //
-// BlockCore owns everything the engines need to behave bit-identically:
-// the slot frame, geometry lane caches, per-warp cost charging, the
-// watchdog step counter, the sanitizer hooks and every memory-access /
-// operator execution path. The AST walker (sim/interpreter.cpp) and the
-// bytecode VM (sim/vm.cpp) both derive from it, so every charge, hazard
-// report and error message is produced by exactly one piece of code no
-// matter which engine runs — the engine-equivalence contract
-// (docs/performance.md) is enforced by construction, not by parallel
-// maintenance.
+// BlockCore owns the slot frame, geometry lane caches, per-warp cost
+// charging, the watchdog step counter, the sanitizer hooks and every
+// memory-access / operator execution path, so every charge, hazard
+// report and error message is produced by exactly one piece of code.
 //
-// Lane helpers are templates over the lane element type. The VM passes
-// plain int64_t / double lane arrays whose types the lowering fixed
-// statically (sim/bytecode.hpp); the AST walker passes tagged Value
-// lanes. Both instantiate the same bodies, and the scalar semantics come
-// from sim/arith.hpp. Variable storage is typed by the declared scalar
-// type for both engines. Masks are one active-lane word per warp; a fully
-// active warp runs its lane loop with no per-lane test.
+// Lane helpers are templates over the lane element type: plain int64_t /
+// double lane arrays whose types the lowering fixed statically
+// (sim/bytecode.hpp), with the scalar semantics from sim/arith.hpp.
+// Variable storage is typed by the declared scalar type. Masks are one
+// active-lane word per warp; a fully active warp runs its lane loop with
+// no per-lane test.
 //
 // This header is an implementation detail of sim/; nothing outside the
 // interpreter, the lowering pass and the VM should include it.
@@ -46,8 +40,6 @@ namespace cudanp::sim::exec {
 /// Active lanes, one word per warp: bit k of word w is lane
 /// w * warp_size + k.
 using Mask = std::vector<std::uint32_t>;
-/// The AST reference walker's tagged lane vectors.
-using Lanes = std::vector<Value>;
 
 [[nodiscard]] inline bool any(const Mask& m) {
   for (auto w : m)
@@ -73,7 +65,8 @@ struct Slot {
   bool is_uniform_param = false;
   BufferId buffer = 0;
   /// False until the slot's declaration first executes in this block; a
-  /// declaration executed again (a loop body) keeps the storage.
+  /// declaration executed again (a loop body) keeps the storage but
+  /// clears the sanitizer init bits, so the variable starts unset.
   bool declared = false;
   /// Sanitizer init bitmap, indexed like the storage (empty when the
   /// sanitizer is off, and for shared / buffer / uniform slots, which are
@@ -121,9 +114,9 @@ struct BlockSanitizer {
   std::vector<HazardReport> reports;
 };
 
-/// Per-lane value source: a lane array or one broadcast value. The AST
-/// engine passes materialized Lanes; the VM passes registers, geometry
-/// vectors, live slot storage, or folded immediates without copying.
+/// Per-lane value source: a lane array or one broadcast value. The VM
+/// passes registers, geometry vectors, live slot storage, or folded
+/// immediates without copying.
 template <class T>
 struct LaneView {
   const T* vec = nullptr;
@@ -136,32 +129,19 @@ struct LaneView {
 /// Readers read the pool of the type lowering gave the register, so the
 /// two must agree: binop_lanes checks arith's result types against
 /// arith::binop_yields_float, and vm::run_block checks that the buffers
-/// bound are the ones the program was lowered for. The AST passes Value*
-/// instead.
+/// bound are the ones the program was lowered for.
 struct TypedOut {
   std::int64_t* i = nullptr;
   double* f = nullptr;
 };
 
-template <class R>
-[[nodiscard]] inline Value* out_as(Value* o) {
-  return o;
-}
+/// The lane array of `o` that a result of type R is written to.
 template <class R>
 [[nodiscard]] inline R* out_as(TypedOut o) {
   if constexpr (arith::kIsFloat<R>)
     return o.f;
   else
     return o.i;
-}
-
-/// A result converted to the destination's lane representation.
-template <class O, class R>
-[[nodiscard]] inline O lane_as(R r) {
-  if constexpr (std::is_same_v<O, Value>)
-    return arith::box(r);
-  else
-    return r;
 }
 
 class BlockCore {
@@ -213,14 +193,6 @@ class BlockCore {
   [[nodiscard]] bool lane_on(const Mask& mask, std::size_t l) const {
     const std::size_t ws = static_cast<std::size_t>(spec_.warp_size);
     return (mask[l / ws] >> (l % ws)) & 1u;
-  }
-
-  [[nodiscard]] std::size_t first_active(const Mask& mask) const {
-    for (std::size_t w = 0; w < mask.size(); ++w)
-      if (mask[w])
-        return w * static_cast<std::size_t>(spec_.warp_size) +
-               static_cast<std::size_t>(std::countr_zero(mask[w]));
-    return 0;
   }
 
   /// out = the lanes active in `mask` whose `c` is true (`out` may alias
@@ -303,7 +275,7 @@ class BlockCore {
   }
 
   /// Folds the per-warp counters into the block's KernelStats; the run()
-  /// epilogue shared by both engines.
+  /// epilogue.
   [[nodiscard]] KernelStats collect_stats() const;
 
   // ---------------- watchdog ----------------
@@ -406,7 +378,7 @@ class BlockCore {
   /// One dimension of a (possibly multi-dim) index flatten: bounds-checks
   /// active lanes against `dim` and accumulates flat = flat * dim + i
   /// (`first` resets instead). The per-dim ALU charge for d > 0 is the
-  /// caller's, matching the AST order (charge, then check).
+  /// caller's (charge, then check).
   template <class I>
   void flatten_dim(std::int64_t* flat, LaneView<I> idx, std::int64_t dim,
                    bool first, const Mask& mask, SourceLoc loc);
@@ -415,7 +387,7 @@ class BlockCore {
   /// Everything eval of a scalar VarRef does except materializing values:
   /// undeclared / pointer-as-value / array-without-index errors and the
   /// sanitizer's uninit-read check. Returns the slot so the caller
-  /// can read its storage in place (AST copies; VM aliases).
+  /// can read its storage in place.
   Slot& var_read_check(std::int32_t slot_id, const std::string& name,
                        const Mask& mask, SourceLoc loc);
   /// Scalar variable assignment target: slot_at + assignability errors +
@@ -450,14 +422,14 @@ class BlockCore {
       // Int div/mod and float div are multi-cycle.
       w = opt_.timing.weights.idiv_imod;
       if (op == ir::BinOp::kDiv &&
-          (is_float_operand(a, mask) || is_float_operand(b, mask)))
+          (arith::kIsFloat<A> || arith::kIsFloat<B>))
         w = opt_.timing.weights.fdiv_sqrt_transcendental;
     }
     charge_issue(mask, w);
     dispatch_binop(op, a, b, mask, out, loc);
   }
   /// Compound-assignment combine: fixed ALU charge (never the div/mod
-  /// weights) + apply, matching the AST's exec_assign.
+  /// weights) + apply.
   template <class A, class B, class Out>
   void do_compound(ir::BinOp op, LaneView<A> oldv, LaneView<B> rhs,
                    const Mask& mask, Out out, SourceLoc loc) {
@@ -497,10 +469,8 @@ class BlockCore {
     };
     using R = decltype(arith::visit(pick(true), A{}, B{}));
     auto* o = out_as<R>(out);
-    using O = std::remove_pointer_t<decltype(o)>;
     for_each_lane(mask, [&](std::size_t l) {
-      o[l] = lane_as<O>(
-          arith::visit(pick(arith::truthy(c.at(l))), a.at(l), b.at(l)));
+      o[l] = arith::visit(pick(arith::truthy(c.at(l))), a.at(l), b.at(l));
     });
   }
   template <class A, class Out>
@@ -596,8 +566,9 @@ class BlockCore {
   Slot& store_target(std::int32_t s, const std::string& name, SourceLoc loc);
 
   /// Declares (or re-declares, for loop bodies) a variable, zero-filled
-  /// with its declared scalar type. Unsupported declarations (shared-memory
-  /// scalars, void variables) fail here, for both engines.
+  /// with its declared scalar type on first execution; every execution
+  /// starts it unset for the sanitizer. Unsupported declarations
+  /// (shared-memory scalars, void variables) fail here.
   Slot& declare(const ir::DeclStmt& d);
 
   /// Cold paths for lane-loop diagnostics; out of line so the string
@@ -656,18 +627,6 @@ class BlockCore {
   std::int64_t divergent_branches_ = 0;
 
  private:
-  /// The operand's type for the division charge: static for typed lanes;
-  /// for tagged lanes the first active lane's tag, which every lane shares
-  /// (values are converted to their static type wherever they are stored,
-  /// selected or combined).
-  template <class T>
-  [[nodiscard]] bool is_float_operand(LaneView<T> v, const Mask& mask) const {
-    if constexpr (arith::kTyped<T>)
-      return arith::kIsFloat<T>;
-    else
-      return v.at(first_active(mask)).is_float();
-  }
-
   /// Calls fn with a per-lane accessor for the view: an array read for a
   /// vector, a constant for a splat, so lane loops carry no shape test.
   template <class T, class Fn>
@@ -683,10 +642,9 @@ class BlockCore {
   void map_lanes(const Mask& mask, Out out, Fn&& fn, LaneView<A> a) {
     using R = decltype(arith::visit(fn, A{}));
     auto* o = out_as<R>(out);
-    using O = std::remove_pointer_t<decltype(o)>;
     with_access(a, [&](auto ga) {
       for_each_lane(mask, [&](std::size_t l) {
-        o[l] = lane_as<O>(arith::visit(fn, ga(l)));
+        o[l] = arith::visit(fn, ga(l));
       });
     });
   }
@@ -699,17 +657,16 @@ class BlockCore {
                  LaneView<B> b) {
     using R = decltype(arith::visit(fn, A{}, B{}));
     auto* o = out_as<R>(out);
-    using O = std::remove_pointer_t<decltype(o)>;
     if (!a.vec && !b.vec) {
       if (!any(mask)) return;
-      const O r = lane_as<O>(arith::visit(fn, a.splat, b.splat));
+      const R r = arith::visit(fn, a.splat, b.splat);
       for_each_lane(mask, [&](std::size_t l) { o[l] = r; });
       return;
     }
     with_access(a, [&](auto ga) {
       with_access(b, [&](auto gb) {
         for_each_lane(mask, [&](std::size_t l) {
-          o[l] = lane_as<O>(arith::visit(fn, ga(l), gb(l)));
+          o[l] = arith::visit(fn, ga(l), gb(l));
         });
       });
     });
@@ -743,12 +700,10 @@ class BlockCore {
                    SourceLoc loc) {
     auto fail = [&loc](const char* what) { binop_fail(what, loc); };
     auto fn = [&](auto x, auto y) { return arith::binop<kOp>(x, y, fail); };
-    if constexpr (arith::kTyped<A>) {
-      using R = decltype(fn(A{}, B{}));
-      static_assert(arith::kIsFloat<R> ==
-                    arith::binop_yields_float(kOp, arith::kIsFloat<A>,
-                                              arith::kIsFloat<B>));
-    }
+    using R = decltype(fn(A{}, B{}));
+    static_assert(arith::kIsFloat<R> ==
+                  arith::binop_yields_float(kOp, arith::kIsFloat<A>,
+                                            arith::kIsFloat<B>));
     map_lanes(mask, out, fn, a, b);
   }
 
@@ -862,8 +817,7 @@ void BlockCore::buffer_load(Slot& slot, const std::string& name,
     using R = std::conditional_t<std::is_same_v<E, float>, double,
                                  std::int64_t>;
     auto* o = out_as<R>(out);
-    using O = std::remove_pointer_t<decltype(o)>;
-    auto cvt = [](E v) { return lane_as<O>(static_cast<R>(v)); };
+    auto cvt = [](E v) { return static_cast<R>(v); };
     auto whole = [&](std::size_t lo, std::int64_t first, std::int64_t step) {
       gather(o + lo, data + first, step, cvt);
     };
@@ -915,14 +869,13 @@ void BlockCore::shared_load(Slot& slot, const std::string& name,
   slot.with_cells([&](auto* data) {
     using T = std::remove_pointer_t<decltype(data)>;
     auto* o = out_as<T>(out);
-    using O = std::remove_pointer_t<decltype(o)>;
     auto whole = [&](std::size_t lo, std::int64_t first, std::int64_t step) {
-      gather(o + lo, data + first, step, [](T v) { return lane_as<O>(v); });
+      gather(o + lo, data + first, step, [](T v) { return v; });
     };
     for_each_run(mask, cells, san_ == nullptr, whole, [&](std::size_t l) {
       const auto i = static_cast<std::size_t>(flat[l]);
       if (san_) note_shared_read(slot, name, i, static_cast<int>(l), loc);
-      o[l] = lane_as<O>(data[i]);
+      o[l] = data[i];
     });
   });
 }
@@ -960,14 +913,13 @@ void BlockCore::local_load(Slot& slot, const std::string& name,
   slot.with_cells([&](auto* data) {
     using T = std::remove_pointer_t<decltype(data)>;
     auto* o = out_as<T>(out);
-    using O = std::remove_pointer_t<decltype(o)>;
     for_each_lane(mask, [&](std::size_t l) {
       const std::size_t i = l * elems + static_cast<std::size_t>(flat[l]);
       if (san_ && shfl_arg_depth_ == 0 && !slot.shadow.empty() &&
           !slot.shadow[i])
         report_uninit_element("array element", name, flat[l],
                               static_cast<int>(l), loc);
-      o[l] = lane_as<O>(data[i]);
+      o[l] = data[i];
     });
   });
 }
@@ -1022,7 +974,6 @@ void BlockCore::do_shfl(Builtin b, const std::string& callee, LaneView<V> var,
     charge_latency(w, spec_.shfl_latency_cycles);
   });
   auto* o = out_as<V>(out);
-  using O = std::remove_pointer_t<decltype(o)>;
   std::vector<int> src_of;
   if (san_) src_of.assign(static_cast<std::size_t>(nlanes_), -1);
   // Widths are powers of two in [1, warp_size], so the group math is
@@ -1082,7 +1033,7 @@ void BlockCore::do_shfl(Builtin b, const std::string& callee, LaneView<V> var,
         report_shfl_source(ShflSource::kInactive, callee, src_lane, l, loc);
       }
       if (san_) src_of[lu] = src_tid;
-      o[lu] = lane_as<O>(var.at(static_cast<std::size_t>(src_tid)));
+      o[lu] = var.at(static_cast<std::size_t>(src_tid));
     }
   });
   if (san_ && var_name)

@@ -9,16 +9,15 @@
 // correct for every race-free kernel that synchronizes through
 // __syncthreads() (all paper benchmarks, and everything CUDA-NP emits).
 //
-// Engines
-// -------
+// Engine
+// ------
 // Blocks execute on the bytecode VM: each launch lowers the bound kernel
 // once into a flat register bytecode (sim/bytecode.hpp) that a dispatch
-// loop runs over SoA lane state (sim/vm.cpp). The original recursive AST
-// walk stays as the reference implementation that tests and
-// bench/perf_harness compare the VM against (Options::ast_reference).
-// Both run over the same per-block core (sim/exec_core.hpp), so outputs,
-// cost-model stats, watchdog step counts and sanitizer hazard streams
-// are bit-identical.
+// loop runs over typed SoA lane state (sim/vm.cpp), with every charge,
+// hazard report and error message produced by the per-block core
+// (sim/exec_core.hpp). Its outputs, cost-model stats, watchdog trip
+// points and hazard streams are pinned case by case to golden digests
+// (tests/engine_digest_test.cpp, tests/golden/engine_digests.txt).
 //
 // Cost model hooks
 // ----------------
@@ -43,6 +42,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ir/kernel.hpp"
@@ -117,10 +117,6 @@ class Interpreter {
     TimingOptions timing;
     /// Watchdog / loop / deadline bounds.
     ExecutionLimits limits;
-    /// Test-facing: run blocks on the AST walker, the reference the VM is
-    /// checked against (tests/engine_equivalence_test.cpp,
-    /// bench/perf_harness). Production runs leave this false.
-    bool ast_reference = false;
     /// When non-null, chaos-testing hooks fire during interpretation:
     /// injected SimErrors at the Nth statement and block stalls that the
     /// watchdog must catch. Production runs leave this null.
@@ -138,10 +134,11 @@ class Interpreter {
     int jobs = 0;
   };
 
-  Interpreter(const DeviceSpec& spec, DeviceMemory& mem, Options opt)
-      : spec_(spec), mem_(mem), opt_(opt) {}
-  Interpreter(const DeviceSpec& spec, DeviceMemory& mem)
-      : Interpreter(spec, mem, Options()) {}
+  /// The spec is copied, so a temporary (DeviceSpec::gtx680()) is safe.
+  Interpreter(DeviceSpec spec, DeviceMemory& mem, Options opt)
+      : spec_(std::move(spec)), mem_(mem), opt_(opt) {}
+  Interpreter(DeviceSpec spec, DeviceMemory& mem)
+      : Interpreter(std::move(spec), mem, Options()) {}
 
   /// Executes `kernel` over the whole grid and returns aggregate stats.
   /// `resident_blocks_per_smx` (from the occupancy calculator) sizes the
@@ -163,7 +160,7 @@ class Interpreter {
   [[nodiscard]] static std::int64_t resolve_max_steps(std::int64_t requested);
 
  private:
-  const DeviceSpec& spec_;
+  DeviceSpec spec_;
   DeviceMemory& mem_;
   Options opt_;
 };

@@ -11,7 +11,7 @@
 // the math builtins come from its one table), so a fully-concrete
 // symbolic run computes exactly what the interpreter would.
 //
-// Names resolve the way the VM and the AST walker resolve them: through
+// Names resolve the way the VM resolves them: through
 // the slot binder (sim/binder.hpp). sym_execute binds the kernel (or
 // reuses its cached binding) and reads the annotations: each variable
 // reference and declaration indexes a slot-ordered frame, geometry names

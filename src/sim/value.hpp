@@ -1,5 +1,5 @@
-// Tagged runtime value: kernel arguments, the AST reference walker's
-// lanes and the certifier's constants. The VM keeps the same two payloads
+// Tagged runtime value: kernel arguments, bytecode immediates and the
+// certifier's constants. The VM keeps the same two payloads
 // in statically typed lane arrays (sim/arith.hpp).
 //
 // Integers are kept exact (int64), floats are stored as double but every

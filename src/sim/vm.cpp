@@ -401,7 +401,8 @@ class VmExec : public exec::BlockCore {
 
 /// Element type of the buffer bound to parameter i, or its declared type
 /// where the parameter is no pointer or the argument no valid buffer (the
-/// launch then fails before any access, exactly as the AST walk would).
+/// launch then fails before any access, with the parameter binding's
+/// error).
 ir::ScalarType buffer_type(const ir::Kernel& kernel, const LaunchConfig& cfg,
                            const DeviceMemory& mem, std::size_t i) {
   const ir::Param& p = kernel.params[i];

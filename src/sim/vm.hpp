@@ -1,4 +1,4 @@
-// Bytecode VM: the fast kernel engine.
+// Bytecode VM: the kernel engine.
 //
 // Executes the flat instruction stream produced by sim/bytecode.cpp with
 // a dispatch loop over SoA lane state — virtual registers are plain
@@ -6,7 +6,7 @@
 // active words on a preallocated stack sized by the lowering — so a
 // launch pays no per-node heap allocation and no recursion. All
 // semantics (charges, watchdog, sanitizer, errors) come from
-// exec::BlockCore, shared with the AST walker.
+// exec::BlockCore.
 //
 // Implementation detail of sim/; include only from the interpreter and
 // tests.
@@ -31,11 +31,10 @@ namespace cudanp::sim::vm {
     const ir::Kernel& kernel, const LaunchConfig& cfg,
     const DeviceMemory& mem);
 
-/// Runs one block of a launch over the lowered program. Equivalent to
-/// constructing the AST walker on the same BlockCore arguments and
-/// running it — same stats, same hazard stream, same errors. Throws
-/// SimError when a pointer argument's buffer has an element type other
-/// than the one `program` was lowered for.
+/// Runs one block of a launch over the lowered program and returns its
+/// stats; hazards go to `san`. Throws SimError when a pointer argument's
+/// buffer has an element type other than the one `program` was lowered
+/// for.
 [[nodiscard]] KernelStats run_block(const bytecode::Program& program,
                                     const DeviceSpec& spec, DeviceMemory& mem,
                                     const Interpreter::Options& opt,

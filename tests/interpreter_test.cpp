@@ -512,13 +512,12 @@ TEST(Interpreter, WarpChargedWhenAnyLaneActive) {
   EXPECT_GT(imbalanced.stats.issue_slots, 0.6 * balanced.stats.issue_slots);
 }
 
-// ---------------- static typing, on both engines ----------------
+// ---------------- static typing ----------------
 //
 // Every value has one static type. These cases used to decide a value's
-// type at run time (per lane, from tags); each is checked on the VM and
-// the AST reference walker.
+// type at run time (per lane, from tags).
 
-/// One kernel launch on the VM (ast_reference = false) or the AST walker.
+/// One kernel launch.
 struct EngineRun {
   DeviceSpec spec = DeviceSpec::gtx680();
   DeviceMemory mem;
@@ -526,13 +525,12 @@ struct EngineRun {
   KernelStats stats;
   std::string error;  // the SimError message, "" if none
 
-  EngineRun(const std::string& src, bool ast_reference, int threads = 32,
-            SanitizerEngine* san = nullptr) {
+  explicit EngineRun(const std::string& src, int threads = 32,
+                     SanitizerEngine* san = nullptr) {
     out = mem.alloc(ir::ScalarType::kFloat, 64);
     iout = mem.alloc(ir::ScalarType::kInt, 64);
     program = frontend::parse_program_or_throw(src);
     Interpreter::Options opt;
-    opt.ast_reference = ast_reference;
     opt.sanitizer = san;
     Interpreter interp(spec, mem, opt);
     try {
@@ -589,6 +587,9 @@ TEST(VmProgram, RejectsABufferOfAnotherTypeThanItWasLoweredFor) {
   EXPECT_EQ(mem.buffer(o).f32()[5], 6.0f);
 }
 
+// The typing and overflow suites run on the VM, the one engine. Their
+// parameter is the former AST-reference switch, always false: the single
+// instantiation keeps the cases' names ("Engines/<suite>.<case>/Vm").
 class InterpreterTyping : public ::testing::TestWithParam<bool> {};
 
 TEST_P(InterpreterTyping, UnwrittenFloatVariableIsFloatZero) {
@@ -601,8 +602,7 @@ TEST_P(InterpreterTyping, UnwrittenFloatVariableIsFloatZero) {
       "  float a[2];"
       "  o[threadIdx.x] = x / 0;"
       "  o[32 + threadIdx.x] = s[1] / 0 + a[1] / 0;"
-      "}",
-      GetParam());
+      "}");
   ASSERT_EQ(r.error, "");
   EXPECT_TRUE(std::isnan(r.f(0)));
   EXPECT_TRUE(std::isnan(r.f(32)));
@@ -615,7 +615,7 @@ TEST_P(InterpreterTyping, UnwrittenFloatIsStillAnUninitRead) {
       "  float x;"
       "  o[threadIdx.x] = x / 0;"
       "}",
-      GetParam(), 32, &san);
+      32, &san);
   ASSERT_EQ(r.error, "");
   ASSERT_FALSE(san.reports().empty());
   EXPECT_EQ(san.reports()[0].kind, HazardKind::kUninitRead);
@@ -628,8 +628,7 @@ TEST_P(InterpreterTyping, TernaryArmsConvertToTheCommonType) {
       "  int t = threadIdx.x;"
       "  o[t] = (t % 2 == 0 ? 7 : 2.5f) / 2;"
       "  io[t] = (t % 2 == 0 ? 7 : 3) / 2;"
-      "}",
-      GetParam());
+      "}");
   ASSERT_EQ(r.error, "");
   EXPECT_EQ(r.f(0), 3.5f);
   EXPECT_EQ(r.f(1), 1.25f);
@@ -644,22 +643,19 @@ TEST_P(InterpreterTyping, DivisionChargeFollowsStaticTypes) {
       "  float x;"
       "  float y = x / 3;"
       "  o[threadIdx.x] = y;"
-      "}",
-      GetParam());
+      "}");
   EngineRun literal(
       "__global__ void k(float* o, int* io) {"
       "  float x;"
       "  float y = 0.0f / 3;"
       "  o[threadIdx.x] = y;"
-      "}",
-      GetParam());
+      "}");
   ASSERT_EQ(unwritten.error, "");
   EXPECT_EQ(unwritten.stats.issue_slots, literal.stats.issue_slots);
 }
 
 TEST_P(InterpreterTyping, VoidVariableIsAStructuredError) {
-  EngineRun r("__global__ void k(float* o, int* io) { void v = 1; }",
-              GetParam());
+  EngineRun r("__global__ void k(float* o, int* io) { void v = 1; }");
   EXPECT_NE(r.error.find("void variable 'v'"), std::string::npos) << r.error;
 }
 
@@ -667,32 +663,32 @@ TEST_P(InterpreterTyping, VoidVariableIsAStructuredError) {
 
 class InterpreterOverflow : public ::testing::TestWithParam<bool> {};
 
-std::string overflow_error(const std::string& expr, bool ast_reference) {
+std::string overflow_error(const std::string& expr) {
   EngineRun r(
       "__global__ void k(float* o, int* io) {"
       "  int big = -9223372036854775807 - 1;"
       "  int s = threadIdx.x - 1;"
       "  io[threadIdx.x] = " + expr + ";"
       "}",
-      ast_reference, 1);
+      1);
   return r.error;
 }
 
 TEST_P(InterpreterOverflow, MinOverMinusOneIsASimError) {
-  const std::string e = overflow_error("big / (0 - 1)", GetParam());
+  const std::string e = overflow_error("big / (0 - 1)");
   EXPECT_NE(e.find("integer division overflow"), std::string::npos) << e;
   EXPECT_NE(e.find(" at "), std::string::npos) << e;
-  const std::string m = overflow_error("big % (0 - 1)", GetParam());
+  const std::string m = overflow_error("big % (0 - 1)");
   EXPECT_NE(m.find("modulo overflow"), std::string::npos) << m;
 }
 
 TEST_P(InterpreterOverflow, ShiftCountsOutsideTheWordAreErrors) {
   for (const char* expr : {"1 << 64", "1 >> 64", "1 << s", "big >> (0 - 5)"}) {
-    const std::string e = overflow_error(expr, GetParam());
+    const std::string e = overflow_error(expr);
     EXPECT_NE(e.find("shift count out of range [0, 63]"), std::string::npos)
         << expr << ": " << e;
   }
-  EXPECT_EQ(overflow_error("1 << 63", GetParam()), "");
+  EXPECT_EQ(overflow_error("1 << 63"), "");
 }
 
 TEST_P(InterpreterOverflow, AddSubMulAndNegationWrap) {
@@ -706,22 +702,19 @@ TEST_P(InterpreterOverflow, AddSubMulAndNegationWrap) {
       "  io[4] = abs(big) == big;"
       "  io[5] = -(0 - 5);"
       "}",
-      GetParam(), 1);
+      1);
   ASSERT_EQ(r.error, "");
   for (std::size_t k = 0; k < 5; ++k) EXPECT_EQ(r.i(k), 1) << k;
   EXPECT_EQ(r.i(5), 5);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Engines, InterpreterTyping, ::testing::Bool(),
-    [](const ::testing::TestParamInfo<bool>& info) {
-      return info.param ? std::string("Ast") : std::string("Vm");
-    });
-INSTANTIATE_TEST_SUITE_P(
-    Engines, InterpreterOverflow, ::testing::Bool(),
-    [](const ::testing::TestParamInfo<bool>& info) {
-      return info.param ? std::string("Ast") : std::string("Vm");
-    });
+std::string engine_name(const ::testing::TestParamInfo<bool>&) {
+  return "Vm";
+}
+INSTANTIATE_TEST_SUITE_P(Engines, InterpreterTyping, ::testing::Values(false),
+                         engine_name);
+INSTANTIATE_TEST_SUITE_P(Engines, InterpreterOverflow,
+                         ::testing::Values(false), engine_name);
 
 }  // namespace
 }  // namespace cudanp::sim

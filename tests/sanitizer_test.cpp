@@ -139,6 +139,57 @@ __global__ void ularr(float* out, int n) {
   EXPECT_EQ(run.engine.reports()[0].loc.line, 5);
 }
 
+TEST(Sanitizer, LoopBodyDeclarationStartsUnsetEachIteration) {
+  // `float u;` and `float t[2];` run again on every iteration: the writes
+  // of iteration 0 do not initialize iteration 1's variables.
+  auto run = run_sanitized(R"(
+__global__ void redecl(float* a, float* out) {
+  int tx = threadIdx.x;
+  float s = 0.0f;
+  for (int i = 0; i < 4; i++) {
+    float u;
+    float t[2];
+    if (i == 0) { u = a[tx]; t[1] = 1.0f; }
+    s += u + t[1];
+  }
+  out[tx] = s;
+}
+)",
+                           32);
+  ASSERT_TRUE(run.ran);
+  ASSERT_EQ(run.engine.reports().size(), 2u) << run.engine.summary();
+  for (const auto& r : run.engine.reports()) {
+    EXPECT_EQ(r.kind, HazardKind::kUninitRead) << r.str();
+    EXPECT_EQ(r.loc.line, 9) << r.str();
+    EXPECT_EQ(r.thread, 0) << r.str();
+  }
+  EXPECT_EQ(run.engine.reports()[0].message,
+            "read of uninitialized variable 'u'");
+  EXPECT_NE(run.engine.reports()[1].message.find("'t[1]'"),
+            std::string::npos)
+      << run.engine.reports()[1].str();
+}
+
+TEST(Sanitizer, LoopBodyDeclarationWrittenEachIterationIsClean) {
+  auto run = run_sanitized(R"(
+__global__ void redecl(float* a, float* out) {
+  int tx = threadIdx.x;
+  float s = 0.0f;
+  for (int i = 0; i < 4; i++) {
+    float u;
+    float t[2];
+    u = a[tx] * i;
+    t[1] = u;
+    s += u + t[1];
+  }
+  out[tx] = s;
+}
+)",
+                           32);
+  ASSERT_TRUE(run.ran);
+  EXPECT_TRUE(run.clean()) << run.engine.summary();
+}
+
 TEST(Sanitizer, BraceInitializerZeroFillsWholeArray) {
   // `float tmp[4] = {1.0f};` zero-fills the tail, so reading tmp[3] is fine.
   auto run = run_sanitized(R"(
