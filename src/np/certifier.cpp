@@ -154,8 +154,8 @@ JobCertifier::Baseline& JobCertifier::baseline() {
     b.args.push_back(std::move(a));
   }
   const CertifyOptions& opt = certifier_.options();
-  b.run = sim::sym_execute(kernel_, b.grid, b.block, b.args, b.arena,
-                           sym_options(opt));
+  b.run = sim::sym_execute(certifier_.spec(), kernel_, b.grid, b.block,
+                           b.args, b.arena, sym_options(opt));
   if (!b.run.ok) return baseline_.emplace(std::move(b));
   // Every variant compares against the baseline's normal forms, so they
   // are built once, into the arena every variant starts from. A
@@ -256,8 +256,8 @@ Certificate JobCertifier::certify(const transform::TransformResult& variant) {
     ~Rollback() { arena.rollback(); }
   } rollback{arena};
   sim::SymExecResult var =
-      sim::sym_execute(*variant.kernel, bl.grid, variant.block_dims, vargs,
-                       arena, sym_options(opt));
+      sim::sym_execute(certifier_.spec(), *variant.kernel, bl.grid,
+                       variant.block_dims, vargs, arena, sym_options(opt));
   if (!var.ok) {
     // A deterministic fault unique to the variant (OOB store, div by
     // zero, warp-level barrier divergence) refutes it — if the

@@ -56,6 +56,15 @@ PragmaHints collect_hints(const ir::Kernel& k) {
 
 std::vector<NpConfig> NpCompiler::enumerate_configs(
     const ir::Kernel& kernel, int master_count, const sim::DeviceSpec& spec) {
+  std::vector<NpConfig> out = config_space(kernel, master_count, spec);
+  if (transform::first_shfl_call(kernel))
+    std::erase_if(out, [](const NpConfig& c) { return c.intra_warp(); });
+  return out;
+}
+
+std::vector<NpConfig> NpCompiler::config_space(const ir::Kernel& kernel,
+                                               int master_count,
+                                               const sim::DeviceSpec& spec) {
   PragmaHints hints = collect_hints(kernel);
   std::vector<NpConfig> out;
   const int sm = std::min(hints.sm_version, spec.sm_version);

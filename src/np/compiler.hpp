@@ -250,11 +250,20 @@ class NpCompiler {
       const ir::Program& program, const std::string& name);
 
   /// Enumerates the candidate configurations the auto-tuner will try for
-  /// `kernel` with baseline block size `master_count`, honoring pragma
-  /// hints (num_threads, np_type, sm_version — paper Sec. 3.6):
+  /// `kernel` with baseline block size `master_count`: config_space
+  /// without the configurations the kernel rules out (intra-warp, when it
+  /// calls __shfl itself: transform::first_shfl_call).
+  [[nodiscard]] static std::vector<transform::NpConfig> enumerate_configs(
+      const ir::Kernel& kernel, int master_count,
+      const sim::DeviceSpec& spec);
+
+  /// Every configuration the pragma hints allow (num_threads, np_type,
+  /// sm_version — paper Sec. 3.6):
   ///   inter-warp: slave_size in {2,4,8,16,32} with tb <= 1024
   ///   intra-warp: slave_size in {2,4,8,16,32} (power of two)
-  [[nodiscard]] static std::vector<transform::NpConfig> enumerate_configs(
+  /// A validation report covers these, so it can say why a configuration
+  /// enumerate_configs leaves out does not apply.
+  [[nodiscard]] static std::vector<transform::NpConfig> config_space(
       const ir::Kernel& kernel, int master_count,
       const sim::DeviceSpec& spec);
 

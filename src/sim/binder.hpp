@@ -68,6 +68,27 @@ enum class Builtin : std::int16_t {
   kPowf,
 };
 
+/// __shfl, __shfl_up, __shfl_down or __shfl_xor.
+[[nodiscard]] constexpr bool is_shfl(Builtin b) {
+  return b >= Builtin::kShfl && b <= Builtin::kShflXor;
+}
+
+/// Arguments a call to builtin `b` must pass: (var, lane, width) for the
+/// __shfl family, two for min, max, fminf, fmaxf and powf, one for the
+/// other math builtins. __syncthreads' arguments are not checked.
+[[nodiscard]] constexpr std::size_t builtin_arity(Builtin b) {
+  if (is_shfl(b)) return 3;
+  return b >= Builtin::kMin ? 2 : 1;
+}
+
+/// The operator a compound assignment (`+=`, `-=`, `*=`, `/=`) applies.
+[[nodiscard]] constexpr ir::BinOp compound_op(ir::AssignOp op) {
+  return op == ir::AssignOp::kAdd   ? ir::BinOp::kAdd
+         : op == ir::AssignOp::kSub ? ir::BinOp::kSub
+         : op == ir::AssignOp::kMul ? ir::BinOp::kMul
+                                    : ir::BinOp::kDiv;
+}
+
 /// Geometry value codes, in the order the lane caches are laid out.
 enum Geom : int {
   kGeomThreadIdxX = 0,

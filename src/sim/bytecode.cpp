@@ -246,10 +246,7 @@ class Lowerer {
       // Compound assignment reads the target first (full re-evaluation,
       // charges included).
       Operand old = lower_expr(*a.lhs);
-      BinOp op = a.op == AssignOp::kAdd   ? BinOp::kAdd
-                 : a.op == AssignOp::kSub ? BinOp::kSub
-                 : a.op == AssignOp::kMul ? BinOp::kMul
-                                          : BinOp::kDiv;
+      const BinOp op = compound_op(a.op);
       Instr in;
       in.op = Op::kCompound;
       in.aux = static_cast<std::uint8_t>(op);
@@ -622,75 +619,42 @@ class Lowerer {
       case Builtin::kShflDown:
       case Builtin::kShflXor:
         return lower_shfl(c, b);
-      case Builtin::kSqrt:
-      case Builtin::kFabs:
-      case Builtin::kExp:
-      case Builtin::kLog:
-      case Builtin::kSin:
-      case Builtin::kCos:
-      case Builtin::kFloor:
-      case Builtin::kRsqrt: {
-        if (c.args.size() != 1) {
-          emit_trap(f + " expects 1 argument at " + c.loc().str());
-          return Operand::immediate(Value::of_int(0));
-        }
-        Operand a = lower_expr(*c.args[0]);
-        Instr in;
-        in.op = Op::kMath1;
-        in.aux = static_cast<std::uint8_t>(b);
-        in.dst = alloc_reg();
-        in.a = a;
-        Operand r = Operand::reg(in.dst, LaneType::kFloat);
-        emit(std::move(in));
-        return r;
-      }
-      case Builtin::kAbs: {
-        if (c.args.size() != 1) {
-          emit_trap("abs expects 1 argument at " + c.loc().str());
-          return Operand::immediate(Value::of_int(0));
-        }
-        Operand a = lower_expr(*c.args[0]);
-        Instr in;
-        in.op = Op::kAbs;
-        in.dst = alloc_reg();
-        in.a = a;
-        Operand r = Operand::reg(in.dst, a.type);
-        emit(std::move(in));
-        return r;
-      }
-      case Builtin::kMin:
-      case Builtin::kMax:
-      case Builtin::kFminf:
-      case Builtin::kFmaxf:
-      case Builtin::kPowf: {
-        if (c.args.size() != 2) {
-          emit_trap(f + " expects 2 arguments at " + c.loc().str());
-          return Operand::immediate(Value::of_int(0));
-        }
-        Operand x = lower_expr(*c.args[0]);
-        Operand y = lower_expr(*c.args[1]);
-        Instr in;
-        in.op = Op::kMath2;
-        in.aux = static_cast<std::uint8_t>(b);
-        in.dst = alloc_reg();
-        in.a = x;
-        in.b = y;
-        const bool minmax = b == Builtin::kMin || b == Builtin::kMax;
-        Operand r =
-            Operand::reg(in.dst, minmax ? common(x, y) : LaneType::kFloat);
-        emit(std::move(in));
-        return r;
-      }
       case Builtin::kNotBuiltin:
+        emit_trap("unknown function '" + f + "' at " + c.loc().str());
+        return Operand::immediate(Value::of_int(0));
+      default:
         break;
     }
-    emit_trap("unknown function '" + f + "' at " + c.loc().str());
-    return Operand::immediate(Value::of_int(0));
+    const std::size_t arity = builtin_arity(b);
+    if (c.args.size() != arity) {
+      emit_trap(f + " expects " + std::to_string(arity) +
+                (arity == 1 ? " argument at " : " arguments at ") +
+                c.loc().str());
+      return Operand::immediate(Value::of_int(0));
+    }
+    Instr in;
+    in.aux = static_cast<std::uint8_t>(b);
+    in.a = lower_expr(*c.args[0]);
+    LaneType type = LaneType::kFloat;
+    if (b == Builtin::kAbs) {
+      in.op = Op::kAbs;
+      type = in.a.type;
+    } else if (arity == 1) {
+      in.op = Op::kMath1;
+    } else {
+      in.op = Op::kMath2;
+      in.b = lower_expr(*c.args[1]);
+      if (b == Builtin::kMin || b == Builtin::kMax) type = common(in.a, in.b);
+    }
+    in.dst = alloc_reg();
+    Operand r = Operand::reg(in.dst, type);
+    emit(std::move(in));
+    return r;
   }
 
   Operand lower_shfl(const CallExpr& c, Builtin b) {
     emit(Op::kShflGuard);  // sm_30+ check (device version is runtime state)
-    if (c.args.size() != 3) {
+    if (c.args.size() != builtin_arity(b)) {
       emit_trap(c.callee + " expects (var, lane, width) at " + c.loc().str());
       return Operand::immediate(Value::of_int(0));
     }

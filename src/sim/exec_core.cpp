@@ -24,27 +24,18 @@ BlockCore::BlockCore(const DeviceSpec& spec, DeviceMemory& mem,
       block_idx_(block_idx),
       flat_block_(flat_block),
       max_steps_(max_steps),
-      nlanes_(static_cast<int>(cfg.block.count())),
-      nwarps_((nlanes_ + spec.warp_size - 1) / spec.warp_size),
+      lanes_(spec.warp_size, cfg.block),
       l1_(spec.l1_cache_bytes / std::max(resident_blocks, 1),
           spec.l1_line_bytes) {
-  warp_issue_.assign(static_cast<std::size_t>(nwarps_), 0.0);
-  warp_latency_.assign(static_cast<std::size_t>(nwarps_), 0.0);
-  warp_pending_.assign(static_cast<std::size_t>(nwarps_), 0.0);
-  runs_.assign(static_cast<std::size_t>(nwarps_), {});
-  if (spec.warp_size < 1 || spec.warp_size > 32)
-    throw SimError("unsupported warp size " + std::to_string(spec.warp_size) +
-                   " (the simulator models warps of 1..32 lanes)");
-  full_.assign(static_cast<std::size_t>(nwarps_), 0);
-  for (int w = 0; w < nwarps_; ++w) {
-    const int n = std::min(spec.warp_size, nlanes_ - w * spec.warp_size);
-    full_[static_cast<std::size_t>(w)] =
-        n == 32 ? ~0u : (1u << static_cast<unsigned>(n)) - 1u;
-  }
-  returned_.assign(static_cast<std::size_t>(nwarps_), 0);
+  const auto nwarps = static_cast<std::size_t>(lanes_.nwarps());
+  warp_issue_.assign(nwarps, 0.0);
+  warp_latency_.assign(nwarps, 0.0);
+  warp_pending_.assign(nwarps, 0.0);
+  runs_.assign(nwarps, {});
+  returned_ = lanes_.none();
   san_ = san;
   if (san_) {
-    warp_gen_.assign(static_cast<std::size_t>(nwarps_), 0);
+    warp_gen_.assign(nwarps, 0);
     smem_shadow_.reserve(static_cast<std::size_t>(bound.shared_words_bound));
   }
   frame_.resize(bound.num_slots());
@@ -53,31 +44,16 @@ BlockCore::BlockCore(const DeviceSpec& spec, DeviceMemory& mem,
 }
 
 void BlockCore::init_geometry() {
-  const auto n = static_cast<std::size_t>(nlanes_);
-  for (int g = 0; g < kGeomCount; ++g) geom_[g].resize(n);
-  for (int l = 0; l < nlanes_; ++l) {
-    auto li = static_cast<std::size_t>(l);
-    geom_[kGeomThreadIdxX][li] = l % cfg_.block.x;
-    geom_[kGeomThreadIdxY][li] = (l / cfg_.block.x) % cfg_.block.y;
-    geom_[kGeomThreadIdxZ][li] = l / (cfg_.block.x * cfg_.block.y);
-  }
-  auto fill = [&](int g, int v) { geom_[g].assign(n, v); };
-  fill(kGeomBlockIdxX, block_idx_.x);
-  fill(kGeomBlockIdxY, block_idx_.y);
-  fill(kGeomBlockIdxZ, block_idx_.z);
-  fill(kGeomBlockDimX, cfg_.block.x);
-  fill(kGeomBlockDimY, cfg_.block.y);
-  fill(kGeomBlockDimZ, cfg_.block.z);
-  fill(kGeomGridDimX, cfg_.grid.x);
-  fill(kGeomGridDimY, cfg_.grid.y);
-  fill(kGeomGridDimZ, cfg_.grid.z);
+  const auto n = static_cast<std::size_t>(lanes_.nlanes());
+  for (int g = kGeomThreadIdxX; g <= kGeomThreadIdxZ; ++g) geom_[g].resize(n);
+  lanes_.for_each_geometry(
+      cfg_.grid, block_idx_,
+      [&](int g, int l, int v) { geom_[g][static_cast<std::size_t>(l)] = v; },
+      [&](int g, int v) { geom_[g].assign(n, v); });
 }
 
 void BlockCore::bind_params() {
-  if (cfg_.args.size() != kernel_.params.size())
-    throw SimError("kernel '" + kernel_.name + "' expects " +
-                   std::to_string(kernel_.params.size()) + " args, got " +
-                   std::to_string(cfg_.args.size()));
+  check_arg_count(kernel_, cfg_.args.size());
   for (std::size_t i = 0; i < kernel_.params.size(); ++i) {
     const Param& p = kernel_.params[i];
     Slot& slot = frame_[i];  // binder assigns params slots 0..n-1
@@ -106,7 +82,7 @@ void BlockCore::bind_params() {
 KernelStats BlockCore::collect_stats() const {
   KernelStats s;
   s.blocks = 1;
-  s.warps = nwarps_;
+  s.warps = lanes_.nwarps();
   s.global_transactions = global_transactions_;
   s.local_transactions = local_transactions_;
   s.local_l1_misses = local_l1_misses_;
@@ -117,7 +93,7 @@ KernelStats BlockCore::collect_stats() const {
   s.sync_ops = sync_ops_;
   s.divergent_branches = divergent_branches_;
   double crit = 0;
-  for (int w = 0; w < nwarps_; ++w) {
+  for (int w = 0; w < lanes_.nwarps(); ++w) {
     s.issue_slots += warp_issue_[static_cast<std::size_t>(w)];
     crit = std::max(crit, warp_issue_[static_cast<std::size_t>(w)] +
                               warp_latency_[static_cast<std::size_t>(w)] /
@@ -159,7 +135,7 @@ void BlockCore::stall() {
 
 void BlockCore::charge_shared(const Slot& slot, const std::int64_t* flat_idx,
                               const Mask& mask) {
-  for_each_active_warp(mask, [&](int w, int lo, std::uint32_t bits) {
+  lanes_.for_each_active_warp(mask, [&](int w, int lo, std::uint32_t bits) {
     const LaneView<std::int64_t> idx{flat_idx};
     const std::optional<AffineWarp>& run =
         runs_[static_cast<std::size_t>(w)] = warp_run(idx, lo, bits);
@@ -182,8 +158,8 @@ void BlockCore::charge_local(const Slot& slot, const std::int64_t* elem_idx,
   // Local memory is interleaved per thread: addr(lane, e) =
   // local_base + (e * nlanes + lane) * 4, matching the CUDA ABI layout
   // that makes uniform-index accesses coalesced.
-  const auto nlanes = static_cast<std::uint64_t>(nlanes_);
-  for_each_active_warp(mask, [&](int w, int lo, std::uint32_t bits) {
+  const auto nlanes = static_cast<std::uint64_t>(lanes_.nlanes());
+  lanes_.for_each_active_warp(mask, [&](int w, int lo, std::uint32_t bits) {
     // Unique 128B lines of this access probe the L1, in lane order. A
     // full warp reading one element e reads 32 consecutive words from
     // e * nlanes + lo on.
@@ -233,7 +209,7 @@ void BlockCore::charge_array(const Slot& slot, const std::int64_t* flat,
   } else if (slot.type.space == AddrSpace::kConstant) {
     // Constant cache broadcasts one word per cycle: lanes reading
     // distinct words serialize (paper Sec. 3.4's intra-warp hazard).
-    for_each_active_warp(mask, [&](int w, int lo, std::uint32_t bits) {
+    lanes_.for_each_active_warp(mask, [&](int w, int lo, std::uint32_t bits) {
       const LaneView<std::int64_t> idx{flat};
       const auto run = warp_run(idx, lo, bits);
       int replays = run ? affine_replays(*run, 1) : 0;
@@ -263,7 +239,7 @@ Slot& BlockCore::var_read_check(std::int32_t slot_id, const std::string& name,
   if (san_ && shfl_arg_depth_ == 0 && !slot.shadow.empty()) {
     // One report per access, at the first uninitialized active lane;
     // dedupe absorbs repeats.
-    const std::size_t ws = static_cast<std::size_t>(spec_.warp_size);
+    const auto ws = static_cast<std::size_t>(lanes_.warp_size());
     for (std::size_t w = 0; w < mask.size(); ++w) {
       for (std::uint32_t b = mask[w]; b; b &= b - 1) {
         const std::size_t l =
@@ -299,8 +275,8 @@ void BlockCore::decl_fill(Slot& slot, const Type& type, std::size_t e,
       data[e] = val;
     } else {
       const auto elems = static_cast<std::size_t>(type.element_count());
-      for (std::size_t l = 0; l < static_cast<std::size_t>(nlanes_); ++l)
-        data[l * elems + e] = val;
+      for (int l = 0; l < lanes_.nlanes(); ++l)
+        data[static_cast<std::size_t>(l) * elems + e] = val;
     }
   });
 }
@@ -320,7 +296,7 @@ void BlockCore::decl_shadow_all(Slot& slot, const Type& type) {
 void BlockCore::do_sync(const Mask& mask, SourceLoc loc) {
   ++sync_ops_;
   charge_issue(mask, opt_.timing.weights.sync);
-  for_each_active_warp(mask, [&](int w, int, std::uint32_t) {
+  lanes_.for_each_active_warp(mask, [&](int w, int, std::uint32_t) {
     charge_latency(w, spec_.sync_latency_cycles);
   });
   if (san_) note_barrier(loc, mask);
@@ -335,12 +311,12 @@ void BlockCore::check_shfl_sources(const std::vector<int>& src_of,
   if (!vs || !vs->type.is_scalar() || vs->is_uniform_param ||
       vs->shadow.empty())
     return;
-  for (int l = 0; l < nlanes_; ++l) {
+  for (int l = 0; l < lanes_.nlanes(); ++l) {
     int s = src_of[static_cast<std::size_t>(l)];
     if (s >= 0 && !vs->shadow[static_cast<std::size_t>(s)]) {
       san_report(HazardKind::kUninitRead, loc, l,
                  callee + " reads uninitialized variable '" + var_name +
-                     "' from lane " + std::to_string(s % spec_.warp_size));
+                     "' from lane " + std::to_string(s % lanes_.warp_size()));
       break;
     }
   }
@@ -358,12 +334,13 @@ void BlockCore::report_uninit_element(const char* what,
 }
 
 void BlockCore::report_shfl_source(ShflSource why, const std::string& callee,
-                                   int src_lane, int lane, SourceLoc loc) {
+                                   std::int64_t src_lane, int lane,
+                                   SourceLoc loc) {
   std::string msg = callee;
   switch (why) {
     case ShflSource::kOutsideWarp:
       msg += " source lane " + std::to_string(src_lane) + " is outside [0," +
-             std::to_string(spec_.warp_size) + ")";
+             std::to_string(lanes_.warp_size()) + ")";
       break;
     case ShflSource::kBeyondBlock:
       msg += " source lane " + std::to_string(src_lane) +
@@ -372,6 +349,8 @@ void BlockCore::report_shfl_source(ShflSource why, const std::string& callee,
     case ShflSource::kInactive:
       msg += " reads from inactive source lane " + std::to_string(src_lane) +
              " (undefined on real hardware)";
+      break;
+    case ShflSource::kInRange:
       break;
   }
   san_report(HazardKind::kShflHazard, loc, lane, std::move(msg));
@@ -400,7 +379,7 @@ void BlockCore::note_shared_write(const Slot& slot, const std::string& name,
                                   std::size_t idx, int lane, Value val,
                                   SourceLoc loc) {
   SharedShadow& sh = smem_shadow_[slot.base_word + idx];
-  int w = lane / spec_.warp_size;
+  int w = lanes_.warp_of(lane);
   std::uint64_t gen = warp_gen_[static_cast<std::size_t>(w)];
   if (sh.write_access == access_seq_ && sh.writer_lane != lane &&
       !value_eq(sh.written, val)) {
@@ -438,7 +417,7 @@ void BlockCore::note_shared_write(const Slot& slot, const std::string& name,
 void BlockCore::note_shared_read(const Slot& slot, const std::string& name,
                                  std::size_t idx, int lane, SourceLoc loc) {
   SharedShadow& sh = smem_shadow_[slot.base_word + idx];
-  int w = lane / spec_.warp_size;
+  int w = lanes_.warp_of(lane);
   std::uint64_t gen = warp_gen_[static_cast<std::size_t>(w)];
   if (!sh.init && shfl_arg_depth_ == 0)
     san_report(HazardKind::kUninitRead, loc, lane,
@@ -461,24 +440,16 @@ void BlockCore::note_shared_read(const Slot& slot, const std::string& name,
 
 void BlockCore::note_barrier(SourceLoc loc, const Mask& mask) {
   int arrived = 0;
-  int absent_warp = -1;
-  int absent_lane = -1;
-  for (int w = 0; w < nwarps_; ++w) {
-    const auto wi = static_cast<std::size_t>(w);
-    const std::uint32_t live = full_[wi] & ~returned_[wi];
-    if (mask[wi]) {
-      ++warp_gen_[wi];
-      ++arrived;
-    } else if (live && absent_warp < 0) {
-      absent_warp = w;
-      absent_lane = w * spec_.warp_size + std::countr_zero(live);
-    }
-  }
-  if (arrived > 0 && absent_warp >= 0)
-    san_report(HazardKind::kBarrierDivergence, loc, absent_lane,
+  lanes_.for_each_active_warp(mask, [&](int w, int, std::uint32_t) {
+    ++warp_gen_[static_cast<std::size_t>(w)];
+    ++arrived;
+  });
+  const int absent = lanes_.absent_lane(mask, returned_);
+  if (arrived > 0 && absent >= 0)
+    san_report(HazardKind::kBarrierDivergence, loc, absent,
                "__syncthreads reached by " + std::to_string(arrived) + " of " +
-                   std::to_string(nwarps_) + " warps; warp " +
-                   std::to_string(absent_warp) +
+                   std::to_string(lanes_.nwarps()) + " warps; warp " +
+                   std::to_string(lanes_.warp_of(absent)) +
                    " has live threads that never arrive (deadlock on "
                    "real hardware)");
 }
@@ -509,11 +480,11 @@ Slot& BlockCore::declare(const DeclStmt& d) {
       slot.base_word = smem_word_cursor_;
       smem_word_cursor_ += elems;
     } else if (d.type.is_array()) {  // local / register / constant array
-      slot.alloc(elems * static_cast<std::size_t>(nlanes_));
+      slot.alloc(elems * static_cast<std::size_t>(lanes_.nlanes()));
       slot.base_word = local_word_cursor_;
       local_word_cursor_ += elems;
     } else {  // register scalar
-      slot.alloc(static_cast<std::size_t>(nlanes_));
+      slot.alloc(static_cast<std::size_t>(lanes_.nlanes()));
     }
     slot.declared = true;
   }
@@ -532,10 +503,6 @@ void BlockCore::binop_fail(const char* what, SourceLoc loc) {
 void BlockCore::index_fail(std::int64_t i, std::int64_t dim, SourceLoc loc) {
   throw SimError("index " + std::to_string(i) + " out of bounds [0," +
                  std::to_string(dim) + ") for array at " + loc.str());
-}
-
-void BlockCore::shfl_width_fail() {
-  throw SimError("__shfl width must be a power of two in [1,32]");
 }
 
 }  // namespace cudanp::sim::exec

@@ -8,9 +8,9 @@
 // Lane helpers are templates over the lane element type: plain int64_t /
 // double lane arrays whose types the lowering fixed statically
 // (sim/bytecode.hpp), with the scalar semantics from sim/arith.hpp.
-// Variable storage is typed by the declared scalar type. Masks are one
-// active-lane word per warp; a fully active warp runs its lane loop with
-// no per-lane test.
+// Variable storage is typed by the declared scalar type. Lanes, warps
+// and masks follow the lane model the symbolic executor shares
+// (sim/lanes.hpp).
 //
 // This header is an implementation detail of sim/; nothing outside the
 // interpreter, the lowering pass and the VM should include it.
@@ -30,22 +30,13 @@
 #include "sim/arith.hpp"
 #include "sim/binder.hpp"
 #include "sim/interpreter.hpp"
+#include "sim/lanes.hpp"
 #include "sim/launch.hpp"
 #include "sim/memory.hpp"
 #include "sim/sanitizer.hpp"
 #include "support/diagnostics.hpp"
 
 namespace cudanp::sim::exec {
-
-/// Active lanes, one word per warp: bit k of word w is lane
-/// w * warp_size + k.
-using Mask = std::vector<std::uint32_t>;
-
-[[nodiscard]] inline bool any(const Mask& m) {
-  for (auto w : m)
-    if (w) return true;
-  return false;
-}
 
 /// Per-variable storage within one block, indexed by the binder's slot id
 /// (sim/binder.hpp) in a flat frame vector.
@@ -158,54 +149,18 @@ class BlockCore {
   void init_geometry();
   void bind_params();
 
-  // ---------------- lanes and masks ----------------
-  /// Calls fn(lane) for every active lane, in ascending lane order. A
-  /// fully active warp runs a plain counted loop with no per-lane test.
-  template <typename Fn>
-  void for_each_lane(const Mask& mask, Fn&& fn) const {
-    const std::size_t ws = static_cast<std::size_t>(spec_.warp_size);
-    for (std::size_t w = 0; w < mask.size(); ++w) {
-      std::uint32_t bits = mask[w];
-      if (!bits) continue;
-      const std::size_t lo = w * ws;
-      if (bits == full_[w]) {
-        const std::size_t hi =
-            lo + static_cast<std::size_t>(std::popcount(bits));
-        for (std::size_t l = lo; l < hi; ++l) fn(l);
-      } else {
-        do {
-          fn(lo + static_cast<std::size_t>(std::countr_zero(bits)));
-          bits &= bits - 1;
-        } while (bits);
-      }
-    }
-  }
-
-  /// Iterates warps that have >= 1 active lane: fn(warp, lo, bits).
-  template <typename Fn>
-  void for_each_active_warp(const Mask& mask, Fn&& fn) const {
-    for (int w = 0; w < nwarps_; ++w) {
-      const std::uint32_t bits = mask[static_cast<std::size_t>(w)];
-      if (bits) fn(w, w * spec_.warp_size, bits);
-    }
-  }
-
-  [[nodiscard]] bool lane_on(const Mask& mask, std::size_t l) const {
-    const std::size_t ws = static_cast<std::size_t>(spec_.warp_size);
-    return (mask[l / ws] >> (l % ws)) & 1u;
-  }
-
+  // ---------------- masks ----------------
   /// out = the lanes active in `mask` whose `c` is true (`out` may alias
   /// `mask`).
   template <class C>
   void truth_mask(const Mask& mask, LaneView<C> c, Mask& out) const {
-    const std::size_t ws = static_cast<std::size_t>(spec_.warp_size);
+    const auto ws = static_cast<std::size_t>(lanes_.warp_size());
     for (std::size_t w = 0; w < mask.size(); ++w) {
       const std::uint32_t bits = mask[w];
       std::uint32_t t = 0;
       if (bits && !c.vec) {
         t = arith::truthy(c.splat) ? bits : 0;
-      } else if (bits == full_[w]) {
+      } else if (bits == lanes_.full()[w]) {
         const C* cv = c.vec + w * ws;
         const int n = std::popcount(bits);
         for (int k = 0; k < n; ++k)
@@ -233,27 +188,6 @@ class BlockCore {
     }
   }
 
-  /// Clears returned lanes from `mask`; true if any lane is still active.
-  bool clear_returned(Mask& mask) const {
-    std::uint32_t alive = 0;
-    for (std::size_t w = 0; w < mask.size(); ++w) {
-      mask[w] &= ~returned_[w];
-      alive |= mask[w];
-    }
-    return alive != 0;
-  }
-
-  void mark_returned(const Mask& mask) {
-    for (std::size_t w = 0; w < mask.size(); ++w) returned_[w] |= mask[w];
-  }
-
-  /// All lanes of every warp active under `mask` (the mask a shfl's
-  /// source argument is evaluated under).
-  void make_broad_mask(const Mask& mask, Mask& broad) const {
-    for (std::size_t w = 0; w < mask.size(); ++w)
-      broad[w] = mask[w] ? full_[w] : 0;
-  }
-
   // ---------------- cost charging ----------------
   void charge_issue(const Mask& mask, double weight) {
     for (std::size_t w = 0; w < mask.size(); ++w)
@@ -269,7 +203,7 @@ class BlockCore {
     std::fill(warp_pending_.begin(), warp_pending_.end(), 0.0);
   }
   void end_leaf_stmt() {
-    for (int w = 0; w < nwarps_; ++w)
+    for (int w = 0; w < lanes_.nwarps(); ++w)
       warp_latency_[static_cast<std::size_t>(w)] +=
           warp_pending_[static_cast<std::size_t>(w)];
   }
@@ -469,7 +403,7 @@ class BlockCore {
     };
     using R = decltype(arith::visit(pick(true), A{}, B{}));
     auto* o = out_as<R>(out);
-    for_each_lane(mask, [&](std::size_t l) {
+    lanes_.for_each_lane(mask, [&](std::size_t l) {
       o[l] = arith::visit(pick(arith::truthy(c.at(l))), a.at(l), b.at(l));
     });
   }
@@ -544,13 +478,8 @@ class BlockCore {
   void report_uninit_element(const char* what, const std::string& name,
                              std::int64_t index, int lane, SourceLoc loc);
   /// do_shfl's hazard report for a source lane it cannot honour.
-  enum class ShflSource : std::uint8_t {
-    kOutsideWarp,
-    kBeyondBlock,
-    kInactive,
-  };
   void report_shfl_source(ShflSource why, const std::string& callee,
-                          int src_lane, int lane, SourceLoc loc);
+                          std::int64_t src_lane, int lane, SourceLoc loc);
   /// do_shfl's post-hoc init check on the lanes actually read as sources.
   void check_shfl_sources(const std::vector<int>& src_of,
                           const std::string& callee, SourceLoc loc,
@@ -576,7 +505,6 @@ class BlockCore {
   [[noreturn]] static void binop_fail(const char* what, SourceLoc loc);
   [[noreturn]] static void index_fail(std::int64_t i, std::int64_t dim,
                                       SourceLoc loc);
-  [[noreturn]] static void shfl_width_fail();
 
   static constexpr std::uint64_t kLocalSpaceBase = 1ULL << 40;
 
@@ -591,17 +519,13 @@ class BlockCore {
   std::int64_t max_steps_ = std::numeric_limits<std::int64_t>::max();
   std::int64_t steps_ = 0;
   std::vector<std::pair<SourceLoc, std::int64_t>> loop_stack_;
-  int nlanes_;
-  int nwarps_;
+  const Lanes lanes_;
   L1Cache l1_;
 
   /// Flat variable frame, indexed by the binder's slot ids.
   std::vector<Slot> frame_;
   /// Precomputed geometry lane vectors (threadIdx.x, ..., gridDim.z).
   std::vector<std::int64_t> geom_[kGeomCount];
-  /// Every lane of each warp (the tail warp of a block whose size is not
-  /// a warp multiple is partial).
-  Mask full_;
   Mask returned_;
   BlockSanitizer* san_ = nullptr;
   std::unordered_map<std::uint64_t, SharedShadow> smem_shadow_;
@@ -643,7 +567,7 @@ class BlockCore {
     using R = decltype(arith::visit(fn, A{}));
     auto* o = out_as<R>(out);
     with_access(a, [&](auto ga) {
-      for_each_lane(mask, [&](std::size_t l) {
+      lanes_.for_each_lane(mask, [&](std::size_t l) {
         o[l] = arith::visit(fn, ga(l));
       });
     });
@@ -660,12 +584,12 @@ class BlockCore {
     if (!a.vec && !b.vec) {
       if (!any(mask)) return;
       const R r = arith::visit(fn, a.splat, b.splat);
-      for_each_lane(mask, [&](std::size_t l) { o[l] = r; });
+      lanes_.for_each_lane(mask, [&](std::size_t l) { o[l] = r; });
       return;
     }
     with_access(a, [&](auto ga) {
       with_access(b, [&](auto gb) {
-        for_each_lane(mask, [&](std::size_t l) {
+        lanes_.for_each_lane(mask, [&](std::size_t l) {
           o[l] = arith::visit(fn, ga(l), gb(l));
         });
       });
@@ -680,16 +604,16 @@ class BlockCore {
       using T = std::remove_pointer_t<decltype(data)>;
       if (val.vec) {
         const S* v = val.vec;
-        for_each_lane(mask,
+        lanes_.for_each_lane(mask,
                       [&](std::size_t l) { data[l] = arith::to<T>(v[l]); });
       } else {
         const T s = arith::to<T>(val.splat);
-        for_each_lane(mask, [&](std::size_t l) { data[l] = s; });
+        lanes_.for_each_lane(mask, [&](std::size_t l) { data[l] = s; });
       }
     });
     if (!slot.shadow.empty()) {
       std::uint8_t* shadow = slot.shadow.data();
-      for_each_lane(mask, [&](std::size_t l) { shadow[l] = 1; });
+      lanes_.for_each_lane(mask, [&](std::size_t l) { shadow[l] = 1; });
     }
   }
 
@@ -739,7 +663,7 @@ template <class Whole, class Lane>
 void BlockCore::for_each_run(const Mask& mask, std::size_t size,
                              bool whole_ok, Whole&& whole,
                              Lane&& lane) const {
-  for_each_active_warp(mask, [&](int w, int lo, std::uint32_t bits) {
+  lanes_.for_each_active_warp(mask, [&](int w, int lo, std::uint32_t bits) {
     const std::optional<AffineWarp>& r = runs_[static_cast<std::size_t>(w)];
     if (whole_ok && r) {
       // |stride| < size keeps first + 31 * stride exact, and with both
@@ -758,7 +682,7 @@ void BlockCore::for_each_run(const Mask& mask, std::size_t size,
     // routing for_each_lane through a per-warp helper stopped its lane
     // lambdas from inlining and made kFlatten 2.6x slower.
     const auto first = static_cast<std::size_t>(lo);
-    if (bits == full_[static_cast<std::size_t>(w)]) {
+    if (bits == lanes_.full()[static_cast<std::size_t>(w)]) {
       const std::size_t end =
           first + static_cast<std::size_t>(std::popcount(bits));
       for (std::size_t l = first; l < end; ++l) lane(l);
@@ -776,7 +700,7 @@ void BlockCore::charge_global(const DeviceBuffer& buf, LaneView<I> idx,
                               const Mask& mask) {
   const auto esize =
       static_cast<std::uint64_t>(ir::Type::scalar_size_bytes(buf.type()));
-  for_each_active_warp(mask, [&](int w, int lo, std::uint32_t bits) {
+  lanes_.for_each_active_warp(mask, [&](int w, int lo, std::uint32_t bits) {
     const std::optional<AffineWarp>& run =
         runs_[static_cast<std::size_t>(w)] = warp_run(idx, lo, bits);
     const AffineWarp a =
@@ -913,7 +837,7 @@ void BlockCore::local_load(Slot& slot, const std::string& name,
   slot.with_cells([&](auto* data) {
     using T = std::remove_pointer_t<decltype(data)>;
     auto* o = out_as<T>(out);
-    for_each_lane(mask, [&](std::size_t l) {
+    lanes_.for_each_lane(mask, [&](std::size_t l) {
       const std::size_t i = l * elems + static_cast<std::size_t>(flat[l]);
       if (san_ && shfl_arg_depth_ == 0 && !slot.shadow.empty() &&
           !slot.shadow[i])
@@ -931,7 +855,7 @@ void BlockCore::local_store(Slot& slot, const std::int64_t* flat,
   const auto elems = static_cast<std::size_t>(slot.type.element_count());
   slot.with_cells([&](auto* data) {
     using T = std::remove_pointer_t<decltype(data)>;
-    for_each_lane(mask, [&](std::size_t l) {
+    lanes_.for_each_lane(mask, [&](std::size_t l) {
       const std::size_t i = l * elems + static_cast<std::size_t>(flat[l]);
       data[i] = arith::to<T>(val.at(l));
       if (!slot.shadow.empty()) slot.shadow[i] = 1;
@@ -943,7 +867,7 @@ template <class I>
 void BlockCore::flatten_dim(std::int64_t* flat, LaneView<I> idx,
                             std::int64_t dim, bool first, const Mask& mask,
                             SourceLoc loc) {
-  for_each_lane(mask, [&](std::size_t l) {
+  lanes_.for_each_lane(mask, [&](std::size_t l) {
     const std::int64_t i = arith::as_i(idx.at(l));
     if (i < 0 || i >= dim) index_fail(i, dim, loc);
     flat[l] = first ? i : flat[l] * dim + i;
@@ -970,70 +894,38 @@ void BlockCore::do_shfl(Builtin b, const std::string& callee, LaneView<V> var,
                         const std::string* var_name) {
   ++shfl_ops_;
   charge_issue(mask, opt_.timing.weights.shfl);
-  for_each_active_warp(mask, [&](int w, int, std::uint32_t) {
+  lanes_.for_each_active_warp(mask, [&](int w, int, std::uint32_t) {
     charge_latency(w, spec_.shfl_latency_cycles);
   });
   auto* o = out_as<V>(out);
   std::vector<int> src_of;
-  if (san_) src_of.assign(static_cast<std::size_t>(nlanes_), -1);
-  // Widths are powers of two in [1, warp_size], so the group math is
-  // shifts and masks. A broadcast width is checked once, which throws
-  // exactly where the first active lane's check would.
-  auto valid_width = [&](std::int64_t wdt) {
-    return wdt > 0 && wdt <= spec_.warp_size && (wdt & (wdt - 1)) == 0;
-  };
+  if (san_) src_of.assign(static_cast<std::size_t>(lanes_.nlanes()), -1);
+  // A broadcast width is checked once, which throws exactly where the
+  // first active lane's check would.
   const std::int64_t splat_width = arith::as_i(width.splat);
-  if (!width.vec && any(mask) && !valid_width(splat_width)) shfl_width_fail();
-  // The source lane within the warp (possibly out of range) for `lane`.
-  auto source_lane = [b](int lane, std::int64_t s, std::int64_t wdt) {
-    const int wi = static_cast<int>(wdt);
-    const int group_base = lane & -wi;
-    if (b == Builtin::kShfl) {
-      // s % wdt, truncated toward zero like C's % for negative s.
-      std::int64_t r = s & (wdt - 1);
-      if (s < 0 && r != 0) r -= wdt;
-      return group_base + static_cast<int>(r);
-    }
-    if (b == Builtin::kShflUp) {
-      const int cand = lane - static_cast<int>(s);
-      return cand < group_base ? lane : cand;
-    }
-    if (b == Builtin::kShflDown) {
-      const int cand = lane + static_cast<int>(s);
-      return cand >= group_base + wi ? lane : cand;
-    }
-    const int cand = group_base + ((lane - group_base) ^ static_cast<int>(s));
-    return cand < group_base + wi ? cand : lane;  // __shfl_xor
-  };
-  for_each_active_warp(mask, [&](int, int warp_base, std::uint32_t bits) {
+  if (!width.vec && any(mask) && !lanes_.valid_shfl_width(splat_width))
+    Lanes::shfl_width_fail();
+  lanes_.for_each_active_warp(mask, [&](int, int base, std::uint32_t bits) {
     for (std::uint32_t rest = bits; rest; rest &= rest - 1) {
       const int lane = std::countr_zero(rest);
-      const int l = warp_base + lane;
-      const auto lu = static_cast<std::size_t>(l);
+      const auto lu = static_cast<std::size_t>(base + lane);
       std::int64_t wdt = splat_width;
       if (width.vec) {
         wdt = arith::as_i(width.vec[lu]);
-        if (!valid_width(wdt)) shfl_width_fail();
+        if (!lanes_.valid_shfl_width(wdt)) Lanes::shfl_width_fail();
       }
-      const int src_lane = source_lane(lane, arith::as_i(sel.at(lu)), wdt);
-      int src_tid = warp_base + src_lane;
-      // A negative selector (e.g. __shfl(v, -1, 32)) or a delta that
-      // escapes the warp produces an out-of-range source lane: undefined
-      // on hardware. Recover with the caller's own value, as the hardware
-      // effectively does for out-of-range segments.
-      if (src_lane < 0 || src_lane >= spec_.warp_size) {
-        if (san_) report_shfl_source(ShflSource::kOutsideWarp, callee,
-                                     src_lane, l, loc);
-        src_tid = l;
-      } else if (src_tid >= nlanes_) {
-        if (san_) report_shfl_source(ShflSource::kBeyondBlock, callee,
-                                     src_lane, l, loc);
-        src_tid = l;
-      } else if (san_ && !lane_on(mask, static_cast<std::size_t>(src_tid))) {
-        report_shfl_source(ShflSource::kInactive, callee, src_lane, l, loc);
+      ShflRead r =
+          lanes_.shfl_read(b, base, lane, arith::as_i(sel.at(lu)), wdt);
+      if (san_) {
+        if (r.why == ShflSource::kInRange &&
+            !lanes_.lane_on(mask, static_cast<std::size_t>(r.src)))
+          r.why = ShflSource::kInactive;
+        if (r.why != ShflSource::kInRange)
+          report_shfl_source(r.why, callee, r.src_lane, static_cast<int>(lu),
+                             loc);
+        src_of[lu] = r.src;
       }
-      if (san_) src_of[lu] = src_tid;
-      o[lu] = var.at(static_cast<std::size_t>(src_tid));
+      o[lu] = var.at(static_cast<std::size_t>(r.src));
     }
   });
   if (san_ && var_name)

@@ -60,20 +60,7 @@ std::int64_t Interpreter::resolve_max_steps(std::int64_t requested) {
 
 void validate_launch(const DeviceSpec& spec, const LaunchConfig& cfg,
                      std::int64_t shared_mem_per_block) {
-  auto bad_dim = [](const char* what, const Dim3& d) {
-    return std::string("invalid launch: ") + what + " dimensions (" +
-           std::to_string(d.x) + "," + std::to_string(d.y) + "," +
-           std::to_string(d.z) + ") must all be positive";
-  };
-  if (cfg.grid.x <= 0 || cfg.grid.y <= 0 || cfg.grid.z <= 0)
-    throw SimError(bad_dim("grid", cfg.grid));
-  if (cfg.block.x <= 0 || cfg.block.y <= 0 || cfg.block.z <= 0)
-    throw SimError(bad_dim("block", cfg.block));
-  if (cfg.block.count() > spec.max_threads_per_block)
-    throw SimError("invalid launch: block size " +
-                   std::to_string(cfg.block.count()) +
-                   " exceeds the device limit of " +
-                   std::to_string(spec.max_threads_per_block) + " threads");
+  exec::check_launch_shape(spec, cfg.grid, cfg.block);
   if (shared_mem_per_block > spec.shared_mem_per_smx)
     throw SimError("invalid launch: " +
                    std::to_string(shared_mem_per_block) +

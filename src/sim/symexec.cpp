@@ -16,6 +16,7 @@
 
 #include "ir/stmt.hpp"
 #include "sim/arith.hpp"
+#include "sim/lanes.hpp"
 #include "support/rng.hpp"
 
 namespace cudanp::sim {
@@ -791,14 +792,9 @@ namespace {
 
 constexpr std::uint32_t kInv = SymArena::kInvalid;
 
-using Mask = std::vector<std::uint8_t>;
+using exec::any;
+using exec::Mask;
 using IdVec = std::vector<std::uint32_t>;
-
-bool any(const Mask& m) {
-  for (auto b : m)
-    if (b) return true;
-  return false;
-}
 
 /// Non-SymFault abort: unsupported construct (fault = false) or a
 /// deterministic interpreter fault (fault = true).
@@ -833,11 +829,11 @@ struct GBuf {
 
 class Exec {
  public:
-  Exec(const ir::Kernel& k, Dim3 grid, Dim3 block,
+  Exec(const DeviceSpec& spec, const ir::Kernel& k, Dim3 grid, Dim3 block,
        const std::vector<SymArg>& args, SymArena& arena,
        const SymExecOptions& opt)
-      : kernel_(k), bound_(bind_kernel(k)), grid_(grid), block_(block),
-        args_(args), ar_(arena), opt_(opt) {}
+      : spec_(spec), kernel_(k), bound_(bind_kernel(k)), grid_(grid),
+        block_(block), args_(args), ar_(arena), opt_(opt) {}
 
   SymExecResult run() {
     SymExecResult res;
@@ -847,8 +843,7 @@ class Exec {
         for (int by = 0; by < grid_.y; ++by)
           for (int bx = 0; bx < grid_.x; ++bx) {
             begin_block(bx, by, bz);
-            Mask all(static_cast<std::size_t>(nlanes_), 1);
-            exec_block(*kernel_.body, all);
+            exec_block(*kernel_.body, lanes_.full());
           }
       res.ok = true;
       res.buffers.resize(args_.size());
@@ -860,6 +855,10 @@ class Exec {
     } catch (const SymFault& f) {
       res.reason = f.message;
       res.fault = true;
+    } catch (const SimError& e) {
+      // A lane-model check (sim/lanes.hpp) the VM fails the same way.
+      res.reason = e.what();
+      res.fault = true;
     }
     res.races = std::move(races_);
     res.steps = steps_;
@@ -869,16 +868,9 @@ class Exec {
  private:
   // ---------------- setup ----------------
   void setup() {
-    if (grid_.x <= 0 || grid_.y <= 0 || grid_.z <= 0 || block_.x <= 0 ||
-        block_.y <= 0 || block_.z <= 0)
-      throw Abort{"invalid launch dimensions", true};
-    if (block_.count() > 1024) throw Abort{"block too large", true};
-    nlanes_ = static_cast<int>(block_.count());
-    if (args_.size() != kernel_.params.size())
-      throw Abort{"kernel '" + kernel_.name + "' expects " +
-                      std::to_string(kernel_.params.size()) + " args, got " +
-                      std::to_string(args_.size()),
-                  true};
+    exec::check_launch_shape(spec_, grid_, block_);
+    lanes_ = exec::Lanes(spec_.warp_size, block_);
+    exec::check_arg_count(kernel_, args_.size());
     globals_.resize(args_.size());
     for (std::size_t i = 0; i < args_.size(); ++i) {
       const ir::Param& p = kernel_.params[i];
@@ -926,7 +918,7 @@ class Exec {
            static_cast<std::int64_t>(by) * grid_.x + bx;
     frame_.assign(bound_->num_slots(), Var{});
     preds_.clear();
-    returned_.assign(static_cast<std::size_t>(nlanes_), 0);
+    returned_ = lanes_.none();
     epoch_ = 0;
     seq_ = 0;
     for (auto& g : globals_)
@@ -935,29 +927,16 @@ class Exec {
         m.wwarp = m.rwarp = -1;
         m.wseq = -1;
       }
-    // Geometry lane vectors (same lane order as exec::BlockCore). The
-    // constants are interned in this order -- per lane tx, ty, tz, then
-    // blockIdx, blockDim, gridDim, then the parameters -- which fixes
-    // every node id a certificate depends on.
-    auto splat_i = [&](std::int64_t v) {
-      return IdVec(static_cast<std::size_t>(nlanes_), ar_.cint(v));
-    };
-    for (auto& g : geom_) g.assign(static_cast<std::size_t>(nlanes_), kInv);
-    for (int l = 0; l < nlanes_; ++l) {
-      auto li = static_cast<std::size_t>(l);
-      geom_[kGeomThreadIdxX][li] = ar_.cint(l % block_.x);
-      geom_[kGeomThreadIdxY][li] = ar_.cint((l / block_.x) % block_.y);
-      geom_[kGeomThreadIdxZ][li] = ar_.cint(l / (block_.x * block_.y));
-    }
-    geom_[kGeomBlockIdxX] = splat_i(bx);
-    geom_[kGeomBlockIdxY] = splat_i(by);
-    geom_[kGeomBlockIdxZ] = splat_i(bz);
-    geom_[kGeomBlockDimX] = splat_i(block_.x);
-    geom_[kGeomBlockDimY] = splat_i(block_.y);
-    geom_[kGeomBlockDimZ] = splat_i(block_.z);
-    geom_[kGeomGridDimX] = splat_i(grid_.x);
-    geom_[kGeomGridDimY] = splat_i(grid_.y);
-    geom_[kGeomGridDimZ] = splat_i(grid_.z);
+    // Geometry lane vectors, then the parameters: this interning order
+    // fixes every node id a certificate depends on.
+    for (int g = kGeomThreadIdxX; g <= kGeomThreadIdxZ; ++g)
+      geom_[g].resize(static_cast<std::size_t>(lanes_.nlanes()));
+    lanes_.for_each_geometry(
+        grid_, Dim3{bx, by, bz},
+        [&](int g, int l, int v) {
+          geom_[g][static_cast<std::size_t>(l)] = ar_.cint(v);
+        },
+        [&](int g, int v) { geom_[g] = splat(ar_.cint(v)); });
     // Parameters occupy the binder's first slots, in order.
     for (std::size_t i = 0; i < kernel_.params.size(); ++i) {
       const ir::Param& p = kernel_.params[i];
@@ -977,7 +956,7 @@ class Exec {
         } else {
           id = ar_.cint(a.scalar.as_i());
         }
-        v.scalar.assign(static_cast<std::size_t>(nlanes_), id);
+        v.scalar = splat(id);
       }
     }
   }
@@ -991,8 +970,6 @@ class Exec {
       throw Abort{"expression budget of " + std::to_string(opt_.max_nodes) +
                   " nodes exhausted"};
   }
-
-  int warp_of(int lane) const { return lane / opt_.warp_size; }
 
   /// Records "cross-warp <kind> race on 'name[i]'"; only the first 64
   /// are kept, so later ones do not build their message.
@@ -1013,7 +990,7 @@ class Exec {
   }
 
   IdVec splat(std::uint32_t id) const {
-    return IdVec(static_cast<std::size_t>(nlanes_), id);
+    return IdVec(static_cast<std::size_t>(lanes_.nlanes()), id);
   }
 
   // ---------------- expression evaluation ----------------
@@ -1033,21 +1010,18 @@ class Exec {
         // matching the vector interpreter.
         IdVec l = eval(*b.lhs, m);
         IdVec r = eval(*b.rhs, m);
-        for (int i = 0; i < nlanes_; ++i) {
-          auto li = static_cast<std::size_t>(i);
-          if (!m[li]) continue;
+        lanes_.for_each_lane(m, [&](std::size_t li) {
           l[li] = (l[li] == kInv || r[li] == kInv) ? kInv
                                                    : ar_.bin(b.op, l[li], r[li]);
-        }
+        });
         return l;
       }
       case ir::ExprKind::kUnary: {
         const auto& u = static_cast<const ir::UnaryExpr&>(e);
         IdVec v = eval(*u.operand, m);
-        for (int i = 0; i < nlanes_; ++i) {
-          auto li = static_cast<std::size_t>(i);
-          if (m[li] && v[li] != kInv) v[li] = ar_.un(u.op, v[li]);
-        }
+        lanes_.for_each_lane(m, [&](std::size_t li) {
+          if (v[li] != kInv) v[li] = ar_.un(u.op, v[li]);
+        });
         return v;
       }
       case ir::ExprKind::kCall:
@@ -1057,12 +1031,10 @@ class Exec {
         IdVec c = eval(*t.cond, m);
         IdVec a = eval(*t.then_value, m);
         IdVec b = eval(*t.else_value, m);
-        for (int i = 0; i < nlanes_; ++i) {
-          auto li = static_cast<std::size_t>(i);
-          if (!m[li]) continue;
+        lanes_.for_each_lane(m, [&](std::size_t li) {
           if (c[li] == kInv || a[li] == kInv || b[li] == kInv) {
             a[li] = kInv;
-            continue;
+            return;
           }
           // Both arms convert to their common type, as in the interpreter:
           // float if either arm is float (bool and int arms are both int).
@@ -1072,16 +1044,15 @@ class Exec {
             b[li] = ar_.cast(ir::ScalarType::kFloat, b[li]);
           }
           a[li] = ar_.select(c[li], a[li], b[li]);
-        }
+        });
         return a;
       }
       case ir::ExprKind::kCast: {
         const auto& c = static_cast<const ir::CastExpr&>(e);
         IdVec v = eval(*c.operand, m);
-        for (int i = 0; i < nlanes_; ++i) {
-          auto li = static_cast<std::size_t>(i);
-          if (m[li] && v[li] != kInv) v[li] = ar_.cast(c.to, v[li]);
-        }
+        lanes_.for_each_lane(m, [&](std::size_t li) {
+          if (v[li] != kInv) v[li] = ar_.cast(c.to, v[li]);
+        });
         return v;
       }
     }
@@ -1096,10 +1067,10 @@ class Exec {
       throw Abort{"array '" + v.name + "' used as a value"};
     IdVec out = var.scalar;
     if (shfl_depth_ == 0)
-      for (int l = 0; l < nlanes_; ++l)
-        if (m[static_cast<std::size_t>(l)] &&
-            out[static_cast<std::size_t>(l)] == kInv)
+      lanes_.for_each_lane(m, [&](std::size_t li) {
+        if (out[li] == kInv)
           throw Abort{"read of uninitialized variable '" + v.name + "'"};
+      });
     return out;
   }
 
@@ -1122,17 +1093,15 @@ class Exec {
       default:
         break;
     }
-    const std::size_t arity = b >= Builtin::kMin ? 2 : 1;
+    const std::size_t arity = builtin_arity(b);
     if (c.args.size() != arity)
       throw Abort{f + " expects " + std::to_string(arity) + " argument(s)",
                   true};
     std::vector<IdVec> xs;
     xs.reserve(c.args.size());
     for (const auto& a : c.args) xs.push_back(eval(*a, m));
-    IdVec out(static_cast<std::size_t>(nlanes_), kInv);
-    for (int l = 0; l < nlanes_; ++l) {
-      auto li = static_cast<std::size_t>(l);
-      if (!m[li]) continue;
+    IdVec out = splat(kInv);
+    lanes_.for_each_lane(m, [&](std::size_t li) {
       std::vector<std::uint32_t> kids;
       kids.reserve(xs.size());
       bool bad = false;
@@ -1141,70 +1110,39 @@ class Exec {
         kids.push_back(x[li]);
       }
       out[li] = bad ? kInv : ar_.call(sym_fn_of(b), std::move(kids));
-    }
+    });
     return out;
   }
 
-  Mask broaden(const Mask& m) const {
-    Mask broad(static_cast<std::size_t>(nlanes_), 0);
-    for (int w = 0; w * opt_.warp_size < nlanes_; ++w) {
-      int lo = w * opt_.warp_size;
-      int hi = std::min(lo + opt_.warp_size, nlanes_);
-      bool active = false;
-      for (int l = lo; l < hi; ++l) active = active || m[static_cast<std::size_t>(l)];
-      if (active)
-        for (int l = lo; l < hi; ++l) broad[static_cast<std::size_t>(l)] = 1;
-    }
-    return broad;
-  }
-
   IdVec eval_shfl(const ir::CallExpr& c, Builtin b, const Mask& m) {
+    exec::check_shfl_device(spec_);
     if (div_depth_ > 0)
       throw Abort{"__shfl under a symbolically divergent branch"};
-    if (c.args.size() != 3)
+    if (c.args.size() != builtin_arity(b))
       throw Abort{c.callee + " expects (var, lane, width)", true};
-    Mask broad = broaden(m);
+    Mask broad = lanes_.none();
+    lanes_.make_broad_mask(m, broad);
     ++shfl_depth_;
     IdVec var = eval(*c.args[0], broad);
     --shfl_depth_;
     IdVec sel = eval(*c.args[1], m);
     IdVec wid = eval(*c.args[2], m);
-    IdVec out(static_cast<std::size_t>(nlanes_), kInv);
-    for (int l = 0; l < nlanes_; ++l) {
-      auto li = static_cast<std::size_t>(l);
-      if (!m[li]) continue;
+    IdVec out = splat(kInv);
+    lanes_.for_each_lane(m, [&](std::size_t li) {
       Value sv, wv;
       if (sel[li] == kInv || wid[li] == kInv ||
           !ar_.constant(sel[li], &sv) || !ar_.constant(wid[li], &wv))
         throw Abort{c.callee + " with a symbolic selector or width"};
-      std::int64_t wdt = wv.as_i();
-      if (wdt <= 0 || wdt > opt_.warp_size || (wdt & (wdt - 1)) != 0)
-        throw Abort{"__shfl width must be a power of two in [1,32]", true};
-      int lane = l % opt_.warp_size;
-      int warp_base = l - lane;
-      int group_base = lane / static_cast<int>(wdt) * static_cast<int>(wdt);
-      std::int64_t s = sv.as_i();
-      int src_lane;
-      if (b == Builtin::kShfl) {
-        src_lane = group_base + static_cast<int>(s % wdt);
-      } else if (b == Builtin::kShflUp) {
-        int cand = lane - static_cast<int>(s);
-        src_lane = cand < group_base ? lane : cand;
-      } else if (b == Builtin::kShflDown) {
-        int cand = lane + static_cast<int>(s);
-        src_lane = cand >= group_base + static_cast<int>(wdt) ? lane : cand;
-      } else {  // __shfl_xor
-        int cand = group_base + ((lane - group_base) ^ static_cast<int>(s));
-        src_lane = cand < group_base + static_cast<int>(wdt) ? cand : lane;
-      }
-      int src_tid = warp_base + src_lane;
-      if (src_lane < 0 || src_lane >= opt_.warp_size || src_tid >= nlanes_)
-        src_tid = l;  // hardware-style out-of-range recovery
-      std::uint32_t id = var[static_cast<std::size_t>(src_tid)];
+      if (!lanes_.valid_shfl_width(wv.as_i())) exec::Lanes::shfl_width_fail();
+      const int l = static_cast<int>(li);
+      const int lane = l % lanes_.warp_size();
+      const exec::ShflRead r =
+          lanes_.shfl_read(b, l - lane, lane, sv.as_i(), wv.as_i());
+      const std::uint32_t id = var[static_cast<std::size_t>(r.src)];
       if (id == kInv)
         throw Abort{c.callee + " reads an uninitialized source value"};
       out[li] = id;
-    }
+    });
     return out;
   }
 
@@ -1229,7 +1167,7 @@ class Exec {
         if (p != kInv) vid = ar_.select(p, vid, old);
       }
     }
-    int warp = warp_of(lane);
+    const int warp = lanes_.warp_of(lane);
     if (is_global) {
       if (meta.wblock >= 0 && meta.wblock != blk_ && cells[i] != vid)
         throw Abort{"cross-block write conflict on '" + name + "[" +
@@ -1252,7 +1190,7 @@ class Exec {
 
   std::uint32_t note_read(CellMeta& meta, const IdVec& cells, std::size_t i,
                           int lane, bool is_global, const std::string& name) {
-    int warp = warp_of(lane);
+    const int warp = lanes_.warp_of(lane);
     if (is_global && meta.wblock >= 0 && meta.wblock != blk_)
       throw Abort{"cross-block read of '" + name + "[" + std::to_string(i) +
                   "]'"};
@@ -1298,7 +1236,7 @@ class Exec {
     const std::string& name = base.name;
     Var& v = var_at(base.sim_slot, name, "array access");
     ++seq_;
-    IdVec out(static_cast<std::size_t>(nlanes_), kInv);
+    IdVec out = splat(kInv);
 
     if (v.is_buffer) {
       if (ai.indices.size() != 1)
@@ -1306,10 +1244,9 @@ class Exec {
       IdVec idx = eval(*ai.indices[0], m);
       GBuf& g = globals_[static_cast<std::size_t>(v.arg)];
       auto elems = static_cast<std::int64_t>(g.cells.size());
-      for (int l = 0; l < nlanes_; ++l) {
-        auto li = static_cast<std::size_t>(l);
-        if (!m[li]) continue;
-        if (idx[li] == kInv) continue;  // shfl-broadened lane, unused
+      lanes_.for_each_lane(m, [&](std::size_t li) {
+        const int l = static_cast<int>(li);
+        if (idx[li] == kInv) return;  // shfl-broadened lane, unused
         Value iv;
         if (ar_.constant(idx[li], &iv)) {
           std::int64_t i = iv.as_i();
@@ -1331,7 +1268,7 @@ class Exec {
           out[li] = gather_read(g.meta, g.cells, 0, g.cells.size(), idx[li],
                                 l, true, name, g.type);
         }
-      }
+      });
       return out;
     }
 
@@ -1348,9 +1285,8 @@ class Exec {
     for (const auto& ie : ai.indices) idxs.push_back(eval(*ie, m));
     std::int64_t elems = v.type.element_count();
     auto scalar = v.type.scalar;
-    for (int l = 0; l < nlanes_; ++l) {
-      auto li = static_cast<std::size_t>(l);
-      if (!m[li]) continue;
+    lanes_.for_each_lane(m, [&](std::size_t li) {
+      const int l = static_cast<int>(li);
       std::int64_t flat = 0;
       std::uint32_t sym_flat = kInv;
       bool symbolic = false, dead = false;
@@ -1379,7 +1315,7 @@ class Exec {
                              id);
         }
       }
-      if (dead) continue;
+      if (dead) return;
       bool shared = v.block_scoped;
       std::size_t cell0 = shared ? 0
                                 : static_cast<std::size_t>(l) *
@@ -1424,7 +1360,7 @@ class Exec {
           out[li] = ar_.gather(sym_flat, snap, scalar);
         }
       }
-    }
+    });
     return out;
   }
 
@@ -1436,34 +1372,17 @@ class Exec {
   void barrier(const Mask& m) {
     if (div_depth_ > 0)
       throw Abort{"__syncthreads under a symbolically divergent branch"};
-    // Warp-granular arrival, matching the interpreter's note_barrier: a
-    // warp arrives when any lane reaches the barrier; a warp with live
-    // lanes that never arrives deadlocks on real hardware (and is a
-    // deterministic kBarrierDivergence hazard in the sanitizer).
-    for (int lo = 0; lo < nlanes_; lo += opt_.warp_size) {
-      int hi = std::min(lo + opt_.warp_size, nlanes_);
-      bool active = false, live = false;
-      for (int l = lo; l < hi; ++l) {
-        auto li = static_cast<std::size_t>(l);
-        active = active || m[li] != 0;
-        live = live || !returned_[li];
-      }
-      if (live && !active)
-        throw Abort{"__syncthreads not reached by a live warp", true};
-    }
+    // A live warp that never arrives deadlocks on real hardware (and is
+    // a deterministic kBarrierDivergence hazard in the sanitizer).
+    if (lanes_.absent_lane(m, returned_) >= 0)
+      throw Abort{"__syncthreads not reached by a live warp", true};
     ++epoch_;
   }
 
   // ---------------- statements ----------------
   void exec_block(const ir::Block& b, Mask m) {
     for (const auto& s : b.stmts) {
-      bool alive = false;
-      for (int l = 0; l < nlanes_; ++l) {
-        auto li = static_cast<std::size_t>(l);
-        if (returned_[li]) m[li] = 0;
-        alive = alive || m[li];
-      }
-      if (!alive) return;
+      if (!exec::clear_lanes(m, returned_)) return;
       exec_stmt(*s, m);
     }
   }
@@ -1495,9 +1414,7 @@ class Exec {
       case ir::StmtKind::kReturn:
         if (div_depth_ > 0)
           throw Abort{"return under a symbolically divergent branch"};
-        for (int l = 0; l < nlanes_; ++l)
-          if (m[static_cast<std::size_t>(l)])
-            returned_[static_cast<std::size_t>(l)] = 1;
+        exec::add_lanes(returned_, m);
         return;
       case ir::StmtKind::kBreak:
       case ir::StmtKind::kContinue:
@@ -1518,7 +1435,7 @@ class Exec {
       std::size_t ncells = v.block_scoped
                                ? static_cast<std::size_t>(elems)
                                : static_cast<std::size_t>(elems) *
-                                     static_cast<std::size_t>(nlanes_);
+                                     static_cast<std::size_t>(lanes_.nlanes());
       v.cells.assign(ncells, kInv);
       if (v.block_scoped) v.meta.assign(static_cast<std::size_t>(elems), CellMeta{});
       if (!d.init_list.empty()) {
@@ -1526,8 +1443,8 @@ class Exec {
           throw Abort{"too many initializers for '" + d.name + "'", true};
         // Brace initializers are constant contents; lane-0 semantics, and
         // the tail zero-fills like C.
-        Mask one(static_cast<std::size_t>(nlanes_), 0);
-        one[0] = 1;
+        Mask one = lanes_.none();
+        lanes_.set_lane(one, 0);
         for (std::int64_t e = 0; e < elems; ++e) {
           std::uint32_t id;
           if (e < static_cast<std::int64_t>(d.init_list.size())) {
@@ -1540,7 +1457,7 @@ class Exec {
           if (v.block_scoped) {
             v.cells[static_cast<std::size_t>(e)] = id;
           } else {
-            for (int l = 0; l < nlanes_; ++l)
+            for (int l = 0; l < lanes_.nlanes(); ++l)
               v.cells[static_cast<std::size_t>(l) *
                           static_cast<std::size_t>(elems) +
                       static_cast<std::size_t>(e)] = id;
@@ -1550,13 +1467,12 @@ class Exec {
         throw Abort{"array initializers are not supported", true};
       }
     } else {
-      v.scalar.assign(static_cast<std::size_t>(nlanes_), kInv);
+      v.scalar = splat(kInv);
       if (d.init) {
         IdVec x = eval(*d.init, m);
-        for (int l = 0; l < nlanes_; ++l) {
-          auto li = static_cast<std::size_t>(l);
-          if (m[li]) v.scalar[li] = coerce_id(x[li], d.type.scalar);
-        }
+        lanes_.for_each_lane(m, [&](std::size_t li) {
+          v.scalar[li] = coerce_id(x[li], d.type.scalar);
+        });
       }
     }
   }
@@ -1565,27 +1481,21 @@ class Exec {
     Var& v = var_at(r.sim_slot, r.name, "assignment");
     if (v.is_buffer || v.type.is_array() || v.uniform)
       throw Abort{"cannot assign to '" + r.name + "'", true};
-    for (int l = 0; l < nlanes_; ++l) {
-      auto li = static_cast<std::size_t>(l);
-      if (m[li]) v.scalar[li] = coerce_id(val[li], v.type.scalar);
-    }
+    lanes_.for_each_lane(m, [&](std::size_t li) {
+      v.scalar[li] = coerce_id(val[li], v.type.scalar);
+    });
   }
 
   void exec_assign(const ir::AssignStmt& a, const Mask& m) {
     IdVec rhs = eval(*a.rhs, m);
     if (a.op != ir::AssignOp::kAssign) {
       IdVec old = eval(*a.lhs, m);
-      BinOp op = a.op == ir::AssignOp::kAdd   ? BinOp::kAdd
-                 : a.op == ir::AssignOp::kSub ? BinOp::kSub
-                 : a.op == ir::AssignOp::kMul ? BinOp::kMul
-                                              : BinOp::kDiv;
-      for (int l = 0; l < nlanes_; ++l) {
-        auto li = static_cast<std::size_t>(l);
-        if (!m[li]) continue;
+      const BinOp op = compound_op(a.op);
+      lanes_.for_each_lane(m, [&](std::size_t li) {
         if (old[li] == kInv || rhs[li] == kInv)
           throw Abort{"compound assignment reads an uninitialized value"};
         rhs[li] = ar_.bin(op, old[li], rhs[li]);
-      }
+      });
     }
     if (a.lhs->kind() == ir::ExprKind::kVarRef) {
       store_var(static_cast<const ir::VarRef&>(*a.lhs), m, rhs);
@@ -1600,23 +1510,16 @@ class Exec {
 
   void exec_if(const ir::IfStmt& s, const Mask& m) {
     IdVec c = eval(*s.cond, m);
-    Mask tm(static_cast<std::size_t>(nlanes_), 0);
-    Mask fm(static_cast<std::size_t>(nlanes_), 0);
-    Mask sm(static_cast<std::size_t>(nlanes_), 0);
-    bool has_sym = false;
-    for (int l = 0; l < nlanes_; ++l) {
-      auto li = static_cast<std::size_t>(l);
-      if (!m[li]) continue;
+    Mask tm = lanes_.none(), fm = tm, sm = tm;
+    lanes_.for_each_lane(m, [&](std::size_t li) {
       if (c[li] == kInv) throw Abort{"branch on an uninitialized value"};
       Value cv;
-      if (ar_.constant(c[li], &cv)) {
-        (cv.truthy() ? tm : fm)[li] = 1;
-      } else {
-        sm[li] = 1;
-        has_sym = true;
-      }
-    }
-    if (!has_sym) {
+      if (!ar_.constant(c[li], &cv))
+        lanes_.set_lane(sm, li);
+      else
+        lanes_.set_lane(cv.truthy() ? tm : fm, li);
+    });
+    if (!any(sm)) {
       if (any(tm)) exec_block(*s.then_body, tm);
       if (s.else_body && any(fm)) exec_block(*s.else_body, fm);
       return;
@@ -1627,15 +1530,13 @@ class Exec {
     // barriers, shfl, return) abort inside either side.
     std::vector<Var> pre = frame_;
     Mask tsm = tm, fsm = fm;
-    IdVec tpred(static_cast<std::size_t>(nlanes_), kInv);
-    IdVec fpred(static_cast<std::size_t>(nlanes_), kInv);
-    for (int l = 0; l < nlanes_; ++l) {
-      auto li = static_cast<std::size_t>(l);
-      if (!sm[li]) continue;
-      tsm[li] = fsm[li] = 1;
+    exec::add_lanes(tsm, sm);
+    exec::add_lanes(fsm, sm);
+    IdVec tpred = splat(kInv), fpred = splat(kInv);
+    lanes_.for_each_lane(sm, [&](std::size_t li) {
       tpred[li] = c[li];
       fpred[li] = ar_.un(UnOp::kLNot, c[li]);
-    }
+    });
     ++div_depth_;
     preds_.push_back(std::move(tpred));
     exec_block(*s.then_body, tsm);
@@ -1653,8 +1554,8 @@ class Exec {
                     const Mask& tm, const Mask& sm) {
     auto merge_id = [&](std::size_t lane, std::uint32_t tv,
                         std::uint32_t ev) -> std::uint32_t {
-      if (tm[lane]) return tv;
-      if (!sm[lane]) return ev;
+      if (lanes_.lane_on(tm, lane)) return tv;
+      if (!lanes_.lane_on(sm, lane)) return ev;
       if (tv == ev) return tv;
       if (tv == kInv || ev == kInv) return kInv;
       return ar_.select(cond[lane], tv, ev);
@@ -1689,10 +1590,7 @@ class Exec {
       }
       if (!any(active)) break;
       exec_block(*f.body, active);
-      for (int l = 0; l < nlanes_; ++l)
-        if (returned_[static_cast<std::size_t>(l)])
-          active[static_cast<std::size_t>(l)] = 0;
-      if (!any(active)) break;
+      if (!exec::clear_lanes(active, returned_)) break;
       if (f.inc) exec_stmt(*f.inc, active);
     }
   }
@@ -1705,36 +1603,35 @@ class Exec {
       prune(active, c, "while condition");
       if (!any(active)) break;
       exec_block(*w.body, active);
-      for (int l = 0; l < nlanes_; ++l)
-        if (returned_[static_cast<std::size_t>(l)])
-          active[static_cast<std::size_t>(l)] = 0;
+      (void)exec::clear_lanes(active, returned_);
     }
   }
 
   /// Loop conditions must fold to constants per lane (trip counts are part
   /// of the proof obligation, not the symbolic environment).
   void prune(Mask& active, const IdVec& c, const char* what) {
-    for (int l = 0; l < nlanes_; ++l) {
-      auto li = static_cast<std::size_t>(l);
-      if (!active[li]) continue;
+    Mask taken = lanes_.none();
+    lanes_.for_each_lane(active, [&](std::size_t li) {
       if (c[li] == kInv)
         throw Abort{std::string(what) + " reads an uninitialized value"};
       Value cv;
       if (!ar_.constant(c[li], &cv))
         throw Abort{std::string("symbolic ") + what +
                     " (data-dependent trip count)"};
-      if (!cv.truthy()) active[li] = 0;
-    }
+      if (cv.truthy()) lanes_.set_lane(taken, li);
+    });
+    active = std::move(taken);
   }
 
   // ---------------- state ----------------
+  const DeviceSpec& spec_;
   const ir::Kernel& kernel_;
   std::shared_ptr<const BoundKernel> bound_;
   Dim3 grid_, block_;
   const std::vector<SymArg>& args_;
   SymArena& ar_;
   SymExecOptions opt_;
-  int nlanes_ = 0;
+  exec::Lanes lanes_;
   std::vector<GBuf> globals_;
   std::vector<SymRace> races_;
   std::int64_t steps_ = 0;
@@ -1755,10 +1652,11 @@ class Exec {
 
 }  // namespace
 
-SymExecResult sym_execute(const ir::Kernel& kernel, Dim3 grid, Dim3 block,
+SymExecResult sym_execute(const DeviceSpec& spec, const ir::Kernel& kernel,
+                          Dim3 grid, Dim3 block,
                           const std::vector<SymArg>& args, SymArena& arena,
                           const SymExecOptions& opt) {
-  return Exec(kernel, grid, block, args, arena, opt).run();
+  return Exec(spec, kernel, grid, block, args, arena, opt).run();
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,13 @@
 // the math builtins come from its one table), so a fully-concrete
 // symbolic run computes exactly what the interpreter would.
 //
+// Lanes behave the way the VM's do: both engines run on the lane model
+// of sim/lanes.hpp, with the DeviceSpec the certifier holds. The launch
+// checks, warp masks and lane order, geometry values, the __syncthreads
+// arrival rule and the __shfl rules (the sm_30 gate, the width check,
+// the source lane) are the VM's own code, so where one of them fails
+// the run aborts as a fault with the VM's message.
+//
 // Names resolve the way the VM resolves them: through
 // the slot binder (sim/binder.hpp). sym_execute binds the kernel (or
 // reuses its cached binding) and reads the annotations: each variable
@@ -48,6 +55,7 @@
 
 #include "ir/kernel.hpp"
 #include "sim/binder.hpp"
+#include "sim/device.hpp"
 #include "sim/launch.hpp"
 
 namespace cudanp::sim {
@@ -307,7 +315,6 @@ struct SymExecOptions {
   /// Arena node budget: a run whose expression DAG outgrows this aborts
   /// (keeps certification time and memory bounded on huge workloads).
   std::int64_t max_nodes = 8'000'000;
-  int warp_size = 32;
 };
 
 /// A shared-memory (or same-block global) access pair that would be a
@@ -335,11 +342,13 @@ struct SymExecResult {
   std::int64_t steps = 0;
 };
 
-/// Executes `kernel` over the whole grid in lockstep-vector order.
+/// Executes `kernel` over the whole grid in lockstep-vector order, on
+/// the lanes of `spec` (its warp size, block limit and sm version).
 /// Blocks run sequentially; a read of a global element written by a
 /// *different* block aborts (cross-block ordering is undefined on real
 /// hardware and uncertifiable).
-[[nodiscard]] SymExecResult sym_execute(const ir::Kernel& kernel, Dim3 grid,
+[[nodiscard]] SymExecResult sym_execute(const DeviceSpec& spec,
+                                        const ir::Kernel& kernel, Dim3 grid,
                                         Dim3 block,
                                         const std::vector<SymArg>& args,
                                         SymArena& arena,

@@ -30,16 +30,16 @@ class VmExec : public exec::BlockCore {
                   flat_block, max_steps),
         prog_(program),
         iregs_(static_cast<std::size_t>(program.num_regs) *
-               static_cast<std::size_t>(nlanes_)),
+               static_cast<std::size_t>(lanes_.nlanes())),
         fregs_(iregs_.size()),
         masks_(static_cast<std::size_t>(program.max_mask_depth) + 1,
-               Mask(static_cast<std::size_t>(nwarps_), 0)),
-        scratch_(static_cast<std::size_t>(nwarps_), 0),
+               lanes_.none()),
+        scratch_(lanes_.none()),
         iters_(static_cast<std::size_t>(program.max_loop_depth), 0) {}
 
   KernelStats run() {
     if (opt_.fault && opt_.fault->should_stall(flat_block_)) stall();
-    masks_[0] = full_;
+    masks_[0] = lanes_.full();
     dispatch();
     return collect_stats();
   }
@@ -49,7 +49,8 @@ class VmExec : public exec::BlockCore {
   [[nodiscard]] Mask& cur() { return masks_[static_cast<std::size_t>(mdepth_)]; }
 
   [[nodiscard]] std::size_t reg_base(std::int32_t r) const {
-    return static_cast<std::size_t>(r) * static_cast<std::size_t>(nlanes_);
+    return static_cast<std::size_t>(r) *
+           static_cast<std::size_t>(lanes_.nlanes());
   }
   /// Register r's lane array of type T (int and float registers live in
   /// separate pools; lowering fixed which one r uses).
@@ -123,7 +124,7 @@ class VmExec : public exec::BlockCore {
   /// Fast path: masks only empty through returns (jumps handle every
   /// other emptying), so an untouched returned_ means nothing to do.
   [[nodiscard]] bool guard_returned() {
-    return returned_any_ && !clear_returned(cur());
+    return returned_any_ && !exec::clear_lanes(cur(), returned_);
   }
 
   void dispatch() {
@@ -238,13 +239,11 @@ class VmExec : public exec::BlockCore {
           do_sync(cur(), ins.loc);
           break;
         case Op::kShflGuard:
-          if (spec_.sm_version < 30)
-            throw SimError("__shfl requires sm_30+ (device is sm_" +
-                           std::to_string(spec_.sm_version) + ")");
+          exec::check_shfl_device(spec_);
           break;
         case Op::kShflArgBegin: {
           Mask& broad = masks_[static_cast<std::size_t>(mdepth_) + 1];
-          make_broad_mask(cur(), broad);
+          lanes_.make_broad_mask(cur(), broad);
           ++mdepth_;
           ++shfl_arg_depth_;
           break;
@@ -359,7 +358,7 @@ class VmExec : public exec::BlockCore {
           break;
         case Op::kClearReturned:
           // The while latch loops back to the condition unconditionally.
-          if (returned_any_) (void)clear_returned(cur());
+          if (returned_any_) (void)exec::clear_lanes(cur(), returned_);
           break;
         case Op::kLoopExit:
           --mdepth_;
@@ -370,7 +369,7 @@ class VmExec : public exec::BlockCore {
           pc = static_cast<std::size_t>(ins.target);
           continue;
         case Op::kReturn:
-          mark_returned(cur());
+          exec::add_lanes(returned_, cur());
           returned_any_ = true;
           break;
       }

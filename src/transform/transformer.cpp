@@ -8,6 +8,7 @@
 #include "analysis/loop_info.hpp"
 #include "analysis/uniformity.hpp"
 #include "ir/printer.hpp"
+#include "sim/binder.hpp"
 #include "transform/comm_codegen.hpp"
 #include "transform/rewrite.hpp"
 
@@ -144,6 +145,12 @@ class Transformer {
     if (orig_.parallel_loop_count() == 0)
       throw cudanp::CompileError("kernel '" + orig_.name +
                                  "' has no #pragma np parallel loops");
+    if (const CallExpr* c = cfg_.intra_warp() ? first_shfl_call(orig_)
+                                              : nullptr)
+      throw cudanp::CompileError(
+          c->loc(), "intra-warp NP remaps lanes (master_id = threadIdx.y), "
+                    "so the kernel's own " + c->callee +
+                    " would read another master's thread; use inter-warp NP");
     // Reserved names.
     auto symbols = analysis::build_symbol_table(orig_);
     for (const auto& [name, type] : symbols) {
@@ -1127,6 +1134,16 @@ class Transformer {
 };
 
 }  // namespace
+
+const CallExpr* first_shfl_call(const Kernel& kernel) {
+  const CallExpr* first = nullptr;
+  for_each_expr_in(*kernel.body, [&](const Expr& e) {
+    if (first || e.kind() != ExprKind::kCall) return;
+    const auto& c = static_cast<const CallExpr&>(e);
+    if (sim::is_shfl(sim::resolve_builtin(c.callee))) first = &c;
+  });
+  return first;
+}
 
 TransformResult apply_np_transform(const Kernel& kernel,
                                    const NpConfig& config,

@@ -41,6 +41,13 @@ struct TransformResult {
   std::vector<std::pair<std::string, LocalPlacement>> placements;
 };
 
+/// The kernel's first call of a __shfl builtin, or null. Intra-warp NP
+/// moves each master to threadIdx.y and packs its slaves into the lanes
+/// of one warp, so a __shfl the kernel makes itself would read another
+/// master's thread: apply_np_transform rejects intra-warp for such a
+/// kernel, and np::NpCompiler::enumerate_configs does not offer it.
+[[nodiscard]] const ir::CallExpr* first_shfl_call(const ir::Kernel& kernel);
+
 /// Transforms `kernel` under `config`. Throws CompileError on invalid
 /// configurations or unsupported kernel shapes; accumulates warnings in
 /// `diags`.

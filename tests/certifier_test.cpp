@@ -510,6 +510,70 @@ __global__ void k(float* a, float* c, int w, int h) {
   EXPECT_GT(certified, 0);
 }
 
+// A baseline that calls __shfl itself, then an 8-trip NP reduction.
+constexpr const char* kUserShflSrc = R"(
+__global__ void k(float* a, float* out) {
+  int tx = threadIdx.x;
+  float w = __shfl(a[tx], 0, 32);
+  float s = 0.0f;
+  #pragma np parallel for reduction(+:s)
+  for (int i = 0; i < 8; i++)
+    s += a[tx * 8 + i];
+  out[tx] = s + w;
+}
+)";
+
+TEST(Certifier, ShflBaselineOnAnSm20DeviceIsInconclusive) {
+  // The VM refuses __shfl below sm_30, so no variant of this kernel can
+  // be proven on such a device. Symexec used to ignore the sm version
+  // and prove the five inter-warp variants.
+  std::unique_ptr<ir::Program> prog;
+  ir::Kernel& kernel = parse_kernel(prog, kUserShflSrc);
+  auto factory = [&] { return np::make_synthetic_workload(kernel, 32, 32); };
+  auto spec = sim::DeviceSpec::gtx680();
+  spec.sm_version = 20;
+  Certifier certifier(spec);
+  const auto configs = NpCompiler::enumerate_configs(kernel, 32, spec);
+  EXPECT_EQ(configs.size(), 5u);
+  for (const auto& cfg : configs) {
+    SCOPED_TRACE(cfg.describe());
+    const Certificate cert = certifier.certify(kernel, cfg, factory);
+    EXPECT_EQ(cert.verdict, Verdict::kInconclusive) << cert.str();
+    EXPECT_EQ(cert.detail,
+              "baseline: __shfl requires sm_30+ (device is sm_20)");
+  }
+}
+
+TEST(SymExec, LaunchChecksAreTheVmsOwn) {
+  std::unique_ptr<ir::Program> prog;
+  ir::Kernel& kernel = parse_kernel(prog, kUserShflSrc);
+  std::vector<sim::SymArg> args(2);
+  for (auto& arg : args) {
+    arg.kind = sim::SymArg::Kind::kBufferSymbolic;
+    arg.type = ir::ScalarType::kFloat;
+    arg.elems = 4096;
+  }
+  const auto spec = sim::DeviceSpec::gtx680();
+  auto run = [&](sim::Dim3 grid, sim::Dim3 block) {
+    sim::SymArena arena;
+    return sim::sym_execute(spec, kernel, grid, block, args, arena);
+  };
+  const auto zero = run({1, 1, 1}, {0, 1, 1});
+  EXPECT_FALSE(zero.ok);
+  EXPECT_TRUE(zero.fault);
+  EXPECT_EQ(zero.reason,
+            "invalid launch: block dimensions (0,1,1) must all be positive");
+  const auto big = run({1, 1, 1}, {2048, 1, 1});
+  EXPECT_TRUE(big.fault);
+  EXPECT_EQ(big.reason,
+            "invalid launch: block size 2048 exceeds the device limit of "
+            "1024 threads");
+  args.pop_back();
+  const auto arity = run({1, 1, 1}, {32, 1, 1});
+  EXPECT_TRUE(arity.fault);
+  EXPECT_EQ(arity.reason, "kernel 'k' expects 2 args, got 1");
+}
+
 TEST(SymExec, TernaryOfABoolElementAndAnIntIsInt) {
   // A bool array element read at a symbolic index is an int lane, like
   // the int arm, so `?:` stays int and `/ 2` truncates as the interpreter
@@ -532,7 +596,8 @@ __global__ void k(float* a, float* c) {
   }
   sim::SymArena arena;
   const auto r =
-      sim::sym_execute(kernel, {1, 1, 1}, {2, 1, 1}, args, arena);
+      sim::sym_execute(sim::DeviceSpec::gtx680(), kernel, {1, 1, 1},
+                       {2, 1, 1}, args, arena);
   ASSERT_TRUE(r.ok) << r.reason;
   sim::Value v;
   ASSERT_TRUE(arena.constant(r.buffers[1][0], &v));  // 3 / 2
@@ -863,8 +928,9 @@ __global__ void k(float* a, float* out, int n) {
     }
     args[2].scalar = std::get<sim::Value>(w.launch.args[2]);
     sim::SymArena arena;
-    const auto sym = sim::sym_execute(kernel, w.launch.grid, w.launch.block,
-                                      args, arena);
+    const auto sym = sim::sym_execute(sim::DeviceSpec::gtx680(), kernel,
+                                      w.launch.grid, w.launch.block, args,
+                                      arena);
     ASSERT_TRUE(sym.ok) << sym.reason;
 
     np::seed_certify_floats(w, kSeed);

@@ -649,6 +649,57 @@ TEST(Cli, IntOverflowIsAStructuredErrorInEveryMode) {
       << batch.output;
 }
 
+// A baseline that calls __shfl itself, then an 8-trip NP reduction.
+// Intra-warp NP makes threadIdx.y the master id, so the call would read
+// another master's thread: intra-warp is not applicable to it.
+const char* kUserShfl = R"(__global__ void k(float* a, float* out) {
+  int tx = threadIdx.x;
+  float w = __shfl(a[tx], 0, 32);
+  float s = 0.0f;
+  #pragma np parallel for reduction(+:s)
+  for (int i = 0; i < 8; i++)
+    s += a[tx * 8 + i];
+  out[tx] = s + w;
+}
+)";
+
+int count_of(const std::string& text, const std::string& needle) {
+  int n = 0;
+  for (auto p = text.find(needle); p != std::string::npos;
+       p = text.find(needle, p + 1))
+    ++n;
+  return n;
+}
+
+TEST(Cli, IntraWarpIsNotApplicableToKernelsThatCallShfl) {
+  auto path = write_temp_kernel(kUserShfl);
+  auto cert = run_cli(path + " --certify --elems=32 --tb=32");
+  EXPECT_EQ(cert.exit_code, 0) << cert.output;
+  EXPECT_EQ(count_of(cert.output, "shfl: not applicable (3:13: intra-warp "
+                                  "NP remaps lanes"),
+            5)
+      << cert.output;
+  EXPECT_EQ(count_of(cert.output, "certified: proven-modulo-reassoc"), 5)
+      << cert.output;
+  EXPECT_EQ(cert.output.find("refuted"), std::string::npos) << cert.output;
+  auto intra = run_cli(path + " --np-type=intra --elems=32 --tb=32");
+  EXPECT_EQ(intra.exit_code, 2) << intra.output;
+  EXPECT_NE(intra.output.find("3:13: intra-warp NP remaps lanes"),
+            std::string::npos)
+      << intra.output;
+  // __shfl_down at tb 64: the intra-warp variants used to read inactive
+  // lanes (shfl hazards) and be refuted.
+  std::string down = kUserShfl;
+  down.replace(down.find("__shfl(a[tx], 0, 32)"), 20,
+               "__shfl_down(a[tx], 1, 32)");
+  auto down_path = write_temp_file("shfl_down.cu", down);
+  auto r = run_cli(down_path + " --certify --elems=64 --tb=64");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_EQ(count_of(r.output, "not applicable"), 4) << r.output;
+  EXPECT_EQ(r.output.find("refuted"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("shfl-hazard"), std::string::npos) << r.output;
+}
+
 /// Launches `cudanp-cc --serve` as a real subprocess and waits for the
 /// socket to appear; kills the daemon on destruction if the test did
 /// not shut it down.

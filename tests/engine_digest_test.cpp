@@ -578,8 +578,9 @@ TEST(EngineEquivalenceFuzz, MixedTypesTailWarpsAndMasksBitIdentical) {
       args[0].elems = 4096;
       args[1].scalar = sim::Value::of_int(5);
       sim::SymArena arena;
-      const auto sym = sim::sym_execute(kernel, w.launch.grid, w.launch.block,
-                                        args, arena);
+      const auto sym = sim::sym_execute(sim::DeviceSpec::gtx680(), kernel,
+                                        w.launch.grid, w.launch.block, args,
+                                        arena);
       if (!sym.ok) {
         ++uncertified;
         continue;

@@ -4,6 +4,7 @@
 
 #include "frontend/parser.hpp"
 #include "ir/printer.hpp"
+#include "np/compiler.hpp"
 #include "sim/interpreter.hpp"
 #include "transform/transformer.hpp"
 
@@ -432,6 +433,67 @@ __global__ void k(float* a, int n) {
 TEST(Transformer, SlaveSizeBounds) {
   EXPECT_THROW(transform(kTmvSrc, inter(1, 32)), CompileError);
   EXPECT_THROW(transform(kTmvSrc, inter(64, 8)), CompileError);
+}
+
+// Kernels that call __shfl themselves. Intra-warp NP makes threadIdx.y
+// the master id and packs each master's slaves into lanes of one warp,
+// so a baseline __shfl would read another master's thread.
+constexpr const char* kUserShflSrcs[] = {
+    R"(
+__global__ void k(float* a, float* out) {
+  int tx = threadIdx.x;
+  float w = __shfl(a[tx], 0, 32);
+  float s = 0.0f;
+  #pragma np parallel for reduction(+:s)
+  for (int i = 0; i < 8; i++)
+    s += a[tx * 8 + i];
+  out[tx] = s + w;
+}
+)",
+    R"(
+__global__ void k(float* a, float* out) {
+  int tx = threadIdx.x;
+  float w = __shfl_down(a[tx], 1, 32);
+  float s = 0.0f;
+  #pragma np parallel for reduction(+:s)
+  for (int i = 0; i < 8; i++)
+    s += a[tx * 8 + i];
+  out[tx] = s + w;
+}
+)"};
+
+TEST(Transformer, IntraWarpRejectsKernelsThatCallShfl) {
+  for (const char* src : kUserShflSrcs) {
+    try {
+      (void)transform(src, intra(8, 32));
+      ADD_FAILURE() << "intra-warp transform accepted:\n" << src;
+    } catch (const CompileError& e) {
+      EXPECT_EQ(e.loc().str(), "4:13");
+      EXPECT_NE(std::string(e.what()).find(
+                    "intra-warp NP remaps lanes (master_id = threadIdx.y)"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_NO_THROW((void)transform(src, inter(8, 32)));
+  }
+  auto tmv = frontend::parse_program_or_throw(kTmvSrc);
+  EXPECT_EQ(first_shfl_call(*tmv->find_kernel("k")), nullptr);
+}
+
+TEST(Transformer, EnumerationSkipsIntraWarpForKernelsThatCallShfl) {
+  const auto spec = DeviceSpec::gtx680();
+  for (const char* src : kUserShflSrcs) {
+    auto p = frontend::parse_program_or_throw(src);
+    const Kernel& k = *p->find_kernel("k");
+    const auto configs = np::NpCompiler::enumerate_configs(k, 32, spec);
+    EXPECT_EQ(configs.size(), 5u);
+    for (const auto& c : configs) EXPECT_FALSE(c.intra_warp()) << c.describe();
+    EXPECT_EQ(np::NpCompiler::config_space(k, 32, spec).size(), 10u);
+  }
+  auto tmv = frontend::parse_program_or_throw(kTmvSrc);
+  EXPECT_EQ(np::NpCompiler::enumerate_configs(*tmv->find_kernel("k"), 32, spec)
+                .size(),
+            10u);
 }
 
 TEST(Transformer, NotesDescribeDecisions) {

@@ -530,16 +530,14 @@ int run_file(const CliOptions& opt) {
       *os << run.engine.summary();
       return run.clean() ? 0 : 3;
     }
-    std::vector<transform::NpConfig> configs =
-        np::NpCompiler::enumerate_configs(*kernel, tb, spec);
     const ir::Kernel& k = *kernel;
     auto factory = [&k, n, tb] {
       return np::make_synthetic_workload(k, n, tb);
     };
     if (opt.fallback) {
-      auto result =
-          np::NpCompiler::compile_with_fallback(k, configs, factory, spec,
-                                                vopt);
+      auto result = np::NpCompiler::compile_with_fallback(
+          k, np::NpCompiler::enumerate_configs(k, tb, spec), factory, spec,
+          vopt);
       const auto& d = result.decision;
       if (d.used_baseline) {
         *os << "// baseline (every NP candidate was quarantined)\n"
@@ -557,7 +555,10 @@ int run_file(const CliOptions& opt) {
         if (f.cause == np::FailureCause::kProvenWrong) return 11;
       return d.pristine() ? 0 : 6;
     }
-    auto report = np::NpCompiler::validate(k, configs, factory, spec, vopt);
+    // The report covers the whole config space, so a config the kernel
+    // rules out is listed as not applicable, with the reason.
+    auto report = np::NpCompiler::validate(
+        k, np::NpCompiler::config_space(k, tb, spec), factory, spec, vopt);
     *os << report.summary() << "\n";
     for (const auto& e : report.entries)
       if (e.verdict == np::to_string(np::Verdict::kRefuted)) return 11;
