@@ -104,6 +104,7 @@ void for_each_expr_in(const Stmt& s,
       case StmtKind::kDecl: {
         const auto& d = static_cast<const DeclStmt&>(st);
         if (d.init) for_each_expr(*d.init, fn);
+        for (const auto& e : d.init_list) for_each_expr(*e, fn);
         break;
       }
       case StmtKind::kAssign: {

@@ -52,6 +52,129 @@ Builtin resolve_builtin(const std::string& f) {
 
 namespace {
 
+/// The declared type of a bound slot; null for a sentinel, or a slot
+/// number from another binding.
+[[nodiscard]] const Type* slot_type(const BoundKernel& bk, std::int32_t slot) {
+  if (slot < 0 || static_cast<std::size_t>(slot) >= bk.slots.size())
+    return nullptr;
+  const SlotDecl& sd = bk.slots[static_cast<std::size_t>(slot)];
+  return sd.is_param ? &bk.kernel->params[sd.param_index].type
+                     : &sd.decl->type;
+}
+
+/// A reference whose slot names no variable: undeclared, a geometry name
+/// where a variable is required, or a node added after binding.
+[[nodiscard]] std::string unresolved(std::int32_t slot, const std::string& name,
+                                     SourceLoc loc) {
+  if (slot == kSlotUnbound || slot >= 0) return unbound_ref_message(name);
+  return "use of undeclared variable '" + name + "' at " + loc.str();
+}
+
+}  // namespace
+
+std::optional<std::string> BoundKernel::error(const Stmt& s) const {
+  switch (s.kind()) {
+    case StmtKind::kDecl: {
+      const auto& d = static_cast<const DeclStmt&>(s);
+      const Type& t = d.type;
+      // Composed only on the error paths: engines ask on every execution.
+      auto at = [&] { return " at " + d.loc().str(); };
+      if (!slot_type(*this, d.sim_slot))
+        return "internal: unbound declaration of '" + d.name +
+               "' (kernel AST modified after slot binding)";
+      if (t.space == AddrSpace::kShared && !t.is_array())
+        return "unsupported construct: shared-memory scalar '" + d.name + "'" +
+               at() + "; declare a one-element __shared__ array instead";
+      if (t.scalar == ScalarType::kVoid)
+        return "unsupported construct: void variable '" + d.name + "'" + at();
+      if (t.space == AddrSpace::kShared && !d.init_list.empty())
+        return "unsupported construct: initializer on __shared__ array '" +
+               d.name + "'" + at() + "; shared memory takes no initializer";
+      if (static_cast<std::int64_t>(d.init_list.size()) > t.element_count())
+        return "too many initializers for '" + d.name + "'";
+      if (d.init && t.is_array())
+        return "array initializers are not supported" + at();
+      return std::nullopt;
+    }
+    case StmtKind::kAssign: {
+      const auto& a = static_cast<const AssignStmt&>(s);
+      if (a.lhs->kind() == ExprKind::kArrayIndex) return std::nullopt;
+      if (a.lhs->kind() != ExprKind::kVarRef)
+        return "invalid assignment target at " + a.loc().str();
+      const auto& v = static_cast<const VarRef&>(*a.lhs);
+      const Type* t = slot_type(*this, v.sim_slot);
+      if (!t) return unresolved(v.sim_slot, v.name, v.loc());
+      if (t->is_pointer || t->is_array())
+        return "cannot assign to '" + v.name + "' without an index";
+      if (slots[static_cast<std::size_t>(v.sim_slot)].is_param)
+        return "cannot assign to kernel parameter '" + v.name +
+               "' (treated as uniform)";
+      return std::nullopt;
+    }
+    case StmtKind::kBreak:
+    case StmtKind::kContinue:
+      return "break/continue are not supported by the simulator; use a "
+             "guarding if (paper Sec. 3.7 padding uses `if (i < n)`)";
+    default:
+      return std::nullopt;
+  }
+}
+
+std::optional<std::string> BoundKernel::error(const Expr& e) const {
+  switch (e.kind()) {
+    case ExprKind::kVarRef: {
+      const auto& v = static_cast<const VarRef&>(e);
+      if (slot_is_geometry(v.sim_slot)) return std::nullopt;
+      const Type* t = slot_type(*this, v.sim_slot);
+      if (!t) return unresolved(v.sim_slot, v.name, v.loc());
+      if (t->is_pointer)
+        return "pointer '" + v.name +
+               "' used as a value (only indexing is supported)";
+      if (t->is_array()) return "array '" + v.name + "' used without an index";
+      return std::nullopt;
+    }
+    case ExprKind::kArrayIndex: {
+      const auto& ai = static_cast<const ArrayIndex&>(e);
+      auto at = [&] { return " at " + ai.loc().str(); };
+      if (ai.base->kind() != ExprKind::kVarRef)
+        return "array base must be a variable" + at();
+      const auto& base = static_cast<const VarRef&>(*ai.base);
+      const std::string& name = base.name;
+      const Type* t = slot_type(*this, base.sim_slot);
+      if (!t) return unresolved(base.sim_slot, name, ai.loc());
+      if (t->is_pointer) {
+        if (ai.indices.size() == 1) return std::nullopt;
+        return "pointer '" + name + "' requires exactly one index";
+      }
+      if (!t->is_array()) return "'" + name + "' is not an array" + at();
+      if (ai.indices.size() != t->array_dims.size())
+        return "array '" + name + "' has " +
+               std::to_string(t->array_dims.size()) + " dims, indexed with " +
+               std::to_string(ai.indices.size()) + at();
+      if (t->space == AddrSpace::kGlobal)
+        return "unsupported address space for array '" + name + "'";
+      return std::nullopt;
+    }
+    case ExprKind::kCall: {
+      const auto& c = static_cast<const CallExpr&>(e);
+      const Builtin b = call_builtin(c);
+      auto at = [&] { return " at " + c.loc().str(); };
+      if (b == Builtin::kNotBuiltin)
+        return "unknown function '" + c.callee + "'" + at();
+      const std::size_t arity = builtin_arity(b);
+      if (b == Builtin::kSyncthreads || c.args.size() == arity)
+        return std::nullopt;
+      if (is_shfl(b)) return c.callee + " expects (var, lane, width)" + at();
+      return c.callee + " expects " + std::to_string(arity) +
+             (arity == 1 ? " argument" : " arguments") + at();
+    }
+    default:
+      return std::nullopt;
+  }
+}
+
+namespace {
+
 /// Builds the slot table and annotates the AST under C block scoping:
 /// every declaration gets a slot of its own, visible from its own
 /// initializer to the end of the enclosing block (or for statement), and

@@ -1,6 +1,7 @@
 // Slot binder: the once-per-kernel name-resolution prepass, and the one
-// place names resolve: bytecode lowering and the symbolic executor
-// (sim/symexec.hpp) both run on its annotations.
+// place names resolve and structural errors are decided: bytecode
+// lowering and the symbolic executor (sim/symexec.hpp) both run on its
+// annotations and raise its errors.
 //
 // The block-lockstep interpreter used to resolve every VarRef through an
 // unordered_map<string, Slot> and every geometry name / builtin callee by
@@ -22,9 +23,18 @@
 // sim/bytecode.hpp), and every executed reference to a declared slot is
 // dominated by its declaration, so no engine needs a liveness check.
 //
-// Errors stay lazy: a reference bound to a sentinel raises "use of
-// undeclared variable" only if it executes, and an unknown callee
-// throws only when called.
+// Structural errors are the constructs the simulator cannot run at all:
+// an undeclared name, an unknown callee or wrong arity, a malformed
+// array access or assignment target, an array or pointer used as a
+// value, an unsupported declaration (shared-memory scalar, void
+// variable, initializer the simulator does not model), break/continue.
+// Whether a node is one is a function of the annotations above, so
+// BoundKernel::error composes the text from them on request; nothing
+// else decides or words these errors. The errors stay lazy: each engine
+// asks at the point evaluation reaches the node and raises the text
+// there, so the VM and the certifier fail the same kernel at the same
+// point with the same message. A node added after binding carries no
+// annotation and reads as an internal "unbound" error.
 //
 // The binding is cached on the ir::Kernel itself (Kernel::sim_binding),
 // so repeated launches of one kernel object — autotuner sweeps,
@@ -35,6 +45,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,7 +55,7 @@
 namespace cudanp::sim {
 
 /// Builtin callees, resolved once so eval dispatches on an integer.
-/// kNotBuiltin calls throw "unknown function" lazily at execution time.
+/// A kNotBuiltin call is a structural error (BoundKernel::error).
 enum class Builtin : std::int16_t {
   kNotBuiltin = -1,
   kSyncthreads,
@@ -108,8 +119,8 @@ enum Geom : int {
 
 // VarRef::sim_slot encoding: values >= 0 index the block frame; negative
 // values are the codes below.
-/// No declaration of the name is in scope at the reference: throws "use
-/// of undeclared variable" if the reference executes.
+/// No declaration of the name is in scope at the reference: a "use of
+/// undeclared variable" error if the reference executes.
 constexpr std::int32_t kSlotUndeclared = -1;
 /// Geometry builtins: slot == kSlotGeomBase - geom_code.
 constexpr std::int32_t kSlotGeomBase = -2;
@@ -117,29 +128,11 @@ constexpr std::int32_t kSlotGeomBase = -2;
 /// kernel was mutated after binding — an internal error if evaluated).
 constexpr std::int32_t kSlotUnbound = std::numeric_limits<std::int32_t>::min();
 
-/// The error for executing a declaration the binder never visited; raised
-/// by BlockCore::declare and the symbolic executor, and lowered to a trap
-/// by the bytecode pass.
-[[nodiscard]] inline std::string unbound_decl_message(const std::string& name) {
-  return "internal: unbound declaration of '" + name +
-         "' (kernel AST modified after slot binding)";
-}
-
 /// The error for reading or writing through a reference the binder never
-/// visited; raised by BlockCore::slot_at and the symbolic executor.
+/// visited (the kernel was changed after binding).
 [[nodiscard]] inline std::string unbound_ref_message(const std::string& name) {
   return "internal: unbound reference to '" + name +
          "' (kernel AST modified after slot binding)";
-}
-
-/// The error for executing a reference at `loc` whose slot is a sentinel
-/// (undeclared, geometry where a variable is required, or unbound);
-/// raised by BlockCore::slot_at and lowered to a trap by the bytecode pass.
-[[nodiscard]] inline std::string unresolved_ref_message(std::int32_t slot,
-                                                        const std::string& name,
-                                                        SourceLoc loc) {
-  if (slot == kSlotUnbound) return unbound_ref_message(name);
-  return "use of undeclared variable '" + name + "' at " + loc.str();
 }
 
 [[nodiscard]] constexpr bool slot_is_geometry(std::int32_t slot) {
@@ -167,6 +160,16 @@ struct BoundKernel {
   std::uint64_t shared_words_bound = 0;
 
   [[nodiscard]] std::size_t num_slots() const { return slots.size(); }
+
+  /// The structural error evaluation raises on reaching `s`, if any: a
+  /// declaration (before its initializer), an assignment to a variable
+  /// (after its right side; an indexed target is the access's error), or
+  /// break/continue.
+  [[nodiscard]] std::optional<std::string> error(const ir::Stmt& s) const;
+  /// The structural error evaluation raises on reaching `e`, if any: a
+  /// variable read as a value, an array access (before its indices), or
+  /// a call (before its arguments; a __shfl call after the sm_30 check).
+  [[nodiscard]] std::optional<std::string> error(const ir::Expr& e) const;
 };
 
 /// CallExpr::sim_builtin value of a node the binder never visited
@@ -174,8 +177,15 @@ struct BoundKernel {
 constexpr std::int16_t kBuiltinUnset = -32768;
 
 /// String -> Builtin resolution, the slow path the binder runs once per
-/// call site (and eval falls back to for unbound nodes).
+/// call site.
 [[nodiscard]] Builtin resolve_builtin(const std::string& callee);
+
+/// The builtin a call site names: its annotation, or the name resolved
+/// now for a call added after binding.
+[[nodiscard]] inline Builtin call_builtin(const ir::CallExpr& c) {
+  return c.sim_builtin == kBuiltinUnset ? resolve_builtin(c.callee)
+                                        : static_cast<Builtin>(c.sim_builtin);
+}
 
 /// Binds `kernel` (or returns its cached binding). Thread-safe: concurrent
 /// callers serialize on an internal mutex and the annotations are fully

@@ -8,6 +8,7 @@
 #include "sim/bytecode.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -75,12 +76,6 @@ class Lowerer {
   }
 
  private:
-  [[nodiscard]] const SlotInfo* info(std::int32_t slot) const {
-    if (slot < 0 || static_cast<std::size_t>(slot) >= info_.size())
-      return nullptr;
-    return &info_[static_cast<std::size_t>(slot)];
-  }
-
   // ---------------- emission ----------------
   std::size_t emit(Instr in) {
     prog_.code.push_back(std::move(in));
@@ -103,6 +98,14 @@ class Lowerer {
     in.op = Op::kTrap;
     in.name = intern(std::move(msg));
     emit(std::move(in));
+  }
+  /// The binder's structural error for `node`, as a trap where execution
+  /// reaches this point; false if the node has none.
+  template <class Node>
+  bool trap_if_invalid(const Node& node) {
+    std::optional<std::string> err = bound_.error(node);
+    if (err) emit_trap(std::move(*err));
+    return err.has_value();
   }
   void patch(std::size_t i, std::size_t target) {
     prog_.code[i].target = static_cast<std::int32_t>(target);
@@ -176,19 +179,14 @@ class Lowerer {
         return;
       case StmtKind::kBreak:
       case StmtKind::kContinue:
-        emit_trap(
-            "break/continue are not supported by the simulator; use a "
-            "guarding if (paper Sec. 3.7 padding uses `if (i < n)`)");
+        (void)trap_if_invalid(s);
         return;
     }
   }
 
   void lower_decl(const DeclStmt& d) {
     emit(Op::kLeafBegin);
-    if (d.sim_slot < 0) {
-      emit_trap(unbound_decl_message(d.name));
-      return;  // unreachable past the trap
-    }
+    if (trap_if_invalid(d)) return;  // unreachable past the trap
     {
       Instr in;
       in.op = Op::kDeclare;
@@ -196,14 +194,8 @@ class Lowerer {
       emit(std::move(in));
     }
     if (!d.init_list.empty()) {
-      if (static_cast<std::int64_t>(d.init_list.size()) >
-          d.type.element_count()) {
-        emit_trap("too many initializers for '" + d.name + "'");
-        return;  // unreachable past the trap
-      }
-      // Brace initializer: constant contents, lane-0 semantics.
-      emit(Op::kMaskLane0);
-      enter_masks(1);
+      // Brace initializer: each thread evaluates the elements and fills
+      // its own copy.
       for (std::size_t e = 0; e < d.init_list.size(); ++e) {
         Operand v = lower_expr(*d.init_list[e]);
         Instr in;
@@ -213,23 +205,15 @@ class Lowerer {
         in.a = v;
         emit(std::move(in));
       }
-      leave_masks(1);
-      emit(Op::kMaskPop);
-      {
-        Instr in;
-        in.op = Op::kDeclShadow;
-        in.slot = d.sim_slot;
-        emit(std::move(in));
-      }
+      Instr in;
+      in.op = Op::kDeclTail;
+      in.slot = d.sim_slot;
+      in.dst = static_cast<std::int32_t>(d.init_list.size());
+      emit(std::move(in));
       emit(Op::kLeafEnd);
       return;
     }
     if (d.init) {
-      if (d.type.is_array()) {
-        emit_trap("array initializers are not supported at " +
-                  d.loc().str());
-        return;
-      }
       Operand v = lower_expr(*d.init);
       Instr in;
       in.op = Op::kDeclInit;
@@ -257,26 +241,16 @@ class Lowerer {
       rhs = Operand::reg(in.dst, binop_type(op, old, rhs));
       emit(std::move(in));
     }
-    if (a.lhs->kind() == ExprKind::kVarRef) {
-      const auto& v = static_cast<const VarRef&>(*a.lhs);
-      if (!info(v.sim_slot)) {
-        emit_unresolved(v);
-        return;
-      }
-      Instr in;
-      in.op = Op::kStoreVar;
-      in.slot = v.sim_slot;
-      in.name = intern(v.name);
-      in.a = rhs;
-      in.loc = v.loc();
-      emit(std::move(in));
-      return;
-    }
     if (a.lhs->kind() == ExprKind::kArrayIndex) {
       (void)lower_index(static_cast<const ArrayIndex&>(*a.lhs), &rhs);
       return;
     }
-    emit_trap("invalid assignment target at " + a.loc().str());
+    if (trap_if_invalid(a)) return;
+    Instr in;
+    in.op = Op::kStoreVar;
+    in.slot = static_cast<const VarRef&>(*a.lhs).sim_slot;
+    in.a = rhs;
+    emit(std::move(in));
   }
 
   void lower_if(const IfStmt& i) {
@@ -483,49 +457,28 @@ class Lowerer {
   Operand lower_varref(const VarRef& v) {
     if (slot_is_geometry(v.sim_slot))
       return Operand::geom(slot_geometry_code(v.sim_slot));
-    const SlotInfo* si = info(v.sim_slot);
-    if (!si) {
-      emit_unresolved(v);
-      return Operand::immediate(Value::of_int(0));
-    }
+    if (trap_if_invalid(v)) return Operand::immediate(Value::of_int(0));
+    const SlotInfo& si = info_[static_cast<std::size_t>(v.sim_slot)];
     // Uniform kernel arguments carry no shadow state, so
     // var_read_check has no observable effect on them: pure view.
-    if (si->kind == SlotInfo::Kind::kUniformParam)
-      return Operand::uniform(v.sim_slot, si->lane);
-    {
-      Instr in;
-      in.op = Op::kVarGuard;
-      in.slot = v.sim_slot;
-      in.name = intern(v.name);
-      in.loc = v.loc();
-      emit(std::move(in));
-    }
-    if (si->kind == SlotInfo::Kind::kDecl && si->type.is_scalar())
-      return Operand::slot_data(v.sim_slot, si->lane);
-    // Arrays and buffer params make kVarGuard throw; the operand is
-    // unreachable.
-    return Operand::immediate(Value::of_int(0));
+    if (si.kind == SlotInfo::Kind::kUniformParam)
+      return Operand::uniform(v.sim_slot, si.lane);
+    Instr in;
+    in.op = Op::kVarGuard;
+    in.slot = v.sim_slot;
+    in.name = intern(v.name);
+    in.loc = v.loc();
+    emit(std::move(in));
+    return Operand::slot_data(v.sim_slot, si.lane);
   }
 
-  /// Load when `store` is null; store `*store` otherwise. Mirrors
-  /// eval_index, with structural errors resolved statically into traps.
+  /// Load when `store` is null; store `*store` otherwise.
   Operand lower_index(const ArrayIndex& ai, const Operand* store) {
-    if (ai.base->kind() != ExprKind::kVarRef) {
-      emit_trap("array base must be a variable at " + ai.loc().str());
-      return Operand::immediate(Value::of_int(0));
-    }
+    if (trap_if_invalid(ai)) return Operand::immediate(Value::of_int(0));
     const auto& base = static_cast<const VarRef&>(*ai.base);
     const std::string& name = base.name;
-    const SlotInfo* si = info(base.sim_slot);
-    if (!si) {
-      emit_trap(unresolved_ref_message(base.sim_slot, name, ai.loc()));
-      return Operand::immediate(Value::of_int(0));
-    }
-    if (si->kind == SlotInfo::Kind::kBufferParam) {
-      if (ai.indices.size() != 1) {
-        emit_trap("pointer '" + name + "' requires exactly one index");
-        return Operand::immediate(Value::of_int(0));
-      }
+    const SlotInfo& si = info_[static_cast<std::size_t>(base.sim_slot)];
+    if (si.kind == SlotInfo::Kind::kBufferParam) {
       Operand idx = lower_expr(*ai.indices[0]);
       Instr in;
       in.op = store ? Op::kBufStore : Op::kBufLoad;
@@ -539,21 +492,11 @@ class Lowerer {
         return Operand::immediate(Value::of_int(0));
       }
       in.dst = alloc_reg();
-      Operand r = Operand::reg(in.dst, si->lane);
+      Operand r = Operand::reg(in.dst, si.lane);
       emit(std::move(in));
       return r;
     }
-    if (si->kind == SlotInfo::Kind::kUniformParam || !si->type.is_array()) {
-      emit_trap("'" + name + "' is not an array at " + ai.loc().str());
-      return Operand::immediate(Value::of_int(0));
-    }
-    const auto& dims = si->type.array_dims;
-    if (ai.indices.size() != dims.size()) {
-      emit_trap("array '" + name + "' has " + std::to_string(dims.size()) +
-                " dims, indexed with " + std::to_string(ai.indices.size()) +
-                " at " + ai.loc().str());
-      return Operand::immediate(Value::of_int(0));
-    }
+    const auto& dims = si.type.array_dims;
     const std::int32_t flat = alloc_reg();
     for (std::size_t d = 0; d < dims.size(); ++d) {
       Operand idx = lower_expr(*ai.indices[d]);
@@ -567,21 +510,10 @@ class Lowerer {
       in.loc = ai.loc();
       emit(std::move(in));
     }
-    Op op;
-    switch (si->type.space) {
-      case AddrSpace::kShared:
-        op = store ? Op::kSharedStore : Op::kSharedLoad;
-        break;
-      case AddrSpace::kLocal:
-      case AddrSpace::kRegister:
-      case AddrSpace::kConstant:
-        op = store ? Op::kLocalStore : Op::kLocalLoad;
-        break;
-      case AddrSpace::kGlobal:
-      default:
-        emit_trap("unsupported address space for array '" + name + "'");
-        return Operand::immediate(Value::of_int(0));
-    }
+    // Local, register and constant arrays are per-thread copies.
+    const bool shared = si.type.space == AddrSpace::kShared;
+    const Op op = shared ? (store ? Op::kSharedStore : Op::kSharedLoad)
+                         : (store ? Op::kLocalStore : Op::kLocalLoad);
     Instr in;
     in.op = op;
     in.slot = base.sim_slot;
@@ -594,44 +526,23 @@ class Lowerer {
       return Operand::immediate(Value::of_int(0));
     }
     in.dst = alloc_reg();
-    Operand r = Operand::reg(in.dst, si->lane);
+    Operand r = Operand::reg(in.dst, si.lane);
     emit(std::move(in));
     return r;
   }
 
-  /// A reference bound to a sentinel (undeclared, geometry as a
-  /// variable, unbound): slot_at's error, raised where it executes.
-  void emit_unresolved(const VarRef& v) {
-    emit_trap(unresolved_ref_message(v.sim_slot, v.name, v.loc()));
-  }
-
   Operand lower_call(const CallExpr& c) {
-    const std::string& f = c.callee;
-    Builtin b = c.sim_builtin == kBuiltinUnset
-                    ? resolve_builtin(f)
-                    : static_cast<Builtin>(c.sim_builtin);
-    switch (b) {
-      case Builtin::kSyncthreads:
-        emit_loc(Op::kSync, c.loc());
-        return Operand::immediate(Value::of_int(0));
-      case Builtin::kShfl:
-      case Builtin::kShflUp:
-      case Builtin::kShflDown:
-      case Builtin::kShflXor:
-        return lower_shfl(c, b);
-      case Builtin::kNotBuiltin:
-        emit_trap("unknown function '" + f + "' at " + c.loc().str());
-        return Operand::immediate(Value::of_int(0));
-      default:
-        break;
-    }
-    const std::size_t arity = builtin_arity(b);
-    if (c.args.size() != arity) {
-      emit_trap(f + " expects " + std::to_string(arity) +
-                (arity == 1 ? " argument at " : " arguments at ") +
-                c.loc().str());
+    const Builtin b = call_builtin(c);
+    // sm_30+ check (device version is runtime state), before the call's
+    // own structural error.
+    if (is_shfl(b)) emit(Op::kShflGuard);
+    if (trap_if_invalid(c)) return Operand::immediate(Value::of_int(0));
+    if (b == Builtin::kSyncthreads) {
+      emit_loc(Op::kSync, c.loc());
       return Operand::immediate(Value::of_int(0));
     }
+    if (is_shfl(b)) return lower_shfl(c, b);
+    const std::size_t arity = builtin_arity(b);
     Instr in;
     in.aux = static_cast<std::uint8_t>(b);
     in.a = lower_expr(*c.args[0]);
@@ -653,11 +564,6 @@ class Lowerer {
   }
 
   Operand lower_shfl(const CallExpr& c, Builtin b) {
-    emit(Op::kShflGuard);  // sm_30+ check (device version is runtime state)
-    if (c.args.size() != builtin_arity(b)) {
-      emit_trap(c.callee + " expects (var, lane, width) at " + c.loc().str());
-      return Operand::immediate(Value::of_int(0));
-    }
     // The source variable is evaluated under a warp-broadened mask with
     // uninit reports suppressed; selected source lanes are re-checked
     // inside do_shfl.

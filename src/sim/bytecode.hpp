@@ -15,15 +15,17 @@
 // and uniform arguments their known types, buffer loads the element type
 // of the buffer bound at this launch, and operators the result type
 // sim/arith.hpp defines. The VM keeps registers as plain typed lane
-// arrays on that basis. Structural errors (unknown callee, wrong arity,
-// non-array indexing, break/continue, a reference the binder bound to no
-// declaration) lower to kTrap instructions carrying the precomposed
-// message, positioned where evaluation reaches the faulty construct.
+// arrays on that basis. Structural errors come from the binder
+// (BoundKernel::error, sim/binder.hpp): wherever evaluation reaches a
+// node the binder judges invalid (an unknown callee, wrong arity, a
+// malformed array access, an unsupported declaration, break/continue, a
+// reference bound to no declaration), lowering emits a kTrap carrying
+// the binder's text, and the symbolic executor raises the same text at
+// the same point. Lowering composes no error text of its own.
 //
-// Lowering is total: the binder gives every slot one static type
-// (sim/binder.hpp), unsupported declarations such as shared-memory
-// scalars fail in BlockCore::declare, and a declaration the binder never
-// saw lowers to a trap. The VM is the only engine.
+// Lowering is total: the binder gives every slot one static type, and
+// every construct it rejects lowers to a trap. The VM is the only
+// engine.
 //
 // Implementation detail of sim/; include only from the interpreter, the
 // VM and their tests.
@@ -50,14 +52,12 @@ enum class Op : std::uint8_t {
   kLeafEnd,       ///< end_leaf_stmt (latency window fold).
   kCharge,        ///< charge_issue(mask, weight[aux]).
   kTrap,          ///< throw SimError(names[name]).
-  kVarGuard,      ///< var_read_check(slot): kind/uninit checks, no copy.
+  kVarGuard,      ///< var_read_check(slot): sanitizer uninit check, no copy.
   kStoreVar,      ///< store_var(slot, a).
   kDeclare,       ///< declare(the declaration of slot).
   kDeclInit,      ///< decl_scalar_init(slot, a).
-  kDeclFill,      ///< decl_fill(slot, element dst, lane 0 of a).
-  kDeclShadow,    ///< decl_shadow_all(slot).
-  kMaskLane0,     ///< Push the lane-0-only mask (brace initializers).
-  kMaskPop,       ///< Pop one mask.
+  kDeclFill,      ///< decl_fill(slot, element dst, a): per active lane.
+  kDeclTail,      ///< decl_tail(slot, elements from dst): zero + mark set.
   kBin,           ///< dst = a (BinOp aux) b.
   kCompound,      ///< dst = a (BinOp aux) b, fixed ALU charge.
   kUn,            ///< dst = (UnOp aux) a.

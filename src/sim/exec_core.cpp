@@ -55,25 +55,19 @@ void BlockCore::init_geometry() {
 void BlockCore::bind_params() {
   check_arg_count(kernel_, cfg_.args.size());
   for (std::size_t i = 0; i < kernel_.params.size(); ++i) {
-    const Param& p = kernel_.params[i];
+    const KernelArg& arg = cfg_.args[i];
+    check_arg_kind(kernel_, i, std::holds_alternative<BufferId>(arg));
     Slot& slot = frame_[i];  // binder assigns params slots 0..n-1
-    slot.type = p.type;
-    if (p.type.is_pointer) {
-      const auto* buf = std::get_if<BufferId>(&cfg_.args[i]);
-      if (!buf)
-        throw SimError("arg " + std::to_string(i) + " ('" + p.name +
-                       "') must be a buffer");
+    slot.type = kernel_.params[i].type;
+    if (const auto* buf = std::get_if<BufferId>(&arg)) {
       slot.is_buffer_param = true;
       slot.buffer = *buf;
     } else {
-      const auto* v = std::get_if<Value>(&cfg_.args[i]);
-      if (!v)
-        throw SimError("arg " + std::to_string(i) + " ('" + p.name +
-                       "') must be a scalar");
       slot.is_uniform_param = true;
       slot.alloc(1);  // uniform scalar, one copy
       slot.with_cells([&](auto* data) {
-        data[0] = arith::to<std::remove_pointer_t<decltype(data)>>(*v);
+        data[0] = arith::to<std::remove_pointer_t<decltype(data)>>(
+            std::get<Value>(arg));
       });
     }
   }
@@ -229,13 +223,7 @@ void BlockCore::charge_array(const Slot& slot, const std::int64_t* flat,
 
 Slot& BlockCore::var_read_check(std::int32_t slot_id, const std::string& name,
                                 const Mask& mask, SourceLoc loc) {
-  Slot& slot = slot_at(slot_id, name, loc);
-  if (slot.is_buffer_param)
-    throw SimError("pointer '" + name +
-                   "' used as a value (only indexing is supported)");
-  if (slot.type.is_array())
-    throw SimError("array '" + name + "' used without an index");
-  if (slot.is_uniform_param) return slot;
+  Slot& slot = frame_[static_cast<std::size_t>(slot_id)];
   if (san_ && shfl_arg_depth_ == 0 && !slot.shadow.empty()) {
     // One report per access, at the first uninitialized active lane;
     // dedupe absorbs repeats.
@@ -253,42 +241,6 @@ Slot& BlockCore::var_read_check(std::int32_t slot_id, const std::string& name,
     }
   }
   return slot;
-}
-
-Slot& BlockCore::store_target(std::int32_t s, const std::string& name,
-                              SourceLoc loc) {
-  Slot& slot = slot_at(s, name, loc);
-  if (slot.is_buffer_param || slot.type.is_array())
-    throw SimError("cannot assign to '" + name + "' without an index");
-  if (slot.is_uniform_param)
-    throw SimError("cannot assign to kernel parameter '" + name +
-                   "' (treated as uniform)");
-  return slot;
-}
-
-void BlockCore::decl_fill(Slot& slot, const Type& type, std::size_t e,
-                          Value raw) {
-  slot.with_cells([&](auto* data) {
-    using T = std::remove_pointer_t<decltype(data)>;
-    const T val = arith::to<T>(raw);
-    if (type.space == AddrSpace::kShared) {
-      data[e] = val;
-    } else {
-      const auto elems = static_cast<std::size_t>(type.element_count());
-      for (int l = 0; l < lanes_.nlanes(); ++l)
-        data[static_cast<std::size_t>(l) * elems + e] = val;
-    }
-  });
-}
-
-void BlockCore::decl_shadow_all(Slot& slot, const Type& type) {
-  if (!san_) return;
-  if (type.space == AddrSpace::kShared) {
-    for (std::int64_t e = 0; e < type.element_count(); ++e)
-      smem_shadow_[slot.base_word + static_cast<std::uint64_t>(e)].init = true;
-  } else {
-    std::fill(slot.shadow.begin(), slot.shadow.end(), 1);
-  }
 }
 
 // ---------------- builtins with shared semantics ----------------
@@ -456,21 +408,7 @@ void BlockCore::note_barrier(SourceLoc loc, const Mask& mask) {
 
 // ---------------- variable helpers ----------------
 
-Slot& BlockCore::slot_at(std::int32_t s, const std::string& name,
-                         SourceLoc loc) {
-  if (s >= 0) return frame_[static_cast<std::size_t>(s)];
-  throw SimError(unresolved_ref_message(s, name, loc));
-}
-
 Slot& BlockCore::declare(const DeclStmt& d) {
-  if (d.sim_slot < 0) throw SimError(unbound_decl_message(d.name));
-  if (d.type.space == AddrSpace::kShared && !d.type.is_array())
-    throw SimError("unsupported construct: shared-memory scalar '" + d.name +
-                   "' at " + d.loc().str() +
-                   "; declare a one-element __shared__ array instead");
-  if (d.type.scalar == ScalarType::kVoid)
-    throw SimError("unsupported construct: void variable '" + d.name +
-                   "' at " + d.loc().str());
   Slot& slot = frame_[static_cast<std::size_t>(d.sim_slot)];
   if (!slot.declared) {
     slot.type = d.type;

@@ -319,17 +319,15 @@ class BlockCore {
 
   // ---------------- scalar variable paths ----------------
   /// Everything eval of a scalar VarRef does except materializing values:
-  /// undeclared / pointer-as-value / array-without-index errors and the
-  /// sanitizer's uninit-read check. Returns the slot so the caller
-  /// can read its storage in place.
+  /// the sanitizer's uninit-read check (the binder has ruled out every
+  /// structural error). Returns the slot so the caller can read its
+  /// storage in place.
   Slot& var_read_check(std::int32_t slot_id, const std::string& name,
                        const Mask& mask, SourceLoc loc);
-  /// Scalar variable assignment target: slot_at + assignability errors +
-  /// ALU charge + masked converted store with shadow marking.
+  /// Scalar variable assignment: ALU charge + masked converted store with
+  /// shadow marking.
   template <class S>
-  void store_var(std::int32_t slot_id, const std::string& name,
-                 const Mask& mask, LaneView<S> val, SourceLoc loc) {
-    Slot& slot = store_target(slot_id, name, loc);
+  void store_var(Slot& slot, const Mask& mask, LaneView<S> val) {
     charge_issue(mask, opt_.timing.weights.alu);
     store_lanes(slot, mask, val);
   }
@@ -340,12 +338,33 @@ class BlockCore {
     charge_issue(mask, opt_.timing.weights.alu);
     store_lanes(slot, mask, val);
   }
-  /// One brace-initializer element (converted lane-0 value broadcast into
-  /// shared storage or all lanes' element e).
-  void decl_fill(Slot& slot, const ir::Type& type, std::size_t e, Value raw);
-  /// Brace initializers zero-fill the tail in C, so the whole array is
-  /// marked initialized for the sanitizer (no-op when it is off).
-  void decl_shadow_all(Slot& slot, const ir::Type& type);
+  /// One brace-initializer element: each active lane's own converted
+  /// value into its copy's element e (per-thread arrays only: a shared
+  /// array takes no initializer).
+  template <class S>
+  void decl_fill(Slot& slot, const ir::Type& type, std::size_t e,
+                 const Mask& mask, LaneView<S> val) {
+    const auto elems = static_cast<std::size_t>(type.element_count());
+    slot.with_cells([&](auto* data) {
+      using T = std::remove_pointer_t<decltype(data)>;
+      lanes_.for_each_lane(mask, [&](std::size_t l) {
+        data[l * elems + e] = arith::to<T>(val.at(l));
+      });
+    });
+  }
+  /// The rest of a brace initializer: C zero-fills the elements from
+  /// `from` on, on every execution of the declaration, so the whole
+  /// array is initialized (for the sanitizer too, when it is on).
+  void decl_tail(Slot& slot, const ir::Type& type, std::size_t from,
+                 const Mask& mask) {
+    const auto elems = static_cast<std::size_t>(type.element_count());
+    slot.with_cells([&](auto* data) {
+      lanes_.for_each_lane(mask, [&](std::size_t l) {
+        std::fill(data + l * elems + from, data + (l + 1) * elems, 0);
+      });
+    });
+    std::fill(slot.shadow.begin(), slot.shadow.end(), 1);
+  }
 
   // ---------------- operators (charges included) ----------------
   template <class A, class B, class Out>
@@ -486,18 +505,10 @@ class BlockCore {
                           std::int32_t var_slot, const std::string& var_name);
 
   // ---------------- variable helpers ----------------
-  /// Resolves a bound slot id to its storage; the binder guarantees the
-  /// declaration has executed. Sentinels throw unresolved_ref_message:
-  /// geometry codes land here only from contexts where a geometry name is
-  /// invalid (array base, assignment target) and read as undeclared.
-  Slot& slot_at(std::int32_t s, const std::string& name, SourceLoc loc);
-  /// slot_at plus the scalar-assignability errors.
-  Slot& store_target(std::int32_t s, const std::string& name, SourceLoc loc);
-
   /// Declares (or re-declares, for loop bodies) a variable, zero-filled
   /// with its declared scalar type on first execution; every execution
-  /// starts it unset for the sanitizer. Unsupported declarations
-  /// (shared-memory scalars, void variables) fail here.
+  /// starts it unset for the sanitizer. The binder has ruled out the
+  /// declarations the simulator cannot run.
   Slot& declare(const ir::DeclStmt& d);
 
   /// Cold paths for lane-loop diagnostics; out of line so the string

@@ -73,6 +73,16 @@ inline void check_arg_count(const ir::Kernel& kernel, std::size_t nargs) {
                    std::to_string(nargs));
 }
 
+/// Argument i binds to parameter i: a buffer for a pointer parameter, a
+/// scalar otherwise.
+inline void check_arg_kind(const ir::Kernel& kernel, std::size_t i,
+                           bool is_buffer) {
+  const ir::Param& p = kernel.params[i];
+  if (p.type.is_pointer != is_buffer)
+    throw SimError("arg " + std::to_string(i) + " ('" + p.name +
+                   "') must be a " + (p.type.is_pointer ? "buffer" : "scalar"));
+}
+
 /// __shfl needs sm_30+ (paper Sec. 3.6), checked before the call's
 /// arguments are looked at.
 inline void check_shfl_device(const DeviceSpec& spec) {

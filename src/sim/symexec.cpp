@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -814,7 +815,6 @@ struct Var {
   ir::Type type;
   bool is_buffer = false;     // pointer param
   int arg = -1;
-  bool uniform = false;       // scalar param (read-only)
   bool block_scoped = false;  // shared array: one copy per block
   IdVec scalar;               // per-lane scalar ids
   IdVec cells;                // block_scoped: [elems]; else [lane*elems+e]
@@ -875,6 +875,9 @@ class Exec {
     for (std::size_t i = 0; i < args_.size(); ++i) {
       const ir::Param& p = kernel_.params[i];
       const SymArg& a = args_[i];
+      exec::check_arg_kind(kernel_, i,
+                           a.kind != SymArg::Kind::kScalarConcrete &&
+                               a.kind != SymArg::Kind::kScalarSymbolic);
       if (!p.type.is_pointer) continue;
       GBuf& g = globals_[i];
       g.type = p.type.scalar;
@@ -904,11 +907,7 @@ class Exec {
                     : ar_.cint(ci);
           }
           break;
-        case SymArg::Kind::kBufferScratch: break;  // uninitialized
-        default:
-          throw Abort{"arg " + std::to_string(i) + " ('" + p.name +
-                          "') must be a buffer",
-                      true};
+        default: break;  // kBufferScratch: uninitialized
       }
     }
   }
@@ -947,7 +946,6 @@ class Exec {
         v.is_buffer = true;
         v.arg = static_cast<int>(i);
       } else {
-        v.uniform = true;
         std::uint32_t id;
         if (a.kind == SymArg::Kind::kScalarSymbolic) {
           id = ar_.input(static_cast<std::int32_t>(i), -1, ScalarType::kFloat);
@@ -980,13 +978,17 @@ class Exec {
                                std::to_string(i) + "]'"});
   }
 
-  /// The variable binder slot `slot` names, as the interpreter's
-  /// BlockCore::slot_at resolves it.
-  Var& var_at(std::int32_t slot, const std::string& name, const char* what) {
-    if (slot >= 0) return frame_[static_cast<std::size_t>(slot)];
-    if (slot == kSlotUnbound) throw Abort{unbound_ref_message(name)};
-    throw Abort{std::string("use of undeclared variable '") + name +
-                "' in " + what};
+  /// Raises the binder's structural error for `node`, if it has one, as
+  /// a fault with the VM's text (sim/binder.hpp).
+  template <class Node>
+  void fail_if_invalid(const Node& node) {
+    if (std::optional<std::string> err = bound_->error(node))
+      throw SimError(*err);
+  }
+
+  /// The variable of a slot the binder resolved.
+  Var& var_at(std::int32_t slot) {
+    return frame_[static_cast<std::size_t>(slot)];
   }
 
   IdVec splat(std::uint32_t id) const {
@@ -1062,10 +1064,8 @@ class Exec {
   IdVec eval_varref(const ir::VarRef& v, const Mask& m) {
     if (slot_is_geometry(v.sim_slot))
       return geom_[static_cast<std::size_t>(slot_geometry_code(v.sim_slot))];
-    Var& var = var_at(v.sim_slot, v.name, "expression");
-    if (var.is_buffer || var.type.is_array())
-      throw Abort{"array '" + v.name + "' used as a value"};
-    IdVec out = var.scalar;
+    fail_if_invalid(v);
+    IdVec out = var_at(v.sim_slot).scalar;
     if (shfl_depth_ == 0)
       lanes_.for_each_lane(m, [&](std::size_t li) {
         if (out[li] == kInv)
@@ -1075,28 +1075,14 @@ class Exec {
   }
 
   IdVec eval_call(const ir::CallExpr& c, const Mask& m) {
-    const std::string& f = c.callee;
-    const Builtin b = c.sim_builtin == kBuiltinUnset
-                          ? resolve_builtin(f)
-                          : static_cast<Builtin>(c.sim_builtin);
-    switch (b) {
-      case Builtin::kNotBuiltin:
-        throw Abort{"call to unknown function '" + f + "'"};
-      case Builtin::kSyncthreads:
-        barrier(m);
-        return splat(ar_.cint(0));
-      case Builtin::kShfl:
-      case Builtin::kShflUp:
-      case Builtin::kShflDown:
-      case Builtin::kShflXor:
-        return eval_shfl(c, b, m);
-      default:
-        break;
+    const Builtin b = call_builtin(c);
+    if (is_shfl(b)) exec::check_shfl_device(spec_);
+    fail_if_invalid(c);
+    if (b == Builtin::kSyncthreads) {
+      barrier(m);
+      return splat(ar_.cint(0));
     }
-    const std::size_t arity = builtin_arity(b);
-    if (c.args.size() != arity)
-      throw Abort{f + " expects " + std::to_string(arity) + " argument(s)",
-                  true};
+    if (is_shfl(b)) return eval_shfl(c, b, m);
     std::vector<IdVec> xs;
     xs.reserve(c.args.size());
     for (const auto& a : c.args) xs.push_back(eval(*a, m));
@@ -1115,11 +1101,8 @@ class Exec {
   }
 
   IdVec eval_shfl(const ir::CallExpr& c, Builtin b, const Mask& m) {
-    exec::check_shfl_device(spec_);
     if (div_depth_ > 0)
       throw Abort{"__shfl under a symbolically divergent branch"};
-    if (c.args.size() != builtin_arity(b))
-      throw Abort{c.callee + " expects (var, lane, width)", true};
     Mask broad = lanes_.none();
     lanes_.make_broad_mask(m, broad);
     ++shfl_depth_;
@@ -1230,17 +1213,14 @@ class Exec {
 
   /// Load (store == nullptr) or store through an ArrayIndex expression.
   IdVec access(const ir::ArrayIndex& ai, const Mask& m, const IdVec* store) {
-    if (ai.base->kind() != ir::ExprKind::kVarRef)
-      throw Abort{"array base must be a variable", true};
+    fail_if_invalid(ai);
     const auto& base = static_cast<const ir::VarRef&>(*ai.base);
     const std::string& name = base.name;
-    Var& v = var_at(base.sim_slot, name, "array access");
+    Var& v = var_at(base.sim_slot);
     ++seq_;
     IdVec out = splat(kInv);
 
     if (v.is_buffer) {
-      if (ai.indices.size() != 1)
-        throw Abort{"pointer '" + name + "' requires exactly one index", true};
       IdVec idx = eval(*ai.indices[0], m);
       GBuf& g = globals_[static_cast<std::size_t>(v.arg)];
       auto elems = static_cast<std::int64_t>(g.cells.size());
@@ -1272,13 +1252,7 @@ class Exec {
       return out;
     }
 
-    if (!v.type.is_array()) throw Abort{"'" + name + "' is not an array", true};
     const auto& dims = v.type.array_dims;
-    if (ai.indices.size() != dims.size())
-      throw Abort{"array '" + name + "' has " + std::to_string(dims.size()) +
-                      " dims, indexed with " +
-                      std::to_string(ai.indices.size()),
-                  true};
     // Flatten, keeping per-dim bounds checks when indices are concrete.
     std::vector<IdVec> idxs;
     idxs.reserve(dims.size());
@@ -1418,53 +1392,37 @@ class Exec {
         return;
       case ir::StmtKind::kBreak:
       case ir::StmtKind::kContinue:
-        // The interpreter rejects these too (structured masks only).
-        throw Abort{"break/continue are not supported", true};
+        fail_if_invalid(s);
+        return;
     }
   }
 
   void exec_decl(const ir::DeclStmt& d, const Mask& m) {
-    if (d.sim_slot < 0) throw Abort{unbound_decl_message(d.name)};
+    fail_if_invalid(d);
     // Installed before the initializer runs, as BlockCore::declare does:
     // the initializer of `int x = x + 1;` reads the new, unset x.
-    Var& v = frame_[static_cast<std::size_t>(d.sim_slot)] = Var{};
+    Var& v = var_at(d.sim_slot) = Var{};
     v.type = d.type;
     if (d.type.is_array()) {
-      std::int64_t elems = d.type.element_count();
+      const auto elems = static_cast<std::size_t>(d.type.element_count());
       v.block_scoped = d.type.space == ir::AddrSpace::kShared;
-      std::size_t ncells = v.block_scoped
-                               ? static_cast<std::size_t>(elems)
-                               : static_cast<std::size_t>(elems) *
-                                     static_cast<std::size_t>(lanes_.nlanes());
-      v.cells.assign(ncells, kInv);
-      if (v.block_scoped) v.meta.assign(static_cast<std::size_t>(elems), CellMeta{});
-      if (!d.init_list.empty()) {
-        if (static_cast<std::int64_t>(d.init_list.size()) > elems)
-          throw Abort{"too many initializers for '" + d.name + "'", true};
-        // Brace initializers are constant contents; lane-0 semantics, and
-        // the tail zero-fills like C.
-        Mask one = lanes_.none();
-        lanes_.set_lane(one, 0);
-        for (std::int64_t e = 0; e < elems; ++e) {
-          std::uint32_t id;
-          if (e < static_cast<std::int64_t>(d.init_list.size())) {
-            IdVec x = eval(*d.init_list[static_cast<std::size_t>(e)], one);
-            id = coerce_id(x[0], d.type.scalar);
-          } else {
-            id = d.type.scalar == ScalarType::kFloat ? ar_.cfloat(0.0)
-                                                     : ar_.cint(0);
-          }
-          if (v.block_scoped) {
-            v.cells[static_cast<std::size_t>(e)] = id;
-          } else {
-            for (int l = 0; l < lanes_.nlanes(); ++l)
-              v.cells[static_cast<std::size_t>(l) *
-                          static_cast<std::size_t>(elems) +
-                      static_cast<std::size_t>(e)] = id;
-          }
-        }
-      } else if (d.init) {
-        throw Abort{"array initializers are not supported", true};
+      v.cells.assign(v.block_scoped
+                         ? elems
+                         : elems * static_cast<std::size_t>(lanes_.nlanes()),
+                     kInv);
+      if (v.block_scoped) v.meta.assign(elems, CellMeta{});
+      // A brace initializer runs per thread, into the thread's own copy
+      // (a shared array takes none); the tail zero-fills like C.
+      if (d.init_list.empty()) return;
+      for (std::size_t e = 0; e < elems; ++e) {
+        IdVec x = e < d.init_list.size()
+                      ? eval(*d.init_list[e], m)
+                      : splat(d.type.scalar == ScalarType::kFloat
+                                  ? ar_.cfloat(0.0)
+                                  : ar_.cint(0));
+        lanes_.for_each_lane(m, [&](std::size_t li) {
+          v.cells[li * elems + e] = coerce_id(x[li], d.type.scalar);
+        });
       }
     } else {
       v.scalar = splat(kInv);
@@ -1475,15 +1433,6 @@ class Exec {
         });
       }
     }
-  }
-
-  void store_var(const ir::VarRef& r, const Mask& m, const IdVec& val) {
-    Var& v = var_at(r.sim_slot, r.name, "assignment");
-    if (v.is_buffer || v.type.is_array() || v.uniform)
-      throw Abort{"cannot assign to '" + r.name + "'", true};
-    lanes_.for_each_lane(m, [&](std::size_t li) {
-      v.scalar[li] = coerce_id(val[li], v.type.scalar);
-    });
   }
 
   void exec_assign(const ir::AssignStmt& a, const Mask& m) {
@@ -1497,15 +1446,15 @@ class Exec {
         rhs[li] = ar_.bin(op, old[li], rhs[li]);
       });
     }
-    if (a.lhs->kind() == ir::ExprKind::kVarRef) {
-      store_var(static_cast<const ir::VarRef&>(*a.lhs), m, rhs);
-      return;
-    }
     if (a.lhs->kind() == ir::ExprKind::kArrayIndex) {
       (void)access(static_cast<const ir::ArrayIndex&>(*a.lhs), m, &rhs);
       return;
     }
-    throw Abort{"invalid assignment target", true};
+    fail_if_invalid(a);
+    Var& v = var_at(static_cast<const ir::VarRef&>(*a.lhs).sim_slot);
+    lanes_.for_each_lane(m, [&](std::size_t li) {
+      v.scalar[li] = coerce_id(rhs[li], v.type.scalar);
+    });
   }
 
   void exec_if(const ir::IfStmt& s, const Mask& m) {

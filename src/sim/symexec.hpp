@@ -24,8 +24,13 @@
 // reference and declaration indexes a slot-ordered frame, geometry names
 // index a per-block array of lane vectors, and each call site carries
 // its Builtin. Every declaration is therefore its own variable, visible
-// only in its C block scope. A node added after binding (kSlotUnbound)
-// aborts the run instead of guessing.
+// only in its C block scope. Structural errors come from the binder too
+// (BoundKernel::error): where evaluation reaches a node the binder
+// judges invalid, the run aborts as a fault with the binder's text, at
+// the point the VM raises the same text. The executor composes no
+// structural-error text of its own. A node added after binding
+// (kSlotUnbound) reads as the binder's "unbound" error instead of a
+// guess.
 //
 // The result is, per output buffer element, an expression DAG over the
 // input leaves. np::Certifier normalizes those DAGs (constant folding,

@@ -159,9 +159,7 @@ class VmExec : public exec::BlockCore {
           (void)var_read_check(ins.slot, name_at(ins.name), cur(), ins.loc);
           break;
         case Op::kStoreVar:
-          with_view(ins.a, [&](auto v) {
-            store_var(ins.slot, name_at(ins.name), cur(), v, ins.loc);
-          });
+          with_view(ins.a, [&](auto v) { store_var(slot_of(ins), cur(), v); });
           break;
         case Op::kDeclare:
           (void)declare(decl_of(ins));
@@ -174,21 +172,12 @@ class VmExec : public exec::BlockCore {
         case Op::kDeclFill:
           with_view(ins.a, [&](auto v) {
             decl_fill(slot_of(ins), decl_of(ins).type,
-                      static_cast<std::size_t>(ins.dst), arith::box(v.at(0)));
+                      static_cast<std::size_t>(ins.dst), cur(), v);
           });
           break;
-        case Op::kDeclShadow:
-          decl_shadow_all(slot_of(ins), decl_of(ins).type);
-          break;
-        case Op::kMaskLane0: {
-          Mask& m = masks_[static_cast<std::size_t>(mdepth_) + 1];
-          std::fill(m.begin(), m.end(), 0u);
-          m[0] = 1;
-          ++mdepth_;
-          break;
-        }
-        case Op::kMaskPop:
-          --mdepth_;
+        case Op::kDeclTail:
+          decl_tail(slot_of(ins), decl_of(ins).type,
+                    static_cast<std::size_t>(ins.dst), cur());
           break;
         case Op::kBin:
           with_views(ins.a, ins.b, [&](auto a, auto b) {

@@ -50,6 +50,7 @@ void rewrite_exprs(Stmt& s, const std::function<void(ExprPtr&)>& fn) {
     case StmtKind::kDecl: {
       auto& d = static_cast<DeclStmt&>(s);
       if (d.init) rewrite_exprs(d.init, fn);
+      for (auto& e : d.init_list) rewrite_exprs(e, fn);
       return;
     }
     case StmtKind::kAssign: {

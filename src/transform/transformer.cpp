@@ -264,6 +264,13 @@ class Transformer {
           p = LocalPlacement::kGlobal;
         }
       }
+      // Re-homing replaces the per-thread declaration, and a brace
+      // initializer has no per-master form there.
+      if (p != LocalPlacement::kKeep && !info.decl->init_list.empty())
+        throw cudanp::CompileError(
+            info.decl->loc(),
+            "local array '" + name + "' has a brace initializer, so it " +
+                "cannot be re-homed (placement " + to_string(p) + ")");
       info.resolved = p;
       result_.placements.emplace_back(name, p);
       result_.notes.push_back("local array '" + name + "' (" +

@@ -8,7 +8,9 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <ostream>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -972,6 +974,239 @@ __global__ void k(float* a, float* b, float* c, int w, int h) {
     EXPECT_EQ(cert.verdict, Verdict::kInconclusive) << cert.str();
     EXPECT_EQ(cert.detail,
               "baseline: " + sim::unbound_ref_message("sum")) << cert.str();
+  }
+}
+
+// ---------------------------------------------------------------------
+// One rulebook for structural errors: the binder decides which kernels
+// cannot run at all (sim/binder.hpp), and the VM and the certifier both
+// raise its text. One kernel per rule: the VM's error is the reason of
+// every certificate, and no certificate is proven.
+
+struct StructuralCase {
+  const char* name;
+  /// Spliced into the kernel below, at line 4, before an 8-trip NP
+  /// reduction.
+  const char* stmt;
+  /// The VM's error.
+  const char* error;
+  /// Applied to the parsed kernel first, for shapes the parser does not
+  /// produce.
+  void (*mutate)(ir::Kernel&) = nullptr;
+};
+
+void PrintTo(const StructuralCase& c, std::ostream* os) { *os << c.name; }
+
+ir::DeclStmt& find_decl(ir::Kernel& kernel, const std::string& name) {
+  for (auto& st : kernel.body->stmts)
+    if (st->kind() == ir::StmtKind::kDecl &&
+        static_cast<ir::DeclStmt&>(*st).name == name)
+      return static_cast<ir::DeclStmt&>(*st);
+  throw std::runtime_error("no declaration of " + name);
+}
+
+const StructuralCase kStructuralCases[] = {
+    {"UnknownCallee", "float u = foo(a[tx]);",
+     "unknown function 'foo' at 4:13"},
+    {"UnaryBuiltinArity", "float u = sqrtf(a[tx], 1.0f);",
+     "sqrtf expects 1 argument at 4:13"},
+    {"BinaryBuiltinArity", "float u = fminf(a[tx]);",
+     "fminf expects 2 arguments at 4:13"},
+    {"ShflArity", "float u = __shfl(a[tx], 0);",
+     "__shfl expects (var, lane, width) at 4:13"},
+    {"ArrayBaseNotAVariable", "float u = (a + 1)[0];",
+     "array base must be a variable at 4:16"},
+    {"PointerIndexCount", "float u = a[0][1];",
+     "pointer 'a' requires exactly one index"},
+    {"IndexedScalar", "float t = 1.0f; float u = t[0];",
+     "'t' is not an array at 4:29"},
+    {"IndexedUniformParameter", "float u = n[0];",
+     "'n' is not an array at 4:13"},
+    {"IndexedGeometry", "float u = threadIdx.x[0];",
+     "use of undeclared variable 'threadIdx.x' at 4:13"},
+    {"DimensionCount", "float w[4]; w[0][1] = 1.0f;",
+     "array 'w' has 1 dims, indexed with 2 at 4:15"},
+    {"UnsupportedAddressSpace", "float g[4]; g[0] = 1.0f;",
+     "unsupported address space for array 'g'",
+     [](ir::Kernel& k) {
+       find_decl(k, "g").type.space = ir::AddrSpace::kGlobal;
+     }},
+    {"InvalidAssignmentTarget", "float u = 0.0f; u = 1.0f;",
+     "invalid assignment target at 4:19",
+     [](ir::Kernel& k) {
+       for (auto& st : k.body->stmts)
+         if (st->kind() == ir::StmtKind::kAssign)
+           static_cast<ir::AssignStmt&>(*st).lhs =
+               std::make_unique<ir::IntLit>(1);
+     }},
+    {"AssignToPointer", "a = 0;", "cannot assign to 'a' without an index"},
+    {"AssignToArray", "float w[2]; w = 1.0f;",
+     "cannot assign to 'w' without an index"},
+    {"AssignToUniformParameter", "n = 3;",
+     "cannot assign to kernel parameter 'n' (treated as uniform)"},
+    {"AssignToGeometry", "threadIdx.x = 1;",
+     "use of undeclared variable 'threadIdx.x' at 4:3"},
+    {"ArrayAsValue", "float w[2]; float u = w + 1.0f;",
+     "array 'w' used without an index"},
+    {"PointerAsValue", "float u = a + 1;",
+     "pointer 'a' used as a value (only indexing is supported)"},
+    {"UndeclaredName", "float u = q;", "use of undeclared variable 'q' at 4:13"},
+    {"SharedScalar", "__shared__ float sh;",
+     "unsupported construct: shared-memory scalar 'sh' at 4:3; declare a "
+     "one-element __shared__ array instead"},
+    {"VoidVariable", "void v;",
+     "unsupported construct: void variable 'v' at 4:3"},
+    {"SharedArrayInitializer", "__shared__ float w[2] = {1.0f, 2.0f};",
+     "unsupported construct: initializer on __shared__ array 'w' at 4:3; "
+     "shared memory takes no initializer"},
+    {"TooManyInitializers", "__constant__ float w[2] = {1.0f, 2.0f, 3.0f};",
+     "too many initializers for 'w'"},
+    {"ArrayExpressionInitializer", "float w[2] = 1.0f;",
+     "array initializers are not supported at 4:3"},
+    {"Break", "for (int j = 0; j < 2; j++) { break; }",
+     "break/continue are not supported by the simulator; use a guarding if "
+     "(paper Sec. 3.7 padding uses `if (i < n)`)"},
+    {"Continue", "for (int j = 0; j < 2; j++) { continue; }",
+     "break/continue are not supported by the simulator; use a guarding if "
+     "(paper Sec. 3.7 padding uses `if (i < n)`)"},
+    {"UnboundDeclaration", "",
+     "internal: unbound declaration of 'extra' (kernel AST modified after "
+     "slot binding)",
+     [](ir::Kernel& k) {
+       (void)sim::bind_kernel(k);
+       k.body->stmts.insert(
+           k.body->stmts.begin(),
+           std::make_unique<ir::DeclStmt>(
+               ir::Type::scalar_of(ir::ScalarType::kInt), "extra"));
+     }},
+};
+
+class StructuralErrors : public ::testing::TestWithParam<StructuralCase> {};
+
+TEST_P(StructuralErrors, VmAndCertifierRaiseTheSameText) {
+  const StructuralCase& c = GetParam();
+  auto prog = frontend::parse_program_or_throw(std::string(R"(
+__global__ void k(float* a, float* out, int n) {
+  int tx = threadIdx.x;
+  )") + c.stmt + R"(
+  float s = 0.0f;
+  #pragma np parallel for reduction(+:s)
+  for (int i = 0; i < 8; i++)
+    s += a[tx * 8 + i];
+  out[tx] = s;
+}
+)");
+  ir::Kernel& kernel = *prog->find_kernel("k");
+  if (c.mutate) c.mutate(kernel);
+  std::string vm_error;
+  np::Workload w = np::make_synthetic_workload(kernel, 32, 32);
+  try {
+    (void)np::Runner(sim::DeviceSpec::gtx680())
+        .execute(np::ExecutionRequest::baseline(kernel, w));
+  } catch (const SimError& e) {
+    vm_error = e.what();
+  }
+  EXPECT_EQ(vm_error, c.error);
+  for (const Certificate& cert : certify_all(kernel, 32)) {
+    EXPECT_FALSE(cert.proven()) << cert.str();
+    EXPECT_EQ(cert.verdict, Verdict::kInconclusive) << cert.str();
+    EXPECT_EQ(cert.detail, "baseline: " + vm_error) << cert.str();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BinderRules, StructuralErrors, ::testing::ValuesIn(kStructuralCases),
+    [](const ::testing::TestParamInfo<StructuralCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// A brace initializer runs per thread: w[0] is each thread's own a[tx].
+constexpr const char* kConstantBraceSrc = R"(
+__global__ void k(float* a, float* out) {
+  int tx = threadIdx.x;
+  __constant__ float w[2] = {a[tx], 1.0f};
+  float s = 0.0f;
+  #pragma np parallel for reduction(+:s)
+  for (int i = 0; i < 8; i++)
+    s += a[tx * 8 + i] * w[0];
+  out[tx] = s + w[1];
+}
+)";
+
+TEST(Certifier, BraceInitializersRunPerThread) {
+  // The certifier, the VM and C agree that every thread evaluates the
+  // initializer: the symbolic baseline at a seed is the VM's output, and
+  // both use each thread's own a[tx]. Both engines used to evaluate it
+  // for lane 0 only and give every thread a[0].
+  std::unique_ptr<ir::Program> prog;
+  ir::Kernel& kernel = parse_kernel(prog, kConstantBraceSrc);
+  for (const Certificate& cert : certify_all(kernel, 32))
+    EXPECT_TRUE(cert.proven()) << cert.str();
+
+  constexpr std::uint64_t kSeed = 3;
+  np::Workload w = np::make_synthetic_workload(kernel, 32, 32);
+  std::vector<sim::SymArg> args(2);
+  for (auto& arg : args) {
+    arg.kind = sim::SymArg::Kind::kBufferSymbolic;
+    arg.type = ir::ScalarType::kFloat;
+    arg.elems = 32 * 32;
+  }
+  sim::SymArena arena;
+  const auto sym = sim::sym_execute(sim::DeviceSpec::gtx680(), kernel,
+                                    w.launch.grid, w.launch.block, args,
+                                    arena);
+  ASSERT_TRUE(sym.ok) << sym.reason;
+  np::seed_certify_floats(w, kSeed);
+  const auto in = w.mem->buffer(std::get<sim::BufferId>(w.launch.args[0]))
+                      .f32();
+  const std::vector<float> a(in.begin(), in.end());
+  ASSERT_TRUE(np::Runner(sim::DeviceSpec::gtx680())
+                  .execute(np::ExecutionRequest::baseline(kernel, w))
+                  .clean());
+  const auto out = w.mem->buffer(std::get<sim::BufferId>(w.launch.args[1]))
+                       .f32();
+  sim::SymEvaluator eval(arena, kSeed);
+  for (int tx = 0; tx < 32; ++tx) {
+    float s = 0.0f;
+    for (int i = 0; i < 8; ++i) s += a[tx * 8 + i] * a[tx];
+    EXPECT_EQ(out[tx], s + 1.0f) << tx;
+    sim::Value v;
+    ASSERT_TRUE(eval.eval(sym.buffers[1][tx], &v)) << tx;
+    EXPECT_EQ(static_cast<float>(v.as_f()), out[tx]) << tx;
+  }
+}
+
+TEST(Certifier, BraceInitializedLocalArrayIsNotReHomed) {
+  // A re-homed local array has no per-master form of its initializer, so
+  // the configs that would re-home it are not applicable, naming it. The
+  // transformer used to keep the raw initializer on the re-homed
+  // declaration, and every config was refuted.
+  std::unique_ptr<ir::Program> prog;
+  ir::Kernel& kernel = parse_kernel(prog, R"(
+__global__ void k(float* a, float* out) {
+  int tx = threadIdx.x;
+  float w[2] = {a[tx], 1.0f};
+  float s = 0.0f;
+  #pragma np parallel for reduction(+:s)
+  for (int i = 0; i < 8; i++)
+    s += a[tx * 8 + i] * w[0];
+  out[tx] = s + w[1];
+}
+)");
+  const auto configs =
+      NpCompiler::enumerate_configs(kernel, 32, sim::DeviceSpec::gtx680());
+  EXPECT_EQ(configs.size(), 10u);
+  for (const auto& cfg : configs) {
+    SCOPED_TRACE(cfg.describe());
+    try {
+      (void)NpCompiler::transform(kernel, cfg);
+      ADD_FAILURE() << "re-homed a brace-initialized array";
+    } catch (const CompileError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "local array 'w' has a brace initializer"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -860,6 +860,52 @@ __global__ void scalar(float* out, int n) {
   EXPECT_EQ(r.hazards()[0].message, error);
 }
 
+TEST(FormerDeclineShapes, BraceInitializerRunsPerThread) {
+  // Every thread evaluates a brace initializer into its own copy, under
+  // the current mask, and the tail zero-fills on every execution, as the
+  // certifier's symbolic run does. Evaluating it for lane 0 and
+  // broadcasting gave every thread lane 0's values, and a loop body's
+  // tail kept the previous iteration's stores.
+  auto program = parse_or_fail(R"(
+__global__ void brace(float* out, int n) {
+  int tid = threadIdx.x;
+  float w[3] = {tid * 2.0f, 1.0f};
+  out[tid] = w[0] + w[1] + w[2];
+  if (tid >= 8) {
+    int v[2] = {tid, n};
+    out[32 + tid] = v[0] + v[1];
+  }
+  float s = 0.0f;
+  for (int i = 0; i < 3; i++) {
+    float t[2] = {1.0f};
+    s += t[1];
+    t[1] = 5.0f;
+  }
+  out[64 + tid] = s;
+}
+)");
+  auto out = run_clean(*program->kernels.front());
+  for (int tid = 0; tid < 32; ++tid) {
+    EXPECT_EQ(out[tid], tid * 2.0f + 1.0f) << tid;
+    EXPECT_EQ(out[32 + tid], tid >= 8 ? tid + 64.0f : 0.0f) << tid;
+    EXPECT_EQ(out[64 + tid], 0.0f) << tid;
+  }
+}
+
+TEST(FormerDeclineShapes, SharedArrayInitializerIsAStructuredError) {
+  // CUDA does not initialize shared memory at launch, so nvcc rejects an
+  // initializer on a __shared__ array; so does the binder.
+  auto program = parse_or_fail(R"(
+__global__ void shinit(float* out, int n) {
+  __shared__ float w[2] = {1.0f, 2.0f};
+  out[threadIdx.x] = w[1];
+}
+)");
+  EXPECT_EQ(sim_error(*program->kernels.front()),
+            "unsupported construct: initializer on __shared__ array 'w' at "
+            "3:3; shared memory takes no initializer");
+}
+
 TEST(FormerDeclineShapes, UnboundDeclarationTraps) {
   auto program = parse_or_fail(R"(
 __global__ void late(float* out, int n) {

@@ -203,6 +203,29 @@ __global__ void zfill(float* out, int n) {
   EXPECT_TRUE(run.clean()) << run.engine.summary();
 }
 
+TEST(Sanitizer, BraceInitializerIsEvaluatedByEveryThread) {
+  // Each thread evaluates the initializer for its own copy, so an element
+  // reading a variable only thread 0 set is an uninitialized read on
+  // thread 1. Evaluating it for thread 0 alone hid the read.
+  auto run = run_sanitized(R"(
+__global__ void brace(float* a, float* out) {
+  int tx = threadIdx.x;
+  float u;
+  if (tx == 0) u = a[tx];
+  float w[2] = {u, 1.0f};
+  out[tx] = w[0] + w[1];
+}
+)",
+                           32);
+  ASSERT_TRUE(run.ran);
+  ASSERT_EQ(run.engine.reports().size(), 1u) << run.engine.summary();
+  const auto& r = run.engine.reports()[0];
+  EXPECT_EQ(r.kind, HazardKind::kUninitRead) << r.str();
+  EXPECT_EQ(r.thread, 1) << r.str();
+  EXPECT_EQ(r.loc.line, 6) << r.str();
+  EXPECT_EQ(r.message, "read of uninitialized variable 'u'");
+}
+
 TEST(Sanitizer, DetectsShflFromInactiveLane) {
   auto run = run_sanitized(R"(
 __global__ void shfl_inactive(float* out, int n) {

@@ -496,6 +496,44 @@ TEST(Transformer, EnumerationSkipsIntraWarpForKernelsThatCallShfl) {
             10u);
 }
 
+TEST(Transformer, BraceInitializersAreTransformedLikeAnyExpression) {
+  // A __shfl in a brace initializer is the kernel's own __shfl, so
+  // intra-warp NP is not applicable; geometry in an initializer is
+  // remapped like everywhere else.
+  auto shfl = frontend::parse_program_or_throw(R"(
+__global__ void k(float* a, float* out) {
+  int tx = threadIdx.x;
+  __constant__ float w[1] = {__shfl(a[tx], 0, 32)};
+  float s = 0.0f;
+  #pragma np parallel for reduction(+:s)
+  for (int i = 0; i < 8; i++)
+    s += a[tx * 8 + i];
+  out[tx] = s + w[0];
+}
+)");
+  const Kernel& k = *shfl->find_kernel("k");
+  const CallExpr* call = first_shfl_call(k);
+  ASSERT_NE(call, nullptr);
+  EXPECT_EQ(call->loc().str(), "4:30");
+  EXPECT_EQ(np::NpCompiler::enumerate_configs(k, 32, DeviceSpec::gtx680())
+                .size(),
+            5u);
+
+  auto r = transform(R"(
+__global__ void k(float* a, float* out) {
+  __constant__ int w[2] = {threadIdx.x, 1};
+  float s = 0.0f;
+  #pragma np parallel for reduction(+:s)
+  for (int i = 0; i < 8; i++)
+    s += a[w[0] * 8 + i];
+  out[w[0]] = s + w[1];
+}
+)",
+                     inter(8, 32));
+  const std::string src = print_kernel(*r.kernel);
+  EXPECT_NE(src.find("w[2] = {master_id, 1}"), std::string::npos) << src;
+}
+
 TEST(Transformer, NotesDescribeDecisions) {
   auto r = transform(kLocalArraySrc, inter(4, 32));
   bool placement_note = false;
