@@ -142,11 +142,15 @@ std::optional<std::string> BoundKernel::error(const Expr& e) const {
       const std::string& name = base.name;
       const Type* t = slot_type(*this, base.sim_slot);
       if (!t) return unresolved(base.sim_slot, name, ai.loc());
-      if (t->is_pointer) {
+      // Only a pointer parameter names a buffer, and only a declared
+      // array has cells: a local pointer variable has no storage to index.
+      const bool param = slots[static_cast<std::size_t>(base.sim_slot)].is_param;
+      if (param && t->is_pointer) {
         if (ai.indices.size() == 1) return std::nullopt;
         return "pointer '" + name + "' requires exactly one index";
       }
-      if (!t->is_array()) return "'" + name + "' is not an array" + at();
+      if (param || !t->is_array())
+        return "'" + name + "' is not an array" + at();
       if (ai.indices.size() != t->array_dims.size())
         return "array '" + name + "' has " +
                std::to_string(t->array_dims.size()) + " dims, indexed with " +

@@ -23,11 +23,8 @@
 // sim/bytecode.hpp), and every executed reference to a declared slot is
 // dominated by its declaration, so no engine needs a liveness check.
 //
-// Structural errors are the constructs the simulator cannot run at all:
-// an undeclared name, an unknown callee or wrong arity, a malformed
-// array access or assignment target, an array or pointer used as a
-// value, an unsupported declaration (shared-memory scalar, void
-// variable, initializer the simulator does not model), break/continue.
+// Structural errors are the constructs the simulator cannot run at all
+// (docs/kernel_language.md lists them; BoundKernel::error is the code).
 // Whether a node is one is a function of the annotations above, so
 // BoundKernel::error composes the text from them on request; nothing
 // else decides or words these errors. The errors stay lazy: each engine

@@ -17,11 +17,9 @@
 // sim/arith.hpp defines. The VM keeps registers as plain typed lane
 // arrays on that basis. Structural errors come from the binder
 // (BoundKernel::error, sim/binder.hpp): wherever evaluation reaches a
-// node the binder judges invalid (an unknown callee, wrong arity, a
-// malformed array access, an unsupported declaration, break/continue, a
-// reference bound to no declaration), lowering emits a kTrap carrying
-// the binder's text, and the symbolic executor raises the same text at
-// the same point. Lowering composes no error text of its own.
+// node the binder judges invalid, lowering emits a kTrap carrying the
+// binder's text, and the symbolic executor raises the same text at the
+// same point. Lowering composes no error text of its own.
 //
 // Lowering is total: the binder gives every slot one static type, and
 // every construct it rejects lowers to a trap. The VM is the only

@@ -1022,6 +1022,10 @@ const StructuralCase kStructuralCases[] = {
      "'t' is not an array at 4:29"},
     {"IndexedUniformParameter", "float u = n[0];",
      "'n' is not an array at 4:13"},
+    {"IndexedLocalPointerStore", "float* p; p[0] = 1.0f;",
+     "'p' is not an array at 4:13"},
+    {"IndexedLocalPointerLoad", "float* p; float u = p[tx];",
+     "'p' is not an array at 4:23"},
     {"IndexedGeometry", "float u = threadIdx.x[0];",
      "use of undeclared variable 'threadIdx.x' at 4:13"},
     {"DimensionCount", "float w[4]; w[0][1] = 1.0f;",
@@ -1040,6 +1044,8 @@ const StructuralCase kStructuralCases[] = {
                std::make_unique<ir::IntLit>(1);
      }},
     {"AssignToPointer", "a = 0;", "cannot assign to 'a' without an index"},
+    {"AssignToLocalPointer", "float* p; p = 0;",
+     "cannot assign to 'p' without an index"},
     {"AssignToArray", "float w[2]; w = 1.0f;",
      "cannot assign to 'w' without an index"},
     {"AssignToUniformParameter", "n = 3;",
@@ -1050,6 +1056,8 @@ const StructuralCase kStructuralCases[] = {
      "array 'w' used without an index"},
     {"PointerAsValue", "float u = a + 1;",
      "pointer 'a' used as a value (only indexing is supported)"},
+    {"LocalPointerAsValue", "float* p; float u = p + 1;",
+     "pointer 'p' used as a value (only indexing is supported)"},
     {"UndeclaredName", "float u = q;", "use of undeclared variable 'q' at 4:13"},
     {"SharedScalar", "__shared__ float sh;",
      "unsupported construct: shared-memory scalar 'sh' at 4:3; declare a "
