@@ -66,6 +66,10 @@ template <class T, class X>
     return as_i(x);
 }
 
+/// C's conversion to bool: 1 for every nonzero value, 0.25f and NaN too.
+template <class X>
+[[nodiscard]] inline Int to_bool(X x) { return truthy(x) ? 1 : 0; }
+
 /// C's common type of two lane types.
 template <class A, class B>
 using common_t = std::conditional_t<kIsFloat<A> || kIsFloat<B>, double, Int>;

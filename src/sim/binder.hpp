@@ -1,7 +1,7 @@
 // Slot binder: the once-per-kernel name-resolution prepass, and the one
 // place names resolve and structural errors are decided: bytecode
-// lowering and the symbolic executor (sim/symexec.hpp) both run on its
-// annotations and raise its errors.
+// lowering, which the VM and the certifier both run, reads its
+// annotations and raises its errors.
 //
 // The block-lockstep interpreter used to resolve every VarRef through an
 // unordered_map<string, Slot> and every geometry name / builtin callee by
@@ -27,11 +27,10 @@
 // (docs/kernel_language.md lists them; BoundKernel::error is the code).
 // Whether a node is one is a function of the annotations above, so
 // BoundKernel::error composes the text from them on request; nothing
-// else decides or words these errors. The errors stay lazy: each engine
-// asks at the point evaluation reaches the node and raises the text
-// there, so the VM and the certifier fail the same kernel at the same
-// point with the same message. A node added after binding carries no
-// annotation and reads as an internal "unbound" error.
+// else decides or words these errors. The errors stay lazy: lowering
+// traps at the point evaluation reaches the node, so the VM and the
+// certifier fail the same kernel there with the same message. A node
+// added after binding reads as an internal "unbound" error.
 //
 // The binding is cached on the ir::Kernel itself (Kernel::sim_binding),
 // so repeated launches of one kernel object — autotuner sweeps,

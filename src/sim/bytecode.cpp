@@ -78,6 +78,9 @@ class Lowerer {
  private:
   // ---------------- emission ----------------
   std::size_t emit(Instr in) {
+    // A register operand is read once, here: its register is free again.
+    for (const Operand* o : {&in.a, &in.b, &in.c})
+      if (o->kind == Operand::Kind::kReg) free_regs_.push_back(o->id);
     prog_.code.push_back(std::move(in));
     return prog_.code.size() - 1;
   }
@@ -119,8 +122,10 @@ class Lowerer {
   }
 
   std::int32_t alloc_reg() {
-    std::int32_t r = next_reg_++;
+    if (free_regs_.empty()) free_regs_.push_back(next_reg_++);
     max_regs_ = std::max(max_regs_, next_reg_);
+    const std::int32_t r = free_regs_.back();
+    free_regs_.pop_back();
     return r;
   }
 
@@ -147,6 +152,7 @@ class Lowerer {
     // Virtual registers never live across statements, so the allocator
     // resets here; num_regs is the per-statement peak.
     next_reg_ = 0;
+    free_regs_.clear();
     emit_loc(Op::kStep, s.loc());
     switch (s.kind()) {
       case StmtKind::kBlock:
@@ -343,6 +349,7 @@ class Lowerer {
     {
       Instr in;
       in.op = Op::kMaskAnd;
+      in.aux = 1;  // a while condition
       in.a = c;
       emit(std::move(in));
     }
@@ -504,6 +511,7 @@ class Lowerer {
       Instr in;
       in.op = Op::kFlatten;
       in.dst = flat;
+      in.name = intern(name);
       in.a = idx;
       in.imm = dims[d];
       in.aux = d == 0 ? 1 : 0;
@@ -607,6 +615,7 @@ class Lowerer {
   Program prog_;
   std::vector<SlotInfo> info_;
   std::unordered_map<std::string, std::int32_t> name_ids_;
+  std::vector<std::int32_t> free_regs_;
   std::int32_t next_reg_ = 0;
   std::int32_t max_regs_ = 0;
   int depth_ = 0;

@@ -2,10 +2,13 @@
 //
 // The lowering pass walks the bound AST once per launch and emits a flat
 // instruction stream with virtual registers and resolved jump targets;
-// sim/vm.cpp executes it with a dispatch loop over SoA lane state. Every
-// instruction maps 1:1 onto an exec::BlockCore helper, called in the
-// kernel's source evaluation order, so charges, watchdog steps, hazard
-// reports and error messages come from one piece of code.
+// sim/vm.cpp executes it with a dispatch loop over SoA lane state, and
+// the certifier's symbolic executor (sim/symexec.cpp) interprets the same
+// program on expression nodes, so this pass alone defines how every
+// construct evaluates. Every instruction maps 1:1 onto an exec::BlockCore
+// helper, called in the kernel's source evaluation order, so charges,
+// watchdog steps, hazard reports and error messages come from one piece
+// of code.
 //
 // Operands distinguish registers, folded immediates, geometry lane
 // caches, uniform kernel arguments and live slot storage; the last three
@@ -18,15 +21,14 @@
 // arrays on that basis. Structural errors come from the binder
 // (BoundKernel::error, sim/binder.hpp): wherever evaluation reaches a
 // node the binder judges invalid, lowering emits a kTrap carrying the
-// binder's text, and the symbolic executor raises the same text at the
-// same point. Lowering composes no error text of its own.
+// binder's text. Lowering composes no error text of its own.
 //
 // Lowering is total: the binder gives every slot one static type, and
 // every construct it rejects lowers to a trap. The VM is the only
-// engine.
+// concrete engine.
 //
 // Implementation detail of sim/; include only from the interpreter, the
-// VM and their tests.
+// VM, the certifier's evaluator (sim/symexec.cpp) and their tests.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +55,7 @@ enum class Op : std::uint8_t {
   kVarGuard,      ///< var_read_check(slot): sanitizer uninit check, no copy.
   kStoreVar,      ///< store_var(slot, a).
   kDeclare,       ///< declare(the declaration of slot).
-  kDeclInit,      ///< decl_scalar_init(slot, a).
+  kDeclInit,      ///< store_var(slot, a): a declaration's initializer.
   kDeclFill,      ///< decl_fill(slot, element dst, a): per active lane.
   kDeclTail,      ///< decl_tail(slot, elements from dst): zero + mark set.
   kBin,           ///< dst = a (BinOp aux) b.
@@ -69,7 +71,8 @@ enum class Op : std::uint8_t {
   kShflArgBegin,  ///< Push warp-broadened mask; suppress uninit checks.
   kShflArgEnd,    ///< Pop it.
   kShfl,          ///< dst = shfl(a=var, b=sel, c=width).
-  kFlatten,       ///< flat[dst] = flat[dst] * imm + a (bounds-checked).
+  kFlatten,       ///< flat[dst] = flat[dst] * imm + a (bounds-checked);
+                  ///< name: the array's.
   kBufLoad,       ///< dst = buffer[slot][a].
   kBufStore,      ///< buffer[slot][a] = b.
   kSharedLoad,    ///< dst = shared[slot][flat a].
@@ -81,7 +84,8 @@ enum class Op : std::uint8_t {
   kIfEnd,         ///< Pop the surviving arm mask.
   kLoopEnter,     ///< Push loop mask copy + watchdog loop scope.
   kLoopBackedge,  ///< count_step(loc) + back-edge counter.
-  kMaskAnd,       ///< Clear lanes of the current mask where !truthy(a).
+  kMaskAnd,       ///< Clear lanes of the current mask where !truthy(a);
+                  ///< aux 1: a while condition, 0: a for condition.
   kLoopCheck,     ///< Empty mask -> jump target; else ++iters, valve check.
   kLoopLatchFor,  ///< Clear returned; empty mask -> jump target (for latch).
   kClearReturned, ///< Clear returned lanes only (while latch).

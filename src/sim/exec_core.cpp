@@ -65,10 +65,8 @@ void BlockCore::bind_params() {
     } else {
       slot.is_uniform_param = true;
       slot.alloc(1);  // uniform scalar, one copy
-      slot.with_cells([&](auto* data) {
-        data[0] = arith::to<std::remove_pointer_t<decltype(data)>>(
-            std::get<Value>(arg));
-      });
+      slot.with_cells(
+          [&](auto* data, auto conv) { data[0] = conv(std::get<Value>(arg)); });
     }
   }
 }
@@ -267,8 +265,8 @@ void BlockCore::check_shfl_sources(const std::vector<int>& src_of,
     int s = src_of[static_cast<std::size_t>(l)];
     if (s >= 0 && !vs->shadow[static_cast<std::size_t>(s)]) {
       san_report(HazardKind::kUninitRead, loc, l,
-                 callee + " reads uninitialized variable '" + var_name +
-                     "' from lane " + std::to_string(s % lanes_.warp_size()));
+                 shfl_uninit_source(callee, &var_name,
+                                    s % lanes_.warp_size()));
       break;
     }
   }

@@ -81,13 +81,16 @@ struct Slot {
     else
       return i.data();
   }
-  /// Calls fn with the typed cell array.
+  /// Calls fn(cells, convert): the typed cell array and C's conversion
+  /// of a value stored into it (a bool cell holds 0 or 1).
   template <class Fn>
   void with_cells(Fn&& fn) {
     if (is_float())
-      fn(f.data());
+      fn(f.data(), [](auto v) { return arith::to<double>(v); });
+    else if (type.scalar == ir::ScalarType::kBool)
+      fn(i.data(), [](auto v) { return arith::to_bool(v); });
     else
-      fn(i.data());
+      fn(i.data(), [](auto v) { return arith::to<arith::Int>(v); });
   }
 };
 
@@ -324,17 +327,11 @@ class BlockCore {
   /// storage in place.
   Slot& var_read_check(std::int32_t slot_id, const std::string& name,
                        const Mask& mask, SourceLoc loc);
-  /// Scalar variable assignment: ALU charge + masked converted store with
-  /// shadow marking.
+  /// Scalar variable assignment, or a declaration's initializer into its
+  /// declared slot: ALU charge + masked converted store with shadow
+  /// marking.
   template <class S>
   void store_var(Slot& slot, const Mask& mask, LaneView<S> val) {
-    charge_issue(mask, opt_.timing.weights.alu);
-    store_lanes(slot, mask, val);
-  }
-  /// DeclStmt scalar initializer: ALU charge + masked converted store with
-  /// shadow marking into an already-declared slot.
-  template <class S>
-  void decl_scalar_init(Slot& slot, const Mask& mask, LaneView<S> val) {
     charge_issue(mask, opt_.timing.weights.alu);
     store_lanes(slot, mask, val);
   }
@@ -345,10 +342,9 @@ class BlockCore {
   void decl_fill(Slot& slot, const ir::Type& type, std::size_t e,
                  const Mask& mask, LaneView<S> val) {
     const auto elems = static_cast<std::size_t>(type.element_count());
-    slot.with_cells([&](auto* data) {
-      using T = std::remove_pointer_t<decltype(data)>;
+    slot.with_cells([&](auto* data, auto conv) {
       lanes_.for_each_lane(mask, [&](std::size_t l) {
-        data[l * elems + e] = arith::to<T>(val.at(l));
+        data[l * elems + e] = conv(val.at(l));
       });
     });
   }
@@ -358,7 +354,7 @@ class BlockCore {
   void decl_tail(Slot& slot, const ir::Type& type, std::size_t from,
                  const Mask& mask) {
     const auto elems = static_cast<std::size_t>(type.element_count());
-    slot.with_cells([&](auto* data) {
+    slot.with_cells([&](auto* data, auto) {
       lanes_.for_each_lane(mask, [&](std::size_t l) {
         std::fill(data + l * elems + from, data + (l + 1) * elems, 0);
       });
@@ -405,9 +401,11 @@ class BlockCore {
         return map_lanes(mask, out,
                          [](auto x) { return arith::to<double>(x); }, a);
       case ir::ScalarType::kInt:
-      case ir::ScalarType::kBool:
         return map_lanes(mask, out,
                          [](auto x) { return arith::to<arith::Int>(x); }, a);
+      case ir::ScalarType::kBool:
+        return map_lanes(mask, out,
+                         [](auto x) { return arith::to_bool(x); }, a);
       case ir::ScalarType::kVoid:
         return map_lanes(mask, out, [](auto x) { return x; }, a);
     }
@@ -611,14 +609,13 @@ class BlockCore {
   /// shadow marking.
   template <class S>
   void store_lanes(Slot& slot, const Mask& mask, LaneView<S> val) {
-    slot.with_cells([&](auto* data) {
-      using T = std::remove_pointer_t<decltype(data)>;
+    slot.with_cells([&](auto* data, auto conv) {
       if (val.vec) {
         const S* v = val.vec;
         lanes_.for_each_lane(mask,
-                      [&](std::size_t l) { data[l] = arith::to<T>(v[l]); });
+                             [&](std::size_t l) { data[l] = conv(v[l]); });
       } else {
-        const T s = arith::to<T>(val.splat);
+        const auto s = conv(val.splat);
         lanes_.for_each_lane(mask, [&](std::size_t l) { data[l] = s; });
       }
     });
@@ -801,7 +798,7 @@ void BlockCore::shared_load(Slot& slot, const std::string& name,
   charge_shared(slot, flat, mask);
   if (san_) ++access_seq_;
   const std::size_t cells = slot.is_float() ? slot.f.size() : slot.i.size();
-  slot.with_cells([&](auto* data) {
+  slot.with_cells([&](auto* data, auto) {
     using T = std::remove_pointer_t<decltype(data)>;
     auto* o = out_as<T>(out);
     auto whole = [&](std::size_t lo, std::int64_t first, std::int64_t step) {
@@ -822,15 +819,13 @@ void BlockCore::shared_store(Slot& slot, const std::string& name,
   charge_shared(slot, flat, mask);
   if (san_) ++access_seq_;
   const std::size_t cells = slot.is_float() ? slot.f.size() : slot.i.size();
-  slot.with_cells([&](auto* data) {
-    using T = std::remove_pointer_t<decltype(data)>;
+  slot.with_cells([&](auto* data, auto conv) {
     auto whole = [&](std::size_t lo, std::int64_t first, std::int64_t step) {
-      scatter(data + first, step, val, lo,
-              [](auto v) { return arith::to<T>(v); });
+      scatter(data + first, step, val, lo, conv);
     };
     for_each_run(mask, cells, san_ == nullptr, whole, [&](std::size_t l) {
       const auto i = static_cast<std::size_t>(flat[l]);
-      const T v = arith::to<T>(val.at(l));
+      const auto v = conv(val.at(l));
       if (san_)
         note_shared_write(slot, name, i, static_cast<int>(l), arith::box(v),
                           loc);
@@ -845,7 +840,7 @@ void BlockCore::local_load(Slot& slot, const std::string& name,
                            Out out, SourceLoc loc) {
   charge_array(slot, flat, mask);
   const auto elems = static_cast<std::size_t>(slot.type.element_count());
-  slot.with_cells([&](auto* data) {
+  slot.with_cells([&](auto* data, auto) {
     using T = std::remove_pointer_t<decltype(data)>;
     auto* o = out_as<T>(out);
     lanes_.for_each_lane(mask, [&](std::size_t l) {
@@ -864,11 +859,10 @@ void BlockCore::local_store(Slot& slot, const std::int64_t* flat,
                             const Mask& mask, LaneView<S> val) {
   charge_array(slot, flat, mask);
   const auto elems = static_cast<std::size_t>(slot.type.element_count());
-  slot.with_cells([&](auto* data) {
-    using T = std::remove_pointer_t<decltype(data)>;
+  slot.with_cells([&](auto* data, auto conv) {
     lanes_.for_each_lane(mask, [&](std::size_t l) {
       const std::size_t i = l * elems + static_cast<std::size_t>(flat[l]);
-      data[i] = arith::to<T>(val.at(l));
+      data[i] = conv(val.at(l));
       if (!slot.shadow.empty()) slot.shadow[i] = 1;
     });
   });

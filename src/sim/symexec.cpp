@@ -4,19 +4,18 @@
 //   1. concrete-arithmetic helpers (the interpreter's sim/arith.hpp
 //      semantics, reused by constant folding and SymEvaluator)
 //   2. SymArena: hash-consing, eager folding builders, normalization
-//   3. the lockstep-vector executor (anonymous namespace `Exec`)
+//   3. the executor: the lowered bytecode on node ids (`Exec`)
 //   4. SymEvaluator
 #include "sim/symexec.hpp"
 
 #include <algorithm>
 #include <array>
 #include <cstring>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 
-#include "ir/stmt.hpp"
 #include "sim/arith.hpp"
+#include "sim/bytecode.hpp"
 #include "sim/lanes.hpp"
 #include "support/rng.hpp"
 
@@ -57,11 +56,21 @@ Value eval_call_value(SymFn fn, const std::vector<Value>& xs) {
 Value coerce_value(Value v, ScalarType to) {
   switch (to) {
     case ScalarType::kFloat: return v.to_f32();
-    case ScalarType::kInt:
-    case ScalarType::kBool: return Value::of_int(v.as_i());
+    case ScalarType::kInt: return Value::of_int(v.as_i());
+    case ScalarType::kBool: return Value::of_int(arith::to_bool(v));
     case ScalarType::kVoid: return v;
   }
   return v;
+}
+
+/// A node whose value is 0 or 1: a comparison, && or ||, ! or a
+/// conversion to bool.
+bool is_truth(const SymNode& n) {
+  return (n.kind == SymKind::kBin && static_cast<BinOp>(n.op) >= BinOp::kLt &&
+          static_cast<BinOp>(n.op) <= BinOp::kLOr) ||
+         (n.kind == SymKind::kUnary && static_cast<UnOp>(n.op) == UnOp::kLNot) ||
+         (n.kind == SymKind::kCast &&
+          static_cast<ScalarType>(n.op) == ScalarType::kBool);
 }
 
 /// Structural hash of a node and its operands. The final avalanche
@@ -270,16 +279,19 @@ std::uint32_t SymArena::cast(ScalarType to, std::uint32_t a) {
   ScalarType target =
       to == ScalarType::kFloat ? ScalarType::kFloat : ScalarType::kInt;
   // Symbolic float expressions are f32-rounded by construction and int
-  // expressions are exact int64, so a same-type cast is the identity.
-  if (nodes_[a].type == target) return a;
+  // expressions are exact int64, so a same-type cast is the identity, and
+  // so is a cast to bool of a value that is 0 or 1 already.
+  if (nodes_[a].type == target &&
+      (to != ScalarType::kBool || is_truth(nodes_[a])))
+    return a;
   Value v;
   if (constant(a, &v)) {
-    Value r = coerce_value(v, target);
+    Value r = coerce_value(v, to);
     return r.is_float() ? cfloat(r.f) : cint(r.i);
   }
   SymNode n;
   n.kind = SymKind::kCast;
-  n.op = static_cast<std::uint8_t>(target);
+  n.op = static_cast<std::uint8_t>(to);
   n.type = target;
   return intern(n, {&a, 1});
 }
@@ -786,16 +798,23 @@ std::string SymArena::str(std::uint32_t id, int max_depth) const {
 }
 
 // ---------------------------------------------------------------------------
-// Executor
+// Executor: the lowered bytecode, run on node ids
 // ---------------------------------------------------------------------------
 
 namespace {
 
-constexpr std::uint32_t kInv = SymArena::kInvalid;
-
+using bytecode::Instr;
+using bytecode::Op;
+using bytecode::Operand;
 using exec::any;
 using exec::Mask;
 using IdVec = std::vector<std::uint32_t>;
+
+constexpr std::uint32_t kInv = SymArena::kInvalid;
+/// A kFlatten register lane whose index is still concrete (its value is
+/// in flat_); other lanes hold a symbolic index node, or kInv for no index
+/// (an unset shfl-broadened lane).
+constexpr std::uint32_t kConcreteFlat = kInv - 1;
 
 /// Non-SymFault abort: unsupported construct (fault = false) or a
 /// deterministic interpreter fault (fault = true).
@@ -811,28 +830,50 @@ struct CellMeta {
   std::int64_t wblock = -1;               // globals: last writer block
 };
 
+/// A variable, or a global buffer (its cells and meta).
 struct Var {
   ir::Type type;
-  bool is_buffer = false;     // pointer param
-  int arg = -1;
   bool block_scoped = false;  // shared array: one copy per block
   IdVec scalar;               // per-lane scalar ids
   IdVec cells;                // block_scoped: [elems]; else [lane*elems+e]
-  std::vector<CellMeta> meta;  // shared arrays: race tracking per cell
+  std::vector<CellMeta> meta;  // shared arrays and buffers: race tracking
 };
 
-struct GBuf {
-  ScalarType type = ScalarType::kFloat;
-  IdVec cells;
-  std::vector<CellMeta> meta;
+/// An operand's node ids: a lane vector, or one id for every lane.
+struct Ids {
+  const std::uint32_t* vec = nullptr;
+  std::uint32_t splat = 0;
+  [[nodiscard]] std::uint32_t at(std::size_t l) const {
+    return vec ? vec[l] : splat;
+  }
 };
+
+/// An if statement between its kIfSplit and its kIfEnd. A condition
+/// symbolic on some lanes (sm) runs both arms on them: the then arm on a
+/// copy of the frame, the else arm on the frame the split began with,
+/// and kIfEnd merges the two with select nodes.
+struct Split {
+  bool symbolic = false;
+  bool in_else = false;
+  /// The frame the split began with; from kIfElse on, the then arm's.
+  std::vector<Var> frame;
+  IdVec cond, else_pred;  // per lane; else_pred = !cond on sm
+  Mask tm, sm;            // lanes whose condition is true / symbolic
+};
+
+std::vector<ScalarType> declared_types(const ir::Kernel& k) {
+  std::vector<ScalarType> out;
+  for (const ir::Param& p : k.params) out.push_back(p.type.scalar);
+  return out;
+}
 
 class Exec {
  public:
   Exec(const DeviceSpec& spec, const ir::Kernel& k, Dim3 grid, Dim3 block,
        const std::vector<SymArg>& args, SymArena& arena,
        const SymExecOptions& opt)
-      : spec_(spec), kernel_(k), bound_(bind_kernel(k)), grid_(grid),
+      : spec_(spec), kernel_(k), bound_(bind_kernel(k)),
+        prog_(bytecode::lower(*bound_, declared_types(k))), grid_(grid),
         block_(block), args_(args), ar_(arena), opt_(opt) {}
 
   SymExecResult run() {
@@ -843,7 +884,10 @@ class Exec {
         for (int by = 0; by < grid_.y; ++by)
           for (int bx = 0; bx < grid_.x; ++bx) {
             begin_block(bx, by, bz);
-            exec_block(*kernel_.body, lanes_.full());
+            const Instr* code = prog_->code.data();
+            for (std::size_t pc = 0; code[pc].op != Op::kHalt;)
+              pc = step(code[pc]) ? static_cast<std::size_t>(code[pc].target)
+                                  : pc + 1;
           }
       res.ok = true;
       res.buffers.resize(args_.size());
@@ -856,7 +900,8 @@ class Exec {
       res.reason = f.message;
       res.fault = true;
     } catch (const SimError& e) {
-      // A lane-model check (sim/lanes.hpp) the VM fails the same way.
+      // A binder trap or a lane-model check (sim/lanes.hpp): the VM
+      // fails the same way.
       res.reason = e.what();
       res.fault = true;
     }
@@ -871,6 +916,10 @@ class Exec {
     exec::check_launch_shape(spec_, grid_, block_);
     lanes_ = exec::Lanes(spec_.warp_size, block_);
     exec::check_arg_count(kernel_, args_.size());
+    regs_.assign(reg_base(prog_->num_regs), kInv);
+    flat_.assign(regs_.size(), 0);
+    masks_.assign(static_cast<std::size_t>(prog_->max_mask_depth) + 1,
+                  lanes_.none());
     globals_.resize(args_.size());
     for (std::size_t i = 0; i < args_.size(); ++i) {
       const ir::Param& p = kernel_.params[i];
@@ -879,14 +928,14 @@ class Exec {
                            a.kind != SymArg::Kind::kScalarConcrete &&
                                a.kind != SymArg::Kind::kScalarSymbolic);
       if (!p.type.is_pointer) continue;
-      GBuf& g = globals_[i];
-      g.type = p.type.scalar;
+      Var& g = globals_[i];
+      g.type = p.type;
       g.cells.resize(static_cast<std::size_t>(a.elems), kInv);
       g.meta.assign(static_cast<std::size_t>(a.elems), CellMeta{});
       auto pi = static_cast<std::int32_t>(i);
       switch (a.kind) {
         case SymArg::Kind::kBufferSymbolic:
-          if (g.type != ScalarType::kFloat)
+          if (g.type.scalar != ScalarType::kFloat)
             throw Abort{"arg " + std::to_string(i) + " ('" + p.name +
                             "'): symbolic buffers must be float",
                         false};
@@ -902,7 +951,7 @@ class Exec {
           for (std::int64_t e = 0; e < a.elems; ++e) {
             auto ci = a.ints[static_cast<std::size_t>(e)];
             g.cells[static_cast<std::size_t>(e)] =
-                g.type == ScalarType::kFloat
+                g.type.scalar == ScalarType::kFloat
                     ? ar_.cfloat(static_cast<double>(ci))
                     : ar_.cint(ci);
           }
@@ -916,6 +965,9 @@ class Exec {
     blk_ = static_cast<std::int64_t>(bz) * grid_.x * grid_.y +
            static_cast<std::int64_t>(by) * grid_.x + bx;
     frame_.assign(bound_->num_slots(), Var{});
+    masks_[0] = lanes_.full();
+    mdepth_ = div_depth_ = shfl_depth_ = 0;
+    splits_.clear();
     preds_.clear();
     returned_ = lanes_.none();
     epoch_ = 0;
@@ -942,21 +994,109 @@ class Exec {
       const SymArg& a = args_[i];
       Var& v = frame_[i];
       v.type = p.type;
-      if (p.type.is_pointer) {
-        v.is_buffer = true;
-        v.arg = static_cast<int>(i);
+      if (p.type.is_pointer) continue;  // globals_[i]
+      std::uint32_t id;
+      if (a.kind == SymArg::Kind::kScalarSymbolic) {
+        id = ar_.input(static_cast<std::int32_t>(i), -1, ScalarType::kFloat);
+      } else if (p.type.scalar == ScalarType::kFloat) {
+        id = ar_.cfloat(a.scalar.as_f());
       } else {
-        std::uint32_t id;
-        if (a.kind == SymArg::Kind::kScalarSymbolic) {
-          id = ar_.input(static_cast<std::int32_t>(i), -1, ScalarType::kFloat);
-        } else if (p.type.scalar == ScalarType::kFloat) {
-          id = ar_.cfloat(a.scalar.as_f());
-        } else {
-          id = ar_.cint(a.scalar.as_i());
-        }
-        v.scalar = splat(id);
+        id = ar_.cint(a.scalar.as_i());
       }
+      v.scalar = splat(id);
     }
+  }
+
+  // ---------------- instructions ----------------
+  /// Runs one instruction; true when it jumps to its target.
+  bool step(const Instr& ins) {
+    switch (ins.op) {
+      case Op::kGuard:
+      case Op::kLoopLatchFor:  // lanes that returned stop iterating
+        return !exec::clear_lanes(cur(), returned_);
+      case Op::kClearReturned: (void)exec::clear_lanes(cur(), returned_); break;
+      case Op::kStep:
+      case Op::kLoopBackedge: count_step(); break;
+      case Op::kTrap: throw SimError(text(ins.name));
+      case Op::kVarGuard:
+        if (shfl_depth_ == 0)
+          each_lane([&, &v = slot_of(ins).scalar](std::size_t l) {
+            if (v[l] == kInv)
+              throw Abort{"read of uninitialized variable '" +
+                          text(ins.name) + "'"};
+          });
+        break;
+      case Op::kStoreVar:
+      case Op::kDeclInit:
+        each_lane([&, &v = slot_of(ins), x = src(ins.a)](std::size_t l) {
+          v.scalar[l] = coerce_id(x.at(l), v.type.scalar);
+        });
+        break;
+      case Op::kDeclare: declare(ins); break;
+      case Op::kDeclFill:
+      case Op::kDeclTail: decl_fill(ins); break;
+      case Op::kBin:
+      case Op::kCompound:
+      case Op::kUn:
+      case Op::kCast:
+      case Op::kSelect:
+      case Op::kMath1:
+      case Op::kAbs:
+      case Op::kMath2: lane_op(ins); break;
+      case Op::kSync:
+        if (div_depth_ > 0)
+          throw Abort{"__syncthreads under a symbolically divergent branch"};
+        // A live warp that never arrives deadlocks on real hardware (and
+        // is a deterministic kBarrierDivergence hazard in the sanitizer).
+        if (lanes_.absent_lane(cur(), returned_) >= 0)
+          throw Abort{"__syncthreads not reached by a live warp", true};
+        ++epoch_;
+        break;
+      case Op::kShflGuard: exec::check_shfl_device(spec_); break;
+      case Op::kShflArgBegin:
+        if (div_depth_ > 0)
+          throw Abort{"__shfl under a symbolically divergent branch"};
+        lanes_.make_broad_mask(cur(), masks_[depth() + 1]);
+        ++mdepth_;
+        ++shfl_depth_;
+        break;
+      case Op::kShflArgEnd:
+        --shfl_depth_;
+        --mdepth_;
+        break;
+      case Op::kShfl: shfl(ins); break;
+      case Op::kFlatten: flatten(ins); break;
+      case Op::kBufLoad:
+      case Op::kBufStore: access(ins, true, ins.op == Op::kBufStore); break;
+      case Op::kSharedLoad:
+      case Op::kSharedStore:
+      case Op::kLocalLoad:
+      case Op::kLocalStore:
+        access(ins, false,
+               ins.op == Op::kSharedStore || ins.op == Op::kLocalStore);
+        break;
+      case Op::kIfSplit: return if_split(ins);
+      case Op::kIfElse: return if_else();
+      case Op::kIfEnd: if_end(); break;
+      case Op::kLoopEnter:
+        masks_[depth() + 1] = cur();
+        ++mdepth_;
+        break;
+      case Op::kMaskAnd: prune(ins); break;
+      case Op::kLoopCheck: return !any(cur());
+      case Op::kLoopExit: --mdepth_; break;
+      case Op::kJump: return true;
+      case Op::kReturn:
+        if (div_depth_ > 0)
+          throw Abort{"return under a symbolically divergent branch"};
+        exec::add_lanes(returned_, cur());
+        break;
+      case Op::kHalt:
+      case Op::kLeafBegin:
+      case Op::kLeafEnd:
+      case Op::kCharge: break;
+    }
+    return false;
   }
 
   // ---------------- bookkeeping ----------------
@@ -978,155 +1118,158 @@ class Exec {
                                std::to_string(i) + "]'"});
   }
 
-  /// Raises the binder's structural error for `node`, if it has one, as
-  /// a fault with the VM's text (sim/binder.hpp).
-  template <class Node>
-  void fail_if_invalid(const Node& node) {
-    if (std::optional<std::string> err = bound_->error(node))
-      throw SimError(*err);
+  /// The mask of the innermost active region, at masks_[depth()].
+  [[nodiscard]] std::size_t depth() const {
+    return static_cast<std::size_t>(mdepth_);
+  }
+  [[nodiscard]] Mask& cur() { return masks_[depth()]; }
+  template <class Fn>
+  void each_lane(Fn&& fn) {
+    lanes_.for_each_lane(cur(), fn);
   }
 
-  /// The variable of a slot the binder resolved.
-  Var& var_at(std::int32_t slot) {
-    return frame_[static_cast<std::size_t>(slot)];
+  [[nodiscard]] const std::string& text(std::int32_t n) const {
+    return prog_->names[static_cast<std::size_t>(n)];
   }
-
-  IdVec splat(std::uint32_t id) const {
+  [[nodiscard]] Var& slot_of(const Instr& ins) {
+    return frame_[static_cast<std::size_t>(ins.slot)];
+  }
+  [[nodiscard]] IdVec splat(std::uint32_t id) const {
     return IdVec(static_cast<std::size_t>(lanes_.nlanes()), id);
   }
-
-  // ---------------- expression evaluation ----------------
-  IdVec eval(const ir::Expr& e, const Mask& m) {
-    switch (e.kind()) {
-      case ir::ExprKind::kIntLit:
-        return splat(ar_.cint(static_cast<const ir::IntLit&>(e).value));
-      case ir::ExprKind::kFloatLit:
-        return splat(ar_.cfloat(static_cast<const ir::FloatLit&>(e).value));
-      case ir::ExprKind::kVarRef:
-        return eval_varref(static_cast<const ir::VarRef&>(e), m);
-      case ir::ExprKind::kArrayIndex:
-        return access(static_cast<const ir::ArrayIndex&>(e), m, nullptr);
-      case ir::ExprKind::kBinary: {
-        const auto& b = static_cast<const ir::BinaryExpr&>(e);
-        // Both sides evaluate under the full mask (no short-circuit),
-        // matching the vector interpreter.
-        IdVec l = eval(*b.lhs, m);
-        IdVec r = eval(*b.rhs, m);
-        lanes_.for_each_lane(m, [&](std::size_t li) {
-          l[li] = (l[li] == kInv || r[li] == kInv) ? kInv
-                                                   : ar_.bin(b.op, l[li], r[li]);
-        });
-        return l;
-      }
-      case ir::ExprKind::kUnary: {
-        const auto& u = static_cast<const ir::UnaryExpr&>(e);
-        IdVec v = eval(*u.operand, m);
-        lanes_.for_each_lane(m, [&](std::size_t li) {
-          if (v[li] != kInv) v[li] = ar_.un(u.op, v[li]);
-        });
-        return v;
-      }
-      case ir::ExprKind::kCall:
-        return eval_call(static_cast<const ir::CallExpr&>(e), m);
-      case ir::ExprKind::kTernary: {
-        const auto& t = static_cast<const ir::TernaryExpr&>(e);
-        IdVec c = eval(*t.cond, m);
-        IdVec a = eval(*t.then_value, m);
-        IdVec b = eval(*t.else_value, m);
-        lanes_.for_each_lane(m, [&](std::size_t li) {
-          if (c[li] == kInv || a[li] == kInv || b[li] == kInv) {
-            a[li] = kInv;
-            return;
-          }
-          // Both arms convert to their common type, as in the interpreter:
-          // float if either arm is float (bool and int arms are both int).
-          if ((ar_.node(a[li]).type == ScalarType::kFloat) !=
-              (ar_.node(b[li]).type == ScalarType::kFloat)) {
-            a[li] = ar_.cast(ir::ScalarType::kFloat, a[li]);
-            b[li] = ar_.cast(ir::ScalarType::kFloat, b[li]);
-          }
-          a[li] = ar_.select(c[li], a[li], b[li]);
-        });
-        return a;
-      }
-      case ir::ExprKind::kCast: {
-        const auto& c = static_cast<const ir::CastExpr&>(e);
-        IdVec v = eval(*c.operand, m);
-        lanes_.for_each_lane(m, [&](std::size_t li) {
-          if (v[li] != kInv) v[li] = ar_.cast(c.to, v[li]);
-        });
-        return v;
-      }
-    }
-    throw Abort{"unreachable expression kind"};
+  [[nodiscard]] std::size_t reg_base(std::int32_t r) const {
+    return static_cast<std::size_t>(r) *
+           static_cast<std::size_t>(lanes_.nlanes());
+  }
+  [[nodiscard]] std::uint32_t* reg(std::int32_t r) {
+    return regs_.data() + reg_base(r);
   }
 
-  IdVec eval_varref(const ir::VarRef& v, const Mask& m) {
-    if (slot_is_geometry(v.sim_slot))
-      return geom_[static_cast<std::size_t>(slot_geometry_code(v.sim_slot))];
-    fail_if_invalid(v);
-    IdVec out = var_at(v.sim_slot).scalar;
-    if (shfl_depth_ == 0)
-      lanes_.for_each_lane(m, [&](std::size_t li) {
-        if (out[li] == kInv)
-          throw Abort{"read of uninitialized variable '" + v.name + "'"};
+  /// An operand's node ids; an immediate is interned where the
+  /// instruction reading it runs, and an absent operand reads as node 0.
+  [[nodiscard]] Ids src(const Operand& o) {
+    const auto id = static_cast<std::size_t>(o.id);
+    switch (o.kind) {
+      case Operand::Kind::kReg: return {reg(o.id)};
+      case Operand::Kind::kImm:
+        return {nullptr, o.imm.is_float() ? ar_.cfloat(o.imm.f)
+                                          : ar_.cint(o.imm.i)};
+      case Operand::Kind::kGeom: return {geom_[id].data()};
+      case Operand::Kind::kUniform:
+      case Operand::Kind::kSlotData: return {frame_[id].scalar.data()};
+      case Operand::Kind::kNone: break;
+    }
+    return {};
+  }
+
+  std::uint32_t coerce_id(std::uint32_t id, ScalarType to) {
+    if (id == kInv) throw Abort{"store of an uninitialized value"};
+    return ar_.cast(to, id);
+  }
+
+  /// The operators: dst = op(a, b, c) on each active lane. A lane where
+  /// an operand has no value gets none; a compound assignment aborts.
+  void lane_op(const Instr& ins) {
+    const Ids a = src(ins.a), b = src(ins.b), c = src(ins.c);
+    std::uint32_t* out = reg(ins.dst);
+    each_lane([&](std::size_t l) {
+      const std::uint32_t x = a.at(l), y = b.at(l), z = c.at(l);
+      if (x != kInv && y != kInv && z != kInv)
+        out[l] = operate(ins, x, y, z);
+      else if (ins.op == Op::kCompound)
+        throw Abort{"compound assignment reads an uninitialized value"};
+      else
+        out[l] = kInv;
+    });
+  }
+
+  /// Inlined into the lane loop, so a lane costs no call.
+  [[gnu::always_inline]] std::uint32_t operate(const Instr& ins,
+                                               std::uint32_t x, std::uint32_t y,
+                                               std::uint32_t z) {
+    const SymFn fn = sym_fn_of(static_cast<Builtin>(ins.aux));
+    switch (ins.op) {
+      case Op::kUn: return ar_.un(static_cast<UnOp>(ins.aux), x);
+      case Op::kCast: return ar_.cast(static_cast<ScalarType>(ins.aux), x);
+      case Op::kSelect:
+        // Both arms convert to their common type, as in the VM: float if
+        // either arm is float (bool and int arms are both int).
+        if ((ar_.node(y).type == ScalarType::kFloat) !=
+            (ar_.node(z).type == ScalarType::kFloat)) {
+          y = ar_.cast(ScalarType::kFloat, y);
+          z = ar_.cast(ScalarType::kFloat, z);
+        }
+        return ar_.select(x, y, z);
+      case Op::kMath1:
+      case Op::kAbs: return ar_.call(fn, {x});
+      case Op::kMath2: return ar_.call(fn, {x, y});
+      default:  // kBin, kCompound
+        return ar_.bin(static_cast<BinOp>(ins.aux), x, y);
+    }
+  }
+
+  // ---------------- declarations ----------------
+  void declare(const Instr& ins) {
+    const ir::Type& type =
+        bound_->slots[static_cast<std::size_t>(ins.slot)].decl->type;
+    // Installed before the initializer runs, as BlockCore::declare does:
+    // the initializer of `int x = x + 1;` reads the new, unset x.
+    Var& v = slot_of(ins) = Var{};
+    v.type = type;
+    const auto elems = static_cast<std::size_t>(type.element_count());
+    v.block_scoped = type.space == ir::AddrSpace::kShared;  // an array
+    if (!type.is_array())
+      v.scalar = splat(kInv);
+    else
+      v.cells.assign(v.block_scoped ? elems : elems * lanes_.nlanes(), kInv);
+    if (v.block_scoped) v.meta.assign(elems, CellMeta{});
+  }
+
+  /// A brace initializer runs per thread, into the thread's own copy:
+  /// kDeclFill stores element dst, kDeclTail zero-fills from dst on.
+  void decl_fill(const Instr& ins) {
+    Var& v = slot_of(ins);
+    const ScalarType scalar = v.type.scalar;
+    const auto elems = static_cast<std::size_t>(v.type.element_count());
+    const bool tail = ins.op == Op::kDeclTail;
+    const auto first = static_cast<std::size_t>(ins.dst);
+    for (std::size_t e = first; e < (tail ? elems : first + 1); ++e) {
+      const Ids x = tail ? Ids{nullptr, scalar == ScalarType::kFloat
+                                            ? ar_.cfloat(0.0)
+                                            : ar_.cint(0)}
+                         : src(ins.a);
+      each_lane([&](std::size_t l) {
+        v.cells[l * elems + e] = coerce_id(x.at(l), scalar);
       });
-    return out;
-  }
-
-  IdVec eval_call(const ir::CallExpr& c, const Mask& m) {
-    const Builtin b = call_builtin(c);
-    if (is_shfl(b)) exec::check_shfl_device(spec_);
-    fail_if_invalid(c);
-    if (b == Builtin::kSyncthreads) {
-      barrier(m);
-      return splat(ar_.cint(0));
     }
-    if (is_shfl(b)) return eval_shfl(c, b, m);
-    std::vector<IdVec> xs;
-    xs.reserve(c.args.size());
-    for (const auto& a : c.args) xs.push_back(eval(*a, m));
-    IdVec out = splat(kInv);
-    lanes_.for_each_lane(m, [&](std::size_t li) {
-      std::vector<std::uint32_t> kids;
-      kids.reserve(xs.size());
-      bool bad = false;
-      for (const auto& x : xs) {
-        bad = bad || x[li] == kInv;
-        kids.push_back(x[li]);
-      }
-      out[li] = bad ? kInv : ar_.call(sym_fn_of(b), std::move(kids));
-    });
-    return out;
   }
 
-  IdVec eval_shfl(const ir::CallExpr& c, Builtin b, const Mask& m) {
-    if (div_depth_ > 0)
-      throw Abort{"__shfl under a symbolically divergent branch"};
-    Mask broad = lanes_.none();
-    lanes_.make_broad_mask(m, broad);
-    ++shfl_depth_;
-    IdVec var = eval(*c.args[0], broad);
-    --shfl_depth_;
-    IdVec sel = eval(*c.args[1], m);
-    IdVec wid = eval(*c.args[2], m);
-    IdVec out = splat(kInv);
-    lanes_.for_each_lane(m, [&](std::size_t li) {
+  /// The source argument was evaluated under the warp-broadened mask
+  /// (kShflArgBegin), so every source lane holds its value.
+  void shfl(const Instr& ins) {
+    const Ids var = src(ins.a), sel = src(ins.b), wid = src(ins.c);
+    std::uint32_t* out = reg(ins.dst);
+    const std::string& callee = text(ins.name);
+    each_lane([&](std::size_t l) {
       Value sv, wv;
-      if (sel[li] == kInv || wid[li] == kInv ||
-          !ar_.constant(sel[li], &sv) || !ar_.constant(wid[li], &wv))
-        throw Abort{c.callee + " with a symbolic selector or width"};
+      const std::uint32_t s = sel.at(l), w = wid.at(l);
+      if (s == kInv || w == kInv || !ar_.constant(s, &sv) ||
+          !ar_.constant(w, &wv))
+        throw Abort{callee + " with a symbolic selector or width"};
       if (!lanes_.valid_shfl_width(wv.as_i())) exec::Lanes::shfl_width_fail();
-      const int l = static_cast<int>(li);
-      const int lane = l % lanes_.warp_size();
+      const int li = static_cast<int>(l);
+      const int lane = li % lanes_.warp_size();
       const exec::ShflRead r =
-          lanes_.shfl_read(b, l - lane, lane, sv.as_i(), wv.as_i());
-      const std::uint32_t id = var[static_cast<std::size_t>(r.src)];
-      if (id == kInv)
-        throw Abort{c.callee + " reads an uninitialized source value"};
-      out[li] = id;
+          lanes_.shfl_read(static_cast<Builtin>(ins.aux), li - lane, lane,
+                           sv.as_i(), wv.as_i());
+      out[l] = var.at(static_cast<std::size_t>(r.src));
+      if (out[l] == kInv)
+        throw Abort{exec::shfl_uninit_source(
+            callee,
+            ins.imm >= 0 ? &text(static_cast<std::int32_t>(ins.imm))
+                         : nullptr,
+            r.src % lanes_.warp_size())};
     });
-    return out;
   }
 
   // ---------------- memory ----------------
@@ -1171,8 +1314,12 @@ class Exec {
     cells[i] = vid;
   }
 
-  std::uint32_t note_read(CellMeta& meta, const IdVec& cells, std::size_t i,
-                          int lane, bool is_global, const std::string& name) {
+  /// Inlined: a gather calls it once per cell of every lane.
+  [[gnu::always_inline]] std::uint32_t note_read(CellMeta& meta,
+                                                 const IdVec& cells,
+                                                 std::size_t i, int lane,
+                                                 bool is_global,
+                                                 const std::string& name) {
     const int warp = lanes_.warp_of(lane);
     if (is_global && meta.wblock >= 0 && meta.wblock != blk_)
       throw Abort{"cross-block read of '" + name + "[" + std::to_string(i) +
@@ -1192,310 +1339,175 @@ class Exec {
     return id;
   }
 
-  std::uint32_t gather_read(std::vector<CellMeta>& meta, const IdVec& cells,
-                            std::size_t lo, std::size_t n, std::uint32_t idx,
-                            int lane, bool is_global, const std::string& name,
-                            ScalarType type) {
-    if (static_cast<std::int64_t>(n) > opt_.max_gather_cells)
-      throw Abort{"load from '" + name + "' at a symbolic index over " +
-                  std::to_string(n) + " cells exceeds the gather limit"};
-    std::vector<std::uint32_t> snap(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint32_t id = note_read(meta[lo + i], cells, lo + i, lane,
-                                   is_global, name);
-      if (id == kInv)
-        throw Abort{"load from '" + name +
-                    "' at a symbolic index over uninitialized cells"};
-      snap[i] = id;
-    }
-    return ar_.gather(idx, snap, type);
-  }
-
-  /// Load (store == nullptr) or store through an ArrayIndex expression.
-  IdVec access(const ir::ArrayIndex& ai, const Mask& m, const IdVec* store) {
-    fail_if_invalid(ai);
-    const auto& base = static_cast<const ir::VarRef&>(*ai.base);
-    const std::string& name = base.name;
-    Var& v = var_at(base.sim_slot);
-    ++seq_;
-    IdVec out = splat(kInv);
-
-    if (v.is_buffer) {
-      IdVec idx = eval(*ai.indices[0], m);
-      GBuf& g = globals_[static_cast<std::size_t>(v.arg)];
-      auto elems = static_cast<std::int64_t>(g.cells.size());
-      lanes_.for_each_lane(m, [&](std::size_t li) {
-        const int l = static_cast<int>(li);
-        if (idx[li] == kInv) return;  // shfl-broadened lane, unused
-        Value iv;
-        if (ar_.constant(idx[li], &iv)) {
-          std::int64_t i = iv.as_i();
-          if (i < 0 || i >= elems)
-            throw Abort{"out-of-bounds access to '" + name + "[" +
-                            std::to_string(i) + "]' (size " +
-                            std::to_string(elems) + ")",
-                        true};
-          auto ci = static_cast<std::size_t>(i);
-          if (store) {
-            std::uint32_t vid = coerce_id((*store)[li], g.type);
-            note_write(g.meta[ci], g.cells, ci, l, vid, true, name);
-          } else {
-            out[li] = note_read(g.meta[ci], g.cells, ci, l, true, name);
-          }
-        } else {
-          if (store)
-            throw Abort{"store to '" + name + "' at a symbolic index"};
-          out[li] = gather_read(g.meta, g.cells, 0, g.cells.size(), idx[li],
-                                l, true, name, g.type);
-        }
-      });
-      return out;
-    }
-
-    const auto& dims = v.type.array_dims;
-    // Flatten, keeping per-dim bounds checks when indices are concrete.
-    std::vector<IdVec> idxs;
-    idxs.reserve(dims.size());
-    for (const auto& ie : ai.indices) idxs.push_back(eval(*ie, m));
-    std::int64_t elems = v.type.element_count();
-    auto scalar = v.type.scalar;
-    lanes_.for_each_lane(m, [&](std::size_t li) {
-      const int l = static_cast<int>(li);
-      std::int64_t flat = 0;
-      std::uint32_t sym_flat = kInv;
-      bool symbolic = false, dead = false;
-      for (std::size_t d = 0; d < dims.size(); ++d) {
-        std::uint32_t id = idxs[d][li];
-        if (id == kInv) {
-          dead = true;  // shfl-broadened lane with no value; skip quietly
-          break;
-        }
-        Value iv;
-        if (!symbolic && ar_.constant(id, &iv)) {
-          std::int64_t i = iv.as_i();
-          if (i < 0 || i >= dims[d])
-            throw Abort{"index " + std::to_string(i) + " out of bounds for '" +
-                            name + "' dim of " + std::to_string(dims[d]),
-                        true};
-          flat = flat * dims[d] + i;
-        } else {
-          // Switch to symbolic flattening from here on.
-          if (!symbolic) {
-            sym_flat = ar_.cint(flat);
-            symbolic = true;
-          }
-          sym_flat = ar_.bin(BinOp::kAdd,
-                             ar_.bin(BinOp::kMul, sym_flat, ar_.cint(dims[d])),
-                             id);
-        }
+  /// One dimension of an array index: bounds-checked while the index is
+  /// concrete, a node once any dimension is symbolic.
+  void flatten(const Instr& ins) {
+    const Ids idx = src(ins.a);
+    std::uint32_t* state = reg(ins.dst);
+    std::int64_t* flat = flat_.data() + reg_base(ins.dst);
+    const std::int64_t dim = ins.imm;
+    each_lane([&](std::size_t l) {
+      if (ins.aux) {  // the first dimension
+        state[l] = kConcreteFlat;
+        flat[l] = 0;
       }
-      if (dead) return;
-      bool shared = v.block_scoped;
-      std::size_t cell0 = shared ? 0
-                                : static_cast<std::size_t>(l) *
-                                      static_cast<std::size_t>(elems);
-      if (!symbolic) {
-        auto ci = cell0 + static_cast<std::size_t>(flat);
-        if (store) {
-          std::uint32_t vid = coerce_id((*store)[li], scalar);
-          if (shared) {
-            note_write(v.meta[ci], v.cells, ci, l, vid, false, name);
-          } else {
-            v.cells[ci] = vid;  // per-lane storage: divergence-safe
-          }
-        } else if (shared) {
-          out[li] = note_read(v.meta[ci], v.cells, ci, l, false, name);
-        } else {
-          std::uint32_t id = v.cells[ci];
-          if (id == kInv && shfl_depth_ == 0)
-            throw Abort{"read of uninitialized array element '" + name + "[" +
-                        std::to_string(flat) + "]'"};
-          out[li] = id;
-        }
+      Value iv;
+      const std::uint32_t id = idx.at(l);
+      if (state[l] == kInv || id == kInv) {
+        state[l] = kInv;  // shfl-broadened lane with no value; skip quietly
+      } else if (state[l] == kConcreteFlat && ar_.constant(id, &iv)) {
+        if (iv.as_i() < 0 || iv.as_i() >= dim)
+          throw Abort{"index " + std::to_string(iv.as_i()) +
+                          " out of bounds for '" + text(ins.name) +
+                          "' dim of " + std::to_string(dim),
+                      true};
+        flat[l] = flat[l] * dim + iv.as_i();
       } else {
-        if (store)
-          throw Abort{"store to '" + name + "' at a symbolic index"};
-        if (shared) {
-          out[li] = gather_read(v.meta, v.cells, 0,
-                                static_cast<std::size_t>(elems), sym_flat, l,
-                                false, name, scalar);
-        } else {
-          if (elems > opt_.max_gather_cells)
-            throw Abort{"symbolic-index load over " + std::to_string(elems) +
-                        " cells exceeds the gather limit"};
-          std::vector<std::uint32_t> snap(static_cast<std::size_t>(elems));
-          for (std::int64_t e = 0; e < elems; ++e) {
-            std::uint32_t id = v.cells[cell0 + static_cast<std::size_t>(e)];
-            if (id == kInv)
-              throw Abort{"load from '" + name +
-                          "' at a symbolic index over uninitialized cells"};
-            snap[static_cast<std::size_t>(e)] = id;
+        const std::uint32_t sym =
+            state[l] == kConcreteFlat ? ar_.cint(flat[l]) : state[l];
+        const std::uint32_t extent = ar_.cint(dim);
+        state[l] =
+            ar_.bin(BinOp::kAdd, ar_.bin(BinOp::kMul, sym, extent), id);
+      }
+    });
+  }
+
+  /// Loads and stores: of a global buffer at the index in operand a, or
+  /// of an array at the index kFlatten left in register a. Global and
+  /// shared cells track races; a per-thread array holds a copy per lane.
+  void access(const Instr& ins, bool buffer, bool store) {
+    const std::string& name = text(ins.name);
+    // A pointer parameter's slot is its argument index.
+    Var& v = buffer ? globals_[static_cast<std::size_t>(ins.slot)]
+                    : slot_of(ins);
+    IdVec& cells = v.cells;
+    const ScalarType type = v.type.scalar;
+    const bool tracked = buffer || v.block_scoped;
+    const auto elems = static_cast<std::int64_t>(
+        buffer ? cells.size() : v.type.element_count());
+    ++seq_;
+    const Ids idx = src(ins.a);
+    const std::int64_t* flat =
+        buffer ? nullptr : flat_.data() + reg_base(ins.a.id);
+    const Ids val = store ? src(ins.b) : Ids{};
+    std::uint32_t* out = store ? nullptr : reg(ins.dst);
+    each_lane([&](std::size_t li) {
+      const int l = static_cast<int>(li);
+      const std::uint32_t id = idx.at(li);
+      if (!store) out[li] = kInv;
+      if (id == kInv) return;  // shfl-broadened lane, unused
+      Value iv;
+      const bool concrete =
+          buffer ? ar_.constant(id, &iv) : id == kConcreteFlat;
+      const std::int64_t i = buffer ? iv.as_i() : flat[li];
+      if (buffer && concrete && (i < 0 || i >= elems))
+        throw Abort{"out-of-bounds access to '" + name + "[" +
+                        std::to_string(i) + "]' (size " +
+                        std::to_string(elems) + ")",
+                    true};
+      const std::size_t cell0 =
+          tracked ? 0 : li * static_cast<std::size_t>(elems);
+      if (concrete) {
+        const auto ci = cell0 + static_cast<std::size_t>(i);
+        if (store) {
+          std::uint32_t vid = coerce_id(val.at(li), type);
+          if (tracked) {
+            note_write(v.meta[ci], cells, ci, l, vid, buffer, name);
+          } else {
+            cells[ci] = vid;  // per-lane storage: divergence-safe
           }
-          out[li] = ar_.gather(sym_flat, snap, scalar);
+        } else if (tracked) {
+          out[li] = note_read(v.meta[ci], cells, ci, l, buffer, name);
+        } else {
+          if (cells[ci] == kInv && shfl_depth_ == 0)
+            throw Abort{"read of uninitialized array element '" + name +
+                        "[" + std::to_string(i) + "]'"};
+          out[li] = cells[ci];
         }
+        return;
       }
-    });
-    return out;
-  }
-
-  std::uint32_t coerce_id(std::uint32_t id, ScalarType to) {
-    if (id == kInv) throw Abort{"store of an uninitialized value"};
-    return ar_.cast(to, id);
-  }
-
-  void barrier(const Mask& m) {
-    if (div_depth_ > 0)
-      throw Abort{"__syncthreads under a symbolically divergent branch"};
-    // A live warp that never arrives deadlocks on real hardware (and is
-    // a deterministic kBarrierDivergence hazard in the sanitizer).
-    if (lanes_.absent_lane(m, returned_) >= 0)
-      throw Abort{"__syncthreads not reached by a live warp", true};
-    ++epoch_;
-  }
-
-  // ---------------- statements ----------------
-  void exec_block(const ir::Block& b, Mask m) {
-    for (const auto& s : b.stmts) {
-      if (!exec::clear_lanes(m, returned_)) return;
-      exec_stmt(*s, m);
-    }
-  }
-
-  void exec_stmt(const ir::Stmt& s, const Mask& m) {
-    count_step();
-    switch (s.kind()) {
-      case ir::StmtKind::kBlock:
-        exec_block(static_cast<const ir::Block&>(s), m);
-        return;
-      case ir::StmtKind::kDecl:
-        exec_decl(static_cast<const ir::DeclStmt&>(s), m);
-        return;
-      case ir::StmtKind::kAssign:
-        exec_assign(static_cast<const ir::AssignStmt&>(s), m);
-        return;
-      case ir::StmtKind::kIf:
-        exec_if(static_cast<const ir::IfStmt&>(s), m);
-        return;
-      case ir::StmtKind::kFor:
-        exec_for(static_cast<const ir::ForStmt&>(s), m);
-        return;
-      case ir::StmtKind::kWhile:
-        exec_while(static_cast<const ir::WhileStmt&>(s), m);
-        return;
-      case ir::StmtKind::kExpr:
-        (void)eval(*static_cast<const ir::ExprStmt&>(s).expr, m);
-        return;
-      case ir::StmtKind::kReturn:
-        if (div_depth_ > 0)
-          throw Abort{"return under a symbolically divergent branch"};
-        exec::add_lanes(returned_, m);
-        return;
-      case ir::StmtKind::kBreak:
-      case ir::StmtKind::kContinue:
-        fail_if_invalid(s);
-        return;
-    }
-  }
-
-  void exec_decl(const ir::DeclStmt& d, const Mask& m) {
-    fail_if_invalid(d);
-    // Installed before the initializer runs, as BlockCore::declare does:
-    // the initializer of `int x = x + 1;` reads the new, unset x.
-    Var& v = var_at(d.sim_slot) = Var{};
-    v.type = d.type;
-    if (d.type.is_array()) {
-      const auto elems = static_cast<std::size_t>(d.type.element_count());
-      v.block_scoped = d.type.space == ir::AddrSpace::kShared;
-      v.cells.assign(v.block_scoped
-                         ? elems
-                         : elems * static_cast<std::size_t>(lanes_.nlanes()),
-                     kInv);
-      if (v.block_scoped) v.meta.assign(elems, CellMeta{});
-      // A brace initializer runs per thread, into the thread's own copy
-      // (a shared array takes none); the tail zero-fills like C.
-      if (d.init_list.empty()) return;
-      for (std::size_t e = 0; e < elems; ++e) {
-        IdVec x = e < d.init_list.size()
-                      ? eval(*d.init_list[e], m)
-                      : splat(d.type.scalar == ScalarType::kFloat
-                                  ? ar_.cfloat(0.0)
-                                  : ar_.cint(0));
-        lanes_.for_each_lane(m, [&](std::size_t li) {
-          v.cells[li * elems + e] = coerce_id(x[li], d.type.scalar);
-        });
+      if (store) throw Abort{"store to '" + name + "' at a symbolic index"};
+      if (elems > opt_.max_gather_cells)
+        throw Abort{(tracked ? "load from '" + name + "' at a symbolic index"
+                             : std::string("symbolic-index load")) +
+                    " over " + std::to_string(elems) +
+                    " cells exceeds the gather limit"};
+      std::vector<std::uint32_t> snap(static_cast<std::size_t>(elems));
+      for (std::size_t e = 0; e < snap.size(); ++e) {
+        const std::size_t c = cell0 + e;
+        snap[e] = tracked ? note_read(v.meta[c], cells, c, l, buffer, name)
+                          : cells[c];
+        if (snap[e] == kInv)
+          throw Abort{"load from '" + name +
+                      "' at a symbolic index over uninitialized cells"};
       }
-    } else {
-      v.scalar = splat(kInv);
-      if (d.init) {
-        IdVec x = eval(*d.init, m);
-        lanes_.for_each_lane(m, [&](std::size_t li) {
-          v.scalar[li] = coerce_id(x[li], d.type.scalar);
-        });
-      }
-    }
-  }
-
-  void exec_assign(const ir::AssignStmt& a, const Mask& m) {
-    IdVec rhs = eval(*a.rhs, m);
-    if (a.op != ir::AssignOp::kAssign) {
-      IdVec old = eval(*a.lhs, m);
-      const BinOp op = compound_op(a.op);
-      lanes_.for_each_lane(m, [&](std::size_t li) {
-        if (old[li] == kInv || rhs[li] == kInv)
-          throw Abort{"compound assignment reads an uninitialized value"};
-        rhs[li] = ar_.bin(op, old[li], rhs[li]);
-      });
-    }
-    if (a.lhs->kind() == ir::ExprKind::kArrayIndex) {
-      (void)access(static_cast<const ir::ArrayIndex&>(*a.lhs), m, &rhs);
-      return;
-    }
-    fail_if_invalid(a);
-    Var& v = var_at(static_cast<const ir::VarRef&>(*a.lhs).sim_slot);
-    lanes_.for_each_lane(m, [&](std::size_t li) {
-      v.scalar[li] = coerce_id(rhs[li], v.type.scalar);
+      out[li] = ar_.gather(id, snap, type);
     });
   }
 
-  void exec_if(const ir::IfStmt& s, const Mask& m) {
-    IdVec c = eval(*s.cond, m);
-    Mask tm = lanes_.none(), fm = tm, sm = tm;
-    lanes_.for_each_lane(m, [&](std::size_t li) {
-      if (c[li] == kInv) throw Abort{"branch on an uninitialized value"};
+  // ---------------- control flow ----------------
+  /// kIfSplit; true when the then arm is empty. Side effects that could
+  /// leak across lanes (shared stores, barriers, shfl, return) abort in
+  /// either arm of a symbolic split; global stores fold the branch
+  /// predicates into the stored value.
+  bool if_split(const Instr& ins) {
+    const Ids c = src(ins.a);
+    Split& s = splits_.emplace_back();
+    Mask fm = lanes_.none();
+    s.tm = s.sm = fm;
+    each_lane([&](std::size_t l) {
       Value cv;
-      if (!ar_.constant(c[li], &cv))
-        lanes_.set_lane(sm, li);
+      if (c.at(l) == kInv) throw Abort{"branch on an uninitialized value"};
+      if (!ar_.constant(c.at(l), &cv))
+        lanes_.set_lane(s.sm, l);
       else
-        lanes_.set_lane(cv.truthy() ? tm : fm, li);
+        lanes_.set_lane(cv.truthy() ? s.tm : fm, l);
     });
-    if (!any(sm)) {
-      if (any(tm)) exec_block(*s.then_body, tm);
-      if (s.else_body && any(fm)) exec_block(*s.else_body, fm);
-      return;
+    Mask tm = s.tm;
+    if (any(s.sm)) {
+      s.symbolic = true;
+      s.frame = frame_;
+      s.cond = s.else_pred = splat(kInv);
+      lanes_.for_each_lane(s.sm, [&](std::size_t l) {
+        s.cond[l] = c.at(l);
+        s.else_pred[l] = ar_.un(UnOp::kLNot, c.at(l));
+      });
+      exec::add_lanes(tm, s.sm);
+      exec::add_lanes(fm, s.sm);
+      ++div_depth_;
+      preds_.push_back(s.cond);
     }
-    // Symbolically divergent branch: run both sides from the same
-    // pre-state, then merge per-lane register values with select nodes.
-    // Side effects that could leak across lanes (shared/global stores,
-    // barriers, shfl, return) abort inside either side.
-    std::vector<Var> pre = frame_;
-    Mask tsm = tm, fsm = fm;
-    exec::add_lanes(tsm, sm);
-    exec::add_lanes(fsm, sm);
-    IdVec tpred = splat(kInv), fpred = splat(kInv);
-    lanes_.for_each_lane(sm, [&](std::size_t li) {
-      tpred[li] = c[li];
-      fpred[li] = ar_.un(UnOp::kLNot, c[li]);
-    });
-    ++div_depth_;
-    preds_.push_back(std::move(tpred));
-    exec_block(*s.then_body, tsm);
-    preds_.back() = std::move(fpred);
-    std::vector<Var> then_frame = std::move(frame_);
-    frame_ = std::move(pre);
-    if (s.else_body) exec_block(*s.else_body, fsm);
+    // An else mask below the then mask; an else-less if needs none.
+    if (ins.aux) masks_[depth() + 1] = std::move(fm);
+    mdepth_ += ins.aux ? 2 : 1;
+    cur() = std::move(tm);
+    return !any(cur());
+  }
+
+  /// kIfElse; true when the else arm is empty (its kIfEnd is skipped).
+  bool if_else() {
+    --mdepth_;
+    Split& s = splits_.back();
+    if (s.symbolic) {
+      std::swap(frame_, s.frame);
+      s.in_else = true;
+      preds_.back() = std::move(s.else_pred);
+    }
+    if (any(cur())) return false;
+    --mdepth_;
+    splits_.pop_back();
+    return true;
+  }
+
+  void if_end() {
+    --mdepth_;
+    Split s = std::move(splits_.back());
+    splits_.pop_back();
+    if (!s.symbolic) return;
+    if (!s.in_else) std::swap(frame_, s.frame);
     preds_.pop_back();
     --div_depth_;
-    merge_frames(then_frame, c, tm, sm);
+    merge_frames(s.frame, s.cond, s.tm, s.sm);
   }
 
   /// Merges the then-branch's frame into the else-branch's, slot by slot.
@@ -1513,77 +1525,61 @@ class Exec {
     // and is never read before its declaration runs again, so how it
     // merges does not matter.
     for (std::size_t slot = 0; slot < frame_.size(); ++slot) {
-      Var& tv = then_frame[slot];
       Var& ev = frame_[slot];
-      if (ev.block_scoped || ev.is_buffer) continue;  // stores were banned
-      if (tv.scalar.size() == ev.scalar.size())
-        for (std::size_t i = 0; i < ev.scalar.size(); ++i)
-          ev.scalar[i] = merge_id(i, tv.scalar[i], ev.scalar[i]);
-      if (!ev.block_scoped && tv.cells.size() == ev.cells.size() &&
-          !ev.cells.empty()) {
-        auto elems = static_cast<std::size_t>(ev.type.element_count());
-        for (std::size_t i = 0; i < ev.cells.size(); ++i)
-          ev.cells[i] = merge_id(i / elems, tv.cells[i], ev.cells[i]);
-      }
-    }
-  }
-
-  void exec_for(const ir::ForStmt& f, const Mask& m) {
-    if (f.init) exec_stmt(*f.init, m);
-    Mask active = m;
-    while (true) {
-      count_step();  // back-edge, like the interpreter's watchdog
-      if (f.cond) {
-        IdVec c = eval(*f.cond, active);
-        prune(active, c, "loop bound");
-      }
-      if (!any(active)) break;
-      exec_block(*f.body, active);
-      if (!exec::clear_lanes(active, returned_)) break;
-      if (f.inc) exec_stmt(*f.inc, active);
-    }
-  }
-
-  void exec_while(const ir::WhileStmt& w, const Mask& m) {
-    Mask active = m;
-    while (true) {
-      count_step();
-      IdVec c = eval(*w.cond, active);
-      prune(active, c, "while condition");
-      if (!any(active)) break;
-      exec_block(*w.body, active);
-      (void)exec::clear_lanes(active, returned_);
+      if (ev.block_scoped) continue;  // stores were banned
+      auto merge = [&](IdVec& e, const IdVec& t, std::size_t elems) {
+        if (t.size() == e.size())
+          for (std::size_t i = 0; i < e.size(); ++i)
+            e[i] = merge_id(i / elems, t[i], e[i]);
+      };
+      merge(ev.scalar, then_frame[slot].scalar, 1);
+      if (!ev.cells.empty())
+        merge(ev.cells, then_frame[slot].cells,
+              static_cast<std::size_t>(ev.type.element_count()));
     }
   }
 
   /// Loop conditions must fold to constants per lane (trip counts are part
   /// of the proof obligation, not the symbolic environment).
-  void prune(Mask& active, const IdVec& c, const char* what) {
+  void prune(const Instr& ins) {
+    const char* what = ins.aux ? "while condition" : "loop bound";
+    const Ids c = src(ins.a);
     Mask taken = lanes_.none();
-    lanes_.for_each_lane(active, [&](std::size_t li) {
-      if (c[li] == kInv)
+    each_lane([&](std::size_t l) {
+      const std::uint32_t id = c.at(l);
+      if (id == kInv)
         throw Abort{std::string(what) + " reads an uninitialized value"};
       Value cv;
-      if (!ar_.constant(c[li], &cv))
+      if (!ar_.constant(id, &cv))
         throw Abort{std::string("symbolic ") + what +
                     " (data-dependent trip count)"};
-      if (cv.truthy()) lanes_.set_lane(taken, li);
+      if (cv.truthy()) lanes_.set_lane(taken, l);
     });
-    active = std::move(taken);
+    cur() = std::move(taken);
   }
 
   // ---------------- state ----------------
   const DeviceSpec& spec_;
   const ir::Kernel& kernel_;
   std::shared_ptr<const BoundKernel> bound_;
+  std::shared_ptr<const bytecode::Program> prog_;
   Dim3 grid_, block_;
   const std::vector<SymArg>& args_;
   SymArena& ar_;
   SymExecOptions opt_;
   exec::Lanes lanes_;
-  std::vector<GBuf> globals_;
+  std::vector<Var> globals_;
   std::vector<SymRace> races_;
   std::int64_t steps_ = 0;
+
+  /// Registers, lane-major like the VM's: node ids, and the concrete
+  /// index of a kFlatten register's kConcreteFlat lanes.
+  IdVec regs_;
+  std::vector<std::int64_t> flat_;
+  /// The mask stack (masks_[mdepth_] is active) and the open ifs.
+  std::vector<Mask> masks_;
+  int mdepth_ = 0;
+  std::vector<Split> splits_;
 
   /// Variables by binder slot; geometry lane vectors by Geom code.
   std::vector<Var> frame_;

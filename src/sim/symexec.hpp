@@ -1,36 +1,23 @@
 // Symbolic evaluator over ir:: kernels (the proof engine behind
 // np/certifier.hpp).
 //
-// The executor runs a kernel in the same block-lockstep vector model as
-// the interpreter, but with *symbolic* float data: geometry and int
-// scalar parameters are concrete (so loop bounds, indices and masks
-// fold), while float buffer elements and float scalar parameters are
-// opaque input leaves. Every arithmetic step builds a hash-consed
-// expression node whose constant folding uses the interpreter's scalar
-// semantics (sim/arith.hpp: float ops round through f32, int64 wraps,
-// the math builtins come from its one table), so a fully-concrete
-// symbolic run computes exactly what the interpreter would.
+// The executor interprets the bytecode::Program that bytecode::lower
+// builds for the VM (sim/bytecode.hpp), in the same block-lockstep
+// vector model, but with *symbolic* float data: geometry and int scalar
+// parameters are concrete (so loop bounds, indices and masks fold),
+// while float buffer elements and float scalar parameters are opaque
+// input leaves. Registers and variables hold hash-consed expression
+// nodes; every arithmetic step builds one whose constant folding uses
+// the VM's scalar semantics (sim/arith.hpp: float ops round through f32,
+// int64 wraps, the math builtins come from its one table), so a
+// fully-concrete symbolic run computes exactly what the VM would.
 //
-// Lanes behave the way the VM's do: both engines run on the lane model
-// of sim/lanes.hpp, with the DeviceSpec the certifier holds. The launch
-// checks, warp masks and lane order, geometry values, the __syncthreads
-// arrival rule and the __shfl rules (the sm_30 gate, the width check,
-// the source lane) are the VM's own code, so where one of them fails
-// the run aborts as a fault with the VM's message.
-//
-// Names resolve the way the VM resolves them: through
-// the slot binder (sim/binder.hpp). sym_execute binds the kernel (or
-// reuses its cached binding) and reads the annotations: each variable
-// reference and declaration indexes a slot-ordered frame, geometry names
-// index a per-block array of lane vectors, and each call site carries
-// its Builtin. Every declaration is therefore its own variable, visible
-// only in its C block scope. Structural errors come from the binder too
-// (BoundKernel::error): where evaluation reaches a node the binder
-// judges invalid, the run aborts as a fault with the binder's text, at
-// the point the VM raises the same text. The executor composes no
-// structural-error text of its own. A node added after binding
-// (kSlotUnbound) reads as the binder's "unbound" error instead of a
-// guess.
+// Evaluation order, typing, name resolution, declarations and masks are
+// the lowering's, so both engines run one definition of every construct.
+// Each kTrap raises the binder's structural-error text (sim/binder.hpp),
+// and lanes, launch checks, __syncthreads and __shfl follow the lane
+// model of sim/lanes.hpp on the DeviceSpec the certifier holds: where
+// one of them fails, the run aborts as a fault with the VM's message.
 //
 // The result is, per output buffer element, an expression DAG over the
 // input leaves. np::Certifier normalizes those DAGs (constant folding,

@@ -159,15 +159,11 @@ class VmExec : public exec::BlockCore {
           (void)var_read_check(ins.slot, name_at(ins.name), cur(), ins.loc);
           break;
         case Op::kStoreVar:
+        case Op::kDeclInit:
           with_view(ins.a, [&](auto v) { store_var(slot_of(ins), cur(), v); });
           break;
         case Op::kDeclare:
           (void)declare(decl_of(ins));
-          break;
-        case Op::kDeclInit:
-          with_view(ins.a, [&](auto v) {
-            decl_scalar_init(slot_of(ins), cur(), v);
-          });
           break;
         case Op::kDeclFill:
           with_view(ins.a, [&](auto v) {

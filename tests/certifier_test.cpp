@@ -1128,6 +1128,161 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
+// ---------------------------------------------------------------------
+// A __shfl whose source lane holds no value: the sanitizer's hazard and
+// every certificate carry one text, composed once.
+
+struct ShflSourceCase {
+  const char* name;
+  const char* guard;  // the lanes that set u
+  const char* call;
+  const char* text;
+};
+
+void PrintTo(const ShflSourceCase& c, std::ostream* os) { *os << c.name; }
+
+const ShflSourceCase kShflSourceCases[] = {
+    {"Broadcast", "tx > 0", "__shfl(u, 0, 32)",
+     "__shfl reads uninitialized variable 'u' from lane 0"},
+    {"BroadcastLane5", "tx != 5", "__shfl(u, 5, 32)",
+     "__shfl reads uninitialized variable 'u' from lane 5"},
+    {"Up", "tx > 0", "__shfl_up(u, 1, 32)",
+     "__shfl_up reads uninitialized variable 'u' from lane 0"},
+    {"Xor", "tx != 3", "__shfl_xor(u, 1, 32)",
+     "__shfl_xor reads uninitialized variable 'u' from lane 3"},
+};
+
+class ShflUninitializedSource
+    : public ::testing::TestWithParam<ShflSourceCase> {};
+
+TEST_P(ShflUninitializedSource, SanitizerAndCertifierShareTheText) {
+  const ShflSourceCase& c = GetParam();
+  auto prog = frontend::parse_program_or_throw(
+      std::string(R"(
+__global__ void k(float* a, float* out, int n) {
+  int tx = threadIdx.x;
+  float u;
+  if ()") + c.guard + R"() {
+    u = a[tx];
+  }
+  float v = )" + c.call + R"(;
+  float s = 0.0f;
+  #pragma np parallel for reduction(+:s)
+  for (int i = 0; i < 8; i++)
+    s += a[tx * 8 + i];
+  out[tx] = s + v;
+}
+)");
+  ir::Kernel& kernel = *prog->find_kernel("k");
+  np::Workload w = np::make_synthetic_workload(kernel, 32, 32);
+  const auto run = np::Runner(sim::DeviceSpec::gtx680())
+                       .execute(np::ExecutionRequest::baseline(kernel, w)
+                                    .sanitized());
+  ASSERT_FALSE(run.hazards().empty());
+  EXPECT_EQ(run.hazards().front().message, c.text);
+  for (const Certificate& cert : certify_all(kernel, 32)) {
+    EXPECT_EQ(cert.verdict, Verdict::kInconclusive) << cert.str();
+    EXPECT_EQ(cert.detail, std::string("baseline: ") + c.text);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Texts, ShflUninitializedSource, ::testing::ValuesIn(kShflSourceCases),
+    [](const ::testing::TestParamInfo<ShflSourceCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// ---------------------------------------------------------------------
+// Conversion to bool follows C: every nonzero value stores as 1, in a
+// declaration, an assignment, a compound assignment and a brace
+// initializer alike.
+
+constexpr const char* kBoolSrc = R"(
+__global__ void k(float* a, float* o) {
+  int tx = threadIdx.x;
+  bool b = 2;
+  o[tx * 8] = b == 1;
+  bool c = 0.25f;
+  o[tx * 8 + 1] = 0.0f;
+  if (c) {
+    o[tx * 8 + 1] = 1.0f;
+  }
+  bool w[2] = {5, 0.5f};
+  o[tx * 8 + 2] = w[0];
+  o[tx * 8 + 3] = w[1];
+  bool f = 0;
+  f += 2;
+  o[tx * 8 + 4] = f == 1;
+  bool e;
+  e = 3;
+  o[tx * 8 + 5] = e;
+  bool d = a[tx];
+  o[tx * 8 + 6] = d;
+}
+)";
+
+constexpr int kBoolThreads = 2;
+constexpr std::uint64_t kBoolSeed = 5;
+
+/// o after a VM run of kBoolSrc on a seeded input.
+std::vector<float> bool_kernel_on_the_vm(const ir::Kernel& kernel) {
+  np::Workload w;
+  const auto a = w.mem->alloc(ir::ScalarType::kFloat, kBoolThreads);
+  const auto o = w.mem->alloc(ir::ScalarType::kFloat, kBoolThreads * 8);
+  w.launch.args = {a, o};
+  w.launch.grid = {1, 1, 1};
+  w.launch.block = {kBoolThreads, 1, 1};
+  np::seed_certify_floats(w, kBoolSeed);
+  (void)np::Runner(sim::DeviceSpec::gtx680())
+      .execute(np::ExecutionRequest::baseline(kernel, w));
+  const auto out = w.mem->buffer(o).f32();
+  return {out.begin(), out.end()};
+}
+
+TEST(BoolConversion, VmFollowsC) {
+  std::unique_ptr<ir::Program> prog;
+  const ir::Kernel& kernel = parse_kernel(prog, kBoolSrc);
+  const std::vector<float> out = bool_kernel_on_the_vm(kernel);
+  for (int t = 0; t < kBoolThreads; ++t) {
+    SCOPED_TRACE("thread " + std::to_string(t));
+    // Cell 6 stores d = a[t], a nonzero seeded input.
+    for (int e = 0; e < 7; ++e) EXPECT_EQ(out[t * 8 + e], 1.0f) << e;
+  }
+}
+
+TEST(BoolConversion, CertifierFollowsC) {
+  std::unique_ptr<ir::Program> prog;
+  const ir::Kernel& kernel = parse_kernel(prog, kBoolSrc);
+  std::vector<sim::SymArg> args(2);
+  args[0].elems = kBoolThreads;
+  args[1].elems = kBoolThreads * 8;
+  for (auto& arg : args) {
+    arg.kind = sim::SymArg::Kind::kBufferSymbolic;
+    arg.type = ir::ScalarType::kFloat;
+  }
+  sim::SymArena arena;
+  const auto r = sim::sym_execute(sim::DeviceSpec::gtx680(), kernel,
+                                  {1, 1, 1}, {kBoolThreads, 1, 1}, args,
+                                  arena);
+  ASSERT_TRUE(r.ok) << r.reason;
+  const std::vector<float> vm = bool_kernel_on_the_vm(kernel);
+  sim::SymEvaluator eval(arena, kBoolSeed);
+  for (int t = 0; t < kBoolThreads; ++t) {
+    SCOPED_TRACE("thread " + std::to_string(t));
+    for (int e = 0; e < 7; ++e) {
+      const std::uint32_t id = r.buffers[1][t * 8 + e];
+      sim::Value v;
+      if (e < 6) {
+        ASSERT_TRUE(arena.constant(id, &v)) << e;
+        EXPECT_EQ(v.as_f(), 1.0) << e;
+      }
+      ASSERT_TRUE(eval.eval(id, &v)) << e;
+      EXPECT_EQ(v.as_f(), 1.0) << e;
+      EXPECT_EQ(static_cast<float>(v.as_f()), vm[t * 8 + e]) << e;
+    }
+  }
+}
+
 // A brace initializer runs per thread: w[0] is each thread's own a[tx].
 constexpr const char* kConstantBraceSrc = R"(
 __global__ void k(float* a, float* out) {

@@ -603,6 +603,146 @@ TEST(EngineEquivalenceFuzz, MixedTypesTailWarpsAndMasksBitIdentical) {
   EXPECT_EQ(uncertified, kMixedUncertified);
 }
 
+// ---------------- the symbolic oracle over the paper suite ----------------
+
+constexpr double kOracleScale = 0.02;
+
+/// Cells of a benchmark's programs (baseline and every NP variant) that
+/// SymEvaluator cannot evaluate. BK's `if (b > 0) lo = piv[b - 1];`
+/// merges into a select whose untaken arm gathers at index -1, and eval
+/// evaluates both arms of a select: 662 of each program's 6176 cells.
+int oracle_unevaluable(const std::string& bench) {
+  return bench == "BK" ? 9 * 662 : 0;
+}
+
+/// The certifier's abstraction of `w`: float buffers and float scalars
+/// become input leaves, int data stays concrete.
+std::vector<sim::SymArg> symbolic_args(const np::Workload& w) {
+  std::vector<sim::SymArg> args;
+  for (const auto& arg : w.launch.args) {
+    sim::SymArg a;
+    if (const auto* id = std::get_if<sim::BufferId>(&arg)) {
+      const sim::DeviceBuffer& buf = w.mem->buffer(*id);
+      a.type = buf.type();
+      a.elems = static_cast<std::int64_t>(buf.size());
+      if (buf.type() == ir::ScalarType::kFloat) {
+        a.kind = sim::SymArg::Kind::kBufferSymbolic;
+      } else {
+        a.kind = sim::SymArg::Kind::kBufferConcrete;
+        const auto iv = buf.i32();
+        a.ints.assign(iv.begin(), iv.end());
+      }
+    } else if (std::get<sim::Value>(arg).is_float()) {
+      a.kind = sim::SymArg::Kind::kScalarSymbolic;
+      a.type = ir::ScalarType::kFloat;
+    } else {
+      a.scalar = std::get<sim::Value>(arg);
+    }
+    args.push_back(std::move(a));
+  }
+  return args;
+}
+
+/// Compares every cell of the kernel's buffer arguments after a VM run
+/// of `req` with the symbolic run `sym` evaluated at kMixedSeed; returns
+/// the number of cells the evaluator cannot evaluate.
+int expect_oracle_cells(const np::Workload& w, const sim::SymExecResult& sym,
+                        const sim::SymArena& arena) {
+  int unevaluable = 0;
+  sim::SymEvaluator eval(arena, kMixedSeed);
+  for (std::size_t i = 0; i < w.launch.args.size(); ++i) {
+    const auto* id = std::get_if<sim::BufferId>(&w.launch.args[i]);
+    if (!id) continue;
+    const sim::DeviceBuffer& buf = w.mem->buffer(*id);
+    EXPECT_EQ(sym.buffers[i].size(), buf.size()) << "arg " << i;
+    if (sym.buffers[i].size() != buf.size()) continue;
+    for (std::size_t e = 0; e < buf.size(); ++e) {
+      sim::Value v;
+      if (!eval.eval(sym.buffers[i][e], &v)) {
+        ++unevaluable;
+        continue;
+      }
+      if (buf.type() == ir::ScalarType::kFloat) {
+        const auto want = static_cast<float>(v.as_f());
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(want),
+                  std::bit_cast<std::uint32_t>(buf.f32()[e]))
+            << "arg " << i << " cell " << e << ": symbolic " << want
+            << ", VM " << buf.f32()[e];
+      } else {
+        EXPECT_EQ(v.as_i(), buf.i32()[e]) << "arg " << i << " cell " << e;
+      }
+    }
+  }
+  return unevaluable;
+}
+
+class SymbolicOracle : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(SymbolicOracle, EveryProgramEqualsTheVm) {
+  // The baseline and every NP variant of one benchmark: each symbolic run,
+  // evaluated at the seed that filled the VM's inputs, must equal the VM
+  // bit for bit on every cell it can evaluate.
+  const std::string name = GetParam();
+  auto bench = kernels::make_benchmark(name, kOracleScale);
+  const auto spec = sim::DeviceSpec::gtx680();
+  const np::Workload probe = bench->make_workload();
+  const std::vector<sim::SymArg> args = symbolic_args(probe);
+  auto check = [&](const ir::Kernel& kernel, sim::Dim3 block,
+                   const std::vector<sim::SymArg>& sym_args,
+                   const auto& make_request) {
+    sim::SymArena arena;
+    const auto sym = sim::sym_execute(spec, kernel, probe.launch.grid, block,
+                                      sym_args, arena);
+    EXPECT_TRUE(sym.ok) << sym.reason;
+    if (!sym.ok) return 0;
+    np::Workload w = bench->make_workload();
+    np::seed_certify_floats(w, kMixedSeed);
+    const auto run = np::Runner{spec}.execute(make_request(w));
+    EXPECT_TRUE(run.ran);
+    return expect_oracle_cells(w, sym, arena);
+  };
+  int unevaluable = check(bench->kernel(), probe.launch.block, args,
+                          [&](np::Workload& w) {
+                            return np::ExecutionRequest::baseline(
+                                bench->kernel(), w);
+                          });
+  int programs = 1;
+  for (const auto& cfg : np::NpCompiler::enumerate_configs(
+           bench->kernel(), static_cast<int>(probe.launch.block.count()),
+           spec)) {
+    SCOPED_TRACE(cfg.describe());
+    transform::TransformResult variant;
+    try {
+      variant = np::NpCompiler::transform(bench->kernel(), cfg);
+    } catch (const CompileError&) {
+      continue;  // configuration legitimately inapplicable
+    }
+    std::vector<sim::SymArg> vargs = args;
+    for (const auto& extra : variant.extra_buffers) {
+      sim::SymArg a;
+      a.kind = sim::SymArg::Kind::kBufferScratch;
+      a.type = extra.type;
+      a.elems = extra.elems_per_block * probe.launch.grid.count();
+      vargs.push_back(a);
+    }
+    unevaluable += check(*variant.kernel, variant.block_dims, vargs,
+                         [&](np::Workload& w) {
+                           return np::ExecutionRequest::transformed(variant,
+                                                                    w);
+                         });
+    ++programs;
+  }
+  EXPECT_GT(programs, 1);
+  EXPECT_EQ(unevaluable, oracle_unevaluable(name));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllBenchmarks, SymbolicOracle,
+    ::testing::ValuesIn(kernels::benchmark_names()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
+
 // ---------------- former lowering-decline shapes ----------------
 //
 // Lowering used to decline these shapes and run them on the AST walk,
