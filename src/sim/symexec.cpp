@@ -811,9 +811,8 @@ using exec::Mask;
 using IdVec = std::vector<std::uint32_t>;
 
 constexpr std::uint32_t kInv = SymArena::kInvalid;
-/// A kFlatten register lane whose index is still concrete (its value is
-/// in flat_); other lanes hold a symbolic index node, or kInv for no index
-/// (an unset shfl-broadened lane).
+/// A kFlatten register lane whose index is still concrete (in flat_);
+/// other lanes hold an index node, or kInv (a shfl-broadened lane).
 constexpr std::uint32_t kConcreteFlat = kInv - 1;
 
 /// Non-SymFault abort: unsupported construct (fault = false) or a
@@ -849,9 +848,8 @@ struct Ids {
 };
 
 /// An if statement between its kIfSplit and its kIfEnd. A condition
-/// symbolic on some lanes (sm) runs both arms on them: the then arm on a
-/// copy of the frame, the else arm on the frame the split began with,
-/// and kIfEnd merges the two with select nodes.
+/// symbolic on some lanes (sm) runs both arms there, each on its own copy
+/// of the frame, and kIfEnd merges the two with select nodes.
 struct Split {
   bool symbolic = false;
   bool in_else = false;
@@ -861,19 +859,15 @@ struct Split {
   Mask tm, sm;            // lanes whose condition is true / symbolic
 };
 
-std::vector<ScalarType> declared_types(const ir::Kernel& k) {
-  std::vector<ScalarType> out;
-  for (const ir::Param& p : k.params) out.push_back(p.type.scalar);
-  return out;
-}
-
 class Exec {
  public:
   Exec(const DeviceSpec& spec, const ir::Kernel& k, Dim3 grid, Dim3 block,
        const std::vector<SymArg>& args, SymArena& arena,
        const SymExecOptions& opt)
       : spec_(spec), kernel_(k), bound_(bind_kernel(k)),
-        prog_(bytecode::lower(*bound_, declared_types(k))), grid_(grid),
+        // No bound buffer types: every load is typed with its
+        // parameter's declared type, which setup() gives the buffer.
+        prog_(bytecode::lower(*bound_)), grid_(grid),
         block_(block), args_(args), ar_(arena), opt_(opt) {}
 
   SymExecResult run() {
@@ -966,7 +960,8 @@ class Exec {
            static_cast<std::int64_t>(by) * grid_.x + bx;
     frame_.assign(bound_->num_slots(), Var{});
     masks_[0] = lanes_.full();
-    mdepth_ = div_depth_ = shfl_depth_ = 0;
+    mdepth_ = 0;
+    div_depth_ = shfl_depth_ = 0;
     splits_.clear();
     preds_.clear();
     returned_ = lanes_.none();
@@ -1056,7 +1051,7 @@ class Exec {
       case Op::kShflArgBegin:
         if (div_depth_ > 0)
           throw Abort{"__shfl under a symbolically divergent branch"};
-        lanes_.make_broad_mask(cur(), masks_[depth() + 1]);
+        lanes_.make_broad_mask(cur(), masks_[mdepth_ + 1]);
         ++mdepth_;
         ++shfl_depth_;
         break;
@@ -1079,7 +1074,7 @@ class Exec {
       case Op::kIfElse: return if_else();
       case Op::kIfEnd: if_end(); break;
       case Op::kLoopEnter:
-        masks_[depth() + 1] = cur();
+        masks_[mdepth_ + 1] = cur();
         ++mdepth_;
         break;
       case Op::kMaskAnd: prune(ins); break;
@@ -1118,11 +1113,8 @@ class Exec {
                                std::to_string(i) + "]'"});
   }
 
-  /// The mask of the innermost active region, at masks_[depth()].
-  [[nodiscard]] std::size_t depth() const {
-    return static_cast<std::size_t>(mdepth_);
-  }
-  [[nodiscard]] Mask& cur() { return masks_[depth()]; }
+  /// The mask of the innermost active region.
+  [[nodiscard]] Mask& cur() { return masks_[mdepth_]; }
   template <class Fn>
   void each_lane(Fn&& fn) {
     lanes_.for_each_lane(cur(), fn);
@@ -1167,45 +1159,57 @@ class Exec {
     return ar_.cast(to, id);
   }
 
-  /// The operators: dst = op(a, b, c) on each active lane. A lane where
-  /// an operand has no value gets none; a compound assignment aborts.
+  /// The operators, each with a lane loop of its own.
   void lane_op(const Instr& ins) {
+    const SymFn fn = sym_fn_of(static_cast<Builtin>(ins.aux));
+    switch (ins.op) {
+      case Op::kUn:
+        return lanes(ins, [&](auto x, auto, auto) {
+          return ar_.un(static_cast<UnOp>(ins.aux), x);
+        });
+      case Op::kCast:
+        return lanes(ins, [&](auto x, auto, auto) {
+          return ar_.cast(static_cast<ScalarType>(ins.aux), x);
+        });
+      case Op::kSelect:
+        return lanes(ins, [&](auto c, auto x, auto y) {
+          // Both arms convert to their common type, as in the VM: float
+          // if either arm is float (bool and int arms are both int).
+          if ((ar_.node(x).type == ScalarType::kFloat) !=
+              (ar_.node(y).type == ScalarType::kFloat)) {
+            x = ar_.cast(ScalarType::kFloat, x);
+            y = ar_.cast(ScalarType::kFloat, y);
+          }
+          return ar_.select(c, x, y);
+        });
+      case Op::kMath1:
+      case Op::kAbs:
+        return lanes(ins, [&](auto x, auto, auto) { return ar_.call(fn, {x}); });
+      case Op::kMath2:
+        return lanes(ins,
+                     [&](auto x, auto y, auto) { return ar_.call(fn, {x, y}); });
+      default:  // kBin, kCompound
+        return lanes(ins, [&](auto x, auto y, auto) {
+          return ar_.bin(static_cast<BinOp>(ins.aux), x, y);
+        });
+    }
+  }
+
+  /// dst = fn(a, b, c) on each active lane. A lane where an operand has
+  /// no value gets none; a compound assignment aborts.
+  template <class Fn>
+  void lanes(const Instr& ins, Fn&& fn) {
     const Ids a = src(ins.a), b = src(ins.b), c = src(ins.c);
     std::uint32_t* out = reg(ins.dst);
     each_lane([&](std::size_t l) {
       const std::uint32_t x = a.at(l), y = b.at(l), z = c.at(l);
       if (x != kInv && y != kInv && z != kInv)
-        out[l] = operate(ins, x, y, z);
+        out[l] = fn(x, y, z);
       else if (ins.op == Op::kCompound)
         throw Abort{"compound assignment reads an uninitialized value"};
       else
         out[l] = kInv;
     });
-  }
-
-  /// Inlined into the lane loop, so a lane costs no call.
-  [[gnu::always_inline]] std::uint32_t operate(const Instr& ins,
-                                               std::uint32_t x, std::uint32_t y,
-                                               std::uint32_t z) {
-    const SymFn fn = sym_fn_of(static_cast<Builtin>(ins.aux));
-    switch (ins.op) {
-      case Op::kUn: return ar_.un(static_cast<UnOp>(ins.aux), x);
-      case Op::kCast: return ar_.cast(static_cast<ScalarType>(ins.aux), x);
-      case Op::kSelect:
-        // Both arms convert to their common type, as in the VM: float if
-        // either arm is float (bool and int arms are both int).
-        if ((ar_.node(y).type == ScalarType::kFloat) !=
-            (ar_.node(z).type == ScalarType::kFloat)) {
-          y = ar_.cast(ScalarType::kFloat, y);
-          z = ar_.cast(ScalarType::kFloat, z);
-        }
-        return ar_.select(x, y, z);
-      case Op::kMath1:
-      case Op::kAbs: return ar_.call(fn, {x});
-      case Op::kMath2: return ar_.call(fn, {x, y});
-      default:  // kBin, kCompound
-        return ar_.bin(static_cast<BinOp>(ins.aux), x, y);
-    }
   }
 
   // ---------------- declarations ----------------
@@ -1315,11 +1319,9 @@ class Exec {
   }
 
   /// Inlined: a gather calls it once per cell of every lane.
-  [[gnu::always_inline]] std::uint32_t note_read(CellMeta& meta,
-                                                 const IdVec& cells,
-                                                 std::size_t i, int lane,
-                                                 bool is_global,
-                                                 const std::string& name) {
+  [[gnu::always_inline]]
+  std::uint32_t note_read(CellMeta& meta, const IdVec& cells, std::size_t i,
+                          int lane, bool is_global, const std::string& name) {
     const int warp = lanes_.warp_of(lane);
     if (is_global && meta.wblock >= 0 && meta.wblock != blk_)
       throw Abort{"cross-block read of '" + name + "[" + std::to_string(i) +
@@ -1478,7 +1480,7 @@ class Exec {
       preds_.push_back(s.cond);
     }
     // An else mask below the then mask; an else-less if needs none.
-    if (ins.aux) masks_[depth() + 1] = std::move(fm);
+    if (ins.aux) masks_[mdepth_ + 1] = std::move(fm);
     mdepth_ += ins.aux ? 2 : 1;
     cur() = std::move(tm);
     return !any(cur());
@@ -1578,7 +1580,7 @@ class Exec {
   std::vector<std::int64_t> flat_;
   /// The mask stack (masks_[mdepth_] is active) and the open ifs.
   std::vector<Mask> masks_;
-  int mdepth_ = 0;
+  std::size_t mdepth_ = 0;
   std::vector<Split> splits_;
 
   /// Variables by binder slot; geometry lane vectors by Geom code.
