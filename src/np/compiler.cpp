@@ -150,18 +150,6 @@ bool buffers_match(const sim::DeviceMemory& ref, const sim::DeviceMemory& got,
 
 namespace {
 
-/// The certifier of a validation run. Tolerances and interpreter knobs
-/// are inherited from the validation options so the certifier and the
-/// empirical legs agree on what "equal" means.
-Certifier validation_certifier(const sim::DeviceSpec& spec,
-                               const ValidationOptions& opt) {
-  CertifyOptions copt = opt.certify_opts;
-  copt.f32_rel_tol = opt.f32_rel_tol;
-  copt.f32_abs_tol = opt.f32_abs_tol;
-  copt.interp = opt.interp;
-  return Certifier(spec, copt);
-}
-
 /// Certifies `variant`, going through the provider cache when bound.
 Certificate certify_with_cache(JobCertifier& job,
                                const transform::TransformResult& variant,
@@ -176,6 +164,14 @@ Certificate certify_with_cache(JobCertifier& job,
 }
 
 }  // namespace
+
+CertifyOptions ValidationOptions::certifier_options() const {
+  CertifyOptions copt = certify_opts;
+  copt.f32_rel_tol = f32_rel_tol;
+  copt.f32_abs_tol = f32_abs_tol;
+  copt.interp.jobs = 1;
+  return copt;
+}
 
 bool ValidationReport::all_clean() const {
   if (!baseline_ran || !baseline_hazards.empty()) return false;
@@ -333,7 +329,7 @@ FallbackResult NpCompiler::compile_with_fallback(
     out.decision.first_choice = candidates.front().describe();
   }
 
-  const Certifier certifier = validation_certifier(spec, opt);
+  const Certifier certifier(spec, opt.certifier_options());
   JobCertifier job(certifier, kernel, make_workload);
   for (const auto& cfg : candidates) {
     VariantFailure f;
@@ -427,7 +423,7 @@ ValidationReport NpCompiler::validate(
   report.baseline_ran = base_run.ran;
   report.baseline_hazards = base_run.engine.reports();
 
-  const Certifier certifier = validation_certifier(spec, opt);
+  const Certifier certifier(spec, opt.certifier_options());
   JobCertifier job(certifier, kernel, make_workload);
   for (const auto& cfg : configs) {
     ValidationEntry entry;

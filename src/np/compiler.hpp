@@ -83,17 +83,22 @@ struct ValidationOptions {
   /// np/certifier.hpp). A kRefuted verdict fails the entry / quarantines
   /// the candidate as FailureCause::kProvenWrong before it ever runs.
   bool certify = false;
-  /// Knobs for the certifier (f32 tolerances and interp are inherited
-  /// from this struct at use time and need not be set here).
+  /// Knobs for the certifier (f32 tolerances are inherited from this
+  /// struct by certifier_options() and need not be set here).
   CertifyOptions certify_opts;
   /// With certify: variants holding a kProven/kProvenModuloReassoc
   /// certificate skip the per-run sanitize + output cross-check in
   /// compile_with_fallback and run unguarded for raw speed (the
   /// watchdog still applies).
   bool certified_fast_path = false;
-  /// Optional certificate cache hooks (the serve layer binds
-  /// ArtifactCache here so each (kernel, variant) certifies once).
+  /// Optional certificate cache hooks (the serve layer ships stored
+  /// certificates in and collects the ones derived here).
   CertificateProvider certificates;
+
+  /// certify_opts with this struct's tolerances, replayed serially. The
+  /// run knobs in `interp` (watchdog, fault hooks) are not inherited: a
+  /// certificate depends only on what CertifyOptions::fingerprint() hashes.
+  [[nodiscard]] CertifyOptions certifier_options() const;
 };
 
 /// Mixed absolute/relative float comparison used by every output

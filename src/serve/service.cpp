@@ -7,7 +7,6 @@
 #include <sstream>
 #include <utility>
 
-#include "np/runner.hpp"
 #include "serve/artifact_cache.hpp"
 #include "serve/clock.hpp"
 #include "serve/journal.hpp"
@@ -148,53 +147,34 @@ void BatchService::run_job(const JobSpec& spec, std::size_t index,
   req.certify = opt_.certify;
   req.certified_fast_path = opt_.certified_fast_path;
 
-  // Symbolic pre-certification: every candidate (kernel, variant) pair
-  // is certified once, in-process, before any worker spawns — the
-  // certificates ship with the attempt, so a refuted variant is
-  // quarantined as proven-wrong without the worker re-deriving the
-  // verdict, and retries reuse the same proofs. Certificates are
-  // content-addressed serve artifacts: with an artifact cache they
-  // persist across runs and daemon requests. Chaos-corrupted ASTs skip
-  // this (corruption is chaos, not content — the worker certifies the
-  // corrupted kernel fresh and refutes it there).
-  if (opt_.certify && !req.corrupt_ast && kernel->parallel_loop_count() > 0) {
-    np::CertifyOptions copt;
-    copt.f32_rel_tol = opt_.f32_rel_tol;
-    copt.interp.jobs = 1;
-    const np::Certifier certifier(spec_, copt);
-    const ir::Kernel& k = *kernel;
-    const int elems = spec.elems;
-    const int tb = spec.tb;
-    auto factory = [&k, elems, tb] {
-      return np::make_synthetic_workload(k, elems, tb);
-    };
-    // One baseline proof serves every variant; it is built at the first
-    // cache miss, so a fully cached job never runs the symbolic executor.
+  // Certification runs inside the attempt, for exactly the configs
+  // compile_with_fallback consults. Stored certificates ship with the
+  // request, so a cached refutation still quarantines its config as
+  // proven-wrong before it runs; the chaos hooks damage them before
+  // lookup, so a torn or corrupt entry takes the path of a miss. A
+  // corrupted AST ships none: the attempt certifies the corruption.
+  ArtifactCache* cache = opt_.artifact_cache;
+  const np::CertifyOptions copt =
+      validation_options(req).certifier_options();
+  auto cert_key = [&](const std::string& config) {
+    return certificate_cache_key(req.source, kernel->name, req.device,
+                                 req.sm_version, req.elems, req.tb, config,
+                                 copt);
+  };
+  if (opt_.certify && cache && !req.corrupt_ast &&
+      kernel->parallel_loop_count() > 0) {
     // The synthetic workload launches tb threads per block.
-    np::JobCertifier job(certifier, k, factory);
-    ArtifactCache* cache = opt_.artifact_cache;
-    for (const auto& cfg : np::NpCompiler::enumerate_configs(k, tb, spec_)) {
-      std::string key;
-      if (cache) {
-        key = certificate_cache_key(req.source, k.name, req.device,
-                                    req.sm_version, elems, tb,
-                                    cfg.describe(), copt);
-        // The chaos hooks damage the stored certificate *before*
-        // lookup, so a torn/corrupt entry runs the exact
-        // quarantine-and-recertify path a production hit would.
-        if (spec.fault.corrupt_cert) (void)cache->corrupt_entry(key);
-        if (spec.fault.tear_cert) (void)cache->tear_entry(key);
-        if (auto payload = cache->lookup(key)) {
-          if (auto cert = np::Certificate::from_json(*payload);
-              cert && cert->config == cfg.describe()) {
-            req.certificates.push_back(std::move(*payload));
-            continue;
-          }
-        }
+    for (const auto& cfg :
+         np::NpCompiler::enumerate_configs(*kernel, req.tb, spec_)) {
+      const std::string config = cfg.describe();
+      const std::string key = cert_key(config);
+      if (spec.fault.corrupt_cert) (void)cache->corrupt_entry(key);
+      if (spec.fault.tear_cert) (void)cache->tear_entry(key);
+      if (auto payload = cache->lookup(key)) {
+        if (auto cert = np::Certificate::from_json(*payload);
+            cert && cert->config == config)
+          req.certificates.push_back(std::move(*payload));
       }
-      std::string payload = job.certify(cfg).json();
-      if (cache) cache->store(key, payload);
-      req.certificates.push_back(std::move(payload));
     }
   }
 
@@ -225,7 +205,6 @@ void BatchService::run_job(const JobSpec& spec, std::size_t index,
     // The chaos hooks damage the stored entry *before* lookup, so the
     // quarantine-and-recompile path runs under the exact code the
     // production hit path uses.
-    ArtifactCache* cache = opt_.artifact_cache;
     const bool cacheable =
         cache != nullptr && !req.corrupt_ast && !req.hook_faults;
     std::string cache_key;
@@ -245,6 +224,7 @@ void BatchService::run_job(const JobSpec& spec, std::size_t index,
 
     bool crashed = false;
     std::string crash_detail;
+    std::vector<std::string> derived;
     if (cache_hit) {
       // Nothing to execute: the verified entry is byte-identical to
       // what recompilation would produce (virtual cost is still charged
@@ -253,15 +233,24 @@ void BatchService::run_job(const JobSpec& spec, std::size_t index,
       SupervisedAttempt sa = sup_->execute(req);
       if (sa.status == AttemptStatus::kCompleted) {
         result = std::move(sa.result);
+        derived = std::move(sa.certificates);
       } else {
         crashed = true;
         crash_detail = std::move(sa.detail);
       }
     } else {
-      result = execute_attempt(req, spec_);
+      result = execute_attempt(req, spec_, &derived);
     }
     if (cacheable && !cache_hit && !crashed)
       cache->store(cache_key, result.json());
+    // The certificates the attempt derived serve later jobs from the
+    // cache and ship with this job's retries.
+    for (std::string& payload : derived) {
+      const auto cert = np::Certificate::from_json(payload);
+      if (!cert) continue;
+      if (cache) cache->store(cert_key(cert->config), payload);
+      req.certificates.push_back(std::move(payload));
+    }
 
     if (crashed) {
       // The worker died with the attempt. Synthesize the decision the

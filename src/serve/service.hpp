@@ -343,13 +343,12 @@ struct ServiceOptions {
   sim::SanitizerEngine::Options sanitizer;
   double f32_rel_tol = 1e-3;
 
-  /// Symbolic equivalence certification (np/certifier.hpp): each
-  /// (kernel, variant) pair is certified once per batch — proven
+  /// Symbolic equivalence certification (np/certifier.hpp): an attempt
+  /// certifies each variant it consults before running it — proven
   /// variants carry a machine-checkable certificate, refuted ones are
-  /// quarantined as proven-wrong before any worker spawns. Certificates
-  /// are content-addressed serve artifacts: with an artifact_cache they
-  /// persist across runs (checksummed; torn/corrupt entries quarantined
-  /// and re-certified).
+  /// quarantined as proven-wrong. Certificates are content-addressed
+  /// serve artifacts: with an artifact_cache they persist across runs
+  /// (checksummed; torn/corrupt entries quarantined and re-certified).
   bool certify = false;
   /// With certify: variants whose certificate verdict is proven skip
   /// the per-run sanitized cross-check and execute on the fast path
@@ -406,8 +405,9 @@ struct ServiceOptions {
 
 /// Content-addressed artifact-cache key of one equivalence certificate:
 /// the job source plus everything that changes the proof (kernel,
-/// device model, workload shape, config, certifier options). Exposed so
-/// tests and operators can address stored certificates directly.
+/// device model, workload shape, config, certifier options: the
+/// service's are validation_options(req).certifier_options()). Exposed
+/// so tests and operators can address stored certificates directly.
 [[nodiscard]] std::string certificate_cache_key(
     const std::string& source, const std::string& kernel,
     const std::string& device, int sm_version, int elems, int tb,

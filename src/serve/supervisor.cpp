@@ -164,8 +164,8 @@ SupervisedAttempt WorkerSupervisor::execute(const AttemptRequest& req) {
     if (s == ReadStatus::kOk && frame.type == kFrameHeartbeat)
       continue;  // alive: the next read gets a fresh timeout
     if (s == ReadStatus::kOk && frame.type == kFrameResult) {
-      auto result = AttemptResult::from_json(frame.payload);
-      if (!result) {
+      auto reply = AttemptReply::from_json(frame.payload);
+      if (!reply) {
         destroy(w);
         out.status = AttemptStatus::kCrashed;
         out.detail = "worker returned a malformed result frame";
@@ -175,7 +175,8 @@ SupervisedAttempt WorkerSupervisor::execute(const AttemptRequest& req) {
         return out;
       }
       out.status = AttemptStatus::kCompleted;
-      out.result = std::move(*result);
+      out.result = std::move(reply->result);
+      out.certificates = std::move(reply->certificates);
       checkin(w);
       return out;
     }

@@ -66,6 +66,8 @@ struct SupervisedAttempt {
   AttemptStatus status = AttemptStatus::kSpawnFailed;
   /// Valid only when status == kCompleted.
   AttemptResult result;
+  /// The certificates the attempt derived (AttemptReply::certificates).
+  std::vector<std::string> certificates;
   /// Deterministic description for the non-completed statuses.
   std::string detail;
 };

@@ -6,7 +6,8 @@
 //   [1 byte type][4 bytes little-endian payload length][payload]
 //
 //   'J'  job      supervisor -> worker   AttemptRequest JSON
-//   'R'  result   worker -> supervisor   AttemptResult JSON
+//   'R'  result   worker -> supervisor   AttemptReply JSON (the
+//        AttemptResult plus the certificates the attempt derived)
 //   'H'  heartbeat worker -> supervisor  empty payload, sent on a real
 //        timer while an attempt is executing so the supervisor can tell
 //        "slow but alive" from "wedged"
@@ -130,16 +131,15 @@ struct AttemptRequest : record::Codec<AttemptRequest> {
   /// Real-time heartbeat interval the worker keeps while executing.
   int heartbeat_ms = 200;
   /// Symbolic-equivalence certification (np/certifier.hpp): certify
-  /// every candidate variant and quarantine refuted ones as
-  /// proven-wrong before they can serve an answer.
+  /// each candidate variant the attempt tries and quarantine refuted
+  /// ones as proven-wrong before they can serve an answer.
   bool certify = false;
   /// With certify: proven variants skip the per-run sanitized
   /// cross-check (the watchdog still applies).
   bool certified_fast_path = false;
-  /// Pre-certified payloads (np::Certificate::json()), one per already
-  /// certified candidate config. The worker binds these as its
-  /// certificate provider so cached / supervisor-side verdicts are
-  /// reused instead of re-derived per attempt.
+  /// Known certificates (np::Certificate::json()) of candidate configs:
+  /// cache hits plus what earlier attempts derived. The attempt
+  /// certifies only the consulted configs missing here.
   std::vector<std::string> certificates;
 
   static constexpr auto fields() {
@@ -186,6 +186,21 @@ struct AttemptResult : record::Codec<AttemptResult> {
                       field("reject_detail", &R::reject_detail),
                       field("kernel_name", &R::kernel_name),
                       field("decision", &R::decision)};
+  }
+};
+
+/// The worker's 'R' frame: an attempt's result and the certificates it
+/// derived, beside it so the AttemptResult bytes the attempt cache
+/// stores do not change.
+struct AttemptReply : record::Codec<AttemptReply> {
+  AttemptResult result;
+  std::vector<std::string> certificates;
+
+  static constexpr auto fields() {
+    using R = AttemptReply;
+    using record::field;
+    return std::tuple{field("result", &R::result),
+                      field("certificates", &R::certificates)};
   }
 };
 

@@ -63,8 +63,26 @@ sim::DeviceSpec resolve_device(const AttemptRequest& req) {
   return spec;
 }
 
+np::ValidationOptions validation_options(const AttemptRequest& req) {
+  np::ValidationOptions vopt;
+  vopt.sanitizer.error_limit = static_cast<std::size_t>(req.error_limit);
+  vopt.sanitizer.race_mode = req.portable_races
+                                 ? sim::SanitizerEngine::RaceMode::kPortable
+                                 : sim::SanitizerEngine::RaceMode::kLockstep;
+  vopt.sanitizer.dedupe = req.dedupe;
+  vopt.f32_rel_tol = req.f32_rel_tol;
+  vopt.certify = req.certify;
+  vopt.certified_fast_path = req.certified_fast_path;
+  // Each attempt simulates its grid serially; batch parallelism lives
+  // a layer up (the exec_pool is not reentrant from worker threads).
+  vopt.interp.jobs = 1;
+  vopt.interp.limits.max_steps_per_block = req.max_steps;
+  return vopt;
+}
+
 AttemptResult execute_attempt(const AttemptRequest& req,
-                              const sim::DeviceSpec& spec) {
+                              const sim::DeviceSpec& spec,
+                              std::vector<std::string>* derived) {
   AttemptResult res;
   try {
     auto program = np::NpCompiler::parse(req.source);
@@ -101,34 +119,25 @@ AttemptResult execute_attempt(const AttemptRequest& req,
       ::operator delete(probe);
     }
 
-    np::ValidationOptions vopt;
-    vopt.sanitizer.error_limit =
-        static_cast<std::size_t>(req.error_limit);
-    vopt.sanitizer.race_mode =
-        req.portable_races ? sim::SanitizerEngine::RaceMode::kPortable
-                           : sim::SanitizerEngine::RaceMode::kLockstep;
-    vopt.sanitizer.dedupe = req.dedupe;
-    vopt.f32_rel_tol = req.f32_rel_tol;
-    vopt.certify = req.certify;
-    vopt.certified_fast_path = req.certified_fast_path;
-    if (req.certify && !req.certificates.empty()) {
-      // Bind the shipped certificates as a read-only provider: a hit
-      // reuses the supervisor's (possibly cached) verdict; a miss
-      // certifies fresh in-process.
-      const std::vector<std::string>& payloads = req.certificates;
+    np::ValidationOptions vopt = validation_options(req);
+    if (req.certify) {
+      // A config no shipped certificate covers is certified here and
+      // reported back, unless the kernel is corrupted: then the proof
+      // describes the corruption, not the job's source.
+      const std::vector<std::string>& shipped = req.certificates;
       vopt.certificates.load =
-          [&payloads](const std::string& config)
+          [&shipped](const std::string& config)
           -> std::optional<np::Certificate> {
-        for (const std::string& p : payloads)
+        for (const std::string& p : shipped)
           if (auto c = np::Certificate::from_json(p); c && c->config == config)
             return c;
         return std::nullopt;
       };
+      if (derived && !req.corrupt_ast)
+        vopt.certificates.save = [derived](const np::Certificate& c) {
+          derived->push_back(c.json());
+        };
     }
-    // Each attempt simulates its grid serially; batch parallelism lives
-    // a layer up (the exec_pool is not reentrant from worker threads).
-    vopt.interp.jobs = 1;
-    vopt.interp.limits.max_steps_per_block = req.max_steps;
     if (req.hook_faults) vopt.interp.fault = &injector;
 
     const ir::Kernel& k = *kernel;
@@ -182,10 +191,10 @@ int run_worker_loop(int in_fd, int out_fd, std::int64_t mem_mb) {
     if (s != ReadStatus::kOk || frame.type != kFrameJob) return 1;
     auto req = AttemptRequest::from_json(frame.payload);
     if (!req) {
-      AttemptResult bad;
-      bad.rejected = true;
-      bad.reject_cause = "internal-error";
-      bad.reject_detail = "worker: malformed attempt request";
+      AttemptReply bad;
+      bad.result.rejected = true;
+      bad.result.reject_cause = "internal-error";
+      bad.result.reject_detail = "worker: malformed attempt request";
       if (!write_frame(out_fd, kFrameResult, bad.json())) return 1;
       continue;
     }
@@ -195,12 +204,13 @@ int run_worker_loop(int in_fd, int out_fd, std::int64_t mem_mb) {
       // (the regression test for every blocking pipe read).
       for (;;) pause();
     }
-    AttemptResult res;
+    AttemptReply reply;
     {
       Heartbeat beat(out_fd, req->heartbeat_ms);
-      res = execute_attempt(*req, resolve_device(*req));
+      reply.result =
+          execute_attempt(*req, resolve_device(*req), &reply.certificates);
     }  // heartbeat joined: 'R' below cannot interleave with an 'H'
-    if (!write_frame(out_fd, kFrameResult, res.json())) return 1;
+    if (!write_frame(out_fd, kFrameResult, reply.json())) return 1;
   }
 }
 

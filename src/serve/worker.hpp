@@ -2,7 +2,8 @@
 //
 // execute_attempt() is the single implementation of "run one attempt of
 // one job": parse, pick the kernel, apply planned AST corruption, run
-// NpCompiler::compile_with_fallback under sanitizer + watchdog. Both
+// NpCompiler::compile_with_fallback under sanitizer + watchdog (and
+// certifier). Both
 // isolation modes call exactly this function — in-process from
 // BatchService::run_job, out-of-process from run_worker_loop — which is
 // what makes `--isolate=none` and `--isolate=process` reports
@@ -21,7 +22,8 @@
 // --worker-mem-mb) before touching any job, so an attempt whose
 // allocations exceed the cap fails with std::bad_alloc — classified as
 // the non-transient, breaker-eligible "resource-limit" cause rather
-// than a generic crash.
+// than a generic crash. Certification runs inside the attempt, under
+// the same cap.
 #pragma once
 
 #include <cstdint>
@@ -35,8 +37,17 @@ namespace cudanp::serve {
 /// missing kernels, allocation failures (resource caps) and internal
 /// errors all come back as a structured AttemptResult. Native crashes
 /// are, by nature, not containable here — that is the supervisor's job.
-[[nodiscard]] AttemptResult execute_attempt(const AttemptRequest& req,
-                                            const sim::DeviceSpec& spec);
+/// `derived`, when given, receives the certificates the attempt derived
+/// for configs req.certificates lacks (none for a corrupt_ast attempt).
+[[nodiscard]] AttemptResult execute_attempt(
+    const AttemptRequest& req, const sim::DeviceSpec& spec,
+    std::vector<std::string>* derived = nullptr);
+
+/// An attempt's validation options, before execute_attempt binds fault
+/// hooks and certificates; BatchService keys certificates by their
+/// certifier_options().
+[[nodiscard]] np::ValidationOptions validation_options(
+    const AttemptRequest& req);
 
 /// Resolves the device model a request names (AttemptRequest::device +
 /// sm_version). Shared by the worker loop and tests.

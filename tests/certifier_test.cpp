@@ -708,7 +708,7 @@ std::vector<Certificate> certify_all(const ir::Kernel& kernel, int elems) {
 TEST(Certifier, DeepReductionChainCertifies) {
   // A 100000-link reduction chain per output cell: a normalization that
   // recursed once per link overflowed the host stack (SIGSEGV, which
-  // killed the serve daemon too: it pre-certifies in-process).
+  // killed the serve daemon too while it certified in-process).
   std::unique_ptr<ir::Program> prog;
   ir::Kernel& kernel = parse_kernel(prog, R"(
 __global__ void k(float* a, float* c) {

@@ -819,8 +819,9 @@ TEST(Cli, DaemonRejectsBadManifestWithExitTen) {
 }
 
 TEST(Cli, DaemonStaysHealthyAfterAnIntOverflowJob) {
-  // The certifying daemon pre-certifies in-process even when attempts run
-  // in sandboxed workers; that certification used to kill it.
+  // Certifying this kernel used to kill the daemon, which then certified
+  // in-process even when attempts ran in sandboxed workers. Attempts now
+  // certify inside the worker; the daemon must stay healthy either way.
   auto path = write_temp_kernel(kIntOverflow);
   auto manifest = write_temp_file(
       "ovf_daemon.txt", "file=" + path + " elems=16 tb=8 name=bad\n");
@@ -857,8 +858,8 @@ TEST(Cli, DaemonStaysHealthyAfterADeepReductionChainJob) {
   EXPECT_NE(cert.output.find("certified: proven-modulo-reassoc"),
             std::string::npos)
       << cert.output;
-  // The certifying daemon pre-certifies in-process, so the crash took
-  // the daemon down with the job.
+  // The daemon used to certify in-process, so the crash took it down
+  // with the job; attempts now certify inside the sandboxed worker.
   auto manifest = write_temp_file(
       "deep_daemon.txt", "file=" + path + " elems=8 tb=8 name=deep\n");
   ScopedTempDir tmp("cudanp_cli_deep");

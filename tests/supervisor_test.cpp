@@ -776,6 +776,13 @@ serve::AttemptResult full_result() {
   return r;
 }
 
+serve::AttemptReply full_attempt_reply() {
+  serve::AttemptReply r;
+  r.result = full_result();
+  r.certificates = {full_certificate().json(), kAwkward};
+  return r;
+}
+
 serve::SubmitRequest full_submit() {
   serve::SubmitRequest r;
   r.tenant = "team-a";
@@ -901,6 +908,20 @@ TEST(Record, GoldenBytes) {
         R"gold(\nt\tr\rc\u0001"},{"kernel":"tmv","config":"intra-warp s)gold"
         R"gold(lave=8","cause":"proven-wrong","hazards":12,"detail":"q\)gold"
         R"gold("b\\n\nt\tr\rc\u0001"}]}})gold");
+  check(full_attempt_reply(),
+        R"gold({"result":{"rejected":true,"reject_cause":"no-kernel","r)gold"
+        R"gold(eject_detail":"q\"b\\n\nt\tr\rc\u0001","kernel_name":"tm)gold"
+        R"gold(v","decision":{"kernel":"tmv","used_baseline":false,"cho)gold"
+        R"gold(sen_config":"inter-warp slave=2","first_choice":"intra-w)gold"
+        R"gold(arp slave=8","quarantined":[{"kernel":"tmv","config":"in)gold"
+        R"gold(tra-warp slave=8","cause":"hazards","hazards":12,"detail)gold"
+        R"gold(":"q\"b\\n\nt\tr\rc\u0001"},{"kernel":"tmv","config":"in)gold"
+        R"gold(tra-warp slave=8","cause":"proven-wrong","hazards":12,"d)gold"
+        R"gold(etail":"q\"b\\n\nt\tr\rc\u0001"}]}},"certificates":["{\")gold"
+        R"gold(kernel\":\"tmv\",\"config\":\"inter-warp slave=4 q\\\"b\)gold"
+        R"gold(\\\n\\nt\\tr\\rc\\u0001\",\"verdict\":\"refuted\",\"seed)gold"
+        R"gold(\":5,\"geometry\":\"grid 2x1x1 block 8x1x1\",\"detail\":)gold"
+        R"gold(\"output 'c[0]' differs\"}","q\"b\\n\nt\tr\rc\u0001"]})gold");
   check(full_submit(),
         R"gold({"tenant":"team-a","manifest":"file=tmv.cu elems=64\nq\")gold"
         R"gold(b\\n\nt\tr\rc\u0001","base_dir":"/srv/manifests"})gold");
@@ -930,6 +951,8 @@ TEST(Record, RejectsMalformedShapes) {
   EXPECT_FALSE(serve::AttemptRequest::from_json(R"({"certificates":"c"})"));
   EXPECT_FALSE(serve::AttemptRequest::from_json(R"({"fault":3})"));
   EXPECT_FALSE(serve::AttemptResult::from_json(R"({"decision":[]})"));
+  EXPECT_FALSE(serve::AttemptReply::from_json(R"({"result":[]})"));
+  EXPECT_FALSE(serve::AttemptReply::from_json(R"({"certificates":[1]})"));
   EXPECT_FALSE(serve::JobOutcome::from_json(
       R"({"decision":{"quarantined":[{"cause":"x"}]}})"));
   EXPECT_FALSE(serve::ServiceReport::from_json(R"({"breakers":{}})"));
