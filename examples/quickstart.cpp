@@ -47,7 +47,8 @@ int main() {
               cfg.describe().c_str(),
               ir::print_kernel(*variant.kernel).c_str());
 
-  // 3. Build a workload: device buffers + launch config + validator.
+  // 3. Build a workload: device buffers + launch config. It attaches no
+  //    CPU validator, so the tuner checks no outputs.
   auto make_workload = [&] {
     np::Workload wl;
     auto A = wl.mem->alloc(ir::ScalarType::kFloat,
@@ -66,9 +67,7 @@ int main() {
   // 4. Auto-tune: try every legal {inter,intra} x slave_size variant on
   //    the simulated GTX 680 and pick the fastest (paper Sec. 6).
   np::Autotuner tuner{np::Runner(sim::DeviceSpec::gtx680())};
-  np::TuneOptions opts;
-  opts.validate = false;  // no validator attached in this example
-  auto result = tuner.tune(kernel, make_workload, opts);
+  auto result = tuner.tune(kernel, make_workload);
 
   std::printf("baseline: %.1f us\n", result.baseline_seconds * 1e6);
   for (const auto& e : result.entries) {

@@ -49,9 +49,6 @@ struct TuneResult {
 };
 
 struct TuneOptions {
-  /// Validate every variant against the workload's CPU reference; a
-  /// variant producing wrong answers is disqualified.
-  bool validate = true;
   /// Restrict to these configs instead of enumerate_configs.
   std::vector<transform::NpConfig> configs;
 };
@@ -62,9 +59,11 @@ class Autotuner {
 
   /// Tunes `kernel` (its baseline block size is taken from the factory's
   /// launch config). The factory is called once; the baseline and every
-  /// variant run on their own copy of that workload (Workload::copy), so
-  /// each run still gets fresh, unshared memory and outputs do not leak
-  /// between runs.
+  /// variant run unguarded on their own copy of that workload
+  /// (Workload::copy), so each run still gets fresh, unshared memory and
+  /// outputs do not leak between runs. When the workload has a CPU
+  /// validator, a variant producing wrong answers is disqualified and a
+  /// baseline producing them throws, as does a baseline run error.
   [[nodiscard]] TuneResult tune(const ir::Kernel& kernel,
                                 const WorkloadFactory& make_workload,
                                 const TuneOptions& options = {}) const;

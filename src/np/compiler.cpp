@@ -148,23 +148,6 @@ bool buffers_match(const sim::DeviceMemory& ref, const sim::DeviceMemory& got,
   return true;
 }
 
-namespace {
-
-/// Certifies `variant`, going through the provider cache when bound.
-Certificate certify_with_cache(JobCertifier& job,
-                               const transform::TransformResult& variant,
-                               const ValidationOptions& opt) {
-  const std::string config = variant.config.describe();
-  if (opt.certificates.load) {
-    if (auto cached = opt.certificates.load(config)) return *cached;
-  }
-  Certificate cert = job.certify(variant);
-  if (opt.certificates.save) opt.certificates.save(cert);
-  return cert;
-}
-
-}  // namespace
-
 CertifyOptions ValidationOptions::certifier_options() const {
   CertifyOptions copt = certify_opts;
   copt.f32_rel_tol = f32_rel_tol;
@@ -259,71 +242,146 @@ std::string FallbackDecision::summary() const {
   return os.str();
 }
 
+ConfigEvaluation evaluate_config(const Runner& runner,
+                                 const ir::Kernel& kernel,
+                                 const transform::NpConfig* config,
+                                 const WorkloadFactory& make_workload,
+                                 const OutputCheck& check,
+                                 const sim::SanitizerEngine::Options* sanitizer,
+                                 const CertificationStep* certify) {
+  ConfigEvaluation out;
+  out.config = config ? config->describe() : "baseline";
+  auto fail = [&](FailureCause cause, std::string detail,
+                  std::size_t hazard_count = 0) {
+    if (!out.failure)
+      out.failure = VariantFailure{
+          {}, kernel.name, out.config, cause, std::move(detail), hazard_count};
+  };
+
+  if (config) {
+    try {
+      out.variant = NpCompiler::transform(kernel, *config);
+    } catch (const CompileError& e) {
+      out.transform_error = e.what();
+      fail(FailureCause::kTransformError, e.what());
+      return out;
+    }
+  }
+  out.transform_ok = true;
+
+  // A refuted variant is proven wrong by a replayable counterexample; a
+  // proven one may skip the sanitizer and the output check.
+  bool trusted = false;
+  if (config && certify) {
+    if (certify->cache.load) out.certificate = certify->cache.load(out.config);
+    if (!out.certificate) {
+      out.certificate = certify->job.certify(out.variant);
+      if (certify->cache.save) certify->cache.save(*out.certificate);
+    }
+    const Certificate& cert = *out.certificate;
+    out.verdict = to_string(cert.verdict);
+    out.verdict_detail = cert.detail;
+    if (cert.verdict == Verdict::kRefuted) {
+      fail(FailureCause::kProvenWrong,
+           cert.detail + " (counterexample seed " +
+               std::to_string(cert.counterexample_seed) + ")");
+      if (certify->gate) return out;
+    }
+    trusted = certify->fast_path && cert.proven();
+  }
+
+  out.workload = make_workload();
+  ExecutionRequest req =
+      config ? ExecutionRequest::transformed(out.variant, out.workload)
+             : ExecutionRequest::baseline(kernel, out.workload);
+  if (sanitizer && !trusted) req.sanitized(*sanitizer);
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    ExecutionResult run = runner.execute(req);
+    out.ran = run.ran;
+    out.run = run.run;
+    out.hazards = run.engine.reports();
+  } catch (const SimError& e) {  // unguarded runs only
+    out.error = std::current_exception();
+    fail(dynamic_cast<const sim::WatchdogError*>(&e)
+             ? FailureCause::kWatchdogTrip
+             : FailureCause::kRunError,
+         e.what());
+  }
+  out.wall_ms = std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+  if (out.ran && check && !trusted)
+    out.outputs_match = check(*out.workload.mem, &out.mismatch);
+
+  if (out.failure) return out;
+  const auto& hazards = out.hazards;
+  if (!out.ran) {
+    // A launch-scoped fault: the grid never started.
+    fail(FailureCause::kLaunchError,
+         hazards.empty() ? "" : hazards.back().message);
+  } else if (!hazards.empty()) {
+    using sim::HazardKind;
+    auto trip = std::ranges::find(hazards, HazardKind::kWatchdogTrip,
+                                  &sim::HazardReport::kind);
+    // Contained SimErrors alone (injected faults, OOB aborts) are a run
+    // error, which retry policies treat as possibly transient; races and
+    // uninitialized reads are properties of the variant.
+    const bool faults_only = std::ranges::count(hazards, HazardKind::kSimFault,
+                                                &sim::HazardReport::kind) ==
+                             std::ssize(hazards);
+    if (trip != hazards.end())
+      fail(FailureCause::kWatchdogTrip, trip->message, hazards.size());
+    else
+      fail(faults_only ? FailureCause::kRunError : FailureCause::kHazards,
+           hazards.front().str(), hazards.size());
+  } else if (check && !trusted && !out.outputs_match) {
+    fail(FailureCause::kOutputMismatch, out.mismatch);
+  }
+  return out;
+}
+
+namespace {
+
+/// The baseline's launch-argument buffers as the reference for variants.
+OutputCheck baseline_buffers(const Workload& base,
+                             const ValidationOptions& opt) {
+  return [&base, &opt](const sim::DeviceMemory& got, std::string* msg) {
+    return buffers_match(*base.mem, got, base.launch.args, opt.f32_abs_tol,
+                         opt.f32_rel_tol, msg);
+  };
+}
+
+}  // namespace
+
 FallbackResult NpCompiler::compile_with_fallback(
     const ir::Kernel& kernel, const std::vector<transform::NpConfig>& configs,
     const WorkloadFactory& make_workload, const sim::DeviceSpec& spec,
     const ValidationOptions& opt) {
   FallbackResult out;
   out.decision.kernel = kernel.name;
-  Runner runner(spec, opt.interp);
-
-  auto classify = [](const ExecutionResult& run, VariantFailure* f) {
-    if (!run.ran) {
-      f->cause = FailureCause::kLaunchError;
-      if (!run.engine.reports().empty())
-        f->detail = run.engine.reports().back().message;
-      return;
-    }
-    const auto& reports = run.engine.reports();
-    f->hazard_count = reports.size();
-    bool all_sim_faults = !reports.empty();
-    for (const auto& r : reports) {
-      if (r.kind == sim::HazardKind::kWatchdogTrip) {
-        f->cause = FailureCause::kWatchdogTrip;
-        f->detail = r.message;
-        return;
-      }
-      if (r.kind != sim::HazardKind::kSimFault) all_sim_faults = false;
-    }
-    // Only contained SimErrors (injected faults, OOB aborts) and no
-    // genuine hazards: a run error, which retry policies treat as
-    // potentially transient — unlike races/uninit reads, which are
-    // deterministic properties of the variant.
-    f->cause =
-        all_sim_faults ? FailureCause::kRunError : FailureCause::kHazards;
-    if (!reports.empty()) f->detail = reports.front().str();
-  };
+  const Runner runner(spec, opt.interp);
 
   // The baseline is the reference for output cross-checks and the final
   // fallback. If it misbehaves itself there is nothing better to offer,
   // so that failure is recorded and the baseline still returned.
-  Workload base = make_workload();
-  ExecutionResult base_run = runner.execute(
-      ExecutionRequest::baseline(kernel, base).sanitized(opt.sanitizer));
-  if (!base_run.clean()) {
-    VariantFailure f;
-    f.kernel = kernel.name;
-    f.config = "baseline";
-    classify(base_run, &f);
-    out.decision.quarantined.push_back(std::move(f));
+  const ConfigEvaluation base = evaluate_config(
+      runner, kernel, nullptr, make_workload, {}, &opt.sanitizer, nullptr);
+  if (base.failure) {
+    out.decision.quarantined.push_back(*base.failure);
     return out;
   }
 
   // Candidate order: the heuristic's static pick first (next-best choices
   // follow in enumeration order). Duplicates of the heuristic pick are
   // dropped rather than tried twice.
+  const int tb = static_cast<int>(base.workload.launch.block.count());
   std::vector<transform::NpConfig> candidates = configs;
-  if (candidates.empty())
-    candidates = enumerate_configs(
-        kernel, static_cast<int>(base.launch.block.count()), spec);
+  if (candidates.empty()) candidates = enumerate_configs(kernel, tb, spec);
   if (!candidates.empty()) {
-    HeuristicChoice pick = suggest_config(
-        kernel, static_cast<int>(base.launch.block.count()), spec);
-    std::string best = pick.config.describe();
-    auto it = std::find_if(candidates.begin(), candidates.end(),
-                           [&](const transform::NpConfig& c) {
-                             return c.describe() == best;
-                           });
+    auto it = std::ranges::find(
+        candidates, suggest_config(kernel, tb, spec).config.describe(),
+        &transform::NpConfig::describe);
     if (it != candidates.end() && it != candidates.begin())
       std::rotate(candidates.begin(), it, it + 1);
     out.decision.first_choice = candidates.front().describe();
@@ -331,72 +389,20 @@ FallbackResult NpCompiler::compile_with_fallback(
 
   const Certifier certifier(spec, opt.certifier_options());
   JobCertifier job(certifier, kernel, make_workload);
+  const CertificationStep certify{job, opt.certificates, true,
+                                  opt.certified_fast_path};
+  const OutputCheck check = baseline_buffers(base.workload, opt);
   for (const auto& cfg : candidates) {
-    VariantFailure f;
-    f.kernel = kernel.name;
-    f.config = cfg.describe();
-    transform::TransformResult variant;
-    try {
-      variant = transform(kernel, cfg);
-    } catch (const CompileError& e) {
-      f.cause = FailureCause::kTransformError;
-      f.detail = e.what();
-      out.decision.quarantined.push_back(std::move(f));
+    ConfigEvaluation e =
+        evaluate_config(runner, kernel, &cfg, make_workload, check,
+                        &opt.sanitizer, opt.certify ? &certify : nullptr);
+    if (e.failure) {
+      out.decision.quarantined.push_back(std::move(*e.failure));
       continue;
     }
-    // Third leg: symbolic certification. A refuted variant is proven
-    // wrong by a replayable counterexample and never runs at all; a
-    // proven one may skip the per-run sanitize + cross-check entirely
-    // when the certified fast path is on.
-    bool fast_path = false;
-    if (opt.certify) {
-      Certificate cert = certify_with_cache(job, variant, opt);
-      if (cert.verdict == Verdict::kRefuted) {
-        f.cause = FailureCause::kProvenWrong;
-        f.detail = cert.detail + " (counterexample seed " +
-                   std::to_string(cert.counterexample_seed) + ")";
-        out.decision.quarantined.push_back(std::move(f));
-        continue;
-      }
-      fast_path = opt.certified_fast_path && cert.proven();
-    }
-    Workload w = make_workload();
-    if (fast_path) {
-      // Unguarded run for raw speed; the watchdog and launch validation
-      // still apply, and any escape quarantines the candidate as usual.
-      try {
-        (void)runner.execute(ExecutionRequest::transformed(variant, w));
-      } catch (const sim::WatchdogError& e) {
-        f.cause = FailureCause::kWatchdogTrip;
-        f.detail = e.what();
-        out.decision.quarantined.push_back(std::move(f));
-        continue;
-      } catch (const SimError& e) {
-        f.cause = FailureCause::kRunError;
-        f.detail = e.what();
-        out.decision.quarantined.push_back(std::move(f));
-        continue;
-      }
-    } else {
-      ExecutionResult run = runner.execute(
-          ExecutionRequest::transformed(variant, w).sanitized(opt.sanitizer));
-      if (!run.clean()) {
-        classify(run, &f);
-        out.decision.quarantined.push_back(std::move(f));
-        continue;
-      }
-      std::string mismatch;
-      if (!buffers_match(*base.mem, *w.mem, base.launch.args, opt.f32_abs_tol,
-                         opt.f32_rel_tol, &mismatch)) {
-        f.cause = FailureCause::kOutputMismatch;
-        f.detail = mismatch;
-        out.decision.quarantined.push_back(std::move(f));
-        continue;
-      }
-    }
     out.decision.used_baseline = false;
-    out.decision.chosen_config = f.config;
-    out.variant = std::move(variant);
+    out.decision.chosen_config = e.config;
+    out.variant = std::move(e.variant);
     break;
   }
   return out;
@@ -406,56 +412,22 @@ ValidationReport NpCompiler::validate(
     const ir::Kernel& kernel, const std::vector<transform::NpConfig>& configs,
     const WorkloadFactory& make_workload, const sim::DeviceSpec& spec,
     const ValidationOptions& opt) {
-  using Clock = std::chrono::steady_clock;
-  auto ms_since = [](Clock::time_point t0) {
-    return std::chrono::duration<double, std::milli>(Clock::now() - t0)
-        .count();
-  };
-
   ValidationReport report;
-  Runner runner(spec, opt.interp);
-
-  Workload base = make_workload();
-  auto t0 = Clock::now();
-  ExecutionResult base_run = runner.execute(
-      ExecutionRequest::baseline(kernel, base).sanitized(opt.sanitizer));
-  report.baseline_wall_ms = ms_since(t0);
-  report.baseline_ran = base_run.ran;
-  report.baseline_hazards = base_run.engine.reports();
+  const Runner runner(spec, opt.interp);
+  const ConfigEvaluation base = evaluate_config(
+      runner, kernel, nullptr, make_workload, {}, &opt.sanitizer, nullptr);
+  report.baseline_ran = base.ran;
+  report.baseline_hazards = base.hazards;
+  report.baseline_wall_ms = base.wall_ms;
 
   const Certifier certifier(spec, opt.certifier_options());
   JobCertifier job(certifier, kernel, make_workload);
-  for (const auto& cfg : configs) {
-    ValidationEntry entry;
-    entry.config = cfg.describe();
-    transform::TransformResult variant;
-    try {
-      variant = transform(kernel, cfg);
-      entry.transform_ok = true;
-    } catch (const CompileError& e) {
-      entry.transform_error = e.what();
-      report.entries.push_back(std::move(entry));
-      continue;
-    }
-    if (opt.certify) {
-      Certificate cert = certify_with_cache(job, variant, opt);
-      entry.verdict = to_string(cert.verdict);
-      entry.verdict_detail = cert.detail;
-    }
-    Workload w = make_workload();
-    auto tv = Clock::now();
-    ExecutionResult run = runner.execute(
-        ExecutionRequest::transformed(variant, w).sanitized(opt.sanitizer));
-    entry.wall_ms = ms_since(tv);
-    entry.ran = run.ran;
-    entry.hazards = run.engine.reports();
-    if (run.ran) {
-      entry.outputs_match =
-          buffers_match(*base.mem, *w.mem, base.launch.args, opt.f32_abs_tol,
-                        opt.f32_rel_tol, &entry.mismatch);
-    }
-    report.entries.push_back(std::move(entry));
-  }
+  const CertificationStep certify{job, opt.certificates};
+  const OutputCheck check = baseline_buffers(base.workload, opt);
+  for (const auto& cfg : configs)  // each evaluation sliced to its entry
+    report.entries.push_back(
+        evaluate_config(runner, kernel, &cfg, make_workload, check,
+                        &opt.sanitizer, opt.certify ? &certify : nullptr));
   return report;
 }
 

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <optional>
 #include <string>
@@ -18,6 +19,7 @@
 
 #include "ir/kernel.hpp"
 #include "np/certifier.hpp"
+#include "np/runner.hpp"
 #include "np/workload.hpp"
 #include "sim/device.hpp"
 #include "sim/interpreter.hpp"
@@ -36,11 +38,12 @@ struct ValidationEntry {
   bool transform_ok = false;
   std::string transform_error;
   bool ran = false;
+  /// False also when no output check was made.
   bool outputs_match = false;
   std::string mismatch;
   std::vector<sim::HazardReport> hazards;
-  /// Host wall-clock of this variant's sanitized simulation (transform
-  /// excluded); 0 when the transform was inapplicable.
+  /// Host wall-clock of this variant's simulation (transform excluded);
+  /// 0 when the transform was inapplicable.
   double wall_ms = 0.0;
   /// Certification verdict slug when ValidationOptions::certify is set
   /// (empty otherwise); see np::Verdict.
@@ -243,6 +246,47 @@ struct FallbackResult {
   transform::TransformResult variant;
 };
 
+/// Certification of a variant before it runs (evaluate_config).
+struct CertificationStep {
+  JobCertifier& job;
+  /// Consulted before `job`, and given every certificate `job` derives.
+  const CertificateProvider& cache;
+  /// A refuted variant is quarantined without running; otherwise it runs
+  /// and its verdict is only recorded.
+  bool gate = false;
+  /// A proven variant runs unguarded and unchecked (the certified fast
+  /// path; the watchdog still applies).
+  bool fast_path = false;
+};
+
+/// One configuration, or the baseline, tried and judged: the entry
+/// validate reports, and what the other policies read besides.
+struct ConfigEvaluation : ValidationEntry {
+  transform::TransformResult variant;
+  std::optional<Certificate> certificate;
+  /// The workload the run executed on, outputs included.
+  Workload workload;
+  sim::RunResult run;
+  /// Set when the configuration is unfit, with the first cause found:
+  /// transform error, refutation, a thrown run error or watchdog trip,
+  /// launch error, hazards, output mismatch.
+  std::optional<VariantFailure> failure;
+  /// What an unguarded run threw.
+  std::exception_ptr error;
+};
+
+/// The step Autotuner::tune, compile_with_fallback and validate share:
+/// transforms `config` (null: the baseline kernel), certifies it when
+/// `certify` is given, runs it on a workload from `make_workload` (called
+/// once, and only when the configuration runs) under the sanitizer when
+/// `sanitizer` is given, checks its outputs with `check` when given, and
+/// classifies the outcome. A variant's misbehaviour never throws.
+[[nodiscard]] ConfigEvaluation evaluate_config(
+    const Runner& runner, const ir::Kernel& kernel,
+    const transform::NpConfig* config, const WorkloadFactory& make_workload,
+    const OutputCheck& check, const sim::SanitizerEngine::Options* sanitizer,
+    const CertificationStep* certify);
+
 class NpCompiler {
  public:
   /// Parses kernel source (throws CompileError with diagnostics on error).
@@ -280,7 +324,9 @@ class NpCompiler {
   /// transformed variant under the sanitizer on fresh workloads from
   /// `make_workload`, then cross-checks each variant's launch-argument
   /// buffers against the baseline's (int exact, float to f32_rel_tol).
-  /// This is the correctness oracle transform PRs are gated on.
+  /// With `certify` each variant is also certified first; a refuted one
+  /// still runs, and its verdict fails its entry. Every configuration is
+  /// reported. This is the correctness oracle transform PRs are gated on.
   [[nodiscard]] static ValidationReport validate(
       const ir::Kernel& kernel,
       const std::vector<transform::NpConfig>& configs,
@@ -290,9 +336,12 @@ class NpCompiler {
   /// Graceful degradation: walks the candidate configurations best-first
   /// (the heuristic's pick, then the remaining enumeration order) and
   /// returns the first variant that transforms, runs hazard-free under
-  /// the sanitizer + watchdog, and matches the baseline's outputs. Every
-  /// rejected candidate is quarantined with a structured VariantFailure;
-  /// when all candidates fail, the baseline kernel is the answer
+  /// the sanitizer + watchdog, and matches the baseline's outputs. With
+  /// `certify` a refuted candidate is quarantined before it runs, and
+  /// with `certified_fast_path` a proven one runs unguarded under the
+  /// watchdog alone, its outputs unchecked. Every rejected candidate is
+  /// quarantined with a structured VariantFailure; when all candidates
+  /// fail, the baseline kernel is the answer
   /// (decision.used_baseline). Never throws on variant misbehaviour —
   /// this is the always-produce-a-runnable-answer mode behind
   /// `cudanp-cc --fallback=baseline`. Pass an empty `configs` to let the

@@ -82,7 +82,6 @@ ExecutionResult Runner::execute(const ExecutionRequest& req) const {
   sim::Interpreter::Options iopt = opt_;
   if (req.limits) iopt.limits = *req.limits;
   if (req.jobs) iopt.jobs = *req.jobs;
-  if (req.fault) iopt.fault = req.fault;
   if (req.sanitize) {
     out.engine = sim::SanitizerEngine(req.sanitizer_options);
     // Extra buffers are device scratch: the kernel must write an element

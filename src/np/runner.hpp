@@ -32,8 +32,6 @@ struct ExecutionRequest {
   /// Unset fields inherit the runner's Options for this launch.
   std::optional<sim::ExecutionLimits> limits{};
   std::optional<int> jobs{};
-  /// Non-null overrides the runner's fault injector (chaos tests).
-  const sim::FaultInjector* fault = nullptr;
 
   [[nodiscard]] static ExecutionRequest baseline(const ir::Kernel& k,
                                                  Workload& w) {
@@ -60,10 +58,6 @@ struct ExecutionRequest {
   }
   ExecutionRequest& with_jobs(int j) {
     jobs = j;
-    return *this;
-  }
-  ExecutionRequest& with_fault(const sim::FaultInjector* f) {
-    fault = f;
     return *this;
   }
 };

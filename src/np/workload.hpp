@@ -12,12 +12,17 @@
 
 namespace cudanp::np {
 
+/// Checks device outputs against a reference (a CPU reference, or a
+/// baseline run's buffers); returns true when they match and fills `msg`
+/// with a description on mismatch.
+using OutputCheck =
+    std::function<bool(const sim::DeviceMemory& got, std::string* msg)>;
+
 struct Workload {
   std::unique_ptr<sim::DeviceMemory> mem = std::make_unique<sim::DeviceMemory>();
   sim::LaunchConfig launch;
-  /// Returns true when device outputs match the CPU reference; fills
-  /// `msg` with a description on mismatch. Null when not validating.
-  std::function<bool(const sim::DeviceMemory&, std::string*)> validate;
+  /// The CPU reference check; null when not validating.
+  OutputCheck validate;
 
   /// An independent copy: its own device memory (same buffers, ids and
   /// addresses), the same launch and the same validator.
