@@ -302,7 +302,7 @@ ConfigEvaluation evaluate_config(const Runner& runner,
     out.run = run.run;
     out.hazards = run.engine.reports();
   } catch (const SimError& e) {  // unguarded runs only
-    out.error = std::current_exception();
+    if (!config) throw;
     fail(dynamic_cast<const sim::WatchdogError*>(&e)
              ? FailureCause::kWatchdogTrip
              : FailureCause::kRunError,

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <exception>
 #include <memory>
 #include <optional>
 #include <string>
@@ -271,8 +270,6 @@ struct ConfigEvaluation : ValidationEntry {
   /// transform error, refutation, a thrown run error or watchdog trip,
   /// launch error, hazards, output mismatch.
   std::optional<VariantFailure> failure;
-  /// What an unguarded run threw.
-  std::exception_ptr error;
 };
 
 /// The step Autotuner::tune, compile_with_fallback and validate share:
@@ -280,7 +277,8 @@ struct ConfigEvaluation : ValidationEntry {
 /// `certify` is given, runs it on a workload from `make_workload` (called
 /// once, and only when the configuration runs) under the sanitizer when
 /// `sanitizer` is given, checks its outputs with `check` when given, and
-/// classifies the outcome. A variant's misbehaviour never throws.
+/// classifies the outcome. A variant's misbehaviour never throws; an
+/// unguarded baseline run's SimError propagates.
 [[nodiscard]] ConfigEvaluation evaluate_config(
     const Runner& runner, const ir::Kernel& kernel,
     const transform::NpConfig* config, const WorkloadFactory& make_workload,
