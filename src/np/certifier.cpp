@@ -277,7 +277,7 @@ Certificate JobCertifier::certify(const transform::TransformResult& variant) {
         var.races.empty() ? base.races.front() : var.races.front();
     note = "; note: " + std::to_string(base.races.size() + var.races.size()) +
            " lockstep-ordered cross-warp handoff(s) (portable-model race: " +
-           first.message + ")";
+           first + ")";
   }
 
   // Per-output-element comparison over the baseline-visible buffers.

@@ -180,6 +180,8 @@ std::string ValidationReport::summary() const {
   else
     os << "clean [" << baseline_wall_ms << " ms]\n";
   for (const auto& r : baseline_hazards) os << "  " << r.str() << "\n";
+  // validate checks no variant against a baseline that did not run clean.
+  const bool reference = baseline_ran && baseline_hazards.empty();
   std::size_t checked = 0;
   for (const auto& e : entries) {
     os << e.config << ": ";
@@ -192,6 +194,8 @@ std::string ValidationReport::summary() const {
       os << "FAILED to run";
     else if (!e.hazards.empty())
       os << e.hazards.size() << " hazard(s)";
+    else if (!reference)
+      os << e.mismatch;
     else if (!e.outputs_match)
       os << "OUTPUT MISMATCH: " << e.mismatch;
     else
@@ -202,7 +206,8 @@ std::string ValidationReport::summary() const {
     }
     os << "\n";
     for (const auto& r : e.hazards) os << "  " << r.str() << "\n";
-    if (e.ran && e.hazards.empty() && !e.outputs_match && !e.mismatch.empty())
+    if (reference && e.ran && e.hazards.empty() && !e.outputs_match &&
+        !e.mismatch.empty())
       os << "  " << e.mismatch << "\n";
   }
   os << "validated " << checked << " of " << entries.size()
@@ -423,11 +428,19 @@ ValidationReport NpCompiler::validate(
   const Certifier certifier(spec, opt.certifier_options());
   JobCertifier job(certifier, kernel, make_workload);
   const CertificationStep certify{job, opt.certificates};
-  const OutputCheck check = baseline_buffers(base.workload, opt);
-  for (const auto& cfg : configs)  // each evaluation sliced to its entry
-    report.entries.push_back(
+  // A baseline that failed (tripped, faulted, raced or never launched)
+  // is no reference: its partial outputs would blame the variants.
+  const OutputCheck check =
+      base.failure ? OutputCheck{} : baseline_buffers(base.workload, opt);
+  for (const auto& cfg : configs) {  // each evaluation sliced to its entry
+    ValidationEntry e =
         evaluate_config(runner, kernel, &cfg, make_workload, check,
-                        &opt.sanitizer, opt.certify ? &certify : nullptr));
+                        &opt.sanitizer, opt.certify ? &certify : nullptr);
+    if (base.failure && e.ran)
+      e.mismatch = std::string("no reference: the baseline failed (") +
+                   to_string(base.failure->cause) + ")";
+    report.entries.push_back(std::move(e));
+  }
   return report;
 }
 

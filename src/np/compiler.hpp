@@ -39,6 +39,8 @@ struct ValidationEntry {
   bool ran = false;
   /// False also when no output check was made.
   bool outputs_match = false;
+  /// The first output difference; "no reference: ..." when the baseline
+  /// failed, so the variant was not checked.
   std::string mismatch;
   std::vector<sim::HazardReport> hazards;
   /// Host wall-clock of this variant's simulation (transform excluded);

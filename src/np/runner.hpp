@@ -98,14 +98,6 @@ class Runner {
     return analysis::estimate_resources(kernel, spec_);
   }
 
-  /// Mutable interpreter options, so a long-lived caller can re-budget
-  /// between launches (the serve layer maps each job's remaining
-  /// wall-clock deadline onto max_steps_per_block per attempt).
-  [[nodiscard]] sim::Interpreter::Options& options() { return opt_; }
-  [[nodiscard]] const sim::Interpreter::Options& options() const {
-    return opt_;
-  }
-
  private:
   sim::DeviceSpec spec_;
   sim::Interpreter::Options opt_;

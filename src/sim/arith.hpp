@@ -24,6 +24,7 @@
 
 #include "ir/expr.hpp"
 #include "sim/binder.hpp"
+#include "sim/hazards.hpp"
 #include "sim/value.hpp"
 
 namespace cudanp::sim::arith {
@@ -168,7 +169,7 @@ template <ir::BinOp kOp, class A, class B, class Fail>
     if constexpr (fl) {
       return f32(as_f(a) / as_f(b));
     } else {
-      if (b == 0) fail("integer division by zero");
+      if (b == 0) fail(hazard::kDivisionByZero);
       if (b == -1 && a == std::numeric_limits<Int>::min())
         fail("integer division overflow (INT64_MIN / -1)");
       return Int{a / b};
@@ -178,7 +179,7 @@ template <ir::BinOp kOp, class A, class B, class Fail>
       fail("operator % requires integers");
       return Int{0};
     } else {
-      if (b == 0) fail("modulo by zero");
+      if (b == 0) fail(hazard::kModuloByZero);
       if (b == -1 && a == std::numeric_limits<Int>::min())
         fail("modulo overflow (INT64_MIN % -1)");
       return Int{a % b};

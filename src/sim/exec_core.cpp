@@ -36,6 +36,8 @@ BlockCore::BlockCore(const DeviceSpec& spec, DeviceMemory& mem,
   san_ = san;
   if (san_) {
     warp_gen_.assign(nwarps, 0);
+    portable_ = san_->engine->options().race_mode ==
+                SanitizerEngine::RaceMode::kPortable;
     smem_shadow_.reserve(static_cast<std::size_t>(bound.shared_words_bound));
   }
   frame_.resize(bound.num_slots());
@@ -225,18 +227,13 @@ Slot& BlockCore::var_read_check(std::int32_t slot_id, const std::string& name,
   if (san_ && shfl_arg_depth_ == 0 && !slot.shadow.empty()) {
     // One report per access, at the first uninitialized active lane;
     // dedupe absorbs repeats.
-    const auto ws = static_cast<std::size_t>(lanes_.warp_size());
-    for (std::size_t w = 0; w < mask.size(); ++w) {
-      for (std::uint32_t b = mask[w]; b; b &= b - 1) {
-        const std::size_t l =
-            w * ws + static_cast<std::size_t>(std::countr_zero(b));
-        if (!slot.shadow[l]) {
-          san_report(HazardKind::kUninitRead, loc, static_cast<int>(l),
-                     "read of uninitialized variable '" + name + "'");
-          return slot;
-        }
-      }
-    }
+    int first = -1;
+    lanes_.for_each_lane(mask, [&](std::size_t l) {
+      if (first < 0 && !slot.shadow[l]) first = static_cast<int>(l);
+    });
+    if (first >= 0)
+      san_report(HazardKind::kUninitRead, loc, first,
+                 hazard::text(hazard::Rule::kUninitVariable, name));
   }
   return slot;
 }
@@ -252,36 +249,7 @@ void BlockCore::do_sync(const Mask& mask, SourceLoc loc) {
   if (san_) note_barrier(loc, mask);
 }
 
-void BlockCore::check_shfl_sources(const std::vector<int>& src_of,
-                                   const std::string& callee, SourceLoc loc,
-                                   std::int32_t var_slot,
-                                   const std::string& var_name) {
-  const Slot* vs =
-      var_slot >= 0 ? &frame_[static_cast<std::size_t>(var_slot)] : nullptr;
-  if (!vs || !vs->type.is_scalar() || vs->is_uniform_param ||
-      vs->shadow.empty())
-    return;
-  for (int l = 0; l < lanes_.nlanes(); ++l) {
-    int s = src_of[static_cast<std::size_t>(l)];
-    if (s >= 0 && !vs->shadow[static_cast<std::size_t>(s)]) {
-      san_report(HazardKind::kUninitRead, loc, l,
-                 shfl_uninit_source(callee, &var_name,
-                                    s % lanes_.warp_size()));
-      break;
-    }
-  }
-}
-
 // ---------------- sanitizer hooks ----------------
-
-void BlockCore::report_uninit_element(const char* what,
-                                      const std::string& name,
-                                      std::int64_t index, int lane,
-                                      SourceLoc loc) {
-  san_report(HazardKind::kUninitRead, loc, lane,
-             std::string("read of uninitialized ") + what + " '" + name +
-                 "[" + std::to_string(index) + "]'");
-}
 
 void BlockCore::report_shfl_source(ShflSource why, const std::string& callee,
                                    std::int64_t src_lane, int lane,
@@ -306,11 +274,6 @@ void BlockCore::report_shfl_source(ShflSource why, const std::string& callee,
   san_report(HazardKind::kShflHazard, loc, lane, std::move(msg));
 }
 
-bool BlockCore::portable_races() const {
-  return san_->engine->options().race_mode ==
-         SanitizerEngine::RaceMode::kPortable;
-}
-
 void BlockCore::san_report(HazardKind kind, SourceLoc loc, int lane,
                            std::string msg) {
   HazardReport r;
@@ -326,66 +289,30 @@ void BlockCore::san_report(HazardKind kind, SourceLoc loc, int lane,
 }
 
 void BlockCore::note_shared_write(const Slot& slot, const std::string& name,
-                                  std::size_t idx, int lane, Value val,
+                                  std::size_t idx, int lane, bool differs,
                                   SourceLoc loc) {
-  SharedShadow& sh = smem_shadow_[slot.base_word + idx];
-  int w = lanes_.warp_of(lane);
-  std::uint64_t gen = warp_gen_[static_cast<std::size_t>(w)];
-  if (sh.write_access == access_seq_ && sh.writer_lane != lane &&
-      !value_eq(sh.written, val)) {
+  const hazard::Write hit = hazard::on_write(
+      smem_shadow_[slot.base_word + idx], shared_access(lane), differs);
+  const auto i = static_cast<std::int64_t>(idx);
+  // Lockstep mode reports only what races under lockstep execution too.
+  if (hit.rule == hazard::Rule::kSameAccessWrite ||
+      (hit.rule != hazard::Rule::kNone && portable_))
     san_report(HazardKind::kSharedRace, loc, lane,
-               "write-write race on shared '" + name + "[" +
-                   std::to_string(idx) + "]': lanes " +
-                   std::to_string(sh.writer_lane) + " and " +
-                   std::to_string(lane) +
-                   " store different values in the same instruction");
-  } else if (portable_races() && sh.writer_warp >= 0 && sh.write_gen == gen &&
-             sh.writer_warp != w && !value_eq(sh.written, val)) {
+               hazard::text(hit.rule, name, i, lane, hit.other_lane));
+  if (hit.after_read && portable_)
     san_report(HazardKind::kSharedRace, loc, lane,
-               "write-write race on shared '" + name + "[" +
-                   std::to_string(idx) + "]' with warp " +
-                   std::to_string(sh.writer_warp) + "'s store at " +
-                   sh.write_loc.str() + " in the same barrier interval");
-  }
-  if (portable_races() && sh.reader_warp != -1 && sh.read_gen == gen &&
-      sh.reader_warp != w) {
-    san_report(HazardKind::kSharedRace, loc, lane,
-               "read-write race on shared '" + name + "[" +
-                   std::to_string(idx) +
-                   "]': store overlaps another warp's read in the same "
-                   "barrier interval");
-  }
-  sh.init = true;
-  sh.write_access = access_seq_;
-  sh.writer_lane = lane;
-  sh.written = val;
-  sh.write_gen = gen;
-  sh.writer_warp = w;
-  sh.write_loc = loc;
+               hazard::text(hazard::Rule::kReadWrite, name, i));
 }
 
 void BlockCore::note_shared_read(const Slot& slot, const std::string& name,
                                  std::size_t idx, int lane, SourceLoc loc) {
-  SharedShadow& sh = smem_shadow_[slot.base_word + idx];
-  int w = lanes_.warp_of(lane);
-  std::uint64_t gen = warp_gen_[static_cast<std::size_t>(w)];
-  if (!sh.init && shfl_arg_depth_ == 0)
-    san_report(HazardKind::kUninitRead, loc, lane,
-               "read of uninitialized shared memory '" + name + "[" +
-                   std::to_string(idx) + "]'");
-  if (portable_races() && sh.writer_warp >= 0 && sh.write_gen == gen &&
-      sh.writer_warp != w) {
-    san_report(HazardKind::kSharedRace, loc, lane,
-               "read-write race on shared '" + name + "[" +
-                   std::to_string(idx) + "]': word written by warp " +
-                   std::to_string(sh.writer_warp) + " at " +
-                   sh.write_loc.str() + " in the same barrier interval");
-  }
-  if (sh.reader_warp == -1 || sh.read_gen != gen)
-    sh.reader_warp = w;
-  else if (sh.reader_warp != w)
-    sh.reader_warp = -2;
-  sh.read_gen = gen;
+  const hazard::Rule hit =
+      hazard::on_read(smem_shadow_[slot.base_word + idx], shared_access(lane));
+  const bool race = hit == hazard::Rule::kWriteRead;
+  if (race ? portable_
+           : hit == hazard::Rule::kUninitShared && shfl_arg_depth_ == 0)
+    san_report(race ? HazardKind::kSharedRace : HazardKind::kUninitRead, loc,
+               lane, hazard::text(hit, name, static_cast<std::int64_t>(idx)));
 }
 
 void BlockCore::note_barrier(SourceLoc loc, const Mask& mask) {
@@ -433,12 +360,12 @@ Slot& BlockCore::declare(const DeclStmt& d) {
 }
 
 void BlockCore::binop_fail(const char* what, SourceLoc loc) {
-  throw SimError(std::string(what) + " at " + loc.str());
+  throw SimError(what + hazard::at(loc));
 }
 
-void BlockCore::index_fail(std::int64_t i, std::int64_t dim, SourceLoc loc) {
-  throw SimError("index " + std::to_string(i) + " out of bounds [0," +
-                 std::to_string(dim) + ") for array at " + loc.str());
+void BlockCore::bounds_fail(hazard::Rule r, const std::string& name,
+                            std::int64_t i, std::int64_t n, SourceLoc loc) {
+  throw SimError(hazard::text(r, name, i, n) + hazard::at(loc));
 }
 
 }  // namespace cudanp::sim::exec

@@ -29,6 +29,7 @@
 #include "ir/kernel.hpp"
 #include "sim/arith.hpp"
 #include "sim/binder.hpp"
+#include "sim/hazards.hpp"
 #include "sim/interpreter.hpp"
 #include "sim/lanes.hpp"
 #include "sim/launch.hpp"
@@ -290,8 +291,8 @@ class BlockCore {
   void buffer_load(Slot& slot, const std::string& name, LaneView<I> idx,
                    const Mask& mask, Out out, SourceLoc loc);
   template <class I, class S>
-  void buffer_store(Slot& slot, LaneView<I> idx, const Mask& mask,
-                    LaneView<S> val);
+  void buffer_store(Slot& slot, const std::string& name, LaneView<I> idx,
+                    const Mask& mask, LaneView<S> val, SourceLoc loc);
   /// Shared-array access on pre-flattened indices; bumps the sanitizer's
   /// access sequence and emits race / uninit reports.
   template <class Out>
@@ -317,8 +318,9 @@ class BlockCore {
   /// (`first` resets instead). The per-dim ALU charge for d > 0 is the
   /// caller's (charge, then check).
   template <class I>
-  void flatten_dim(std::int64_t* flat, LaneView<I> idx, std::int64_t dim,
-                   bool first, const Mask& mask, SourceLoc loc);
+  void flatten_dim(std::int64_t* flat, const std::string& name,
+                   LaneView<I> idx, std::int64_t dim, bool first,
+                   const Mask& mask, SourceLoc loc);
 
   // ---------------- scalar variable paths ----------------
   /// Everything eval of a scalar VarRef does except materializing values:
@@ -447,7 +449,7 @@ class BlockCore {
   void do_sync(const Mask& mask, SourceLoc loc);
   /// __shfl family body (after the caller's sm-version / arity checks and
   /// argument evaluation): selection, clamping, hazard reports and the
-  /// post-hoc source-lane init check. `var_slot`/`var_name` describe the
+  /// source-lane init check. `var_slot`/`var_name` describe the
   /// first argument when it is a plain variable reference (pass
   /// kSlotUnbound / nullptr otherwise). `var` must cover every lane of
   /// every active warp (it was evaluated under the broadened mask).
@@ -458,32 +460,18 @@ class BlockCore {
                const std::string* var_name);
 
   // ---------------- sanitizer hooks ----------------
-  /// Shadow state for one shared-memory word.
-  struct SharedShadow {
-    bool init = false;
-    // Same-vector-access write tracking (lockstep-mode races).
-    std::uint64_t write_access = 0;
-    int writer_lane = -1;
-    Value written;
-    // Barrier-interval tracking (portable-mode races). A warp's barrier
-    // generation is its arrival count; warp id -1 = none, -2 = several.
-    std::uint64_t write_gen = 0;
-    int writer_warp = -1;
-    std::uint64_t read_gen = 0;
-    int reader_warp = -1;
-    SourceLoc write_loc;
-  };
-
-  [[nodiscard]] bool portable_races() const;
-
-  [[nodiscard]] static bool value_eq(Value a, Value b) {
-    if (a.tag != b.tag) return a.as_f() == b.as_f();
-    return a.is_float() ? a.f == b.f : a.i == b.i;
-  }
-
   void san_report(HazardKind kind, SourceLoc loc, int lane, std::string msg);
+  /// A shared access by `lane`: its warp's barrier generation is the
+  /// epoch, the access counter its sequence number.
+  [[nodiscard]] hazard::Access shared_access(int lane) const {
+    const int w = lanes_.warp_of(lane);
+    return {lane, w, warp_gen_[static_cast<std::size_t>(w)], access_seq_};
+  }
+  /// The shared word's hazard steps (sim/hazards.hpp), reported by race
+  /// mode. `differs`: the store changes the word's value.
   void note_shared_write(const Slot& slot, const std::string& name,
-                         std::size_t idx, int lane, Value val, SourceLoc loc);
+                         std::size_t idx, int lane, bool differs,
+                         SourceLoc loc);
   void note_shared_read(const Slot& slot, const std::string& name,
                         std::size_t idx, int lane, SourceLoc loc);
   /// Kepler's bar.sync counts *warp* arrivals: a warp arrives when >= 1 of
@@ -491,16 +479,9 @@ class BlockCore {
   /// fine, but a warp whose live lanes all branch around the barrier never
   /// arrives and the block deadlocks on real hardware.
   void note_barrier(SourceLoc loc, const Mask& mask);
-  /// Uninit-read report for one element of a buffer or array (`what`).
-  void report_uninit_element(const char* what, const std::string& name,
-                             std::int64_t index, int lane, SourceLoc loc);
   /// do_shfl's hazard report for a source lane it cannot honour.
   void report_shfl_source(ShflSource why, const std::string& callee,
                           std::int64_t src_lane, int lane, SourceLoc loc);
-  /// do_shfl's post-hoc init check on the lanes actually read as sources.
-  void check_shfl_sources(const std::vector<int>& src_of,
-                          const std::string& callee, SourceLoc loc,
-                          std::int32_t var_slot, const std::string& var_name);
 
   // ---------------- variable helpers ----------------
   /// Declares (or re-declares, for loop bodies) a variable, zero-filled
@@ -512,8 +493,11 @@ class BlockCore {
   /// Cold paths for lane-loop diagnostics; out of line so the string
   /// construction doesn't keep the lane bodies from inlining.
   [[noreturn]] static void binop_fail(const char* what, SourceLoc loc);
-  [[noreturn]] static void index_fail(std::int64_t i, std::int64_t dim,
-                                      SourceLoc loc);
+  /// kOutOfBounds (n: the buffer's size) or kIndexOutOfBounds (n: the
+  /// dimension) on name[i].
+  [[noreturn]] static void bounds_fail(hazard::Rule r, const std::string& name,
+                                       std::int64_t i, std::int64_t n,
+                                       SourceLoc loc);
 
   static constexpr std::uint64_t kLocalSpaceBase = 1ULL << 40;
 
@@ -537,9 +521,10 @@ class BlockCore {
   std::vector<std::int64_t> geom_[kGeomCount];
   Mask returned_;
   BlockSanitizer* san_ = nullptr;
-  std::unordered_map<std::uint64_t, SharedShadow> smem_shadow_;
-  std::vector<std::uint64_t> warp_gen_;  // barrier arrivals per warp
-  std::uint64_t access_seq_ = 0;         // one id per shared vector access
+  bool portable_ = false;  // the sanitizer reports cross-warp races too
+  std::unordered_map<std::uint64_t, hazard::Cell> smem_shadow_;
+  std::vector<std::int64_t> warp_gen_;  // barrier arrivals per warp
+  std::int64_t access_seq_ = 0;         // one id per shared vector access
   int shfl_arg_depth_ = 0;  // suppress uninit checks under shfl's broad mask
   std::vector<double> warp_issue_;
   std::vector<double> warp_latency_;
@@ -756,18 +741,20 @@ void BlockCore::buffer_load(Slot& slot, const std::string& name,
     for_each_run(mask, buf.size(), bsh == nullptr, whole, [&](std::size_t l) {
       const auto i = static_cast<std::size_t>(arith::as_i(idx.at(l)));
       if (bsh && shfl_arg_depth_ == 0 && i < bsh->size() && !(*bsh)[i])
-        report_uninit_element("global buffer", name,
-                              static_cast<std::int64_t>(i),
-                              static_cast<int>(l), loc);
-      buf.check(i);
+        san_report(HazardKind::kUninitRead, loc, static_cast<int>(l),
+                   hazard::text(hazard::Rule::kUninitGlobal, name,
+                                static_cast<std::int64_t>(i)));
+      if (i >= buf.size())
+        bounds_fail(hazard::Rule::kOutOfBounds, name, i, buf.size(), loc);
       o[l] = cvt(data[i]);
     });
   });
 }
 
 template <class I, class S>
-void BlockCore::buffer_store(Slot& slot, LaneView<I> idx, const Mask& mask,
-                             LaneView<S> val) {
+void BlockCore::buffer_store(Slot& slot, const std::string& name,
+                             LaneView<I> idx, const Mask& mask,
+                             LaneView<S> val, SourceLoc loc) {
   DeviceBuffer& buf = mem_.buffer(slot.buffer);
   charge_global(buf, idx, mask);
   std::vector<std::uint8_t>* bsh = buffer_shadow(slot);
@@ -784,7 +771,8 @@ void BlockCore::buffer_store(Slot& slot, LaneView<I> idx, const Mask& mask,
     };
     for_each_run(mask, buf.size(), bsh == nullptr, whole, [&](std::size_t l) {
       const auto i = static_cast<std::size_t>(arith::as_i(idx.at(l)));
-      buf.check(i);
+      if (i >= buf.size())
+        bounds_fail(hazard::Rule::kOutOfBounds, name, i, buf.size(), loc);
       data[i] = conv(val.at(l));
       if (bsh && i < bsh->size()) (*bsh)[i] = 1;
     });
@@ -827,7 +815,7 @@ void BlockCore::shared_store(Slot& slot, const std::string& name,
       const auto i = static_cast<std::size_t>(flat[l]);
       const auto v = conv(val.at(l));
       if (san_)
-        note_shared_write(slot, name, i, static_cast<int>(l), arith::box(v),
+        note_shared_write(slot, name, i, static_cast<int>(l), data[i] != v,
                           loc);
       data[i] = v;
     });
@@ -847,8 +835,8 @@ void BlockCore::local_load(Slot& slot, const std::string& name,
       const std::size_t i = l * elems + static_cast<std::size_t>(flat[l]);
       if (san_ && shfl_arg_depth_ == 0 && !slot.shadow.empty() &&
           !slot.shadow[i])
-        report_uninit_element("array element", name, flat[l],
-                              static_cast<int>(l), loc);
+        san_report(HazardKind::kUninitRead, loc, static_cast<int>(l),
+                   hazard::text(hazard::Rule::kUninitArray, name, flat[l]));
       o[l] = data[i];
     });
   });
@@ -869,12 +857,13 @@ void BlockCore::local_store(Slot& slot, const std::int64_t* flat,
 }
 
 template <class I>
-void BlockCore::flatten_dim(std::int64_t* flat, LaneView<I> idx,
-                            std::int64_t dim, bool first, const Mask& mask,
-                            SourceLoc loc) {
+void BlockCore::flatten_dim(std::int64_t* flat, const std::string& name,
+                            LaneView<I> idx, std::int64_t dim, bool first,
+                            const Mask& mask, SourceLoc loc) {
   lanes_.for_each_lane(mask, [&](std::size_t l) {
     const std::int64_t i = arith::as_i(idx.at(l));
-    if (i < 0 || i >= dim) index_fail(i, dim, loc);
+    if (i < 0 || i >= dim)
+      bounds_fail(hazard::Rule::kIndexOutOfBounds, name, i, dim, loc);
     flat[l] = first ? i : flat[l] * dim + i;
   });
 }
@@ -903,8 +892,12 @@ void BlockCore::do_shfl(Builtin b, const std::string& callee, LaneView<V> var,
     charge_latency(w, spec_.shfl_latency_cycles);
   });
   auto* o = out_as<V>(out);
-  std::vector<int> src_of;
-  if (san_) src_of.assign(static_cast<std::size_t>(lanes_.nlanes()), -1);
+  // The init bits of the source variable, when it is one with per-lane
+  // storage; the first lane that reads an unset one is reported.
+  const Slot* vs = san_ && var_name && var_slot >= 0
+                       ? &frame_[static_cast<std::size_t>(var_slot)]
+                       : nullptr;
+  if (vs && (!vs->type.is_scalar() || vs->shadow.empty())) vs = nullptr;
   // A broadcast width is checked once, which throws exactly where the
   // first active lane's check would.
   const std::int64_t splat_width = arith::as_i(width.splat);
@@ -928,13 +921,16 @@ void BlockCore::do_shfl(Builtin b, const std::string& callee, LaneView<V> var,
         if (r.why != ShflSource::kInRange)
           report_shfl_source(r.why, callee, r.src_lane, static_cast<int>(lu),
                              loc);
-        src_of[lu] = r.src;
+        if (vs && !vs->shadow[static_cast<std::size_t>(r.src)]) {
+          san_report(HazardKind::kUninitRead, loc, static_cast<int>(lu),
+                     hazard::shfl_uninit_source(
+                         callee, var_name, r.src % lanes_.warp_size()));
+          vs = nullptr;
+        }
       }
       o[lu] = var.at(static_cast<std::size_t>(r.src));
     }
   });
-  if (san_ && var_name)
-    check_shfl_sources(src_of, callee, loc, var_slot, *var_name);
 }
 
 template <class A, class B, class Out>

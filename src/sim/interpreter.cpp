@@ -30,11 +30,10 @@ struct BlockOutcome {
   bool done = false;          // executed (possibly faulting); false when
                               // cooperative cancellation skipped the block
   bool ok = false;
-  bool faulted = false;       // sanitized SimError, contained to the block
   bool tripped = false;       // sanitized watchdog trip; cancels the launch
-  std::string fault_message;
-  SourceLoc trip_loc;
-  std::vector<HazardReport> reports;  // hazard stream, in execution order
+  /// Hazard stream, in execution order; a sanitized SimError or watchdog
+  /// trip, contained to the block, is its last report.
+  std::vector<HazardReport> reports;
   std::exception_ptr error;   // unsanitized failure, rethrown by the merge
 };
 
@@ -109,19 +108,19 @@ KernelStats Interpreter::run(const Kernel& kernel, const LaunchConfig& cfg,
         // loop would burn the full budget in every remaining block, so
         // the launch is cancelled instead of kept going.
         out.tripped = true;
-        out.fault_message = e.what();
-        out.trip_loc = e.loc();
+        bs.reports.push_back(HazardReport{HazardKind::kWatchdogTrip,
+                                          kernel.name, bidx, -1, e.loc(),
+                                          e.what()});
       } else {
         out.error = std::current_exception();
       }
       cancel.store(true, std::memory_order_relaxed);
     } catch (const SimError& e) {
       if (opt_.sanitizer) {
-        // Keep-going mode: contain the fault to this block; the merge
-        // records it after the block's earlier hazards, like the serial
-        // engine did.
-        out.faulted = true;
-        out.fault_message = e.what();
+        // Keep-going mode: contain the fault to this block, after its
+        // earlier hazards.
+        bs.reports.push_back(HazardReport{HazardKind::kSimFault, kernel.name,
+                                          bidx, -1, {}, e.what()});
       } else {
         out.error = std::current_exception();
         cancel.store(true, std::memory_order_relaxed);
@@ -172,38 +171,10 @@ KernelStats Interpreter::run(const Kernel& kernel, const LaunchConfig& cfg,
     }
     if (stop) break;  // this block's stats are discarded, like serial
     if (out.error) std::rethrow_exception(out.error);
-    if (out.ok) {
-      total.add_block(out.stats);
-    } else if (out.tripped) {
-      HazardReport r;
-      r.kind = HazardKind::kWatchdogTrip;
-      r.kernel = kernel.name;
-      r.block = Dim3{static_cast<int>(i % cfg.grid.x),
-                     static_cast<int>((i / cfg.grid.x) % cfg.grid.y),
-                     static_cast<int>(i / (cfg.grid.x * cfg.grid.y))};
-      r.loc = out.trip_loc;
-      r.message = out.fault_message;
-      try {
-        opt_.sanitizer->report(std::move(r));
-      } catch (const HazardLimitReached&) {
-      }
-      // The launch is cancelled at the first (lowest-index) trip; later
-      // blocks' outcomes are discarded, exactly like serial execution.
-      stop = true;
-    } else if (out.faulted) {
-      HazardReport r;
-      r.kind = HazardKind::kSimFault;
-      r.kernel = kernel.name;
-      r.block = Dim3{static_cast<int>(i % cfg.grid.x),
-                     static_cast<int>((i / cfg.grid.x) % cfg.grid.y),
-                     static_cast<int>(i / (cfg.grid.x * cfg.grid.y))};
-      r.message = out.fault_message;
-      try {
-        opt_.sanitizer->report(std::move(r));
-      } catch (const HazardLimitReached&) {
-        stop = true;
-      }
-    }
+    if (out.ok) total.add_block(out.stats);
+    // The launch is cancelled at the first (lowest-index) trip; later
+    // blocks' outcomes are discarded, exactly like serial execution.
+    stop = out.tripped;
   }
   // crit_path_cycles was summed per block; convert to the average block's
   // slowest-warp path.

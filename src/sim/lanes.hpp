@@ -91,16 +91,6 @@ inline void check_shfl_device(const DeviceSpec& spec) {
                    std::to_string(spec.sm_version) + ")");
 }
 
-/// The text of a __shfl lane whose source, lane `src_lane` of the warp,
-/// holds no value; `var` names the source variable, if it is one.
-[[nodiscard]] inline std::string shfl_uninit_source(
-    const std::string& callee, const std::string* var, int src_lane) {
-  return callee + " reads " +
-         (var ? "uninitialized variable '" + *var + "'"
-              : std::string("an uninitialized value")) +
-         " from lane " + std::to_string(src_lane);
-}
-
 /// Which lane a __shfl lane reads, and why.
 enum class ShflSource : std::uint8_t {
   kInRange,      ///< the rule's source lane: in the warp and the block

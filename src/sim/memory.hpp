@@ -45,13 +45,13 @@ class DeviceBuffer {
   [[nodiscard]] std::uint64_t base_addr() const { return base_addr_; }
 
   [[nodiscard]] Value load(std::size_t idx) const {
-    check(idx);
+    if (idx >= size()) out_of_bounds(idx);
     if (type_ == ir::ScalarType::kFloat)
       return Value::of_float(static_cast<double>(f32_[idx]));
     return Value::of_int(i32_[idx]);
   }
   void store(std::size_t idx, Value v) {
-    check(idx);
+    if (idx >= size()) out_of_bounds(idx);
     if (type_ == ir::ScalarType::kFloat)
       f32_[idx] = static_cast<float>(v.as_f());
     else
@@ -71,11 +71,6 @@ class DeviceBuffer {
       fn(f32_.data());
     else
       fn(i32_.data());
-  }
-
-  /// Throws the out-of-bounds SimError unless idx < size().
-  void check(std::size_t idx) const {
-    if (idx >= size()) out_of_bounds(idx);
   }
 
   [[nodiscard]] std::span<float> f32() { return f32_; }

@@ -3,8 +3,8 @@
 //
 // When an engine is attached through sim::Interpreter::Options::sanitizer,
 // execution is instrumented with shadow state:
-//   - per shared-memory word: last writer (lane/warp), last written value,
-//     barrier generation of the access, and an initialization bit;
+//   - per shared-memory word: a hazard::Cell (sim/hazards.hpp), the
+//     rulebook the certifier's symbolic executor shares;
 //   - per warp: a barrier-arrival counter (Kepler's bar.sync counts *warp*
 //     arrivals, so a warp whose live lanes branch around a __syncthreads
 //     deadlocks the block on real hardware);

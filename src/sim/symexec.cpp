@@ -16,6 +16,7 @@
 
 #include "sim/arith.hpp"
 #include "sim/bytecode.hpp"
+#include "sim/hazards.hpp"
 #include "sim/lanes.hpp"
 #include "support/rng.hpp"
 
@@ -822,20 +823,13 @@ struct Abort {
   bool fault = false;
 };
 
-struct CellMeta {
-  std::int64_t wepoch = -1, repoch = -1;  // within the current block
-  int wwarp = -1, rwarp = -1;             // rwarp -2 = several warps
-  std::int64_t wseq = -1;                 // same-statement store conflicts
-  std::int64_t wblock = -1;               // globals: last writer block
-};
-
 /// A variable, or a global buffer (its cells and meta).
 struct Var {
   ir::Type type;
   bool block_scoped = false;  // shared array: one copy per block
   IdVec scalar;               // per-lane scalar ids
   IdVec cells;                // block_scoped: [elems]; else [lane*elems+e]
-  std::vector<CellMeta> meta;  // shared arrays and buffers: race tracking
+  std::vector<hazard::Cell> meta;  // shared arrays and buffers
 };
 
 /// An operand's node ids: a lane vector, or one id for every lane.
@@ -925,7 +919,8 @@ class Exec {
       Var& g = globals_[i];
       g.type = p.type;
       g.cells.resize(static_cast<std::size_t>(a.elems), kInv);
-      g.meta.assign(static_cast<std::size_t>(a.elems), CellMeta{});
+      g.meta.assign(static_cast<std::size_t>(a.elems),
+                    {.init = a.kind != SymArg::Kind::kBufferScratch});
       auto pi = static_cast<std::int32_t>(i);
       switch (a.kind) {
         case SymArg::Kind::kBufferSymbolic:
@@ -967,12 +962,8 @@ class Exec {
     returned_ = lanes_.none();
     epoch_ = 0;
     seq_ = 0;
-    for (auto& g : globals_)
-      for (auto& m : g.meta) {
-        m.wepoch = m.repoch = -1;
-        m.wwarp = m.rwarp = -1;
-        m.wseq = -1;
-      }
+    for (auto& g : globals_)  // a new block: keep what outlives the last
+      for (auto& m : g.meta) m = hazard::Cell{.block = m.block, .init = m.init};
     // Geometry lane vectors, then the parameters: this interning order
     // fixes every node id a certificate depends on.
     for (int g = kGeomThreadIdxX; g <= kGeomThreadIdxZ; ++g)
@@ -1017,8 +1008,8 @@ class Exec {
         if (shfl_depth_ == 0)
           each_lane([&, &v = slot_of(ins).scalar](std::size_t l) {
             if (v[l] == kInv)
-              throw Abort{"read of uninitialized variable '" +
-                          text(ins.name) + "'"};
+              throw Abort{
+                  hazard::text(hazard::Rule::kUninitVariable, text(ins.name))};
           });
         break;
       case Op::kStoreVar:
@@ -1102,15 +1093,6 @@ class Exec {
     if (static_cast<std::int64_t>(ar_.size()) > opt_.max_nodes)
       throw Abort{"expression budget of " + std::to_string(opt_.max_nodes) +
                   " nodes exhausted"};
-  }
-
-  /// Records "cross-warp <kind> race on 'name[i]'"; only the first 64
-  /// are kept, so later ones do not build their message.
-  void race(const char* kind, const std::string& name, std::size_t i) {
-    if (races_.size() < 64)
-      races_.push_back(SymRace{std::string("cross-warp ") + kind +
-                               " race on '" + name + "[" +
-                               std::to_string(i) + "]'"});
   }
 
   /// The mask of the innermost active region.
@@ -1226,7 +1208,7 @@ class Exec {
       v.scalar = splat(kInv);
     else
       v.cells.assign(v.block_scoped ? elems : elems * lanes_.nlanes(), kInv);
-    if (v.block_scoped) v.meta.assign(elems, CellMeta{});
+    if (v.block_scoped) v.meta.assign(elems, hazard::Cell{});
   }
 
   /// A brace initializer runs per thread, into the thread's own copy:
@@ -1268,7 +1250,7 @@ class Exec {
                            sv.as_i(), wv.as_i());
       out[l] = var.at(static_cast<std::size_t>(r.src));
       if (out[l] == kInv)
-        throw Abort{exec::shfl_uninit_source(
+        throw Abort{hazard::shfl_uninit_source(
             callee,
             ins.imm >= 0 ? &text(static_cast<std::int32_t>(ins.imm))
                          : nullptr,
@@ -1277,7 +1259,18 @@ class Exec {
   }
 
   // ---------------- memory ----------------
-  void note_write(CellMeta& meta, IdVec& cells, std::size_t i, int lane,
+  /// The hazard steps of a tracked cell (sim/hazards.hpp). A cross-block
+  /// or same-access conflict aborts; a cross-warp race is lockstep-ordered
+  /// and only noted, the first 64 of them.
+  [[nodiscard]] hazard::Access access_of(int lane, bool is_global) const {
+    return {lane, lanes_.warp_of(lane), epoch_, seq_, is_global ? blk_ : -1};
+  }
+  void note_race(hazard::Rule r, const std::string& name, std::size_t i) {
+    if (races_.size() < 64)
+      races_.push_back(hazard::text(r, name, static_cast<std::int64_t>(i)));
+  }
+
+  void note_write(hazard::Cell& meta, IdVec& cells, std::size_t i, int lane,
                   std::uint32_t vid, bool is_global, const std::string& name) {
     if (div_depth_ > 0) {
       // Guarded store: fold the branch predicates into the stored value
@@ -1297,48 +1290,29 @@ class Exec {
         if (p != kInv) vid = ar_.select(p, vid, old);
       }
     }
-    const int warp = lanes_.warp_of(lane);
-    if (is_global) {
-      if (meta.wblock >= 0 && meta.wblock != blk_ && cells[i] != vid)
-        throw Abort{"cross-block write conflict on '" + name + "[" +
-                    std::to_string(i) + "]'"};
-      meta.wblock = blk_;
-    }
-    if (meta.wseq == seq_ && cells[i] != vid)
-      throw Abort{"conflicting same-statement stores to '" + name + "[" +
-                  std::to_string(i) + "]'"};
-    if (meta.wepoch == epoch_ && meta.wwarp != warp && cells[i] != vid)
-      race("write/write", name, i);
-    if (meta.repoch == epoch_ &&
-        (meta.rwarp == -2 || (meta.rwarp >= 0 && meta.rwarp != warp)))
-      race("read/write", name, i);
-    meta.wepoch = epoch_;
-    meta.wwarp = warp;
-    meta.wseq = seq_;
+    const hazard::Write hit =
+        hazard::on_write(meta, access_of(lane, is_global), cells[i] != vid);
+    if (hit.rule == hazard::Rule::kCrossBlockWrite ||
+        hit.rule == hazard::Rule::kSameAccessWrite)
+      throw Abort{hazard::text(hit.rule, name, static_cast<std::int64_t>(i),
+                               lane, hit.other_lane)};
+    if (hit.rule == hazard::Rule::kWriteWrite) note_race(hit.rule, name, i);
+    if (hit.after_read) note_race(hazard::Rule::kReadWrite, name, i);
     cells[i] = vid;
   }
 
   /// Inlined: a gather calls it once per cell of every lane.
   [[gnu::always_inline]]
-  std::uint32_t note_read(CellMeta& meta, const IdVec& cells, std::size_t i,
-                          int lane, bool is_global, const std::string& name) {
-    const int warp = lanes_.warp_of(lane);
-    if (is_global && meta.wblock >= 0 && meta.wblock != blk_)
-      throw Abort{"cross-block read of '" + name + "[" + std::to_string(i) +
-                  "]'"};
-    if (meta.wepoch == epoch_ && meta.wwarp != warp)
-      race("write/read", name, i);
-    if (meta.repoch == epoch_) {
-      if (meta.rwarp != warp && meta.rwarp != -2) meta.rwarp = -2;
-    } else {
-      meta.repoch = epoch_;
-      meta.rwarp = warp;
-    }
-    std::uint32_t id = cells[i];
-    if (id == kInv && shfl_depth_ == 0)
-      throw Abort{"read of uninitialized '" + name + "[" + std::to_string(i) +
-                  "]'"};
-    return id;
+  std::uint32_t note_read(hazard::Cell& meta, const IdVec& cells,
+                          std::size_t i, int lane, bool is_global,
+                          const std::string& name) {
+    const hazard::Rule hit = hazard::on_read(meta, access_of(lane, is_global));
+    if (hit == hazard::Rule::kWriteRead)
+      note_race(hit, name, i);
+    else if (hit == hazard::Rule::kCrossBlockRead ||
+             (hit != hazard::Rule::kNone && shfl_depth_ == 0))  // uninit
+      throw Abort{hazard::text(hit, name, static_cast<std::int64_t>(i))};
+    return cells[i];
   }
 
   /// One dimension of an array index: bounds-checked while the index is
@@ -1359,9 +1333,8 @@ class Exec {
         state[l] = kInv;  // shfl-broadened lane with no value; skip quietly
       } else if (state[l] == kConcreteFlat && ar_.constant(id, &iv)) {
         if (iv.as_i() < 0 || iv.as_i() >= dim)
-          throw Abort{"index " + std::to_string(iv.as_i()) +
-                          " out of bounds for '" + text(ins.name) +
-                          "' dim of " + std::to_string(dim),
+          throw Abort{hazard::text(hazard::Rule::kIndexOutOfBounds,
+                                   text(ins.name), iv.as_i(), dim),
                       true};
         flat[l] = flat[l] * dim + iv.as_i();
       } else {
@@ -1403,9 +1376,7 @@ class Exec {
           buffer ? ar_.constant(id, &iv) : id == kConcreteFlat;
       const std::int64_t i = buffer ? iv.as_i() : flat[li];
       if (buffer && concrete && (i < 0 || i >= elems))
-        throw Abort{"out-of-bounds access to '" + name + "[" +
-                        std::to_string(i) + "]' (size " +
-                        std::to_string(elems) + ")",
+        throw Abort{hazard::text(hazard::Rule::kOutOfBounds, name, i, elems),
                     true};
       const std::size_t cell0 =
           tracked ? 0 : li * static_cast<std::size_t>(elems);
@@ -1422,8 +1393,7 @@ class Exec {
           out[li] = note_read(v.meta[ci], cells, ci, l, buffer, name);
         } else {
           if (cells[ci] == kInv && shfl_depth_ == 0)
-            throw Abort{"read of uninitialized array element '" + name +
-                        "[" + std::to_string(i) + "]'"};
+            throw Abort{hazard::text(hazard::Rule::kUninitArray, name, i)};
           out[li] = cells[ci];
         }
         return;
@@ -1571,7 +1541,7 @@ class Exec {
   SymExecOptions opt_;
   exec::Lanes lanes_;
   std::vector<Var> globals_;
-  std::vector<SymRace> races_;
+  std::vector<std::string> races_;
   std::int64_t steps_ = 0;
 
   /// Registers, lane-major like the VM's: node ids, and the concrete

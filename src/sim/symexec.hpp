@@ -309,16 +309,6 @@ struct SymExecOptions {
   std::int64_t max_nodes = 8'000'000;
 };
 
-/// A shared-memory (or same-block global) access pair that would be a
-/// data race on real hardware: cross-warp, same barrier epoch. The
-/// simulator's documented lockstep model gives these accesses a
-/// deterministic order — NP master/slave handoffs rely on it and
-/// intentionally report under SanitizerEngine::RaceMode::kPortable — so
-/// these are advisory notes, not correctness verdicts.
-struct SymRace {
-  std::string message;
-};
-
 struct SymExecResult {
   /// True when the kernel was executed to completion within the model.
   bool ok = false;
@@ -330,7 +320,10 @@ struct SymExecResult {
   /// Final symbolic contents per buffer argument (empty vector for
   /// scalar args), indexed like the `args` input.
   std::vector<std::vector<std::uint32_t>> buffers;
-  std::vector<SymRace> races;
+  /// The first 64 cross-warp same-epoch access pairs (sim/hazards.hpp):
+  /// races on real hardware, but ordered by the lockstep model that NP
+  /// handoffs rely on, so advisory notes, not verdicts.
+  std::vector<std::string> races;
   std::int64_t steps = 0;
 };
 

@@ -247,8 +247,8 @@ class VmExec : public exec::BlockCore {
           break;
         case Op::kFlatten:
           with_view(ins.a, [&](auto idx) {
-            flatten_dim(reg<std::int64_t>(ins.dst), idx, ins.imm,
-                        ins.aux != 0, cur(), ins.loc);
+            flatten_dim(reg<std::int64_t>(ins.dst), name_at(ins.name), idx,
+                        ins.imm, ins.aux != 0, cur(), ins.loc);
           });
           break;
         case Op::kBufLoad:
@@ -259,7 +259,8 @@ class VmExec : public exec::BlockCore {
           break;
         case Op::kBufStore:
           with_views(ins.a, ins.b, [&](auto idx, auto v) {
-            buffer_store(slot_of(ins), idx, cur(), v);
+            buffer_store(slot_of(ins), name_at(ins.name), idx, cur(), v,
+                         ins.loc);
           });
           break;
         case Op::kSharedLoad:

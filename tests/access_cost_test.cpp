@@ -228,7 +228,7 @@ TEST(AccessCost, LastLaneOutOfBoundsLoadKeepsItsError) {
     ADD_FAILURE() << "expected an out-of-bounds SimError";
   } catch (const SimError& err) {
     EXPECT_STREQ(err.what(),
-                 "global memory access out of bounds: index 64 size 64");
+                 "out-of-bounds access to 'a[64]' (size 64) at 2:20");
   }
   // The lanes before the faulting one were not stored: the load threw
   // before the store statement ran.
@@ -239,8 +239,10 @@ TEST(AccessCost, FirstOutOfRangeLaneNamesTheArrayIndex) {
   // Past the end from lane 22 (index 66), and below zero on lanes 0-4
   // (index -5 first): the error names the first failing lane's index.
   const std::pair<const char*, const char*> cases[] = {
-      {"3 * threadIdx.x", "index 66 out of bounds [0,64) for array at 3:22"},
-      {"threadIdx.x - 5", "index -5 out of bounds [0,64) for array at 3:22"},
+      {"3 * threadIdx.x",
+       "index 66 out of bounds [0,64) for array 'sm' at 3:22"},
+      {"threadIdx.x - 5",
+       "index -5 out of bounds [0,64) for array 'sm' at 3:22"},
   };
   for (const auto& [index, error] : cases) {
     Launch l;

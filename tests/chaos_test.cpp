@@ -276,7 +276,8 @@ __global__ void ident(float* out, int n) {
   for (const auto& r : run.engine.reports())
     oob_seen = oob_seen ||
                (r.kind == sim::HazardKind::kSimFault &&
-                r.message.find("out of bounds") != std::string::npos);
+                r.message ==
+                    "out-of-bounds access to 'out[128]' (size 128) at 4:3");
   EXPECT_TRUE(oob_seen) << run.engine.summary();
 }
 

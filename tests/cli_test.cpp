@@ -182,8 +182,10 @@ __global__ void racy(float* out, int n) {
 )");
   auto r = run_cli(path + " --sanitize");
   EXPECT_EQ(r.exit_code, 3) << r.output;
-  EXPECT_NE(r.output.find("shared-race"), std::string::npos);
-  EXPECT_NE(r.output.find("write-write race"), std::string::npos);
+  EXPECT_NE(r.output.find("shared-race: same-instruction write/write race "
+                          "on 's[0]': lanes 0 and 1 store different values"),
+            std::string::npos)
+      << r.output;
 }
 
 TEST(Cli, SanitizeUnannotatedKernelRunsBaselineOnly) {

@@ -53,9 +53,9 @@ __global__ void racy(float* out, int n) {
   const auto& r = run.engine.reports()[0];
   EXPECT_EQ(r.kind, HazardKind::kSharedRace);
   EXPECT_EQ(r.loc.line, 4);
-  EXPECT_NE(r.message.find("write-write race on shared 's[0]'"),
-            std::string::npos)
-      << r.str();
+  EXPECT_EQ(r.message,
+            "same-instruction write/write race on 's[0]': lanes 0 and 1 "
+            "store different values");
   // 31 lanes collide with lane 0; deduplication keeps one report.
   EXPECT_EQ(run.engine.total_detected(), 31u);
 }

@@ -219,5 +219,41 @@ TEST(VariantPolicy, FallbackPicksTheFirstCleanValidateEntry) {
   }
 }
 
+// A baseline that trips its watchdog is no reference: validate runs the
+// variants unchecked and says so, and never blames one of them for
+// differing from the aborted baseline's partial outputs.
+TEST(VariantPolicy, AnAbortedBaselineIsNoReference) {
+  const auto spec = sim::DeviceSpec::gtx680();
+  for (const auto& b : kernels::make_benchmark_suite(kScale)) {
+    if (b->name() != "LU") continue;
+    const kernels::Benchmark& bench = *b;
+    const ir::Kernel& kernel = bench.kernel();
+    auto factory = [&bench] { return bench.make_workload(); };
+    const int tb = static_cast<int>(factory().launch.block.count());
+    ValidationOptions tight;
+    tight.interp.limits.max_steps_per_block = 2000;
+    const ValidationReport report = NpCompiler::validate(
+        kernel, NpCompiler::config_space(kernel, tb, spec), factory, spec,
+        tight);
+    ASSERT_FALSE(report.baseline_hazards.empty());
+    EXPECT_EQ(report.baseline_hazards.front().kind,
+              sim::HazardKind::kWatchdogTrip);
+    EXPECT_FALSE(report.all_clean());
+    const std::string summary = report.summary();
+    EXPECT_EQ(summary.find("OUTPUT MISMATCH"), std::string::npos) << summary;
+    int unchecked = 0;
+    for (const auto& e : report.entries) {
+      if (!e.ran) continue;
+      ++unchecked;
+      EXPECT_FALSE(e.outputs_match) << e.config;
+      EXPECT_EQ(e.mismatch, "no reference: the baseline failed (watchdog-trip)")
+          << e.config;
+      EXPECT_NE(summary.find(e.config + ": " + e.mismatch), std::string::npos)
+          << summary;
+    }
+    EXPECT_EQ(unchecked, 10);
+  }
+}
+
 }  // namespace
 }  // namespace cudanp::np
