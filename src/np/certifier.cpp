@@ -91,12 +91,6 @@ Certificate Certifier::certify(const ir::Kernel& kernel,
   return JobCertifier(*this, kernel, make_workload).certify(config);
 }
 
-Certificate Certifier::certify_variant(
-    const ir::Kernel& kernel, const transform::TransformResult& variant,
-    const WorkloadFactory& make_workload) const {
-  return JobCertifier(*this, kernel, make_workload).certify(variant);
-}
-
 Certificate JobCertifier::certify(const transform::NpConfig& config) {
   try {
     transform::TransformResult variant =
@@ -156,33 +150,7 @@ JobCertifier::Baseline& JobCertifier::baseline() {
   const CertifyOptions& opt = certifier_.options();
   b.run = sim::sym_execute(certifier_.spec(), kernel_, b.grid, b.block,
                            b.args, b.arena, sym_options(opt));
-  if (!b.run.ok) return baseline_.emplace(std::move(b));
-  // Every variant compares against the baseline's normal forms, so they
-  // are built once, into the arena every variant starts from. A
-  // normalization that runs out of budget or faults is undone: variants
-  // then start from the arena the run left, and one that needs a normal
-  // form reports why there is none.
-  auto normalize_outputs = [&]() -> std::string {
-    try {
-      for (const auto& cells : b.run.buffers) {
-        auto& norm = b.norm.emplace_back();
-        for (const std::uint32_t id : cells) {
-          norm.push_back(b.arena.normalize(id, opt.max_nodes));
-          if (norm.back() == sim::SymArena::kInvalid)
-            return normalization_budget(opt);
-        }
-      }
-    } catch (const sim::SymFault& f) {
-      return "normalization faulted: " + f.message;
-    }
-    return {};
-  };
-  b.arena.mark();
-  b.norm_failure = normalize_outputs();
-  if (!b.norm_failure.empty()) {
-    b.arena.rollback();
-    b.norm.clear();
-  }
+  // Every variant runs in this arena and is rolled back to it.
   b.arena.mark();
   return baseline_.emplace(std::move(b));
 }
@@ -239,9 +207,9 @@ Certificate JobCertifier::certify(const transform::TransformResult& variant) {
   const std::vector<sim::SymArg>& bargs = bl.args;
 
   // The variant runs on the baseline's environment plus its re-homed
-  // scratch buffers, in the post-baseline arena (which holds the
-  // baseline's normal forms); the arena is rolled back to that state
-  // when this certificate is done.
+  // scratch buffers, in the post-baseline arena; the arena is rolled
+  // back to that state when this certificate is done, normal forms
+  // included.
   std::vector<sim::SymArg> vargs = bargs;
   for (const auto& extra : variant.extra_buffers) {
     sim::SymArg a;
@@ -293,10 +261,13 @@ Certificate JobCertifier::certify(const transform::TransformResult& variant) {
         return inconclusive("output buffer shapes differ");
       bool is_float = kernel_.params[i].type.scalar == ir::ScalarType::kFloat;
       for (std::size_t e = 0; e < bb.size(); ++e) {
+        // A cell the variant left untouched is the baseline's own node;
+        // only one that differs raw needs normal forms.
         if (bb[e] == vv[e]) continue;
-        if (!bl.norm_failure.empty()) return inconclusive(bl.norm_failure);
         all_raw_equal = false;
-        const std::uint32_t nb = bl.norm[i][e];
+        const std::uint32_t nb = arena.normalize(bb[e], opt.max_nodes);
+        if (nb == sim::SymArena::kInvalid)
+          return inconclusive(normalization_budget(opt));
         const std::uint32_t nv = arena.normalize(vv[e], opt.max_nodes);
         if (nv == sim::SymArena::kInvalid)
           return inconclusive(normalization_budget(opt));

@@ -160,11 +160,6 @@ class Certifier {
                                     const transform::NpConfig& config,
                                     const WorkloadFactory& make_workload) const;
 
-  /// Certifies an already-transformed variant against its baseline.
-  [[nodiscard]] Certificate certify_variant(
-      const ir::Kernel& kernel, const transform::TransformResult& variant,
-      const WorkloadFactory& make_workload) const;
-
   [[nodiscard]] const sim::DeviceSpec& spec() const { return spec_; }
   [[nodiscard]] const CertifyOptions& options() const { return opt_; }
 
@@ -175,14 +170,16 @@ class Certifier {
 
 /// Certifies the variants of one job, one kernel over one workload
 /// shape, against a single baseline proof. The probe workload, the
-/// symbolic arguments, the baseline's symbolic run and the normal form
-/// of every baseline output cell are built at the first certify() and
-/// shared; each variant then runs in that expression arena, which
-/// already holds the baseline's normal forms, and the arena is rolled
-/// back to it afterwards. Certifier::certify and certify_variant go
-/// through the same baseline, so a variant's node ids and node budget
-/// are those of a fresh proof, and every certificate is byte-identical
-/// to theirs.
+/// symbolic arguments and the baseline's symbolic run are built at the
+/// first certify() and shared; each variant then runs in that
+/// expression arena, and the arena is rolled back to it afterwards.
+/// Output cells whose raw ids are equal are the same expression and
+/// need no normal form; for a cell that differs, the baseline's and
+/// the variant's normal forms are built in the variant's part of the
+/// arena and rolled back with it. So every variant starts from the
+/// arena a one-shot proof starts from: its node ids and node budget are
+/// those of Certifier::certify, and its certificate does not depend on
+/// which configs were certified before it.
 class JobCertifier {
  public:
   /// `certifier` and `kernel` must outlive this object.
@@ -203,12 +200,8 @@ class JobCertifier {
     std::string geometry;
     std::vector<sim::SymArg> args;
     sim::SymExecResult run;
-    /// The normal form of every cell of run.buffers, built in `arena`;
-    /// empty when normalization stopped, for the reason in norm_failure.
-    std::vector<std::vector<std::uint32_t>> norm;
-    std::string norm_failure;
-    /// As the baseline run and normalization left it: marked, and
-    /// rolled back to that mark after every variant.
+    /// As the baseline run left it: marked, and rolled back to that
+    /// mark after every variant.
     sim::SymArena arena;
   };
   Baseline& baseline();

@@ -197,7 +197,8 @@ TEST(CertFuzz, VerdictsAgreeWithEmpiricalGroundTruth) {
           continue;
       }
 
-      Certificate cert = certifier.certify_variant(kernel, variant, factory);
+      Certificate cert =
+          np::JobCertifier(certifier, kernel, factory).certify(variant);
 
       if (cert.proven()) {
         ++proven_total;

@@ -468,7 +468,8 @@ TEST(Certifier, ProvesNpReductionVariants) {
     } catch (const CompileError&) {
       continue;  // configuration legitimately inapplicable
     }
-    Certificate cert = certifier.certify_variant(kernel, variant, factory);
+    Certificate cert =
+        np::JobCertifier(certifier, kernel, factory).certify(variant);
     EXPECT_TRUE(cert.proven()) << cert.str();
     proven += cert.proven() ? 1 : 0;
   }
@@ -503,7 +504,8 @@ __global__ void k(float* a, float* c, int w, int h) {
     } catch (const CompileError&) {
       continue;
     }
-    Certificate cert = certifier.certify_variant(kernel, variant, factory);
+    Certificate cert =
+        np::JobCertifier(certifier, kernel, factory).certify(variant);
     EXPECT_EQ(cert.verdict, Verdict::kInconclusive) << cert.str();
     EXPECT_NE(cert.str().find("integer division overflow"), std::string::npos)
         << cert.str();
@@ -633,7 +635,7 @@ TEST(Certifier, SkewedStoreIndexIsRefutedWithReplay) {
     sim::FaultInjector injector(plan);
     ASSERT_TRUE(injector.corrupt_kernel(*variant.kernel));
     Certificate cert =
-        Certifier(spec).certify_variant(kernel, variant, factory);
+        np::JobCertifier(Certifier(spec), kernel, factory).certify(variant);
     // A skewed store lands out of bounds or on the wrong cell; either
     // way the certifier may only call it refuted with interpreter
     // evidence — and must never call it proven.
@@ -671,7 +673,7 @@ TEST(Certifier, DroppedBarrierIsFlaggedOnTheCertificate) {
       continue;  // this variant has no barrier to drop
     ++corrupted;
     Certificate cert =
-        Certifier(spec).certify_variant(kernel, variant, factory);
+        np::JobCertifier(Certifier(spec), kernel, factory).certify(variant);
     // Under the simulator's lockstep contract a dropped barrier leaves
     // the values bit-identical (the documented execution model orders
     // the handoff deterministically), so the verdict stays a proof —
@@ -1382,8 +1384,10 @@ class BenchmarkCertification : public ::testing::TestWithParam<std::string> {};
 
 /// Certifies every applicable config of `kernel` through one
 /// JobCertifier, whose baseline proof all variants share, and checks
-/// each certificate byte for byte against a fresh one-shot proof.
-/// Returns the shared-path certificates.
+/// each certificate byte for byte against a fresh one-shot proof. The
+/// same JobCertifier then certifies them again in reverse order: a
+/// certificate must not depend on which configs were certified before
+/// it. Returns the shared-path certificates.
 std::vector<Certificate> certify_shared_checked(
     const ir::Kernel& kernel, const np::WorkloadFactory& factory,
     const Certifier& certifier) {
@@ -1391,19 +1395,27 @@ std::vector<Certificate> certify_shared_checked(
   auto configs = NpCompiler::enumerate_configs(
       kernel, static_cast<int>(probe.launch.block.count()), certifier.spec());
   EXPECT_FALSE(configs.empty());
-  np::JobCertifier job(certifier, kernel, factory);
-  std::vector<Certificate> certs;
+  std::vector<transform::TransformResult> variants;
   for (const auto& cfg : configs) {
-    SCOPED_TRACE(cfg.describe());
-    transform::TransformResult variant;
     try {
-      variant = NpCompiler::transform(kernel, cfg);
+      variants.push_back(NpCompiler::transform(kernel, cfg));
     } catch (const CompileError&) {
       continue;  // configuration legitimately inapplicable
     }
+  }
+  np::JobCertifier job(certifier, kernel, factory);
+  std::vector<Certificate> certs;
+  for (const auto& variant : variants) {
+    SCOPED_TRACE(variant.config.describe());
     certs.push_back(job.certify(variant));
     EXPECT_EQ(certs.back().json(),
-              certifier.certify_variant(kernel, variant, factory).json());
+              np::JobCertifier(certifier, kernel, factory)
+                  .certify(variant)
+                  .json());
+  }
+  for (std::size_t i = variants.size(); i-- > 0;) {
+    SCOPED_TRACE(variants[i].config.describe() + " (reverse order)");
+    EXPECT_EQ(job.certify(variants[i]).json(), certs[i].json());
   }
   return certs;
 }
@@ -1446,8 +1458,7 @@ TEST(Certifier, SharedBaselineMatchesFreshProof) {
   }
   // Node budgets that trip in the baseline run, the variant run or the
   // normalization trip identically both ways: every variant starts from
-  // the arena a fresh proof builds (the baseline run and its normal
-  // forms), node for node. 1000 trips in the baseline run, 2000 in the
+  // the arena a fresh proof builds (the baseline run), node for node. 1000 trips in the baseline run, 2000 in the
   // variant runs, and 1800 in one variant's normalization.
   auto factory = [&] { return np::make_synthetic_workload(kernel, 16, 16); };
   std::set<std::string> trips;
@@ -1465,6 +1476,34 @@ TEST(Certifier, SharedBaselineMatchesFreshProof) {
                        "normalization expression budget",
                        "variant: expression budget",
                    }));
+}
+
+TEST(Certifier, RawEqualCellsNeedNoNormalForm) {
+  // c is a reduction, so every variant changes it; d doubles a per-thread
+  // input 50 times outside the NP loop, so every variant leaves it the
+  // baseline's own node, whose normal form (2^50 operands) no budget
+  // holds. Only cells that differ raw may be normalized.
+  std::unique_ptr<ir::Program> prog;
+  ir::Kernel& kernel = parse_kernel(prog, R"(
+__global__ void k(float* a, float* b, float* c, float* d, int w, int h) {
+  float s = 0.0f;
+  int tx = threadIdx.x;
+  #pragma np parallel for reduction(+:s)
+  for (int i = 0; i < h; i++)
+    s += a[i * w + tx] * b[i];
+  c[tx] = s;
+  float t = a[tx];
+  for (int j = 0; j < 50; j++)
+    t = t + t;
+  d[tx] = t;
+}
+)");
+  auto factory = [&] { return np::make_synthetic_workload(kernel, 8, 8); };
+  const auto certs = certify_shared_checked(
+      kernel, factory, Certifier(sim::DeviceSpec::gtx680()));
+  EXPECT_EQ(certs.size(), 10u);
+  for (const Certificate& cert : certs)
+    EXPECT_EQ(cert.verdict, Verdict::kProvenModuloReassoc) << cert.str();
 }
 
 TEST(CertifyOptions, FingerprintDistinguishesTolerances) {
