@@ -1458,8 +1458,9 @@ TEST(Certifier, SharedBaselineMatchesFreshProof) {
   }
   // Node budgets that trip in the baseline run, the variant run or the
   // normalization trip identically both ways: every variant starts from
-  // the arena a fresh proof builds (the baseline run), node for node. 1000 trips in the baseline run, 2000 in the
-  // variant runs, and 1800 in one variant's normalization.
+  // the arena a fresh proof builds (the baseline run), node for node.
+  // 1000 trips in the baseline run, 2000 in the variant runs, and 1800
+  // in one variant's normalization.
   auto factory = [&] { return np::make_synthetic_workload(kernel, 16, 16); };
   std::set<std::string> trips;
   for (std::int64_t nodes : {1000, 1800, 2000}) {
