@@ -4,6 +4,7 @@
 //
 // The paper argues the search space is small enough to tune
 // exhaustively; this ablation quantifies the alternative it sketches.
+#include <algorithm>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -20,40 +21,34 @@ int main(int argc, char** argv) {
       opt);
 
   auto spec = sim::DeviceSpec::gtx680();
-  np::Runner runner(spec);
   Table table({"Name", "heuristic pick", "rationale", "heuristic speedup",
                "exhaustive best", "captured"});
   std::vector<double> captured;
 
   for (auto& b : kernels::make_benchmark_suite(opt.scale)) {
-    auto probe = b->make_workload();
-    int master = static_cast<int>(probe.launch.block.count());
+    int master = static_cast<int>(b->make_workload().launch.block.count());
     auto choice = np::suggest_config(b->kernel(), master, spec);
 
-    double heuristic_speedup = 0;
-    std::string note;
-    try {
-      auto variant = np::NpCompiler::transform(b->kernel(), choice.config);
-      auto w = b->make_workload();
-      auto run =
-          runner.execute(np::ExecutionRequest::transformed(variant, w)).run;
-      std::string msg;
-      if (w.validate && !w.validate(*w.mem, &msg)) throw SimError(msg);
-      double baseline = bench::run_baseline_seconds(*b, spec);
-      heuristic_speedup = baseline / run.timing.seconds;
-    } catch (const std::exception& e) {
-      note = e.what();
-    }
+    // One exhaustive sweep that also measures the heuristic's pick.
+    np::TuneOptions sweep{
+        np::NpCompiler::enumerate_configs(b->kernel(), master, spec)};
+    const auto pick = static_cast<std::size_t>(
+        std::ranges::find(sweep.configs, choice.config.describe(),
+                          &transform::NpConfig::describe) -
+        sweep.configs.begin());
+    if (pick == sweep.configs.size()) sweep.configs.push_back(choice.config);
+    auto tune = bench::tune_benchmark(*b, spec, sweep);
 
-    auto tune = bench::tune_benchmark(*b, spec);
+    const np::TuneEntry& picked = tune.entries[pick];
+    double heuristic_speedup =
+        picked.ok ? tune.baseline_seconds / picked.seconds : 0;
     double best = tune.best_speedup();
     double frac = best > 0 ? heuristic_speedup / best : 0;
     captured.push_back(std::max(frac, 1e-6));
     table.add_row({b->name(), choice.config.describe(),
                    choice.rationale.substr(0, 44),
-                   heuristic_speedup > 0
-                       ? bench::fmt(heuristic_speedup, 3) + "x"
-                       : note.substr(0, 24),
+                   picked.ok ? bench::fmt(heuristic_speedup, 3) + "x"
+                             : bench::failure_detail(tune, pick).substr(0, 24),
                    bench::fmt(best, 3) + "x",
                    bench::fmt(100 * frac, 3) + "%"});
     std::fflush(stdout);

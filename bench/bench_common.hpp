@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "kernels/benchmark.hpp"
 #include "kernels/reference_kernels.hpp"
@@ -52,6 +53,7 @@ inline void print_header(const char* figure, const char* claim,
 }
 
 /// Autotunes one benchmark and returns the result (validating outputs).
+/// Every figure that measures an NP variant reads it from here.
 inline np::TuneResult tune_benchmark(const kernels::Benchmark& bench,
                                      const sim::DeviceSpec& spec,
                                      np::TuneOptions opts = {}) {
@@ -60,17 +62,66 @@ inline np::TuneResult tune_benchmark(const kernels::Benchmark& bench,
                     opts);
 }
 
-/// Runs one kernel (no NP) and returns simulated seconds.
+/// Runs one kernel (no NP) through np::evaluate_config and returns
+/// simulated seconds; for the baselines that have no NP variant to tune
+/// (library stand-ins, memcopy, the CDP rows).
 inline double run_baseline_seconds(const kernels::Benchmark& bench,
                                    const sim::DeviceSpec& spec) {
-  np::Runner runner(spec);
-  auto w = bench.make_workload();
-  auto r =
-      runner.execute(np::ExecutionRequest::baseline(bench.kernel(), w)).run;
-  std::string msg;
-  if (w.validate && !w.validate(*w.mem, &msg))
-    throw SimError(bench.name() + " failed validation: " + msg);
-  return r.timing.seconds;
+  const np::Workload pristine = bench.make_workload();
+  const np::ConfigEvaluation e = np::evaluate_config(
+      np::Runner(spec), bench.kernel(), nullptr,
+      [&] { return pristine.copy(); }, pristine.validate, nullptr, nullptr);
+  if (e.failure)
+    throw SimError(bench.name() + " failed validation: " + e.failure->detail);
+  return e.run.timing.seconds;
+}
+
+/// The sweep grid the figures tune over: `base` at every slave size in
+/// `sizes` for each NP type in `types` (type-major order).
+inline std::vector<transform::NpConfig> config_grid(
+    transform::NpConfig base, const std::vector<int>& sizes,
+    const std::vector<ir::NpType>& types = {ir::NpType::kInterWarp,
+                                            ir::NpType::kIntraWarp}) {
+  std::vector<transform::NpConfig> configs;
+  for (auto type : types) {
+    for (int s : sizes) {
+      base.np_type = type;
+      base.slave_size = s;
+      configs.push_back(base);
+    }
+  }
+  return configs;
+}
+
+/// The fastest clean entry among tune.entries[first, first + count), or
+/// null when none of them ran clean.
+inline const np::TuneEntry* fastest(const np::TuneResult& tune,
+                                    std::size_t first, std::size_t count) {
+  const np::TuneEntry* best = nullptr;
+  for (std::size_t i = first; i < first + count; ++i) {
+    const np::TuneEntry& e = tune.entries[i];
+    if (e.ok && (!best || e.seconds < best->seconds)) best = &e;
+  }
+  return best;
+}
+
+/// Why tune.entries[i] failed: the transform, run or validation error
+/// text. TuneResult::failures lists the failed entries in entry order.
+inline const std::string& failure_detail(const np::TuneResult& tune,
+                                         std::size_t i) {
+  std::size_t failed_before = 0;
+  for (std::size_t k = 0; k < i; ++k)
+    if (!tune.entries[k].ok) ++failed_before;
+  return tune.failures[failed_before].detail;
+}
+
+/// Prints a note for each variant of `tune` that transformed but failed
+/// to run or to validate; a configuration the transform rejects is only
+/// inapplicable ('-' in the tables).
+inline void print_faults(const np::TuneResult& tune) {
+  for (const auto& f : tune.failures)
+    if (f.cause != np::FailureCause::kTransformError)
+      std::printf("note: %s\n", f.str().c_str());
 }
 
 inline std::string fmt(double v, int digits = 3) {

@@ -21,40 +21,25 @@ int main(int argc, char** argv) {
       opt);
 
   auto spec = sim::DeviceSpec::gtx680();
-  const int sizes[] = {2, 4, 8, 16, 32};
+  const std::vector<int> sizes = {2, 4, 8, 16, 32};
   std::vector<std::string> header = {"Name", "type"};
   for (int s : sizes) header.push_back("S=" + std::to_string(s));
   Table table(header);
 
   for (auto& b : kernels::make_benchmark_suite(opt.scale)) {
-    auto probe = b->make_workload();
-    int master = static_cast<int>(probe.launch.block.count());
-    double baseline = bench::run_baseline_seconds(*b, spec);
-    np::Runner runner(spec);
-
-    for (auto type : {ir::NpType::kInterWarp, ir::NpType::kIntraWarp}) {
-      std::vector<std::string> row = {
-          b->name(), type == ir::NpType::kInterWarp ? "inter" : "intra"};
-      for (int s : sizes) {
-        transform::NpConfig cfg;
-        cfg.np_type = type;
-        cfg.slave_size = s;
-        cfg.master_count = master;
-        std::string cell = "-";
-        try {
-          auto variant = np::NpCompiler::transform(b->kernel(), cfg);
-          auto w = b->make_workload();
-          auto run =
-              runner.execute(np::ExecutionRequest::transformed(variant, w))
-                  .run;
-          std::string msg;
-          if (w.validate && !w.validate(*w.mem, &msg))
-            throw SimError("validation: " + msg);
-          cell = bench::fmt(baseline / run.timing.seconds, 3);
-        } catch (const CompileError&) {
-        } catch (const SimError&) {
-        }
-        row.push_back(cell);
+    transform::NpConfig base;
+    base.master_count =
+        static_cast<int>(b->make_workload().launch.block.count());
+    auto tune =
+        bench::tune_benchmark(*b, spec, {bench::config_grid(base, sizes)});
+    bench::print_faults(tune);
+    std::size_t i = 0;
+    for (const char* type : {"inter", "intra"}) {
+      std::vector<std::string> row = {b->name(), type};
+      for (std::size_t k = 0; k < sizes.size(); ++k, ++i) {
+        const np::TuneEntry& e = tune.entries[i];
+        row.push_back(e.ok ? bench::fmt(tune.baseline_seconds / e.seconds, 3)
+                           : "-");
       }
       table.add_row(std::move(row));
     }

@@ -20,37 +20,38 @@ int main(int argc, char** argv) {
 
   auto spec = sim::DeviceSpec::gtx680();
   auto bench = kernels::make_benchmark("LE", opt.scale);
-  double baseline = bench::run_baseline_seconds(*bench, spec);
-  np::Runner runner(spec);
 
-  auto measure = [&](int slave, bool pad) -> double {
-    transform::NpConfig cfg;
-    cfg.np_type = ir::NpType::kInterWarp;
-    cfg.slave_size = slave;
-    cfg.master_count = 32;
-    cfg.pad_loops = pad;
-    auto variant = np::NpCompiler::transform(bench->kernel(), cfg);
-    auto w = bench->make_workload();
-    auto run =
-        runner.execute(np::ExecutionRequest::transformed(variant, w)).run;
-    std::string msg;
-    if (w.validate && !w.validate(*w.mem, &msg))
-      throw SimError("LE validation failed: " + msg);
-    return baseline / run.timing.seconds;
-  };
-
-  Table table({"pair", "padded (P)", "speedup", "no padding (NP)",
-               "speedup", "NP wins?"});
   struct Pair {
     int padded;
     int unpadded;
   };
   // The paper's comparable-slave-count pairs.
   const Pair pairs[] = {{2, 3}, {4, 5}, {8, 10}, {16, 15}};
-  double best = 0;
+  np::TuneOptions sweep;  // per pair: padded, then unpadded
   for (const auto& p : pairs) {
-    double sp_p = measure(p.padded, /*pad=*/true);
-    double sp_np = measure(p.unpadded, /*pad=*/false);
+    for (int slave : {p.padded, p.unpadded}) {
+      transform::NpConfig cfg;
+      cfg.np_type = ir::NpType::kInterWarp;
+      cfg.slave_size = slave;
+      cfg.master_count = 32;
+      cfg.pad_loops = slave == p.padded;
+      sweep.configs.push_back(cfg);
+    }
+  }
+  const auto tune = bench::tune_benchmark(*bench, spec, sweep);
+  auto speedup = [&](std::size_t i) {
+    const np::TuneEntry& e = tune.entries[i];
+    return e.ok ? tune.baseline_seconds / e.seconds : 0.0;
+  };
+  auto cell = [](double sp) { return sp > 0 ? bench::fmt(sp, 3) + "x" : "-"; };
+
+  Table table({"pair", "padded (P)", "speedup", "no padding (NP)",
+               "speedup", "NP wins?"});
+  double best = 0;
+  for (std::size_t k = 0; k < std::size(pairs); ++k) {
+    const Pair& p = pairs[k];
+    double sp_p = speedup(2 * k);
+    double sp_np = speedup(2 * k + 1);
     best = std::max({best, sp_p, sp_np});
     table.add_row({std::to_string(p.padded) + "P vs " +
                        std::to_string(p.unpadded) + "NP",
@@ -58,12 +59,11 @@ int main(int argc, char** argv) {
                        std::to_string((150 + p.padded - 1) / p.padded *
                                       p.padded) +
                        ")",
-                   bench::fmt(sp_p, 3) + "x",
-                   std::to_string(p.unpadded) + " slaves",
-                   bench::fmt(sp_np, 3) + "x",
-                   sp_np > sp_p ? "yes" : "no"});
+                   cell(sp_p), std::to_string(p.unpadded) + " slaves",
+                   cell(sp_np), sp_np > sp_p ? "yes" : "no"});
   }
   table.print(std::cout);
+  bench::print_faults(tune);
   std::printf("\nbest LE speedup over baseline: %.2fx (paper: 2.25x)\n",
               best);
   return 0;

@@ -24,24 +24,17 @@ int main(int argc, char** argv) {
   // Paper Sec. 6: "using 3 or 7 slave threads achieves close-to-optimal
   // performance for all benchmarks" — the sweep here tunes over the
   // nearby power-of-two sizes to keep the width sweep fast.
-  np::TuneOptions tune_opts;
-  for (auto type : {ir::NpType::kInterWarp, ir::NpType::kIntraWarp}) {
-    for (int s : {4, 8, 16}) {
-      transform::NpConfig cfg;
-      cfg.np_type = type;
-      cfg.slave_size = s;
-      cfg.master_count = 32;
-      tune_opts.configs.push_back(cfg);
-    }
-  }
+  transform::NpConfig base;
+  base.master_count = 32;
+  const np::TuneOptions sweep{bench::config_grid(base, {4, 8, 16})};
 
   for (int width : {512, 1024, 2048, 4096, 8192}) {
     int w = std::max(static_cast<int>(width * opt.scale) / 128 * 128, 128);
     auto baseline = kernels::make_tmv(w, height);
     auto cublas = kernels::make_tmv_cublas(w, height);
-    double base_s = bench::run_baseline_seconds(*baseline, spec);
+    auto tune = bench::tune_benchmark(*baseline, spec, sweep);
+    double base_s = tune.baseline_seconds;
     double cublas_s = bench::run_baseline_seconds(*cublas, spec);
-    auto tune = bench::tune_benchmark(*baseline, spec, tune_opts);
     double np_s = tune.best_seconds();
     table.add_row({std::to_string(w), bench::fmt(base_s * 1e6, 4),
                    bench::fmt(cublas_s * 1e6, 4), bench::fmt(np_s * 1e6, 4),

@@ -23,26 +23,19 @@ int main(int argc, char** argv) {
 
   // Restricted tuning (see fig13: the paper reports 3/7 slaves are
   // close-to-optimal everywhere).
-  np::TuneOptions tune_opts;
-  for (auto type : {ir::NpType::kInterWarp, ir::NpType::kIntraWarp}) {
-    for (int s : {4, 8, 16}) {
-      transform::NpConfig cfg;
-      cfg.np_type = type;
-      cfg.slave_size = s;
-      cfg.master_count = 32;
-      tune_opts.configs.push_back(cfg);
-    }
-  }
+  transform::NpConfig base;
+  base.master_count = 32;
+  const np::TuneOptions sweep{bench::config_grid(base, {4, 8, 16})};
 
   for (int height : {1024, 4096, 16384, 65536}) {
     int h = std::max(static_cast<int>(height * opt.scale) / 256 * 256, 256);
     auto baseline = kernels::make_mv(width, h);
     auto cublas = kernels::make_mv_cublas(width, h);
     auto smm = kernels::make_mv_smm(width, h);
-    double base_s = bench::run_baseline_seconds(*baseline, spec);
+    auto tune = bench::tune_benchmark(*baseline, spec, sweep);
+    double base_s = tune.baseline_seconds;
     double cublas_s = bench::run_baseline_seconds(*cublas, spec);
     double smm_s = bench::run_baseline_seconds(*smm, spec);
-    auto tune = bench::tune_benchmark(*baseline, spec, tune_opts);
     double np_s = tune.best_seconds();
     table.add_row({std::to_string(h), bench::fmt(base_s * 1e6, 4),
                    bench::fmt(cublas_s * 1e6, 4), bench::fmt(smm_s * 1e6, 4),

@@ -19,54 +19,38 @@ int main(int argc, char** argv) {
       opt);
 
   auto spec = sim::DeviceSpec::gtx680();
-  np::Runner runner(spec);
   Table table({"benchmark", "placement", "best speedup", "best config",
                "notes"});
+  const std::vector<int> sizes = {2, 4, 8, 16};
+  const transform::LocalPlacement placements[] = {
+      transform::LocalPlacement::kRegister, transform::LocalPlacement::kShared,
+      transform::LocalPlacement::kGlobal};
 
   for (const char* name : {"LE", "LIB"}) {
     auto bench = kernels::make_benchmark(name, opt.scale);
-    double baseline = bench::run_baseline_seconds(*bench, spec);
-    auto probe = bench->make_workload();
-    int master = static_cast<int>(probe.launch.block.count());
+    transform::NpConfig base;
+    base.master_count =
+        static_cast<int>(bench->make_workload().launch.block.count());
+    np::TuneOptions sweep;  // one inter+intra grid per placement
+    for (auto placement : placements) {
+      base.placement = placement;
+      for (const auto& cfg : bench::config_grid(base, sizes))
+        sweep.configs.push_back(cfg);
+    }
+    const auto tune = bench::tune_benchmark(*bench, spec, sweep);
 
-    for (auto placement :
-         {transform::LocalPlacement::kRegister,
-          transform::LocalPlacement::kShared,
-          transform::LocalPlacement::kGlobal}) {
-      double best = 0;
-      std::string best_cfg = "(none applicable)";
-      std::string note;
-      for (auto type : {ir::NpType::kInterWarp, ir::NpType::kIntraWarp}) {
-        for (int s : {2, 4, 8, 16}) {
-          transform::NpConfig cfg;
-          cfg.np_type = type;
-          cfg.slave_size = s;
-          cfg.master_count = master;
-          cfg.placement = placement;
-          try {
-            auto variant = np::NpCompiler::transform(bench->kernel(), cfg);
-            auto w = bench->make_workload();
-            auto run =
-                runner.execute(np::ExecutionRequest::transformed(variant, w))
-                    .run;
-            std::string msg;
-            if (w.validate && !w.validate(*w.mem, &msg))
-              throw SimError(msg);
-            double sp = baseline / run.timing.seconds;
-            if (sp > best) {
-              best = sp;
-              best_cfg = cfg.describe();
-            }
-          } catch (const CompileError& e) {
-            note = e.what();
-          } catch (const SimError& e) {
-            note = e.what();
-          }
-        }
-      }
-      table.add_row({name, transform::to_string(placement),
-                     best > 0 ? bench::fmt(best, 3) + "x" : "-", best_cfg,
-                     best > 0 ? "" : note.substr(0, 48)});
+    const std::size_t per_placement = 2 * sizes.size();
+    for (std::size_t p = 0; p < std::size(placements); ++p) {
+      const std::size_t first = p * per_placement;
+      const np::TuneEntry* best = bench::fastest(tune, first, per_placement);
+      // With nothing applicable, say why the last configuration failed.
+      table.add_row(
+          {name, transform::to_string(placements[p]),
+           best ? bench::fmt(tune.baseline_seconds / best->seconds, 3) + "x"
+                : "-",
+           best ? best->config.describe() : "(none applicable)",
+           best ? "" : bench::failure_detail(tune, first + per_placement - 1)
+                           .substr(0, 48)});
       std::fflush(stdout);
     }
   }

@@ -4,6 +4,8 @@
 // Paper: shfl helps most on MC and LU (their shared memory is already
 // under pressure, so shared-memory reductions hurt occupancy); the impact
 // is minor elsewhere because reductions are a small share of runtime.
+#include <limits>
+
 #include "bench_common.hpp"
 
 using namespace cudanp;
@@ -18,42 +20,34 @@ int main(int argc, char** argv) {
       opt);
 
   auto spec = sim::DeviceSpec::gtx680();
-  np::Runner runner(spec);
   Table table({"benchmark", "best inter us", "intra+smem / inter",
                "intra+shfl / inter", "shfl speedup over smem"});
+  const std::vector<int> sizes = {2, 4, 8, 16, 32};
 
   for (auto& b : kernels::make_benchmark_suite(opt.scale)) {
     if (std::string(b->table1().reduce_scan) == "X") continue;  // needs R/S
-    auto probe = b->make_workload();
-    int master = static_cast<int>(probe.launch.block.count());
+    // Inter and intra with shared-memory communication, then intra with
+    // __shfl: three slices of sizes.size() entries.
+    transform::NpConfig base;
+    base.master_count =
+        static_cast<int>(b->make_workload().launch.block.count());
+    base.use_shfl = false;
+    np::TuneOptions sweep{bench::config_grid(base, sizes)};
+    base.use_shfl = true;
+    for (const auto& cfg :
+         bench::config_grid(base, sizes, {ir::NpType::kIntraWarp}))
+      sweep.configs.push_back(cfg);
+    const auto tune = bench::tune_benchmark(*b, spec, sweep);
+    bench::print_faults(tune);
 
-    auto best_time = [&](ir::NpType type, bool use_shfl) -> double {
-      double best = 1e18;
-      for (int s : {2, 4, 8, 16, 32}) {
-        transform::NpConfig cfg;
-        cfg.np_type = type;
-        cfg.slave_size = s;
-        cfg.master_count = master;
-        cfg.use_shfl = use_shfl;
-        try {
-          auto variant = np::NpCompiler::transform(b->kernel(), cfg);
-          auto w = b->make_workload();
-          auto run =
-              runner.execute(np::ExecutionRequest::transformed(variant, w))
-                  .run;
-          std::string msg;
-          if (w.validate && !w.validate(*w.mem, &msg)) continue;
-          best = std::min(best, run.timing.seconds);
-        } catch (const CompileError&) {
-        } catch (const SimError&) {
-        }
-      }
-      return best;
+    auto best_time = [&](std::size_t slice) {
+      const np::TuneEntry* e =
+          bench::fastest(tune, slice * sizes.size(), sizes.size());
+      return e ? e->seconds : std::numeric_limits<double>::infinity();
     };
-
-    double inter = best_time(ir::NpType::kInterWarp, false);
-    double intra_smem = best_time(ir::NpType::kIntraWarp, false);
-    double intra_shfl = best_time(ir::NpType::kIntraWarp, true);
+    double inter = best_time(0);
+    double intra_smem = best_time(1);
+    double intra_shfl = best_time(2);
     table.add_row({b->name(), bench::fmt(inter * 1e6, 4),
                    bench::fmt(inter / intra_smem, 3) + "x",
                    bench::fmt(inter / intra_shfl, 3) + "x",

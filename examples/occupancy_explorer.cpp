@@ -6,13 +6,12 @@
 // which term of the timing model bounds the run — making the latency ->
 // throughput transition of the paper's Sec. 2.2 argument visible.
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <string>
 
 #include "analysis/resources.hpp"
 #include "kernels/benchmark.hpp"
-#include "np/autotuner.hpp"
+#include "np/compiler.hpp"
 #include "support/string_utils.hpp"
 #include "support/table.hpp"
 
@@ -24,49 +23,56 @@ int main(int argc, char** argv) {
   auto bench = kernels::make_benchmark(name, 0.25);
   np::Runner runner(spec);
 
+  // Each version runs on its own copy of one workload, and its outputs
+  // are checked against the benchmark's CPU reference.
+  const np::Workload pristine = bench->make_workload();
+  auto evaluate = [&](const transform::NpConfig* cfg) {
+    return np::evaluate_config(
+        runner, bench->kernel(), cfg, [&] { return pristine.copy(); },
+        pristine.validate, nullptr, nullptr);
+  };
+
   Table table({"version", "threads/blk", "regs", "smemB", "localB",
                "warps/SMX", "bound", "us", "speedup"});
 
-  auto w0 = bench->make_workload();
-  auto base =
-      runner.execute(np::ExecutionRequest::baseline(bench->kernel(), w0)).run;
+  const auto base = evaluate(nullptr);
+  if (base.failure) {
+    std::fprintf(stderr, "%s\n", base.failure->str().c_str());
+    return 1;
+  }
+  const int threads = static_cast<int>(pristine.launch.block.count());
   auto base_res = runner.resources(bench->kernel());
-  table.add_row({"baseline",
-                 std::to_string(w0.launch.block.count()),
+  table.add_row({"baseline", std::to_string(threads),
                  std::to_string(base_res.usage.registers_per_thread),
                  std::to_string(base_res.usage.shared_mem_per_block),
                  std::to_string(base_res.usage.local_mem_per_thread),
-                 std::to_string(base.occupancy.active_warps),
-                 base.timing.bound,
-                 format_double(base.timing.seconds * 1e6, 4), "1.00x"});
+                 std::to_string(base.run.occupancy.active_warps),
+                 base.run.timing.bound,
+                 format_double(base.run.timing.seconds * 1e6, 4), "1.00x"});
 
   for (int s : {2, 4, 8, 16}) {
     transform::NpConfig cfg;
     cfg.np_type = ir::NpType::kInterWarp;
     cfg.slave_size = s;
-    cfg.master_count = static_cast<int>(w0.launch.block.count());
+    cfg.master_count = threads;
     if (cfg.block_threads() > spec.max_threads_per_block) continue;
-    try {
-      auto variant = np::NpCompiler::transform(bench->kernel(), cfg);
-      auto res = runner.resources(*variant.kernel);
-      auto w = bench->make_workload();
-      auto run =
-          runner.execute(np::ExecutionRequest::transformed(variant, w)).run;
-      char label[32];
-      std::snprintf(label, sizeof(label), "inter S=%d", s);
-      table.add_row(
-          {label, std::to_string(cfg.block_threads()),
-           std::to_string(res.usage.registers_per_thread),
-           std::to_string(res.usage.shared_mem_per_block),
-           std::to_string(res.usage.local_mem_per_thread),
-           std::to_string(run.occupancy.active_warps), run.timing.bound,
-           format_double(run.timing.seconds * 1e6, 4),
-           format_double(base.timing.seconds / run.timing.seconds, 3) +
-               "x"});
-    } catch (const std::exception& e) {
-      table.add_row({"inter S=" + std::to_string(s), "-", "-", "-", "-",
-                     "-", "error", e.what(), "-"});
+    const std::string label = "inter S=" + std::to_string(s);
+    const auto e = evaluate(&cfg);
+    if (e.failure) {
+      table.add_row({label, "-", "-", "-", "-", "-", "error",
+                     e.failure->detail, "-"});
+      continue;
     }
+    auto res = runner.resources(*e.variant.kernel);
+    table.add_row(
+        {label, std::to_string(cfg.block_threads()),
+         std::to_string(res.usage.registers_per_thread),
+         std::to_string(res.usage.shared_mem_per_block),
+         std::to_string(res.usage.local_mem_per_thread),
+         std::to_string(e.run.occupancy.active_warps), e.run.timing.bound,
+         format_double(e.run.timing.seconds * 1e6, 4),
+         format_double(base.run.timing.seconds / e.run.timing.seconds, 3) +
+             "x"});
   }
   std::printf("How CUDA-NP shifts '%s' from latency-bound to "
               "throughput-bound (GTX 680 model):\n\n", name.c_str());

@@ -6,8 +6,6 @@ namespace cudanp::analysis {
 
 using namespace cudanp::ir;
 
-namespace {
-
 void collect_expr_uses(const Expr& e, std::set<std::string>& uses) {
   for_each_expr(e, [&](const Expr& sub) {
     if (sub.kind() == ExprKind::kVarRef) {
@@ -16,6 +14,8 @@ void collect_expr_uses(const Expr& e, std::set<std::string>& uses) {
     }
   });
 }
+
+namespace {
 
 void collect_into(const Stmt& s, VarSets& out) {
   switch (s.kind()) {

@@ -22,6 +22,10 @@ struct VarSets {
   std::set<std::string> decls;  // names declared inside
 };
 
+/// Adds every variable name `e` reads to `uses`. Builtin geometry names
+/// (threadIdx.x, ...) are excluded.
+void collect_expr_uses(const ir::Expr& e, std::set<std::string>& uses);
+
 /// Collects uses/defs/decls for one statement subtree. Builtin geometry
 /// names (threadIdx.x, ...) are excluded.
 [[nodiscard]] VarSets collect_vars(const ir::Stmt& s);

@@ -14,30 +14,17 @@ namespace {
 /// for globally re-homed local arrays allocated and appended.
 sim::LaunchConfig variant_config(
     const transform::TransformResult& variant, Workload& workload,
-    std::vector<std::pair<sim::BufferId, std::size_t>>* extras) {
+    std::vector<std::pair<sim::BufferId, std::size_t>>& extras) {
   sim::LaunchConfig cfg = workload.launch;
   cfg.block = variant.block_dims;
   for (const auto& extra : variant.extra_buffers) {
     std::size_t elems = static_cast<std::size_t>(extra.elems_per_block) *
                         static_cast<std::size_t>(cfg.grid.count());
     sim::BufferId id = workload.mem->alloc(extra.type, elems);
-    if (extras) extras->emplace_back(id, elems);
+    extras.emplace_back(id, elems);
     cfg.args.push_back(id);
   }
   return cfg;
-}
-
-/// Returns variant scratch buffers to the workload's free pool once the
-/// run is over; a later variant of the same shape reuses them instead of
-/// growing device memory for every (variant, config) pair an autotuner
-/// sweep tries.
-void release_extras(
-    Workload& workload,
-    const std::vector<std::pair<sim::BufferId, std::size_t>>& extras) {
-  for (const auto& [id, elems] : extras) {
-    (void)elems;
-    workload.mem->release(id);
-  }
 }
 
 /// Records a launch-scoped failure (invalid launch geometry, zero
@@ -75,7 +62,7 @@ ExecutionResult Runner::execute(const ExecutionRequest& req) const {
 
   std::vector<std::pair<sim::BufferId, std::size_t>> extras;
   sim::LaunchConfig cfg = req.variant
-                              ? variant_config(*req.variant, workload, &extras)
+                              ? variant_config(*req.variant, workload, extras)
                               : workload.launch;
 
   ExecutionResult out;
@@ -97,23 +84,13 @@ ExecutionResult Runner::execute(const ExecutionRequest& req) const {
                                 iopt);
     out.ran = true;
   } catch (const sim::WatchdogError& e) {
-    if (!req.sanitize) {
-      release_extras(workload, extras);
-      throw;
-    }
+    if (!req.sanitize) throw;
     record_launch_fault(out.engine, kernel.name, e.what(),
                         sim::HazardKind::kWatchdogTrip, e.loc());
   } catch (const SimError& e) {
-    if (!req.sanitize) {
-      release_extras(workload, extras);
-      throw;
-    }
+    if (!req.sanitize) throw;
     record_launch_fault(out.engine, kernel.name, e.what());
-  } catch (...) {
-    release_extras(workload, extras);
-    throw;
   }
-  release_extras(workload, extras);
   return out;
 }
 

@@ -84,10 +84,9 @@ class Runner {
 
   /// The single execution entry point: baseline or variant, sanitized or
   /// not, with per-request option overrides. Variant requests swap the
-  /// block dims and allocate the variant's extra global buffers
-  /// (appended to the argument list, returned to the workload's free
-  /// pool afterwards; registered as uninitialized device scratch when
-  /// sanitizing).
+  /// block dims and allocate the variant's extra global buffers in the
+  /// workload's memory (appended to the argument list; registered as
+  /// uninitialized device scratch when sanitizing).
   [[nodiscard]] ExecutionResult execute(const ExecutionRequest& req) const;
 
   [[nodiscard]] const sim::DeviceSpec& spec() const { return spec_; }

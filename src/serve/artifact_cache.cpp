@@ -1,7 +1,6 @@
 #include "serve/artifact_cache.hpp"
 
 #include <dirent.h>
-#include <errno.h>
 #include <fcntl.h>
 #include <stdio.h>
 #include <sys/stat.h>
@@ -11,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "serve/wire.hpp"
 #include "support/hash.hpp"
 #include "support/json.hpp"
 
@@ -63,19 +63,7 @@ void ArtifactCache::persist_locked(const std::string& key,
                     "\",\"len\":" + std::to_string(e.declared_len) +
                     ",\"checksum\":\"" + hex16(e.checksum) + "\"}\n" +
                     e.payload;
-  const char* data = doc.data();
-  std::size_t n = doc.size();
-  bool ok = true;
-  while (n > 0) {
-    ssize_t w = ::write(fd, data, n);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      ok = false;
-      break;
-    }
-    data += w;
-    n -= static_cast<std::size_t>(w);
-  }
+  const bool ok = write_all(fd, doc);
   if (ok) (void)::fsync(fd);
   ::close(fd);
   if (!ok || ::rename(tmp.c_str(), final_path.c_str()) != 0)

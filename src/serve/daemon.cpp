@@ -394,7 +394,7 @@ void ServeDaemon::run_request(ServeRequest& r) {
     // fingerprint covers the same option set as --batch resume, so a
     // mismatched replay is impossible by construction.
     svc.journal_path = opt_.journal_dir + "/req-" +
-                       batch_fingerprint(r.jobs, svc) + ".journal";
+                       batch_fingerprint(r.jobs, opt_.spec, svc) + ".journal";
     svc.resume = true;
   }
   try {

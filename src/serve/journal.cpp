@@ -35,26 +35,18 @@ void fsync_dir(const std::string& dir) {
   close(fd);
 }
 
-bool write_all(int fd, const char* data, std::size_t n) {
-  while (n > 0) {
-    ssize_t w = write(fd, data, n);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += w;
-    n -= static_cast<std::size_t>(w);
-  }
-  return true;
-}
-
 }  // namespace
 
 std::string batch_fingerprint(const std::vector<JobSpec>& jobs,
+                              const sim::DeviceSpec& spec,
                               const ServiceOptions& opt) {
   Fnv1a h;
   auto i64 = [&h](std::int64_t v) { h.field(std::to_string(v)); };
   i64(kJournalVersion);
+  // The device model decides which variants apply (sm_version gates
+  // __shfl), so it is part of every outcome.
+  h.field(spec.name);
+  i64(spec.sm_version);
   i64(static_cast<std::int64_t>(jobs.size()));
   for (const JobSpec& j : jobs) {
     h.field(j.name);
@@ -181,7 +173,7 @@ std::optional<JournalWriter> JournalWriter::create(
                        std::to_string(kJournalVersion) +
                        ",\"fingerprint\":\"" + json::escape(fingerprint) +
                        "\"}\n";
-  bool ok = write_all(fd, header.data(), header.size()) && fsync(fd) == 0;
+  bool ok = write_all(fd, header) && fsync(fd) == 0;
   if (!ok || rename(tmp.c_str(), path.c_str()) != 0) {
     close(fd);
     unlink(tmp.c_str());
@@ -240,7 +232,7 @@ bool JournalWriter::append(std::size_t k, const JobOutcome& outcome) {
   if (fd_ < 0 || write_failed_) return false;
   std::string line = "{\"k\":" + std::to_string(k) +
                      ",\"outcome\":" + outcome.json() + "}\n";
-  if (!write_all(fd_, line.data(), line.size()) || fsync(fd_) != 0) {
+  if (!write_all(fd_, line) || fsync(fd_) != 0) {
     write_failed_ = true;
     return false;
   }

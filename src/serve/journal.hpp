@@ -66,11 +66,13 @@ struct JournalContents {
   std::int64_t valid_bytes = 0;
 };
 
-/// FNV-1a over the job specs and every service option that feeds the
-/// report. Two batches with equal fingerprints produce byte-identical
-/// reports from equal outcomes.
+/// FNV-1a over the job specs, the device model (name and sm_version)
+/// and every service option that feeds the report. Two batches with
+/// equal fingerprints produce byte-identical reports from equal
+/// outcomes.
 [[nodiscard]] std::string batch_fingerprint(
-    const std::vector<JobSpec>& jobs, const ServiceOptions& opt);
+    const std::vector<JobSpec>& jobs, const sim::DeviceSpec& spec,
+    const ServiceOptions& opt);
 
 /// Reads a journal back. Returns nullopt (with *error) when the file is
 /// missing or its header is unreadable; a torn final record is not an

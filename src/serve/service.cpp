@@ -357,7 +357,7 @@ ServiceReport BatchService::run(const std::vector<JobSpec>& jobs) {
   std::vector<std::optional<JobOutcome>> replayed(accepted.size());
   std::optional<JournalWriter> journal;
   if (!opt_.journal_path.empty()) {
-    const std::string fp = batch_fingerprint(jobs, opt_);
+    const std::string fp = batch_fingerprint(jobs, spec_, opt_);
     std::string error;
     std::optional<JournalContents> prior;
     if (opt_.resume) prior = load_journal(opt_.journal_path, &error);

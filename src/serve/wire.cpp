@@ -18,20 +18,6 @@ std::int64_t monotonic_ms() {
          ts.tv_nsec / 1000000;
 }
 
-/// Writes all of `n` bytes, riding out EINTR and short writes.
-bool write_all(int fd, const char* data, std::size_t n) {
-  while (n > 0) {
-    ssize_t w = ::write(fd, data, n);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += w;
-    n -= static_cast<std::size_t>(w);
-  }
-  return true;
-}
-
 /// Reads exactly `n` bytes with a poll-based deadline. deadline_ms < 0
 /// blocks forever.
 ReadStatus read_exact(int fd, char* data, std::size_t n,
@@ -87,12 +73,24 @@ std::string frame_buffer(char type, std::string_view payload) {
 
 }  // namespace
 
+bool write_all(int fd, std::string_view data) {
+  while (!data.empty()) {
+    ssize_t w = ::write(fd, data.data(), data.size());
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    data.remove_prefix(static_cast<std::size_t>(w));
+  }
+  return true;
+}
+
 bool write_frame(int fd, char type, std::string_view payload) {
   if (payload.size() > kMaxFramePayload) return false;
   // One contiguous buffer per frame: a single writer thread per fd plus
   // whole-frame writes keep frames from interleaving on the pipe.
   std::string buf = frame_buffer(type, payload);
-  return write_all(fd, buf.data(), buf.size());
+  return write_all(fd, buf);
 }
 
 bool write_frame_deadline(int fd, char type, std::string_view payload,

@@ -77,6 +77,11 @@ enum class ReadStatus : std::uint8_t {
   kError,    // read error or a corrupt frame header
 };
 
+/// Writes all of `data` to `fd`, riding out EINTR and short writes.
+/// Returns false on any write error. Every blocking write in the serve
+/// layer (frames, journal records, cache artifacts) goes through it.
+bool write_all(int fd, std::string_view data);
+
 /// Writes one complete frame to `fd`, retrying on EINTR / short writes.
 /// Returns false on any write error (e.g. EPIPE from a dead worker; the
 /// supervisor runs with SIGPIPE ignored so this surfaces as an error

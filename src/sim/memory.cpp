@@ -11,16 +11,6 @@ void DeviceBuffer::out_of_bounds(std::size_t idx) const {
 }
 
 BufferId DeviceMemory::alloc(ir::ScalarType type, std::size_t elems) {
-  for (auto it = free_.begin(); it != free_.end(); ++it) {
-    DeviceBuffer& b = buffers_[*it];
-    if (b.type() == type && b.size() == elems) {
-      BufferId id = *it;
-      free_.erase(it);
-      free_bytes_ -= b.payload_bytes();
-      b.clear();
-      return id;
-    }
-  }
   const std::uint64_t kAlign = 256;
   std::uint64_t base = (next_addr_ + kAlign - 1) / kAlign * kAlign;
   std::uint64_t bytes =
@@ -28,34 +18,6 @@ BufferId DeviceMemory::alloc(ir::ScalarType type, std::size_t elems) {
   next_addr_ = base + bytes;
   buffers_.emplace_back(type, elems, base);
   return static_cast<BufferId>(buffers_.size() - 1);
-}
-
-void DeviceMemory::release(BufferId id) {
-  if (id >= buffers_.size()) throw SimError("invalid buffer id");
-  if (buffers_[id].discarded()) throw SimError("buffer released twice");
-  for (BufferId f : free_)
-    if (f == id) throw SimError("buffer released twice");
-  free_.push_back(id);
-  free_bytes_ += buffers_[id].payload_bytes();
-  trim_free_list();
-}
-
-void DeviceMemory::set_free_limit_bytes(std::uint64_t limit) {
-  free_limit_bytes_ = limit;
-  trim_free_list();
-}
-
-void DeviceMemory::trim_free_list() {
-  std::size_t evicted = 0;
-  while (free_bytes_ > free_limit_bytes_ && evicted < free_.size()) {
-    DeviceBuffer& b = buffers_[free_[evicted]];
-    free_bytes_ -= b.payload_bytes();
-    b.discard();
-    ++evicted;
-  }
-  if (evicted > 0)
-    free_.erase(free_.begin(),
-                free_.begin() + static_cast<std::ptrdiff_t>(evicted));
 }
 
 DeviceBuffer& DeviceMemory::buffer(BufferId id) {

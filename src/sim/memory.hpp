@@ -78,41 +78,12 @@ class DeviceBuffer {
   [[nodiscard]] std::span<std::int32_t> i32() { return i32_; }
   [[nodiscard]] std::span<const std::int32_t> i32() const { return i32_; }
 
-  /// Restores the freshly-allocated state (zero contents, not constant);
-  /// used when the allocator recycles a released buffer.
-  void clear() {
-    constant_ = false;
-    if (type_ == ir::ScalarType::kFloat)
-      f32_.assign(f32_.size(), 0.0f);
-    else
-      i32_.assign(i32_.size(), 0);
-  }
-
-  /// Host bytes retained by this buffer's payload.
-  [[nodiscard]] std::uint64_t payload_bytes() const {
-    return static_cast<std::uint64_t>(size()) *
-           ir::Type::scalar_size_bytes(type_);
-  }
-
-  /// Frees the payload storage for good. Only the free-list trim policy
-  /// calls this, on released buffers: the slot (and its BufferId) stays
-  /// valid but is never recycled again, so a long-lived service does not
-  /// retain every buffer size it has ever seen. Accesses to a discarded
-  /// buffer fail the usual bounds check (size() == 0).
-  void discard() {
-    discarded_ = true;
-    f32_ = {};
-    i32_ = {};
-  }
-  [[nodiscard]] bool discarded() const { return discarded_; }
-
  private:
   [[noreturn]] void out_of_bounds(std::size_t idx) const;
 
   ir::ScalarType type_;
   std::uint64_t base_addr_;
   bool constant_ = false;
-  bool discarded_ = false;
   std::vector<float> f32_;
   std::vector<std::int32_t> i32_;
 };
@@ -122,48 +93,17 @@ class DeviceBuffer {
 /// about real byte addresses.
 class DeviceMemory {
  public:
-  /// Allocates (or recycles a released buffer of the same type and size —
-  /// same id, same base address, contents zero-filled either way).
+  /// Allocates a zero-filled buffer at the next 256-byte aligned address.
   BufferId alloc(ir::ScalarType type, std::size_t elems);
-  /// Returns a buffer to the free pool so a later alloc() of the same
-  /// shape reuses it instead of growing the address space. The id stays
-  /// valid (slots are never destroyed) until alloc() hands it out again.
-  /// Used for per-run scratch (e.g. CUDA-NP re-homed local arrays).
-  ///
-  /// The pool is bounded: when the bytes retained by released buffers
-  /// exceed free_limit_bytes(), the oldest releases are discarded
-  /// (payload freed, slot never recycled) so a long-lived service
-  /// processing heterogeneous jobs does not grow without limit.
-  void release(BufferId id);
   [[nodiscard]] DeviceBuffer& buffer(BufferId id);
   [[nodiscard]] const DeviceBuffer& buffer(BufferId id) const;
   [[nodiscard]] std::size_t buffer_count() const { return buffers_.size(); }
   /// High-water mark of allocated bytes (for reporting).
   [[nodiscard]] std::uint64_t allocated_bytes() const { return next_addr_; }
 
-  /// Host bytes currently retained by the free pool awaiting reuse.
-  [[nodiscard]] std::uint64_t free_list_bytes() const { return free_bytes_; }
-  /// Cap on free_list_bytes(); releases beyond it evict FIFO-oldest.
-  [[nodiscard]] std::uint64_t free_limit_bytes() const {
-    return free_limit_bytes_;
-  }
-  /// Re-caps the pool and trims immediately; 0 disables pooling (every
-  /// release discards its payload).
-  void set_free_limit_bytes(std::uint64_t limit);
-
-  /// Default pool cap: generous for one workload's scratch churn, small
-  /// enough that a service run over thousands of heterogeneous jobs
-  /// stays bounded.
-  static constexpr std::uint64_t kDefaultFreeLimitBytes = 64ull << 20;
-
  private:
-  void trim_free_list();  // evict FIFO-oldest until under the cap
-
   std::vector<DeviceBuffer> buffers_;
-  std::vector<BufferId> free_;  // released ids awaiting reuse (FIFO)
   std::uint64_t next_addr_ = 0;
-  std::uint64_t free_bytes_ = 0;
-  std::uint64_t free_limit_bytes_ = kDefaultFreeLimitBytes;
 };
 
 /// Counts the segments touched by one warp-wide access. `addrs` holds one

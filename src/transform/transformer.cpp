@@ -53,15 +53,6 @@ constexpr std::int64_t kSharedMemPerSmx = 48 * 1024;
       s, [](const Stmt& c) { return c.kind() == StmtKind::kReturn; });
 }
 
-void collect_expr_var_uses(const Expr& e, std::set<std::string>& out) {
-  for_each_expr(e, [&](const Expr& sub) {
-    if (sub.kind() == ExprKind::kVarRef) {
-      const auto& v = static_cast<const VarRef&>(sub);
-      if (!is_builtin_geometry(v.name)) out.insert(v.name);
-    }
-  });
-}
-
 /// Per-local-array placement bookkeeping (paper Sec. 3.3).
 struct ArrayInfo {
   DeclStmt* decl = nullptr;
@@ -522,7 +513,7 @@ class Transformer {
       case StmtKind::kFor: {
         const auto& f = static_cast<const ForStmt&>(s);
         std::set<std::string> control_uses;
-        if (f.cond) collect_expr_var_uses(*f.cond, control_uses);
+        if (f.cond) analysis::collect_expr_uses(*f.cond, control_uses);
         if (f.init) {
           analysis::VarSets vs = analysis::collect_vars(*f.init);
           control_uses.insert(vs.uses.begin(), vs.uses.end());
@@ -561,7 +552,7 @@ class Transformer {
         const auto& w = static_cast<const WhileStmt&>(s);
         broadcast_controlling_vars(*w.cond, out);
         std::set<std::string> control_uses;
-        collect_expr_var_uses(*w.cond, control_uses);
+        analysis::collect_expr_uses(*w.cond, control_uses);
 
         std::set<std::string> body_after = used_after;
         analysis::VarSets body_vs = analysis::collect_vars(*w.body);
@@ -653,7 +644,7 @@ class Transformer {
   // ------------------------------------------------ broadcasts
   void broadcast_controlling_vars(const Expr& cond, Block& out) {
     std::set<std::string> uses;
-    collect_expr_var_uses(cond, uses);
+    analysis::collect_expr_uses(cond, uses);
     for (const auto& v : uses) broadcast_if_needed(v, out);
   }
 

@@ -405,97 +405,6 @@ TEST(L1Cache, WorkingSetSmallerThanCapacityAllHits) {
   }
 }
 
-TEST(FreeList, ReleaseRecyclesSameShape) {
-  DeviceMemory mem;
-  auto a = mem.alloc(ir::ScalarType::kFloat, 100);
-  std::uint64_t base = mem.buffer(a).base_addr();
-  mem.buffer(a).store(0, Value::of_float(9.0));
-  mem.release(a);
-  EXPECT_EQ(mem.free_list_bytes(), 400u);
-  auto b = mem.alloc(ir::ScalarType::kFloat, 100);
-  EXPECT_EQ(b, a);  // same slot, same address, zeroed contents
-  EXPECT_EQ(mem.buffer(b).base_addr(), base);
-  EXPECT_DOUBLE_EQ(mem.buffer(b).load(0).as_f(), 0.0);
-  EXPECT_EQ(mem.free_list_bytes(), 0u);
-}
-
-TEST(FreeList, DoubleReleaseThrows) {
-  DeviceMemory mem;
-  auto a = mem.alloc(ir::ScalarType::kInt, 8);
-  mem.release(a);
-  EXPECT_THROW(mem.release(a), SimError);
-}
-
-TEST(FreeList, RetentionIsBoundedByLimit) {
-  DeviceMemory mem;
-  mem.set_free_limit_bytes(1024);
-  // Heterogeneous shapes so nothing recycles: every release adds to the
-  // pool, which must stay under the cap by evicting the oldest.
-  for (std::size_t elems = 10; elems < 100; elems += 7) {
-    auto id = mem.alloc(ir::ScalarType::kFloat, elems);
-    mem.release(id);
-    EXPECT_LE(mem.free_list_bytes(), mem.free_limit_bytes());
-  }
-}
-
-TEST(FreeList, TrimEvictsOldestFirst) {
-  DeviceMemory mem;
-  mem.set_free_limit_bytes(1000);
-  auto old_id = mem.alloc(ir::ScalarType::kFloat, 150);  // 600 B
-  auto new_id = mem.alloc(ir::ScalarType::kFloat, 100);  // 400 B
-  mem.release(old_id);
-  mem.release(new_id);  // 1000 B retained: exactly at the cap
-  EXPECT_EQ(mem.free_list_bytes(), 1000u);
-  auto third = mem.alloc(ir::ScalarType::kFloat, 50);  // 200 B
-  mem.release(third);  // over the cap -> the oldest release is discarded
-  EXPECT_TRUE(mem.buffer(old_id).discarded());
-  EXPECT_FALSE(mem.buffer(new_id).discarded());
-  EXPECT_EQ(mem.free_list_bytes(), 600u);
-}
-
-TEST(FreeList, DiscardedSlotIsNeverRecycled) {
-  DeviceMemory mem;
-  mem.set_free_limit_bytes(0);  // every release discards immediately
-  auto a = mem.alloc(ir::ScalarType::kFloat, 64);
-  mem.release(a);
-  EXPECT_TRUE(mem.buffer(a).discarded());
-  EXPECT_EQ(mem.free_list_bytes(), 0u);
-  auto b = mem.alloc(ir::ScalarType::kFloat, 64);
-  EXPECT_NE(b, a);  // fresh slot; the discarded id stays valid but empty
-  EXPECT_THROW(mem.buffer(a).load(0), SimError);
-  EXPECT_THROW(mem.release(a), SimError);
-}
-
-TEST(FreeList, LoweringLimitTrimsImmediately) {
-  DeviceMemory mem;
-  auto a = mem.alloc(ir::ScalarType::kInt, 256);  // 1 KiB
-  auto b = mem.alloc(ir::ScalarType::kInt, 512);  // 2 KiB
-  mem.release(a);
-  mem.release(b);
-  EXPECT_EQ(mem.free_list_bytes(), 3072u);
-  mem.set_free_limit_bytes(2048);
-  EXPECT_EQ(mem.free_list_bytes(), 2048u);
-  EXPECT_TRUE(mem.buffer(a).discarded());
-  EXPECT_FALSE(mem.buffer(b).discarded());
-}
-
-TEST(FreeList, ServiceChurnAllocationVolumeStaysBounded) {
-  // A long-lived service processing heterogeneous jobs must not retain
-  // every buffer shape it has ever seen: with the default cap, total
-  // retained bytes stay bounded no matter how many shapes churn through.
-  DeviceMemory mem;
-  mem.set_free_limit_bytes(16 * 1024);
-  std::uint64_t peak = 0;
-  for (int job = 0; job < 200; ++job) {
-    std::size_t elems = 64 + static_cast<std::size_t>(job) * 13;  // all distinct
-    auto id = mem.alloc(ir::ScalarType::kFloat, elems);
-    mem.release(id);
-    peak = std::max(peak, mem.free_list_bytes());
-  }
-  EXPECT_LE(peak, 16u * 1024u);
-  EXPECT_LE(mem.free_list_bytes(), 16u * 1024u);
-}
-
 TEST(DeviceBuffer, ConstantFlag) {
   DeviceMemory mem;
   auto b = mem.alloc(ir::ScalarType::kFloat, 8);

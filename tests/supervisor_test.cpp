@@ -353,7 +353,8 @@ TEST(Journal, HeaderOnlyJournalResumesFromScratch) {
   std::string error;
   {
     auto w = serve::JournalWriter::create(
-        path, serve::batch_fingerprint(jobs, opt), &error);
+        path, serve::batch_fingerprint(jobs, sim::DeviceSpec::gtx680(), opt),
+        &error);
     ASSERT_TRUE(w.has_value()) << error;
   }
   opt.journal_path = path;
@@ -397,15 +398,21 @@ TEST(Journal, MissingJournalOnResumeStartsFresh) {
 
 TEST(Journal, FingerprintIgnoresJobsCountAndCommitChunk) {
   std::vector<serve::JobSpec> jobs = {tmv_job("a")};
+  const sim::DeviceSpec spec = sim::DeviceSpec::gtx680();
   serve::ServiceOptions a;
   serve::ServiceOptions b;
   b.jobs = 8;
   b.commit_chunk = 1;
-  EXPECT_EQ(serve::batch_fingerprint(jobs, a),
-            serve::batch_fingerprint(jobs, b));
+  EXPECT_EQ(serve::batch_fingerprint(jobs, spec, a),
+            serve::batch_fingerprint(jobs, spec, b));
   b.worker_mem_mb = 512;  // outcome-relevant: must change the print
-  EXPECT_NE(serve::batch_fingerprint(jobs, a),
-            serve::batch_fingerprint(jobs, b));
+  EXPECT_NE(serve::batch_fingerprint(jobs, spec, a),
+            serve::batch_fingerprint(jobs, spec, b));
+  // sm_version decides which variants apply (__shfl needs sm_30).
+  sim::DeviceSpec sm20 = spec;
+  sm20.sm_version = 20;
+  EXPECT_NE(serve::batch_fingerprint(jobs, spec, a),
+            serve::batch_fingerprint(jobs, sm20, a));
 }
 
 TEST(Journal, FuzzTruncateAtEveryByteOfLastTwoRecords) {
@@ -549,7 +556,8 @@ TEST(RoundTrip, JournalRecordsSurviveLoad) {
   std::string error;
   auto contents = serve::load_journal(path, &error);
   ASSERT_TRUE(contents.has_value()) << error;
-  EXPECT_EQ(contents->fingerprint, serve::batch_fingerprint(jobs, opt));
+  EXPECT_EQ(contents->fingerprint,
+            serve::batch_fingerprint(jobs, sim::DeviceSpec::gtx680(), opt));
   ASSERT_EQ(contents->records.size(), 2u);
   // Loaded outcomes re-serialize to the exact bytes that were appended.
   std::ifstream in(path);
