@@ -14,13 +14,13 @@ using namespace cudanp;
 
 int main(int argc, char** argv) {
   auto opt = bench::BenchOptions::parse(argc, argv);
+  auto spec = sim::DeviceSpec::gtx680();
   bench::print_header(
       "Ablation: static heuristic pick vs exhaustive auto-tuning",
       "Sec. 6: coalescing/divergence decide inter vs intra; 3 or 7 "
       "slaves are close-to-optimal",
-      opt);
+      spec, opt);
 
-  auto spec = sim::DeviceSpec::gtx680();
   Table table({"Name", "heuristic pick", "rationale", "heuristic speedup",
                "exhaustive best", "captured"});
   std::vector<double> captured;

@@ -31,14 +31,14 @@ int main(int argc, char** argv) {
   auto opt = bench::BenchOptions::parse(argc, argv);
   // The sweep re-tunes the whole suite 7 times; default to quarter scale.
   if (opt.scale == 1.0) opt.scale = 0.25;
+  auto base_spec = sim::DeviceSpec::gtx680();
   bench::print_header(
       "Ablation: calibration sensitivity of the GM speedup",
       "the paper's conclusion (all benchmarks gain; GM ~2.2x) should "
       "survive 2x perturbations of every calibrated constant",
-      opt);
+      base_spec, opt);
 
   Table table({"configuration", "GM speedup"});
-  auto base_spec = sim::DeviceSpec::gtx680();
   sim::Interpreter::Options base_iopt;
 
   table.add_row({"calibrated (GTX 680, mlp=4)",

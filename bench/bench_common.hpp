@@ -9,6 +9,7 @@
 // Any other flag, or a malformed --scale, is a usage error (exit 1).
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -42,12 +43,14 @@ struct BenchOptions {
   }
 };
 
+/// The figure's banner; `spec` is the device model it simulates.
 inline void print_header(const char* figure, const char* claim,
+                         const sim::DeviceSpec& spec,
                          const BenchOptions& opt) {
   std::printf("==============================================================\n");
   std::printf("%s\n", figure);
   std::printf("Paper claim: %s\n", claim);
-  std::printf("Device model: GTX 680 (GK104) simulator; scale=%.2f\n",
+  std::printf("Device model: %s simulator; scale=%.2f\n", spec.name.c_str(),
               opt.scale);
   std::printf("==============================================================\n\n");
 }
@@ -74,6 +77,19 @@ inline double run_baseline_seconds(const kernels::Benchmark& bench,
   if (e.failure)
     throw SimError(bench.name() + " failed validation: " + e.failure->detail);
   return e.run.timing.seconds;
+}
+
+/// `sizes` scaled by `scale` and rounded down to a multiple of `step`
+/// (at least one step), each distinct size once: at small scales several
+/// sizes round to the same one, which would tune the same problem again.
+inline std::vector<int> scaled_sizes(const std::vector<int>& sizes,
+                                     double scale, int step) {
+  std::vector<int> out;
+  for (int s : sizes) {
+    const int v = std::max(static_cast<int>(s * scale) / step * step, step);
+    if (out.empty() || out.back() != v) out.push_back(v);
+  }
+  return out;
 }
 
 /// The sweep grid the figures tune over: `base` at every slave size in

@@ -12,13 +12,13 @@ using namespace cudanp;
 
 int main(int argc, char** argv) {
   auto opt = bench::BenchOptions::parse(argc, argv);
+  auto spec = sim::DeviceSpec::k20c();
   bench::print_header(
       "Figure 1: dynamic-parallelism memory-copy throughput (K20c)",
       "142 GB/s plain -> 63 GB/s CDP-enabled -> 34 GB/s @16K-thread "
       "children, degrading rapidly with more launches",
-      opt);
+      spec, opt);
 
-  auto spec = sim::DeviceSpec::k20c();
   sim::DynamicParallelismModel model(spec);
   const std::int64_t total = static_cast<std::int64_t>(64e6 * opt.scale);
 

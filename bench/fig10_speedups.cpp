@@ -10,12 +10,12 @@ using namespace cudanp;
 
 int main(int argc, char** argv) {
   auto opt = bench::BenchOptions::parse(argc, argv);
+  auto spec = sim::DeviceSpec::gtx680();
   bench::print_header(
       "Figure 10: CUDA-NP speedup over baseline (auto-tuned)",
       "speedups 1.36x-6.69x, GM 2.18x; every benchmark improves",
-      opt);
+      spec, opt);
 
-  auto spec = sim::DeviceSpec::gtx680();
   Table table({"Name", "baseline us", "CUDA-NP us", "speedup",
                "best configuration"});
   std::vector<double> speedups;

@@ -14,13 +14,13 @@ using namespace cudanp;
 
 int main(int argc, char** argv) {
   auto opt = bench::BenchOptions::parse(argc, argv);
+  auto spec = sim::DeviceSpec::gtx680();
   bench::print_header(
       "Figure 11: inter-warp vs intra-warp NP across slave sizes "
       "(speedup over baseline; '-' = configuration not applicable)",
       "intra wins only for LU and NN; more slaves is not always better",
-      opt);
+      spec, opt);
 
-  auto spec = sim::DeviceSpec::gtx680();
   const std::vector<int> sizes = {2, 4, 8, 16, 32};
   std::vector<std::string> header = {"Name", "type"};
   for (int s : sizes) header.push_back("S=" + std::to_string(s));

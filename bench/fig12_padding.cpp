@@ -12,13 +12,13 @@ using namespace cudanp;
 
 int main(int argc, char** argv) {
   auto opt = bench::BenchOptions::parse(argc, argv);
+  auto spec = sim::DeviceSpec::gtx680();
   bench::print_header(
       "Figure 12: impact of padding on LE (inter-warp NP, loop count 150)",
       "no-padding (slave counts dividing 150) beats padding at comparable "
       "slave counts; best version 2.25x over baseline",
-      opt);
+      spec, opt);
 
-  auto spec = sim::DeviceSpec::gtx680();
   auto bench = kernels::make_benchmark("LE", opt.scale);
 
   struct Pair {

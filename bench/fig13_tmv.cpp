@@ -10,13 +10,13 @@ using namespace cudanp;
 
 int main(int argc, char** argv) {
   auto opt = bench::BenchOptions::parse(argc, argv);
+  auto spec = sim::DeviceSpec::gtx680();
   bench::print_header(
       "Figure 13: TMV vs CUBLAS-style gemv-T across widths (height 2K)",
       "baseline ~ CUBLAS; CUDA-NP wins everywhere, up to 4.9x over CUBLAS "
       "at width 1K where baseline TLP is lowest",
-      opt);
+      spec, opt);
 
-  auto spec = sim::DeviceSpec::gtx680();
   const int height = static_cast<int>(2048 * opt.scale) / 32 * 32;
   Table table({"width", "baseline us", "cublas us", "CUDA-NP us",
                "NP vs baseline", "NP vs cublas"});
@@ -28,8 +28,8 @@ int main(int argc, char** argv) {
   base.master_count = 32;
   const np::TuneOptions sweep{bench::config_grid(base, {4, 8, 16})};
 
-  for (int width : {512, 1024, 2048, 4096, 8192}) {
-    int w = std::max(static_cast<int>(width * opt.scale) / 128 * 128, 128);
+  for (int w : bench::scaled_sizes({512, 1024, 2048, 4096, 8192}, opt.scale,
+                                   128)) {
     auto baseline = kernels::make_tmv(w, height);
     auto cublas = kernels::make_tmv_cublas(w, height);
     auto tune = bench::tune_benchmark(*baseline, spec, sweep);

@@ -10,13 +10,13 @@ using namespace cudanp;
 
 int main(int argc, char** argv) {
   auto opt = bench::BenchOptions::parse(argc, argv);
+  auto spec = sim::DeviceSpec::gtx680();
   bench::print_header(
       "Figure 14: MV vs CUBLAS-style gemv-N and SMM across heights "
       "(width 2K)",
       "CUDA-NP > SMM > CUBLAS across all heights",
-      opt);
+      spec, opt);
 
-  auto spec = sim::DeviceSpec::gtx680();
   const int width = std::max(static_cast<int>(2048 * opt.scale) / 32 * 32, 64);
   Table table({"height", "baseline us", "cublas us", "SMM us", "CUDA-NP us",
                "NP vs cublas", "NP vs SMM"});
@@ -27,8 +27,8 @@ int main(int argc, char** argv) {
   base.master_count = 32;
   const np::TuneOptions sweep{bench::config_grid(base, {4, 8, 16})};
 
-  for (int height : {1024, 4096, 16384, 65536}) {
-    int h = std::max(static_cast<int>(height * opt.scale) / 256 * 256, 256);
+  for (int h : bench::scaled_sizes({1024, 4096, 16384, 65536}, opt.scale,
+                                   256)) {
     auto baseline = kernels::make_mv(width, h);
     auto cublas = kernels::make_mv_cublas(width, h);
     auto smm = kernels::make_mv_smm(width, h);

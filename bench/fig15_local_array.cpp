@@ -12,13 +12,13 @@ using namespace cudanp;
 
 int main(int argc, char** argv) {
   auto opt = bench::BenchOptions::parse(argc, argv);
+  auto spec = sim::DeviceSpec::gtx680();
   bench::print_header(
       "Figure 15: local-array placement (speedup over baseline, best "
       "slave size per placement)",
       "register > shared (helps LIB, hurts LE) > global",
-      opt);
+      spec, opt);
 
-  auto spec = sim::DeviceSpec::gtx680();
   Table table({"benchmark", "placement", "best speedup", "best config",
                "notes"});
   const std::vector<int> sizes = {2, 4, 8, 16};

@@ -12,14 +12,14 @@ using namespace cudanp;
 
 int main(int argc, char** argv) {
   auto opt = bench::BenchOptions::parse(argc, argv);
+  auto spec = sim::DeviceSpec::gtx680();
   bench::print_header(
       "Figure 16: __shfl vs shared-memory reduction/scan under intra-warp "
       "NP (normalized to the best inter-warp version)",
       "shfl is a big win for the smem-pressured MC and LU, minor "
       "elsewhere",
-      opt);
+      spec, opt);
 
-  auto spec = sim::DeviceSpec::gtx680();
   Table table({"benchmark", "best inter us", "intra+smem / inter",
                "intra+shfl / inter", "shfl speedup over smem"});
   const std::vector<int> sizes = {2, 4, 8, 16, 32};

@@ -27,15 +27,15 @@ struct CdpShape {
 
 int main(int argc, char** argv) {
   auto opt = bench::BenchOptions::parse(argc, argv);
+  // The paper ran CDP on the K20c (sm_35); baselines here are simulated
+  // on the same device model for a like-for-like ratio.
+  auto spec = sim::DeviceSpec::k20c();
   bench::print_header(
       "Section 6: slowdown of dynamic-parallelism versions (K20c model)",
       "NN/TMV/LE/LIB/CFD are 28.92/7.61/13.45/125.67/52.29x slower with "
       "CDP",
-      opt);
+      spec, opt);
 
-  // The paper ran CDP on the K20c (sm_35); baselines here are simulated
-  // on the same device model for a like-for-like ratio.
-  auto spec = sim::DeviceSpec::k20c();
   sim::DynamicParallelismModel cdp(spec);
 
   const CdpShape shapes[] = {

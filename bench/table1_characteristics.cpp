@@ -13,15 +13,15 @@ using namespace cudanp;
 
 int main(int argc, char** argv) {
   auto opt = bench::BenchOptions::parse(argc, argv);
+  auto spec = sim::DeviceSpec::gtx680();
   bench::print_header(
       "Table 1: benchmark characteristics (PL, LC, R/S) and bytes per "
       "thread",
       "small loop counts; LE/LIB/CFD local-memory heavy, LU/MV/SS/BK "
       "shared-memory heavy; CUDA-NP shifts local arrays out of local "
       "memory",
-      opt);
+      spec, opt);
 
-  auto spec = sim::DeviceSpec::gtx680();
   Table table({"Name", "PL", "LC", "R/S", "BL REG B", "BL SM B", "BL LM B",
                "OPT REG B", "OPT SM B", "OPT LM B", "best config"});
 

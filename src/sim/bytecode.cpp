@@ -70,8 +70,6 @@ class Lowerer {
     lower_block(*k.body);
     emit(Op::kHalt);
     prog_.num_regs = max_regs_;
-    prog_.max_mask_depth = max_depth_;
-    prog_.max_loop_depth = max_loops_;
     return std::make_shared<const Program>(std::move(prog_));
   }
 
@@ -128,12 +126,6 @@ class Lowerer {
     free_regs_.pop_back();
     return r;
   }
-
-  void enter_masks(int n) {
-    depth_ += n;
-    max_depth_ = std::max(max_depth_, depth_);
-  }
-  void leave_masks(int n) { depth_ -= n; }
 
   // ---------------- statements ----------------
   /// Every statement is preceded by a kGuard that clears returned lanes
@@ -274,29 +266,21 @@ class Lowerer {
       split = emit(std::move(in));
     }
     if (has_else) {
-      enter_masks(2);
       lower_block(*i.then_body);
-      leave_masks(1);
       std::size_t elsei = emit(Op::kIfElse);
       patch(split, elsei);
       lower_block(*i.else_body);
       std::size_t endi = emit(Op::kIfEnd);
       patch(elsei, endi + 1);
-      leave_masks(1);
     } else {
-      enter_masks(1);
       lower_block(*i.then_body);
       std::size_t endi = emit(Op::kIfEnd);
       patch(split, endi);  // empty then-mask still pops at kIfEnd
-      leave_masks(1);
     }
   }
 
   void lower_for(const ForStmt& f) {
     if (f.init) lower_stmt(*f.init);
-    enter_masks(1);
-    ++loops_;
-    max_loops_ = std::max(max_loops_, loops_);
     emit_loc(Op::kLoopEnter, f.loc());
     const std::size_t head = prog_.code.size();
     emit_loc(Op::kLoopBackedge, f.loc());
@@ -331,14 +315,9 @@ class Lowerer {
     patch(check, exit);
     patch(latch, exit);
     emit(Op::kLoopExit);
-    --loops_;
-    leave_masks(1);
   }
 
   void lower_while(const WhileStmt& wl) {
-    enter_masks(1);
-    ++loops_;
-    max_loops_ = std::max(max_loops_, loops_);
     emit_loc(Op::kLoopEnter, wl.loc());
     const std::size_t head = prog_.code.size();
     emit_loc(Op::kLoopBackedge, wl.loc());
@@ -374,8 +353,6 @@ class Lowerer {
     }
     patch(check, prog_.code.size());
     emit(Op::kLoopExit);
-    --loops_;
-    leave_masks(1);
   }
 
   void emit_charge() {
@@ -576,9 +553,7 @@ class Lowerer {
     // uninit reports suppressed; selected source lanes are re-checked
     // inside do_shfl.
     emit(Op::kShflArgBegin);
-    enter_masks(1);
     Operand var = lower_expr(*c.args[0]);
-    leave_masks(1);
     emit(Op::kShflArgEnd);
     Operand sel = lower_expr(*c.args[1]);
     Operand wid = lower_expr(*c.args[2]);
@@ -618,10 +593,6 @@ class Lowerer {
   std::vector<std::int32_t> free_regs_;
   std::int32_t next_reg_ = 0;
   std::int32_t max_regs_ = 0;
-  int depth_ = 0;
-  int max_depth_ = 0;
-  int loops_ = 0;
-  int max_loops_ = 0;
 };
 
 }  // namespace

@@ -8,7 +8,7 @@
 // construct evaluates. Every instruction maps 1:1 onto an exec::BlockCore
 // helper, called in the kernel's source evaluation order, so charges,
 // watchdog steps, hazard reports and error messages come from one piece
-// of code.
+// of code; each control op is one exec::Regions method (sim/lanes.hpp).
 //
 // Operands distinguish registers, folded immediates, geometry lane
 // caches, uniform kernel arguments and live slot storage; the last three
@@ -46,7 +46,7 @@ namespace cudanp::sim::bytecode {
 
 enum class Op : std::uint8_t {
   kHalt,          ///< End of program.
-  kGuard,         ///< Clear returned lanes; empty mask -> jump `target`.
+  kGuard,         ///< guard: clear returned lanes; empty mask -> target.
   kStep,          ///< count_step(loc): watchdog + fault hook.
   kLeafBegin,     ///< begin_leaf_stmt (latency window open).
   kLeafEnd,       ///< end_leaf_stmt (latency window fold).
@@ -68,8 +68,8 @@ enum class Op : std::uint8_t {
   kMath2,         ///< dst = (Builtin aux)(a, b)  (min/max/fminf/fmaxf/powf).
   kSync,          ///< __syncthreads().
   kShflGuard,     ///< sm_30+ check for the shfl family.
-  kShflArgBegin,  ///< Push warp-broadened mask; suppress uninit checks.
-  kShflArgEnd,    ///< Pop it.
+  kShflArgBegin,  ///< shfl_arg_begin: push warp-broadened mask, no uninit.
+  kShflArgEnd,    ///< shfl_arg_end: pop it.
   kShfl,          ///< dst = shfl(a=var, b=sel, c=width).
   kFlatten,       ///< flat[dst] = flat[dst] * imm + a (bounds-checked);
                   ///< name: the array's.
@@ -79,19 +79,21 @@ enum class Op : std::uint8_t {
   kSharedStore,   ///< shared[slot][flat a] = b.
   kLocalLoad,     ///< dst = local/register/constant[slot][flat a].
   kLocalStore,    ///< local/register/constant[slot][flat a] = b.
-  kIfSplit,       ///< Split mask on a; push arm masks; empty-then -> target.
-  kIfElse,        ///< Pop then mask; empty else -> pop + jump target.
-  kIfEnd,         ///< Pop the surviving arm mask.
-  kLoopEnter,     ///< Push loop mask copy + watchdog loop scope.
-  kLoopBackedge,  ///< count_step(loc) + back-edge counter.
+  // Control ops name the exec::Regions method they run (as kGuard and
+  // kShflArg* do); a true result jumps to `target`.
+  kIfSplit,       ///< if_split on a (aux 1: has else); empty then -> target.
+  kIfElse,        ///< if_else: pop then mask; empty else -> pop + target.
+  kIfEnd,         ///< if_end: pop the surviving arm mask.
+  kLoopEnter,     ///< loop_enter: push loop mask copy, open the loop.
+  kLoopBackedge,  ///< count_step(loc), then backedge.
   kMaskAnd,       ///< Clear lanes of the current mask where !truthy(a);
                   ///< aux 1: a while condition, 0: a for condition.
-  kLoopCheck,     ///< Empty mask -> jump target; else ++iters, valve check.
-  kLoopLatchFor,  ///< Clear returned; empty mask -> jump target (for latch).
-  kClearReturned, ///< Clear returned lanes only (while latch).
-  kLoopExit,      ///< Pop loop mask + watchdog loop scope.
+  kLoopCheck,     ///< loop_check: empty mask -> target; else the valve.
+  kLoopLatchFor,  ///< guard, at a for latch.
+  kClearReturned, ///< clear_returned, at a while latch.
+  kLoopExit,      ///< loop_exit: pop loop mask, close the loop.
   kJump,          ///< pc = target.
-  kReturn,        ///< Mark active lanes returned.
+  kReturn,        ///< ret: mark the active lanes returned.
 };
 
 /// Weight selector for kCharge.
@@ -153,8 +155,6 @@ struct Program {
   /// were typed with (pointer parameters; the declared type elsewhere).
   std::vector<ir::ScalarType> buffer_types;
   int num_regs = 0;
-  int max_mask_depth = 0;
-  int max_loop_depth = 0;
 };
 
 /// Lowers a bound kernel to bytecode. Never fails and never returns null:

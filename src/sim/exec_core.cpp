@@ -32,7 +32,6 @@ BlockCore::BlockCore(const DeviceSpec& spec, DeviceMemory& mem,
   warp_latency_.assign(nwarps, 0.0);
   warp_pending_.assign(nwarps, 0.0);
   runs_.assign(nwarps, {});
-  returned_ = lanes_.none();
   san_ = san;
   if (san_) {
     warp_gen_.assign(nwarps, 0);
@@ -108,12 +107,12 @@ WatchdogError BlockCore::make_watchdog_error(const SourceLoc& loc) const {
   os << "watchdog: block (" << block_idx_.x << "," << block_idx_.y << ","
      << block_idx_.z << ") exceeded its step budget of " << max_steps_
      << " interpreted statements at " << loc.str();
-  if (!loop_stack_.empty()) {
+  if (const auto& loops = regions_.loops(); !loops.empty()) {
     os << "; loop back-edges (innermost first):";
     std::size_t shown = 0;
-    for (auto it = loop_stack_.rbegin(); it != loop_stack_.rend() && shown < 4;
+    for (auto it = loops.rbegin(); it != loops.rend() && shown < 4;
          ++it, ++shown)
-      os << " " << it->first.str() << " x" << it->second;
+      os << " " << it->loc.str() << " x" << it->backedges;
   }
   return WatchdogError(os.str(), loc, steps_);
 }
@@ -224,7 +223,7 @@ void BlockCore::charge_array(const Slot& slot, const std::int64_t* flat,
 Slot& BlockCore::var_read_check(std::int32_t slot_id, const std::string& name,
                                 const Mask& mask, SourceLoc loc) {
   Slot& slot = frame_[static_cast<std::size_t>(slot_id)];
-  if (san_ && shfl_arg_depth_ == 0 && !slot.shadow.empty()) {
+  if (san_ && !regions_.in_shfl_arg() && !slot.shadow.empty()) {
     // One report per access, at the first uninitialized active lane;
     // dedupe absorbs repeats.
     int first = -1;
@@ -310,7 +309,7 @@ void BlockCore::note_shared_read(const Slot& slot, const std::string& name,
       hazard::on_read(smem_shadow_[slot.base_word + idx], shared_access(lane));
   const bool race = hit == hazard::Rule::kWriteRead;
   if (race ? portable_
-           : hit == hazard::Rule::kUninitShared && shfl_arg_depth_ == 0)
+           : hit == hazard::Rule::kUninitShared && !regions_.in_shfl_arg())
     san_report(race ? HazardKind::kSharedRace : HazardKind::kUninitRead, loc,
                lane, hazard::text(hit, name, static_cast<std::int64_t>(idx)));
 }
@@ -321,7 +320,7 @@ void BlockCore::note_barrier(SourceLoc loc, const Mask& mask) {
     ++warp_gen_[static_cast<std::size_t>(w)];
     ++arrived;
   });
-  const int absent = lanes_.absent_lane(mask, returned_);
+  const int absent = lanes_.absent_lane(mask, regions_.returned());
   if (arrived > 0 && absent >= 0)
     san_report(HazardKind::kBarrierDivergence, loc, absent,
                "__syncthreads reached by " + std::to_string(arrived) + " of " +

@@ -511,21 +511,21 @@ class BlockCore {
   std::int64_t flat_block_ = 0;
   std::int64_t max_steps_ = std::numeric_limits<std::int64_t>::max();
   std::int64_t steps_ = 0;
-  std::vector<std::pair<SourceLoc, std::int64_t>> loop_stack_;
   const Lanes lanes_;
+  /// The region stack over lanes_, which the VM sets up with its valve;
+  /// do_sync reads its returned lanes.
+  Regions regions_;
   L1Cache l1_;
 
   /// Flat variable frame, indexed by the binder's slot ids.
   std::vector<Slot> frame_;
   /// Precomputed geometry lane vectors (threadIdx.x, ..., gridDim.z).
   std::vector<std::int64_t> geom_[kGeomCount];
-  Mask returned_;
   BlockSanitizer* san_ = nullptr;
   bool portable_ = false;  // the sanitizer reports cross-warp races too
   std::unordered_map<std::uint64_t, hazard::Cell> smem_shadow_;
   std::vector<std::int64_t> warp_gen_;  // barrier arrivals per warp
   std::int64_t access_seq_ = 0;         // one id per shared vector access
-  int shfl_arg_depth_ = 0;  // suppress uninit checks under shfl's broad mask
   std::vector<double> warp_issue_;
   std::vector<double> warp_latency_;
   std::vector<double> warp_pending_;
@@ -740,7 +740,7 @@ void BlockCore::buffer_load(Slot& slot, const std::string& name,
     };
     for_each_run(mask, buf.size(), bsh == nullptr, whole, [&](std::size_t l) {
       const auto i = static_cast<std::size_t>(arith::as_i(idx.at(l)));
-      if (bsh && shfl_arg_depth_ == 0 && i < bsh->size() && !(*bsh)[i])
+      if (bsh && !regions_.in_shfl_arg() && i < bsh->size() && !(*bsh)[i])
         san_report(HazardKind::kUninitRead, loc, static_cast<int>(l),
                    hazard::text(hazard::Rule::kUninitGlobal, name,
                                 static_cast<std::int64_t>(i)));
@@ -833,7 +833,7 @@ void BlockCore::local_load(Slot& slot, const std::string& name,
     auto* o = out_as<T>(out);
     lanes_.for_each_lane(mask, [&](std::size_t l) {
       const std::size_t i = l * elems + static_cast<std::size_t>(flat[l]);
-      if (san_ && shfl_arg_depth_ == 0 && !slot.shadow.empty() &&
+      if (san_ && !regions_.in_shfl_arg() && !slot.shadow.empty() &&
           !slot.shadow[i])
         san_report(HazardKind::kUninitRead, loc, static_cast<int>(l),
                    hazard::text(hazard::Rule::kUninitArray, name, flat[l]));

@@ -6,15 +6,17 @@
 // size is no warp multiple is partial. Everything the two engines must
 // agree on about lanes is defined here once: the launch checks, active
 // masks and the order lanes are visited in, the geometry values, the
-// __syncthreads arrival rule and the __shfl rules (the sm_30 gate, the
-// width check and the source-lane choice). A certificate is therefore a
-// statement about the program the VM runs, on the same device model.
+// __syncthreads arrival rule, the __shfl rules (the sm_30 gate, the
+// width check and the source-lane choice) and the region stack that runs
+// every control op. A certificate is therefore a statement about the
+// program the VM runs, on the same device model.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/binder.hpp"
@@ -259,6 +261,126 @@ class Lanes {
   int nwarps_ = 0;
   Dim3 block_;
   Mask full_;
+};
+
+/// The region stack of one block: the masks of the open ifs, loops and
+/// __shfl arguments, the lanes that have returned, and the open loops.
+/// It runs every control op of sim/bytecode.hpp for both engines; a
+/// method that may jump returns true when the engine jumps to the
+/// instruction's target. An engine supplies only how an if's condition
+/// splits the mask, and hooks where the else arm starts and where the if
+/// ends (the symbolic executor's frame swap and merge).
+class Regions {
+  struct NoHook {
+    void operator()() const {}
+  };
+
+ public:
+  /// An open loop: its iterations (the valve) and back-edges (watchdog).
+  struct Loop {
+    SourceLoc loc;
+    std::int64_t iters = 0;
+    std::int64_t backedges = 0;
+  };
+
+  Regions() = default;
+  /// A block's start: every lane active, none returned. A loop that runs
+  /// more than `max_loop_iterations` iterations fails.
+  Regions(const Lanes& lanes, std::int64_t max_loop_iterations)
+      : lanes_(&lanes), masks_{lanes.full()}, scratch_(lanes.none()),
+        returned_(lanes.none()), max_iters_(max_loop_iterations) {}
+
+  /// The execution mask of the innermost region.
+  [[nodiscard]] Mask& cur() { return masks_[depth_]; }
+  [[nodiscard]] const Mask& returned() const { return returned_; }
+  /// In a __shfl source argument, where uninitialized reads go unreported.
+  [[nodiscard]] bool in_shfl_arg() const { return shfl_depth_ > 0; }
+  /// The open loops, outermost first.
+  [[nodiscard]] const std::vector<Loop>& loops() const { return loops_; }
+
+  /// kGuard, kLoopLatchFor: clears returned lanes; jumps when none is
+  /// left. Masks only empty through returns: before one, nothing to do.
+  bool guard() { return returned_any_ && !clear_lanes(cur(), returned_); }
+  /// kClearReturned: the while latch, which loops back regardless.
+  void clear_returned() { (void)guard(); }
+  void ret() {  // kReturn
+    add_lanes(returned_, cur());
+    returned_any_ = true;
+  }
+
+  /// kShflArgBegin: the argument runs on every lane of each active warp.
+  void shfl_arg_begin() {
+    Mask& broad = above(1);  // first: it may grow the stack
+    lanes_->make_broad_mask(masks_[depth_], broad);
+    ++depth_;
+    ++shfl_depth_;
+  }
+  void shfl_arg_end() { --shfl_depth_; --depth_; }  // kShflArgEnd
+
+  /// kIfSplit: split(mask, then_mask, else_mask) fills the arm masks
+  /// from the current one; the else mask goes below the then mask (an
+  /// else-less if only counts it). Jumps when the then arm is empty.
+  template <class Split>
+  bool if_split(bool has_else, Split&& split) {
+    const std::size_t n = has_else ? 2 : 1;
+    Mask& tm = above(n);
+    split(std::as_const(masks_[depth_]), tm,
+          has_else ? masks_[depth_ + 1] : scratch_);
+    depth_ += n;
+    return !any(tm);
+  }
+  /// kIfElse: pops the then mask; on_else() starts the else arm. An
+  /// empty else arm ends the if: its mask pops, on_end() runs, and the
+  /// engine jumps past the kIfEnd.
+  template <class OnElse = NoHook, class OnEnd = NoHook>
+  bool if_else(OnElse&& on_else = {}, OnEnd&& on_end = {}) {
+    --depth_;
+    on_else();
+    if (any(cur())) return false;
+    --depth_;
+    on_end();
+    return true;
+  }
+  /// kIfEnd: pops the surviving arm's mask; on_end() ends the if.
+  template <class OnEnd = NoHook>
+  void if_end(OnEnd&& on_end = {}) { --depth_; on_end(); }
+
+  /// kLoopEnter: the loop runs on a copy of the current mask.
+  void loop_enter(SourceLoc loc) {
+    Mask& copy = above(1);
+    copy = masks_[depth_];
+    ++depth_;
+    loops_.push_back({loc});
+  }
+  /// kLoopBackedge in the VM, for the watchdog's report.
+  void backedge() { ++loops_.back().backedges; }
+  /// kLoopCheck: jumps out when no lane is left, else runs the valve.
+  bool loop_check(bool is_while, SourceLoc loc) {
+    if (!any(cur())) return true;
+    if (++loops_.back().iters > max_iters_)
+      throw SimError(std::string(is_while ? "while loop" : "loop") +
+                     " exceeded max iterations at " + loc.str());
+    return false;
+  }
+  void loop_exit() { --depth_; loops_.pop_back(); }  // kLoopExit
+
+ private:
+  /// The mask n levels above the current one, allocated on first use.
+  Mask& above(std::size_t n) {
+    if (masks_.size() <= depth_ + n)
+      masks_.resize(depth_ + n + 1, lanes_->none());
+    return masks_[depth_ + n];
+  }
+
+  const Lanes* lanes_ = nullptr;
+  std::vector<Mask> masks_;  ///< masks_[depth_] is the active mask
+  Mask scratch_;             ///< the else mask of an else-less if
+  Mask returned_;
+  std::vector<Loop> loops_;
+  std::int64_t max_iters_ = 0;
+  std::size_t depth_ = 0;
+  int shfl_depth_ = 0;
+  bool returned_any_ = false;
 };
 
 }  // namespace cudanp::sim::exec

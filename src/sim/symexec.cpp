@@ -17,6 +17,7 @@
 #include "sim/arith.hpp"
 #include "sim/bytecode.hpp"
 #include "sim/hazards.hpp"
+#include "sim/interpreter.hpp"
 #include "sim/lanes.hpp"
 #include "support/rng.hpp"
 
@@ -906,8 +907,6 @@ class Exec {
     exec::check_arg_count(kernel_, args_.size());
     regs_.assign(reg_base(prog_->num_regs), kInv);
     flat_.assign(regs_.size(), 0);
-    masks_.assign(static_cast<std::size_t>(prog_->max_mask_depth) + 1,
-                  lanes_.none());
     globals_.resize(args_.size());
     for (std::size_t i = 0; i < args_.size(); ++i) {
       const ir::Param& p = kernel_.params[i];
@@ -954,12 +953,9 @@ class Exec {
     blk_ = static_cast<std::int64_t>(bz) * grid_.x * grid_.y +
            static_cast<std::int64_t>(by) * grid_.x + bx;
     frame_.assign(bound_->num_slots(), Var{});
-    masks_[0] = lanes_.full();
-    mdepth_ = 0;
-    div_depth_ = shfl_depth_ = 0;
+    regions_ = exec::Regions(lanes_, ExecutionLimits{}.max_loop_iterations);
     splits_.clear();
     preds_.clear();
-    returned_ = lanes_.none();
     epoch_ = 0;
     seq_ = 0;
     for (auto& g : globals_)  // a new block: keep what outlives the last
@@ -998,14 +994,13 @@ class Exec {
   bool step(const Instr& ins) {
     switch (ins.op) {
       case Op::kGuard:
-      case Op::kLoopLatchFor:  // lanes that returned stop iterating
-        return !exec::clear_lanes(cur(), returned_);
-      case Op::kClearReturned: (void)exec::clear_lanes(cur(), returned_); break;
+      case Op::kLoopLatchFor: return regions_.guard();
+      case Op::kClearReturned: regions_.clear_returned(); break;
       case Op::kStep:
       case Op::kLoopBackedge: count_step(); break;
       case Op::kTrap: throw SimError(text(ins.name));
       case Op::kVarGuard:
-        if (shfl_depth_ == 0)
+        if (!regions_.in_shfl_arg())
           each_lane([&, &v = slot_of(ins).scalar](std::size_t l) {
             if (v[l] == kInv)
               throw Abort{
@@ -1030,26 +1025,21 @@ class Exec {
       case Op::kAbs:
       case Op::kMath2: lane_op(ins); break;
       case Op::kSync:
-        if (div_depth_ > 0)
+        if (divergent())
           throw Abort{"__syncthreads under a symbolically divergent branch"};
         // A live warp that never arrives deadlocks on real hardware (and
         // is a deterministic kBarrierDivergence hazard in the sanitizer).
-        if (lanes_.absent_lane(cur(), returned_) >= 0)
+        if (lanes_.absent_lane(cur(), regions_.returned()) >= 0)
           throw Abort{"__syncthreads not reached by a live warp", true};
         ++epoch_;
         break;
       case Op::kShflGuard: exec::check_shfl_device(spec_); break;
       case Op::kShflArgBegin:
-        if (div_depth_ > 0)
+        if (divergent())
           throw Abort{"__shfl under a symbolically divergent branch"};
-        lanes_.make_broad_mask(cur(), masks_[mdepth_ + 1]);
-        ++mdepth_;
-        ++shfl_depth_;
+        regions_.shfl_arg_begin();
         break;
-      case Op::kShflArgEnd:
-        --shfl_depth_;
-        --mdepth_;
-        break;
+      case Op::kShflArgEnd: regions_.shfl_arg_end(); break;
       case Op::kShfl: shfl(ins); break;
       case Op::kFlatten: flatten(ins); break;
       case Op::kBufLoad:
@@ -1061,21 +1051,20 @@ class Exec {
         access(ins, false,
                ins.op == Op::kSharedStore || ins.op == Op::kLocalStore);
         break;
-      case Op::kIfSplit: return if_split(ins);
-      case Op::kIfElse: return if_else();
-      case Op::kIfEnd: if_end(); break;
-      case Op::kLoopEnter:
-        masks_[mdepth_ + 1] = cur();
-        ++mdepth_;
-        break;
+      case Op::kIfSplit:
+        return regions_.if_split(ins.aux, [&](auto&... m) { split(ins, m...); });
+      case Op::kIfElse:
+        return regions_.if_else([&] { else_arm(); }, [&] { end_if(); });
+      case Op::kIfEnd: regions_.if_end([&] { end_if(); }); break;
+      case Op::kLoopEnter: regions_.loop_enter(ins.loc); break;
       case Op::kMaskAnd: prune(ins); break;
-      case Op::kLoopCheck: return !any(cur());
-      case Op::kLoopExit: --mdepth_; break;
+      case Op::kLoopCheck: return regions_.loop_check(ins.aux, ins.loc);
+      case Op::kLoopExit: regions_.loop_exit(); break;
       case Op::kJump: return true;
       case Op::kReturn:
-        if (div_depth_ > 0)
+        if (divergent())
           throw Abort{"return under a symbolically divergent branch"};
-        exec::add_lanes(returned_, cur());
+        regions_.ret();
         break;
       case Op::kHalt:
       case Op::kLeafBegin:
@@ -1096,7 +1085,9 @@ class Exec {
   }
 
   /// The mask of the innermost active region.
-  [[nodiscard]] Mask& cur() { return masks_[mdepth_]; }
+  [[nodiscard]] Mask& cur() { return regions_.cur(); }
+  /// Inside an arm of a symbolic split.
+  [[nodiscard]] bool divergent() const { return !preds_.empty(); }
   template <class Fn>
   void each_lane(Fn&& fn) {
     lanes_.for_each_lane(cur(), fn);
@@ -1272,7 +1263,7 @@ class Exec {
 
   void note_write(hazard::Cell& meta, IdVec& cells, std::size_t i, int lane,
                   std::uint32_t vid, bool is_global, const std::string& name) {
-    if (div_depth_ > 0) {
+    if (divergent()) {
       // Guarded store: fold the branch predicates into the stored value
       // (select(pred, new, old)). Globals are not snapshot-merged, so
       // the wrapped value is immediately final; shared cells would need
@@ -1310,7 +1301,7 @@ class Exec {
     if (hit == hazard::Rule::kWriteRead)
       note_race(hit, name, i);
     else if (hit == hazard::Rule::kCrossBlockRead ||
-             (hit != hazard::Rule::kNone && shfl_depth_ == 0))  // uninit
+             (hit != hazard::Rule::kNone && !regions_.in_shfl_arg()))  // uninit
       throw Abort{hazard::text(hit, name, static_cast<std::int64_t>(i))};
     return cells[i];
   }
@@ -1392,7 +1383,7 @@ class Exec {
         } else if (tracked) {
           out[li] = note_read(v.meta[ci], cells, ci, l, buffer, name);
         } else {
-          if (cells[ci] == kInv && shfl_depth_ == 0)
+          if (cells[ci] == kInv && !regions_.in_shfl_arg())
             throw Abort{hazard::text(hazard::Rule::kUninitArray, name, i)};
           out[li] = cells[ci];
         }
@@ -1418,67 +1409,53 @@ class Exec {
   }
 
   // ---------------- control flow ----------------
-  /// kIfSplit; true when the then arm is empty. Side effects that could
-  /// leak across lanes (shared stores, barriers, shfl, return) abort in
-  /// either arm of a symbolic split; global stores fold the branch
-  /// predicates into the stored value.
-  bool if_split(const Instr& ins) {
+  /// kIfSplit's split of m into tm and em: lanes whose condition is
+  /// symbolic run both arms. Side effects that could leak across lanes
+  /// (shared stores, barriers, shfl, return) abort in either arm of a
+  /// symbolic split; global stores fold the branch predicates in.
+  void split(const Instr& ins, const Mask& m, Mask& tm, Mask& em) {
     const Ids c = src(ins.a);
     Split& s = splits_.emplace_back();
-    Mask fm = lanes_.none();
-    s.tm = s.sm = fm;
-    each_lane([&](std::size_t l) {
+    s.tm = s.sm = em = lanes_.none();
+    lanes_.for_each_lane(m, [&](std::size_t l) {
       Value cv;
       if (c.at(l) == kInv) throw Abort{"branch on an uninitialized value"};
       if (!ar_.constant(c.at(l), &cv))
         lanes_.set_lane(s.sm, l);
       else
-        lanes_.set_lane(cv.truthy() ? s.tm : fm, l);
+        lanes_.set_lane(cv.truthy() ? s.tm : em, l);
     });
-    Mask tm = s.tm;
-    if (any(s.sm)) {
-      s.symbolic = true;
-      s.frame = frame_;
-      s.cond = s.else_pred = splat(kInv);
-      lanes_.for_each_lane(s.sm, [&](std::size_t l) {
-        s.cond[l] = c.at(l);
-        s.else_pred[l] = ar_.un(UnOp::kLNot, c.at(l));
-      });
-      exec::add_lanes(tm, s.sm);
-      exec::add_lanes(fm, s.sm);
-      ++div_depth_;
-      preds_.push_back(s.cond);
-    }
-    // An else mask below the then mask; an else-less if needs none.
-    if (ins.aux) masks_[mdepth_ + 1] = std::move(fm);
-    mdepth_ += ins.aux ? 2 : 1;
-    cur() = std::move(tm);
-    return !any(cur());
+    tm = s.tm;
+    if (!any(s.sm)) return;
+    s.symbolic = true;
+    s.frame = frame_;
+    s.cond = s.else_pred = splat(kInv);
+    lanes_.for_each_lane(s.sm, [&](std::size_t l) {
+      s.cond[l] = c.at(l);
+      s.else_pred[l] = ar_.un(UnOp::kLNot, c.at(l));
+    });
+    exec::add_lanes(tm, s.sm);
+    exec::add_lanes(em, s.sm);
+    preds_.push_back(s.cond);
   }
 
-  /// kIfElse; true when the else arm is empty (its kIfEnd is skipped).
-  bool if_else() {
-    --mdepth_;
+  /// kIfElse's hook: a symbolic split's else arm runs on the frame the
+  /// split began with.
+  void else_arm() {
     Split& s = splits_.back();
-    if (s.symbolic) {
-      std::swap(frame_, s.frame);
-      s.in_else = true;
-      preds_.back() = std::move(s.else_pred);
-    }
-    if (any(cur())) return false;
-    --mdepth_;
-    splits_.pop_back();
-    return true;
+    if (!s.symbolic) return;
+    std::swap(frame_, s.frame);
+    s.in_else = true;
+    preds_.back() = std::move(s.else_pred);
   }
 
-  void if_end() {
-    --mdepth_;
+  /// The end of an if: a symbolic split merges its arms' frames.
+  void end_if() {
     Split s = std::move(splits_.back());
     splits_.pop_back();
     if (!s.symbolic) return;
     if (!s.in_else) std::swap(frame_, s.frame);
     preds_.pop_back();
-    --div_depth_;
     merge_frames(s.frame, s.cond, s.tm, s.sm);
   }
 
@@ -1548,23 +1525,19 @@ class Exec {
   /// index of a kFlatten register's kConcreteFlat lanes.
   IdVec regs_;
   std::vector<std::int64_t> flat_;
-  /// The mask stack (masks_[mdepth_] is active) and the open ifs.
-  std::vector<Mask> masks_;
-  std::size_t mdepth_ = 0;
+  /// The region stack, and the open ifs.
+  exec::Regions regions_;
   std::vector<Split> splits_;
 
   /// Variables by binder slot; geometry lane vectors by Geom code.
   std::vector<Var> frame_;
   std::array<IdVec, kGeomCount> geom_;
-  Mask returned_;
   std::int64_t epoch_ = 0;
   std::int64_t seq_ = 0;
   std::int64_t blk_ = 0;
-  int div_depth_ = 0;
   /// One per-lane branch-predicate vector per symbolic-divergence level
   /// (kInv = lane is unconditional at that level).
   std::vector<IdVec> preds_;
-  int shfl_depth_ = 0;
 };
 
 }  // namespace

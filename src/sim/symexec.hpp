@@ -14,6 +14,10 @@
 //
 // Evaluation order, typing, name resolution, declarations and masks are
 // the lowering's, so both engines run one definition of every construct.
+// Control flow runs through the VM's region stack (exec::Regions,
+// sim/lanes.hpp); the executor supplies only how a condition splits the
+// mask (lanes whose condition is symbolic run both arms) and the frame
+// swap and select merge where an else arm starts and an if ends.
 // Each kTrap raises the binder's structural-error text (sim/binder.hpp),
 // and lanes, launch checks, __syncthreads and __shfl follow the lane
 // model of sim/lanes.hpp on the DeviceSpec the certifier holds: where

@@ -13,7 +13,6 @@ namespace {
 using bytecode::Instr;
 using bytecode::Op;
 using bytecode::Operand;
-using exec::any;
 using exec::LaneView;
 using exec::Mask;
 using exec::Slot;
@@ -31,22 +30,19 @@ class VmExec : public exec::BlockCore {
         prog_(program),
         iregs_(static_cast<std::size_t>(program.num_regs) *
                static_cast<std::size_t>(lanes_.nlanes())),
-        fregs_(iregs_.size()),
-        masks_(static_cast<std::size_t>(program.max_mask_depth) + 1,
-               lanes_.none()),
-        scratch_(lanes_.none()),
-        iters_(static_cast<std::size_t>(program.max_loop_depth), 0) {}
+        fregs_(iregs_.size()) {
+    regions_ = exec::Regions(lanes_, opt.limits.max_loop_iterations);
+  }
 
   KernelStats run() {
     if (opt_.fault && opt_.fault->should_stall(flat_block_)) stall();
-    masks_[0] = lanes_.full();
     dispatch();
     return collect_stats();
   }
 
  private:
   /// The execution mask of the innermost active region.
-  [[nodiscard]] Mask& cur() { return masks_[static_cast<std::size_t>(mdepth_)]; }
+  [[nodiscard]] Mask& cur() { return regions_.cur(); }
 
   [[nodiscard]] std::size_t reg_base(std::int32_t r) const {
     return static_cast<std::size_t>(r) *
@@ -120,27 +116,17 @@ class VmExec : public exec::BlockCore {
     return *bound_.slots[static_cast<std::size_t>(ins.slot)].decl;
   }
 
-  /// Clears returned lanes from the current mask; true if it emptied.
-  /// Fast path: masks only empty through returns (jumps handle every
-  /// other emptying), so an untouched returned_ means nothing to do.
-  [[nodiscard]] bool guard_returned() {
-    return returned_any_ && !exec::clear_lanes(cur(), returned_);
-  }
-
   void dispatch() {
     const Instr* code = prog_.code.data();
     std::size_t pc = 0;
     for (;;) {
       const Instr& ins = code[pc];
+      bool jump = false;
       switch (ins.op) {
         case Op::kHalt:
           return;
         case Op::kGuard:
-          if (guard_returned()) {
-            pc = static_cast<std::size_t>(ins.target);
-            continue;
-          }
-          break;
+        case Op::kLoopLatchFor: jump = regions_.guard(); break;
         case Op::kStep:
           count_step(ins.loc);
           break;
@@ -226,17 +212,8 @@ class VmExec : public exec::BlockCore {
         case Op::kShflGuard:
           exec::check_shfl_device(spec_);
           break;
-        case Op::kShflArgBegin: {
-          Mask& broad = masks_[static_cast<std::size_t>(mdepth_) + 1];
-          lanes_.make_broad_mask(cur(), broad);
-          ++mdepth_;
-          ++shfl_arg_depth_;
-          break;
-        }
-        case Op::kShflArgEnd:
-          --shfl_arg_depth_;
-          --mdepth_;
-          break;
+        case Op::kShflArgBegin: regions_.shfl_arg_begin(); break;
+        case Op::kShflArgEnd: regions_.shfl_arg_end(); break;
         case Op::kShfl:
           with_views(ins.a, ins.b, ins.c, [&](auto var, auto sel, auto wid) {
             do_shfl(static_cast<Builtin>(ins.aux), name_at(ins.name), var, sel,
@@ -282,84 +259,32 @@ class VmExec : public exec::BlockCore {
             local_store(slot_of(ins), flat(ins.a), cur(), v);
           });
           break;
-        case Op::kIfSplit: {
-          const bool has_else = ins.aux != 0;
-          const Mask& m = cur();
-          Mask& tm =
-              masks_[static_cast<std::size_t>(mdepth_) + (has_else ? 2 : 1)];
-          Mask& em =
-              has_else ? masks_[static_cast<std::size_t>(mdepth_) + 1]
-                       : scratch_;
-          with_view(ins.a, [&](auto c) { split_mask(m, c, tm, em); });
-          mdepth_ += has_else ? 2 : 1;
-          if (!any(tm)) {
-            pc = static_cast<std::size_t>(ins.target);
-            continue;
-          }
+        case Op::kIfSplit:
+          jump = regions_.if_split(ins.aux, [&](auto& m, auto& tm, auto& em) {
+            with_view(ins.a, [&](auto c) { split_mask(m, c, tm, em); });
+          });
           break;
-        }
-        case Op::kIfElse:
-          // Pop the then mask; the else mask underneath becomes current.
-          --mdepth_;
-          if (!any(cur())) {
-            --mdepth_;
-            pc = static_cast<std::size_t>(ins.target);
-            continue;
-          }
-          break;
-        case Op::kIfEnd:
-          --mdepth_;
-          break;
-        case Op::kLoopEnter:
-          masks_[static_cast<std::size_t>(mdepth_) + 1] = cur();
-          ++mdepth_;
-          loop_stack_.emplace_back(ins.loc, 0);
-          iters_[static_cast<std::size_t>(ldepth_++)] = 0;
-          break;
+        case Op::kIfElse: jump = regions_.if_else(); break;
+        case Op::kIfEnd: regions_.if_end(); break;
+        case Op::kLoopEnter: regions_.loop_enter(ins.loc); break;
         case Op::kLoopBackedge:
           // Back-edges are budgeted so even empty or condition-only spins
           // trip the watchdog.
           count_step(ins.loc);
-          ++loop_stack_.back().second;
+          regions_.backedge();
           break;
         case Op::kMaskAnd:
           with_view(ins.a, [&](auto c) { truth_mask(cur(), c, cur()); });
           break;
         case Op::kLoopCheck:
-          if (!any(cur())) {
-            pc = static_cast<std::size_t>(ins.target);
-            continue;
-          }
-          if (++iters_[static_cast<std::size_t>(ldepth_ - 1)] >
-              opt_.limits.max_loop_iterations)
-            throw SimError(std::string(ins.aux ? "while loop" : "loop") +
-                           " exceeded max iterations at " + ins.loc.str());
+          jump = regions_.loop_check(ins.aux, ins.loc);
           break;
-        case Op::kLoopLatchFor:
-          // Lanes that returned inside the body stop iterating.
-          if (guard_returned()) {
-            pc = static_cast<std::size_t>(ins.target);
-            continue;
-          }
-          break;
-        case Op::kClearReturned:
-          // The while latch loops back to the condition unconditionally.
-          if (returned_any_) (void)exec::clear_lanes(cur(), returned_);
-          break;
-        case Op::kLoopExit:
-          --mdepth_;
-          loop_stack_.pop_back();
-          --ldepth_;
-          break;
-        case Op::kJump:
-          pc = static_cast<std::size_t>(ins.target);
-          continue;
-        case Op::kReturn:
-          exec::add_lanes(returned_, cur());
-          returned_any_ = true;
-          break;
+        case Op::kClearReturned: regions_.clear_returned(); break;
+        case Op::kLoopExit: regions_.loop_exit(); break;
+        case Op::kJump: jump = true; break;
+        case Op::kReturn: regions_.ret(); break;
       }
-      ++pc;
+      pc = jump ? static_cast<std::size_t>(ins.target) : pc + 1;
     }
   }
 
@@ -373,15 +298,6 @@ class VmExec : public exec::BlockCore {
   /// of the pool its static type selects.
   std::vector<std::int64_t> iregs_;
   std::vector<double> fregs_;
-  /// Preallocated mask stack; masks_[mdepth_] is the active mask.
-  std::vector<Mask> masks_;
-  /// Else-side mask of an else-less if (divergence counting only).
-  Mask scratch_;
-  /// Per-depth loop iteration counters (the max_loop_iterations valve).
-  std::vector<std::int64_t> iters_;
-  int mdepth_ = 0;
-  int ldepth_ = 0;
-  bool returned_any_ = false;
 };
 
 /// Element type of the buffer bound to parameter i, or its declared type

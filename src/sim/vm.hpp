@@ -3,10 +3,11 @@
 // Executes the flat instruction stream produced by sim/bytecode.cpp with
 // a dispatch loop over SoA lane state — virtual registers are plain
 // int64 / double lane arrays typed by the lowering, masks are per-warp
-// active words on a preallocated stack sized by the lowering — so a
-// launch pays no per-node heap allocation and no recursion. All
-// semantics (charges, watchdog, sanitizer, errors) come from
-// exec::BlockCore.
+// active words — so a launch pays no per-node heap allocation and no
+// recursion. All semantics (charges, watchdog, sanitizer, errors) come
+// from exec::BlockCore; every control op forwards to the region stack
+// the symbolic executor shares (exec::Regions, sim/lanes.hpp), and the
+// VM supplies only the concrete mask split of an if.
 //
 // Implementation detail of sim/; include only from the interpreter and
 // tests.

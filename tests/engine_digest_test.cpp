@@ -529,9 +529,81 @@ TEST(EngineEquivalenceHazards, RacyKernelStreamsIdentical) {
               /*jobs=*/1, /*sanitize=*/true);
 }
 
+// ---------------- symbolic oracle helpers ----------------
+
+/// The certifier's abstraction of `w`: float buffers and float scalars
+/// become input leaves, int data stays concrete.
+std::vector<sim::SymArg> symbolic_args(const np::Workload& w) {
+  std::vector<sim::SymArg> args;
+  for (const auto& arg : w.launch.args) {
+    sim::SymArg a;
+    if (const auto* id = std::get_if<sim::BufferId>(&arg)) {
+      const sim::DeviceBuffer& buf = w.mem->buffer(*id);
+      a.type = buf.type();
+      a.elems = static_cast<std::int64_t>(buf.size());
+      if (buf.type() == ir::ScalarType::kFloat) {
+        a.kind = sim::SymArg::Kind::kBufferSymbolic;
+      } else {
+        a.kind = sim::SymArg::Kind::kBufferConcrete;
+        const auto iv = buf.i32();
+        a.ints.assign(iv.begin(), iv.end());
+      }
+    } else if (std::get<sim::Value>(arg).is_float()) {
+      a.kind = sim::SymArg::Kind::kScalarSymbolic;
+      a.type = ir::ScalarType::kFloat;
+    } else {
+      a.scalar = std::get<sim::Value>(arg);
+    }
+    args.push_back(std::move(a));
+  }
+  return args;
+}
+
+/// Compares every cell of the kernel's buffer arguments after a VM run
+/// of `req` with the symbolic run `sym` evaluated at kMixedSeed; returns
+/// the number of cells the evaluator cannot evaluate.
+int expect_oracle_cells(const np::Workload& w, const sim::SymExecResult& sym,
+                        const sim::SymArena& arena) {
+  int unevaluable = 0;
+  sim::SymEvaluator eval(arena, kMixedSeed);
+  for (std::size_t i = 0; i < w.launch.args.size(); ++i) {
+    const auto* id = std::get_if<sim::BufferId>(&w.launch.args[i]);
+    if (!id) continue;
+    const sim::DeviceBuffer& buf = w.mem->buffer(*id);
+    EXPECT_EQ(sym.buffers[i].size(), buf.size()) << "arg " << i;
+    if (sym.buffers[i].size() != buf.size()) continue;
+    for (std::size_t e = 0; e < buf.size(); ++e) {
+      sim::Value v;
+      if (!eval.eval(sym.buffers[i][e], &v)) {
+        ++unevaluable;
+        continue;
+      }
+      if (buf.type() == ir::ScalarType::kFloat) {
+        const auto want = static_cast<float>(v.as_f());
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(want),
+                  std::bit_cast<std::uint32_t>(buf.f32()[e]))
+            << "arg " << i << " cell " << e << ": symbolic " << want
+            << ", VM " << buf.f32()[e];
+      } else {
+        EXPECT_EQ(v.as_i(), buf.i32()[e]) << "arg " << i << " cell " << e;
+      }
+    }
+  }
+  return unevaluable;
+}
+
 // ---------------- fuzzed kernels ----------------
 
+// Divergent kernels the symbolic executor cannot run to completion.
+// Today it runs all 25.
+constexpr int kDivergentUnrunnable = 0;
+
 TEST(EngineEquivalenceFuzz, DivergentControlFlowBitIdentical) {
+  // Besides the digest, each kernel's symbolic run must equal a VM run
+  // on every cell: lane-keyed trip counts, nested divergent ifs with else
+  // arms and a while loop go through both engines' region stacks.
+  const auto spec = sim::DeviceSpec::gtx680();
+  int unrunnable = 0;
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     auto program = np::NpCompiler::parse(fuzz_source(seed));
@@ -542,7 +614,25 @@ TEST(EngineEquivalenceFuzz, DivergentControlFlowBitIdentical) {
                   return np::ExecutionRequest::baseline(kernel, wl);
                 },
                 /*jobs=*/1, /*sanitize=*/false);
+
+    // The digest's buffer starts zeroed; the oracle's starts seeded, so
+    // cells the kernel never writes compare too.
+    np::Workload sw = small_workload(32, 2, 64);
+    np::seed_certify_floats(sw, kMixedSeed);
+    sim::SymArena arena;
+    const auto sym = sim::sym_execute(spec, kernel, sw.launch.grid,
+                                      sw.launch.block, symbolic_args(sw),
+                                      arena);
+    if (!sym.ok) {
+      ++unrunnable;
+      continue;
+    }
+    ASSERT_TRUE(np::Runner{spec}
+                    .execute(np::ExecutionRequest::baseline(kernel, sw))
+                    .ran);
+    EXPECT_EQ(expect_oracle_cells(sw, sym, arena), 0);
   }
+  EXPECT_EQ(unrunnable, kDivergentUnrunnable);
 }
 
 // Mixed-type kernels the symbolic executor cannot run to completion;
@@ -613,67 +703,6 @@ constexpr double kOracleScale = 0.02;
 /// evaluates both arms of a select: 662 of each program's 6176 cells.
 int oracle_unevaluable(const std::string& bench) {
   return bench == "BK" ? 9 * 662 : 0;
-}
-
-/// The certifier's abstraction of `w`: float buffers and float scalars
-/// become input leaves, int data stays concrete.
-std::vector<sim::SymArg> symbolic_args(const np::Workload& w) {
-  std::vector<sim::SymArg> args;
-  for (const auto& arg : w.launch.args) {
-    sim::SymArg a;
-    if (const auto* id = std::get_if<sim::BufferId>(&arg)) {
-      const sim::DeviceBuffer& buf = w.mem->buffer(*id);
-      a.type = buf.type();
-      a.elems = static_cast<std::int64_t>(buf.size());
-      if (buf.type() == ir::ScalarType::kFloat) {
-        a.kind = sim::SymArg::Kind::kBufferSymbolic;
-      } else {
-        a.kind = sim::SymArg::Kind::kBufferConcrete;
-        const auto iv = buf.i32();
-        a.ints.assign(iv.begin(), iv.end());
-      }
-    } else if (std::get<sim::Value>(arg).is_float()) {
-      a.kind = sim::SymArg::Kind::kScalarSymbolic;
-      a.type = ir::ScalarType::kFloat;
-    } else {
-      a.scalar = std::get<sim::Value>(arg);
-    }
-    args.push_back(std::move(a));
-  }
-  return args;
-}
-
-/// Compares every cell of the kernel's buffer arguments after a VM run
-/// of `req` with the symbolic run `sym` evaluated at kMixedSeed; returns
-/// the number of cells the evaluator cannot evaluate.
-int expect_oracle_cells(const np::Workload& w, const sim::SymExecResult& sym,
-                        const sim::SymArena& arena) {
-  int unevaluable = 0;
-  sim::SymEvaluator eval(arena, kMixedSeed);
-  for (std::size_t i = 0; i < w.launch.args.size(); ++i) {
-    const auto* id = std::get_if<sim::BufferId>(&w.launch.args[i]);
-    if (!id) continue;
-    const sim::DeviceBuffer& buf = w.mem->buffer(*id);
-    EXPECT_EQ(sym.buffers[i].size(), buf.size()) << "arg " << i;
-    if (sym.buffers[i].size() != buf.size()) continue;
-    for (std::size_t e = 0; e < buf.size(); ++e) {
-      sim::Value v;
-      if (!eval.eval(sym.buffers[i][e], &v)) {
-        ++unevaluable;
-        continue;
-      }
-      if (buf.type() == ir::ScalarType::kFloat) {
-        const auto want = static_cast<float>(v.as_f());
-        EXPECT_EQ(std::bit_cast<std::uint32_t>(want),
-                  std::bit_cast<std::uint32_t>(buf.f32()[e]))
-            << "arg " << i << " cell " << e << ": symbolic " << want
-            << ", VM " << buf.f32()[e];
-      } else {
-        EXPECT_EQ(v.as_i(), buf.i32()[e]) << "arg " << i << " cell " << e;
-      }
-    }
-  }
-  return unevaluable;
 }
 
 class SymbolicOracle : public ::testing::TestWithParam<std::string> {};

@@ -458,19 +458,32 @@ TEST(Interpreter, WrongArgCountThrows) {
 }
 
 TEST(Interpreter, RunawayLoopGuard) {
-  Harness h;
-  auto out = h.alloc_i(1);
+  // The valve's error names the kind of loop and where it starts.
   Interpreter::Options opt;
   opt.limits.max_loop_iterations = 100;
-  h.program = frontend::parse_program_or_throw(
-      "__global__ void k(int* o) {"
-      "  int x = 0;"
-      "  while (x < 1000000) x += 1;"
-      "  o[0] = x;"
-      "}");
-  Interpreter interp(h.spec, h.mem, opt);
-  LaunchConfig cfg{.grid = {1, 1, 1}, .block = {1, 1, 1}, .args = {out}};
-  EXPECT_THROW((void)interp.run(*h.program->find_kernel("k"), cfg), SimError);
+  auto valve_error = [&](const std::string& loop) -> std::string {
+    Harness h;
+    auto out = h.alloc_i(1);
+    h.program = frontend::parse_program_or_throw(
+        "__global__ void k(int* o) {\n"
+        "  int x = 0;\n" +
+        loop +
+        "\n"
+        "  o[0] = x;\n"
+        "}\n");
+    Interpreter interp(h.spec, h.mem, opt);
+    LaunchConfig cfg{.grid = {1, 1, 1}, .block = {1, 1, 1}, .args = {out}};
+    try {
+      (void)interp.run(*h.program->find_kernel("k"), cfg);
+    } catch (const SimError& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(valve_error("  while (x < 1000000) x += 1;"),
+            "while loop exceeded max iterations at 3:3");
+  EXPECT_EQ(valve_error("  for (int i = 0; i < 1000000; i++) x += 1;"),
+            "loop exceeded max iterations at 3:3");
 }
 
 TEST(Interpreter, CoalescedVsStridedTransactionCounts) {
