@@ -16,6 +16,7 @@
 
 #include "serve/breaker.hpp"
 #include "serve/clock.hpp"
+#include "serve/journal.hpp"
 #include "serve/manifest.hpp"
 #include "serve/retry.hpp"
 #include "serve/service.hpp"
@@ -523,6 +524,109 @@ TEST_F(ManifestTest, RejectsUnknownFieldsMissingFileAndUnreadableFile) {
   EXPECT_TRUE(
       serve::parse_manifest("file=nope.cu\n", dir_, d, &error).empty());
   EXPECT_NE(error.find("cannot read"), std::string::npos);
+}
+
+TEST_F(ManifestTest, EveryKeyAcceptsExactlyItsRange) {
+  // Each field rides alone on a `file=k.cu` line. The table was recorded
+  // from the per-key parser the flag table replaced: a rejected field
+  // reads "-", an accepted one the fingerprint of the job it produced,
+  // which covers every JobSpec field (inject and the fault plan too).
+  const char* const fields[] = {
+      "elems=1", "elems=1048576", "elems=0", "elems=1048577", "elems",
+      "elems=", "elems=64x", "tb=1", "tb=1024", "tb=0", "tb=1025",
+      "deadline-ms=1", "deadline-ms=4611686018427387903",
+      "deadline-ms=4611686018427387904", "deadline-ms=0", "attempts=1",
+      "attempts=1000", "attempts=0", "attempts=1001", "watchdog-steps=-1",
+      "watchdog-steps=0", "watchdog-steps=9223372036854775807",
+      "watchdog-steps=9223372036854775808", "seed=0",
+      "seed=9223372036854775807", "seed=-1", "fault-step=1",
+      "fault-step=0", "fault-block=-1", "fault-block=0", "fault-block=-2",
+      "stall-block=0", "stall-block=-1", "transient-attempts=0",
+      "transient-attempts=1000", "transient-attempts=1001",
+      "crash-step=1", "crash-step=0", "oom-mb=1", "oom-mb=1048576",
+      "oom-mb=1048577", "oom-mb=0", "wedge", "wedge=1", "drop-barrier",
+      "skew-index=x", "cache-corrupt", "cache-torn=", "cert-corrupt",
+      "cert-torn", "kernel", "kernel=", "kernel=tmv", "name", "name=",
+      "name=x", "file", "file=", "bogus", "bogus=1", "=1", "Elems=5",
+      "elems=5 elems=7"};
+  std::string table;
+  for (const char* field : fields) {
+    std::string error;
+    auto jobs = serve::parse_manifest(std::string("file=k.cu ") + field,
+                                      dir_, serve::ManifestDefaults{},
+                                      &error);
+    table += field;
+    table += " ";
+    table += jobs.empty() ? "-"
+                          : serve::batch_fingerprint(
+                                jobs, sim::DeviceSpec::gtx680(),
+                                serve::ServiceOptions{});
+    table += "\n";
+  }
+  EXPECT_EQ(table,
+            "elems=1 ea0b2b93ae19503d\n"
+            "elems=1048576 fef8b35cd1a6090f\n"
+            "elems=0 -\n"
+            "elems=1048577 -\n"
+            "elems -\n"
+            "elems= -\n"
+            "elems=64x -\n"
+            "tb=1 c7cbcd4a130b4b71\n"
+            "tb=1024 11c18efe7c99eba5\n"
+            "tb=0 -\n"
+            "tb=1025 -\n"
+            "deadline-ms=1 118fde9f5c377bd0\n"
+            "deadline-ms=4611686018427387903 37617953ebf40cc1\n"
+            "deadline-ms=4611686018427387904 -\n"
+            "deadline-ms=0 -\n"
+            "attempts=1 8981fe545db1d088\n"
+            "attempts=1000 90ada3ed34b98d1c\n"
+            "attempts=0 -\n"
+            "attempts=1001 -\n"
+            "watchdog-steps=-1 09c348662856f0b1\n"
+            "watchdog-steps=0 5a6646165baaaf3b\n"
+            "watchdog-steps=9223372036854775807 441c8e1665134a53\n"
+            "watchdog-steps=9223372036854775808 -\n"
+            "seed=0 85b3143e1e857794\n"
+            "seed=9223372036854775807 de7851334e3daf0c\n"
+            "seed=-1 -\n"
+            "fault-step=1 99e226d41b6c9217\n"
+            "fault-step=0 -\n"
+            "fault-block=-1 730aaf48e4c90b58\n"
+            "fault-block=0 ed99e0b6dcb9cdc2\n"
+            "fault-block=-2 -\n"
+            "stall-block=0 42c964f33dcc071a\n"
+            "stall-block=-1 -\n"
+            "transient-attempts=0 5a6646165baaaf3b\n"
+            "transient-attempts=1000 5c6f7e604b320d18\n"
+            "transient-attempts=1001 -\n"
+            "crash-step=1 275a8cf5c54d5c1b\n"
+            "crash-step=0 -\n"
+            "oom-mb=1 0c358fe5d9036779\n"
+            "oom-mb=1048576 2981b98a2917669b\n"
+            "oom-mb=1048577 -\n"
+            "oom-mb=0 -\n"
+            "wedge 0514f735b7403ae3\n"
+            "wedge=1 0514f735b7403ae3\n"
+            "drop-barrier b7ef69b20c6a5a39\n"
+            "skew-index=x 6c8fea6a3ccf3117\n"
+            "cache-corrupt 73bace4ffa53fca4\n"
+            "cache-torn= d8abd54b868c07ea\n"
+            "cert-corrupt 676a87130e652dbe\n"
+            "cert-torn 5ca87e04193f6dea\n"
+            "kernel 5a6646165baaaf3b\n"
+            "kernel= 5a6646165baaaf3b\n"
+            "kernel=tmv 26bcf56b05857982\n"
+            "name 5a6646165baaaf3b\n"
+            "name= 5a6646165baaaf3b\n"
+            "name=x 3d19db324fa0de39\n"
+            "file -\n"
+            "file= -\n"
+            "bogus -\n"
+            "bogus=1 -\n"
+            "=1 -\n"
+            "Elems=5 -\n"
+            "elems=5 elems=7 6dd2bad6a4c15bcf\n");
 }
 
 TEST_F(ManifestTest, LoadManifestResolvesRelativeToItsOwnDirectory) {

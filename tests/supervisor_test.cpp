@@ -12,10 +12,14 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <mutex>
 #include <string>
 #include <type_traits>
 #include <vector>
 
+#include "serve/artifact_cache.hpp"
+#include "serve/daemon.hpp"
 #include "serve/journal.hpp"
 #include "serve/service.hpp"
 #include "serve/supervisor.hpp"
@@ -975,6 +979,129 @@ TEST(Record, RejectsMalformedShapes) {
       R"("fault":{"fault_block":"x","tear_cert":0}})");
   ASSERT_TRUE(req.has_value());
   EXPECT_EQ(req->json(), serve::AttemptRequest{}.json());
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+TEST(Record, JournalAndArtifactGoldenBytes) {
+  // Recorded from the hand-built journal, artifact-header and cache
+  // counter writers the record codec replaced: a journal or cache
+  // directory written before must still load.
+  test::ScopedTempDir tmp("cudanp_doc_golden");
+  const std::string path = tmp.file("j.journal");
+  std::string error;
+  {
+    auto w = serve::JournalWriter::create(path, kAwkward, &error);
+    ASSERT_TRUE(w) << error;
+    ASSERT_TRUE(w->append(7, full_outcome()));
+  }
+  EXPECT_EQ(read_bytes(path),
+            R"gold({"cudanp_journal":1,"fingerprint":"q\"b\\n\nt\tr\rc\u000)gold"
+            R"gold(1"})gold"
+            "\n"
+            R"gold({"k":7,"outcome":{"ran":true,"success":true,"rejected":t)gold"
+            R"gold(rue,"reject_cause":"compile-error","reject_detail":"q\"b)gold"
+            R"gold(\\n\nt\tr\rc\u0001","attempts":2,"crashed_attempts":1,"v)gold"
+            R"gold(irtual_ms":77,"deadline_exceeded":true,"deadline_ms":150)gold"
+            R"gold(,"breaker_key":"tmv|baseline","decision":{"kernel":"tmv")gold"
+            R"gold(,"used_baseline":false,"chosen_config":"inter-warp slave)gold"
+            R"gold(=2","first_choice":"intra-warp slave=8","quarantined":[{)gold"
+            R"gold("kernel":"tmv","config":"intra-warp slave=8","cause":"ha)gold"
+            R"gold(zards","hazards":12,"detail":"q\"b\\n\nt\tr\rc\u0001"},{)gold"
+            R"gold("kernel":"tmv","config":"intra-warp slave=8","cause":"pr)gold"
+            R"gold(oven-wrong","hazards":12,"detail":"q\"b\\n\nt\tr\rc\u000)gold"
+            R"gold(1"}]}}})gold"
+            "\n");
+  auto back = serve::load_journal(path, &error);
+  ASSERT_TRUE(back) << error;
+  EXPECT_EQ(back->fingerprint, kAwkward);
+  ASSERT_EQ(back->records.size(), 1u);
+  EXPECT_EQ(back->records[0].k, 7u);
+  EXPECT_EQ(back->records[0].outcome.json(), full_outcome().json());
+
+  {
+    serve::ArtifactCache cache({8, tmp.file("cache")});
+    cache.store("00ff00ff00ff00ff", kAwkward);
+  }
+  EXPECT_EQ(read_bytes(tmp.file("cache/00ff00ff00ff00ff.art")),
+            R"gold({"cudanp_artifact":1,"key":"00ff00ff00ff00ff","len":12,")gold"
+            R"gold(checksum":"9372f87846066896"})gold"
+            "\n" + std::string(kAwkward));
+  serve::ArtifactCache reloaded({8, tmp.file("cache")});
+  EXPECT_EQ(reloaded.lookup("00ff00ff00ff00ff"), kAwkward);
+
+  // Every counter moves, most to a distinct value.
+  serve::ArtifactCache cache({2, ""});
+  for (const char* k : {"a", "b", "c", "d"}) cache.store(k, "payload");
+  for (const char* k : {"c", "d", "d", "a", "x"}) (void)cache.lookup(k);
+  ASSERT_TRUE(cache.corrupt_entry("c"));
+  ASSERT_TRUE(cache.tear_entry("d"));
+  for (const char* k : {"c", "d"}) (void)cache.lookup(k);
+  for (const char* k : {"e", "f"}) cache.store(k, "payload");
+  ASSERT_TRUE(cache.tear_entry("f"));
+  (void)cache.lookup("f");
+  EXPECT_EQ(cache.stats().json(),
+            R"gold({"hits":3,"misses":5,"stores":6,"evictions":2,"quarantin)gold"
+            R"gold(ed_corrupt":1,"quarantined_torn":2})gold");
+}
+
+TEST(Record, DaemonStatusGoldenBytes) {
+  // Recorded from the hand-built status and healthz writers. A daemon
+  // with a cache, a worker pool and shared breakers serves two requests
+  // directly (no socket clients), so every block of the document is
+  // present and the counters are deterministic.
+  test::ScopedTempDir tmp("cudanp_status_golden");
+  serve::DaemonOptions dopt;
+  dopt.socket_path = tmp.file("d.sock");
+  dopt.service = isolated_options();
+  dopt.service.jobs = 1;
+  dopt.cache_entries = 16;
+  dopt.shared_breakers = true;
+  serve::ServeDaemon daemon(std::move(dopt));
+  std::string error;
+  ASSERT_TRUE(daemon.start(&error)) << error;
+  EXPECT_EQ(daemon.healthz_json(),
+            R"gold({"status":"ok","consecutive_worker_failures":0,"crash_lo)gold"
+            R"gold(op_threshold":8})gold");
+  serve::JobSpec broken = tmv_job("broken");
+  broken.inject = true;
+  broken.fault.sim_error_at_step = 5;
+  auto serve_jobs = [&daemon](std::vector<serve::JobSpec> jobs) {
+    auto r = std::make_shared<serve::ServeRequest>();
+    r->tenant = "t";
+    r->jobs = std::move(jobs);
+    ASSERT_EQ(daemon.submit(r), "");
+    std::unique_lock<std::mutex> lk(r->m);
+    r->cv.wait(lk, [&r] { return r->done; });
+  };
+  serve_jobs({tmv_job("a"), broken, crashing_job("c")});
+  serve_jobs({tmv_job("a"), broken});
+  daemon.note_bad_request();
+  daemon.note_session_reaped();
+  EXPECT_EQ(daemon.status_json(),
+            R"gold({"draining":false,"pending":0,"requests":{"submitted":2,)gold"
+            R"gold("served":2,"failed":0,"rejected_tenant_quota":0,"rejecte)gold"
+            R"gold(d_queue_full":0,"rejected_draining":0,"rejected_bad_requ)gold"
+            R"gold(est":1},"sessions":{"opened":0,"reaped":1},"jobs":{"subm)gold"
+            R"gold(itted":5,"succeeded":2,"succeeded_after_retry":0,"degrad)gold"
+            R"gold(ed":3,"rejected":0,"retries":6,"crashes":3,"resource_lim)gold"
+            R"gold(ited":0,"deadline_exceeded":0,"breaker_opens":1,"breaker)gold"
+            R"gold(_short_circuits":0},"cache":{"hits":1,"misses":1,"stores)gold"
+            R"gold(":1,"evictions":0,"quarantined_corrupt":0,"quarantined_t)gold"
+            R"gold(orn":0},"workers":{"spawned":4,"crashes":3,"timeouts":0,)gold"
+            R"gold("consecutive_failures":0},"breakers":[{"key":"tmv|baseli)gold"
+            R"gold(ne","state":"open","opens":1,"probes":0,"short_circuits")gold"
+            R"gold(:0},{"key":"tmv|inter-warp slave_size=8 tb=8x8 placement)gold"
+            R"gold(=auto smem-comm","state":"closed","opens":0,"probes":0,")gold"
+            R"gold(short_circuits":0}]})gold");
+  daemon.request_drain();
+  EXPECT_EQ(daemon.healthz_json(),
+            R"gold({"status":"draining","consecutive_worker_failures":0,"cr)gold"
+            R"gold(ash_loop_threshold":8})gold");
 }
 
 // ---------------------------------------------------------------------
