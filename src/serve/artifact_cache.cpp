@@ -7,12 +7,10 @@
 #include <unistd.h>
 
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "serve/wire.hpp"
 #include "support/hash.hpp"
-#include "support/json.hpp"
+#include "support/string_utils.hpp"
 
 namespace cudanp::serve {
 
@@ -30,14 +28,21 @@ bool key_is_safe(const std::string& key) {
 
 }  // namespace
 
-std::string CacheStats::json() const {
-  std::ostringstream os;
-  os << "{\"hits\":" << hits << ",\"misses\":" << misses
-     << ",\"stores\":" << stores << ",\"evictions\":" << evictions
-     << ",\"quarantined_corrupt\":" << quarantined_corrupt
-     << ",\"quarantined_torn\":" << quarantined_torn << "}";
-  return os.str();
-}
+/// First line of an entry file; the payload follows it.
+struct ArtifactHeader : record::Codec<ArtifactHeader> {
+  std::int64_t cudanp_artifact = 0;  // format version
+  std::string key;
+  std::int64_t len = -1;  // missing reads as torn
+  std::string checksum;   // hex16 of the payload's FNV-1a
+
+  static constexpr auto fields() {
+    using R = ArtifactHeader;
+    using record::field;
+    return std::tuple{field("cudanp_artifact", &R::cudanp_artifact),
+                      field("key", &R::key), field("len", &R::len),
+                      field("checksum", &R::checksum)};
+  }
+};
 
 ArtifactCache::ArtifactCache(ArtifactCacheOptions opt)
     : opt_(std::move(opt)) {
@@ -59,11 +64,12 @@ void ArtifactCache::persist_locked(const std::string& key,
   const std::string tmp = final_path + ".tmp." + std::to_string(getpid());
   int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return;
-  std::string doc = "{\"cudanp_artifact\":1,\"key\":\"" + key +
-                    "\",\"len\":" + std::to_string(e.declared_len) +
-                    ",\"checksum\":\"" + hex16(e.checksum) + "\"}\n" +
-                    e.payload;
-  const bool ok = write_all(fd, doc);
+  ArtifactHeader h;
+  h.cudanp_artifact = 1;
+  h.key = key;
+  h.len = static_cast<std::int64_t>(e.declared_len);
+  h.checksum = hex16(e.checksum);
+  const bool ok = write_all(fd, h.json() + "\n" + e.payload);
   if (ok) (void)::fsync(fd);
   ::close(fd);
   if (!ok || ::rename(tmp.c_str(), final_path.c_str()) != 0)
@@ -84,43 +90,35 @@ void ArtifactCache::load_dir_locked() {
   }
   ::closedir(d);
   for (const auto& [key, path] : files) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) continue;
-    std::string header;
-    std::getline(in, header);
-    std::stringstream rest;
-    rest << in.rdbuf();
-    std::string payload = rest.str();
-    auto v = json::parse(header);
-    bool torn = false;
-    bool ok = false;
-    if (v && v->is_object() && v->get_i64("cudanp_artifact") == 1 &&
-        v->get_str("key") == key && key_is_safe(key)) {
-      auto len = static_cast<std::size_t>(v->get_i64("len", -1));
-      const std::string sum = v->get_str("checksum");
-      if (payload.size() != len) {
-        torn = true;
-      } else if (sum == hex16(fnv1a(payload))) {
-        ok = true;
-      }
-    }
-    if (!ok) {
+    auto text = read_file(path);
+    if (!text) continue;
+    const std::size_t nl = text->find('\n');
+    std::string payload =
+        nl == std::string::npos ? std::string() : text->substr(nl + 1);
+    auto h = ArtifactHeader::from_json(std::string_view(*text).substr(0, nl));
+    const bool valid =
+        h && h->cudanp_artifact == 1 && h->key == key && key_is_safe(key);
+    const bool torn =
+        valid && static_cast<std::int64_t>(payload.size()) != h->len;
+    if (!valid || torn || h->checksum != hex16(fnv1a(payload))) {
       ::unlink(path.c_str());
-      if (torn)
-        ++stats_.quarantined_torn;
-      else
-        ++stats_.quarantined_corrupt;
+      ++(torn ? stats_.quarantined_torn : stats_.quarantined_corrupt);
       continue;
     }
-    lru_.push_front(key);
-    Entry e;
-    e.payload = std::move(payload);
-    e.declared_len = e.payload.size();
-    e.checksum = fnv1a(e.payload);
-    e.lru_it = lru_.begin();
-    entries_.emplace(key, std::move(e));
+    insert_locked(key, std::move(payload));
   }
   evict_past_capacity_locked();
+}
+
+const ArtifactCache::Entry& ArtifactCache::insert_locked(
+    const std::string& key, std::string payload) {
+  lru_.push_front(key);
+  Entry e;
+  e.payload = std::move(payload);
+  e.declared_len = e.payload.size();
+  e.checksum = fnv1a(e.payload);
+  e.lru_it = lru_.begin();
+  return entries_.emplace(key, std::move(e)).first->second;
 }
 
 void ArtifactCache::quarantine_locked(const std::string& key, bool torn) {
@@ -129,10 +127,7 @@ void ArtifactCache::quarantine_locked(const std::string& key, bool torn) {
   lru_.erase(it->second.lru_it);
   entries_.erase(it);
   if (!opt_.dir.empty()) ::unlink(file_path(key).c_str());
-  if (torn)
-    ++stats_.quarantined_torn;
-  else
-    ++stats_.quarantined_corrupt;
+  ++(torn ? stats_.quarantined_torn : stats_.quarantined_corrupt);
 }
 
 void ArtifactCache::evict_past_capacity_locked() {
@@ -180,14 +175,7 @@ void ArtifactCache::store(const std::string& key, std::string_view payload) {
     lru_.erase(it->second.lru_it);
     entries_.erase(it);
   }
-  lru_.push_front(key);
-  Entry e;
-  e.payload.assign(payload.data(), payload.size());
-  e.declared_len = e.payload.size();
-  e.checksum = fnv1a(e.payload);
-  e.lru_it = lru_.begin();
-  persist_locked(key, e);
-  entries_.emplace(key, std::move(e));
+  persist_locked(key, insert_locked(key, std::string(payload)));
   ++stats_.stores;
   evict_past_capacity_locked();
 }

@@ -35,10 +35,12 @@
 #include <string>
 #include <string_view>
 
+#include "support/record.hpp"
+
 namespace cudanp::serve {
 
 /// Operator counters, exported through the daemon's `status` request.
-struct CacheStats {
+struct CacheStats : record::Codec<CacheStats> {
   std::int64_t hits = 0;
   std::int64_t misses = 0;
   std::int64_t stores = 0;
@@ -48,7 +50,15 @@ struct CacheStats {
   /// Entries quarantined for a payload shorter than declared.
   std::int64_t quarantined_torn = 0;
 
-  [[nodiscard]] std::string json() const;
+  static constexpr auto fields() {
+    using R = CacheStats;
+    using record::field;
+    return std::tuple{field("hits", &R::hits), field("misses", &R::misses),
+                      field("stores", &R::stores),
+                      field("evictions", &R::evictions),
+                      field("quarantined_corrupt", &R::quarantined_corrupt),
+                      field("quarantined_torn", &R::quarantined_torn)};
+  }
 };
 
 struct ArtifactCacheOptions {
@@ -93,6 +103,9 @@ class ArtifactCache {
     std::list<std::string>::iterator lru_it;
   };
 
+  /// Adds a verified entry at the front of the LRU list (the key must
+  /// be absent).
+  const Entry& insert_locked(const std::string& key, std::string payload);
   void quarantine_locked(const std::string& key, bool torn);
   void evict_past_capacity_locked();
   [[nodiscard]] std::string file_path(const std::string& key) const;

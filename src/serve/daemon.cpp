@@ -12,13 +12,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <sstream>
 #include <utility>
 
 #include "serve/journal.hpp"
 #include "serve/session.hpp"
 #include "serve/wire.hpp"
-#include "support/json.hpp"
 
 namespace cudanp::serve {
 
@@ -38,6 +36,22 @@ void drain_signal_handler(int) {
     (void)!::write(fd, &byte, 1);
   }
 }
+
+/// The `healthz` document.
+struct Healthz : record::Codec<Healthz> {
+  std::string status = "ok";  // or "draining", "crash-loop"
+  int consecutive_worker_failures = 0;
+  int crash_loop_threshold = 0;
+
+  static constexpr auto fields() {
+    using R = Healthz;
+    using record::field;
+    return std::tuple{field("status", &R::status),
+                      field("consecutive_worker_failures",
+                            &R::consecutive_worker_failures),
+                      field("crash_loop_threshold", &R::crash_loop_threshold)};
+  }
+};
 
 bool set_nonblock(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
@@ -212,12 +226,7 @@ bool ServeDaemon::start(std::string* error) {
     cache_ = std::make_unique<ArtifactCache>(co);
   }
   if (opt_.service.isolate == IsolationMode::kProcess) {
-    SupervisorOptions so;
-    so.worker_cmd = opt_.service.worker_cmd;
-    so.worker_mem_mb = opt_.service.worker_mem_mb;
-    so.read_timeout_ms = opt_.service.worker_read_timeout_ms;
-    so.heartbeat_ms = opt_.service.worker_heartbeat_ms;
-    supervisor_ = std::make_unique<WorkerSupervisor>(so);
+    supervisor_ = std::make_unique<WorkerSupervisor>(opt_.service.supervisor);
   }
   if (!opt_.journal_dir.empty()) {
     ::mkdir(opt_.journal_dir.c_str(), 0755);
@@ -280,7 +289,7 @@ int ServeDaemon::serve() {
       ::close(fd);
       {
         std::lock_guard<std::mutex> lk(stats_mu_);
-        stats_.rejected_draining += 1;
+        stats_.requests.rejected_draining += 1;
       }
       continue;
     }
@@ -297,7 +306,7 @@ int ServeDaemon::serve() {
     sessions_.push_back(std::move(slot));
     {
       std::lock_guard<std::mutex> slk(stats_mu_);
-      stats_.sessions_opened += 1;
+      stats_.sessions.opened += 1;
     }
   }
 }
@@ -318,11 +327,11 @@ void ServeDaemon::request_drain() {
 std::string ServeDaemon::submit(std::shared_ptr<ServeRequest> r) {
   {
     std::lock_guard<std::mutex> lk(stats_mu_);
-    stats_.requests_submitted += 1;
+    stats_.requests.submitted += 1;
   }
   if (draining()) {
     std::lock_guard<std::mutex> lk(stats_mu_);
-    stats_.rejected_draining += 1;
+    stats_.requests.rejected_draining += 1;
     return "draining";
   }
   std::string cause;
@@ -335,9 +344,9 @@ std::string ServeDaemon::submit(std::shared_ptr<ServeRequest> r) {
   } else {
     std::lock_guard<std::mutex> lk(stats_mu_);
     if (cause == "tenant-quota")
-      stats_.rejected_tenant_quota += 1;
+      stats_.requests.rejected_tenant_quota += 1;
     else
-      stats_.rejected_queue_full += 1;
+      stats_.requests.rejected_queue_full += 1;
   }
   return cause;
 }
@@ -406,36 +415,33 @@ void ServeDaemon::run_request(ServeRequest& r) {
     }
     accumulate(r.report);
     std::lock_guard<std::mutex> lk(stats_mu_);
-    stats_.requests_served += 1;
+    stats_.requests.served += 1;
   } catch (const std::exception& e) {
     // Nothing a client sends may kill the daemon: the failure becomes a
     // structured reject for this request only.
     r.failed = true;
     r.error = e.what();
     std::lock_guard<std::mutex> lk(stats_mu_);
-    stats_.requests_failed += 1;
+    stats_.requests.failed += 1;
   }
 }
 
 void ServeDaemon::accumulate(const ServiceReport& rep) {
+  auto n = [](std::size_t v) { return static_cast<std::int64_t>(v); };
   std::lock_guard<std::mutex> lk(stats_mu_);
-  stats_.jobs_submitted += static_cast<std::int64_t>(rep.submitted);
-  stats_.jobs_succeeded += static_cast<std::int64_t>(rep.succeeded);
-  stats_.jobs_succeeded_after_retry +=
-      static_cast<std::int64_t>(rep.succeeded_after_retry);
-  stats_.jobs_degraded += static_cast<std::int64_t>(rep.degraded);
-  stats_.jobs_rejected += static_cast<std::int64_t>(
-      rep.shed + rep.rejected_admission + rep.drained +
-      rep.rejected_execution);
-  stats_.retries += static_cast<std::int64_t>(rep.retries);
-  stats_.crashes += static_cast<std::int64_t>(rep.crashes);
-  stats_.resource_limited +=
-      static_cast<std::int64_t>(rep.resource_limited);
-  stats_.deadline_exceeded +=
-      static_cast<std::int64_t>(rep.deadline_exceeded);
-  stats_.breaker_opens += static_cast<std::int64_t>(rep.breaker_opens);
-  stats_.breaker_short_circuits +=
-      static_cast<std::int64_t>(rep.breaker_short_circuits);
+  JobCounters& j = stats_.jobs;
+  j.submitted += n(rep.submitted);
+  j.succeeded += n(rep.succeeded);
+  j.succeeded_after_retry += n(rep.succeeded_after_retry);
+  j.degraded += n(rep.degraded);
+  j.rejected += n(rep.shed + rep.rejected_admission + rep.drained +
+                  rep.rejected_execution);
+  j.retries += n(rep.retries);
+  j.crashes += n(rep.crashes);
+  j.resource_limited += n(rep.resource_limited);
+  j.deadline_exceeded += n(rep.deadline_exceeded);
+  j.breaker_opens += n(rep.breaker_opens);
+  j.breaker_short_circuits += n(rep.breaker_short_circuits);
 }
 
 std::string ServeDaemon::status_json() {
@@ -445,90 +451,50 @@ std::string ServeDaemon::status_json() {
     s = stats_;
   }
   std::size_t pending;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    pending = sched_.pending();
-  }
-  std::ostringstream os;
-  os << "{\"draining\":" << (draining() ? "true" : "false")
-     << ",\"pending\":" << pending
-     << ",\"requests\":{\"submitted\":" << s.requests_submitted
-     << ",\"served\":" << s.requests_served
-     << ",\"failed\":" << s.requests_failed
-     << ",\"rejected_tenant_quota\":" << s.rejected_tenant_quota
-     << ",\"rejected_queue_full\":" << s.rejected_queue_full
-     << ",\"rejected_draining\":" << s.rejected_draining
-     << ",\"rejected_bad_request\":" << s.rejected_bad_request << "}"
-     << ",\"sessions\":{\"opened\":" << s.sessions_opened
-     << ",\"reaped\":" << s.sessions_reaped << "}"
-     << ",\"jobs\":{\"submitted\":" << s.jobs_submitted
-     << ",\"succeeded\":" << s.jobs_succeeded
-     << ",\"succeeded_after_retry\":" << s.jobs_succeeded_after_retry
-     << ",\"degraded\":" << s.jobs_degraded
-     << ",\"rejected\":" << s.jobs_rejected
-     << ",\"retries\":" << s.retries << ",\"crashes\":" << s.crashes
-     << ",\"resource_limited\":" << s.resource_limited
-     << ",\"deadline_exceeded\":" << s.deadline_exceeded
-     << ",\"breaker_opens\":" << s.breaker_opens
-     << ",\"breaker_short_circuits\":" << s.breaker_short_circuits
-     << "}";
-  os << ",\"cache\":";
-  if (cache_)
-    os << cache_->stats().json();
-  else
-    os << "null";
-  os << ",\"workers\":";
-  if (supervisor_) {
-    os << "{\"spawned\":" << supervisor_->spawned()
-       << ",\"crashes\":" << supervisor_->crashes()
-       << ",\"timeouts\":" << supervisor_->timeouts()
-       << ",\"consecutive_failures\":"
-       << supervisor_->consecutive_failures() << "}";
-  } else {
-    os << "null";
-  }
-  os << ",\"breakers\":[";
+  std::vector<BreakerSnapshot> breakers;
   {
     // The executor only touches registry_ under mu_ (copy-in/merge-out
     // around each request), so this snapshot never races a run.
     std::lock_guard<std::mutex> lk(mu_);
-    bool first = true;
-    for (const auto& [key, br] : registry_.breakers) {
-      if (!first) os << ",";
-      first = false;
-      os << "{\"key\":\"" << json::escape(key) << "\",\"state\":\""
-         << to_string(br.state()) << "\",\"opens\":" << br.opens()
-         << ",\"probes\":" << br.probes()
-         << ",\"short_circuits\":" << br.short_circuits() << "}";
-    }
+    pending = sched_.pending();
+    for (const auto& [key, br] : registry_.breakers)
+      breakers.emplace_back(key, br);
   }
-  os << "]}";
-  return os.str();
+  std::string out = std::string("{\"draining\":") +
+                    (draining() ? "true" : "false") +
+                    ",\"pending\":" + std::to_string(pending) +
+                    ",\"requests\":" + s.requests.json() +
+                    ",\"sessions\":" + s.sessions.json() +
+                    ",\"jobs\":" + s.jobs.json() + ",\"cache\":" +
+                    (cache_ ? cache_->stats().json() : "null") +
+                    ",\"workers\":" +
+                    (supervisor_ ? supervisor_->counters().json() : "null") +
+                    ",\"breakers\":[";
+  for (std::size_t i = 0; i < breakers.size(); ++i)
+    out += (i ? "," : "") + breakers[i].json();
+  return out + "]}";
 }
 
 std::string ServeDaemon::healthz_json() {
-  const int failures =
-      supervisor_ ? supervisor_->consecutive_failures() : 0;
-  const char* status = "ok";
+  Healthz h;
+  h.consecutive_worker_failures =
+      supervisor_ ? supervisor_->counters().consecutive_failures : 0;
+  h.crash_loop_threshold = opt_.crash_loop_threshold;
   if (draining())
-    status = "draining";
-  else if (failures >= opt_.crash_loop_threshold)
-    status = "crash-loop";
-  std::ostringstream os;
-  os << "{\"status\":\"" << status
-     << "\",\"consecutive_worker_failures\":" << failures
-     << ",\"crash_loop_threshold\":" << opt_.crash_loop_threshold << "}";
-  return os.str();
+    h.status = "draining";
+  else if (h.consecutive_worker_failures >= opt_.crash_loop_threshold)
+    h.status = "crash-loop";
+  return h.json();
 }
 
 void ServeDaemon::note_session_reaped() {
   std::lock_guard<std::mutex> lk(stats_mu_);
-  stats_.sessions_reaped += 1;
+  stats_.sessions.reaped += 1;
 }
 
 void ServeDaemon::note_bad_request() {
   std::lock_guard<std::mutex> lk(stats_mu_);
-  stats_.rejected_bad_request += 1;
+  stats_.requests.rejected_bad_request += 1;
 }
 
 void ServeDaemon::reap_finished_sessions() {

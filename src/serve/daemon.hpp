@@ -50,6 +50,7 @@
 #include "serve/service.hpp"
 #include "serve/supervisor.hpp"
 #include "sim/device.hpp"
+#include "support/record.hpp"
 
 namespace cudanp::serve {
 
@@ -116,29 +117,75 @@ class DrrScheduler {
   std::size_t rr_ = 0;
 };
 
-/// Operator counters for `status`; ServiceReport counters are summed
-/// across every served request.
-struct DaemonStats {
-  std::int64_t requests_submitted = 0;
-  std::int64_t requests_served = 0;
-  std::int64_t requests_failed = 0;
+/// The `requests` block of `status`.
+struct RequestCounters : record::Codec<RequestCounters> {
+  std::int64_t submitted = 0;
+  std::int64_t served = 0;
+  std::int64_t failed = 0;
   std::int64_t rejected_tenant_quota = 0;
   std::int64_t rejected_queue_full = 0;
   std::int64_t rejected_draining = 0;
   std::int64_t rejected_bad_request = 0;
-  std::int64_t sessions_opened = 0;
-  std::int64_t sessions_reaped = 0;
-  std::int64_t jobs_submitted = 0;
-  std::int64_t jobs_succeeded = 0;
-  std::int64_t jobs_succeeded_after_retry = 0;
-  std::int64_t jobs_degraded = 0;
-  std::int64_t jobs_rejected = 0;
+
+  static constexpr auto fields() {
+    using R = RequestCounters;
+    using record::field;
+    return std::tuple{field("submitted", &R::submitted),
+                      field("served", &R::served), field("failed", &R::failed),
+                      field("rejected_tenant_quota", &R::rejected_tenant_quota),
+                      field("rejected_queue_full", &R::rejected_queue_full),
+                      field("rejected_draining", &R::rejected_draining),
+                      field("rejected_bad_request", &R::rejected_bad_request)};
+  }
+};
+
+/// The `sessions` block of `status`.
+struct SessionCounters : record::Codec<SessionCounters> {
+  std::int64_t opened = 0;
+  std::int64_t reaped = 0;
+
+  static constexpr auto fields() {
+    using R = SessionCounters;
+    using record::field;
+    return std::tuple{field("opened", &R::opened), field("reaped", &R::reaped)};
+  }
+};
+
+/// The `jobs` block of `status`: ServiceReport counters summed across
+/// every served request.
+struct JobCounters : record::Codec<JobCounters> {
+  std::int64_t submitted = 0;
+  std::int64_t succeeded = 0;
+  std::int64_t succeeded_after_retry = 0;
+  std::int64_t degraded = 0;
+  std::int64_t rejected = 0;
   std::int64_t retries = 0;
   std::int64_t crashes = 0;
   std::int64_t resource_limited = 0;
   std::int64_t deadline_exceeded = 0;
   std::int64_t breaker_opens = 0;
   std::int64_t breaker_short_circuits = 0;
+
+  static constexpr auto fields() {
+    using R = JobCounters;
+    using record::field;
+    return std::tuple{
+        field("submitted", &R::submitted), field("succeeded", &R::succeeded),
+        field("succeeded_after_retry", &R::succeeded_after_retry),
+        field("degraded", &R::degraded), field("rejected", &R::rejected),
+        field("retries", &R::retries), field("crashes", &R::crashes),
+        field("resource_limited", &R::resource_limited),
+        field("deadline_exceeded", &R::deadline_exceeded),
+        field("breaker_opens", &R::breaker_opens),
+        field("breaker_short_circuits", &R::breaker_short_circuits)};
+  }
+};
+
+/// Operator counters for `status`.
+struct DaemonStats {
+  RequestCounters requests;
+  SessionCounters sessions;
+  JobCounters jobs;
 };
 
 struct DaemonOptions {

@@ -12,6 +12,7 @@
 #include "serve/supervisor.hpp"
 #include "support/hash.hpp"
 #include "support/json.hpp"
+#include "support/string_utils.hpp"
 
 namespace cudanp::serve {
 
@@ -85,7 +86,7 @@ std::string batch_fingerprint(const std::vector<JobSpec>& jobs,
   tol << opt.f32_rel_tol;
   h.field(tol.str());
   h.field(to_string(opt.isolate));
-  i64(opt.worker_mem_mb);
+  i64(opt.supervisor.worker_mem_mb);
   i64(opt.certify ? 1 : 0);
   i64(opt.certified_fast_path ? 1 : 0);
 
@@ -94,55 +95,37 @@ std::string batch_fingerprint(const std::vector<JobSpec>& jobs,
 
 std::optional<JournalContents> load_journal(const std::string& path,
                                             std::string* error) {
-  int fd = open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
+  const auto file = read_file(path);
+  if (!file) {
     if (error) *error = "cannot open journal " + path;
     return std::nullopt;
   }
-  std::string text;
-  char buf[1 << 16];
-  for (;;) {
-    ssize_t r = read(fd, buf, sizeof(buf));
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      close(fd);
-      if (error) *error = "cannot read journal " + path;
-      return std::nullopt;
-    }
-    if (r == 0) break;
-    text.append(buf, static_cast<std::size_t>(r));
-  }
-  close(fd);
-
+  const std::string& text = *file;
   JournalContents out;
   std::size_t pos = 0;
   bool have_header = false;
   while (pos < text.size()) {
     std::size_t nl = text.find('\n', pos);
     if (nl == std::string::npos) break;  // torn tail: no newline yet
-    std::string_view line(text.data() + pos, nl - pos);
-    auto v = json::parse(line);
-    if (!v || !v->is_object()) {
-      // A torn or corrupt line ends the intact prefix; everything
-      // after it is re-executed on resume.
-      break;
-    }
+    // A torn or corrupt line ends the intact prefix; everything after
+    // it is re-executed on resume. So does a record with no outcome,
+    // which the codec would read as a default one.
+    auto v = json::parse(std::string_view(text).substr(pos, nl - pos));
+    if (!v) break;
     if (!have_header) {
-      if (v->get_i64("cudanp_journal") != kJournalVersion) {
+      auto header = record::read<JournalHeader>(*v);
+      if (!header) break;
+      if (header->cudanp_journal != kJournalVersion) {
         if (error) *error = path + ": not a cudanp journal";
         return std::nullopt;
       }
-      out.fingerprint = v->get_str("fingerprint");
+      out.fingerprint = std::move(header->fingerprint);
       have_header = true;
     } else {
-      const json::Value* o = v->find("outcome");
-      if (!o) break;
-      auto outcome = record::read<JobOutcome>(*o);
-      if (!outcome) break;
-      JournalRecord rec;
-      rec.k = static_cast<std::size_t>(v->get_i64("k"));
-      rec.outcome = std::move(*outcome);
-      out.records.push_back(std::move(rec));
+      auto rec = v->find("outcome") ? record::read<JournalRecord>(*v)
+                                    : std::nullopt;
+      if (!rec) break;
+      out.records.push_back(std::move(*rec));
     }
     pos = nl + 1;
   }
@@ -169,11 +152,10 @@ std::optional<JournalWriter> JournalWriter::create(
     return std::nullopt;
   }
   cleanup::register_path(tmp);
-  std::string header = "{\"cudanp_journal\":" +
-                       std::to_string(kJournalVersion) +
-                       ",\"fingerprint\":\"" + json::escape(fingerprint) +
-                       "\"}\n";
-  bool ok = write_all(fd, header) && fsync(fd) == 0;
+  JournalHeader header;
+  header.cudanp_journal = kJournalVersion;
+  header.fingerprint = fingerprint;
+  bool ok = write_all(fd, header.json() + "\n") && fsync(fd) == 0;
   if (!ok || rename(tmp.c_str(), path.c_str()) != 0) {
     close(fd);
     unlink(tmp.c_str());
@@ -230,9 +212,10 @@ JournalWriter::~JournalWriter() {
 
 bool JournalWriter::append(std::size_t k, const JobOutcome& outcome) {
   if (fd_ < 0 || write_failed_) return false;
-  std::string line = "{\"k\":" + std::to_string(k) +
-                     ",\"outcome\":" + outcome.json() + "}\n";
-  if (!write_all(fd_, line) || fsync(fd_) != 0) {
+  JournalRecord rec;
+  rec.k = k;
+  rec.outcome = outcome;
+  if (!write_all(fd_, rec.json() + "\n") || fsync(fd_) != 0) {
     write_failed_ = true;
     return false;
   }

@@ -53,9 +53,29 @@ class ResumeMismatchError : public std::runtime_error {
       : std::runtime_error(what) {}
 };
 
-struct JournalRecord {
+/// The first line of a journal.
+struct JournalHeader : record::Codec<JournalHeader> {
+  std::int64_t cudanp_journal = 0;  // format version
+  std::string fingerprint;
+
+  static constexpr auto fields() {
+    using R = JournalHeader;
+    using record::field;
+    return std::tuple{field("cudanp_journal", &R::cudanp_journal),
+                      field("fingerprint", &R::fingerprint)};
+  }
+};
+
+/// Every later line: one outcome.
+struct JournalRecord : record::Codec<JournalRecord> {
   std::size_t k = 0;  // accepted-queue position
   JobOutcome outcome;
+
+  static constexpr auto fields() {
+    using R = JournalRecord;
+    using record::field;
+    return std::tuple{field("k", &R::k), field("outcome", &R::outcome)};
+  }
 };
 
 struct JournalContents {

@@ -1,27 +1,73 @@
 #include "serve/manifest.hpp"
 
-#include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 
+#include "support/flags.hpp"
 #include "support/string_utils.hpp"
 
 namespace cudanp::serve {
 
 namespace {
 
-bool read_file(const std::string& path, std::string* out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::stringstream buf;
-  buf << in.rdbuf();
-  *out = buf.str();
-  return true;
-}
-
-std::string basename_of(const std::string& path) {
-  std::size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
+/// The manifest keys, one row each, bound to the fields of `job` (and
+/// `file`) they set. The keys that arm the interpreter's fault plan
+/// mark `job.inject`; the cache and certificate faults act on the
+/// artifact cache instead, so the attempt itself stays clean.
+FlagTable manifest_keys(JobSpec& job, std::string& file) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  sim::FaultPlan& f = job.fault;
+  FlagTable t("manifest", "");
+  t.text("file", "<path>", "kernel source file (required)", &file,
+         /*allow_empty=*/true)
+      .text("name", "<label>", "report label (unset: file:line)", &job.name,
+            /*allow_empty=*/true)
+      .text("kernel", "<name>", "kernel to compile (unset: as --kernel)",
+            &job.kernel, /*allow_empty=*/true)
+      .integer("elems", "synthetic workload size", 1, 1 << 20, &job.elems)
+      .integer("tb", "baseline thread-block size", 1, 1024, &job.tb)
+      .integer("deadline-ms", "virtual deadline (unset: --deadline-ms)", 1,
+               kMax / 2, &job.deadline_ms)
+      .integer("attempts", "attempt cap (unset: --retries)", 1, 1000,
+               &job.max_attempts)
+      .integer("watchdog-steps", "as --watchdog-steps; the deadline clamps it",
+               std::numeric_limits<std::int64_t>::min(), kMax,
+               &job.watchdog_steps)
+      .integer("seed", "fault plan seed", 0, kMax, &f.seed)
+      .marks(&job.inject)
+      .integer("fault-step", "throw a SimError at the Nth statement", 1, kMax,
+               &f.sim_error_at_step)
+      .marks(&job.inject)
+      .integer("fault-block", "the SimError's block; -1 = all", -1, kMax,
+               &f.fault_block)
+      .marks(&job.inject)
+      .integer("stall-block", "block that spins until the watchdog trips", 0,
+               kMax, &f.stall_block)
+      .marks(&job.inject)
+      .integer("transient-attempts", "inject on the first N attempts only", 0,
+               1000, &job.transient_attempts)
+      .integer("crash-step", "SIGSEGV at the Nth statement (needs a worker)",
+               1, kMax, &f.crash_at_step)
+      .marks(&job.inject)
+      .integer("oom-mb", "allocate N MiB first (vs --worker-mem-mb)", 1,
+               1 << 20, &f.oom_mb)
+      .marks(&job.inject)
+      .set("wedge", "the worker goes silent (--worker-timeout-ms)", true,
+           &f.wedge_worker)
+      .marks(&job.inject)
+      .set("drop-barrier", "remove the first __syncthreads", true,
+           &f.drop_barrier)
+      .marks(&job.inject)
+      .set("skew-index", "skew the first indexed store", true, &f.skew_index)
+      .marks(&job.inject)
+      .set("cache-corrupt", "flip a byte of the job's cache entry", true,
+           &f.corrupt_cache)
+      .set("cache-torn", "truncate the job's cache entry", true, &f.tear_cache)
+      .set("cert-corrupt", "flip a byte of the job's certificates", true,
+           &f.corrupt_cert)
+      .set("cert-torn", "truncate the job's certificates", true, &f.tear_cert);
+  return t;
 }
 
 }  // namespace
@@ -37,6 +83,16 @@ std::vector<JobSpec> parse_manifest(const std::string& text,
     return jobs;
   };
 
+  // What a line that sets no key runs.
+  JobSpec blank;
+  blank.elems = defaults.elems;
+  blank.tb = defaults.tb;
+  blank.deadline_ms = defaults.deadline_ms;
+  blank.max_attempts = defaults.max_attempts;
+  blank.watchdog_steps = defaults.watchdog_steps;
+  JobSpec job;
+  std::string file;
+  const FlagTable keys = manifest_keys(job, file);
   int line_no = 0;
   std::istringstream lines(text);
   std::string line;
@@ -45,122 +101,22 @@ std::vector<JobSpec> parse_manifest(const std::string& text,
     std::string_view sv = trim(line);
     if (sv.empty() || sv[0] == '#') continue;
 
-    JobSpec job;
-    job.elems = defaults.elems;
-    job.tb = defaults.tb;
-    job.deadline_ms = defaults.deadline_ms;
-    job.max_attempts = defaults.max_attempts;
-    job.watchdog_steps = defaults.watchdog_steps;
-    std::string file;
-
-    std::istringstream fields{std::string(sv)};
-    std::string field;
-    while (fields >> field) {
-      std::size_t eq = field.find('=');
-      std::string key = field.substr(0, eq);
-      std::string value =
-          eq == std::string::npos ? "" : field.substr(eq + 1);
-      // parse_i64 rejects partial parses ("64x"), empties and
-      // out-of-range values; each bad field is a manifest error.
-      auto num = [&](std::int64_t min, std::int64_t max,
-                     std::int64_t* out) {
-        auto v = parse_i64(value, min, max);
-        if (v) *out = *v;
-        return v.has_value();
-      };
-      std::int64_t n = 0;
-      if (key == "file") {
-        file = value;
-      } else if (key == "name") {
-        job.name = value;
-      } else if (key == "kernel") {
-        job.kernel = value;
-      } else if (key == "elems") {
-        if (!num(1, 1 << 20, &n)) return fail(line_no, "bad elems=" + value);
-        job.elems = static_cast<int>(n);
-      } else if (key == "tb") {
-        if (!num(1, 1024, &n)) return fail(line_no, "bad tb=" + value);
-        job.tb = static_cast<int>(n);
-      } else if (key == "deadline-ms") {
-        if (!num(1, std::numeric_limits<std::int64_t>::max() / 2, &n))
-          return fail(line_no, "bad deadline-ms=" + value);
-        job.deadline_ms = n;
-      } else if (key == "attempts") {
-        if (!num(1, 1000, &n)) return fail(line_no, "bad attempts=" + value);
-        job.max_attempts = static_cast<int>(n);
-      } else if (key == "watchdog-steps") {
-        if (!num(-1, std::numeric_limits<std::int64_t>::max(), &n))
-          return fail(line_no, "bad watchdog-steps=" + value);
-        job.watchdog_steps = n;
-      } else if (key == "seed") {
-        if (!num(0, std::numeric_limits<std::int64_t>::max(), &n))
-          return fail(line_no, "bad seed=" + value);
-        job.fault.seed = static_cast<std::uint64_t>(n);
-        job.inject = true;
-      } else if (key == "fault-step") {
-        if (!num(1, std::numeric_limits<std::int64_t>::max(), &n))
-          return fail(line_no, "bad fault-step=" + value);
-        job.fault.sim_error_at_step = n;
-        job.inject = true;
-      } else if (key == "fault-block") {
-        if (!num(-1, std::numeric_limits<std::int64_t>::max(), &n))
-          return fail(line_no, "bad fault-block=" + value);
-        job.fault.fault_block = n;
-        job.inject = true;
-      } else if (key == "stall-block") {
-        if (!num(0, std::numeric_limits<std::int64_t>::max(), &n))
-          return fail(line_no, "bad stall-block=" + value);
-        job.fault.stall_block = n;
-        job.inject = true;
-      } else if (key == "transient-attempts") {
-        if (!num(0, 1000, &n))
-          return fail(line_no, "bad transient-attempts=" + value);
-        job.transient_attempts = static_cast<int>(n);
-      } else if (key == "crash-step") {
-        if (!num(1, std::numeric_limits<std::int64_t>::max(), &n))
-          return fail(line_no, "bad crash-step=" + value);
-        job.fault.crash_at_step = n;
-        job.inject = true;
-      } else if (key == "oom-mb") {
-        if (!num(1, 1LL << 20, &n))
-          return fail(line_no, "bad oom-mb=" + value);
-        job.fault.oom_mb = n;
-        job.inject = true;
-      } else if (key == "wedge") {
-        job.fault.wedge_worker = true;
-        job.inject = true;
-      } else if (key == "cache-corrupt") {
-        // Serve-layer fault: acts on the artifact cache, not the
-        // interpreter, so it does not set inject (the attempt itself
-        // stays clean and cacheable once recompiled).
-        job.fault.corrupt_cache = true;
-      } else if (key == "cache-torn") {
-        job.fault.tear_cache = true;
-      } else if (key == "cert-corrupt") {
-        // Certificate-store fault: like cache-corrupt, acts on the
-        // artifact cache entry holding this job's certificates; the
-        // damaged certificate must be quarantined and re-derived.
-        job.fault.corrupt_cert = true;
-      } else if (key == "cert-torn") {
-        job.fault.tear_cert = true;
-      } else if (key == "drop-barrier") {
-        job.fault.drop_barrier = true;
-        job.inject = true;
-      } else if (key == "skew-index") {
-        job.fault.skew_index = true;
-        job.inject = true;
-      } else {
-        return fail(line_no, "unknown field '" + field + "'");
-      }
-    }
+    job = blank;
+    file.clear();
+    std::istringstream in{std::string(sv)};
+    const std::vector<std::string> fields{
+        std::istream_iterator<std::string>(in), {}};
+    if (auto e = keys.try_parse_fields(fields); !e.empty())
+      return fail(line_no, e);
     if (file.empty()) return fail(line_no, "missing file=");
     std::string path = file;
-    if (!base_dir.empty() && !file.empty() && file[0] != '/')
-      path = base_dir + "/" + file;
-    if (!read_file(path, &job.source))
-      return fail(line_no, "cannot read " + path);
-    if (job.name.empty())
-      job.name = basename_of(file) + ":" + std::to_string(line_no);
+    if (!base_dir.empty() && file[0] != '/') path = base_dir + "/" + file;
+    auto source = read_file(path);
+    if (!source) return fail(line_no, "cannot read " + path);
+    job.source = std::move(*source);
+    if (job.name.empty())  // the file's basename (npos + 1 == 0)
+      job.name = file.substr(file.find_last_of('/') + 1) + ":" +
+                 std::to_string(line_no);
     jobs.push_back(std::move(job));
   }
   return jobs;
@@ -169,15 +125,15 @@ std::vector<JobSpec> parse_manifest(const std::string& text,
 std::vector<JobSpec> load_manifest(const std::string& path,
                                    const ManifestDefaults& defaults,
                                    std::string* error) {
-  std::string text;
-  if (!read_file(path, &text)) {
+  auto text = read_file(path);
+  if (!text) {
     if (error) *error = "cannot read manifest " + path;
     return {};
   }
   std::size_t slash = path.find_last_of('/');
   std::string base_dir =
       slash == std::string::npos ? "" : path.substr(0, slash);
-  return parse_manifest(text, base_dir, defaults, error);
+  return parse_manifest(*text, base_dir, defaults, error);
 }
 
 }  // namespace cudanp::serve

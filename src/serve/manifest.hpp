@@ -7,46 +7,13 @@
 //   file=bad.cu fault-step=5 fault-block=0 transient-attempts=1
 //   file=spin.cu stall-block=0 deadline-ms=50 name=hang
 //
-// Keys:
-//   file=<path>            kernel source file (required)
-//   name=<label>           report label (default: file + line number)
-//   kernel=<name>          kernel to compile (default: first annotated)
-//   elems=<n> tb=<n>       workload size / baseline block size
-//   deadline-ms=<n>        per-job virtual deadline
-//   attempts=<n>           per-job attempt cap
-//   watchdog-steps=<n>     per-block step budget (deadline still clamps)
-//   seed=<n>               fault plan seed
-//   fault-step=<n>         inject a SimError at the Nth statement
-//   fault-block=<n>        block the injected SimError targets (-1=all)
-//   stall-block=<n>        block that spins until the watchdog trips
-//   transient-attempts=<n> inject only on the first N attempts
-//   drop-barrier           corrupt the AST: remove first __syncthreads
-//   skew-index             corrupt the AST: skew first indexed store
-//   crash-step=<n>         raise SIGSEGV at the Nth statement (a real
-//                          native crash; survivable only under
-//                          --isolate=process)
-//   oom-mb=<n>             allocate N MiB before the first launch; fails
-//                          as "resource-limit" under --worker-mem-mb
-//   wedge                  worker stops responding (no heartbeat, no
-//                          result); caught by the supervisor read
-//                          timeout (--isolate=process only)
-//   cache-corrupt          flip a byte in this job's artifact-cache
-//                          entry before lookup; the cache must detect
-//                          the checksum mismatch, quarantine the entry
-//                          and recompile (no-op without a cache)
-//   cache-torn             truncate the cache entry (torn write); same
-//                          quarantine-and-recompile contract
-//   cert-corrupt           flip a byte in this job's stored equivalence
-//                          certificates before lookup; the damaged
-//                          certificate must be quarantined and the
-//                          variant re-certified, never fast-pathed
-//                          (no-op without a cache or without --certify)
-//   cert-torn              truncate the stored certificates (torn
-//                          write); same quarantine-and-recertify
-//                          contract
-//
-// Every numeric field goes through the checked parser — `elems=64x`
-// is a manifest error, not a silent 64 (or 0).
+// The keys are the rows of one FlagTable (manifest_keys in
+// manifest.cpp), so each field goes through the checked parser every
+// tool flag uses: `elems=64x` is a "line N: bad value for elems: '64x'
+// (expected ...)" error, not a silent 64 (or 0), and a repeated key's
+// last value wins. A bare key is the same as `key=`, and a switch key
+// (wedge, drop-barrier, ...) ignores any value. The rows, with their
+// ranges and help strings, are the key list.
 #pragma once
 
 #include <string>

@@ -143,7 +143,7 @@ void BatchService::run_job(const JobSpec& spec, std::size_t index,
                        sim::SanitizerEngine::RaceMode::kPortable;
   req.dedupe = opt_.sanitizer.dedupe;
   req.f32_rel_tol = opt_.f32_rel_tol;
-  req.heartbeat_ms = opt_.worker_heartbeat_ms;
+  req.heartbeat_ms = opt_.supervisor.heartbeat_ms;
   req.certify = opt_.certify;
   req.certified_fast_path = opt_.certified_fast_path;
 
@@ -388,12 +388,7 @@ ServiceReport BatchService::run(const std::vector<JobSpec>& jobs) {
     if (opt_.shared_supervisor) {
       sup_ = opt_.shared_supervisor;
     } else {
-      SupervisorOptions sopt;
-      sopt.worker_cmd = opt_.worker_cmd;
-      sopt.worker_mem_mb = opt_.worker_mem_mb;
-      sopt.read_timeout_ms = opt_.worker_read_timeout_ms;
-      sopt.heartbeat_ms = opt_.worker_heartbeat_ms;
-      owned_supervisor_ = std::make_unique<WorkerSupervisor>(std::move(sopt));
+      owned_supervisor_ = std::make_unique<WorkerSupervisor>(opt_.supervisor);
       sup_ = owned_supervisor_.get();
     }
   }
@@ -551,17 +546,11 @@ ServiceReport BatchService::run(const std::vector<JobSpec>& jobs) {
   // shares reports exactly what a standalone run would.
   for (const auto& key : touched_breakers) {
     const CircuitBreaker& br = registry.breakers.at(key);
-    BreakerSnapshot s;
-    s.key = key;
-    s.state = br.state();
-    s.opens = br.opens();
-    s.probes = br.probes();
-    s.short_circuits = br.short_circuits();
     report.breaker_opens += static_cast<std::size_t>(br.opens());
     report.breaker_probes += static_cast<std::size_t>(br.probes());
     report.breaker_short_circuits +=
         static_cast<std::size_t>(br.short_circuits());
-    report.breakers.push_back(std::move(s));
+    report.breakers.emplace_back(key, br);
   }
   registry.base_ms = breaker_base + clock.now_ms();
   return report;

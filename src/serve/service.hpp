@@ -47,6 +47,7 @@
 #include "np/compiler.hpp"
 #include "serve/breaker.hpp"
 #include "serve/retry.hpp"
+#include "serve/supervisor.hpp"
 #include "sim/device.hpp"
 #include "sim/fault.hpp"
 #include "sim/sanitizer.hpp"
@@ -55,7 +56,6 @@
 namespace cudanp::serve {
 
 class ArtifactCache;
-class WorkerSupervisor;
 
 /// Breakers that outlive a single BatchService::run — the daemon's
 /// cross-request (and, when enabled, cross-tenant) breaker state.
@@ -186,13 +186,22 @@ struct JobResult : record::Codec<JobResult> {
   }
 };
 
-/// Final state of one circuit breaker, for the report.
+/// State of one circuit breaker, for the report and the daemon's
+/// status.
 struct BreakerSnapshot : record::Codec<BreakerSnapshot> {
   std::string key;  // "<kernel>|<first-choice config>"
   BreakerState state = BreakerState::kClosed;
   int opens = 0;
   int probes = 0;
   int short_circuits = 0;
+
+  BreakerSnapshot() = default;
+  BreakerSnapshot(std::string breaker_key, const CircuitBreaker& br)
+      : key(std::move(breaker_key)),
+        state(br.state()),
+        opens(br.opens()),
+        probes(br.probes()),
+        short_circuits(br.short_circuits()) {}
 
   static constexpr auto fields() {
     using R = BreakerSnapshot;
@@ -361,14 +370,10 @@ struct ServiceOptions {
   /// aborting, or wedged job cannot take the batch down. Reports are
   /// bit-identical across modes for batches that do not actually crash.
   IsolationMode isolate = IsolationMode::kNone;
-  /// Worker command line; empty = re-exec /proc/self/exe --worker.
-  std::vector<std::string> worker_cmd;
-  /// RLIMIT_AS cap per worker in MiB (0 = uncapped); overruns surface
-  /// as the "resource-limit" failure cause.
-  std::int64_t worker_mem_mb = 0;
-  /// Supervisor read timeout / worker heartbeat interval (real ms).
-  int worker_read_timeout_ms = 10000;
-  int worker_heartbeat_ms = 200;
+  /// The worker pool's knobs under kProcess: command line, RLIMIT_AS cap
+  /// (overruns surface as the "resource-limit" failure cause), read
+  /// timeout and heartbeat.
+  SupervisorOptions supervisor;
 
   /// Write-ahead commit journal: when set, every job's outcome is
   /// appended durably (fsync per record) in admission order before its

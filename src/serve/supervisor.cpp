@@ -77,7 +77,7 @@ std::optional<WorkerSupervisor::Worker> WorkerSupervisor::spawn_locked() {
   }
   close(to_worker[0]);
   close(from_worker[1]);
-  ++spawned_;
+  ++counters_.spawned;
   cleanup::register_pid(pid);
   return Worker{pid, to_worker[1], from_worker[0]};
 }
@@ -91,7 +91,7 @@ std::optional<WorkerSupervisor::Worker> WorkerSupervisor::checkout() {
       free_.pop_back();
       return w;
     }
-    backoff_failures = consecutive_failures_;
+    backoff_failures = counters_.consecutive_failures;
   }
   respawn_backoff(backoff_failures);
   std::lock_guard<std::mutex> lock(mu_);
@@ -100,7 +100,7 @@ std::optional<WorkerSupervisor::Worker> WorkerSupervisor::checkout() {
 
 void WorkerSupervisor::checkin(Worker w) {
   std::lock_guard<std::mutex> lock(mu_);
-  consecutive_failures_ = 0;
+  counters_.consecutive_failures = 0;
   free_.push_back(w);
 }
 
@@ -138,7 +138,7 @@ SupervisedAttempt WorkerSupervisor::execute(const AttemptRequest& req) {
   auto worker = checkout();
   if (!worker) {
     std::lock_guard<std::mutex> lock(mu_);
-    ++consecutive_failures_;
+    ++counters_.consecutive_failures;
     out.status = AttemptStatus::kSpawnFailed;
     out.detail = "could not spawn execution worker";
     return out;
@@ -153,8 +153,8 @@ SupervisedAttempt WorkerSupervisor::execute(const AttemptRequest& req) {
     out.status = AttemptStatus::kCrashed;
     out.detail = reap_detail(w);
     std::lock_guard<std::mutex> lock(mu_);
-    ++crashes_;
-    ++consecutive_failures_;
+    ++counters_.crashes;
+    ++counters_.consecutive_failures;
     return out;
   }
 
@@ -170,8 +170,8 @@ SupervisedAttempt WorkerSupervisor::execute(const AttemptRequest& req) {
         out.status = AttemptStatus::kCrashed;
         out.detail = "worker returned a malformed result frame";
         std::lock_guard<std::mutex> lock(mu_);
-        ++crashes_;
-        ++consecutive_failures_;
+        ++counters_.crashes;
+        ++counters_.consecutive_failures;
         return out;
       }
       out.status = AttemptStatus::kCompleted;
@@ -189,8 +189,8 @@ SupervisedAttempt WorkerSupervisor::execute(const AttemptRequest& req) {
           "worker unresponsive: no heartbeat or result within the read "
           "timeout";
       std::lock_guard<std::mutex> lock(mu_);
-      ++timeouts_;
-      ++consecutive_failures_;
+      ++counters_.timeouts;
+      ++counters_.consecutive_failures;
       return out;
     }
     // kEof / kError / unexpected frame type: the worker is gone or the
@@ -203,30 +203,15 @@ SupervisedAttempt WorkerSupervisor::execute(const AttemptRequest& req) {
     }
     out.status = AttemptStatus::kCrashed;
     std::lock_guard<std::mutex> lock(mu_);
-    ++crashes_;
-    ++consecutive_failures_;
+    ++counters_.crashes;
+    ++counters_.consecutive_failures;
     return out;
   }
 }
 
-int WorkerSupervisor::spawned() const {
+WorkerCounters WorkerSupervisor::counters() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return spawned_;
-}
-
-int WorkerSupervisor::crashes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return crashes_;
-}
-
-int WorkerSupervisor::timeouts() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return timeouts_;
-}
-
-int WorkerSupervisor::consecutive_failures() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return consecutive_failures_;
+  return counters_;
 }
 
 namespace cleanup {

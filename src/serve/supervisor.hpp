@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "serve/wire.hpp"
+#include "support/record.hpp"
 
 namespace cudanp::serve {
 
@@ -53,6 +54,26 @@ struct SupervisorOptions {
   /// Heartbeat interval workers are asked to keep (must be well under
   /// read_timeout_ms).
   int heartbeat_ms = 200;
+};
+
+/// Pool observability: the `workers` block of the daemon's status.
+struct WorkerCounters : record::Codec<WorkerCounters> {
+  int spawned = 0;
+  int crashes = 0;
+  int timeouts = 0;
+  /// Worker deaths / spawn failures since the last completed attempt:
+  /// the respawn backoff's depth, daemon-wide when the supervisor is
+  /// shared; healthz reports "crash-loop" past a threshold.
+  int consecutive_failures = 0;
+
+  static constexpr auto fields() {
+    using R = WorkerCounters;
+    using record::field;
+    return std::tuple{field("spawned", &R::spawned),
+                      field("crashes", &R::crashes),
+                      field("timeouts", &R::timeouts),
+                      field("consecutive_failures", &R::consecutive_failures)};
+  }
 };
 
 enum class AttemptStatus : std::uint8_t {
@@ -87,16 +108,8 @@ class WorkerSupervisor {
   /// throws; every failure mode comes back as a status.
   [[nodiscard]] SupervisedAttempt execute(const AttemptRequest& req);
 
-  /// Pool observability (tests assert respawn-after-crash here).
-  [[nodiscard]] int spawned() const;
-  [[nodiscard]] int crashes() const;
-  [[nodiscard]] int timeouts() const;
-  /// Live crash-loop depth: consecutive worker deaths / spawn failures
-  /// with no completed attempt in between. When the supervisor is
-  /// shared daemon-wide (ServiceOptions::shared_supervisor), this value
-  /// persists across batches — the respawn backoff becomes daemon
-  /// policy, and healthz flips to "crash-loop" past a threshold.
-  [[nodiscard]] int consecutive_failures() const;
+  /// A snapshot of the pool counters.
+  [[nodiscard]] WorkerCounters counters() const;
 
  private:
   struct Worker {
@@ -116,12 +129,7 @@ class WorkerSupervisor {
   SupervisorOptions opt_;
   mutable std::mutex mu_;
   std::vector<Worker> free_;
-  int spawned_ = 0;
-  int crashes_ = 0;
-  int timeouts_ = 0;
-  /// Consecutive worker deaths / spawn failures; drives the crash-loop
-  /// respawn backoff, reset by any completed attempt.
-  int consecutive_failures_ = 0;
+  WorkerCounters counters_;
   /// Previous SIGPIPE disposition (ignored while the supervisor lives —
   /// a write to a just-died worker must surface as EPIPE, not kill the
   /// batch).

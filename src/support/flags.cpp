@@ -71,14 +71,28 @@ FlagTable& FlagTable::defaults_to(std::string_view value) {
   return *this;
 }
 
+FlagTable& FlagTable::marks(bool* flag) {
+  auto& store = rows_.back().store;
+  store = [inner = std::move(store), flag](std::string_view v) {
+    return inner(v) && (*flag = true);
+  };
+  return *this;
+}
+
 FlagTable& FlagTable::section(std::string title) {
   return add({"", Arg::kNone, "", std::move(title), "", "", nullptr});
 }
 
 const FlagTable::Row* FlagTable::find(std::string_view name) const {
   for (const Row& row : rows_)
-    if (row.name == name) return &row;
+    if (row.store && row.name == name) return &row;
   return nullptr;
+}
+
+std::string FlagTable::store(const Row& row, std::string_view value) {
+  if (row.store(value)) return {};
+  return "bad value for " + row.name + ": '" + std::string(value) +
+         "' (expected " + row.expected + ")";
 }
 
 FlagTable::Result FlagTable::try_parse(int argc, const char* const* argv,
@@ -117,11 +131,22 @@ FlagTable::Result FlagTable::try_parse(int argc, const char* const* argv,
         return error(name + " needs a value: " + name + row->placeholder);
       value = argv[++i];
     }
-    if (!row->store(value))
-      return error("bad value for " + name + ": '" + std::string(value) +
-                   "' (expected " + row->expected + ")");
+    if (auto e = store(*row, value); !e.empty()) return error(std::move(e));
   }
   return r;
+}
+
+std::string FlagTable::try_parse_fields(
+    const std::vector<std::string>& fields) const {
+  for (const std::string& field : fields) {
+    const auto eq = field.find('=');
+    const Row* row = find(std::string_view(field).substr(0, eq));
+    if (!row) return "unknown field '" + field + "'";
+    const std::string_view value =
+        eq == std::string::npos ? "" : std::string_view(field).substr(eq + 1);
+    if (auto e = store(*row, value); !e.empty()) return e;
+  }
+  return {};
 }
 
 std::vector<std::string> FlagTable::parse(int argc, const char* const* argv,

@@ -7,6 +7,9 @@
 //   <tool>: bad value for --X: 'v' (expected ...)
 // followed by the usage synopsis and exit status 1, and generates
 // --help, showing each field's library-owned default.
+//
+// The same rows parse `key=value` fields (try_parse_fields), the shape
+// of a --batch manifest line: the rows are then named without dashes.
 #pragma once
 
 #include <cstdint>
@@ -95,6 +98,9 @@ class FlagTable {
   /// command line: the tool-specific default, stated once in the table.
   FlagTable& defaults_to(std::string_view value);
 
+  /// The last row also sets *flag to true whenever it stores a value.
+  FlagTable& marks(bool* flag);
+
   /// Starts a titled group of rows in --help.
   FlagTable& section(std::string title);
 
@@ -108,6 +114,13 @@ class FlagTable {
   /// Stops at the first error or at --help.
   [[nodiscard]] Result try_parse(int argc, const char* const* argv,
                                  std::size_t max_positional = 0) const;
+
+  /// Parses `key=value` fields (each naming a row) with try_parse()'s
+  /// checks, messages and last-value-wins; returns the first error, or
+  /// "". A bare `key` is `key=`, and a switch ignores any value. There
+  /// are no positionals and no help, and nothing ever exits.
+  [[nodiscard]] std::string try_parse_fields(
+      const std::vector<std::string>& fields) const;
 
   /// try_parse() for a tool's main(): prints help and exits 0 on --help,
   /// fail()s on an error; returns the positional arguments.
@@ -139,6 +152,9 @@ class FlagTable {
 
   FlagTable& add(Row row);
   [[nodiscard]] const Row* find(std::string_view name) const;
+  /// Stores `value` through `row`; the usage error, or "".
+  [[nodiscard]] static std::string store(const Row& row,
+                                         std::string_view value);
 
   std::string tool_;
   std::string usage_;

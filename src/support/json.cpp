@@ -98,25 +98,9 @@ const Value* Value::find(std::string_view key) const {
   return nullptr;
 }
 
-bool Value::get_bool(std::string_view key, bool def) const {
-  const Value* v = find(key);
-  return v ? v->as_bool(def) : def;
-}
-
 std::int64_t Value::get_i64(std::string_view key, std::int64_t def) const {
   const Value* v = find(key);
   return v ? v->as_i64(def) : def;
-}
-
-std::string Value::get_str(std::string_view key,
-                           const std::string& def) const {
-  const Value* v = find(key);
-  return v && v->is_string() ? v->as_str() : def;
-}
-
-double Value::get_double(std::string_view key, double def) const {
-  const Value* v = find(key);
-  return v ? v->as_double(def) : def;
 }
 
 Value Value::make_bool(bool b) {

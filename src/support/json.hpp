@@ -1,11 +1,9 @@
 // Minimal JSON: the escape helper every emitter shares, and a small
 // recursive-descent parser.
 //
-// The wire, journal, cache and report records do not call these by
-// hand: each declares its fields once (support/record.hpp), and the
-// record codec writes them with escape() and reads them back through
-// parse() and Value. The write-only documents (--status, --healthz,
-// cache stats, the cert-suite report) use escape() directly. The
+// No document in the tree calls these by hand: each declares its
+// fields once (support/record.hpp), and the record codec writes them
+// with escape() and reads them back through parse() and Value. The
 // parser accepts standard JSON (objects, arrays, strings with the usual
 // escapes, integers, doubles, bools, null); it is not a streaming
 // parser and is sized for reports, not gigabyte documents.
@@ -72,14 +70,9 @@ class Value {
   /// Object member lookup; nullptr when absent or not an object.
   [[nodiscard]] const Value* find(std::string_view key) const;
 
-  /// Convenience field reads straight off an object.
-  [[nodiscard]] bool get_bool(std::string_view key, bool def = false) const;
+  /// An integer field read straight off an object (`def` when absent).
   [[nodiscard]] std::int64_t get_i64(std::string_view key,
                                      std::int64_t def = 0) const;
-  [[nodiscard]] std::string get_str(std::string_view key,
-                                    const std::string& def = {}) const;
-  [[nodiscard]] double get_double(std::string_view key,
-                                  double def = 0.0) const;
 
   static Value make_null() { return Value(); }
   static Value make_bool(bool b);

@@ -1,7 +1,8 @@
-// Record codec: every type that crosses the worker pipe, the daemon
-// socket, the write-ahead journal or the artifact cache declares its
-// JSON fields once, and its writer and reader both derive from that
-// list.
+// Record codec: every JSON document the tree writes (what crosses the
+// worker pipe, the daemon socket, the write-ahead journal or the
+// artifact cache, the daemon's status documents, the cert-suite
+// verdicts) declares its fields once, and its writer and reader both
+// derive from that list.
 //
 // A record type inherits Codec<T> and lists its fields in key order:
 //

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 namespace cudanp {
 
@@ -117,6 +119,14 @@ std::optional<double> parse_f64(std::string_view s) {
   if (end != text.c_str() + text.size() || !std::isfinite(v))
     return std::nullopt;
   return v;
+}
+
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return std::move(buf).str();
 }
 
 }  // namespace cudanp

@@ -55,4 +55,8 @@ namespace cudanp {
 /// and nan return nullopt. Range checks are the caller's.
 [[nodiscard]] std::optional<double> parse_f64(std::string_view s);
 
+/// The whole file at `path`, byte for byte; nullopt when it cannot be
+/// opened.
+[[nodiscard]] std::optional<std::string> read_file(const std::string& path);
+
 }  // namespace cudanp

@@ -189,6 +189,54 @@ std::string fuzz_source(std::uint64_t seed) {
   return os.str();
 }
 
+/// Generates a seeded kernel whose if conditions read the seeded float
+/// input `v = out[tid]` (or `acc`, which derives from it): nested ifs
+/// with else arms, each arm storing to `out`, some holding a lane-keyed
+/// if. Lanes split on symbolic values there, so the symbolic executor
+/// runs both arms and merges them, which fuzz_source's constant
+/// conditions never reach. The shared stage and its barrier stay outside
+/// every symbolic arm.
+std::string symbolic_branch_source(std::uint64_t seed) {
+  SplitMix64 rng(seed);
+  auto pick = [&](int lo, int hi) {
+    return lo + static_cast<int>(rng.next_below(
+                    static_cast<std::uint64_t>(hi - lo + 1)));
+  };
+  const char* const cuts[] = {"-0.75f", "-0.5f", "-0.25f", "0.0f",
+                              "0.25f",  "0.5f",  "0.75f"};
+  std::ostringstream os;
+  auto branch = [&](auto& self, int depth, const std::string& ind) -> void {
+    os << ind << "if (" << (pick(0, 1) ? "v" : "acc")
+       << (pick(0, 1) ? " > " : " < ") << cuts[pick(0, 6)] << ") {\n"
+       << ind << "  acc = acc * " << pick(2, 3) << ".0f + v;\n";
+    if (depth > 1) self(self, depth - 1, ind + "  ");
+    if (pick(0, 1))
+      os << ind << "  if (lane % " << pick(2, 5) << " == 0) acc = acc - v;\n";
+    os << ind << "  out[tid] = acc;\n"
+       << ind << "} else {\n"
+       << ind << "  acc = acc - v * " << pick(1, 3) << ".0f;\n";
+    if (depth > 1 && pick(0, 1)) self(self, depth - 1, ind + "  ");
+    os << ind << "  out[tid] = acc * 0.5f;\n" << ind << "}\n";
+  };
+  os << "__global__ void sb(float* out, int n) {\n"
+     << "  __shared__ float buf[32];\n"
+     << "  int tid = threadIdx.x + blockIdx.x * blockDim.x;\n"
+     << "  int lane = threadIdx.x;\n"
+     << "  float v = out[tid];\n"
+     << "  float acc = " << pick(1, 4) << ".0f;\n";
+  branch(branch, pick(2, 3), "  ");
+  os << "  buf[lane] = acc;\n"
+     << "  __syncthreads();\n"
+     << "  acc += buf[(lane * " << pick(3, 9) << ") % 32];\n"
+     << "  if (acc > v) {\n"
+     << "    out[tid] = acc;\n"
+     << "  } else {\n"
+     << "    out[tid] = v - acc;\n"
+     << "  }\n"
+     << "}\n";
+  return os.str();
+}
+
 /// Generates a seeded kernel of mixed int / float / bool arithmetic:
 /// random expression trees with ternaries (including int/float arms),
 /// casts, comparisons, logical and bitwise operators, min/max builtins,
@@ -633,6 +681,40 @@ TEST(EngineEquivalenceFuzz, DivergentControlFlowBitIdentical) {
     EXPECT_EQ(expect_oracle_cells(sw, sym, arena), 0);
   }
   EXPECT_EQ(unrunnable, kDivergentUnrunnable);
+}
+
+// Symbolic-branch kernels the symbolic executor cannot run to
+// completion. Today it runs all 25.
+constexpr int kSymbolicBranchUnrunnable = 0;
+
+TEST(EngineEquivalenceFuzz, SymbolicBranchesEqualTheVm) {
+  // Every branch reads the seeded input, so lanes split on symbolic
+  // values and each arm's stores merge back; the symbolic run must
+  // equal a VM run on the same seeded workload in every cell. No digest
+  // lines: the oracle is the check.
+  const auto spec = sim::DeviceSpec::gtx680();
+  int unrunnable = 0;
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    const std::string src = symbolic_branch_source(seed);
+    SCOPED_TRACE("seed " + std::to_string(seed) + "\n" + src);
+    auto program = np::NpCompiler::parse(src);
+    const ir::Kernel& kernel = *program->kernels.front();
+    np::Workload w = small_workload(32, 2, 64);
+    np::seed_certify_floats(w, kMixedSeed);
+    sim::SymArena arena;
+    const auto sym = sim::sym_execute(spec, kernel, w.launch.grid,
+                                      w.launch.block, symbolic_args(w),
+                                      arena);
+    if (!sym.ok) {
+      ++unrunnable;
+      continue;
+    }
+    ASSERT_TRUE(np::Runner{spec}
+                    .execute(np::ExecutionRequest::baseline(kernel, w))
+                    .ran);
+    EXPECT_EQ(expect_oracle_cells(w, sym, arena), 0);
+  }
+  EXPECT_EQ(unrunnable, kSymbolicBranchUnrunnable);
 }
 
 // Mixed-type kernels the symbolic executor cannot run to completion;

@@ -377,7 +377,7 @@ TEST(CertifiedBatch, SandboxedWorkersStoreTheInProcessCertificates) {
   serve::ArtifactCache sandbox_cache(serve::ArtifactCacheOptions{});
   opt.artifact_cache = &sandbox_cache;
   opt.isolate = serve::IsolationMode::kProcess;
-  opt.worker_cmd = {CUDANP_CC_PATH, "--worker"};
+  opt.supervisor.worker_cmd = {CUDANP_CC_PATH, "--worker"};
   serve::ServiceReport sandboxed = run_batch(jobs, opt);
   EXPECT_EQ(inproc.json(), sandboxed.json());
 

@@ -21,6 +21,7 @@
 #include "serve/retry.hpp"
 #include "serve/service.hpp"
 #include "sim/device.hpp"
+#include "support/string_utils.hpp"
 
 namespace cudanp {
 namespace {
@@ -506,11 +507,34 @@ TEST_F(ManifestTest, RejectsBadNumericsWithLineNumbers) {
   auto jobs =
       serve::parse_manifest("file=k.cu elems=64x\n", dir_, d, &error);
   EXPECT_TRUE(jobs.empty());
-  EXPECT_EQ(error, "line 1: bad elems=64x");
+  EXPECT_EQ(error,
+            "line 1: bad value for elems: '64x' (expected integer in "
+            "[1, 1048576])");
   jobs = serve::parse_manifest("file=k.cu\nfile=k.cu tb=0\n", dir_, d,
                                &error);
   EXPECT_TRUE(jobs.empty());
-  EXPECT_EQ(error, "line 2: bad tb=0");
+  EXPECT_EQ(error,
+            "line 2: bad value for tb: '0' (expected integer in [1, 1024])");
+}
+
+TEST_F(ManifestTest, WatchdogStepsTakesTheCliRange) {
+  // Any negative budget disables the watchdog (ExecutionLimits), on a
+  // manifest line as with --watchdog-steps, which sets the line default.
+  for (const char* steps : {"-2", "-9223372036854775808"}) {
+    std::string error;
+    auto keyed = serve::parse_manifest(
+        std::string("file=k.cu watchdog-steps=") + steps, dir_,
+        serve::ManifestDefaults{}, &error);
+    ASSERT_EQ(keyed.size(), 1u) << error;
+    serve::ManifestDefaults flagged;
+    flagged.watchdog_steps = *parse_i64(steps);
+    auto defaulted = serve::parse_manifest("file=k.cu", dir_, flagged, &error);
+    ASSERT_EQ(defaulted.size(), 1u) << error;
+    EXPECT_EQ(keyed[0].watchdog_steps, flagged.watchdog_steps);
+    EXPECT_EQ(serve::batch_fingerprint(keyed, sim::DeviceSpec::gtx680(), {}),
+              serve::batch_fingerprint(defaulted, sim::DeviceSpec::gtx680(),
+                                       {}));
+  }
 }
 
 TEST_F(ManifestTest, RejectsUnknownFieldsMissingFileAndUnreadableFile) {

@@ -76,7 +76,7 @@ serve::JobSpec wedging_job(const std::string& name) {
 serve::ServiceOptions isolated_options() {
   serve::ServiceOptions opt;
   opt.isolate = serve::IsolationMode::kProcess;
-  opt.worker_cmd = {CUDANP_CC_PATH, "--worker"};
+  opt.supervisor.worker_cmd = {CUDANP_CC_PATH, "--worker"};
   return opt;
 }
 
@@ -167,7 +167,7 @@ TEST(Supervisor, UnlaunchableWorkerIsAStructuredCrashNotAHang) {
   // convention), which the supervisor reaps into a deterministic
   // structured crash — the batch completes degraded, never hangs.
   serve::ServiceOptions opt = isolated_options();
-  opt.worker_cmd = {"/nonexistent/cudanp-worker", "--worker"};
+  opt.supervisor.worker_cmd = {"/nonexistent/cudanp-worker", "--worker"};
   auto report = run_batch({tmv_job("a")}, opt);
   ASSERT_EQ(report.jobs.size(), 1u);
   EXPECT_EQ(report.jobs[0].state, serve::JobState::kDegraded);
@@ -186,8 +186,8 @@ TEST(Supervisor, WedgedWorkerTripsReadTimeoutNotForever) {
   // the batch must finish (well inside the ctest timeout) with the
   // wedged job degraded as a crash.
   serve::ServiceOptions opt = isolated_options();
-  opt.worker_read_timeout_ms = 500;
-  opt.worker_heartbeat_ms = 50;
+  opt.supervisor.read_timeout_ms = 500;
+  opt.supervisor.heartbeat_ms = 50;
   auto report =
       run_batch({wedging_job("stuck"), tmv_job("after")}, opt);
   ASSERT_EQ(report.jobs.size(), 2u);
@@ -206,8 +206,8 @@ TEST(Supervisor, SlowButAliveWorkerIsNotKilled) {
   // Heartbeats arrive faster than the read timeout, so a job that takes
   // longer than one timeout interval still completes.
   serve::ServiceOptions opt = isolated_options();
-  opt.worker_read_timeout_ms = 300;
-  opt.worker_heartbeat_ms = 50;
+  opt.supervisor.read_timeout_ms = 300;
+  opt.supervisor.heartbeat_ms = 50;
   serve::JobSpec big = tmv_job("big");
   big.elems = 4096;
   big.tb = 64;
@@ -222,7 +222,7 @@ TEST(Supervisor, SlowButAliveWorkerIsNotKilled) {
 
 TEST(Supervisor, MemoryCapSurfacesAsResourceLimit) {
   serve::ServiceOptions opt = isolated_options();
-  opt.worker_mem_mb = 512;
+  opt.supervisor.worker_mem_mb = 512;
   serve::JobSpec fat = tmv_job("fat");
   fat.inject = true;
   fat.fault.oom_mb = 4096;  // far past the cap
@@ -247,7 +247,7 @@ TEST(Supervisor, ResourceLimitFeedsTheBreaker) {
   // Non-transient and breaker-eligible: repeat offenders open the
   // breaker exactly like any other persistent failure.
   serve::ServiceOptions opt = isolated_options();
-  opt.worker_mem_mb = 512;
+  opt.supervisor.worker_mem_mb = 512;
   opt.breaker.failure_threshold = 2;
   std::vector<serve::JobSpec> jobs;
   for (int i = 0; i < 4; ++i) {
@@ -409,7 +409,7 @@ TEST(Journal, FingerprintIgnoresJobsCountAndCommitChunk) {
   b.commit_chunk = 1;
   EXPECT_EQ(serve::batch_fingerprint(jobs, spec, a),
             serve::batch_fingerprint(jobs, spec, b));
-  b.worker_mem_mb = 512;  // outcome-relevant: must change the print
+  b.supervisor.worker_mem_mb = 512;  // outcome-relevant: must change the print
   EXPECT_NE(serve::batch_fingerprint(jobs, spec, a),
             serve::batch_fingerprint(jobs, spec, b));
   // sm_version decides which variants apply (__shfl needs sm_30).
@@ -513,7 +513,7 @@ TEST(RoundTrip, ServiceReportSurvivesJsonForEveryTerminalState) {
   fat.inject = true;
   fat.fault.oom_mb = 4096;
   serve::ServiceOptions opt = isolated_options();
-  opt.worker_mem_mb = 512;
+  opt.supervisor.worker_mem_mb = 512;
   auto report = run_batch(
       {tmv_job("a"), flaky, crashing_job("boom"), broken, fat}, opt);
   EXPECT_GT(report.crashes, 0u);

@@ -238,8 +238,8 @@ TEST(Json, ParsesTheShapesTheReportsEmit) {
       R"({"name":"tmv","ok":true,"n":42,"none":null,)"
       R"("xs":[1,2,3],"inner":{"deep":-7}})");
   ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(v->get_str("name"), "tmv");
-  EXPECT_TRUE(v->get_bool("ok"));
+  EXPECT_EQ(v->find("name")->as_str(), "tmv");
+  EXPECT_TRUE(v->find("ok")->as_bool());
   EXPECT_EQ(v->get_i64("n"), 42);
   ASSERT_NE(v->find("none"), nullptr);
   EXPECT_TRUE(v->find("none")->is_null());
@@ -248,21 +248,23 @@ TEST(Json, ParsesTheShapesTheReportsEmit) {
   EXPECT_EQ(v->find("inner")->get_i64("deep"), -7);
   // Missing keys fall back to the caller's default, never throw.
   EXPECT_EQ(v->get_i64("absent", 99), 99);
-  EXPECT_EQ(v->get_str("absent", "d"), "d");
+  EXPECT_EQ(v->find("absent"), nullptr);
 }
 
 TEST(Json, GetDoubleParsesDecimalsAndExponents) {
   auto v = json::parse(
       R"({"tol":0.001,"exp":1.5e-3,"big":2E2,"whole":3,"neg":-0.25})");
   ASSERT_TRUE(v.has_value());
-  EXPECT_DOUBLE_EQ(v->get_double("tol"), 0.001);
-  EXPECT_DOUBLE_EQ(v->get_double("exp"), 1.5e-3);
-  EXPECT_DOUBLE_EQ(v->get_double("big"), 200.0);
+  auto get = [&v](const char* key) { return v->find(key)->as_double(); };
+  EXPECT_DOUBLE_EQ(get("tol"), 0.001);
+  EXPECT_DOUBLE_EQ(get("exp"), 1.5e-3);
+  EXPECT_DOUBLE_EQ(get("big"), 200.0);
   // Integers are visible through both numeric views.
-  EXPECT_DOUBLE_EQ(v->get_double("whole"), 3.0);
+  EXPECT_DOUBLE_EQ(get("whole"), 3.0);
   EXPECT_EQ(v->get_i64("whole"), 3);
-  EXPECT_DOUBLE_EQ(v->get_double("neg"), -0.25);
-  EXPECT_DOUBLE_EQ(v->get_double("absent", 1e-3), 1e-3);
+  EXPECT_DOUBLE_EQ(get("neg"), -0.25);
+  // A non-number reads as the caller's default.
+  EXPECT_DOUBLE_EQ(json::Value().as_double(1e-3), 1e-3);
 }
 
 // ---------------------------------------------------------------------
@@ -445,6 +447,45 @@ TEST(FlagTable, LastOneWins) {
   EXPECT_EQ(names, (std::vector<std::string>{"TMV", "CFD", "MV"}));
 }
 
+TEST(FlagTable, KeyValueFields) {
+  // The manifest shape: the same rows, named without dashes.
+  int tb = 32;
+  std::int64_t step = 0;
+  bool wedge = false;
+  bool armed = false;
+  std::string file = "keep";
+  FlagTable t("manifest", "");
+  t.section("Keys")
+      .integer("tb", "tb", 1, 1024, &tb)
+      .integer("step", "step", 0, 9, &step)
+      .marks(&armed)
+      .set("wedge", "wedge", true, &wedge)
+      .text("file", "<path>", "file", &file, /*allow_empty=*/true);
+  using F = std::vector<std::string>;
+  EXPECT_EQ(t.try_parse_fields(F{"tb=4", "tb=8", "file=a.cu"}), "");
+  EXPECT_EQ(tb, 8);
+  EXPECT_EQ(file, "a.cu");
+  EXPECT_FALSE(armed);
+  EXPECT_EQ(t.try_parse_fields(F{"tb=0"}),
+            "bad value for tb: '0' (expected integer in [1, 1024])");
+  EXPECT_EQ(t.try_parse_fields(F{"tb"}),
+            "bad value for tb: '' (expected integer in [1, 1024])");
+  EXPECT_EQ(t.try_parse_fields(F{"step=10"}),
+            "bad value for step: '10' (expected integer in [0, 9])");
+  EXPECT_FALSE(armed);  // a rejected value marks nothing
+  EXPECT_EQ(t.try_parse_fields(F{"step=0"}), "");
+  EXPECT_TRUE(armed);  // any stored value marks, zero included
+  // A bare key is `key=`; a switch ignores its value.
+  EXPECT_EQ(t.try_parse_fields(F{"file"}), "");
+  EXPECT_EQ(file, "");
+  EXPECT_EQ(t.try_parse_fields(F{"wedge=1"}), "");
+  EXPECT_TRUE(wedge);
+  // Never a positional, help, a section title or a dashed flag.
+  for (const char* f : {"bogus", "--tb=4", "--help", "=1", "Keys"})
+    EXPECT_EQ(t.try_parse_fields(F{f}),
+              std::string("unknown field '") + f + "'");
+}
+
 TEST(FlagTable, HelpShowsDefaultsAndDefaultsToStoresOnce) {
   int tb = 32;
   int elems = 32;
@@ -477,7 +518,7 @@ TEST(Json, DoubleRoundTripAtFullPrecision) {
     os << "{\"x\":" << d << "}";
     auto v = json::parse(os.str());
     ASSERT_TRUE(v.has_value()) << os.str();
-    EXPECT_EQ(v->get_double("x"), d) << os.str();
+    EXPECT_EQ(v->find("x")->as_double(), d) << os.str();
   }
 }
 

@@ -17,7 +17,6 @@
 // counterexample proves a transform bug, matching cudanp-cc --certify.
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -27,9 +26,49 @@
 #include "sim/device.hpp"
 #include "support/diagnostics.hpp"
 #include "support/flags.hpp"
-#include "support/json.hpp"
+#include "support/record.hpp"
 
 using namespace cudanp;
+
+namespace {
+
+/// One benchmark's certificates, one per applicable configuration.
+struct BenchmarkVerdicts : record::Codec<BenchmarkVerdicts> {
+  std::string name;
+  std::string kernel;
+  std::vector<np::Certificate> certificates;
+
+  static constexpr auto fields() {
+    using R = BenchmarkVerdicts;
+    using record::field;
+    return std::tuple{field("name", &R::name), field("kernel", &R::kernel),
+                      field("certificates", &R::certificates)};
+  }
+};
+
+/// The verdict document: the sweep's counts, then every benchmark.
+struct SuiteVerdicts : record::Codec<SuiteVerdicts> {
+  double scale = 0.0;
+  int proven = 0;
+  int proven_modulo_reassoc = 0;
+  int refuted = 0;
+  int inconclusive = 0;
+  int not_applicable = 0;
+  std::vector<BenchmarkVerdicts> benchmarks;
+
+  static constexpr auto fields() {
+    using R = SuiteVerdicts;
+    using record::field;
+    return std::tuple{
+        field("scale", &R::scale), field("proven", &R::proven),
+        field("proven_modulo_reassoc", &R::proven_modulo_reassoc),
+        field("refuted", &R::refuted), field("inconclusive", &R::inconclusive),
+        field("not_applicable", &R::not_applicable),
+        field("benchmarks", &R::benchmarks)};
+  }
+};
+
+}  // namespace
 
 int main(int argc, char** argv) {
   double scale = 0.02;
@@ -66,59 +105,50 @@ int main(int argc, char** argv) {
       suite.push_back(kernels::make_benchmark(bench_name, scale));
     }
 
-    int proven = 0, reassoc = 0, refuted = 0, inconclusive = 0, skipped = 0;
-    std::ostringstream body;
-    body.precision(17);
-    for (std::size_t b = 0; b < suite.size(); ++b) {
-      const kernels::Benchmark& bench = *suite[b];
-      auto factory = [&bench] { return bench.make_workload(); };
-      np::Workload probe = bench.make_workload();
+    SuiteVerdicts doc;
+    doc.scale = scale;
+    for (const auto& bench : suite) {
+      auto factory = [&bench] { return bench->make_workload(); };
+      np::Workload probe = bench->make_workload();
       auto configs = np::NpCompiler::enumerate_configs(
-          bench.kernel(), static_cast<int>(probe.launch.block.count()),
+          bench->kernel(), static_cast<int>(probe.launch.block.count()),
           spec);
-      if (b) body << ",";
-      body << "{\"name\":\"" << json::escape(bench.name())
-           << "\",\"kernel\":\"" << json::escape(bench.kernel().name)
-           << "\",\"certificates\":[";
-      bool first = true;
-      np::JobCertifier job(certifier, bench.kernel(), factory);
+      BenchmarkVerdicts& b = doc.benchmarks.emplace_back();
+      b.name = bench->name();
+      b.kernel = bench->kernel().name;
+      np::JobCertifier job(certifier, bench->kernel(), factory);
       for (const auto& cfg : configs) {
         transform::TransformResult variant;
         try {
-          variant = np::NpCompiler::transform(bench.kernel(), cfg);
+          variant = np::NpCompiler::transform(bench->kernel(), cfg);
         } catch (const CompileError&) {
-          ++skipped;  // configuration legitimately inapplicable
+          ++doc.not_applicable;  // configuration legitimately inapplicable
           continue;
         }
         np::Certificate cert = job.certify(variant);
         switch (cert.verdict) {
-          case np::Verdict::kProven: ++proven; break;
-          case np::Verdict::kProvenModuloReassoc: ++reassoc; break;
-          case np::Verdict::kRefuted: ++refuted; break;
-          case np::Verdict::kInconclusive: ++inconclusive; break;
+          case np::Verdict::kProven: ++doc.proven; break;
+          case np::Verdict::kProvenModuloReassoc:
+            ++doc.proven_modulo_reassoc;
+            break;
+          case np::Verdict::kRefuted: ++doc.refuted; break;
+          case np::Verdict::kInconclusive: ++doc.inconclusive; break;
         }
         if (cert.verdict == np::Verdict::kRefuted)
-          std::cerr << "cert-suite: REFUTED: " << bench.name() << " "
+          std::cerr << "cert-suite: REFUTED: " << bench->name() << " "
                     << cert.str() << "\n";
-        if (!first) body << ",";
-        first = false;
-        body << cert.json();
+        b.certificates.push_back(std::move(cert));
       }
-      body << "]}";
-      std::cerr << "cert-suite: " << bench.name() << " done\n";
+      std::cerr << "cert-suite: " << bench->name() << " done\n";
     }
 
-    *os << "{\"scale\":" << scale << ",\"proven\":" << proven
-        << ",\"proven_modulo_reassoc\":" << reassoc
-        << ",\"refuted\":" << refuted
-        << ",\"inconclusive\":" << inconclusive
-        << ",\"not_applicable\":" << skipped << ",\"benchmarks\":[";
-    *os << body.str() << "]}\n";
-    std::cerr << "cert-suite: " << proven << " proven, " << reassoc
-              << " proven-modulo-reassoc, " << refuted << " refuted, "
-              << inconclusive << " inconclusive, " << skipped
+    *os << doc.json() << "\n";
+    std::cerr << "cert-suite: " << doc.proven << " proven, "
+              << doc.proven_modulo_reassoc << " proven-modulo-reassoc, "
+              << doc.refuted << " refuted, " << doc.inconclusive
+              << " inconclusive, " << doc.not_applicable
               << " not applicable\n";
-    if (refuted > 0) return 11;
+    if (doc.refuted > 0) return 11;
   } catch (const std::exception& e) {
     std::cerr << "cert-suite: " << e.what() << "\n";
     return 1;

@@ -53,8 +53,6 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -216,14 +214,14 @@ FlagTable cli_flags(CliOptions& o) {
               record::choices(serve::kIsolationModeSlugs), &s.isolate)
       .integer("--worker-mem-mb",
                "RLIMIT_AS cap per worker in MiB; 0 = uncapped", 1, 1LL << 20,
-               &s.worker_mem_mb)
+               &s.supervisor.worker_mem_mb)
       .integer("--worker-timeout-ms",
                "a worker silent this long (real ms) is declared wedged", 1,
-               1 << 30, &s.worker_read_timeout_ms)
+               1 << 30, &s.supervisor.read_timeout_ms)
       .integer("--heartbeat-ms",
                "worker heartbeat interval (real ms); 2x must fit inside "
                "--worker-timeout-ms",
-               1, 1 << 30, &s.worker_heartbeat_ms)
+               1, 1 << 30, &s.supervisor.heartbeat_ms)
       .text("--journal", "<file>",
             "write-ahead commit journal, so a killed batch can --resume",
             &o.journal)
@@ -275,11 +273,11 @@ void check_modes(const CliOptions& opt, const FlagTable& flags) {
   // The heartbeat must fit (twice) inside the supervisor's read
   // timeout, or a healthy worker would be declared wedged between
   // beats. Caught at parse time, not at the first spurious kill.
-  const serve::ServiceOptions& s = opt.daemon.service;
-  if (2LL * s.worker_heartbeat_ms > s.worker_read_timeout_ms)
-    flags.fail("--heartbeat-ms=" + std::to_string(s.worker_heartbeat_ms) +
+  const serve::SupervisorOptions& s = opt.daemon.service.supervisor;
+  if (2LL * s.heartbeat_ms > s.read_timeout_ms)
+    flags.fail("--heartbeat-ms=" + std::to_string(s.heartbeat_ms) +
                " must satisfy 2*heartbeat <= --worker-timeout-ms=" +
-               std::to_string(s.worker_read_timeout_ms) +
+               std::to_string(s.read_timeout_ms) +
                " (a healthy worker would be declared wedged between beats)");
   // Worker mode serves frames on stdin/stdout; batch mode takes its
   // inputs from the manifest; every other mode needs exactly one source
@@ -317,17 +315,6 @@ std::ostream* open_output(const std::string& path, std::ofstream& file) {
   if (file) return &file;
   std::cerr << "cudanp-cc: cannot write " << path << "\n";
   return nullptr;
-}
-
-std::optional<std::string> read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "cudanp-cc: cannot open " << path << "\n";
-    return std::nullopt;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 /// The batch exit policy, shared by --batch and --connect: 8 when
@@ -434,7 +421,10 @@ int run_client(const CliOptions& opt, std::ostream& os) {
   }
 
   auto manifest = read_file(opt.batch);
-  if (!manifest) return 1;
+  if (!manifest) {
+    std::cerr << "cudanp-cc: cannot open " << opt.batch << "\n";
+    return 1;
+  }
   serve::SubmitRequest req = opt.request;
   req.manifest = std::move(*manifest);
   auto slash = opt.batch.find_last_of('/');
@@ -477,7 +467,10 @@ int run_client(const CliOptions& opt, std::ostream& os) {
 /// Single-file mode: transform, report on, or guard-run one kernel.
 int run_file(const CliOptions& opt) {
   auto source = read_file(opt.input);
-  if (!source) return 1;
+  if (!source) {
+    std::cerr << "cudanp-cc: cannot open " << opt.input << "\n";
+    return 1;
+  }
   std::ofstream out_file;
   std::ostream* os = open_output(opt.output, out_file);
   if (!os) return 1;
@@ -609,8 +602,9 @@ int main(int argc, char** argv) {
     // Execution worker: serve attempt frames on stdin/stdout until the
     // supervisor closes the pipe. Crashes here are the whole point —
     // the supervisor contains them.
-    return serve::run_worker_loop(STDIN_FILENO, STDOUT_FILENO,
-                                  opt.daemon.service.worker_mem_mb);
+    return serve::run_worker_loop(
+        STDIN_FILENO, STDOUT_FILENO,
+        opt.daemon.service.supervisor.worker_mem_mb);
   }
 
   try {
