@@ -89,7 +89,7 @@ const FlagTable::Row* FlagTable::find(std::string_view name) const {
   return nullptr;
 }
 
-std::string FlagTable::store(const Row& row, std::string_view value) {
+std::string FlagTable::apply(const Row& row, std::string_view value) {
   if (row.store(value)) return {};
   return "bad value for " + row.name + ": '" + std::string(value) +
          "' (expected " + row.expected + ")";
@@ -131,7 +131,7 @@ FlagTable::Result FlagTable::try_parse(int argc, const char* const* argv,
         return error(name + " needs a value: " + name + row->placeholder);
       value = argv[++i];
     }
-    if (auto e = store(*row, value); !e.empty()) return error(std::move(e));
+    if (auto e = apply(*row, value); !e.empty()) return error(std::move(e));
   }
   return r;
 }
@@ -144,7 +144,7 @@ std::string FlagTable::try_parse_fields(
     if (!row) return "unknown field '" + field + "'";
     const std::string_view value =
         eq == std::string::npos ? "" : std::string_view(field).substr(eq + 1);
-    if (auto e = store(*row, value); !e.empty()) return e;
+    if (auto e = apply(*row, value); !e.empty()) return e;
   }
   return {};
 }

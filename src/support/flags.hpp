@@ -153,7 +153,7 @@ class FlagTable {
   FlagTable& add(Row row);
   [[nodiscard]] const Row* find(std::string_view name) const;
   /// Stores `value` through `row`; the usage error, or "".
-  [[nodiscard]] static std::string store(const Row& row,
+  [[nodiscard]] static std::string apply(const Row& row,
                                          std::string_view value);
 
   std::string tool_;

@@ -1,9 +1,9 @@
 // Minimal JSON: the escape helper every emitter shares, and a small
 // recursive-descent parser.
 //
-// No document in the tree calls these by hand: each declares its
-// fields once (support/record.hpp), and the record codec writes them
-// with escape() and reads them back through parse() and Value. The
+// Every document the program writes declares its fields once
+// (support/record.hpp): the record codec writes them with escape() and
+// reads them back through parse() and Value. The
 // parser accepts standard JSON (objects, arrays, strings with the usual
 // escapes, integers, doubles, bools, null); it is not a streaming
 // parser and is sized for reports, not gigabyte documents.
