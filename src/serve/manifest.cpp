@@ -24,16 +24,15 @@ FlagTable manifest_keys(JobSpec& job, std::string& file) {
       .text("name", "<label>", "report label (unset: file:line)", &job.name,
             /*allow_empty=*/true)
       .text("kernel", "<name>", "kernel to compile (unset: as --kernel)",
-            &job.kernel, /*allow_empty=*/true)
-      .integer("elems", "synthetic workload size", 1, 1 << 20, &job.elems)
-      .integer("tb", "baseline thread-block size", 1, 1024, &job.tb)
-      .integer("deadline-ms", "virtual deadline (unset: --deadline-ms)", 1,
-               kMax / 2, &job.deadline_ms)
-      .integer("attempts", "attempt cap (unset: --retries)", 1, 1000,
-               &job.max_attempts)
-      .integer("watchdog-steps", "as --watchdog-steps; the deadline clamps it",
-               std::numeric_limits<std::int64_t>::min(), kMax,
-               &job.watchdog_steps)
+            &job.kernel, /*allow_empty=*/true);
+  add_job_shape(
+      t,
+      {{"elems", "synthetic workload size"},
+       {"tb", "baseline thread-block size"},
+       {"deadline-ms", "virtual deadline (unset: --deadline-ms)"},
+       {"attempts", "attempt cap (unset: --retries)"},
+       {"watchdog-steps", "as --watchdog-steps; the deadline clamps it"}},
+      job, "", std::tuple{}, std::tuple{}, std::tuple{})
       .integer("seed", "fault plan seed", 0, kMax, &f.seed)
       .marks(&job.inject)
       .integer("fault-step", "throw a SimError at the Nth statement", 1, kMax,

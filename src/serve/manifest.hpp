@@ -13,15 +13,73 @@
 // (expected ...)" error, not a silent 64 (or 0), and a repeated key's
 // last value wins. A bare key is the same as `key=`, and a switch key
 // (wedge, drop-barrier, ...) ignores any value. The rows, with their
-// ranges and help strings, are the key list.
+// ranges and help strings, are the key list. The five job-shape rows
+// come from add_job_shape below, which cudanp-cc's flag table uses too,
+// so a manifest key and its flag accept the same values.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "serve/service.hpp"
+#include "support/flags.hpp"
 
 namespace cudanp::serve {
+
+/// The name and help line of one job-shape row.
+struct ShapeRow {
+  std::string name;
+  std::string help;
+};
+/// The five rows that give a job its shape, as one table names them.
+struct JobShapeRows {
+  ShapeRow elems, tb, deadline_ms, attempts, watchdog_steps;
+};
+
+/// Adds the five job-shape rows to `t`, in this order and with the one
+/// set of ranges cudanp-cc's flags and the manifest keys share: elems in
+/// [1, 2^20], tb in [1, 1024], deadline-ms in [1, INT64_MAX / 2],
+/// attempts in [1, 1000], and watchdog-steps over all of int64 (0 = the
+/// default budget, negative disables). Each row stores through the
+/// pointers of its `*_also` tuple (the first one's value is the default
+/// --help shows) and into its field of `shape` (a JobSpec, or the
+/// ManifestDefaults); a non-empty `elems_default` is the elems row's
+/// FlagTable::defaults_to.
+template <class Shape, class... Deadline, class... Attempts, class... Watchdog>
+FlagTable& add_job_shape(FlagTable& t, const JobShapeRows& rows, Shape& shape,
+                         std::string_view elems_default,
+                         std::tuple<Deadline*...> deadline_also,
+                         std::tuple<Attempts*...> attempts_also,
+                         std::tuple<Watchdog*...> watchdog_also) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  t.integer(rows.elems.name, rows.elems.help, 1, 1 << 20, &shape.elems);
+  if (!elems_default.empty()) t.defaults_to(elems_default);
+  t.integer(rows.tb.name, rows.tb.help, 1, 1024, &shape.tb);
+  std::apply(
+      [&](auto*... also) {
+        t.integer(rows.deadline_ms.name, rows.deadline_ms.help, 1, kMax / 2,
+                  also..., &shape.deadline_ms);
+      },
+      deadline_also);
+  std::apply(
+      [&](auto*... also) {
+        t.integer(rows.attempts.name, rows.attempts.help, 1, 1000,
+                  also..., &shape.max_attempts);
+      },
+      attempts_also);
+  std::apply(
+      [&](auto*... also) {
+        t.integer(rows.watchdog_steps.name, rows.watchdog_steps.help,
+                  std::numeric_limits<std::int64_t>::min(), kMax,
+                  also..., &shape.watchdog_steps);
+      },
+      watchdog_also);
+  return t;
+}
 
 /// Defaults applied to fields a manifest line does not set.
 struct ManifestDefaults {

@@ -42,7 +42,7 @@ Value eval_un_value(UnOp op, Value x) {
 }
 
 /// The interpreter's math builtins (sim/arith.hpp) on tagged values.
-Value eval_call_value(SymFn fn, const std::vector<Value>& xs) {
+Value eval_call_value(SymFn fn, const std::array<Value, 2>& xs) {
   const Builtin b = builtin_of(fn);
   if (arith::is_unary_math(b))
     return Value::of_float(arith::f32(arith::unary_math(b).fn(xs[0].as_f())));
@@ -75,7 +75,14 @@ bool is_truth(const SymNode& n) {
           static_cast<ScalarType>(n.op) == ScalarType::kBool);
 }
 
-/// Structural hash of a node and its operands. The final avalanche
+std::uint64_t bits_of(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+/// Structural hash of a node and its operands, never 0 (the hash of a
+/// node kept in a dense table instead of the index). The final avalanche
 /// matters: the intern index probes on the low bits, and f32 constants
 /// differ only in the high bits of their double pattern.
 std::uint64_t hash_node(const SymNode& n, std::span<const std::uint32_t> kids) {
@@ -89,16 +96,14 @@ std::uint64_t hash_node(const SymNode& n, std::span<const std::uint32_t> kids) {
       static_cast<std::uint64_t>(n.op) << 16 |
       static_cast<std::uint64_t>(static_cast<std::uint32_t>(n.param)) << 32);
   mix(static_cast<std::uint64_t>(n.ival));
-  std::uint64_t fb = 0;
-  std::memcpy(&fb, &n.fval, sizeof fb);
-  mix(fb);
+  mix(bits_of(n.fval));
   for (auto k : kids) mix(k);
   h ^= h >> 33;
   h *= 0xff51afd7ed558ccdULL;
   h ^= h >> 33;
   h *= 0xc4ceb9fe1a85ec53ULL;
   h ^= h >> 33;
-  return h;
+  return h ? h : 1;
 }
 
 /// Bit-equality on fval so NaN / -0.0 intern consistently. Operands are
@@ -126,6 +131,85 @@ float sym_float_input(std::uint64_t seed, int param, std::int64_t elem) {
 // SymArena
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Keys of the input-leaf table: a leaf outside it is interned.
+constexpr std::int32_t kTableParams = 1024;
+constexpr std::int64_t kTableElems = std::int64_t{1} << 24;
+constexpr std::size_t kTypeCount =
+    static_cast<std::size_t>(ScalarType::kFloat) + 1;
+
+bool tabled_input(std::int32_t param, std::int64_t elem) {
+  return param >= 0 && param < kTableParams && elem >= -1 &&
+         elem < kTableElems;
+}
+bool in_int_window(std::int64_t v) {
+  return v >= SymArena::kIntWindowLo && v < SymArena::kIntWindowHi;
+}
+std::size_t float_slot(std::uint64_t bits, std::size_t slots) {
+  return static_cast<std::size_t>((bits * 0x9e3779b97f4a7c15ULL) >> 40) &
+         (slots - 1);
+}
+
+/// Storage a destroyed arena leaves to the next one on its thread. An
+/// arena whose storage grew past kRecycleBytes (a job near its node
+/// budget; the serve pool's largest proof ends at 181,193 nodes, about
+/// 7 MiB of nodes and hashes) frees it instead of pinning it to the
+/// thread.
+constexpr std::size_t kRecycleBytes = std::size_t{64} << 20;
+struct Recycled {
+  std::vector<SymNode> nodes;
+  std::vector<std::uint64_t> hashes;
+  std::vector<std::uint32_t> kids;
+  std::vector<std::uint32_t> norm_memo;
+};
+thread_local Recycled recycled;
+
+template <class T>
+void take(std::vector<T>& to, std::vector<T>& from) {
+  to = std::move(from);
+  to.clear();
+}
+template <class T>
+void give(std::vector<T>& to, std::vector<T>& from) {
+  if (from.capacity() > to.capacity()) to = std::move(from);
+}
+
+}  // namespace
+
+SymArena::SymArena() {
+  take(nodes_, recycled.nodes);
+  take(hashes_, recycled.hashes);
+  take(kids_, recycled.kids);
+  take(norm_memo_, recycled.norm_memo);
+}
+
+SymArena::~SymArena() {
+  const std::size_t bytes =
+      nodes_.capacity() * sizeof(SymNode) +
+      hashes_.capacity() * sizeof(std::uint64_t) +
+      (kids_.capacity() + norm_memo_.capacity()) * sizeof(std::uint32_t);
+  if (bytes > kRecycleBytes) return;
+  give(recycled.nodes, nodes_);
+  give(recycled.hashes, hashes_);
+  give(recycled.kids, kids_);
+  give(recycled.norm_memo, norm_memo_);
+}
+
+std::uint32_t SymArena::append(const SymNode& n,
+                               std::span<const std::uint32_t> kids,
+                               std::uint64_t hash) {
+  if (nodes_.size() >= kInvalid || kids_.size() + kids.size() > kInvalid)
+    throw std::length_error("symbolic expression arena exhausted");
+  const auto id = static_cast<std::uint32_t>(nodes_.size());
+  SymNode& stored = nodes_.emplace_back(n);
+  stored.kid_begin = static_cast<std::uint32_t>(kids_.size());
+  stored.kid_count = static_cast<std::uint32_t>(kids.size());
+  kids_.insert(kids_.end(), kids.begin(), kids.end());
+  hashes_.push_back(hash);
+  return id;
+}
+
 std::uint32_t SymArena::intern(const SymNode& n,
                                std::span<const std::uint32_t> kids) {
   if (index_.empty()) index_.assign(1024, kInvalid);
@@ -138,30 +222,26 @@ std::uint32_t SymArena::intern(const SymNode& n,
         std::ranges::equal(kids, this->kids(id)))
       return id;
   }
-  if (nodes_.size() >= kInvalid || kids_.size() + kids.size() > kInvalid)
-    throw std::length_error("symbolic expression arena exhausted");
-  const auto id = static_cast<std::uint32_t>(nodes_.size());
-  SymNode& stored = nodes_.emplace_back(n);
-  stored.kid_begin = static_cast<std::uint32_t>(kids_.size());
-  stored.kid_count = static_cast<std::uint32_t>(kids.size());
-  kids_.insert(kids_.end(), kids.begin(), kids.end());
-  hashes_.push_back(h);
+  const std::uint32_t id = append(n, kids, h);
   index_[slot] = id;
+  ++indexed_;
   if (marked_) filled_.push_back(slot);
-  if (nodes_.size() * 2 > index_.size()) {
-    rehash(index_.size() * 2);
-    regrown_ = marked_;
-  }
+  if (indexed_ * 2 > index_.size()) rehash(index_.size() * 2);
   return id;
 }
 
 void SymArena::rehash(std::size_t slots) {
+  // Inserting in id order places every node made before the mark as if
+  // the nodes made since had never been, so filled_ stays exact.
   index_.assign(slots, kInvalid);
+  filled_.clear();
   const std::size_t mask = index_.size() - 1;
   for (std::uint32_t id = 0; id < nodes_.size(); ++id) {
+    if (hashes_[id] == 0) continue;  // a tabled leaf or constant
     std::size_t slot = hashes_[id] & mask;
     while (index_[slot] != kInvalid) slot = (slot + 1) & mask;
     index_[slot] = id;
+    if (marked_ && id >= mark_nodes_) filled_.push_back(slot);
   }
 }
 
@@ -170,7 +250,14 @@ std::uint32_t SymArena::cint(std::int64_t v) {
   n.kind = SymKind::kConstInt;
   n.type = ScalarType::kInt;
   n.ival = v;
-  return intern(n, {});
+  if (!in_int_window(v)) return intern(n, {});
+  const auto w = static_cast<std::size_t>(v - kIntWindowLo);
+  if (w >= ints_.size()) ints_.resize(w + 1, kInvalid);
+  if (ints_[w] == kInvalid) {
+    ints_[w] = append(n, {}, 0);
+    if (marked_) tabled_.push_back(ints_[w]);
+  }
+  return ints_[w];
 }
 
 std::uint32_t SymArena::cfloat(double v) {
@@ -178,28 +265,52 @@ std::uint32_t SymArena::cfloat(double v) {
   n.kind = SymKind::kConstFloat;
   n.type = ScalarType::kFloat;
   n.fval = Value::of_float(v).to_f32().f;
-  return intern(n, {});
+  const std::uint64_t bits = bits_of(n.fval);
+  if (floats_.empty()) floats_.resize(kFloatSlots);
+  FloatSlot& slot = floats_[float_slot(bits, floats_.size())];
+  if (slot.id != kInvalid && slot.bits == bits) return slot.id;
+  slot = {bits, intern(n, {})};
+  if (marked_ && slot.id >= mark_nodes_) tabled_.push_back(slot.id);
+  return slot.id;
+}
+
+std::uint32_t* SymArena::input_slot(std::int32_t param, std::int64_t elem,
+                                    ScalarType type) {
+  if (!tabled_input(param, elem)) return nullptr;
+  const std::size_t t = static_cast<std::size_t>(param) * kTypeCount +
+                        static_cast<std::size_t>(type);
+  const auto e = static_cast<std::size_t>(elem + 1);
+  if (inputs_.size() <= t) inputs_.resize(t + 1);
+  if (inputs_[t].size() <= e) inputs_[t].resize(e + 1, kInvalid);
+  return &inputs_[t][e];
 }
 
 std::uint32_t SymArena::input(std::int32_t param, std::int64_t elem,
                               ScalarType type) {
-  std::uint32_t* slot = nullptr;
-  if (param >= 0 && elem >= -1) {
-    const auto p = static_cast<std::size_t>(param);
-    const auto e = static_cast<std::size_t>(elem + 1);
-    if (inputs_.size() <= p) inputs_.resize(p + 1);
-    if (inputs_[p].size() <= e) inputs_[p].resize(e + 1, kInvalid);
-    slot = &inputs_[p][e];
-    if (*slot != kInvalid && nodes_[*slot].type == type) return *slot;
-  }
   SymNode n;
   n.kind = SymKind::kInput;
   n.type = type;
   n.param = param;
   n.ival = elem;
-  const std::uint32_t id = intern(n, {});
-  if (slot) *slot = id;
-  return id;
+  std::uint32_t* slot = input_slot(param, elem, type);
+  if (!slot) return intern(n, {});
+  if (*slot == kInvalid) {
+    *slot = append(n, {}, 0);
+    if (marked_) tabled_.push_back(*slot);
+  }
+  return *slot;
+}
+
+void SymArena::untable(std::uint32_t id) {
+  const SymNode& n = nodes_[id];
+  if (n.kind == SymKind::kInput) {
+    *input_slot(n.param, n.ival, n.type) = kInvalid;
+  } else if (n.kind == SymKind::kConstInt) {
+    ints_[static_cast<std::size_t>(n.ival - kIntWindowLo)] = kInvalid;
+  } else {
+    FloatSlot& slot = floats_[float_slot(bits_of(n.fval), floats_.size())];
+    if (slot.id == id) slot = {};
+  }
 }
 
 bool SymArena::constant(std::uint32_t id, Value* out) const {
@@ -255,8 +366,8 @@ std::uint32_t SymArena::un(UnOp op, std::uint32_t a) {
   return intern(n, {&a, 1});
 }
 
-std::uint32_t SymArena::call(SymFn fn, std::vector<std::uint32_t> kids) {
-  std::vector<Value> vals(kids.size());
+std::uint32_t SymArena::call(SymFn fn, std::span<const std::uint32_t> kids) {
+  std::array<Value, 2> vals{};
   bool all_const = true;
   bool any_float = false;
   for (std::size_t i = 0; i < kids.size(); ++i) {
@@ -314,7 +425,7 @@ std::uint32_t SymArena::select(std::uint32_t c, std::uint32_t a,
 }
 
 std::uint32_t SymArena::gather(std::uint32_t idx,
-                               const std::vector<std::uint32_t>& cells,
+                               std::span<const std::uint32_t> cells,
                                ScalarType type) {
   Value iv;
   if (constant(idx, &iv)) {
@@ -334,11 +445,9 @@ std::uint32_t SymArena::gather(std::uint32_t idx,
   SymNode n;
   n.kind = SymKind::kGather;
   n.type = type;
-  std::vector<std::uint32_t> kids;
-  kids.reserve(cells.size() + 1);
-  kids.push_back(idx);
-  kids.insert(kids.end(), cells.begin(), cells.end());
-  return intern(n, kids);
+  gather_kids_.assign(1, idx);
+  gather_kids_.insert(gather_kids_.end(), cells.begin(), cells.end());
+  return intern(n, gather_kids_);
 }
 
 namespace {
@@ -672,9 +781,7 @@ std::uint32_t SymArena::rebuild(std::uint32_t id, const SymNode& n,
     }
     case SymKind::kCall:
       return call(static_cast<SymFn>(n.op),
-                  std::vector<std::uint32_t>(
-                      norm_args_.begin() + static_cast<std::ptrdiff_t>(args),
-                      norm_args_.end()));
+                  std::span(norm_args_).subspan(args));
     case SymKind::kCast: return cast(static_cast<ScalarType>(n.op), kid(0));
     case SymKind::kSelect: {
       const std::uint32_t c = kid(0);
@@ -699,12 +806,7 @@ std::uint32_t SymArena::rebuild(std::uint32_t id, const SymNode& n,
       return select(c, t, e);
     }
     case SymKind::kGather:
-      return gather(kid(0),
-                    std::vector<std::uint32_t>(
-                        norm_args_.begin() +
-                            static_cast<std::ptrdiff_t>(args + 1),
-                        norm_args_.end()),
-                    n.type);
+      return gather(kid(0), std::span(norm_args_).subspan(args + 1), n.type);
   }
   return id;
 }
@@ -712,9 +814,10 @@ std::uint32_t SymArena::rebuild(std::uint32_t id, const SymNode& n,
 void SymArena::mark() {
   marked_ = true;
   mark_nodes_ = nodes_.size();
+  mark_indexed_ = indexed_;
   filled_.clear();
+  tabled_.clear();
   memoized_.clear();
-  regrown_ = false;
 }
 
 void SymArena::rollback() {
@@ -722,25 +825,21 @@ void SymArena::rollback() {
   for (const std::uint32_t id : memoized_) norm_memo_[id] = kInvalid;
   if (norm_memo_.size() > size) norm_memo_.resize(size);
   if (chain_slot_.size() > size) chain_slot_.resize(size);
+  // The leaves and constants made since the mark leave their tables (a
+  // float's cache entry only if no other constant has replaced it).
+  for (const std::uint32_t id : tabled_) untable(id);
   if (size < nodes_.size()) {
     kids_.resize(nodes_[size].kid_begin);
     nodes_.resize(size);
     hashes_.resize(size);
-    for (auto& ids : inputs_)
-      for (auto& id : ids)
-        if (id != kInvalid && id >= size) id = kInvalid;
   }
+  indexed_ = mark_indexed_;
   // Linear probing never moves an entry, so emptying the slots filled
-  // since the mark restores the index exactly. An index that grew
-  // meanwhile is rebuilt at its new size, which the next rollback keeps.
-  if (regrown_) {
-    rehash(index_.size());
-  } else {
-    for (const std::size_t slot : filled_) index_[slot] = kInvalid;
-  }
+  // since the mark restores the index exactly (at its current size).
+  for (const std::size_t slot : filled_) index_[slot] = kInvalid;
   filled_.clear();
+  tabled_.clear();
   memoized_.clear();
-  regrown_ = false;
 }
 
 std::string SymArena::str(std::uint32_t id, int max_depth) const {
@@ -831,6 +930,15 @@ struct Var {
   IdVec scalar;               // per-lane scalar ids
   IdVec cells;                // block_scoped: [elems]; else [lane*elems+e]
   std::vector<hazard::Cell> meta;  // shared arrays and buffers
+
+  /// Back to a default Var, keeping the vectors' storage.
+  void reset() {
+    type = {};
+    block_scoped = false;
+    scalar.clear();
+    cells.clear();
+    meta.clear();
+  }
 };
 
 /// An operand's node ids: a lane vector, or one id for every lane.
@@ -952,10 +1060,10 @@ class Exec {
   void begin_block(int bx, int by, int bz) {
     blk_ = static_cast<std::int64_t>(bz) * grid_.x * grid_.y +
            static_cast<std::int64_t>(by) * grid_.x + bx;
-    frame_.assign(bound_->num_slots(), Var{});
+    frame_.resize(bound_->num_slots());
+    for (Var& v : frame_) v.reset();
     regions_ = exec::Regions(lanes_, ExecutionLimits{}.max_loop_iterations);
-    splits_.clear();
-    preds_.clear();
+    open_ = symbolic_open_ = 0;
     epoch_ = 0;
     seq_ = 0;
     for (auto& g : globals_)  // a new block: keep what outlives the last
@@ -969,7 +1077,7 @@ class Exec {
         [&](int g, int l, int v) {
           geom_[g][static_cast<std::size_t>(l)] = ar_.cint(v);
         },
-        [&](int g, int v) { geom_[g] = splat(ar_.cint(v)); });
+        [&](int g, int v) { splat(geom_[g], ar_.cint(v)); });
     // Parameters occupy the binder's first slots, in order.
     for (std::size_t i = 0; i < kernel_.params.size(); ++i) {
       const ir::Param& p = kernel_.params[i];
@@ -985,7 +1093,7 @@ class Exec {
       } else {
         id = ar_.cint(a.scalar.as_i());
       }
-      v.scalar = splat(id);
+      splat(v.scalar, id);
     }
   }
 
@@ -1087,7 +1195,7 @@ class Exec {
   /// The mask of the innermost active region.
   [[nodiscard]] Mask& cur() { return regions_.cur(); }
   /// Inside an arm of a symbolic split.
-  [[nodiscard]] bool divergent() const { return !preds_.empty(); }
+  [[nodiscard]] bool divergent() const { return symbolic_open_ > 0; }
   template <class Fn>
   void each_lane(Fn&& fn) {
     lanes_.for_each_lane(cur(), fn);
@@ -1099,8 +1207,13 @@ class Exec {
   [[nodiscard]] Var& slot_of(const Instr& ins) {
     return frame_[static_cast<std::size_t>(ins.slot)];
   }
-  [[nodiscard]] IdVec splat(std::uint32_t id) const {
-    return IdVec(static_cast<std::size_t>(lanes_.nlanes()), id);
+  /// `id` on every lane of `v`.
+  void splat(IdVec& v, std::uint32_t id) const {
+    v.assign(static_cast<std::size_t>(lanes_.nlanes()), id);
+  }
+  /// No lane in `m`.
+  void clear(Mask& m) const {
+    m.assign(static_cast<std::size_t>(lanes_.nwarps()), 0u);
   }
   [[nodiscard]] std::size_t reg_base(std::int32_t r) const {
     return static_cast<std::size_t>(r) *
@@ -1157,10 +1270,14 @@ class Exec {
         });
       case Op::kMath1:
       case Op::kAbs:
-        return lanes(ins, [&](auto x, auto, auto) { return ar_.call(fn, {x}); });
+        return lanes(ins, [&](auto x, auto, auto) {
+          return ar_.call(fn, std::array{x});
+        });
       case Op::kMath2:
         return lanes(ins,
-                     [&](auto x, auto y, auto) { return ar_.call(fn, {x, y}); });
+                     [&](auto x, auto y, auto) {
+                       return ar_.call(fn, std::array{x, y});
+                     });
       default:  // kBin, kCompound
         return lanes(ins, [&](auto x, auto y, auto) {
           return ar_.bin(static_cast<BinOp>(ins.aux), x, y);
@@ -1191,12 +1308,13 @@ class Exec {
         bound_->slots[static_cast<std::size_t>(ins.slot)].decl->type;
     // Installed before the initializer runs, as BlockCore::declare does:
     // the initializer of `int x = x + 1;` reads the new, unset x.
-    Var& v = slot_of(ins) = Var{};
+    Var& v = slot_of(ins);
+    v.reset();
     v.type = type;
     const auto elems = static_cast<std::size_t>(type.element_count());
     v.block_scoped = type.space == ir::AddrSpace::kShared;  // an array
     if (!type.is_array())
-      v.scalar = splat(kInv);
+      splat(v.scalar, kInv);
     else
       v.cells.assign(v.block_scoped ? elems : elems * lanes_.nlanes(), kInv);
     if (v.block_scoped) v.meta.assign(elems, hazard::Cell{});
@@ -1275,9 +1393,13 @@ class Exec {
       if (old == kInv)
         throw Abort{"guarded store to uninitialized '" + name + "[" +
                     std::to_string(i) + "]'"};
+      // The arm's predicate at each symbolic level, innermost first
+      // (kInv: the lane is unconditional at that level).
       auto li = static_cast<std::size_t>(lane);
-      for (auto it = preds_.rbegin(); it != preds_.rend(); ++it) {
-        std::uint32_t p = (*it)[li];
+      for (std::size_t k = open_; k-- > 0;) {
+        const Split& s = splits_[k];
+        if (!s.symbolic) continue;
+        const std::uint32_t p = (s.in_else ? s.else_pred : s.cond)[li];
         if (p != kInv) vid = ar_.select(p, vid, old);
       }
     }
@@ -1395,16 +1517,16 @@ class Exec {
                              : std::string("symbolic-index load")) +
                     " over " + std::to_string(elems) +
                     " cells exceeds the gather limit"};
-      std::vector<std::uint32_t> snap(static_cast<std::size_t>(elems));
-      for (std::size_t e = 0; e < snap.size(); ++e) {
+      snap_.resize(static_cast<std::size_t>(elems));
+      for (std::size_t e = 0; e < snap_.size(); ++e) {
         const std::size_t c = cell0 + e;
-        snap[e] = tracked ? note_read(v.meta[c], cells, c, l, buffer, name)
-                          : cells[c];
-        if (snap[e] == kInv)
+        snap_[e] = tracked ? note_read(v.meta[c], cells, c, l, buffer, name)
+                           : cells[c];
+        if (snap_[e] == kInv)
           throw Abort{"load from '" + name +
                       "' at a symbolic index over uninitialized cells"};
       }
-      out[li] = ar_.gather(id, snap, type);
+      out[li] = ar_.gather(id, snap_, type);
     });
   }
 
@@ -1415,8 +1537,12 @@ class Exec {
   /// symbolic split; global stores fold the branch predicates in.
   void split(const Instr& ins, const Mask& m, Mask& tm, Mask& em) {
     const Ids c = src(ins.a);
-    Split& s = splits_.emplace_back();
-    s.tm = s.sm = em = lanes_.none();
+    if (open_ == splits_.size()) splits_.emplace_back();
+    Split& s = splits_[open_++];
+    s.symbolic = s.in_else = false;
+    clear(s.tm);
+    clear(s.sm);
+    clear(em);
     lanes_.for_each_lane(m, [&](std::size_t l) {
       Value cv;
       if (c.at(l) == kInv) throw Abort{"branch on an uninitialized value"};
@@ -1428,34 +1554,33 @@ class Exec {
     tm = s.tm;
     if (!any(s.sm)) return;
     s.symbolic = true;
+    ++symbolic_open_;
     s.frame = frame_;
-    s.cond = s.else_pred = splat(kInv);
+    splat(s.cond, kInv);
+    splat(s.else_pred, kInv);
     lanes_.for_each_lane(s.sm, [&](std::size_t l) {
       s.cond[l] = c.at(l);
       s.else_pred[l] = ar_.un(UnOp::kLNot, c.at(l));
     });
     exec::add_lanes(tm, s.sm);
     exec::add_lanes(em, s.sm);
-    preds_.push_back(s.cond);
   }
 
   /// kIfElse's hook: a symbolic split's else arm runs on the frame the
   /// split began with.
   void else_arm() {
-    Split& s = splits_.back();
+    Split& s = splits_[open_ - 1];
     if (!s.symbolic) return;
     std::swap(frame_, s.frame);
     s.in_else = true;
-    preds_.back() = std::move(s.else_pred);
   }
 
   /// The end of an if: a symbolic split merges its arms' frames.
   void end_if() {
-    Split s = std::move(splits_.back());
-    splits_.pop_back();
+    Split& s = splits_[--open_];
     if (!s.symbolic) return;
+    --symbolic_open_;
     if (!s.in_else) std::swap(frame_, s.frame);
-    preds_.pop_back();
     merge_frames(s.frame, s.cond, s.tm, s.sm);
   }
 
@@ -1493,7 +1618,7 @@ class Exec {
   void prune(const Instr& ins) {
     const char* what = ins.aux ? "while condition" : "loop bound";
     const Ids c = src(ins.a);
-    Mask taken = lanes_.none();
+    clear(taken_);
     each_lane([&](std::size_t l) {
       const std::uint32_t id = c.at(l);
       if (id == kInv)
@@ -1502,9 +1627,9 @@ class Exec {
       if (!ar_.constant(id, &cv))
         throw Abort{std::string("symbolic ") + what +
                     " (data-dependent trip count)"};
-      if (cv.truthy()) lanes_.set_lane(taken, l);
+      if (cv.truthy()) lanes_.set_lane(taken_, l);
     });
-    cur() = std::move(taken);
+    std::swap(cur(), taken_);  // taken_ keeps the old mask's storage
   }
 
   // ---------------- state ----------------
@@ -1525,9 +1650,17 @@ class Exec {
   /// index of a kFlatten register's kConcreteFlat lanes.
   IdVec regs_;
   std::vector<std::int64_t> flat_;
-  /// The region stack, and the open ifs.
+  /// access(): the cells a load at a symbolic index reads.
+  IdVec snap_;
+  /// The region stack, and the open ifs: splits_[0, open_), innermost
+  /// last, symbolic_open_ of them symbolic. Entries from open_ on keep
+  /// their storage for the next if.
   exec::Regions regions_;
   std::vector<Split> splits_;
+  std::size_t open_ = 0;
+  std::size_t symbolic_open_ = 0;
+  /// prune(): the next loop mask.
+  Mask taken_;
 
   /// Variables by binder slot; geometry lane vectors by Geom code.
   std::vector<Var> frame_;
@@ -1535,9 +1668,6 @@ class Exec {
   std::int64_t epoch_ = 0;
   std::int64_t seq_ = 0;
   std::int64_t blk_ = 0;
-  /// One per-lane branch-predicate vector per symbolic-divergence level
-  /// (kInv = lane is unconditional at that level).
-  std::vector<IdVec> preds_;
 };
 
 }  // namespace
@@ -1609,9 +1739,8 @@ bool SymEvaluator::eval(std::uint32_t root, Value* out) {
           r = eval_un_value(static_cast<ir::UnOp>(n.op), value(ks[0]));
           break;
         case SymKind::kCall: {
-          std::vector<Value> xs;
-          xs.reserve(ks.size());
-          for (auto k : ks) xs.push_back(value(k));
+          std::array<Value, 2> xs{};
+          for (std::size_t i = 0; i < ks.size(); ++i) xs[i] = value(ks[i]);
           r = eval_call_value(static_cast<SymFn>(n.op), xs);
           break;
         }

@@ -132,13 +132,33 @@ struct SymFault {
 /// eagerly when every operand is constant, replicating the interpreter's
 /// exact semantics (f32 rounding on float ops and math calls).
 ///
-/// Storage is flat: nodes, their hashes and one operand pool are plain
-/// vectors, and the intern index is an open-addressing table of node
-/// ids. Copying an arena is a handful of memcpys, and undoing what was
-/// added since a mark() costs only what was added.
+/// Storage is flat: nodes and one operand pool are plain vectors, and
+/// undoing what was added since a mark() costs only what was added.
+/// Every node lives in exactly one lookup structure, so it is appended
+/// once and its id is its creation order:
+///  - an input leaf in a dense table, by (param, type, elem + 1);
+///  - an int constant in [kIntWindowLo, kIntWindowHi) in a dense window;
+///  - every other node in the hashed intern index, an open-addressing
+///    table of node ids (linear probing, power-of-two size, at most half
+///    full; an indexed node keeps its hash for rehashing). Float
+///    constants have a direct-mapped cache by bit pattern in front.
+/// Leaves and constants are most of the lookups; a table or cache hit
+/// neither hashes nor probes. The node, operand, hash and normal-form
+/// vectors of a destroyed arena pass to the next arena made on the same
+/// thread, so a worker certifying job after job does not regrow them.
 class SymArena {
  public:
   static constexpr std::uint32_t kInvalid = 0xffffffffu;
+  /// The int constants the dense window holds.
+  static constexpr std::int64_t kIntWindowLo = -1024;
+  static constexpr std::int64_t kIntWindowHi = std::int64_t{1} << 16;
+
+  SymArena();
+  SymArena(const SymArena&) = default;
+  SymArena(SymArena&&) noexcept = default;
+  SymArena& operator=(const SymArena&) = default;
+  SymArena& operator=(SymArena&&) noexcept = default;
+  ~SymArena();
 
   [[nodiscard]] std::uint32_t cint(std::int64_t v);
   /// Constant float, rounded through f32 like every interpreter value.
@@ -148,12 +168,14 @@ class SymArena {
   [[nodiscard]] std::uint32_t bin(ir::BinOp op, std::uint32_t a,
                                   std::uint32_t b);
   [[nodiscard]] std::uint32_t un(ir::UnOp op, std::uint32_t a);
-  [[nodiscard]] std::uint32_t call(SymFn fn, std::vector<std::uint32_t> kids);
+  /// A math builtin over one or two operands.
+  [[nodiscard]] std::uint32_t call(SymFn fn,
+                                   std::span<const std::uint32_t> kids);
   [[nodiscard]] std::uint32_t cast(ir::ScalarType to, std::uint32_t a);
   [[nodiscard]] std::uint32_t select(std::uint32_t c, std::uint32_t a,
                                      std::uint32_t b);
   [[nodiscard]] std::uint32_t gather(std::uint32_t idx,
-                                     const std::vector<std::uint32_t>& cells,
+                                     std::span<const std::uint32_t> cells,
                                      ir::ScalarType type);
 
   [[nodiscard]] const SymNode& node(std::uint32_t id) const {
@@ -185,8 +207,9 @@ class SymArena {
       std::int64_t max_nodes = std::numeric_limits<std::int64_t>::max());
 
   /// Records the arena's state for rollback(). From here on the arena
-  /// logs the index slots it fills and the normal forms it memoizes for
-  /// older nodes, so a rollback costs what was added since the mark.
+  /// logs the index slots it fills, the table entries it sets and the
+  /// normal forms it memoizes for older nodes, so a rollback costs what
+  /// was added since the mark.
   void mark();
   /// Returns the arena to the state mark() recorded, node for node (as
   /// often as needed: the mark stays). The certifier runs every variant
@@ -227,9 +250,25 @@ class SymArena {
     std::size_t seen_begin = 0;  // the root's first chain_seen_ entry
     Folded c;                    // collect: the walk's folded constants
   };
+  /// One direct-mapped float-constant cache entry.
+  struct FloatSlot {
+    std::uint64_t bits = 0;
+    std::uint32_t id = kInvalid;
+  };
+  static constexpr std::size_t kFloatSlots = 4096;
 
+  [[nodiscard]] std::uint32_t append(const SymNode& n,
+                                     std::span<const std::uint32_t> kids,
+                                     std::uint64_t hash);
   [[nodiscard]] std::uint32_t intern(const SymNode& n,
                                      std::span<const std::uint32_t> kids);
+  /// The dense table entry of input leaf (param, elem, type), grown on
+  /// demand; null for a key outside the table.
+  [[nodiscard]] std::uint32_t* input_slot(std::int32_t param,
+                                          std::int64_t elem,
+                                          ir::ScalarType type);
+  /// Clears the dense-table or cache entry that refers to `id`.
+  void untable(std::uint32_t id);
   void rehash(std::size_t slots);
   [[nodiscard]] std::uint32_t fold_bin(ir::BinOp op, Value a, Value b);
   void absorb(SymNaryOp op, std::uint32_t operand, Folded& c);
@@ -250,30 +289,37 @@ class SymArena {
                                       std::size_t args);
 
   std::vector<SymNode> nodes_;
-  std::vector<std::uint64_t> hashes_;  // per node
+  std::vector<std::uint64_t> hashes_;  // per node; 0: not in the index
   std::vector<std::uint32_t> kids_;    // operand pool
-  /// Open-addressing intern index of node ids (linear probing,
-  /// power-of-two size, at most half full); kInvalid marks a free slot.
+  /// The intern index (see the class comment); kInvalid marks a free
+  /// slot. Holds `indexed_` nodes.
   std::vector<std::uint32_t> index_;
-  /// Input leaf ids by [param][elem + 1]: every run of a job sets up the
-  /// same leaves, and a hashed lookup of each misses the cache.
+  std::size_t indexed_ = 0;
+  /// Input leaf ids by [param and type][elem + 1].
   std::vector<std::vector<std::uint32_t>> inputs_;
+  /// Int constant ids by [v - kIntWindowLo], grown on demand.
+  std::vector<std::uint32_t> ints_;
+  /// Float constant ids by a hash of their bit pattern; empty until the
+  /// first float constant.
+  std::vector<FloatSlot> floats_;
   /// normalize() results per node id; kInvalid = not normalized yet.
   std::vector<std::uint32_t> norm_memo_;
-  /// Scratch of normalize() and make_nary. Nested frames push above the
-  /// entries of their caller and pop back to them.
+  /// Scratch of normalize(), make_nary and gather(). Nested frames push
+  /// above the entries of their caller and pop back to them.
   std::vector<NormFrame> norm_stack_;
   std::vector<std::uint32_t> norm_args_;
   std::vector<std::uint32_t> chain_rest_;
   std::vector<SeenChain> chain_seen_;
+  std::vector<std::uint32_t> gather_kids_;
   /// Per node id: its entry in chain_seen_, if the walk owning that
   /// entry is still running.
   std::vector<std::uint32_t> chain_slot_;
   /// mark(): the state it recorded, and what changed since.
   bool marked_ = false;
-  bool regrown_ = false;          // the index was rebuilt larger
   std::size_t mark_nodes_ = 0;
+  std::size_t mark_indexed_ = 0;
   std::vector<std::size_t> filled_;      // index slots filled
+  std::vector<std::uint32_t> tabled_;    // ids entered in a table or cache
   std::vector<std::uint32_t> memoized_;  // ids < mark_nodes_ normalized
 };
 

@@ -4,6 +4,7 @@
 // compiler integration (kProvenWrong quarantine + certified fast path).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -12,6 +13,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "frontend/parser.hpp"
@@ -138,10 +140,10 @@ TEST(SymArena, NormalizeRewritesSelectOverLessIntoMin) {
   auto x = a.input(0, 0, ir::ScalarType::kFloat);
   auto y = a.input(0, 1, ir::ScalarType::kFloat);
   auto sel = a.select(a.bin(ir::BinOp::kLt, x, y), x, y);
-  auto fmin = a.call(sim::SymFn::kFminf, {x, y});
+  auto fmin = a.call(sim::SymFn::kFminf, std::array{x, y});
   EXPECT_EQ(a.normalize(sel), a.normalize(fmin));
   auto selmax = a.select(a.bin(ir::BinOp::kLt, x, y), y, x);
-  auto fmax = a.call(sim::SymFn::kFmaxf, {x, y});
+  auto fmax = a.call(sim::SymFn::kFmaxf, std::array{x, y});
   EXPECT_EQ(a.normalize(selmax), a.normalize(fmax));
 }
 
@@ -183,7 +185,7 @@ TEST(SymArena, LongChainsNormalizeInLinearSpace) {
       xs.push_back(a.input(0, static_cast<std::int64_t>(i), kFloat));
     auto chain = build_chain(
         xs, 0, kN, Shape::kLeftDeep, [&](std::uint32_t p, std::uint32_t q) {
-          return fmin ? a.call(sim::SymFn::kFminf, {p, q})
+          return fmin ? a.call(sim::SymFn::kFminf, std::array{p, q})
                       : a.bin(ir::BinOp::kAdd, p, q);
         });
     const std::size_t before = footprint(a);
@@ -212,10 +214,17 @@ TEST(SymArena, ChainShapesNormalizeToOneId) {
       {"+", [&](auto p, auto q) { return a.bin(ir::BinOp::kAdd, p, q); }},
       {"*", [&](auto p, auto q) { return a.bin(ir::BinOp::kMul, p, q); }},
       {"fminf",
-       [&](auto p, auto q) { return a.call(sim::SymFn::kFminf, {p, q}); }},
+       [&](auto p, auto q) {
+         return a.call(sim::SymFn::kFminf, std::array{p, q});
+       }},
       {"fmaxf",
-       [&](auto p, auto q) { return a.call(sim::SymFn::kFmaxf, {p, q}); }},
-      {"min", [&](auto p, auto q) { return a.call(sim::SymFn::kMin, {p, q}); }},
+       [&](auto p, auto q) {
+         return a.call(sim::SymFn::kFmaxf, std::array{p, q});
+       }},
+      {"min",
+       [&](auto p, auto q) {
+         return a.call(sim::SymFn::kMin, std::array{p, q});
+       }},
   };
   for (const auto& [name, op] : ops) {
     SCOPED_TRACE(name);
@@ -239,7 +248,8 @@ TEST(SymArena, SharedMinMaxChainsWalkEachNodeOnce) {
   const auto x = a.input(0, 1, kFloat);
   auto tower = [&](std::uint32_t base, sim::SymFn even, sim::SymFn odd) {
     std::uint32_t t = base;
-    for (int i = 0; i < kLevels; ++i) t = a.call(i % 2 ? odd : even, {t, t});
+    for (int i = 0; i < kLevels; ++i)
+      t = a.call(i % 2 ? odd : even, std::array{t, t});
     return t;
   };
   const auto max_tower = tower(m, sim::SymFn::kFmaxf, sim::SymFn::kMax);
@@ -253,16 +263,17 @@ TEST(SymArena, SharedMinMaxChainsWalkEachNodeOnce) {
 
   // A constant under the shared levels survives the collapse.
   const auto min_tower =
-      tower(a.call(sim::SymFn::kFminf, {m, a.cfloat(2.0)}), sim::SymFn::kMin,
-            sim::SymFn::kFminf);
+      tower(a.call(sim::SymFn::kFminf, std::array{m, a.cfloat(2.0)}),
+            sim::SymFn::kMin, sim::SymFn::kFminf);
   EXPECT_EQ(a.normalize(min_tower),
-            a.normalize(a.call(sim::SymFn::kFminf, {m, a.cfloat(2.0)})));
+            a.normalize(
+                a.call(sim::SymFn::kFminf, std::array{m, a.cfloat(2.0)})));
 
   // A level reached again still folds its constant there. min keeps a
   // NaN it starts from and ignores one that comes later, so s's 1.0f
   // is lost under the NaN but folds in on the path through (s min x).
   auto fmin = [&](auto p, auto q) {
-    return a.call(sim::SymFn::kFminf, {p, q});
+    return a.call(sim::SymFn::kFminf, std::array{p, q});
   };
   const auto s = fmin(m, a.cfloat(1.0));
   const auto qnan = a.cfloat(std::numeric_limits<double>::quiet_NaN());
@@ -277,7 +288,7 @@ TEST(SymArena, ChainConstantsFoldNodeByNode) {
   auto i = a.input(1, 0, kInt);
   auto add = [&](auto p, auto q) { return a.bin(ir::BinOp::kAdd, p, q); };
   auto fmin = [&](auto p, auto q) {
-    return a.call(sim::SymFn::kFminf, {p, q});
+    return a.call(sim::SymFn::kFminf, std::array{p, q});
   };
   auto norm = [&](std::uint32_t id) { return a.normalize(id); };
 
@@ -399,6 +410,85 @@ TEST(SymArena, RollbackReturnsToTheMarkNodeForNode) {
     EXPECT_EQ(a.size(), copy.size());
     a.rollback();
   }
+}
+
+TEST(SymArena, LeavesAndConstantsStayHashConsed) {
+  // Input leaves and int constants live in dense tables, float constants
+  // behind a direct-mapped cache, the rest in the hashed index. Each
+  // must still give one id per distinct node, whichever lookup finds it.
+  sim::SymArena a;
+  // One (param, elem) as two types: two leaves, each found again.
+  const auto f = a.input(0, 3, kFloat);
+  const auto i = a.input(0, 3, kInt);
+  EXPECT_NE(f, i);
+  EXPECT_EQ(a.node(f).type, kFloat);
+  EXPECT_EQ(a.node(i).type, kInt);
+  EXPECT_EQ(a.input(0, 3, kFloat), f);
+  EXPECT_EQ(a.input(0, 3, kInt), i);
+  // Keys outside the table go through the index.
+  const std::vector<std::pair<std::int32_t, std::int64_t>> outside = {
+      {-2, 0}, {0, -2}, {0, std::int64_t{1} << 40}, {1 << 20, 0}};
+  std::set<std::uint32_t> leaves = {f, i};
+  for (const auto& [param, elem] : outside) {
+    const auto id = a.input(param, elem, kFloat);
+    EXPECT_TRUE(leaves.insert(id).second) << param << " " << elem;
+    EXPECT_EQ(a.input(param, elem, kFloat), id);
+    EXPECT_EQ(a.node(id).param, param);
+    EXPECT_EQ(a.node(id).ival, elem);
+  }
+  // Ints on both sides of each window edge, by literal and by fold.
+  std::set<std::uint32_t> ints;
+  for (const std::int64_t v :
+       {sim::SymArena::kIntWindowLo - 1, sim::SymArena::kIntWindowLo,
+        sim::SymArena::kIntWindowHi - 1, sim::SymArena::kIntWindowHi}) {
+    const auto id = a.cint(v);
+    EXPECT_TRUE(ints.insert(id).second) << v;
+    EXPECT_EQ(a.node(id).ival, v);
+    EXPECT_EQ(a.cint(v), id);
+    EXPECT_EQ(a.bin(ir::BinOp::kAdd, a.cint(v - 1), a.cint(1)), id) << v;
+  }
+  // More floats than cache slots: colliding slots still give one id per
+  // bit pattern. -0.0 is not 0.0; a NaN is itself.
+  std::vector<std::uint32_t> floats;
+  for (int k = 0; k < 20000; ++k) floats.push_back(a.cfloat(k * 0.5 - 7.25));
+  for (int k = 0; k < 20000; ++k) {
+    ASSERT_EQ(a.cfloat(k * 0.5 - 7.25), floats[static_cast<std::size_t>(k)]);
+    EXPECT_EQ(a.node(floats[static_cast<std::size_t>(k)]).fval,
+              k * 0.5 - 7.25);
+  }
+  EXPECT_EQ(std::set<std::uint32_t>(floats.begin(), floats.end()).size(),
+            floats.size());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NE(a.cfloat(-0.0), a.cfloat(0.0));
+  EXPECT_EQ(a.cfloat(-0.0), a.cfloat(-0.0));
+  EXPECT_EQ(a.cfloat(nan), a.cfloat(nan));
+  EXPECT_NE(a.cfloat(nan), a.cfloat(-nan));
+  EXPECT_EQ(a.cfloat(-nan), a.cfloat(-nan));
+
+  // Made after the mark, rolled back, made again in another order: the
+  // ids are those of an arena copied at the mark.
+  a.mark();
+  const sim::SymArena at_mark = a;
+  auto make = [](sim::SymArena& arena, bool reversed) {
+    std::vector<std::uint32_t> ids;
+    auto add = [&](int k) {
+      switch (k) {
+        case 0: return arena.cint(777);
+        case 1: return arena.cint(sim::SymArena::kIntWindowHi + 5);
+        case 2: return arena.cfloat(1234.5);
+        case 3: return arena.input(5, 9, kFloat);
+        default: return arena.input(5, 9, kInt);
+      }
+    };
+    for (int k = 0; k < 5; ++k) ids.push_back(add(reversed ? 4 - k : k));
+    return ids;
+  };
+  (void)make(a, false);
+  a.rollback();
+  EXPECT_EQ(a.size(), at_mark.size());
+  sim::SymArena copy = at_mark;
+  EXPECT_EQ(make(a, true), make(copy, true));
+  EXPECT_EQ(a.size(), copy.size());
 }
 
 // ---------------------------------------------------------------------
@@ -705,6 +795,41 @@ std::vector<Certificate> certify_all(const ir::Kernel& kernel, int elems) {
   }
   EXPECT_FALSE(certs.empty());
   return certs;
+}
+
+TEST(SymArena, RecycledStorageIsInvisible) {
+  // A destroyed arena leaves its storage to the next arena on its
+  // thread. Whether that storage held an earlier job, or the thread is
+  // new, must not show in a certificate, an arena size or a normal form.
+  std::unique_ptr<ir::Program> prog;
+  const ir::Kernel& kernel = parse_kernel(prog, kDotSrc);
+  auto job = [&] {
+    std::vector<std::string> out;
+    for (const Certificate& c : certify_all(kernel, 32))
+      out.push_back(c.json());
+    std::vector<sim::SymArg> args(5);
+    for (std::size_t p = 0; p < 3; ++p) {
+      args[p].kind = sim::SymArg::Kind::kBufferSymbolic;
+      args[p].type = kFloat;
+      args[p].elems = 32 * 32;
+    }
+    for (std::size_t p = 3; p < 5; ++p)
+      args[p].scalar = sim::Value::of_int(32);
+    sim::SymArena arena;
+    const auto run = sim::sym_execute(sim::DeviceSpec::gtx680(), kernel,
+                                      {1, 1, 1}, {32, 1, 1}, args, arena);
+    EXPECT_TRUE(run.ok) << run.reason;
+    for (const auto cell : run.buffers[2])
+      out.push_back(std::to_string(arena.normalize(cell)));
+    out.push_back("size " + std::to_string(arena.size()));
+    return out;
+  };
+  const auto first = job();
+  const auto second = job();  // in the storage the first job left
+  std::vector<std::string> fresh;
+  std::thread([&] { fresh = job(); }).join();
+  EXPECT_EQ(second, first);
+  EXPECT_EQ(fresh, first);
 }
 
 TEST(Certifier, DeepReductionChainCertifies) {

@@ -11,8 +11,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <string>
 
+#include "serve/manifest.hpp"
 #include "temp_util.hpp"
 
 #ifndef CUDANP_CC_PATH
@@ -305,6 +307,56 @@ TEST(Cli, RejectsGarbageNumericFlags) {
   }
   auto ok = run_cli(path + " --tb=64");
   EXPECT_EQ(ok.exit_code, 0) << ok.output;
+}
+
+TEST(Cli, JobShapeRangesMatchTheManifestKeys) {
+  // cudanp-cc's flags and the manifest keys add their five job-shape
+  // rows through one helper (serve::add_job_shape): at each range edge
+  // both accept or both reject, and a rejection names the same range.
+  struct Row {
+    const char* flag;
+    const char* key;
+    std::string min, max, over;
+  };
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const Row rows[] = {
+      {"--elems", "elems", "1", "1048576", "1048577"},
+      {"--tb", "tb", "1", "1024", "1025"},
+      {"--deadline-ms", "deadline-ms", "1", std::to_string(kMax / 2),
+       std::to_string(kMax / 2 + 1)},
+      {"--retries", "attempts", "1", "1000", "1001"},
+      {"--watchdog-steps", "watchdog-steps",
+       std::to_string(std::numeric_limits<std::int64_t>::min()),
+       std::to_string(kMax), "9223372036854775808"},
+  };
+  auto kernel = write_temp_kernel(kTmv);
+  for (const Row& row : rows) {
+    for (const std::string& v : {std::string("0"), row.max, row.over}) {
+      SCOPED_TRACE(std::string(row.flag) + "=" + v);
+      const bool in_range = v == row.max || (v == "0" && row.min != "1");
+      const std::string expected = ": '" + v + "' (expected integer in [" +
+                                   row.min + ", " + row.max + "])";
+      // A value the flag takes stops at the next check: --status needs
+      // --connect. Neither side runs a job.
+      const auto cli = run_cli(std::string(row.flag) + "=" + v + " --status");
+      EXPECT_EQ(cli.exit_code, 1) << cli.output;
+      std::string error;
+      (void)cudanp::serve::parse_manifest(
+          "file=" + kernel + " " + row.key + "=" + v + "\n", "", {}, &error);
+      if (in_range) {
+        EXPECT_NE(cli.output.find("require --connect"), std::string::npos)
+            << cli.output;
+        EXPECT_EQ(error, "");
+      } else {
+        EXPECT_NE(cli.output.find("cudanp-cc: bad value for " +
+                                  std::string(row.flag) + expected),
+                  std::string::npos)
+            << cli.output;
+        EXPECT_EQ(error,
+                  "line 1: bad value for " + std::string(row.key) + expected);
+      }
+    }
+  }
 }
 
 std::string write_temp_file(const std::string& name,

@@ -118,7 +118,6 @@ FlagTable cli_flags(CliOptions& o) {
   np::ValidationOptions& v = o.validation;
   serve::ServiceOptions& s = o.daemon.service;
   serve::ManifestDefaults& d = o.daemon.defaults;
-  constexpr std::int64_t kI64Max = std::numeric_limits<std::int64_t>::max();
   FlagTable t(
       "cudanp-cc",
       "usage: cudanp-cc <input.cu> [options]\n"
@@ -132,8 +131,6 @@ FlagTable cli_flags(CliOptions& o) {
       .text("--kernel", "<name>",
             "kernel to transform (default: first with #pragma np loops)",
             &o.kernel, /*allow_empty=*/true)
-      .integer("--tb", "baseline thread-block size (also the manifest tb=)",
-               1, 1024, &d.tb)
       .integer("--slave-size", "slaves per master incl. the master", 1,
                1024, &o.config.slave_size)
       .choice("--np-type", "warp mapping",
@@ -161,6 +158,21 @@ FlagTable cli_flags(CliOptions& o) {
            true, &o.preprocess)
       .separate("-o", "<file>", "write output to file (default stdout)",
                 &o.output)
+      .section("Job shape (single-file runs, and the manifest defaults)");
+  serve::add_job_shape(
+      t,
+      {{"--elems",
+        "synthetic workload size for guarded runs (also the manifest "
+        "elems=)"},
+       {"--tb", "baseline thread-block size (also the manifest tb=)"},
+       {"--deadline-ms", "default per-job virtual deadline"},
+       {"--retries", "max attempts per job incl. the first"},
+       {"--watchdog-steps",
+        "per-block statement budget before the watchdog cancels a launch; "
+        "0 = CUDANP_MAX_STEPS, else 2^26; negative disables"}},
+      d, "64", std::tuple{&s.default_deadline_ms},
+      std::tuple{&s.retry.max_attempts},
+      std::tuple{&v.interp.limits.max_steps_per_block})
       .section("Guarded execution")
       .set("--sanitize",
            "run baseline + every candidate under the sanitizer and "
@@ -169,11 +181,6 @@ FlagTable cli_flags(CliOptions& o) {
       .integer("--error-limit",
                "stop sanitizing after n distinct hazards; 0 = no limit", 0,
                1 << 30, &v.sanitizer.error_limit, &s.sanitizer.error_limit)
-      .integer("--elems",
-               "synthetic workload size for guarded runs (also the "
-               "manifest elems=)",
-               1, 1 << 20, &d.elems)
-      .defaults_to("64")
       .set("--portable-races",
            "also flag races that only block-lockstep order hides",
            RaceMode::kPortable, &v.sanitizer.race_mode,
@@ -182,11 +189,6 @@ FlagTable cli_flags(CliOptions& o) {
                "host threads simulating thread blocks; results are "
                "identical at every count; 0 = CUDANP_JOBS, else all cores",
                1, sim::ExecPool::kMaxWorkers, &v.interp.jobs, &s.jobs)
-      .integer("--watchdog-steps",
-               "per-block statement budget before the watchdog cancels a "
-               "launch; 0 = CUDANP_MAX_STEPS, else 2^26; negative disables",
-               std::numeric_limits<std::int64_t>::min(), kI64Max,
-               &v.interp.limits.max_steps_per_block, &d.watchdog_steps)
       .set("--certify",
            "symbolically certify every candidate; a refuted one is "
            "quarantined as proven-wrong (exit 11)",
@@ -204,10 +206,6 @@ FlagTable cli_flags(CliOptions& o) {
             &o.batch)
       .integer("--queue-cap", "admission queue capacity", 1, 1 << 20,
                &s.queue_capacity)
-      .integer("--deadline-ms", "default per-job virtual deadline", 1,
-               kI64Max / 2, &s.default_deadline_ms, &d.deadline_ms)
-      .integer("--retries", "max attempts per job incl. the first", 1, 1000,
-               &s.retry.max_attempts, &d.max_attempts)
       .choice("--isolate",
               "crash isolation: process runs every attempt in a sandboxed "
               "worker subprocess",
